@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -355,6 +355,39 @@ def _spectra(fields: np.ndarray, window: np.ndarray) -> np.ndarray:
     return F.reshape(F.shape[0], -1)
 
 
+def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi1, phi2, sphere, kind: str) -> HMeasureEstimate:
+    """Per-scale window -> spectra -> bins loop behind both public measures.
+
+    ``g_fields`` None pairs the family with itself.  The first spectra are
+    reused as the second ones only when both the second sequence and the
+    second window are the first ones; that case fills the Hermitian half.
+    """
+    sphere = sphere or SphereGrid()
+    grid = family.grid
+    same_window = phi2 is None or phi2 is phi1
+    hermitian = same_window and g_fields is None
+    w1 = _window_array(grid, phi1)
+    w2 = w1 if same_window else _window_array(grid, phi2)
+    idx, dirs, _ = _lattice_bins(grid, sphere)
+    scale = grid.cell_volume**2 / grid.box_volume
+    history, centroids, dc_energy = {}, {}, {}
+    for e in family.epsilons:
+        u = np.asarray(family.fields[e])
+        F1 = _spectra(u, w1)
+        F2 = F1 if hermitian else _spectra(u if g_fields is None else np.asarray(g_fields[e]), w2)
+        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian)
+    return HMeasureEstimate(
+        sphere=sphere,
+        grid=grid,
+        testpair=(_window_label(phi1), _window_label(phi1 if same_window else phi2)),
+        epsilons=family.epsilons,
+        history=history,
+        centroids=centroids,
+        dc_energy=dc_energy,
+        metadata={"kind": kind, "family": dict(family.metadata)},
+    )
+
+
 def estimate_hmeasure(
     family: OscillatingFamily,
     phi1,
@@ -370,32 +403,7 @@ def estimate_hmeasure(
         raise ValueError("need at least two epsilon values for a limit surrogate")
     if family.min_cells_per_wavelength() < 4.0:
         raise AliasingError("family oscillations are under-resolved (< 4 cells/wavelength)")
-    sphere = sphere or SphereGrid()
-    grid = family.grid
-    same = phi2 is None or phi2 is phi1
-    w1 = _window_array(grid, phi1)
-    w2 = w1 if same else _window_array(grid, phi2)
-    idx, dirs, _ = _lattice_bins(grid, sphere)
-    scale = grid.cell_volume**2 / grid.box_volume
-    history, centroids, dc_energy = {}, {}, {}
-    for e in family.epsilons:
-        u = np.asarray(family.fields[e])
-        F1 = _spectra(u, w1)
-        F2 = F1 if same else _spectra(u, w2)
-        bins, cent, dc = _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian=same)
-        history[e] = bins
-        centroids[e] = cent
-        dc_energy[e] = dc
-    return HMeasureEstimate(
-        sphere=sphere,
-        grid=grid,
-        testpair=(_window_label(phi1), _window_label(phi1 if same else phi2)),
-        epsilons=family.epsilons,
-        history=history,
-        centroids=centroids,
-        dc_energy=dc_energy,
-        metadata={"kind": "auto", "family": dict(family.metadata)},
-    )
+    return _cross_spectral_measure(family, None, phi1, phi2, sphere, "auto")
 
 
 def source_fields(family: OscillatingFamily) -> dict:
@@ -428,34 +436,9 @@ def correlation_measure(
     """Cross measure between u^eps and a second sequence g^eps (6 x m bins)."""
     if set(float(e) for e in g_fields.keys()) != set(family_u.epsilons):
         raise ValueError("mismatched epsilon ladders between u and g")
-    sphere = sphere or SphereGrid()
-    grid = family_u.grid
-    same_window = phi2 is None or phi2 is phi1
-    w1 = _window_array(grid, phi1)
-    w2 = w1 if same_window else _window_array(grid, phi2)
-    idx, dirs, _ = _lattice_bins(grid, sphere)
-    scale = grid.cell_volume**2 / grid.box_volume
-    history, centroids, dc_energy = {}, {}, {}
-    for e in family_u.epsilons:
-        g = np.asarray(g_fields[e])
-        if g.shape[1:] != grid.shape:
-            raise ValueError("secondary sequence grid mismatch")
-        F1 = _spectra(np.asarray(family_u.fields[e]), w1)
-        F2 = _spectra(g, w2)
-        bins, cent, dc = _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian=False)
-        history[e] = bins
-        centroids[e] = cent
-        dc_energy[e] = dc
-    return HMeasureEstimate(
-        sphere=sphere,
-        grid=grid,
-        testpair=(_window_label(phi1), _window_label(phi1 if same_window else phi2)),
-        epsilons=family_u.epsilons,
-        history=history,
-        centroids=centroids,
-        dc_energy=dc_energy,
-        metadata={"kind": "cross", "family": dict(family_u.metadata)},
-    )
+    if any(np.shape(g)[1:] != family_u.grid.shape for g in g_fields.values()):
+        raise ValueError("secondary sequence grid mismatch")
+    return _cross_spectral_measure(family_u, g_fields, phi1, phi2, sphere, "cross")
 
 
 def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:

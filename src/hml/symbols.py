@@ -10,7 +10,7 @@ driving the propagation checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "Q_MATRICES",
     "FrequencyDirection",
     "MaterialModel",
-    "SymbolMatrix",
     "EigenStructure",
     "TestSymbol",
     "antisym_E",
@@ -31,7 +30,6 @@ __all__ = [
     "eigen_structure",
     "poisson_bracket",
     "propagation_operator",
-    "curl_coefficient_trace",
 ]
 
 
@@ -207,17 +205,6 @@ class MaterialModel:
         return 1.0 / np.sqrt(self.eps_at(x) * self.eta_at(x))
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """A 6x6 symbol value together with the evaluation point (x, zeta)."""
-
-    entries: np.ndarray
-    eval_point: tuple
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
 def antisym_E(zetaP) -> np.ndarray:
     """Antisymmetric 3x3 matrix acting as p -> zeta' x p."""
     z = np.asarray(zetaP, dtype=float).reshape(3)
@@ -254,7 +241,7 @@ def assemble_system_matrices(model: MaterialModel, x) -> tuple:
     return (A0, Ak[0], Ak[1], Ak[2], C)
 
 
-def assemble_P(model: MaterialModel, x, zeta: FrequencyDirection) -> SymbolMatrix:
+def assemble_P(model: MaterialModel, x, zeta: FrequencyDirection) -> np.ndarray:
     """P(x, zeta) = zeta0*A0 + sum_j zeta_j*A^j = [[zeta0 eps Id, -E], [E, zeta0 eta Id]]."""
     model.check_in_domain(x)
     eps = model.eps_at(x)
@@ -265,7 +252,7 @@ def assemble_P(model: MaterialModel, x, zeta: FrequencyDirection) -> SymbolMatri
     P[3:, 3:] = zeta.zeta0 * eta * np.eye(3)
     P[:3, 3:] = -E
     P[3:, :3] = E
-    return SymbolMatrix(P, (tuple(np.asarray(x, float).reshape(3)), zeta))
+    return P
 
 
 def assemble_divergence_symbol(zetaP) -> np.ndarray:
@@ -292,21 +279,53 @@ def propagation_basis(zetaP) -> tuple:
     In polar coordinates zhat = (sin t cos p, sin t sin p, cos t),
     z1 = (cos t cos p, cos t sin p, -sin t), z2 = (-sin p, cos p, 0).
     On the polar axis (theta = 0 or pi) the azimuth is fixed to p = 0.
+    ``zetaP`` has shape (3,) + S; each returned vector has the same shape.
     """
-    z = np.asarray(zetaP, dtype=float).reshape(3)
-    norm = np.linalg.norm(z)
-    if norm == 0.0:
+    z = np.asarray(zetaP, dtype=float)
+    norm = np.sqrt(np.sum(z * z, axis=0))
+    if np.any(norm == 0.0):
         raise DegenerateDirectionError("propagation basis undefined for zeta' = 0")
     zhat = z / norm
     ct = np.clip(zhat[2], -1.0, 1.0)
-    st = np.sqrt(max(0.0, 1.0 - ct * ct))
-    if st < 1e-300:
-        cp, sp = 1.0, 0.0
-    else:
-        cp, sp = zhat[0] / st, zhat[1] / st
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    polar = st < 1e-300
+    st_safe = np.where(polar, 1.0, st)
+    cp = np.where(polar, 1.0, zhat[0] / st_safe)
+    sp = np.where(polar, 0.0, zhat[1] / st_safe)
     z1 = np.array([ct * cp, ct * sp, -st])
-    z2 = np.array([-sp, cp, 0.0])
+    z2 = np.array([-sp, cp, np.zeros_like(sp)])
     return zhat, z1, z2
+
+
+def _mode_vectors(zetaP, eps, eta, modes: Sequence[str]) -> np.ndarray:
+    """Eigenvectors of P' = zeta0*Id + L for the named modes, as columns.
+
+    ``zetaP`` has shape (3,) + S and ``eps``/``eta`` broadcast against S;
+    the result has shape (6, len(modes)) + S.  The vectors are orthonormal
+    in the A0 inner product.
+    """
+    zhat, z1, z2 = propagation_basis(zetaP)
+    se, sh = 1.0 / np.sqrt(eps), 1.0 / np.sqrt(eta)
+    ce, ch = 1.0 / np.sqrt(2 * eps), 1.0 / np.sqrt(2 * eta)
+
+    def vector(mode):
+        if mode == "long-e":
+            e = se * zhat
+            return np.concatenate([e, np.zeros_like(e)])
+        if mode == "long-h":
+            h = sh * zhat
+            return np.concatenate([np.zeros_like(h), h])
+        if mode == "trans+1":
+            return np.concatenate([ce * z1, ch * z2])
+        if mode == "trans+2":
+            return np.concatenate([ce * z2, -ch * z1])
+        if mode == "trans-1":
+            return np.concatenate([ce * z1, -ch * z2])
+        if mode == "trans-2":
+            return np.concatenate([ce * z2, ch * z1])
+        raise ValueError(f"unknown mode {mode!r}")
+
+    return np.stack([vector(m) for m in modes], axis=1)
 
 
 @dataclass(frozen=True)
@@ -351,16 +370,7 @@ def eigen_structure(model: MaterialModel, x, zeta: FrequencyDirection) -> EigenS
     eps = model.eps_at(x)
     eta = model.eta_at(x)
     v = 1.0 / np.sqrt(eps * eta)
-    zhat, z1, z2 = propagation_basis(zp)
-    se, sh = 1.0 / np.sqrt(eps), 1.0 / np.sqrt(eta)
-    b0_1 = np.concatenate([se * zhat, np.zeros(3)])
-    b0_2 = np.concatenate([np.zeros(3), sh * zhat])
-    ce, ch = 1.0 / np.sqrt(2 * eps), 1.0 / np.sqrt(2 * eta)
-    bp_1 = np.concatenate([ce * z1, ch * z2])
-    bp_2 = np.concatenate([ce * z2, -ch * z1])
-    bm_1 = np.concatenate([ce * z1, -ch * z2])
-    bm_2 = np.concatenate([ce * z2, ch * z1])
-    basis = np.column_stack([b0_1, b0_2, bp_1, bp_2, bm_1, bm_2])
+    basis = _mode_vectors(zp, eps, eta, EigenStructure.MODE_ORDER)
     omegas = (zeta.zeta0, zeta.zeta0 + v * r, zeta.zeta0 - v * r)
     return EigenStructure(omegas=omegas, basis=basis, speed=v)
 
@@ -479,20 +489,3 @@ def propagation_operator(model: MaterialModel, psi: TestSymbol, xt, zeta: Freque
     S[:3, :3] = sig * np.eye(3)
     return bracket - 2.0 * float(psi.value(xt, zeta.vec4)) * S
 
-
-def curl_coefficient_trace(zetaP, l: int, bracketing: str = "product_then_trace") -> float:
-    """Tr((zeta' (x) zeta') * dE/dzeta_l), the scalar weight in the transport rows.
-
-    dE/dzeta_l is the constant generator Q_l.  Both bracketings of the
-    trace/ product are cyclic rearrangements and agree; the value vanishes
-    identically because Q_l is antisymmetric.  Kept as an explicit numeric
-    evaluation so the transport rows can be assembled exactly as printed.
-    """
-    z = np.asarray(zetaP, dtype=float).reshape(3)
-    dyad = np.outer(z, z)
-    Q = Q_MATRICES[l]
-    if bracketing == "product_then_trace":
-        return float(np.trace(dyad @ Q))
-    if bracketing == "trace_then_product":
-        return float(np.trace(Q @ dyad))
-    raise ValueError(f"unknown bracketing {bracketing!r}")

@@ -24,12 +24,13 @@ import scipy.linalg
 
 from .grids import GridSpec, SeparableWindow, hann_window
 from .symbols import (
+    EigenStructure,
+    FrequencyDirection,
     MaterialModel,
-    Q_MATRICES,
     UnsupportedGeneratorError,
+    _mode_vectors,
     assemble_system_matrices,
     eigen_structure,
-    FrequencyDirection,
 )
 
 __all__ = [
@@ -45,10 +46,7 @@ __all__ = [
     "weak_null_report",
     "linear_phase",
     "layered_phase",
-    "mode_polarization_field",
 ]
-
-MODE_NAMES = ("long-e", "long-h", "trans+1", "trans+2", "trans-1", "trans-2")
 
 
 class AliasingError(ValueError):
@@ -108,12 +106,25 @@ def constitutive_fields(model: MaterialModel, family: OscillatingFamily) -> dict
     return out
 
 
-def _cells_per_wavelength(grid: GridSpec, carrier_indices: Sequence[float]) -> float:
-    """Min samples per oscillation cycle over the four axes; inf if static."""
+def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[float]) -> float:
+    """Worst samples per oscillation cycle over the ladder; inf if static.
+
+    ``rates`` are the per-axis maximal phase rates (t, x1, x2, x3); at scale
+    eps the carrier index along an axis is rate * extent / eps.  Raises
+    AliasingError when any scale falls under four cells per wavelength.
+    """
     worst = np.inf
-    for n, m in zip(grid.shape, carrier_indices):
-        if abs(m) > 1e-12:
-            worst = min(worst, n / abs(m))
+    for e in epsilons:
+        cells = np.inf
+        for n, rate, extent in zip(grid.shape, rates, grid.extents):
+            m = rate * extent / e
+            if abs(m) > 1e-12:
+                cells = min(cells, n / abs(m))
+        worst = min(worst, cells)
+        if cells < 4.0:
+            raise AliasingError(
+                f"eps={e}: oscillation resolved by {cells:.2f} cells/wavelength (< 4)"
+            )
     return worst
 
 
@@ -146,7 +157,7 @@ def plane_wave_family(
     """
     if not model.is_constant:
         raise UnsupportedGeneratorError("plane_wave_family requires a constant model")
-    if mode not in MODE_NAMES:
+    if mode not in EigenStructure.MODE_ORDER:
         raise ValueError(f"unknown mode {mode!r}")
     k = np.asarray(k, dtype=float).reshape(3)
     if np.linalg.norm(k) == 0:
@@ -163,15 +174,7 @@ def plane_wave_family(
     genv = envelope.sample_gradient(grid)
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    worst_cells = np.inf
-    for e in eps_list:
-        m_idx = [c * grid.extents[0] / e, *(k[j] * grid.extents[1 + j] / e for j in range(3))]
-        cells = _cells_per_wavelength(grid, m_idx)
-        worst_cells = min(worst_cells, cells)
-        if cells < 4.0:
-            raise AliasingError(
-                f"eps={e}: oscillation resolved by {cells:.2f} cells/wavelength (< 4)"
-            )
+    worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
 
     Acoef = (A0, A1, A2, A3)
     fields, sources = {}, {}
@@ -276,16 +279,9 @@ def evolved_family(
         env = tf[1](x1) * tf[2](x2) * tf[3](x3)
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    worst_cells = np.inf
+    worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
     fields = {}
     for e in eps_list:
-        m_idx = [c * grid.extents[0] / e, *(k[j] * grid.extents[1 + j] / e for j in range(3))]
-        cells = _cells_per_wavelength(grid, m_idx)
-        worst_cells = min(worst_cells, cells)
-        if cells < 4.0:
-            raise AliasingError(
-                f"eps={e}: oscillation resolved by {cells:.2f} cells/wavelength (< 4)"
-            )
         u0 = (env * np.exp((2j * np.pi / e) * sphase))[None, ...] * b.reshape(6, 1, 1, 1)
         fields[e] = exact_constant_evolution(model, u0, grid).astype(dtype, copy=False)
 
@@ -363,43 +359,6 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
     return PhaseField(value=value, grad=grad, label=f"layered(axis={axis},{sign})")
 
 
-def mode_polarization_field(model: MaterialModel, mode: str, zp: np.ndarray, x1, x2, x3) -> np.ndarray:
-    """Pointwise eigenmode polarization b_mode(x, zeta') over arrays.
-
-    ``zp`` has shape (3,) + S for broadcastable spatial coordinate arrays of
-    shape S; the result has shape (6,) + S.
-    """
-    if mode not in MODE_NAMES:
-        raise ValueError(f"unknown mode {mode!r}")
-    r = np.sqrt(np.sum(zp**2, axis=0))
-    if np.any(r == 0):
-        raise ValueError("zeta' must be nonzero everywhere")
-    zhat = zp / r
-    ct = np.clip(zhat[2], -1.0, 1.0)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    safe = st > 1e-300
-    cp = np.where(safe, np.divide(zhat[0], st, where=safe, out=np.ones_like(st)), 1.0)
-    sp = np.where(safe, np.divide(zhat[1], st, where=safe, out=np.zeros_like(st)), 0.0)
-    z1 = np.stack([ct * cp, ct * sp, -st])
-    z2 = np.stack([-sp, cp, np.zeros_like(sp)])
-    eps = np.asarray(model.eps(x1, x2, x3)) + 0.0 * r
-    eta = np.asarray(model.eta(x1, x2, x3)) + 0.0 * r
-    se, sh = 1.0 / np.sqrt(eps), 1.0 / np.sqrt(eta)
-    ce, ch = se / np.sqrt(2.0), sh / np.sqrt(2.0)
-    zero = np.zeros_like(z1)
-    if mode == "long-e":
-        return np.concatenate([se * zhat, zero])
-    if mode == "long-h":
-        return np.concatenate([zero, sh * zhat])
-    if mode == "trans+1":
-        return np.concatenate([ce * z1, ch * z2])
-    if mode == "trans+2":
-        return np.concatenate([ce * z2, -ch * z1])
-    if mode == "trans-1":
-        return np.concatenate([ce * z1, -ch * z2])
-    return np.concatenate([ce * z2, ch * z1])
-
-
 def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> np.ndarray:
     """d/d(axis) via the periodic DFT; arr has a leading component axis."""
     ax = 1 + axis_of_grid
@@ -467,21 +426,11 @@ def wkb_family(
     # off-support points get a dummy direction so the basis stays defined
     filler = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1, 1)
     zp_safe = np.where((gnorm < grad_floor)[None, ...], filler, gx)
-    pol = mode_polarization_field(model, mode, zp_safe, x1, x2, x3)
+    pol = _mode_vectors(zp_safe, model.eps(x1, x2, x3), model.eta(x1, x2, x3), (mode,))[:, 0]
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     gt = np.broadcast_to(np.asarray(g[0], dtype=float), grid.shape)
-    worst_cells = np.inf
-    for e in eps_list:
-        m_idx_max = [
-            np.max(np.abs(gt[support])) * grid.extents[0] / e if support.any() else 0.0,
-            *(np.max(np.abs(gx[j][support])) * grid.extents[1 + j] / e for j in range(3)),
-        ]
-        cells = _cells_per_wavelength(grid, m_idx_max)
-        worst_cells = min(worst_cells, cells)
-        if cells < 4.0:
-            raise AliasingError(
-                f"eps={e}: oscillation resolved by {cells:.2f} cells/wavelength (< 4)"
-            )
+    rates = [np.max(np.abs(gr[support]), initial=0.0) for gr in (gt, *gx)]
+    worst_cells = _aliasing_guard(grid, eps_list, rates)
 
     fields, sources = {}, {}
     for e in eps_list:

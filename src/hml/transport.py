@@ -11,15 +11,15 @@ omega = zeta0 +- v(x)|zeta'| are integrated with a fixed-step RK4 scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .estimator import HMeasureEstimate, SphereGrid, estimate_hmeasure
+from .estimator import SphereGrid, estimate_hmeasure
 from .grids import AxisWindow, GridSpec, SeparableWindow
-from .symbols import MaterialModel, Q_MATRICES, curl_coefficient_trace
+from .symbols import MaterialModel, propagation_basis
 from .synthesis import OscillatingFamily
-from .verifier import DensityDecomposition, fit_constant_decomposition, fit_modal_decomposition
+from .verifier import DensityDecomposition, fit_modal_decomposition
 
 __all__ = [
     "RayState",
@@ -47,7 +47,6 @@ class RayState:
     zetaP: np.ndarray
     zeta0: float = 0.0
     t: float = 0.0
-    payload: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -215,12 +214,11 @@ def sphere_gradient(f_bins: np.ndarray, sphere: SphereGrid):
     df2 = _angle_derivative(lat, h2, 1, periodic=False)
     df3 = _angle_derivative(lat, h3, 2, periodic=True)
     ang = sphere.centers_angles().reshape(n1, n2, n3, 3)
-    chi1, theta, phi = ang[..., 0], ang[..., 1], ang[..., 2]
+    chi1, theta = ang[..., 0], ang[..., 1]
     s1, c1 = np.sin(chi1), np.cos(chi1)
-    stheta, ctheta = np.sin(theta), np.cos(theta)
-    nvec = np.stack([stheta * np.cos(phi), stheta * np.sin(phi), ctheta])  # (3,n1,n2,n3)
-    z1 = np.stack([ctheta * np.cos(phi), ctheta * np.sin(phi), -stheta])
-    z2 = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    stheta = np.sin(theta)
+    # (zhat, z1, z2) of every center's zeta', each of shape (3, n1, n2, n3)
+    nvec, z1, z2 = propagation_basis(np.moveaxis(sphere.centers()[:, 1:].reshape(n1, n2, n3, 3), -1, 0))
     pad = (1,) * len(extra)
     c1v = (c1 / 1.0).reshape((1, n1, n2, n3) + pad)
     inv_s1 = (1.0 / s1).reshape((1, n1, n2, n3) + pad)
@@ -259,7 +257,6 @@ class TransportResidualReport:
     rows: list  # dicts: row, psi, weak_residual, dominant, relative
     skipped: dict
     max_relative: float
-    strong: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -268,7 +265,6 @@ class TransportResidualReport:
             "rows": self.rows,
             "skipped": self.skipped,
             "max_relative": self.max_relative,
-            "strong": self.strong,
         }
 
 
@@ -285,10 +281,35 @@ def _weak_pair(term: np.ndarray, psi_vals: np.ndarray, weights: np.ndarray, dts:
     return float(np.linalg.norm(acc))
 
 
-def _strong_max(term: np.ndarray, keep: np.ndarray) -> float:
-    """Max pointwise magnitude over kept bins (Frobenius for matrix rows)."""
-    mag = np.abs(term) if term.ndim == 2 else np.linalg.norm(term, axis=(-2, -1))
-    return float(mag[:, keep].max()) if keep.any() else 0.0
+def _weak_rows(rows_spec: list, psi_battery: list, levels, points: np.ndarray, weights: np.ndarray,
+               dts: np.ndarray) -> tuple:
+    """Pair every row's total and terms against every psi of the battery.
+
+    ``rows_spec`` is a list of (row name, terms); psi is evaluated once per
+    label at (level, point).  Each row's residual is relative to its
+    largest single term.  Returns (rows, max_relative).
+    """
+    tables = [(label, np.stack([psi(t, points) for t in levels])) for label, psi in psi_battery]
+    rows = []
+    max_rel = 0.0
+    for name, terms in rows_spec:
+        total = sum(terms)
+        for label, psi_vals in tables:
+            res = _weak_pair(total, psi_vals, weights, dts)
+            dominant = max(_weak_pair(term, psi_vals, weights, dts) for term in terms)
+            rel = res / dominant if dominant > 1e-14 else res
+            rows.append({"row": name, "psi": label, "weak_residual": res, "dominant": dominant, "relative": rel})
+            max_rel = max(max_rel, rel)
+    return rows, max_rel
+
+
+def _kept_weights(traj: DensityTrajectory, keep: np.ndarray) -> tuple:
+    """Restrict ``keep`` to the trajectory's valid bins; (keep, solid-angle weights)."""
+    if traj.valid_bins is not None:
+        mask = np.zeros_like(keep)
+        mask[traj.valid_bins] = True
+        keep = keep & mask
+    return keep, traj.sphere.weights() * keep
 
 
 def _interior_times(times: np.ndarray) -> tuple:
@@ -303,8 +324,6 @@ def constant_transport_residual(
     model: MaterialModel,
     mu_uf_rhs: dict | None = None,
     psi_battery: list | None = None,
-    bracketing: str = "product_then_trace",
-    mode: str = "weak",
 ) -> TransportResidualReport:
     """Residuals of the four constant-case transport rows, as printed.
 
@@ -313,10 +332,9 @@ def constant_transport_residual(
     Row 3: |z'|^2(-db/dt) + sum_l d_l[T_l d]               = 2 Re Tr mu_uf_22
     Row 4: -sum_l d_l[T_l b] + |z'|^2(dd/dt - 2 sigma d)   = 2 Re Tr mu_uf_21
 
-    T_l = Tr((z' (x) z') dE/dzeta_l) is evaluated exactly from the symbol
-    module (it vanishes identically: the curl generators are antisymmetric);
-    the spatial divergence it multiplies is dropped for single-window
-    densities and noted in ``skipped``.  ``mu_uf_rhs`` maps block names
+    with T_l = Tr((z' (x) z') Q_l).  The time-derivative and damping
+    contributions are separate terms, so each row's residual is relative
+    to its largest single term.  ``mu_uf_rhs`` maps block names
     '11','12','21','22' to (n_times, B) arrays of 2 Re Tr mu values.
     """
     if traj.case != "constant":
@@ -325,63 +343,36 @@ def constant_transport_residual(
     sphere = traj.sphere
     centers = sphere.centers()
     zp = centers[:, 1:]
-    zp2 = np.sum(zp * zp, axis=1)
+    zp2 = np.sum(zp * zp, axis=1)[None, :]
     sig = model.sigma_at(traj.x_center)
-    T = np.stack([
-        np.array([curl_coefficient_trace(z, l, bracketing) for z in zp]) for l in range(3)
-    ])  # (3, B), identically ~0
     a, b = traj.data["a"], traj.data["b"]
     c, d = traj.data["c"], traj.data["d"]
     tin, dts = _interior_times(traj.times)
     da, db = _time_derivative(a, traj.times), _time_derivative(b, traj.times)
     dc, dd = _time_derivative(c, traj.times), _time_derivative(d, traj.times)
-    ai, bi, ci, di = a[1:-1], b[1:-1], c[1:-1], d[1:-1]
+    ai, di = a[1:-1], d[1:-1]
 
     def rhs(name):
         if mu_uf_rhs is None:
             return np.zeros((tin.size, sphere.num_bins))
         return np.asarray(mu_uf_rhs[name])[1:-1]
 
-    # The printed curl-trace coefficient T_l is evaluated exactly and
-    # multiplies an x-divergence: zero both because T_l == 0 identically
-    # (antisymmetric generators) and because a single spatial window
-    # carries no x-resolution.
-    zero = np.zeros_like(ai)
+    # The d_l[T_l .] terms are dropped: T_l = Tr((z' (x) z') Q_l) vanishes
+    # identically because every curl generator Q_l is antisymmetric.
     rows_spec = [
-        ("1", [zp2[None, :] * (-da - 2 * sig * ai), zero, -rhs("11")]),
-        ("2", [zero, -zp2[None, :] * dc, -rhs("12")]),
-        ("3", [zp2[None, :] * (-db), zero, -rhs("22")]),
-        ("4", [zero, zp2[None, :] * (dd - 2 * sig * di), -rhs("21")]),
+        ("1", [zp2 * (-da), zp2 * (-2 * sig * ai), -rhs("11")]),
+        ("2", [-zp2 * dc, -rhs("12")]),
+        ("3", [zp2 * (-db), -rhs("22")]),
+        ("4", [zp2 * dd, zp2 * (-2 * sig * di), -rhs("21")]),
     ]
-    keep = np.ones(sphere.num_bins, dtype=bool)
-    if traj.valid_bins is not None:
-        keep[:] = False
-        keep[traj.valid_bins] = True
-    weights = sphere.weights() * keep
-    rows = []
-    strong = {}
-    max_rel = 0.0
-    for name, terms in rows_spec:
-        total = sum(terms)
-        if mode == "strong":
-            strong[name] = _strong_max(total, keep)
-        for label, psi in psi_battery:
-            psi_vals = np.stack([psi(t, centers) for t in tin])
-            res = _weak_pair(total, psi_vals, weights, dts)
-            dominant = max(_weak_pair(term, psi_vals, weights, dts) for term in terms)
-            rel = res / dominant if dominant > 1e-14 else res
-            rows.append({"row": name, "psi": label, "weak_residual": res, "dominant": dominant, "relative": rel})
-            max_rel = max(max_rel, rel)
+    _, weights = _kept_weights(traj, np.ones(sphere.num_bins, dtype=bool))
+    rows, max_rel = _weak_rows(rows_spec, psi_battery, tin, centers, weights, dts)
     return TransportResidualReport(
         case="constant",
-        variant=f"verbatim/{bracketing}",
+        variant="verbatim",
         rows=rows,
-        skipped={
-            "x_derivatives": "single spatial window; curl-trace coefficient is exactly zero",
-            "max_curl_trace_coefficient": float(np.max(np.abs(T))),
-        },
+        skipped={"x_derivatives": "single spatial window; curl-trace coefficient is exactly zero"},
         max_relative=max_rel,
-        strong=strong,
     )
 
 
@@ -391,7 +382,6 @@ def variable_transport_residual(
     mu_uf_rhs: dict | None = None,
     psi_battery: list | None = None,
     variant: str = "verbatim",
-    mode: str = "weak",
 ) -> TransportResidualReport:
     """Residuals of the smooth-scalar-case block transport rows.
 
@@ -467,26 +457,8 @@ def variable_transport_residual(
         ("3", [-epsv * dt21, row3_bend, -2 * sigv * i21, -rhs("21")]),
         ("4", [row4_time, row4_zero_order, bend("s22"), -rhs("22")]),
     ]
-    keep = valid.copy() if valid is not None else np.ones(sphere.num_bins, bool)
-    if traj.valid_bins is not None:
-        mask = np.zeros_like(keep)
-        mask[traj.valid_bins] = True
-        keep &= mask
-    weights = sphere.weights() * keep
-    rows = []
-    strong = {}
-    max_rel = 0.0
-    for name, terms in rows_spec:
-        total = sum(terms)
-        if mode == "strong":
-            strong[name] = _strong_max(total, keep)
-        for label, psi in psi_battery:
-            psi_vals = np.stack([psi(t, centers) for t in tin])
-            res = _weak_pair(total, psi_vals, weights, dts)
-            dominant = max(_weak_pair(term, psi_vals, weights, dts) for term in terms)
-            rel = res / dominant if dominant > 1e-14 else res
-            rows.append({"row": name, "psi": label, "weak_residual": res, "dominant": dominant, "relative": rel})
-            max_rel = max(max_rel, rel)
+    keep, weights = _kept_weights(traj, valid)
+    rows, max_rel = _weak_rows(rows_spec, psi_battery, tin, centers, weights, dts)
     return TransportResidualReport(
         case="scalar_smooth",
         variant=variant,
@@ -494,7 +466,6 @@ def variable_transport_residual(
         skipped={"x_derivatives": "single spatial window: sum_l Q_l dx_l sigma terms dropped",
                  "masked_bins": int((~keep).sum())},
         max_relative=max_rel,
-        strong=strong,
     )
 
 
@@ -528,35 +499,25 @@ def divergence_constraint_residual(
     common = np.array(sorted(common), dtype=int)
     if common.size == 0:
         return {"skipped": True, "reason": "no common mass-carrying bins across windows"}
-    out = {"skipped": False, "densities": {}}
-    weights = sphere.weights()
-    interior = slice(1, positions.size - 1)
+    interior = positions[1:-1]
     dx = positions[2:] - positions[:-2]
+    if mu_urho_rhs is not None:
+        rhs = np.stack([np.asarray(m) for m in mu_urho_rhs])[1:-1, common]
+    else:
+        rhs = np.zeros((interior.size, common.size))
+    rows_spec = []
     for name in ("a", "b", "c", "d"):
         vals = np.zeros((positions.size, B), dtype=complex)
         for i, f in enumerate(fits):
             vals[i, f.bin_indices] = f.coefficients[name]
         dvals = (vals[2:] - vals[:-2]) / dx[:, None]
         lhs = (centers[None, :, 1 + axis] ** 2) * dvals
-        if mu_urho_rhs is not None:
-            rhs = np.stack([np.asarray(m) for m in mu_urho_rhs])[interior]
-        else:
-            rhs = np.zeros_like(lhs)
-        resid = lhs[:, common] - rhs[:, common]
-        max_rel = 0.0
-        for label, psi in psi_battery:
-            psi_vals = np.stack([psi(x, centers[common]) for x in positions[interior]])
-            w = weights[common]
-            num = abs(np.sum(resid * psi_vals * w[None, :]))
-            dom = max(
-                abs(np.sum(lhs[:, common] * psi_vals * w[None, :])),
-                abs(np.sum(rhs[:, common] * psi_vals * w[None, :])),
-                1e-300,
-            )
-            rel = num / dom if dom > 1e-14 else num
-            max_rel = max(max_rel, rel)
-        out["densities"][name] = {"max_relative": max_rel}
-    return out
+        rows_spec.append((name, [lhs[:, common], -rhs]))
+    rows, _ = _weak_rows(rows_spec, psi_battery, interior, centers[common], sphere.weights()[common],
+                         np.ones(interior.size))
+    densities = {name: {"max_relative": max(r["relative"] for r in rows if r["row"] == name)}
+                 for name, _ in rows_spec}
+    return {"skipped": False, "densities": densities}
 
 
 # -------------------------------------------------------------- predict/compare

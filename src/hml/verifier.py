@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import HMeasureEstimate, SphereGrid
+from .estimator import HMeasureEstimate
 from .symbols import (
     DegenerateDirectionError,
     FrequencyDirection,
@@ -41,11 +41,9 @@ __all__ = [
 ]
 
 
-def _bin_directions(est: HMeasureEstimate, eps: float, use_centroid: bool) -> np.ndarray:
+def _bin_directions(est: HMeasureEstimate, eps: float) -> np.ndarray:
     """Per-bin evaluation directions: mass centroids where defined, else centers."""
     centers = est.sphere.centers()
-    if not use_centroid:
-        return centers
     cent = est.centroids.get(eps)
     if cent is None:
         return centers
@@ -84,7 +82,6 @@ def localisation_residual(
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
     eps: float | None = None,
     mass_floor: float = 1e-6,
-    use_centroid: bool = True,
 ) -> LocalisationReport:
     """Per-bin relative Frobenius residual of symbol(x, zeta_bin) @ mu_bin.
 
@@ -101,7 +98,7 @@ def localisation_residual(
     masses = np.trace(bins, axis1=1, axis2=2).real
     total = max(masses.sum(), 1e-300)
     keep = masses > mass_floor * total
-    dirs = _bin_directions(est, e, use_centroid)
+    dirs = _bin_directions(est, e)
     idx = np.flatnonzero(keep)
     residuals = np.empty(idx.size)
     weights = masses[idx] / total
@@ -109,7 +106,7 @@ def localisation_residual(
         vec = dirs[b]
         M = bins[b]
         if symbol == "P":
-            S = np.asarray(assemble_P(model, x_center, FrequencyDirection.from_vec4(vec)))
+            S = assemble_P(model, x_center, FrequencyDirection.from_vec4(vec))
         else:
             S = assemble_divergence_symbol(vec[1:])
         residuals[n] = np.linalg.norm(S @ M) / max(np.linalg.norm(M), 1e-300)
@@ -168,7 +165,6 @@ def support_check(
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
     radius_bins: float = 2.0,
     eps: float | None = None,
-    use_centroid: bool = True,
 ) -> SupportReport:
     """Mass fraction near the declared support set of the case's theorem.
 
@@ -186,7 +182,7 @@ def support_check(
     if total <= 0:
         return SupportReport(case, tol, 1.0, {}, 0.0)
     speed = model.speed_at(x_center) if model is not None else 1.0
-    dirs = _bin_directions(est, e, use_centroid)
+    dirs = _bin_directions(est, e)
     dist = _angular_distances(dirs, case, speed)
     union_names = ["zeta0=0", "zetaP=0"]
     if case == "scalar_smooth":
@@ -297,12 +293,12 @@ class DensityDecomposition:
         }
 
 
-def _select_bins(est, eps, mass_floor, zp_floor, use_centroid):
+def _select_bins(est, eps, mass_floor, zp_floor):
     e = est.finest if eps is None else eps
     bins = est.history[e]
     masses = np.trace(bins, axis1=1, axis2=2).real
     total = max(masses.sum(), 1e-300)
-    dirs = _bin_directions(est, e, use_centroid)
+    dirs = _bin_directions(est, e)
     rp = np.linalg.norm(dirs[:, 1:], axis=1)
     # polar chi1 rings contain the degenerate points zeta' = 0
     ring = np.arange(est.sphere.num_bins) // (est.sphere.n_theta * est.sphere.n_phi)
@@ -319,7 +315,6 @@ def fit_constant_decomposition(
     eps: float | None = None,
     mass_floor: float = 1e-6,
     zp_floor: float = 0.15,
-    use_centroid: bool = True,
 ) -> DensityDecomposition:
     """Least-squares projection of each 3x3 block onto span{zeta' (x) zeta'}.
 
@@ -327,7 +322,7 @@ def fit_constant_decomposition(
     rank-one reconstruction.  Bins with zeta' ~ 0 are excluded: the dyad
     degenerates there and the theorem gives a vanishing measure anyway.
     """
-    e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor, use_centroid)
+    e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor)
     names = ("a", "b", "c", "d")
     coeffs = {n: np.zeros(idx.size, dtype=complex) for n in names}
     residuals = np.zeros(idx.size)
@@ -376,7 +371,6 @@ def fit_modal_decomposition(
     eps: float | None = None,
     mass_floor: float = 1e-6,
     zp_floor: float = 0.15,
-    use_centroid: bool = True,
 ) -> DensityDecomposition:
     """Project each bin onto the six eigen-dyads b_s (x) b_s of the symbol.
 
@@ -384,7 +378,7 @@ def fit_modal_decomposition(
     is (A0 b_s)^H mu (A0 b_s).  The reconstruction residual keeps track of
     any coherence between modes that the six dyads cannot represent.
     """
-    e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor, use_centroid)
+    e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor)
     A0 = assemble_system_matrices(model, x_center)[0]
     coeffs = {n: np.zeros(idx.size, dtype=complex) for n in MODAL_NAMES}
     residuals = np.zeros(idx.size)

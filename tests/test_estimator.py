@@ -207,6 +207,15 @@ def test_total_mass_plancherel():
 
 # ---------------------------------------------------------------- correlation
 
+def test_estimate_equal_window_copy_matches_single_window():
+    fam = _family()
+    phi = hann_window(GRID, axes=(0,))
+    one = estimate_hmeasure(fam, phi, sphere=SPHERE)
+    two = estimate_hmeasure(fam, phi, hann_window(GRID, axes=(0,)), sphere=SPHERE)
+    for e in fam.epsilons:
+        np.testing.assert_allclose(two.history[e], one.history[e], rtol=0, atol=1e-12 * one.total_mass(e))
+
+
 def test_correlation_reduces_to_estimate():
     fam = _family()
     phi = hann_window(GRID, axes=(0,))

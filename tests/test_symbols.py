@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 from hml.symbols import (
     DegenerateDirectionError,
+    EigenStructure,
     FrequencyDirection,
     MaterialModel,
     Q_MATRICES,
     TestSymbol,
+    _mode_vectors,
     antisym_E,
     assemble_P,
     assemble_divergence_symbol,
     assemble_system_matrices,
-    curl_coefficient_trace,
     dispersion_matrix,
     eigen_structure,
     poisson_bracket,
@@ -186,6 +187,18 @@ def test_propagation_basis_right_handed(rng):
 def test_propagation_basis_zero_errors():
     with pytest.raises(DegenerateDirectionError):
         propagation_basis((0, 0, 0))
+
+
+@pytest.mark.parametrize("mode", EigenStructure.MODE_ORDER)
+def test_mode_vectors_broadcast_match_eigen_structure(mode):
+    model = MaterialModel.constant(2.0, 0.5, 0.0)
+    rng = np.random.default_rng(11)
+    zps = np.column_stack([rng.normal(size=(3, 50)), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    got = _mode_vectors(zps, 2.0, 0.5, (mode,))[:, 0]
+    assert got.shape == (6, zps.shape[1])
+    for n in range(zps.shape[1]):
+        want = eigen_structure(model, (0, 0, 0), FrequencyDirection(0.3, zps[:, n])).vector(mode)
+        np.testing.assert_allclose(got[:, n], want, atol=1e-14)
 
 
 # ------------------------------------------------------------ eigenstructure
@@ -391,11 +404,6 @@ def test_propagation_operator_variable_top_left(smooth_model, rng):
 
 # ------------------------------------------------- transport-row curl weights
 
-def test_curl_coefficient_trace_vanishes(rng):
-    for _ in range(30):
-        z = rng.normal(size=3)
-        for l in range(3):
-            a = curl_coefficient_trace(z, l, "product_then_trace")
-            b = curl_coefficient_trace(z, l, "trace_then_product")
-            assert abs(a) <= 1e-14 * max(1.0, z @ z)
-            assert a == pytest.approx(b, abs=1e-15)
+def test_curl_generators_antisymmetric():
+    # makes T_l = Tr((z' (x) z') Q_l) vanish, so the transport rows drop it
+    np.testing.assert_array_equal(Q_MATRICES, -np.transpose(Q_MATRICES, (0, 2, 1)))

@@ -99,9 +99,18 @@ def test_plane_wave_requires_constant_model(smooth_model):
         _family(model=smooth_model)
 
 
-def test_plane_wave_aliasing_guard():
-    with pytest.raises(AliasingError):
-        _family(epsilons=(2.0**-6,))
+def test_aliasing_guard():
+    model = MaterialModel.constant()
+    env = hann_window(GRID, axes=(0, 1))
+    k, epsilons = (0, 0, 1.0), (2.0**-6,)
+    generators = [
+        lambda: plane_wave_family(model, GRID, k, "trans+1", env, epsilons),
+        lambda: evolved_family(model, GRID, k, "trans+1", epsilons),
+        lambda: wkb_family(model, GRID, linear_phase(k, -1.0), env, "trans+1", epsilons),
+    ]
+    for make in generators:
+        with pytest.raises(AliasingError, match="cells/wavelength"):
+            make()
 
 
 def test_plane_wave_source_is_envelope_commutator():

@@ -4,12 +4,11 @@ import pytest
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
 from hml.symbols import MaterialModel
-from hml.synthesis import evolved_family, plane_wave_family
+from hml.synthesis import evolved_family
 from hml.transport import (
     DensityTrajectory,
     RayState,
     constant_transport_residual,
-    default_psi_battery,
     divergence_constraint_residual,
     integrate_rays,
     predict_then_compare,
@@ -49,7 +48,7 @@ def test_rays_straight_for_constant_model():
     model = MaterialModel.constant(2.0, 0.5, 0.0)
     st = RayState(x=np.array([0.1, 0.2, 0.3]), zetaP=np.array([0.0, 0.6, 0.8]))
     path = integrate_rays(model, [st], (0.0, 1.0), dt=2.0**-6)[0]
-    np.testing.assert_allclose(path.zetaPs, path.zetaPs[0], atol=1e-14)
+    np.testing.assert_allclose(path.zetaPs, np.broadcast_to(path.zetaPs[0], path.zetaPs.shape), atol=1e-14)
     v = model.speed_at(st.x)
     np.testing.assert_allclose(path.xs[-1], st.x + v * np.array([0.0, 0.6, 0.8]), atol=1e-12)
 
