@@ -48,9 +48,6 @@ class GridSpec:
         """Sample coordinates along axis i (left endpoints, periodic)."""
         return np.arange(self.shape[i]) * self.spacing[i]
 
-    def axes(self) -> tuple:
-        return tuple(self.axis(i) for i in range(4))
-
     def meshes(self) -> tuple:
         """Broadcastable coordinate arrays (t, x1, x2, x3)."""
         return tuple(
@@ -87,9 +84,6 @@ class GridSpec:
     @property
     def spatial_shape(self) -> tuple:
         return self.shape[1:]
-
-    def compatible_with(self, other: "GridSpec") -> bool:
-        return self.extents == other.extents and self.shape == other.shape
 
     def describe(self) -> dict:
         return {"extents": list(self.extents), "shape": list(self.shape), "periodic": list(self.periodic)}
@@ -156,10 +150,6 @@ class SeparableWindow:
             parts = [self.factors[j].derivative(coords[j]) if j == i else vals[j] for j in range(4)]
             grads.append(parts[0] * parts[1] * parts[2] * parts[3])
         return grads
-
-    def value_at(self, xt) -> float:
-        xt = np.asarray(xt, dtype=float).reshape(4)
-        return float(np.prod([f(np.array(c)) for f, c in zip(self.factors, xt)]))
 
     def centroid(self, grid: GridSpec) -> np.ndarray:
         """|phi|^2-weighted mean point of the window on the grid."""

@@ -204,17 +204,29 @@ class MaterialModel:
         """Propagation speed v(x) = 1/sqrt(eps(x)*eta(x))."""
         return 1.0 / np.sqrt(self.eps_at(x) * self.eta_at(x))
 
+    def sample_fields(self, x1, x2, x3) -> tuple:
+        """(eps, eta, sigma) on broadcastable coordinate arrays, e.g. grid meshes.
+
+        Raises DomainError when the coordinates' bounding box leaves
+        ``domain`` and ValueError when eps < eps_min or eta < eta_min at any
+        sample.
+        """
+        coords = [np.asarray(c, dtype=float) for c in (x1, x2, x3)]
+        self.check_in_domain([c.min() for c in coords])
+        self.check_in_domain([c.max() for c in coords])
+        eps, eta, sig = (np.asarray(f(*coords)) for f in (self.eps, self.eta, self.sigma))
+        for name, values, floor in (("eps", eps, self.eps_min), ("eta", eta, self.eta_min)):
+            if np.any(values < floor):
+                raise ValueError(f"{name} falls to {values.min():.6g}, below its lower bound {floor:.6g}")
+        return eps, eta, sig
+
 
 def antisym_E(zetaP) -> np.ndarray:
-    """Antisymmetric 3x3 matrix acting as p -> zeta' x p."""
-    z = np.asarray(zetaP, dtype=float).reshape(3)
-    return np.array(
-        [
-            [0.0, -z[2], z[1]],
-            [z[2], 0.0, -z[0]],
-            [-z[1], z[0], 0.0],
-        ]
-    )
+    """E(zeta') = sum_j zeta_j Q_j, the matrix of p -> zeta' x p.
+
+    ``zetaP`` has shape (..., 3); the result has shape (..., 3, 3).
+    """
+    return np.tensordot(np.asarray(zetaP, dtype=float), Q_MATRICES, axes=(-1, 0))
 
 
 def assemble_system_matrices(model: MaterialModel, x) -> tuple:
@@ -241,24 +253,23 @@ def assemble_system_matrices(model: MaterialModel, x) -> tuple:
     return (A0, Ak[0], Ak[1], Ak[2], C)
 
 
-def assemble_P(model: MaterialModel, x, zeta: FrequencyDirection) -> np.ndarray:
-    """P(x, zeta) = zeta0*A0 + sum_j zeta_j*A^j = [[zeta0 eps Id, -E], [E, zeta0 eta Id]]."""
-    model.check_in_domain(x)
-    eps = model.eps_at(x)
-    eta = model.eta_at(x)
-    E = antisym_E(zeta.zetaP)
-    P = np.zeros((6, 6))
-    P[:3, :3] = zeta.zeta0 * eps * np.eye(3)
-    P[3:, 3:] = zeta.zeta0 * eta * np.eye(3)
-    P[:3, 3:] = -E
-    P[3:, :3] = E
-    return P
+def assemble_P(model: MaterialModel, x, zeta) -> np.ndarray:
+    """P(x, zeta) = zeta0*A0 + sum_j zeta_j*A^j = [[zeta0 eps Id, -E], [E, zeta0 eta Id]].
+
+    ``zeta`` has shape (..., 4), e.g. ``FrequencyDirection.vec4``; the result
+    has shape (..., 6, 6).
+    """
+    A = np.stack(assemble_system_matrices(model, x)[:4])
+    return np.tensordot(np.asarray(zeta, dtype=float), A, axes=(-1, 0))
 
 
 def assemble_divergence_symbol(zetaP) -> np.ndarray:
-    """B(zeta') = blockdiag(diag(zeta'), diag(zeta')); det of each block is z1*z2*z3."""
-    z = np.asarray(zetaP, dtype=float).reshape(3)
-    return np.diag(np.concatenate([z, z]))
+    """B(zeta') = blockdiag(diag(zeta'), diag(zeta')); det of each block is z1*z2*z3.
+
+    ``zetaP`` has shape (..., 3); the result has shape (..., 6, 6).
+    """
+    z = np.asarray(zetaP, dtype=float)
+    return np.concatenate([z, z], axis=-1)[..., None] * np.eye(6)
 
 
 def dispersion_matrix(model: MaterialModel, x, zetaP) -> np.ndarray:
@@ -346,11 +357,6 @@ class EigenStructure:
 
     def vector(self, mode: str) -> np.ndarray:
         return self.basis[:, self.MODE_ORDER.index(mode)]
-
-    def omega_of_mode(self, mode: str) -> float:
-        if mode.startswith("long"):
-            return self.omegas[0]
-        return self.omegas[1] if "+" in mode else self.omegas[2]
 
     @property
     def omega_per_column(self) -> np.ndarray:

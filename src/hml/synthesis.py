@@ -94,10 +94,7 @@ def ladder_epsilons(j_start: int = 4, j_stop: int = 8) -> tuple:
 
 def constitutive_fields(model: MaterialModel, family: OscillatingFamily) -> dict:
     """Pointwise constitutive fields D = eps*E, J = sigma*E, B = eta*H per scale."""
-    x1, x2, x3 = family.grid.spatial_meshes()
-    eps = np.asarray(model.eps(x1, x2, x3))
-    eta = np.asarray(model.eta(x1, x2, x3))
-    sig = np.asarray(model.sigma(x1, x2, x3))
+    eps, eta, sig = model.sample_fields(*family.grid.spatial_meshes())
     out = {}
     for e in family.epsilons:
         u = family.fields[e]
@@ -372,10 +369,7 @@ def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> 
 
 def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, derivatives spectral."""
-    x1, x2, x3 = grid.spatial_meshes()
-    epsf = np.asarray(model.eps(x1, x2, x3))[None, ...]
-    etaf = np.asarray(model.eta(x1, x2, x3))[None, ...]
-    sigf = np.asarray(model.sigma(x1, x2, x3))[None, ...]
+    epsf, etaf, sigf = (f[None, ...] for f in model.sample_fields(*grid.spatial_meshes()))
     dt_u = _spectral_derivative(u, grid, 0)
     res = np.empty_like(u)
     res[:3] = epsf * dt_u[:3] + sigf * u[:3]
@@ -426,7 +420,8 @@ def wkb_family(
     # off-support points get a dummy direction so the basis stays defined
     filler = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1, 1)
     zp_safe = np.where((gnorm < grad_floor)[None, ...], filler, gx)
-    pol = _mode_vectors(zp_safe, model.eps(x1, x2, x3), model.eta(x1, x2, x3), (mode,))[:, 0]
+    eps, eta, _ = model.sample_fields(x1, x2, x3)
+    pol = _mode_vectors(zp_safe, eps, eta, (mode,))[:, 0]
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     gt = np.broadcast_to(np.asarray(g[0], dtype=float), grid.shape)
     rates = [np.max(np.abs(gr[support]), initial=0.0) for gr in (gt, *gx)]

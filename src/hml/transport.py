@@ -13,6 +13,7 @@ fixed-step RK4 scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -164,17 +165,23 @@ class DensityTrajectory:
 
     @classmethod
     def from_constant_fits(cls, times, sphere, fits: Sequence[DensityDecomposition], x_center=(0.0, 0.0, 0.0)):
-        B = sphere.num_bins
-        data = {n: np.zeros((len(fits), B), dtype=complex) for n in ("a", "b", "c", "d")}
-        common = None
-        for i, fit in enumerate(fits):
-            sel = fit.bin_indices
-            common = set(sel) if common is None else (common & set(sel))
-            for n in data:
-                data[n][i, sel] = fit.coefficients[n]
-        valid = np.array(sorted(common)) if common else np.array([], dtype=int)
+        data, valid = _scatter_fits(fits, sphere.num_bins)
         return cls(times=np.asarray(times, float), sphere=sphere, case="constant", data=data,
                    x_center=np.asarray(x_center, float), valid_bins=valid)
+
+
+def _scatter_fits(fits: Sequence[DensityDecomposition], num_bins: int) -> tuple:
+    """Constant-case fits on a (fit, bin) lattice, and the bins every fit kept.
+
+    Returns ({name: (len(fits), num_bins) complex array} for a, b, c, d,
+    zero outside each fit's bins; sorted common bin indices).
+    """
+    data = {n: np.zeros((len(fits), num_bins), dtype=complex) for n in ("a", "b", "c", "d")}
+    for i, fit in enumerate(fits):
+        for n in data:
+            data[n][i, fit.bin_indices] = fit.coefficients[n]
+    common = reduce(np.intersect1d, (fit.bin_indices for fit in fits), np.arange(num_bins))
+    return data, common
 
 
 def _fd_weights(x: np.ndarray, x0: float) -> np.ndarray:
@@ -246,18 +253,11 @@ def sphere_gradient(f_bins: np.ndarray, sphere: SphereGrid):
     stheta = np.sin(theta)
     # (zhat, z1, z2) of every center's zeta', each of shape (3, n1, n2, n3)
     nvec, z1, z2 = propagation_basis(np.moveaxis(sphere.centers()[:, 1:].reshape(n1, n2, n3, 3), -1, 0))
-    pad = (1,) * len(extra)
-    c1v = (c1 / 1.0).reshape((1, n1, n2, n3) + pad)
-    inv_s1 = (1.0 / s1).reshape((1, n1, n2, n3) + pad)
-    inv_s1s = (1.0 / (s1 * stheta)).reshape((1, n1, n2, n3) + pad)
-    nvec = nvec.reshape((3, n1, n2, n3) + pad)
-    z1 = z1.reshape((3, n1, n2, n3) + pad)
-    z2 = z2.reshape((3, n1, n2, n3) + pad)
-    grad = (
-        df1[None] * c1v * nvec
-        + df2[None] * inv_s1 * z1
-        + df3[None] * inv_s1s * z2
-    )
+    # chain-rule coefficients of the three angle derivatives, formed before
+    # they meet the (possibly large) derivative arrays
+    shape = (3, n1, n2, n3) + (1,) * len(extra)
+    k1, k2, k3 = (np.reshape(c * v, shape) for c, v in ((c1, nvec), (1.0 / s1, z1), (1.0 / (s1 * stheta), z2)))
+    grad = k1 * df1[None] + k2 * df2[None] + k3 * df3[None]
     grad = grad.reshape((3, sphere.num_bins) + extra)
     i1 = np.arange(sphere.num_bins) // (n2 * n3)
     i2 = (np.arange(sphere.num_bins) // n3) % n2
@@ -438,25 +438,19 @@ def variable_transport_residual(
     s11, s12 = traj.data["s11"], traj.data["s12"]
     s21, s22 = traj.data["s21"], traj.data["s22"]
     tin, dts = _interior_times(traj.times)
-    dt11, dt12 = _time_derivative(s11, traj.times), _time_derivative(s12, traj.times)
-    dt21, dt22 = _time_derivative(s21, traj.times), _time_derivative(s22, traj.times)
-    grads = {}
-    valid = None
-    for name, arr in (("s11", s11), ("s12", s12), ("s21", s21), ("s22", s22)):
-        g_levels = []
-        for i in range(1, traj.times.size - 1):
-            g, v = sphere_gradient(arr[i], sphere)
-            g_levels.append(g)
-            valid = v if valid is None else (valid & v)
-        grads[name] = np.stack(g_levels, axis=1)  # (3, n_int, B, 3, 3)
-
-    def bend(gname):
-        g = grads[gname]
-        coeff = ge if gname in ("s11", "s21") else gh
-        out = np.zeros_like(g[0])
-        for l in range(3):
-            out = out + coeff[l] * g[l]
-        return zeta0[None, :, None, None] * out
+    dt11, dt21 = _time_derivative(s11, traj.times), _time_derivative(s21, traj.times)
+    verbatim = variant == "verbatim"
+    row3_block = "s11" if verbatim else "s21"
+    # bend[name] = zeta0 sum_l d_l(eps or eta) d^l sigma on the interior levels, (n_int, B, 3, 3),
+    # for the blocks the variant's rows use; the levels ride along as a trailing axis of one
+    # gradient call per block.  The terms are made contiguous once, or every weak pairing
+    # would copy them again.
+    coeff = {"s11": ge, "s12": gh, "s21": ge, "s22": gh}
+    bend = {}
+    for name in dict.fromkeys(("s11", "s12", row3_block, "s22")):
+        g, valid = sphere_gradient(np.moveaxis(traj.data[name][1:-1], 0, -1), sphere)
+        b = zeta0[:, None, None, None] * np.tensordot(coeff[name], g, axes=(0, 0))
+        bend[name] = np.ascontiguousarray(np.moveaxis(b, -1, 0))
 
     i11, i12, i21, i22 = s11[1:-1], s12[1:-1], s21[1:-1], s22[1:-1]
 
@@ -465,24 +459,11 @@ def variable_transport_residual(
             return np.zeros(i11.shape)
         return np.asarray(mu_uf_rhs[name])[1:-1]
 
-    if variant == "verbatim":
-        row2_time = np.zeros_like(i12)
-        row4_time = np.zeros_like(i22)
-        row2_zero_order = -etav * i12
-        row4_zero_order = -etav * i22
-        row3_bend = bend("s11")
-    else:
-        row2_time = -etav * dt12
-        row4_time = -etav * dt22
-        row2_zero_order = np.zeros_like(i12)
-        row4_zero_order = np.zeros_like(i22)
-        row3_bend = bend("s21")
-
     rows_spec = [
-        ("1", [-epsv * dt11, bend("s11"), -2 * sigv * i11, -rhs("11")]),
-        ("2", [row2_time, row2_zero_order, bend("s12"), -rhs("12")]),
-        ("3", [-epsv * dt21, row3_bend, -2 * sigv * i21, -rhs("21")]),
-        ("4", [row4_time, row4_zero_order, bend("s22"), -rhs("22")]),
+        ("1", [-epsv * dt11, bend["s11"], -2 * sigv * i11, -rhs("11")]),
+        ("2", [-etav * (i12 if verbatim else _time_derivative(s12, traj.times)), bend["s12"], -rhs("12")]),
+        ("3", [-epsv * dt21, bend[row3_block], -2 * sigv * i21, -rhs("21")]),
+        ("4", [-etav * (i22 if verbatim else _time_derivative(s22, traj.times)), bend["s22"], -rhs("22")]),
     ]
     keep, weights = _kept_weights(traj, valid)
     rows, max_rel = _weak_rows(rows_spec, psi_battery, tin, centers, weights, dts)
@@ -522,11 +503,7 @@ def divergence_constraint_residual(
     sphere = sphere or SphereGrid()
     psi_battery = psi_battery or default_psi_battery()
     centers = sphere.centers()
-    B = sphere.num_bins
-    common = set(fits[0].bin_indices.tolist())
-    for f in fits[1:]:
-        common &= set(f.bin_indices.tolist())
-    common = np.array(sorted(common), dtype=int)
+    data, common = _scatter_fits(fits, sphere.num_bins)
     if common.size == 0:
         return {"skipped": True, "reason": "no common mass-carrying bins across windows"}
     interior = positions[1:-1]
@@ -535,12 +512,8 @@ def divergence_constraint_residual(
     else:
         rhs = np.zeros((interior.size, common.size))
     rows_spec = []
-    for name in ("a", "b", "c", "d"):
-        vals = np.zeros((positions.size, B), dtype=complex)
-        for i, f in enumerate(fits):
-            vals[i, f.bin_indices] = f.coefficients[name]
-        dvals = _derivative(vals, positions)[1:-1]
-        lhs = (centers[None, :, 1 + axis] ** 2) * dvals
+    for name, vals in data.items():
+        lhs = (centers[None, :, 1 + axis] ** 2) * _derivative(vals, positions)[1:-1]
         rows_spec.append((name, [lhs[:, common], -rhs]))
     rows, _ = _weak_rows(rows_spec, psi_battery, interior, centers[common], sphere.weights()[common],
                          np.ones(interior.size))
@@ -631,26 +604,23 @@ def predict_then_compare(
         epsv = model.eps_at(x_bar)
         damp = np.exp(-2 * sig * dt / epsv)
         pred = np.zeros(sphere.num_bins)
-        centers = sphere.centers()
         masses0 = est0.masses()
-        # static bins keep their direction; per-bin dominant branch rides a ray
-        for n, bidx in enumerate(fit.bin_indices):
-            m = masses0[bidx]
-            cp = abs(fit.coefficients["ap"][n]) + abs(fit.coefficients["bp"][n])
-            cm = abs(fit.coefficients["am"][n]) + abs(fit.coefficients["bm"][n])
-            a0 = abs(fit.coefficients["a0"][n])
-            b0 = abs(fit.coefficients["b0"][n])
-            tot = max(cp + cm + a0 + b0, 1e-300)
-            zp = centers[bidx, 1:]
-            for weight, branch in ((cp / tot, "+"), (cm / tot, "-")):
-                if weight < 1e-12:
-                    continue
-                path = integrate_rays(model, [RayState(x=x_bar, zetaP=zp, zeta0=centers[bidx, 0])], (t0, t1), dt=ray_dt, branch=branch)[0]
-                new_vec = np.concatenate([[centers[bidx, 0]], path.zetaPs[-1]])
-                target = sphere.locate(new_vec / np.linalg.norm(new_vec))
-                pred[target] += weight * m * (0.5 * damp + 0.5)  # transverse: half electric
-            pred[bidx] += (a0 * damp + b0) / tot * m  # static longitudinal split
-        leftover = np.setdiff1d(np.arange(sphere.num_bins), fit.bin_indices)
+        idx = fit.bin_indices
+        c = {name: np.abs(v) for name, v in fit.coefficients.items()}
+        cp, cm = c["ap"] + c["bp"], c["am"] + c["bm"]
+        tot = np.maximum(cp + cm + c["a0"] + c["b0"], 1e-300)
+        m = masses0[idx]
+        vecs = sphere.centers()[idx]
+        # static bins keep their direction; each bin's branch shares ride rays and are re-binned
+        for weight, branch in ((cp / tot, "+"), (cm / tot, "-")):
+            live = weight >= 1e-12
+            states = [RayState(x=x_bar, zetaP=v[1:], zeta0=v[0]) for v in vecs[live]]
+            paths = integrate_rays(model, states, (t0, t1), dt=ray_dt, branch=branch)
+            new_vecs = np.column_stack([vecs[live, 0], np.reshape([p.zetaPs[-1] for p in paths], (-1, 3))])
+            targets = sphere.locate(new_vecs / np.linalg.norm(new_vecs, axis=1, keepdims=True))
+            np.add.at(pred, targets, weight[live] * m[live] * (0.5 * damp + 0.5))  # transverse: half electric
+        pred[idx] += (c["a0"] * damp + c["b0"]) / tot * m  # static longitudinal split
+        leftover = np.setdiff1d(np.arange(sphere.num_bins), idx)
         pred[leftover] += masses0[leftover]
         details = {"law": "modal-branch rays + exp(-2 sigma dt/eps) on the electric half"}
     mass1 = est1.masses()

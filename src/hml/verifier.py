@@ -17,13 +17,13 @@ import numpy as np
 from .estimator import HMeasureEstimate
 from .symbols import (
     DegenerateDirectionError,
-    FrequencyDirection,
+    EigenStructure,
     MaterialModel,
+    _mode_vectors,
     antisym_E,
     assemble_divergence_symbol,
     assemble_P,
     assemble_system_matrices,
-    eigen_structure,
     propagation_basis,
 )
 
@@ -51,6 +51,13 @@ def _bin_directions(est: HMeasureEstimate, eps: float) -> np.ndarray:
     good = ~np.isnan(cent).any(axis=1)
     out[good] = cent[good]
     return out
+
+
+def _relative_misfit(diff: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Per-bin Frobenius ratio |diff| / |M| over stacks of shape (n, ...)."""
+    axes = tuple(range(1, M.ndim))
+    norm = lambda x: np.sqrt(np.sum((x * x.conj()).real, axis=axes))
+    return norm(diff) / np.maximum(norm(M), 1e-300)
 
 
 @dataclass
@@ -98,18 +105,12 @@ def localisation_residual(
     masses = np.trace(bins, axis1=1, axis2=2).real
     total = max(masses.sum(), 1e-300)
     keep = masses > mass_floor * total
-    dirs = _bin_directions(est, e)
     idx = np.flatnonzero(keep)
-    residuals = np.empty(idx.size)
+    dirs = _bin_directions(est, e)[idx]
+    M = bins[idx]
+    S = assemble_P(model, x_center, dirs) if symbol == "P" else assemble_divergence_symbol(dirs[:, 1:])
+    residuals = _relative_misfit(S @ M, M)
     weights = masses[idx] / total
-    for n, b in enumerate(idx):
-        vec = dirs[b]
-        M = bins[b]
-        if symbol == "P":
-            S = assemble_P(model, x_center, FrequencyDirection.from_vec4(vec))
-        else:
-            S = assemble_divergence_symbol(vec[1:])
-        residuals[n] = np.linalg.norm(S @ M) / max(np.linalg.norm(M), 1e-300)
     weighted = weights * residuals
     return LocalisationReport(
         symbol=symbol,
@@ -323,25 +324,14 @@ def fit_constant_decomposition(
     degenerates there and the theorem gives a vanishing measure anyway.
     """
     e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor)
-    names = ("a", "b", "c", "d")
-    coeffs = {n: np.zeros(idx.size, dtype=complex) for n in names}
-    residuals = np.zeros(idx.size)
-    c_minus_dbar = 0.0
-    for n, bidx in enumerate(idx):
-        zp = dirs[bidx, 1:]
-        denom = float((zp @ zp) ** 2)
-        M = bins[bidx]
-        blocks = {"a": M[:3, :3], "c": M[:3, 3:], "d": M[3:, :3], "b": M[3:, 3:]}
-        D = np.outer(zp, zp)
-        recon = np.zeros((6, 6), dtype=complex)
-        slots = {"a": (slice(0, 3), slice(0, 3)), "c": (slice(0, 3), slice(3, 6)),
-                 "d": (slice(3, 6), slice(0, 3)), "b": (slice(3, 6), slice(3, 6))}
-        for name in names:
-            val = complex(zp @ blocks[name] @ zp) / denom
-            coeffs[name][n] = val
-            recon[slots[name]] = val * D
-        residuals[n] = np.linalg.norm(M - recon) / max(np.linalg.norm(M), 1e-300)
-        c_minus_dbar = max(c_minus_dbar, abs(coeffs["c"][n] - np.conj(coeffs["d"][n])))
+    zp = dirs[idx, 1:]
+    M = bins[idx].reshape(idx.size, 2, 3, 2, 3)  # (bin, E/H row, i, E/H column, j)
+    # vals[n, I, J] = zp^T M_IJ zp / |zp|^4; rows/columns (E, H) give [[a, c], [d, b]]
+    vals = np.einsum("ni,nIiJj,nj->nIJ", zp, M, zp) / (np.sum(zp * zp, axis=1) ** 2)[:, None, None]
+    recon = np.einsum("nIJ,ni,nj->nIiJj", vals, zp, zp)
+    residuals = _relative_misfit(M - recon, M)
+    coeffs = {"a": vals[:, 0, 0], "b": vals[:, 1, 1], "c": vals[:, 0, 1], "d": vals[:, 1, 0]}
+    c_minus_dbar = np.max(np.abs(coeffs["c"] - np.conj(coeffs["d"])), initial=0.0)
     scale = max(float(np.max(np.abs(coeffs["a"]))) if idx.size else 0.0, 1e-300)
     checks = {
         "max_c_minus_conj_d": float(c_minus_dbar),
@@ -380,27 +370,19 @@ def fit_modal_decomposition(
     """
     e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor)
     A0 = assemble_system_matrices(model, x_center)[0]
-    coeffs = {n: np.zeros(idx.size, dtype=complex) for n in MODAL_NAMES}
-    residuals = np.zeros(idx.size)
-    for n, bidx in enumerate(idx):
-        zeta = FrequencyDirection.from_vec4(dirs[bidx])
-        es = eigen_structure(model, x_center, zeta)
-        M = bins[bidx]
-        recon = np.zeros((6, 6), dtype=complex)
-        for name, col in zip(MODAL_NAMES, es.basis.T):
-            u = A0 @ col
-            val = complex(np.conj(u) @ M @ u)
-            coeffs[name][n] = val
-            recon += val * np.outer(col, col)
-        residuals[n] = np.linalg.norm(M - recon) / max(np.linalg.norm(M), 1e-300)
-    scale = max(
-        max((float(np.max(np.abs(coeffs[n]))) for n in MODAL_NAMES), default=0.0), 1e-300
-    )
+    # basis[n, :, s] is mode s's eigenvector at bin n, in EigenStructure.MODE_ORDER
+    eps_x, eta_x = model.eps_at(x_center), model.eta_at(x_center)
+    basis = np.moveaxis(_mode_vectors(dirs[idx, 1:].T, eps_x, eta_x, EigenStructure.MODE_ORDER), -1, 0)
+    u = A0 @ basis
+    M = bins[idx]
+    vals = np.einsum("nis,nij,njs->ns", u.conj(), M, u)
+    recon = np.einsum("ns,nis,njs->nij", vals, basis, basis)
+    residuals = _relative_misfit(M - recon, M)
+    coeffs = dict(zip(MODAL_NAMES, vals.T))
+    scale = max(float(np.max(np.abs(vals), initial=0.0)), 1e-300)
     checks = {
-        "max_imag": float(max((np.max(np.abs(coeffs[n].imag)) for n in MODAL_NAMES), default=0.0)),
-        "min_coeff_over_scale": float(
-            min((np.min(coeffs[n].real) for n in MODAL_NAMES), default=0.0) / scale
-        ),
+        "max_imag": float(np.max(np.abs(vals.imag), initial=0.0)),
+        "min_coeff_over_scale": float(np.min(vals.real) / scale) if idx.size else 0.0,
     }
     return DensityDecomposition(
         case="scalar_smooth",

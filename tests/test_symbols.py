@@ -91,7 +91,7 @@ def test_E_matches_Q_expansion(rng):
 def test_P_identity_at_pure_time_direction():
     model = MaterialModel.constant(1.0, 1.0, 0.0)
     zeta = FrequencyDirection(1.0, (0.0, 0.0, 0.0))
-    np.testing.assert_allclose(np.asarray(assemble_P(model, (0, 0, 0), zeta)), np.eye(6), atol=1e-15)
+    np.testing.assert_allclose(np.asarray(assemble_P(model, (0, 0, 0), zeta.vec4)), np.eye(6), atol=1e-15)
 
 
 def test_P_singular_on_spatial_directions(rng):
@@ -99,7 +99,7 @@ def test_P_singular_on_spatial_directions(rng):
     for _ in range(25):
         zp = rng.normal(size=3)
         zeta = FrequencyDirection(0.0, zp)
-        P = np.asarray(assemble_P(model, (0, 0, 0), zeta))
+        P = np.asarray(assemble_P(model, (0, 0, 0), zeta.vec4))
         assert abs(np.linalg.det(P)) <= 1e-12
 
 
@@ -109,7 +109,22 @@ def test_P_equals_entrywise_sum(smooth_model, rng):
         zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
         A0, A1, A2, A3, _ = assemble_system_matrices(smooth_model, x)
         expected = zeta.zeta0 * A0 + sum(z * A for z, A in zip(zeta.zetaP, (A1, A2, A3)))
-        np.testing.assert_allclose(np.asarray(assemble_P(smooth_model, x, zeta)), expected, atol=1e-14)
+        np.testing.assert_allclose(np.asarray(assemble_P(smooth_model, x, zeta.vec4)), expected, atol=1e-14)
+
+
+def test_stacked_symbols_match_per_direction(smooth_model, rng):
+    x = np.array([0.1, -0.2, 0.3])
+    zetas = rng.normal(size=(50, 4))
+    P = assemble_P(smooth_model, x, zetas)
+    B = assemble_divergence_symbol(zetas[:, 1:])
+    E = antisym_E(zetas[:, 1:])
+    assert P.shape == B.shape == (50, 6, 6) and E.shape == (50, 3, 3)
+    eps, eta, I3 = smooth_model.eps_at(x), smooth_model.eta_at(x), np.eye(3)
+    for n, (z0, *zp) in enumerate(zetas):
+        En = np.cross(zp, I3).T  # column j is zeta' x e_j
+        np.testing.assert_allclose(E[n], En, atol=1e-15)
+        np.testing.assert_allclose(P[n], np.block([[z0 * eps * I3, -En], [En, z0 * eta * I3]]), atol=1e-14)
+        np.testing.assert_array_equal(B[n], np.diag(np.concatenate([zp, zp])))
 
 
 # --------------------------------------------------------- divergence symbol
@@ -256,7 +271,7 @@ def test_eigen_residual_and_spectrum_cross_check(rng):
             continue
         es = eigen_structure(model, x, zeta)
         A0 = assemble_system_matrices(model, x)[0]
-        P = np.asarray(assemble_P(model, x, zeta))
+        P = np.asarray(assemble_P(model, x, zeta.vec4))
         Pp = np.linalg.solve(A0, P)
         for col, w in zip(es.basis.T, es.omega_per_column):
             assert np.linalg.norm(Pp @ col - w * col) <= 1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
-from hml.symbols import FrequencyDirection, MaterialModel, UnsupportedGeneratorError, eigen_structure
+from hml.symbols import DomainError, FrequencyDirection, MaterialModel, UnsupportedGeneratorError, eigen_structure
 from hml.synthesis import (
     AliasingError,
     charge_density,
@@ -29,6 +29,45 @@ def _family(mode="trans+1", model=None, envelope=None, grid=GRID, epsilons=EPS2,
 
 
 # ---------------------------------------------------------------- constitutive
+
+def _bounded_model(eps_slope=0.0, eta_slope=0.0, domain=None):
+    """eps = 1 - eps_slope*x1, eta = 1 - eta_slope*x2, both declared >= 0.9."""
+    zero = lambda x1, x2, x3: np.zeros(np.broadcast(x1, x2, x3).shape)
+    return MaterialModel.scalar_smooth(
+        eps=lambda x1, x2, x3: 1.0 - eps_slope * x1 + zero(x1, x2, x3),
+        eta=lambda x1, x2, x3: 1.0 - eta_slope * x2 + zero(x1, x2, x3),
+        sigma=zero,
+        grad_eps=lambda x1, x2, x3: np.stack([zero(x1, x2, x3) - eps_slope, zero(x1, x2, x3), zero(x1, x2, x3)]),
+        grad_eta=lambda x1, x2, x3: np.stack([zero(x1, x2, x3), zero(x1, x2, x3) - eta_slope, zero(x1, x2, x3)]),
+        eps_min=0.9,
+        eta_min=0.9,
+        domain=domain,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, error, match",
+    [
+        (_bounded_model(eps_slope=2.0), ValueError, "eps falls"),
+        (_bounded_model(eta_slope=2.0), ValueError, "eta falls"),
+        (_bounded_model(domain=((0.0, 0.0, 0.0), (0.1, 0.2, 0.2))), DomainError, "outside model domain"),
+    ],
+    ids=["eps_below_min", "eta_below_min", "box_leaves_domain"],
+)
+def test_grid_sampling_enforces_bounds_and_domain(model, error, match):
+    # on GRID's box [0, 0.125)^3, 1 - 2x falls to 0.78 < 0.9, and x1 passes 0.1
+    fam = _family()
+    phase = linear_phase((0.0, 0.0, 1.0), -1.0)
+    calls = [
+        lambda: constitutive_fields(model, fam),
+        lambda: maxwell_residual(model, fam.fields[fam.finest], GRID),
+        lambda: wkb_family(model, GRID, phase, hann_window(GRID, axes=(0, 1)), "trans+1", EPS2),
+    ]
+    for call in calls:
+        with pytest.raises(error, match=match):
+            call()
+    constitutive_fields(_bounded_model(eps_slope=0.5, eta_slope=0.5), fam)  # 1 - x/2 stays above 0.9
+
 
 def test_constitutive_identity_model():
     fam = _family()

@@ -4,7 +4,8 @@ import pytest
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
 from hml.symbols import MaterialModel
-from hml.synthesis import evolved_family
+from hml import transport
+from hml.synthesis import evolved_family, linear_phase, wkb_family
 from hml.transport import (
     DensityTrajectory,
     RayState,
@@ -378,6 +379,41 @@ def test_predict_zero_field():
     rep = predict_then_compare(zfam, model, 0.25, 0.75, window_width=0.25)
     assert rep.total_mass_t0 == 0.0 and rep.total_mass_t1 == 0.0
     assert rep.predicted_total_mass_t1 == 0.0
+
+
+def test_predict_smooth_rebins_every_bin_once(monkeypatch):
+    """With sigma = 0 each fitted bin's mass is moved, not created or lost."""
+    b = 0.8
+
+    def grad_eps(x1, x2, x3):
+        g = np.zeros((3,) + np.broadcast(x1, x2, x3).shape)
+        g[0] = 2.0 * b * (1.0 + b * x1)
+        return g
+
+    model = MaterialModel.scalar_smooth(
+        eps=lambda x1, x2, x3: (1.0 + b * x1) ** 2 + 0.0 * (x2 + x3),
+        eta=lambda x1, x2, x3: np.ones(np.broadcast(x1, x2, x3).shape),
+        sigma=lambda x1, x2, x3: np.zeros(np.broadcast(x1, x2, x3).shape),
+        grad_eps=grad_eps,
+        grad_eta=lambda x1, x2, x3: np.zeros((3,) + np.broadcast(x1, x2, x3).shape),
+        eps_min=1.0,
+        eta_min=1.0,
+    )
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    k = 0.9 * np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    c = -model.speed_at(np.asarray(grid.extents[1:]) / 2.0) * 0.9  # on the + cone at the window centre
+    fam = wkb_family(model, grid, linear_phase(k, c), hann_window(grid), "trans+1", EPS_PAIR)
+    paths = []
+
+    def recording_integrate_rays(*args, **kwargs):
+        out = integrate_rays(*args, **kwargs)
+        paths.extend(out)
+        return out
+
+    monkeypatch.setattr(transport, "integrate_rays", recording_integrate_rays)
+    rep = predict_then_compare(fam, model, 1 / 16, 3 / 16, sphere=SphereGrid(6, 6, 8))
+    assert rep.predicted_ratio == pytest.approx(1.0, abs=1e-12)
+    assert paths and all(p.status == "ok" for p in paths)
 
 
 def test_time_subwindow_guards():

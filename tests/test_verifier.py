@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from hml.estimator import HMeasureEstimate, SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
-from hml.symbols import DegenerateDirectionError, FrequencyDirection, MaterialModel, antisym_E, eigen_structure
+from hml.symbols import (
+    DegenerateDirectionError,
+    FrequencyDirection,
+    MaterialModel,
+    antisym_E,
+    assemble_P,
+    assemble_system_matrices,
+    eigen_structure,
+)
 from hml.synthesis import evolved_family, plane_wave_family, wkb_family, layered_phase
 from hml.verifier import (
     fit_constant_decomposition,
@@ -244,6 +252,36 @@ def test_modal_fit_pure_dyad(smooth_model):
     for name in ("a0", "b0", "bp", "am", "bm"):
         assert abs(fit.coefficients[name][n]) <= 1e-12
     assert fit.residuals[n] <= 1e-12
+
+
+def test_stacked_checks_match_per_bin_loops(smooth_model, rng):
+    """The one-pass fits and localisation equal a per-bin loop over the scalar symbols."""
+    x0 = (0.1, 0.05, 0.2)
+    sphere = SphereGrid(6, 6, 8)
+    G = rng.normal(size=(sphere.num_bins, 6, 6)) + 1j * rng.normal(size=(sphere.num_bins, 6, 6))
+    bins = G @ G.conj().transpose(0, 2, 1)
+    est = make_estimate({0.5: bins, 0.25: bins}, sphere=sphere)
+    A0 = assemble_system_matrices(smooth_model, x0)[0]
+    modal = fit_modal_decomposition(est, smooth_model, x0)
+    const = fit_constant_decomposition(est)
+    loc = localisation_residual(est, "P", smooth_model, x0)
+    centers = sphere.centers()
+    for n, b in enumerate(modal.bin_indices):
+        basis = eigen_structure(smooth_model, x0, FrequencyDirection.from_vec4(centers[b])).basis
+        vals = [np.conj(A0 @ col) @ bins[b] @ (A0 @ col) for col in basis.T]
+        got = [modal.coefficients[name][n] for name in ("a0", "b0", "ap", "bp", "am", "bm")]
+        np.testing.assert_allclose(got, vals, rtol=1e-12)
+        recon = sum(v * np.outer(col, col) for v, col in zip(vals, basis.T))
+        assert modal.residuals[n] == pytest.approx(np.linalg.norm(bins[b] - recon) / np.linalg.norm(bins[b]), rel=1e-12)
+    for n, b in enumerate(const.bin_indices):
+        zp = centers[b, 1:]
+        blocks = {"a": bins[b][:3, :3], "c": bins[b][:3, 3:], "d": bins[b][3:, :3], "b": bins[b][3:, 3:]}
+        for name, block in blocks.items():
+            assert const.coefficients[name][n] == pytest.approx(zp @ block @ zp / (zp @ zp) ** 2, rel=1e-12)
+    for n, b in enumerate(loc.bin_indices):
+        P = assemble_P(smooth_model, x0, FrequencyDirection.from_vec4(centers[b]).vec4)
+        want = np.linalg.norm(P @ bins[b]) / np.linalg.norm(bins[b])
+        assert loc.residuals[n] == pytest.approx(want, rel=1e-12)
 
 
 def test_modal_blocks_match_paper_display(smooth_model, rng):
