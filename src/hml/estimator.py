@@ -10,6 +10,7 @@ together with the per-scale history and a Cauchy drift diagnostic.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,21 +37,13 @@ _WORKERS = None
 
 
 def set_workers(n: int | None) -> None:
-    """FFT worker threads; defaults to HML_JOBS or the CPU count."""
+    """FFT worker threads; None (the default) means the CPU count."""
     global _WORKERS
     _WORKERS = n
 
 
 def _workers() -> int:
-    if _WORKERS is not None:
-        return _WORKERS
-    env = os.environ.get("HML_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return _WORKERS if _WORKERS is not None else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,8 @@ class SphereGrid:
     def flat_index(self, i1, i2, i3):
         return (np.asarray(i1) * self.n_theta + np.asarray(i2)) * self.n_phi + np.asarray(i3)
 
-    def unflatten(self, b: int) -> tuple:
+    def unflatten(self, b) -> tuple:
+        """(chi1, theta, phi) cell indices of flat bin indices ``b`` (int or array)."""
         i3 = b % self.n_phi
         i2 = (b // self.n_phi) % self.n_theta
         i1 = b // (self.n_phi * self.n_theta)
@@ -191,29 +185,20 @@ class SphereGrid:
                     out.add(int(self.flat_index(ring, j2, j3)))
         return np.array(sorted(out), dtype=np.int64)
 
-    def describe(self) -> dict:
-        return {"n_zeta0": self.n_zeta0, "n_theta": self.n_theta, "n_phi": self.n_phi}
-
 
 # ------------------------------------------------------------------ binning
 
-_BIN_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _lattice_bins(grid: GridSpec, sphere: SphereGrid):
     """Flat bin index and unit direction of every DFT lattice frequency.
 
-    Returns (idx, dirs, dc_flat): idx maps each flattened frequency to a
-    sphere bin, with the DC frequency sent to the overflow slot B; dirs is
-    a float32 (4, Npts) array of unit directions (zeros at DC).
+    Returns (idx, dirs): idx maps each flattened frequency to a sphere bin,
+    with the DC frequency sent to the overflow slot B; dirs is a float32
+    (4, Npts) array of unit directions (zeros at DC).  Grids and spheres are
+    frozen, so the last few lattices are cached by value.
     """
-    key = (grid.extents, grid.shape, sphere.n_zeta0, sphere.n_theta, sphere.n_phi)
-    hit = _BIN_CACHE.get(key)
-    if hit is not None:
-        return hit
     f0, f1, f2, f3 = grid.freq_meshes()
     r2 = (f0**2 + f1**2 + f2**2 + f3**2).ravel()
-    npts = r2.size
     r = np.sqrt(r2)
     ok = r > 0
     rs = np.where(ok, r, 1.0)
@@ -224,11 +209,7 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid):
     dirs[:, ~ok] = 0.0
     idx = sphere.locate(np.stack(comps, axis=-1).astype(np.float64))
     idx = np.where(ok, idx, sphere.num_bins).astype(np.int64)
-    result = (idx, dirs, int(np.flatnonzero(~ok)[0]))
-    if len(_BIN_CACHE) >= 4:
-        _BIN_CACHE.clear()
-    _BIN_CACHE[key] = result
-    return result
+    return idx, dirs
 
 
 @dataclass
@@ -368,7 +349,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi1, phi2, sph
     hermitian = same_window and g_fields is None
     w1 = _window_array(grid, phi1)
     w2 = w1 if same_window else _window_array(grid, phi2)
-    idx, dirs, _ = _lattice_bins(grid, sphere)
+    idx, dirs = _lattice_bins(grid, sphere)
     scale = grid.cell_volume**2 / grid.box_volume
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:

@@ -22,18 +22,20 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic sampling of the spacetime box [0,T] x [0,L1] x [0,L2] x [0,L3]."""
+    """Periodic sampling of the spacetime box [0,T] x [0,L1] x [0,L2] x [0,L3].
+
+    Every axis is periodic: the estimator and the spectral derivatives take
+    DFTs over the whole box.
+    """
 
     extents: tuple
     shape: tuple
-    periodic: tuple = (True, True, True, True)
 
     def __post_init__(self):
         if len(self.extents) != 4 or len(self.shape) != 4:
             raise ValueError("extents and shape must have four entries (t, x1, x2, x3)")
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
         if any(e <= 0 for e in self.extents):
             raise ValueError("extents must be positive")
         for n in self.shape:
@@ -84,9 +86,6 @@ class GridSpec:
     @property
     def spatial_shape(self) -> tuple:
         return self.shape[1:]
-
-    def describe(self) -> dict:
-        return {"extents": list(self.extents), "shape": list(self.shape), "periodic": list(self.periodic)}
 
 
 @dataclass(frozen=True)

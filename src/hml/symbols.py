@@ -4,8 +4,8 @@ Everything here is a pure function of small inputs: a material model, a
 point x in space, and a spacetime frequency direction zeta = (zeta0, zeta')
 on the unit sphere of R^4.  The matrices are the first-order symbol
 P = zeta0*A0 + sum_j zeta_j*A^j, the divergence symbol B, the dispersion
-matrix L = A0^{-1} * sum_j zeta_j A^j, and the Poisson-bracket machinery
-driving the propagation checks.
+matrix L = A0^{-1} * sum_j zeta_j A^j, and the polarization basis of the
+eigenmodes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "FrequencyDirection",
     "MaterialModel",
     "EigenStructure",
-    "TestSymbol",
     "antisym_E",
     "assemble_system_matrices",
     "assemble_P",
@@ -28,8 +27,6 @@ __all__ = [
     "dispersion_matrix",
     "propagation_basis",
     "eigen_structure",
-    "poisson_bracket",
-    "propagation_operator",
 ]
 
 
@@ -273,15 +270,16 @@ def assemble_divergence_symbol(zetaP) -> np.ndarray:
 
 
 def dispersion_matrix(model: MaterialModel, x, zetaP) -> np.ndarray:
-    """L(x, zeta') = A0^{-1} sum_j zeta_j A^j = [[0, -E/eps], [E/eta, 0]]."""
+    """L(x, zeta') = A0^{-1} sum_j zeta_j A^j = [[0, -E/eps], [E/eta, 0]].
+
+    ``zetaP`` has shape (..., 3); the result has shape (..., 6, 6).
+    """
     model.check_in_domain(x)
     eps = model.eps_at(x)
     eta = model.eta_at(x)
     E = antisym_E(zetaP)
-    L = np.zeros((6, 6))
-    L[:3, 3:] = -E / eps
-    L[3:, :3] = E / eta
-    return L
+    Z = np.zeros_like(E)
+    return np.block([[Z, -E / eps], [E / eta, Z]])
 
 
 def propagation_basis(zetaP) -> tuple:
@@ -379,119 +377,3 @@ def eigen_structure(model: MaterialModel, x, zeta: FrequencyDirection) -> EigenS
     basis = _mode_vectors(zp, eps, eta, EigenStructure.MODE_ORDER)
     omegas = (zeta.zeta0, zeta.zeta0 + v * r, zeta.zeta0 - v * r)
     return EigenStructure(omegas=omegas, basis=basis, speed=v)
-
-
-@dataclass(frozen=True)
-class TestSymbol:
-    """Smooth test function psi(xt, zeta) with analytic first derivatives.
-
-    xt = (t, x1, x2, x3).  ``dx`` returns the 4-gradient in xt, ``dzeta``
-    the 4-gradient in zeta (of the 0-homogeneous extension when psi is
-    restricted to the sphere).  Instances are built from a small closed
-    family so that bracket evaluation stays exact to rounding.
-    """
-
-    value: Callable[[np.ndarray, np.ndarray], float]
-    dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dzeta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    label: str = "psi"
-
-    __test__ = False  # not a pytest case despite the name
-
-    @classmethod
-    def constant(cls, c: float = 1.0) -> "TestSymbol":
-        return cls(
-            value=lambda xt, z: c,
-            dx=lambda xt, z: np.zeros(4),
-            dzeta=lambda xt, z: np.zeros(4),
-            label=f"const({c})",
-        )
-
-    @classmethod
-    def monomial_x(cls, powers: Sequence[int], coeff: float = 1.0) -> "TestSymbol":
-        """coeff * t^p0 * x1^p1 * x2^p2 * x3^p3, independent of zeta."""
-        p = tuple(int(q) for q in powers)
-
-        def value(xt, z):
-            return coeff * float(np.prod([xt[i] ** p[i] for i in range(4)]))
-
-        def dx(xt, z):
-            g = np.zeros(4)
-            for i in range(4):
-                if p[i] == 0:
-                    continue
-                terms = [xt[j] ** p[j] for j in range(4) if j != i]
-                g[i] = coeff * p[i] * xt[i] ** (p[i] - 1) * float(np.prod(terms))
-            return g
-
-        return cls(value=value, dx=dx, dzeta=lambda xt, z: np.zeros(4), label=f"x^{p}")
-
-    @classmethod
-    def zeta_linear(cls, direction: Sequence[float]) -> "TestSymbol":
-        """psi(zeta) = d . zeta, extended 0-homogeneously off the sphere."""
-        d = np.asarray(direction, dtype=float).reshape(4)
-
-        def value(xt, z):
-            return float(d @ z)
-
-        def dzeta(xt, z):
-            # gradient of d.(zeta/|zeta|) restricted to |zeta| = 1
-            return d - float(d @ z) * np.asarray(z)
-
-        return cls(value=value, dx=lambda xt, z: np.zeros(4), dzeta=dzeta, label=f"zeta.{d.tolist()}")
-
-    def __mul__(self, other: "TestSymbol") -> "TestSymbol":
-        def value(xt, z):
-            return self.value(xt, z) * other.value(xt, z)
-
-        def dx(xt, z):
-            return self.dx(xt, z) * other.value(xt, z) + self.value(xt, z) * other.dx(xt, z)
-
-        def dzeta(xt, z):
-            return self.dzeta(xt, z) * other.value(xt, z) + self.value(xt, z) * other.dzeta(xt, z)
-
-        return TestSymbol(value=value, dx=dx, dzeta=dzeta, label=f"{self.label}*{other.label}")
-
-
-def _dP_dx(model: MaterialModel, x, zeta: FrequencyDirection) -> np.ndarray:
-    """Spatial derivatives of P: dP/dx_j = zeta0 * blockdiag(d_j eps Id, d_j eta Id)."""
-    ge = model.grad_eps_at(x)
-    gh = model.grad_eta_at(x)
-    out = np.zeros((3, 6, 6))
-    for j in range(3):
-        out[j, :3, :3] = zeta.zeta0 * ge[j] * np.eye(3)
-        out[j, 3:, 3:] = zeta.zeta0 * gh[j] * np.eye(3)
-    return out
-
-
-def poisson_bracket(model: MaterialModel, psi: TestSymbol, xt, zeta: FrequencyDirection) -> np.ndarray:
-    """{P, psi} = sum_l (dP/dzeta_l dpsi/dxt_l - dpsi/dzeta_l dP/dxt_l) at (xt, zeta)."""
-    xt = np.asarray(xt, dtype=float).reshape(4)
-    x = xt[1:]
-    A0, A1, A2, A3, _ = assemble_system_matrices(model, x)
-    dP_dzeta = (A0, A1, A2, A3)
-    gpsi_x = np.asarray(psi.dx(xt, zeta.vec4), dtype=float).reshape(4)
-    gpsi_z = np.asarray(psi.dzeta(xt, zeta.vec4), dtype=float).reshape(4)
-    out = np.zeros((6, 6))
-    for l in range(4):
-        out += dP_dzeta[l] * gpsi_x[l]
-    dPx = _dP_dx(model, x, zeta)  # P does not depend on t
-    for j in range(3):
-        out -= gpsi_z[1 + j] * dPx[j]
-    return out
-
-
-def propagation_operator(model: MaterialModel, psi: TestSymbol, xt, zeta: FrequencyDirection) -> np.ndarray:
-    """{P, psi} + psi * sum_k d_k A^k - 2 psi S, with S = (C + C^T)/2.
-
-    For Maxwell's system sum_k d_k A^k vanishes identically (A^j constant,
-    A0 time-independent), so the middle term contributes nothing.
-    """
-    xt = np.asarray(xt, dtype=float).reshape(4)
-    x = xt[1:]
-    bracket = poisson_bracket(model, psi, xt, zeta)
-    sig = model.sigma_at(x)
-    S = np.zeros((6, 6))
-    S[:3, :3] = sig * np.eye(3)
-    return bracket - 2.0 * float(psi.value(xt, zeta.vec4)) * S
-

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .grids import GridSpec, SeparableWindow, hann_window
+from .grids import GridSpec, SeparableWindow
 from .symbols import (
     EigenStructure,
     FrequencyDirection,
@@ -30,6 +30,7 @@ from .symbols import (
     UnsupportedGeneratorError,
     _mode_vectors,
     assemble_system_matrices,
+    dispersion_matrix,
     eigen_structure,
 )
 
@@ -43,10 +44,15 @@ __all__ = [
     "evolved_family",
     "wkb_family",
     "charge_density",
-    "weak_null_report",
     "linear_phase",
     "layered_phase",
 ]
+
+
+# |grad_x S| below this inside a WKB amplitude's support has no direction.
+GRAD_FLOOR = 1e-8
+# Simpson cells of the travel-time table of ``layered_phase``.
+LAYER_QUADRATURE_CELLS = 4096
 
 
 class AliasingError(ValueError):
@@ -143,7 +149,6 @@ def plane_wave_family(
     mode: str,
     envelope: SeparableWindow,
     epsilons: Sequence[float],
-    dtype=np.complex128,
 ) -> OscillatingFamily:
     """Modulated plane wave polarized along one eigenmode of the symbol.
 
@@ -178,7 +183,7 @@ def plane_wave_family(
     for e in eps_list:
         osc = np.exp((2j * np.pi / e) * sphase)
         u = (env * osc)[None, ...] * b.reshape(6, 1, 1, 1, 1)
-        fields[e] = u.astype(dtype, copy=False)
+        fields[e] = u
         # residual: sum_l A^l b d_l(env) * osc + C b env * osc + (2 pi i/eps) env osc P b
         res = np.zeros((6,) + grid.shape, dtype=np.complex128)
         for l in range(4):
@@ -186,7 +191,7 @@ def plane_wave_family(
             res += coeff.reshape(6, 1, 1, 1, 1) * (genv[l] * osc)[None, ...]
         res += (C @ b).reshape(6, 1, 1, 1, 1) * (env * osc)[None, ...]
         res += (2j * np.pi / e) * Pb.reshape(6, 1, 1, 1, 1) * (env * osc)[None, ...]
-        sources[e] = res.astype(dtype, copy=False)
+        sources[e] = res
 
     meta = {
         "generator": "plane_wave",
@@ -200,21 +205,10 @@ def plane_wave_family(
 
 
 def _spatial_ode_matrices(model: MaterialModel, grid: GridSpec) -> np.ndarray:
-    """M(xi) = -A0^{-1} (C + 2 pi i sum_j xi_j A^j) on the spatial frequency lattice."""
-    A0, A1, A2, A3, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
-    A0inv = np.linalg.inv(A0)
-    f1, f2, f3 = (grid.freq_axis(1 + j) for j in range(3))
-    xi1 = f1.reshape(-1, 1, 1)
-    xi2 = f2.reshape(1, -1, 1)
-    xi3 = f3.reshape(1, 1, -1)
-    M = np.zeros(grid.spatial_shape + (6, 6), dtype=np.complex128)
-    M += -2j * np.pi * (
-        xi1[..., None, None] * (A0inv @ A1)
-        + xi2[..., None, None] * (A0inv @ A2)
-        + xi3[..., None, None] * (A0inv @ A3)
-    )
-    M -= A0inv @ C
-    return M
+    """M(xi) = -2 pi i L(xi) - A0^{-1} C on the spatial frequency lattice."""
+    A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
+    xi = np.stack(np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij"), axis=-1)
+    return -2j * np.pi * dispersion_matrix(model, (0.0, 0.0, 0.0), xi) - np.linalg.inv(A0) @ C
 
 
 def exact_constant_evolution(
@@ -254,7 +248,6 @@ def evolved_family(
     mode: str,
     epsilons: Sequence[float],
     spatial_envelope: SeparableWindow | None = None,
-    dtype=np.complex128,
 ) -> OscillatingFamily:
     """Exact constant-coefficient solutions seeded with a polarized oscillation.
 
@@ -280,7 +273,7 @@ def evolved_family(
     fields = {}
     for e in eps_list:
         u0 = (env * np.exp((2j * np.pi / e) * sphase))[None, ...] * b.reshape(6, 1, 1, 1)
-        fields[e] = exact_constant_evolution(model, u0, grid).astype(dtype, copy=False)
+        fields[e] = exact_constant_evolution(model, u0, grid)
 
     meta = {
         "generator": "evolved",
@@ -320,23 +313,29 @@ def linear_phase(k: Sequence[float], c: float) -> PhaseField:
     return PhaseField(value=value, grad=grad, label=f"linear(k={k.tolist()},c={c})")
 
 
-def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: float = 1.0, n_quad: int = 4096) -> PhaseField:
+def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: float = 1.0) -> PhaseField:
     """Eikonal phase for a medium layered along one spatial axis.
 
     S(t, x) = q(x_axis) - t for the '+' transverse branch (dS/dt = -v|grad S|)
     or q(x_axis) + t for '-', with q' = 1/v along the axis.  q is tabulated
-    by composite Simpson quadrature on [0, x_max] and interpolated.
+    by composite Simpson quadrature on ``LAYER_QUADRATURE_CELLS`` cells of
+    [0, x_max] and interpolated.  eps and eta are sampled on the axis line
+    through the origin by ``MaterialModel.sample_fields``, for the table and
+    for the gradient, so its bound and domain checks apply to both.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    s = np.linspace(0.0, x_max, n_quad + 1)
-    coords = [np.zeros_like(s) for _ in range(3)]
-    coords[axis] = s
-    v = 1.0 / np.sqrt(np.asarray(model.eps(*coords)) * np.asarray(model.eta(*coords)))
-    slowness = 1.0 / v
-    from scipy.integrate import cumulative_simpson
+    from scipy.integrate import cumulative_simpson  # local: the import adds ~20 MB resident to every run
 
-    q_tab = np.concatenate([[0.0], cumulative_simpson(slowness, x=s)])
+    def speed(xs):
+        xs = np.asarray(xs, dtype=float)
+        coords = [np.zeros_like(xs)] * 3
+        coords[axis] = xs
+        eps, eta, _ = model.sample_fields(*coords)
+        return 1.0 / np.sqrt(eps * eta)
+
+    s = np.linspace(0.0, x_max, LAYER_QUADRATURE_CELLS + 1)
+    q_tab = np.concatenate([[0.0], cumulative_simpson(1.0 / speed(s), x=s)])
     tsign = -1.0 if sign == "+" else 1.0
 
     def value(t, x1, x2, x3):
@@ -344,13 +343,9 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
         return np.interp(xs, s, q_tab) + tsign * t
 
     def grad(t, x1, x2, x3):
-        xs = (x1, x2, x3)[axis]
         shape = np.broadcast(t, x1, x2, x3).shape
-        coords_l = [np.zeros_like(np.asarray(xs, dtype=float)) for _ in range(3)]
-        coords_l[axis] = np.asarray(xs, dtype=float)
-        vloc = 1.0 / np.sqrt(np.asarray(model.eps(*coords_l)) * np.asarray(model.eta(*coords_l)))
         g = [np.broadcast_to(np.float64(tsign), shape).copy(), np.zeros(shape), np.zeros(shape), np.zeros(shape)]
-        g[1 + axis] = np.broadcast_to(1.0 / vloc, shape).copy()
+        g[1 + axis] = np.broadcast_to(1.0 / speed((x1, x2, x3)[axis]), shape).copy()
         return tuple(g)
 
     return PhaseField(value=value, grad=grad, label=f"layered(axis={axis},{sign})")
@@ -398,14 +393,13 @@ def wkb_family(
     amplitude: SeparableWindow,
     mode: str,
     epsilons: Sequence[float],
-    dtype=np.complex128,
-    grad_floor: float = 1e-8,
 ) -> OscillatingFamily:
     """Variable-coefficient WKB fields a(t,x) b_mode(x, grad S) e^{2 pi i S/eps}.
 
     The Maxwell residual is evaluated spectrally per scale and recorded as
     the source; when the phase satisfies the mode's eikonal relation the
-    residual stays O(1) in L2 as eps decreases.
+    residual stays O(1) in L2 as eps decreases.  Raises ValueError where
+    |grad_x S| < ``GRAD_FLOOR`` inside the amplitude support.
     """
     t, x1, x2, x3 = grid.meshes()
     S = np.asarray(phase.value(t, x1, x2, x3)) + 0.0 * (t + x1 + x2 + x3)
@@ -414,12 +408,12 @@ def wkb_family(
     amp = amplitude.sample(grid)
     gnorm = np.sqrt(np.sum(gx**2, axis=0))
     support = np.abs(amp) > 1e-13
-    if np.any(gnorm[support] < grad_floor):
+    if np.any(gnorm[support] < GRAD_FLOOR):
         raise ValueError("grad_x S vanishes inside the amplitude support")
 
     # off-support points get a dummy direction so the basis stays defined
     filler = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1, 1)
-    zp_safe = np.where((gnorm < grad_floor)[None, ...], filler, gx)
+    zp_safe = np.where((gnorm < GRAD_FLOOR)[None, ...], filler, gx)
     eps, eta, _ = model.sample_fields(x1, x2, x3)
     pol = _mode_vectors(zp_safe, eps, eta, (mode,))[:, 0]
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
@@ -430,9 +424,8 @@ def wkb_family(
     fields, sources = {}, {}
     for e in eps_list:
         u = (amp * np.exp((2j * np.pi / e) * S))[None, ...] * pol
-        u = u.astype(np.complex128, copy=False)
-        fields[e] = u.astype(dtype, copy=False)
-        sources[e] = maxwell_residual(model, u, grid).astype(dtype, copy=False)
+        fields[e] = u
+        sources[e] = maxwell_residual(model, u, grid)
 
     meta = {
         "generator": "wkb",
@@ -454,25 +447,3 @@ def charge_density(family: OscillatingFamily) -> dict:
         out[e] = rho
     return out
 
-
-def weak_null_report(family: OscillatingFamily, windows: Sequence[SeparableWindow] | None = None) -> dict:
-    """|<u^eps, w>| for a battery of smooth windows; decays ~eps for oscillating data."""
-    grid = family.grid
-    if windows is None:
-        windows = [
-            hann_window(grid),
-            hann_window(grid, margin=0.1),
-            hann_window(grid, axes=(0,)),
-            hann_window(grid, axes=(1, 2, 3)),
-            hann_window(grid, axes=(0, 1), margin=0.05),
-        ]
-    samples = [w.sample(grid) for w in windows]
-    report = {}
-    for e in family.epsilons:
-        u = family.fields[e]
-        vals = []
-        for w in samples:
-            pair = np.tensordot(u, w.astype(complex).conj(), axes=([1, 2, 3, 4], [0, 1, 2, 3]))
-            vals.append(float(np.linalg.norm(pair) * grid.cell_volume))
-        report[e] = vals
-    return report

@@ -42,6 +42,10 @@ __all__ = [
 
 # ----------------------------------------------------------------------- rays
 
+# RK4 step of the rays that carry the smooth-case prediction.
+RAY_DT = 2.0**-8
+
+
 @dataclass
 class RayState:
     """A single characteristic ray sample: position, direction, time."""
@@ -259,8 +263,7 @@ def sphere_gradient(f_bins: np.ndarray, sphere: SphereGrid):
     k1, k2, k3 = (np.reshape(c * v, shape) for c, v in ((c1, nvec), (1.0 / s1, z1), (1.0 / (s1 * stheta), z2)))
     grad = k1 * df1[None] + k2 * df2[None] + k3 * df3[None]
     grad = grad.reshape((3, sphere.num_bins) + extra)
-    i1 = np.arange(sphere.num_bins) // (n2 * n3)
-    i2 = (np.arange(sphere.num_bins) // n3) % n2
+    i1, i2, _ = sphere.unflatten(np.arange(sphere.num_bins))
     valid = (i1 > 0) & (i1 < n1 - 1) & (i2 > 0) & (i2 < n2 - 1)
     return grad, valid
 
@@ -352,14 +355,17 @@ def constant_transport_residual(
     mu_uf_rhs: dict | None = None,
     psi_battery: list | None = None,
 ) -> TransportResidualReport:
-    """Residuals of the four constant-case transport rows, as printed.
+    """Residuals of the four constant-case transport rows.
 
-    Row 1: |z'|^2(-da/dt - 2 sigma a) - sum_l d_l[T_l c]   = 2 Re Tr mu_uf_11
-    Row 2: sum_l d_l[T_l a] - |z'|^2 dc/dt                 = 2 Re Tr mu_uf_12
-    Row 3: |z'|^2(-db/dt) + sum_l d_l[T_l d]               = 2 Re Tr mu_uf_22
-    Row 4: -sum_l d_l[T_l b] + |z'|^2(dd/dt - 2 sigma d)   = 2 Re Tr mu_uf_21
+    Row 1: |z'|^2(-eps da/dt - 2 sigma a) - sum_l d_l[T_l c] = 2 Re Tr mu_uf_11
+    Row 2: sum_l d_l[T_l a] - |z'|^2 dc/dt                   = 2 Re Tr mu_uf_12
+    Row 3: |z'|^2(-eta db/dt) + sum_l d_l[T_l d]             = 2 Re Tr mu_uf_22
+    Row 4: -sum_l d_l[T_l b] + |z'|^2(dd/dt - 2 sigma d)     = 2 Re Tr mu_uf_21
 
-    with T_l = Tr((z' (x) z') Q_l).  The time-derivative and damping
+    with T_l = Tr((z' (x) z') Q_l).  Rows 1 and 3 weight the time
+    derivatives by A0's blocks eps and eta, as the variable rows 1 and 4
+    do, so exact solutions with eps, eta != 1 satisfy them; rows 2 and 4
+    keep their printed form.  The time-derivative and damping
     contributions are separate terms, so each row's residual is relative
     to its largest single term.  ``mu_uf_rhs`` maps block names
     '11','12','21','22' to (n_times, B) arrays of 2 Re Tr mu values.
@@ -371,7 +377,8 @@ def constant_transport_residual(
     centers = sphere.centers()
     zp = centers[:, 1:]
     zp2 = np.sum(zp * zp, axis=1)[None, :]
-    sig = model.sigma_at(traj.x_center)
+    x0 = traj.x_center
+    epsv, etav, sig = model.eps_at(x0), model.eta_at(x0), model.sigma_at(x0)
     a, b = traj.data["a"], traj.data["b"]
     c, d = traj.data["c"], traj.data["d"]
     tin, dts = _interior_times(traj.times)
@@ -387,9 +394,9 @@ def constant_transport_residual(
     # The d_l[T_l .] terms are dropped: T_l = Tr((z' (x) z') Q_l) vanishes
     # identically because every curl generator Q_l is antisymmetric.
     rows_spec = [
-        ("1", [zp2 * (-da), zp2 * (-2 * sig * ai), -rhs("11")]),
+        ("1", [zp2 * (-epsv * da), zp2 * (-2 * sig * ai), -rhs("11")]),
         ("2", [-zp2 * dc, -rhs("12")]),
-        ("3", [zp2 * (-db), -rhs("22")]),
+        ("3", [zp2 * (-etav * db), -rhs("22")]),
         ("4", [zp2 * dd, zp2 * (-2 * sig * di), -rhs("21")]),
     ]
     _, weights = _kept_weights(traj, np.ones(sphere.num_bins, dtype=bool))
@@ -569,16 +576,15 @@ def predict_then_compare(
     t1: float,
     sphere: SphereGrid | None = None,
     window_width: float | None = None,
-    ray_dt: float = 2.0**-8,
 ) -> ComparisonReport:
     """Estimate at t0, evolve densities by the transport law, re-estimate at t1.
 
-    Constant case: the electric trace mass damps like exp(-2 sigma dt)
+    Constant case: the electric trace mass damps like exp(-2 sigma dt / eps)
     while the magnetic trace mass rides along (the curl-trace transport
     coefficients vanish identically, so bins do not move).  Smooth-scalar
-    case: per-bin masses are carried along the rays of the dominant modal
-    branch and re-binned, with the electric fraction damped by
-    exp(-2 sigma dt / eps).
+    case: per-bin masses are carried along the rays (RK4 step ``RAY_DT``) of
+    the dominant modal branch and re-binned, with the electric fraction
+    damped by exp(-2 sigma dt / eps).
     """
     sphere = sphere or SphereGrid()
     grid = family.grid
@@ -593,10 +599,9 @@ def predict_then_compare(
     massE0 = np.trace(bins0[:, :3, :3], axis1=1, axis2=2).real
     massH0 = np.trace(bins0[:, 3:, 3:], axis1=1, axis2=2).real
     if model.is_constant:
-        sig = model.sigma_at((0, 0, 0))
-        predE = massE0 * np.exp(-2 * sig * dt)
-        pred = predE + massH0
-        details = {"law": "electric x exp(-2 sigma dt); magnetic constant; stationary bins"}
+        sig, epsv = model.sigma_at((0, 0, 0)), model.eps_at((0, 0, 0))
+        pred = massE0 * np.exp(-2 * sig * dt / epsv) + massH0
+        details = {"law": "electric x exp(-2 sigma dt/eps); magnetic constant; stationary bins"}
     else:
         x_bar = np.asarray(grid.extents[1:]) / 2.0
         fit = fit_modal_decomposition(est0, model, x_bar)
@@ -615,7 +620,7 @@ def predict_then_compare(
         for weight, branch in ((cp / tot, "+"), (cm / tot, "-")):
             live = weight >= 1e-12
             states = [RayState(x=x_bar, zetaP=v[1:], zeta0=v[0]) for v in vecs[live]]
-            paths = integrate_rays(model, states, (t0, t1), dt=ray_dt, branch=branch)
+            paths = integrate_rays(model, states, (t0, t1), dt=RAY_DT, branch=branch)
             new_vecs = np.column_stack([vecs[live, 0], np.reshape([p.zetaPs[-1] for p in paths], (-1, 3))])
             targets = sphere.locate(new_vecs / np.linalg.norm(new_vecs, axis=1, keepdims=True))
             np.add.at(pred, targets, weight[live] * m[live] * (0.5 * damp + 0.5))  # transverse: half electric

@@ -41,6 +41,16 @@ __all__ = [
 ]
 
 
+# Bins below this fraction of the total trace mass count as empty.
+MASS_FLOOR = 1e-6
+# Fits exclude bins whose direction has |zeta'| below this: the dyads degenerate there.
+ZP_FLOOR = 0.15
+# Support tolerance, in widths of the widest polar bin.
+SUPPORT_RADIUS_BINS = 2.0
+# Singular values of the kernel-lemma operator at most 10 |zeta'| times this count as null.
+KERNEL_REL_TOL = 1e-12
+
+
 def _bin_directions(est: HMeasureEstimate, eps: float) -> np.ndarray:
     """Per-bin evaluation directions: mass centroids where defined, else centers."""
     centers = est.sphere.centers()
@@ -88,11 +98,10 @@ def localisation_residual(
     model: MaterialModel | None = None,
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
     eps: float | None = None,
-    mass_floor: float = 1e-6,
 ) -> LocalisationReport:
     """Per-bin relative Frobenius residual of symbol(x, zeta_bin) @ mu_bin.
 
-    Empty bins (below ``mass_floor`` of the total) are skipped, not reported
+    Empty bins (below ``MASS_FLOOR`` of the total) are skipped, not reported
     as zero.  ``max_weighted_residual`` is max over bins of the residual
     scaled by the bin's mass fraction.
     """
@@ -104,7 +113,7 @@ def localisation_residual(
     bins = est.history[e]
     masses = np.trace(bins, axis1=1, axis2=2).real
     total = max(masses.sum(), 1e-300)
-    keep = masses > mass_floor * total
+    keep = masses > MASS_FLOOR * total
     idx = np.flatnonzero(keep)
     dirs = _bin_directions(est, e)[idx]
     M = bins[idx]
@@ -164,7 +173,6 @@ def support_check(
     case: str,
     model: MaterialModel | None = None,
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
-    radius_bins: float = 2.0,
     eps: float | None = None,
 ) -> SupportReport:
     """Mass fraction near the declared support set of the case's theorem.
@@ -172,14 +180,14 @@ def support_check(
     Constant case: [{zeta0=0} u {zeta'=0}] n {zeta1 zeta2 zeta3 = 0};
     smooth-scalar case the union gains the two cones {zeta0 = +-v|zeta'|}.
     The distance to the intersection is taken as the max of the union and
-    product-set distances; the tolerance is ``radius_bins`` bin widths.
+    product-set distances; the tolerance is ``SUPPORT_RADIUS_BINS`` bin widths.
     """
     if case not in ("constant", "scalar_smooth"):
         raise ValueError("case must be 'constant' or 'scalar_smooth'")
     e = est.finest if eps is None else eps
     masses = est.masses(e)
     total = float(masses.sum())
-    tol = radius_bins * est.sphere.max_polar_width
+    tol = SUPPORT_RADIUS_BINS * est.sphere.max_polar_width
     if total <= 0:
         return SupportReport(case, tol, 1.0, {}, 0.0)
     speed = model.speed_at(x_center) if model is not None else 1.0
@@ -219,8 +227,8 @@ class KernelReport:
         }
 
 
-def kernel_lemma_check(zetaP, rel_tol: float = 1e-12) -> KernelReport:
-    """Nullspace of A -> E(zeta') A over 3x3 matrices, by SVD.
+def kernel_lemma_check(zetaP) -> KernelReport:
+    """Nullspace of A -> E(zeta') A over 3x3 matrices, by SVD (``KERNEL_REL_TOL``).
 
     Checks more than the dimension count: every null basis
     element must have all columns parallel to zeta', fixing the tensor
@@ -233,7 +241,7 @@ def kernel_lemma_check(zetaP, rel_tol: float = 1e-12) -> KernelReport:
     E = antisym_E(z)
     K = np.kron(E, np.eye(3))  # row-major vec: vec(E @ A) = (E (x) I) vec(A)
     _, s, Vh = np.linalg.svd(K)
-    nullity = int(np.sum(s <= rel_tol * r * 10))
+    nullity = int(np.sum(s <= KERNEL_REL_TOL * r * 10))
     null_res = 0.0
     misalign = 0.0
     zhat = z / r
@@ -294,7 +302,8 @@ class DensityDecomposition:
         }
 
 
-def _select_bins(est, eps, mass_floor, zp_floor):
+def _select_bins(est, eps):
+    """Fit bins: above ``MASS_FLOOR`` and off the degenerate directions (``ZP_FLOOR``)."""
     e = est.finest if eps is None else eps
     bins = est.history[e]
     masses = np.trace(bins, axis1=1, axis2=2).real
@@ -302,10 +311,10 @@ def _select_bins(est, eps, mass_floor, zp_floor):
     dirs = _bin_directions(est, e)
     rp = np.linalg.norm(dirs[:, 1:], axis=1)
     # polar chi1 rings contain the degenerate points zeta' = 0
-    ring = np.arange(est.sphere.num_bins) // (est.sphere.n_theta * est.sphere.n_phi)
+    ring = est.sphere.unflatten(np.arange(est.sphere.num_bins))[0]
     polar = (ring == 0) | (ring == est.sphere.n_zeta0 - 1)
-    carry = masses > mass_floor * total
-    degenerate = polar | (rp < zp_floor)
+    carry = masses > MASS_FLOOR * total
+    degenerate = polar | (rp < ZP_FLOOR)
     keep = carry & ~degenerate
     excluded = np.flatnonzero(carry & degenerate)
     return e, bins, dirs, np.flatnonzero(keep), excluded
@@ -314,8 +323,6 @@ def _select_bins(est, eps, mass_floor, zp_floor):
 def fit_constant_decomposition(
     est: HMeasureEstimate,
     eps: float | None = None,
-    mass_floor: float = 1e-6,
-    zp_floor: float = 0.15,
 ) -> DensityDecomposition:
     """Least-squares projection of each 3x3 block onto span{zeta' (x) zeta'}.
 
@@ -323,7 +330,7 @@ def fit_constant_decomposition(
     rank-one reconstruction.  Bins with zeta' ~ 0 are excluded: the dyad
     degenerates there and the theorem gives a vanishing measure anyway.
     """
-    e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor)
+    e, bins, dirs, idx, excluded = _select_bins(est, eps)
     zp = dirs[idx, 1:]
     M = bins[idx].reshape(idx.size, 2, 3, 2, 3)  # (bin, E/H row, i, E/H column, j)
     # vals[n, I, J] = zp^T M_IJ zp / |zp|^4; rows/columns (E, H) give [[a, c], [d, b]]
@@ -359,8 +366,6 @@ def fit_modal_decomposition(
     model: MaterialModel,
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
     eps: float | None = None,
-    mass_floor: float = 1e-6,
-    zp_floor: float = 0.15,
 ) -> DensityDecomposition:
     """Project each bin onto the six eigen-dyads b_s (x) b_s of the symbol.
 
@@ -368,7 +373,7 @@ def fit_modal_decomposition(
     is (A0 b_s)^H mu (A0 b_s).  The reconstruction residual keeps track of
     any coherence between modes that the six dyads cannot represent.
     """
-    e, bins, dirs, idx, excluded = _select_bins(est, eps, mass_floor, zp_floor)
+    e, bins, dirs, idx, excluded = _select_bins(est, eps)
     A0 = assemble_system_matrices(model, x_center)[0]
     # basis[n, :, s] is mode s's eigenvector at bin n, in EigenStructure.MODE_ORDER
     eps_x, eta_x = model.eps_at(x_center), model.eta_at(x_center)

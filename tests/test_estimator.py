@@ -205,6 +205,29 @@ def test_total_mass_plancherel():
         assert got == pytest.approx(expected, rel=1e-10)
 
 
+def test_estimate_matches_multiplier_definition():
+    """Sum over S of Tr mu_b + dc = <A v, v> with A = 1_S(locate(zeta)) and v = phi u.
+
+    The multiplier passes the zero frequency through, hence the dc term.
+    """
+    fam = _family(mode="trans-2", k=(0.3, -0.5, 0.8))
+    phi = hann_window(GRID)
+    est = estimate_hmeasure(fam, phi, sphere=SPHERE)
+    masses = est.masses()
+    i1 = SPHERE.unflatten(np.arange(SPHERE.num_bins))[0]
+    heaviest = np.flatnonzero(masses >= 1e-3 * masses.max())
+    upper = np.flatnonzero(i1 < SPHERE.n_zeta0 // 2)  # zeta0 > 0
+    v = cutoff_multiply(phi, np.asarray(fam.fields[fam.finest]), GRID)
+    for S in (heaviest, upper):
+        def a(*z):
+            return np.isin(SPHERE.locate(np.stack(np.broadcast_arrays(*z), axis=-1)), S).astype(float)
+
+        want = GRID.cell_volume * np.vdot(v, fourier_multiplier(a, v, GRID))
+        got = masses[S].sum() + est.dc_energy[fam.finest]
+        assert 0 < S.size < SPHERE.num_bins
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------- correlation
 
 def test_estimate_equal_window_copy_matches_single_window():

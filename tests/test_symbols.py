@@ -9,7 +9,6 @@ from hml.symbols import (
     FrequencyDirection,
     MaterialModel,
     Q_MATRICES,
-    TestSymbol,
     _mode_vectors,
     antisym_E,
     assemble_P,
@@ -17,9 +16,7 @@ from hml.symbols import (
     assemble_system_matrices,
     dispersion_matrix,
     eigen_structure,
-    poisson_bracket,
     propagation_basis,
-    propagation_operator,
 )
 
 unit3 = st.tuples(
@@ -118,13 +115,15 @@ def test_stacked_symbols_match_per_direction(smooth_model, rng):
     P = assemble_P(smooth_model, x, zetas)
     B = assemble_divergence_symbol(zetas[:, 1:])
     E = antisym_E(zetas[:, 1:])
-    assert P.shape == B.shape == (50, 6, 6) and E.shape == (50, 3, 3)
+    L = dispersion_matrix(smooth_model, x, zetas[:, 1:])
+    assert P.shape == B.shape == L.shape == (50, 6, 6) and E.shape == (50, 3, 3)
     eps, eta, I3 = smooth_model.eps_at(x), smooth_model.eta_at(x), np.eye(3)
     for n, (z0, *zp) in enumerate(zetas):
         En = np.cross(zp, I3).T  # column j is zeta' x e_j
         np.testing.assert_allclose(E[n], En, atol=1e-15)
         np.testing.assert_allclose(P[n], np.block([[z0 * eps * I3, -En], [En, z0 * eta * I3]]), atol=1e-14)
         np.testing.assert_array_equal(B[n], np.diag(np.concatenate([zp, zp])))
+        np.testing.assert_array_equal(L[n], dispersion_matrix(smooth_model, x, zp))
 
 
 # --------------------------------------------------------- divergence symbol
@@ -290,131 +289,6 @@ def test_eigen_basis_A0_orthonormal(smooth_model, rng):
         A0 = assemble_system_matrices(smooth_model, x)[0]
         gram = es.basis.T @ A0 @ es.basis
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-12)
-
-
-# ------------------------------------------------------------ Poisson bracket
-
-def test_bracket_constant_model_block_form(rng):
-    model = MaterialModel.constant(1.0, 1.0, 1.0)
-    psi = TestSymbol.monomial_x((1, 2, 0, 1), coeff=0.7)
-    xt = rng.uniform(0.2, 0.8, size=4)
-    zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
-    got = poisson_bracket(model, psi, xt, zeta)
-    g = psi.dx(xt, zeta.vec4)
-    Esum = sum(Q_MATRICES[j] * g[1 + j] for j in range(3))
-    expected = np.zeros((6, 6))
-    expected[:3, :3] = g[0] * np.eye(3)
-    expected[3:, 3:] = g[0] * np.eye(3)
-    expected[:3, 3:] = -Esum
-    expected[3:, :3] = Esum
-    np.testing.assert_allclose(got, expected, atol=1e-13)
-
-
-def test_bracket_constant_psi_is_zero(smooth_model):
-    psi = TestSymbol.constant(3.2)
-    zeta = FrequencyDirection.from_vec4((0.5, 0.1, -0.3, 0.8))
-    got = poisson_bracket(smooth_model, psi, (0.1, 0.2, -0.1, 0.3), zeta)
-    np.testing.assert_array_equal(got, np.zeros((6, 6)))
-
-
-def _fd_bracket(model, psi, xt, zeta, h=1e-6):
-    """Central finite differences of the defining formula, oracle only."""
-    xt = np.asarray(xt, dtype=float)
-    zv = zeta.vec4
-
-    def P_raw(x, z):
-        A0, A1, A2, A3, _ = assemble_system_matrices(model, x)
-        return z[0] * A0 + z[1] * A1 + z[2] * A2 + z[3] * A3
-
-    def psi_ext(x4, z):
-        zn = np.asarray(z) / np.linalg.norm(z)
-        return psi.value(x4, zn)
-
-    out = np.zeros((6, 6))
-    for l in range(4):
-        ez = np.zeros(4)
-        ez[l] = h
-        dP_dz = (P_raw(xt[1:], zv + ez) - P_raw(xt[1:], zv - ez)) / (2 * h)
-        ex = np.zeros(4)
-        ex[l] = h
-        dpsi_dx = (psi_ext(xt + ex, zv) - psi_ext(xt - ex, zv)) / (2 * h)
-        dpsi_dz = (psi_ext(xt, zv + ez) - psi_ext(xt, zv - ez)) / (2 * h)
-        xp, xm = xt.copy(), xt.copy()
-        xp[l] += h
-        xm[l] -= h
-        dP_dx = (P_raw(xp[1:], zv) - P_raw(xm[1:], zv)) / (2 * h)
-        out += dP_dz * dpsi_dx - dpsi_dz * dP_dx
-    return out
-
-
-def test_bracket_matches_finite_differences(smooth_model, rng):
-    battery = [
-        TestSymbol.monomial_x((1, 0, 0, 0)),
-        TestSymbol.monomial_x((0, 2, 1, 0), coeff=0.5),
-        TestSymbol.monomial_x((1, 1, 0, 1)) * TestSymbol.zeta_linear((0.2, 0.5, -0.1, 0.8)),
-        TestSymbol.zeta_linear((1.0, 0.0, 0.0, 0.0)),
-    ]
-    for psi in battery:
-        for _ in range(5):
-            xt = rng.uniform(0.2, 0.8, size=4)
-            zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
-            got = poisson_bracket(smooth_model, psi, xt, zeta)
-            ref = _fd_bracket(smooth_model, psi, xt, zeta)
-            scale = max(1.0, np.abs(ref).max())
-            assert np.abs(got - ref).max() / scale <= 1e-6
-
-
-def test_bracket_variable_model_block_form(smooth_model, rng):
-    # top-left block eps*dpsi/dt*Id - zeta0 * sum_l dpsi/dzeta_l * d_l eps * Id
-    psi = TestSymbol.monomial_x((1, 0, 1, 0)) * TestSymbol.zeta_linear((0.3, -0.2, 0.9, 0.1))
-    xt = rng.uniform(0.1, 0.6, size=4)
-    zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
-    got = poisson_bracket(smooth_model, psi, xt, zeta)
-    x = xt[1:]
-    eps = smooth_model.eps_at(x)
-    ge = smooth_model.grad_eps_at(x)
-    gx = psi.dx(xt, zeta.vec4)
-    gz = psi.dzeta(xt, zeta.vec4)
-    tl_scalar = eps * gx[0] - zeta.zeta0 * sum(gz[1 + l] * ge[l] for l in range(3))
-    np.testing.assert_allclose(got[:3, :3], tl_scalar * np.eye(3), atol=1e-12)
-
-
-# -------------------------------------------------------- propagation operator
-
-def test_propagation_operator_constant_top_left(rng):
-    model = MaterialModel.constant(1.0, 1.0, 1.0)
-    psi = TestSymbol.monomial_x((1, 0, 2, 0), coeff=1.3)
-    xt = rng.uniform(0.2, 0.8, size=4)
-    zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
-    got = propagation_operator(model, psi, xt, zeta)
-    g = psi.dx(xt, zeta.vec4)
-    val = psi.value(xt, zeta.vec4)
-    np.testing.assert_allclose(got[:3, :3], (g[0] - 2 * val) * np.eye(3), atol=1e-13)
-    np.testing.assert_allclose(got[3:, 3:], g[0] * np.eye(3), atol=1e-13)
-
-
-def test_propagation_operator_trivial_zero():
-    model = MaterialModel.constant(2.0, 3.0, 0.0)
-    psi = TestSymbol.zeta_linear((0.1, 0.5, 0.5, -0.2))  # constant in xt
-    zeta = FrequencyDirection.from_vec4((0.4, 0.1, 0.2, 0.3))
-    got = propagation_operator(model, psi, (0.3, 0.1, 0.2, 0.0), zeta)
-    np.testing.assert_array_equal(got, np.zeros((6, 6)))
-
-
-def test_propagation_operator_variable_top_left(smooth_model, rng):
-    psi = TestSymbol.monomial_x((1, 1, 0, 0)) * TestSymbol.zeta_linear((0.0, 0.4, 0.3, -0.6))
-    xt = rng.uniform(0.1, 0.6, size=4)
-    zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
-    got = propagation_operator(smooth_model, psi, xt, zeta)
-    x = xt[1:]
-    eps = smooth_model.eps_at(x)
-    sig = smooth_model.sigma_at(x)
-    ge = smooth_model.grad_eps_at(x)
-    gx = psi.dx(xt, zeta.vec4)
-    gz = psi.dzeta(xt, zeta.vec4)
-    val = psi.value(xt, zeta.vec4)
-    tl = eps * gx[0] - zeta.zeta0 * sum(gz[1 + l] * ge[l] for l in range(3)) - 2 * val * sig
-    np.testing.assert_allclose(got[:3, :3], tl * np.eye(3), atol=1e-12)
 
 
 # ------------------------------------------------- transport-row curl weights

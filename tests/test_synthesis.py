@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
 from hml.symbols import DomainError, FrequencyDirection, MaterialModel, UnsupportedGeneratorError, eigen_structure
 from hml.synthesis import (
@@ -14,7 +15,6 @@ from hml.synthesis import (
     layered_phase,
     maxwell_residual,
     plane_wave_family,
-    weak_null_report,
     wkb_family,
 )
 
@@ -46,27 +46,32 @@ def _bounded_model(eps_slope=0.0, eta_slope=0.0, domain=None):
 
 
 @pytest.mark.parametrize(
-    "model, error, match",
+    "model, error, match, layer_axis",
     [
-        (_bounded_model(eps_slope=2.0), ValueError, "eps falls"),
-        (_bounded_model(eta_slope=2.0), ValueError, "eta falls"),
-        (_bounded_model(domain=((0.0, 0.0, 0.0), (0.1, 0.2, 0.2))), DomainError, "outside model domain"),
+        (_bounded_model(eps_slope=2.0), ValueError, "eps falls", 0),
+        (_bounded_model(eta_slope=2.0), ValueError, "eta falls", 1),
+        (_bounded_model(domain=((0.0, 0.0, 0.0), (0.1, 0.2, 0.2))), DomainError, "outside model domain", 0),
     ],
     ids=["eps_below_min", "eta_below_min", "box_leaves_domain"],
 )
-def test_grid_sampling_enforces_bounds_and_domain(model, error, match):
-    # on GRID's box [0, 0.125)^3, 1 - 2x falls to 0.78 < 0.9, and x1 passes 0.1
+def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axis):
+    # on GRID's box [0, 0.125)^3, 1 - 2x falls to 0.78 < 0.9, and x1 passes 0.1;
+    # layered_phase samples [0, 0.125] along the violating axis, where 1 - 2x reaches 0.75
     fam = _family()
     phase = linear_phase((0.0, 0.0, 1.0), -1.0)
+    x_max = GRID.extents[1 + layer_axis]
     calls = [
         lambda: constitutive_fields(model, fam),
         lambda: maxwell_residual(model, fam.fields[fam.finest], GRID),
         lambda: wkb_family(model, GRID, phase, hann_window(GRID, axes=(0, 1)), "trans+1", EPS2),
+        lambda: layered_phase(model, axis=layer_axis, x_max=x_max),
     ]
     for call in calls:
         with pytest.raises(error, match=match):
             call()
-    constitutive_fields(_bounded_model(eps_slope=0.5, eta_slope=0.5), fam)  # 1 - x/2 stays above 0.9
+    in_bounds = _bounded_model(eps_slope=0.5, eta_slope=0.5)  # 1 - x/2 stays above 0.9
+    constitutive_fields(in_bounds, fam)
+    layered_phase(in_bounds, axis=layer_axis, x_max=x_max)
 
 
 def test_constitutive_identity_model():
@@ -298,13 +303,19 @@ def test_charge_longitudinal_leading_term():
 # ------------------------------------------------------------ weak-null proxy
 
 def test_weak_null_proxy_decays():
+    # |<u^eps, w>| = sqrt(box_volume * |dc_energy|): the estimate's zero-frequency mass
     grid = GridSpec((0.5,) * 4, (32, 8, 8, 32))
     fam = _family(epsilons=ladder_epsilons(2, 4), grid=grid, envelope=hann_window(grid, axes=(0, 1)))
-    report = weak_null_report(fam)
-    eps = fam.epsilons
-    vals = np.array([report[e] for e in eps])  # (n_eps, n_windows)
-    assert vals.shape[1] == 5
-    for w in range(vals.shape[1]):
-        col = vals[:, w]
+    windows = [
+        hann_window(grid),
+        hann_window(grid, margin=0.1),
+        hann_window(grid, axes=(0,)),
+        hann_window(grid, axes=(1, 2, 3)),
+        hann_window(grid, axes=(0, 1), margin=0.05),
+    ]
+    eps = np.asarray(fam.epsilons)
+    for w in windows:
+        dc = estimate_hmeasure(fam, w, sphere=SphereGrid(2, 2, 2)).dc_energy
+        col = np.sqrt(grid.box_volume * np.abs([dc[e] for e in fam.epsilons]))
         assert np.all(col[1:] <= col[:-1] + 1e-12)
-        assert np.all(col <= 10.0 * np.asarray(eps))
+        assert np.all(col <= 10.0 * eps)

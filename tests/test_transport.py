@@ -351,14 +351,23 @@ EVOL_GRID = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 8, 8, 16))
 EPS_PAIR = (2.0**-3, 2.0**-4)
 
 
-def test_predict_damping_longitudinal():
-    model = MaterialModel.constant(1.0, 1.0, 1.0)
+def _check_predict_damping(eps, sigma):
+    """Electric mass of an exact long-e solution decays like exp(-2 sigma dt / eps)."""
+    model = MaterialModel.constant(eps, 1.0, sigma)
     fam = evolved_family(model, EVOL_GRID, (0, 0, 1.0), "long-e", EPS_PAIR, hann_window(EVOL_GRID, axes=(1,)))
     rep = predict_then_compare(fam, model, 0.25, 0.75, sphere=SphereGrid(10, 8, 16), window_width=0.25)
-    expected = np.exp(-2 * 0.5)
+    expected = np.exp(-2 * sigma * 0.5 / eps)
     assert rep.mass_ratio == pytest.approx(expected, rel=0.1)
     assert rep.predicted_ratio == pytest.approx(rep.mass_ratio, rel=0.1)
     assert rep.per_bin_l1_discrepancy <= 0.1
+
+
+def test_predict_damping_longitudinal():
+    _check_predict_damping(1.0, 1.0)
+
+
+def test_predict_damping_longitudinal_scales_with_permittivity():
+    _check_predict_damping(2.0, 1.0)
 
 
 def test_predict_conservation_sigma0():
@@ -425,9 +434,9 @@ def test_time_subwindow_guards():
 
 # ---------------------------------------------------- end-to-end constant rows
 
-def test_constant_rows_from_estimated_densities():
+def _check_constant_rows_from_estimates(eps, sigma):
     """Exact damped longitudinal solutions satisfy row 1 within discretization."""
-    model = MaterialModel.constant(1.0, 1.0, 1.0)
+    model = MaterialModel.constant(eps, 1.0, sigma)
     fam = evolved_family(model, EVOL_GRID, (0, 0, 1.0), "long-e", EPS_PAIR, hann_window(EVOL_GRID, axes=(1,)))
     sphere = SphereGrid(10, 8, 16)
     t_levels = np.linspace(0.25, 0.75, 5)
@@ -438,3 +447,11 @@ def test_constant_rows_from_estimated_densities():
     traj = DensityTrajectory.from_constant_fits(t_levels, sphere, fits)
     rep = constant_transport_residual(traj, model)
     assert rep.max_relative <= 0.15
+
+
+def test_constant_rows_from_estimated_densities():
+    _check_constant_rows_from_estimates(1.0, 1.0)
+
+
+def test_constant_rows_from_estimated_densities_scale_with_permittivity():
+    _check_constant_rows_from_estimates(2.0, 1.0)
