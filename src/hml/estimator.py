@@ -202,13 +202,12 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid):
     r = np.sqrt(r2)
     ok = r > 0
     rs = np.where(ok, r, 1.0)
-    comps = []
-    for f in (f0, f1, f2, f3):
-        comps.append((np.broadcast_to(f, grid.shape).ravel() / rs).astype(np.float32))
-    dirs = np.stack(comps)
-    dirs[:, ~ok] = 0.0
-    idx = sphere.locate(np.stack(comps, axis=-1).astype(np.float64))
+    units = np.stack([np.broadcast_to(f, grid.shape).ravel() / rs for f in (f0, f1, f2, f3)], axis=-1)
+    # bins come from the float64 directions, as in fourier_multiplier; only the centroids use float32
+    idx = sphere.locate(units)
     idx = np.where(ok, idx, sphere.num_bins).astype(np.int64)
+    dirs = units.T.astype(np.float32, order="C")
+    dirs[:, ~ok] = 0.0
     return idx, dirs
 
 

@@ -7,7 +7,9 @@ periodic in the azimuth; below five samples a non-periodic axis uses one
 stencil over all of them and a periodic one the 3-point rule) and the
 four transport rows are paired against a battery of test functions.  Characteristic rays of the two propagating
 Hamiltonians omega = zeta0 +- v(x)|zeta'| are integrated with a
-fixed-step RK4 scheme.
+fixed-step RK4 scheme; the rays of one call advance together as one
+(n, 6) array of positions and zeta', and each ray terminates on its own
+when |zeta'| falls below ``RAY_ZP_FLOOR``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ __all__ = [
 
 # RK4 step of the rays that carry the smooth-case prediction.
 RAY_DT = 2.0**-8
+# A ray stops where |zeta'| falls below this: omega is not differentiable at zeta' = 0.
+RAY_ZP_FLOOR = 1e-6
 
 
 @dataclass
@@ -71,68 +75,79 @@ class RayPath:
         return RayState(x=self.xs[-1], zetaP=self.zetaPs[-1], zeta0=self.zeta0, t=float(self.times[-1]))
 
 
-def _grad_speed(model: MaterialModel, x: np.ndarray) -> float:
-    v = model.speed_at(x)
-    ge = model.grad_eps_at(x) / model.eps_at(x)
-    gh = model.grad_eta_at(x) / model.eta_at(x)
-    return -0.5 * v * (ge + gh)
+def _speed_and_gradient(model: MaterialModel, x: np.ndarray) -> tuple:
+    """v = 1/sqrt(eps eta) and grad v = -v/2 (grad eps/eps + grad eta/eta) at the rows of ``x``.
+
+    ``x`` has shape (n, 3); returns v (n,) and grad v (n, 3).
+    """
+    x1, x2, x3 = x.T
+    eps, eta = model.eps(x1, x2, x3), model.eta(x1, x2, x3)
+    v = 1.0 / np.sqrt(eps * eta)
+    ge = model.grad_eps(x1, x2, x3).T / eps[:, None]
+    gh = model.grad_eta(x1, x2, x3).T / eta[:, None]
+    return v, -0.5 * v[:, None] * (ge + gh)
 
 
 def integrate_rays(
     model: MaterialModel,
     states: Sequence[RayState],
     t_span: tuple,
-    dt: float = 2.0**-8,
+    dt: float = RAY_DT,
     branch: str = "+",
-    zp_floor: float = 1e-6,
 ) -> list:
     """RK4 integration of xdot = grad_zeta omega, zetadot = -grad_x omega.
 
     omega = zeta0 + s v(x)|zeta'| with s = +1 or -1 per ``branch``; zeta0
-    rides along unchanged.  Rays reaching |zeta'| < ``zp_floor`` terminate
-    with a status instead of raising.
+    rides along unchanged.  All rays advance together as one (n, 6) array
+    of positions and zeta'.  Before each step a ray whose |zeta'| is below
+    ``RAY_ZP_FLOOR`` drops out: its path ends there with status
+    ``terminated_small_zetaP`` and the other rays keep stepping.
     """
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
+    if not states:
+        return []
     s = 1.0 if branch == "+" else -1.0
     t0, t1 = float(t_span[0]), float(t_span[1])
-    direction = 1.0 if t1 >= t0 else -1.0
     n_steps = max(1, int(round(abs(t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
 
     def rhs(y):
-        x, zp = y[:3], y[3:]
-        r = np.linalg.norm(zp)
-        v = model.speed_at(x)
-        gv = _grad_speed(model, x)
-        return np.concatenate([s * v * zp / r, -s * r * gv])
+        zp = y[:, 3:]
+        r = np.linalg.norm(zp, axis=1)[:, None]
+        v, gv = _speed_and_gradient(model, y[:, :3])
+        return np.concatenate([s * v[:, None] * zp / r, -s * r * gv], axis=1)
 
-    paths = []
-    for st in states:
-        y = np.concatenate([np.asarray(st.x, float), np.asarray(st.zetaP, float)])
-        times = [t0]
-        ys = [y.copy()]
-        status = "ok"
-        for n in range(n_steps):
-            if np.linalg.norm(y[3:]) < zp_floor:
-                status = "terminated_small_zetaP"
+    n = len(states)
+    # (step, ray, x|zeta'); a terminated ray's last state fills its remaining steps
+    hist = np.empty((n_steps + 1, n, 6))
+    hist[0] = [np.concatenate([np.asarray(st.x, float), np.asarray(st.zetaP, float)]) for st in states]
+    lengths = np.full(n, n_steps + 1)
+    live = np.arange(n)
+    for k in range(n_steps):
+        small = np.linalg.norm(hist[k, live, 3:], axis=1) < RAY_ZP_FLOOR
+        if small.any():
+            dead = live[small]
+            lengths[dead] = k + 1
+            hist[k + 1:, dead] = hist[k, dead]
+            live = live[~small]
+            if not live.size:
                 break
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            times.append(t0 + (n + 1) * h)
-            ys.append(y.copy())
-        ys = np.array(ys)
-        times = np.array(times)
-        ham = np.array(
-            [st.zeta0 + s * model.speed_at(row[:3]) * np.linalg.norm(row[3:]) for row in ys]
-        )
-        paths.append(
-            RayPath(times=times, xs=ys[:, :3], zetaPs=ys[:, 3:], hamiltonian=ham, status=status, branch=branch, zeta0=st.zeta0)
-        )
-    return paths
+        y = hist[k, live]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        hist[k + 1, live] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    v, _ = _speed_and_gradient(model, hist[..., :3].reshape(-1, 3))
+    zeta0 = np.array([st.zeta0 for st in states], float)
+    ham = zeta0 + s * v.reshape(n_steps + 1, n) * np.linalg.norm(hist[..., 3:], axis=-1)
+    times = t0 + np.arange(n_steps + 1) * h
+    return [
+        RayPath(times=times[:m], xs=hist[:m, i, :3], zetaPs=hist[:m, i, 3:], hamiltonian=ham[:m, i],
+                status="ok" if m == n_steps + 1 else "terminated_small_zetaP", branch=branch, zeta0=st.zeta0)
+        for i, (st, m) in enumerate(zip(states, lengths))
+    ]
 
 
 # ------------------------------------------------------------- density lattices
@@ -620,7 +635,7 @@ def predict_then_compare(
         for weight, branch in ((cp / tot, "+"), (cm / tot, "-")):
             live = weight >= 1e-12
             states = [RayState(x=x_bar, zetaP=v[1:], zeta0=v[0]) for v in vecs[live]]
-            paths = integrate_rays(model, states, (t0, t1), dt=RAY_DT, branch=branch)
+            paths = integrate_rays(model, states, (t0, t1), branch=branch)
             new_vecs = np.column_stack([vecs[live, 0], np.reshape([p.zetaPs[-1] for p in paths], (-1, 3))])
             targets = sphere.locate(new_vecs / np.linalg.norm(new_vecs, axis=1, keepdims=True))
             np.add.at(pred, targets, weight[live] * m[live] * (0.5 * damp + 0.5))  # transverse: half electric

@@ -3,6 +3,7 @@ import pytest
 
 from hml.estimator import (
     SphereGrid,
+    _lattice_bins,
     charge_tilde_fields,
     correlation_measure,
     cutoff_multiply,
@@ -226,6 +227,44 @@ def test_estimate_matches_multiplier_definition():
         got = masses[S].sum() + est.dc_energy[fam.finest]
         assert 0 < S.size < SPHERE.num_bins
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+
+def _lattice_directions():
+    """Float64 unit directions of the nonzero frequencies of GRID, as fourier_multiplier forms them,
+    with their flat lattice indices and a mask of those a float32 rounding moves to another bin."""
+    f0, f1, f2, f3 = GRID.freq_meshes()
+    r = np.sqrt(f0**2 + f1**2 + f2**2 + f3**2).ravel()
+    flat = np.flatnonzero(r > 0)
+    units = np.stack([np.broadcast_to(f, GRID.shape).ravel()[flat] / r[flat] for f in (f0, f1, f2, f3)], axis=-1)
+    moved = SPHERE.locate(units.astype(np.float32).astype(float)) != SPHERE.locate(units)
+    return units, flat, moved
+
+
+def test_lattice_bins_locate_float64_directions():
+    units, flat, moved = _lattice_directions()
+    assert moved.any()  # the lattice has frequencies on bin edges
+    np.testing.assert_array_equal(_lattice_bins(GRID, SPHERE)[0][flat], SPHERE.locate(units))
+
+
+def test_estimate_matches_multiplier_definition_on_bin_edges():
+    """The multiplier identity with S = the bins of the edge frequencies and all the mass on them."""
+    units, flat, moved = _lattice_directions()
+    S = np.unique(SPHERE.locate(units[moved]))
+    spectrum = np.zeros(GRID.num_points, dtype=complex)
+    spectrum[flat[moved]] = 1.0
+    wave = np.fft.ifftn(spectrum.reshape(GRID.shape))
+    pol = np.array([1.0, 0.5j, 0.0, 0.0, -0.25, 1.0])
+    u = pol.reshape((6, 1, 1, 1, 1)) * wave
+    fam = OscillatingFamily(grid=GRID, epsilons=EPS2, fields={e: u for e in EPS2})
+    est = estimate_hmeasure(fam, full_window(), sphere=SPHERE)
+
+    def a(*z):
+        return np.isin(SPHERE.locate(np.stack(np.broadcast_arrays(*z), axis=-1)), S).astype(float)
+
+    want = GRID.cell_volume * np.vdot(u, fourier_multiplier(a, u, GRID))
+    got = est.masses()[S].sum() + est.dc_energy[fam.finest]
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------- correlation

@@ -43,6 +43,33 @@ def quadratic_speed_model(c1=1.0):
     )
 
 
+def layered_model():
+    """eps(x) = (1 + 0.8*x1)^2, eta = 1, sigma = 0: the smooth-rays medium without damping."""
+    b = 0.8
+
+    def grad_eps(x1, x2, x3):
+        g = np.zeros((3,) + np.broadcast(x1, x2, x3).shape)
+        g[0] = 2.0 * b * (1.0 + b * x1)
+        return g
+
+    return MaterialModel.scalar_smooth(
+        eps=lambda x1, x2, x3: (1.0 + b * x1) ** 2 + 0.0 * (x2 + x3),
+        eta=lambda x1, x2, x3: np.ones(np.broadcast(x1, x2, x3).shape),
+        sigma=lambda x1, x2, x3: np.zeros(np.broadcast(x1, x2, x3).shape),
+        grad_eps=grad_eps,
+        grad_eta=lambda x1, x2, x3: np.zeros((3,) + np.broadcast(x1, x2, x3).shape),
+        eps_min=1.0,
+        eta_min=1.0,
+    )
+
+
+def seeded_states(n, x, seed=0):
+    """``n`` rays from ``x`` along seeded unit 4-directions (zeta0, zeta')."""
+    dirs = np.random.default_rng(seed).normal(size=(n, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return [RayState(x=np.asarray(x, float), zetaP=d[1:], zeta0=d[0]) for d in dirs]
+
+
 # ----------------------------------------------------------------------- rays
 
 def test_rays_straight_for_constant_model():
@@ -68,10 +95,12 @@ def test_rays_bend_and_conserve_hamiltonian():
 def test_rays_reversible():
     model = quadratic_speed_model()
     st = RayState(x=np.array([0.15, -0.1, 0.05]), zetaP=np.array([0.3, 0.9, -0.2]))
-    fwd = integrate_rays(model, [st], (0.0, 0.7), dt=2.0**-8)[0]
-    back = integrate_rays(model, [fwd.final], (0.7, 0.0), dt=2.0**-8)[0]
-    assert np.linalg.norm(back.xs[-1] - st.x) <= 1e-7
-    assert np.linalg.norm(back.zetaPs[-1] - st.zetaP) <= 1e-7
+    states = [st] + seeded_states(8, st.x)
+    fwd = integrate_rays(model, states, (0.0, 0.7), dt=2.0**-8)
+    back = integrate_rays(model, [p.final for p in fwd], (0.7, 0.0), dt=2.0**-8)
+    for st, path in zip(states, back):
+        assert np.linalg.norm(path.xs[-1] - st.x) <= 1e-7
+        assert np.linalg.norm(path.zetaPs[-1] - st.zetaP) <= 1e-7
 
 
 def test_rays_terminate_near_zero_direction():
@@ -79,6 +108,30 @@ def test_rays_terminate_near_zero_direction():
     st = RayState(x=np.zeros(3), zetaP=np.array([1e-8, 0, 0]))
     path = integrate_rays(model, [st], (0.0, 1.0))[0]
     assert path.status == "terminated_small_zetaP"
+
+
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_ray_batch_matches_single_rays(branch):
+    """Rays in one batch step as they do alone; a small-zeta' ray stops without stopping the rest."""
+    model = quadratic_speed_model()
+    small = RayState(x=np.zeros(3), zetaP=np.array([1e-8, 0.0, 0.0]))
+    states = [small] + seeded_states(20, (0.1, -0.2, 0.05))
+    paths = integrate_rays(model, states, (0.0, 0.5), branch=branch)
+    assert paths[0].status == "terminated_small_zetaP" and paths[0].times.size == 1
+    for st, path in zip(states[1:], paths[1:]):
+        alone = integrate_rays(model, [st], (0.0, 0.5), branch=branch)[0]
+        assert path.status == alone.status == "ok"
+        for name in ("times", "xs", "zetaPs", "hamiltonian"):
+            np.testing.assert_array_equal(getattr(path, name), getattr(alone, name))
+    assert integrate_rays(model, [], (0.0, 0.5), branch=branch) == []
+
+
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_ray_hamiltonian_drift_in_layered_medium(branch):
+    """64 rays from the window centre of the smooth-rays medium keep omega within 1e-8."""
+    paths = integrate_rays(layered_model(), seeded_states(64, (0.125,) * 3), (1 / 16, 3 / 16), branch=branch)
+    assert all(p.status == "ok" for p in paths)
+    assert max(np.max(np.abs(p.hamiltonian - p.hamiltonian[0])) for p in paths) <= 1e-8
 
 
 # --------------------------------------------------------- sphere derivatives
@@ -392,22 +445,7 @@ def test_predict_zero_field():
 
 def test_predict_smooth_rebins_every_bin_once(monkeypatch):
     """With sigma = 0 each fitted bin's mass is moved, not created or lost."""
-    b = 0.8
-
-    def grad_eps(x1, x2, x3):
-        g = np.zeros((3,) + np.broadcast(x1, x2, x3).shape)
-        g[0] = 2.0 * b * (1.0 + b * x1)
-        return g
-
-    model = MaterialModel.scalar_smooth(
-        eps=lambda x1, x2, x3: (1.0 + b * x1) ** 2 + 0.0 * (x2 + x3),
-        eta=lambda x1, x2, x3: np.ones(np.broadcast(x1, x2, x3).shape),
-        sigma=lambda x1, x2, x3: np.zeros(np.broadcast(x1, x2, x3).shape),
-        grad_eps=grad_eps,
-        grad_eta=lambda x1, x2, x3: np.zeros((3,) + np.broadcast(x1, x2, x3).shape),
-        eps_min=1.0,
-        eta_min=1.0,
-    )
+    model = layered_model()
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     k = 0.9 * np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     c = -model.speed_at(np.asarray(grid.extents[1:]) / 2.0) * 0.9  # on the + cone at the window centre
