@@ -5,7 +5,7 @@ epsilon ladder: window the fields, take the full spacetime DFT, and
 accumulate the component-pair outer products into direction bins on the
 unit sphere of R^4, weighting every frequency shell equally (the radial
 integral of the defining formula).  The finest-scale value is reported
-together with the per-scale history and a Cauchy drift diagnostic.
+together with the per-scale history.
 """
 
 from __future__ import annotations
@@ -245,15 +245,6 @@ class HMeasureEstimate:
 
     def total_mass(self, eps: float | None = None) -> float:
         return float(self.masses(eps).sum())
-
-    def cauchy_drift(self) -> float:
-        """Max bin drift between the two finest scales over the total mass."""
-        if len(self.epsilons) < 2:
-            return float("nan")
-        a = self.history[self.epsilons[-1]]
-        b = self.history[self.epsilons[-2]]
-        denom = max(self.total_mass(), 1e-300)
-        return float(np.max(np.linalg.norm(a - b, axis=(1, 2))) / denom)
 
     def hermitian_defect(self, eps: float | None = None) -> float:
         h = self.history[self.finest if eps is None else eps]

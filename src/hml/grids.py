@@ -160,13 +160,6 @@ class SeparableWindow:
             out[i] = (coords[i] * w2).sum() / total if total > 0 else 0.5 * grid.extents[i]
         return out
 
-    def squared_mass(self, grid: GridSpec) -> float:
-        """Quadrature value of the discrete integral of |phi|^2."""
-        total = grid.cell_volume
-        for i, f in enumerate(self.factors):
-            total *= float(np.sum(f(grid.axis(i)) ** 2))
-        return total
-
     def describe(self) -> dict:
         return {"factors": [f.describe() for f in self.factors]}
 

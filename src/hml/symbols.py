@@ -356,11 +356,6 @@ class EigenStructure:
     def vector(self, mode: str) -> np.ndarray:
         return self.basis[:, self.MODE_ORDER.index(mode)]
 
-    @property
-    def omega_per_column(self) -> np.ndarray:
-        w0, wp, wm = self.omegas
-        return np.array([w0, w0, wp, wp, wm, wm])
-
 
 def eigen_structure(model: MaterialModel, x, zeta: FrequencyDirection) -> EigenStructure:
     """Analytic eigen-decomposition of P' = zeta0*Id + L at (x, zeta)."""

@@ -38,7 +38,6 @@ __all__ = [
     "OscillatingFamily",
     "PhaseField",
     "ladder_epsilons",
-    "constitutive_fields",
     "plane_wave_family",
     "exact_constant_evolution",
     "evolved_family",
@@ -96,17 +95,6 @@ class OscillatingFamily:
 def ladder_epsilons(j_start: int = 4, j_stop: int = 8) -> tuple:
     """Default dyadic ladder 2^-j, j = j_start .. j_stop."""
     return tuple(2.0 ** (-j) for j in range(j_start, j_stop + 1))
-
-
-def constitutive_fields(model: MaterialModel, family: OscillatingFamily) -> dict:
-    """Pointwise constitutive fields D = eps*E, J = sigma*E, B = eta*H per scale."""
-    eps, eta, sig = model.sample_fields(*family.grid.spatial_meshes())
-    out = {}
-    for e in family.epsilons:
-        u = family.fields[e]
-        E, H = u[:3], u[3:]
-        out[e] = (eps * E, sig * E, eta * H)
-    return out
 
 
 def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[float]) -> float:

@@ -32,7 +32,7 @@ __all__ = [
     "integrate_rays",
     "DensityTrajectory",
     "TransportResidualReport",
-    "default_psi_battery",
+    "PSI_BATTERY",
     "sphere_gradient",
     "constant_transport_residual",
     "variable_transport_residual",
@@ -252,10 +252,11 @@ def _time_derivative(arr: np.ndarray, times: np.ndarray) -> np.ndarray:
     return _derivative(arr, times)[1:-1]
 
 
-def sphere_gradient(f_bins: np.ndarray, sphere: SphereGrid):
-    """Ambient zeta'-gradient of the 0-homogeneous extension, per bin.
+def sphere_gradient(f_bins: np.ndarray, sphere: SphereGrid, direction):
+    """Derivative of the 0-homogeneous extension along ``direction``, per bin.
 
-    ``f_bins`` has shape (B,) + extra; returns (grad (3, B) + extra, valid
+    ``f_bins`` has shape (B,) + extra and ``direction`` is a 3-vector in
+    zeta'-space; returns (direction . grad f of shape (B,) + extra, valid
     mask (B,)) with theta-pole and chi1-pole rings masked out (the chain
     rule coefficients blow up there).  The angle derivatives are fourth
     order (``_derivative``): 5-point, biased at the chi1/theta chart edges,
@@ -264,35 +265,39 @@ def sphere_gradient(f_bins: np.ndarray, sphere: SphereGrid):
     n1, n2, n3 = sphere.n_zeta0, sphere.n_theta, sphere.n_phi
     extra = f_bins.shape[1:]
     lat = f_bins.reshape((n1, n2, n3) + extra)
-    df1, df2, df3 = (_derivative(lat, h * np.arange(n), axis, periodic=(axis == 2))
-                     for axis, (n, h) in enumerate(zip((n1, n2, n3), sphere.widths)))
     ang = sphere.centers_angles().reshape(n1, n2, n3, 3)
     chi1, theta = ang[..., 0], ang[..., 1]
     s1, c1 = np.sin(chi1), np.cos(chi1)
     stheta = np.sin(theta)
     # (zhat, z1, z2) of every center's zeta', each of shape (3, n1, n2, n3)
     nvec, z1, z2 = propagation_basis(np.moveaxis(sphere.centers()[:, 1:].reshape(n1, n2, n3, 3), -1, 0))
-    # chain-rule coefficients of the three angle derivatives, formed before
-    # they meet the (possibly large) derivative arrays
-    shape = (3, n1, n2, n3) + (1,) * len(extra)
-    k1, k2, k3 = (np.reshape(c * v, shape) for c, v in ((c1, nvec), (1.0 / s1, z1), (1.0 / (s1 * stheta), z2)))
-    grad = k1 * df1[None] + k2 * df2[None] + k3 * df3[None]
-    grad = grad.reshape((3, sphere.num_bins) + extra)
+    # chain-rule coefficient of each angle derivative: a scalar factor times
+    # direction . (zhat, z1 or z2), formed before it meets the (possibly
+    # large) derivative array, so no (3, B) + extra gradient is ever built
+    shape = (n1, n2, n3) + (1,) * len(extra)
+    coeffs = ((c1, nvec), (1.0 / s1, z1), (1.0 / (s1 * stheta), z2))
+    out = None
+    for axis, (n, h, (c, v)) in enumerate(zip((n1, n2, n3), sphere.widths, coeffs)):
+        d = _derivative(lat, h * np.arange(n), axis, periodic=(axis == 2))
+        d *= np.reshape(c * np.tensordot(np.asarray(direction, float), v, axes=1), shape)
+        if out is None:
+            out = d
+        else:
+            out += d
     i1, i2, _ = sphere.unflatten(np.arange(sphere.num_bins))
     valid = (i1 > 0) & (i1 < n1 - 1) & (i2 > 0) & (i2 < n2 - 1)
-    return grad, valid
+    return out.reshape((sphere.num_bins,) + extra), valid
 
 
-def default_psi_battery() -> list:
-    """Test functions psi(t, zeta4) for the weak-form pairings (>= 5)."""
-    return [
-        ("one", lambda t, z: np.ones(z.shape[:-1])),
-        ("t", lambda t, z: np.full(z.shape[:-1], t)),
-        ("t^2", lambda t, z: np.full(z.shape[:-1], t * t)),
-        ("zeta0", lambda t, z: z[..., 0]),
-        ("zeta3", lambda t, z: z[..., 3]),
-        ("t*zeta1", lambda t, z: t * z[..., 1]),
-    ]
+# Test functions psi(t, zeta4) of the weak-form pairings.
+PSI_BATTERY = (
+    ("one", lambda t, z: np.ones(z.shape[:-1])),
+    ("t", lambda t, z: np.full(z.shape[:-1], t)),
+    ("t^2", lambda t, z: np.full(z.shape[:-1], t * t)),
+    ("zeta0", lambda t, z: z[..., 0]),
+    ("zeta3", lambda t, z: z[..., 3]),
+    ("t*zeta1", lambda t, z: t * z[..., 1]),
+)
 
 
 @dataclass
@@ -326,15 +331,14 @@ def _weak_pair(term: np.ndarray, psi_vals: np.ndarray, weights: np.ndarray, dts:
     return float(np.linalg.norm(acc))
 
 
-def _weak_rows(rows_spec: list, psi_battery: list, levels, points: np.ndarray, weights: np.ndarray,
-               dts: np.ndarray) -> tuple:
-    """Pair every row's total and terms against every psi of the battery.
+def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray, dts: np.ndarray) -> tuple:
+    """Pair every row's total and terms against every psi of ``PSI_BATTERY``.
 
     ``rows_spec`` is a list of (row name, terms); psi is evaluated once per
     label at (level, point).  Each row's residual is relative to its
     largest single term.  Returns (rows, max_relative).
     """
-    tables = [(label, np.stack([psi(t, points) for t in levels])) for label, psi in psi_battery]
+    tables = [(label, np.stack([psi(t, points) for t in levels])) for label, psi in PSI_BATTERY]
     rows = []
     max_rel = 0.0
     for name, terms in rows_spec:
@@ -364,11 +368,17 @@ def _interior_times(times: np.ndarray) -> tuple:
     return tin, dts
 
 
+def _subtract_rhs(rows_spec: list, mu_uf_rhs: dict | None, blocks: tuple) -> None:
+    """Append -mu_uf_rhs[block] on the interior levels to each row's terms; none without a rhs."""
+    if mu_uf_rhs is not None:
+        for (_, terms), block in zip(rows_spec, blocks):
+            terms.append(-np.asarray(mu_uf_rhs[block])[1:-1])
+
+
 def constant_transport_residual(
     traj: DensityTrajectory,
     model: MaterialModel,
     mu_uf_rhs: dict | None = None,
-    psi_battery: list | None = None,
 ) -> TransportResidualReport:
     """Residuals of the four constant-case transport rows.
 
@@ -387,7 +397,6 @@ def constant_transport_residual(
     """
     if traj.case != "constant":
         raise ValueError("constant rows need a constant-case trajectory")
-    psi_battery = psi_battery or default_psi_battery()
     sphere = traj.sphere
     centers = sphere.centers()
     zp = centers[:, 1:]
@@ -400,22 +409,17 @@ def constant_transport_residual(
     da, db = _time_derivative(a, traj.times), _time_derivative(b, traj.times)
     dc, dd = _time_derivative(c, traj.times), _time_derivative(d, traj.times)
     ai, di = a[1:-1], d[1:-1]
-
-    def rhs(name):
-        if mu_uf_rhs is None:
-            return np.zeros((tin.size, sphere.num_bins))
-        return np.asarray(mu_uf_rhs[name])[1:-1]
-
     # The d_l[T_l .] terms are dropped: T_l = Tr((z' (x) z') Q_l) vanishes
     # identically because every curl generator Q_l is antisymmetric.
     rows_spec = [
-        ("1", [zp2 * (-epsv * da), zp2 * (-2 * sig * ai), -rhs("11")]),
-        ("2", [-zp2 * dc, -rhs("12")]),
-        ("3", [zp2 * (-etav * db), -rhs("22")]),
-        ("4", [zp2 * dd, zp2 * (-2 * sig * di), -rhs("21")]),
+        ("1", [zp2 * (-epsv * da), zp2 * (-2 * sig * ai)]),
+        ("2", [-zp2 * dc]),
+        ("3", [zp2 * (-etav * db)]),
+        ("4", [zp2 * dd, zp2 * (-2 * sig * di)]),
     ]
+    _subtract_rhs(rows_spec, mu_uf_rhs, ("11", "12", "22", "21"))
     _, weights = _kept_weights(traj, np.ones(sphere.num_bins, dtype=bool))
-    rows, max_rel = _weak_rows(rows_spec, psi_battery, tin, centers, weights, dts)
+    rows, max_rel = _weak_rows(rows_spec, tin, centers, weights, dts)
     return TransportResidualReport(
         case="constant",
         variant="verbatim",
@@ -429,7 +433,6 @@ def variable_transport_residual(
     traj: DensityTrajectory,
     model: MaterialModel,
     mu_uf_rhs: dict | None = None,
-    psi_battery: list | None = None,
     variant: str = "verbatim",
 ) -> TransportResidualReport:
     """Residuals of the smooth-scalar-case block transport rows.
@@ -450,7 +453,6 @@ def variable_transport_residual(
         raise ValueError("variable rows need a scalar_smooth trajectory")
     if variant not in ("verbatim", "symmetrized"):
         raise ValueError("variant must be 'verbatim' or 'symmetrized'")
-    psi_battery = psi_battery or default_psi_battery()
     sphere = traj.sphere
     centers = sphere.centers()
     x0 = traj.x_center
@@ -465,30 +467,24 @@ def variable_transport_residual(
     row3_block = "s11" if verbatim else "s21"
     # bend[name] = zeta0 sum_l d_l(eps or eta) d^l sigma on the interior levels, (n_int, B, 3, 3),
     # for the blocks the variant's rows use; the levels ride along as a trailing axis of one
-    # gradient call per block.  The terms are made contiguous once, or every weak pairing
-    # would copy them again.
+    # gradient call per block, taken along grad eps or grad eta.  The terms are made contiguous
+    # once, or every weak pairing would copy them again.
     coeff = {"s11": ge, "s12": gh, "s21": ge, "s22": gh}
     bend = {}
     for name in dict.fromkeys(("s11", "s12", row3_block, "s22")):
-        g, valid = sphere_gradient(np.moveaxis(traj.data[name][1:-1], 0, -1), sphere)
-        b = zeta0[:, None, None, None] * np.tensordot(coeff[name], g, axes=(0, 0))
-        bend[name] = np.ascontiguousarray(np.moveaxis(b, -1, 0))
+        g, valid = sphere_gradient(np.moveaxis(traj.data[name][1:-1], 0, -1), sphere, coeff[name])
+        bend[name] = np.ascontiguousarray(np.moveaxis(zeta0[:, None, None, None] * g, -1, 0))
 
     i11, i12, i21, i22 = s11[1:-1], s12[1:-1], s21[1:-1], s22[1:-1]
-
-    def rhs(name):
-        if mu_uf_rhs is None:
-            return np.zeros(i11.shape)
-        return np.asarray(mu_uf_rhs[name])[1:-1]
-
     rows_spec = [
-        ("1", [-epsv * dt11, bend["s11"], -2 * sigv * i11, -rhs("11")]),
-        ("2", [-etav * (i12 if verbatim else _time_derivative(s12, traj.times)), bend["s12"], -rhs("12")]),
-        ("3", [-epsv * dt21, bend[row3_block], -2 * sigv * i21, -rhs("21")]),
-        ("4", [-etav * (i22 if verbatim else _time_derivative(s22, traj.times)), bend["s22"], -rhs("22")]),
+        ("1", [-epsv * dt11, bend["s11"], -2 * sigv * i11]),
+        ("2", [-etav * (i12 if verbatim else _time_derivative(s12, traj.times)), bend["s12"]]),
+        ("3", [-epsv * dt21, bend[row3_block], -2 * sigv * i21]),
+        ("4", [-etav * (i22 if verbatim else _time_derivative(s22, traj.times)), bend["s22"]]),
     ]
+    _subtract_rhs(rows_spec, mu_uf_rhs, ("11", "12", "21", "22"))
     keep, weights = _kept_weights(traj, valid)
-    rows, max_rel = _weak_rows(rows_spec, psi_battery, tin, centers, weights, dts)
+    rows, max_rel = _weak_rows(rows_spec, tin, centers, weights, dts)
     return TransportResidualReport(
         case="scalar_smooth",
         variant=variant,
@@ -506,7 +502,6 @@ def divergence_constraint_residual(
     fits: Sequence[DensityDecomposition],
     axis: int,
     mu_urho_rhs: Sequence[np.ndarray] | None = None,
-    psi_battery: list | None = None,
     sphere: SphereGrid | None = None,
 ) -> dict:
     """Weak residual of zeta_i^2 d_i(density) = 2 Re Tr mu_urho_11.
@@ -517,28 +512,25 @@ def divergence_constraint_residual(
     along ``axis`` is fourth order (``_derivative``: 5-point, biased at the
     end windows, one 3- or 4-point stencil for 3 or 4 windows) and is paired
     on the interior windows.  With fewer than three windows the constraint
-    is skipped with a notice.
+    is skipped with a notice.  ``axis`` must be 0, 1 or 2.
     """
+    if axis not in (0, 1, 2):
+        raise ValueError("axis must be 0, 1 or 2: the spatial axis the windows are spaced along")
     positions = np.asarray(positions, float)
     if positions.size < 3:
         return {"skipped": True, "reason": "need >= 3 spatial windows for the divergence stencil"}
     sphere = sphere or SphereGrid()
-    psi_battery = psi_battery or default_psi_battery()
     centers = sphere.centers()
     data, common = _scatter_fits(fits, sphere.num_bins)
     if common.size == 0:
         return {"skipped": True, "reason": "no common mass-carrying bins across windows"}
     interior = positions[1:-1]
-    if mu_urho_rhs is not None:
-        rhs = np.stack([np.asarray(m) for m in mu_urho_rhs])[1:-1, common]
-    else:
-        rhs = np.zeros((interior.size, common.size))
+    rhs = [] if mu_urho_rhs is None else [-np.stack([np.asarray(m) for m in mu_urho_rhs])[1:-1, common]]
     rows_spec = []
     for name, vals in data.items():
         lhs = (centers[None, :, 1 + axis] ** 2) * _derivative(vals, positions)[1:-1]
-        rows_spec.append((name, [lhs[:, common], -rhs]))
-    rows, _ = _weak_rows(rows_spec, psi_battery, interior, centers[common], sphere.weights()[common],
-                         np.ones(interior.size))
+        rows_spec.append((name, [lhs[:, common]] + rhs))
+    rows, _ = _weak_rows(rows_spec, interior, centers[common], sphere.weights()[common], np.ones(interior.size))
     densities = {name: {"max_relative": max(r["relative"] for r in rows if r["row"] == name)}
                  for name, _ in rows_spec}
     return {"skipped": False, "densities": densities}

@@ -1,10 +1,9 @@
 """Structural checks on estimated measures.
 
 The verifier turns the structure theorems into numeric reports: symbol
-annihilation (localisation), support confinement on the sphere,
-the kernel characterization of the curl symbol, and the two density
-decompositions (rank-one dyads in the constant case, the six-mode
-eigenbasis expansion in the smooth-scalar case).
+annihilation (localisation), support confinement on the sphere, and the
+two density decompositions (rank-one dyads in the constant case, the
+six-mode eigenbasis expansion in the smooth-scalar case).
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ import numpy as np
 
 from .estimator import HMeasureEstimate
 from .symbols import (
-    DegenerateDirectionError,
     EigenStructure,
     MaterialModel,
     _mode_vectors,
-    antisym_E,
     assemble_divergence_symbol,
     assemble_P,
     assemble_system_matrices,
@@ -30,11 +27,9 @@ from .symbols import (
 __all__ = [
     "LocalisationReport",
     "SupportReport",
-    "KernelReport",
     "DensityDecomposition",
     "localisation_residual",
     "support_check",
-    "kernel_lemma_check",
     "fit_constant_decomposition",
     "fit_modal_decomposition",
     "paper_sigma_blocks",
@@ -47,8 +42,6 @@ MASS_FLOOR = 1e-6
 ZP_FLOOR = 0.15
 # Support tolerance, in widths of the widest polar bin.
 SUPPORT_RADIUS_BINS = 2.0
-# Singular values of the kernel-lemma operator at most 10 |zeta'| times this count as null.
-KERNEL_REL_TOL = 1e-12
 
 
 def _bin_directions(est: HMeasureEstimate, eps: float) -> np.ndarray:
@@ -134,7 +127,7 @@ def localisation_residual(
 
 # ------------------------------------------------------------------- support
 
-def _angular_distances(vecs: np.ndarray, case: str, speed: float) -> dict:
+def _angular_distances(vecs: np.ndarray, case: str, speed: float | None) -> dict:
     """Geodesic distances from unit 4-vectors to the declared support sets."""
     z0 = np.clip(vecs[:, 0], -1, 1)
     zp = vecs[:, 1:]
@@ -184,15 +177,16 @@ def support_check(
     """
     if case not in ("constant", "scalar_smooth"):
         raise ValueError("case must be 'constant' or 'scalar_smooth'")
+    if case == "scalar_smooth" and model is None:
+        raise ValueError("the scalar_smooth cones need a material model for the speed v")
     e = est.finest if eps is None else eps
     masses = est.masses(e)
     total = float(masses.sum())
     tol = SUPPORT_RADIUS_BINS * est.sphere.max_polar_width
     if total <= 0:
         return SupportReport(case, tol, 1.0, {}, 0.0)
-    speed = model.speed_at(x_center) if model is not None else 1.0
-    dirs = _bin_directions(est, e)
-    dist = _angular_distances(dirs, case, speed)
+    speed = model.speed_at(x_center) if case == "scalar_smooth" else None
+    dist = _angular_distances(_bin_directions(est, e), case, speed)
     union_names = ["zeta0=0", "zetaP=0"]
     if case == "scalar_smooth":
         union_names += ["zeta0=+v|zetaP|", "zeta0=-v|zetaP|"]
@@ -203,61 +197,6 @@ def support_check(
         name: float(masses[d <= tol].sum() / total) for name, d in dist.items()
     }
     return SupportReport(case=case, tolerance=tol, fraction_in_support=frac, per_set_fraction=per_set, total_mass=total)
-
-
-# --------------------------------------------------------------- kernel lemma
-
-@dataclass
-class KernelReport:
-    zetaP: np.ndarray
-    singular_values: np.ndarray
-    nullity: int
-    max_null_residual: float
-    max_column_misalignment: float
-    convention: str = "columns parallel to zeta' (A = zeta' (x) a)"
-
-    def to_dict(self) -> dict:
-        return {
-            "zetaP": self.zetaP.tolist(),
-            "singular_values": self.singular_values.tolist(),
-            "nullity": self.nullity,
-            "max_null_residual": self.max_null_residual,
-            "max_column_misalignment": self.max_column_misalignment,
-            "convention": self.convention,
-        }
-
-
-def kernel_lemma_check(zetaP) -> KernelReport:
-    """Nullspace of A -> E(zeta') A over 3x3 matrices, by SVD (``KERNEL_REL_TOL``).
-
-    Checks more than the dimension count: every null basis
-    element must have all columns parallel to zeta', fixing the tensor
-    orientation A = zeta' (x) a.
-    """
-    z = np.asarray(zetaP, dtype=float).reshape(3)
-    r = np.linalg.norm(z)
-    if r == 0:
-        raise DegenerateDirectionError("kernel lemma undefined at zeta' = 0")
-    E = antisym_E(z)
-    K = np.kron(E, np.eye(3))  # row-major vec: vec(E @ A) = (E (x) I) vec(A)
-    _, s, Vh = np.linalg.svd(K)
-    nullity = int(np.sum(s <= KERNEL_REL_TOL * r * 10))
-    null_res = 0.0
-    misalign = 0.0
-    zhat = z / r
-    for row in Vh[-3:]:
-        A = row.reshape(3, 3)
-        null_res = max(null_res, float(np.linalg.norm(E @ A)))
-        for j in range(3):
-            col = A[:, j]
-            misalign = max(misalign, float(np.linalg.norm(np.cross(zhat, col))) if np.linalg.norm(col) > 1e-14 else 0.0)
-    return KernelReport(
-        zetaP=z,
-        singular_values=s,
-        nullity=nullity,
-        max_null_residual=null_res,
-        max_column_misalignment=misalign,
-    )
 
 
 # ------------------------------------------------------------- decompositions
@@ -278,16 +217,6 @@ class DensityDecomposition:
     excluded_bins: np.ndarray
     checks: dict = field(default_factory=dict)
     directions: np.ndarray | None = None
-
-    def coefficient_mass(self, weights: np.ndarray | None = None) -> dict:
-        """Sum of |coefficient| per name (optionally solid-angle weighted)."""
-        out = {}
-        for name, arr in self.coefficients.items():
-            vals = np.abs(np.asarray(arr))
-            if weights is not None:
-                vals = vals * weights[self.bin_indices]
-            out[name] = float(vals.sum())
-        return out
 
     def to_dict(self) -> dict:
         return {

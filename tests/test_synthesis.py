@@ -7,7 +7,6 @@ from hml.symbols import DomainError, FrequencyDirection, MaterialModel, Unsuppor
 from hml.synthesis import (
     AliasingError,
     charge_density,
-    constitutive_fields,
     evolved_family,
     exact_constant_evolution,
     ladder_epsilons,
@@ -28,7 +27,7 @@ def _family(mode="trans+1", model=None, envelope=None, grid=GRID, epsilons=EPS2,
     return plane_wave_family(model, grid, k, mode, envelope, epsilons)
 
 
-# ---------------------------------------------------------------- constitutive
+# ---------------------------------------------------------------- grid sampling
 
 def _bounded_model(eps_slope=0.0, eta_slope=0.0, domain=None):
     """eps = 1 - eps_slope*x1, eta = 1 - eta_slope*x2, both declared >= 0.9."""
@@ -61,7 +60,6 @@ def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axi
     phase = linear_phase((0.0, 0.0, 1.0), -1.0)
     x_max = GRID.extents[1 + layer_axis]
     calls = [
-        lambda: constitutive_fields(model, fam),
         lambda: maxwell_residual(model, fam.fields[fam.finest], GRID),
         lambda: wkb_family(model, GRID, phase, hann_window(GRID, axes=(0, 1)), "trans+1", EPS2),
         lambda: layered_phase(model, axis=layer_axis, x_max=x_max),
@@ -70,40 +68,8 @@ def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axi
         with pytest.raises(error, match=match):
             call()
     in_bounds = _bounded_model(eps_slope=0.5, eta_slope=0.5)  # 1 - x/2 stays above 0.9
-    constitutive_fields(in_bounds, fam)
+    maxwell_residual(in_bounds, fam.fields[fam.finest], GRID)
     layered_phase(in_bounds, axis=layer_axis, x_max=x_max)
-
-
-def test_constitutive_identity_model():
-    fam = _family()
-    out = constitutive_fields(MaterialModel.constant(1.0, 1.0, 1.0), fam)
-    for e in fam.epsilons:
-        D, J, B = out[e]
-        np.testing.assert_array_equal(D, fam.fields[e][:3])
-        np.testing.assert_array_equal(J, fam.fields[e][:3])
-        np.testing.assert_array_equal(B, fam.fields[e][3:])
-
-
-def test_constitutive_zero_E():
-    fam = _family(mode="long-h")  # E components identically zero
-    out = constitutive_fields(MaterialModel.constant(2.0, 3.0, 0.5), fam)
-    for e in fam.epsilons:
-        D, J, _ = out[e]
-        assert np.all(D == 0) and np.all(J == 0)
-
-
-def test_constitutive_pointwise_ratio(smooth_model):
-    fam = _family()
-    out = constitutive_fields(smooth_model, fam)
-    x1, x2, x3 = fam.grid.spatial_meshes()
-    eps_grid = np.broadcast_to(smooth_model.eps(x1, x2, x3), fam.grid.shape[1:])
-    e = fam.epsilons[0]
-    D = out[e][0]
-    E = fam.fields[e][:3]
-    mask = np.abs(E) > 1e-12
-    ratio = np.where(mask, D / np.where(mask, E, 1.0), 0.0)
-    expected = np.broadcast_to(eps_grid, D.shape)
-    np.testing.assert_allclose(ratio[mask], expected[mask], rtol=1e-12)
 
 
 # ------------------------------------------------------------------ plane wave
@@ -132,7 +98,7 @@ def test_plane_wave_zero_envelope():
 def test_plane_wave_norm_eps_independent():
     env = hann_window(GRID, axes=(0, 1))
     fam = _family(envelope=env)
-    expected = env.squared_mass(GRID)  # |b| = 1 for eps=eta=1
+    expected = np.sum(env.sample(GRID) ** 2) * GRID.cell_volume  # |b| = 1 for eps=eta=1
     for e in fam.epsilons:
         got = np.sum(np.abs(fam.fields[e]) ** 2) * GRID.cell_volume
         assert got == pytest.approx(expected, rel=1e-12)

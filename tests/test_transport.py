@@ -136,6 +136,12 @@ def test_ray_hamiltonian_drift_in_layered_medium(branch):
 
 # --------------------------------------------------------- sphere derivatives
 
+def _stacked_gradient(f_bins, sphere):
+    """The full zeta'-gradient (3, B): ``sphere_gradient`` along each coordinate axis."""
+    parts = [sphere_gradient(f_bins, sphere, e) for e in np.eye(3)]
+    return np.stack([g for g, _ in parts]), parts[0][1]
+
+
 def test_sphere_gradient_matches_analytic():
     sphere = SphereGrid(24, 24, 24)
     centers = sphere.centers()
@@ -149,12 +155,12 @@ def test_sphere_gradient_matches_analytic():
         return g - 2.0 * q(v)[None, :] * v[:, 1:].T
 
     vals = q(centers)
-    grad, valid = sphere_gradient(vals, sphere)
+    grad, valid = _stacked_gradient(vals, sphere)
     err = np.abs(grad - exact_grad(centers))[:, valid].max()
     assert err <= 5e-3
     sphere2 = SphereGrid(48, 48, 48)
     centers2 = sphere2.centers()
-    grad2, valid2 = sphere_gradient(q(centers2), sphere2)
+    grad2, valid2 = _stacked_gradient(q(centers2), sphere2)
     err2 = np.abs(grad2 - exact_grad(centers2))[:, valid2].max()
     assert err2 <= err / 12.0  # fourth order: 2^4 = 16 at full rate
 
@@ -173,7 +179,7 @@ def test_sphere_gradient_few_phi_cells_keep_three_point_stencil():
         exact = -np.sin(phi) * np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)]) / rho
         h = sphere.widths[2]
         symbol = np.sin(h) / h if n_phi < 5 else (8 * np.sin(h) - np.sin(2 * h)) / (6 * h)
-        grad, valid = sphere_gradient(np.cos(phi), sphere)
+        grad, valid = _stacked_gradient(np.cos(phi), sphere)
         np.testing.assert_allclose(grad[:, valid], symbol * exact[:, valid], atol=1e-12)
 
 
@@ -353,6 +359,25 @@ def test_variable_variants_differ_for_time_varying_s12():
     assert r2s == pytest.approx(2.0 * r2v, rel=1e-3)
 
 
+def test_explicit_zero_rhs_matches_no_rhs():
+    """An all-zero mu_uf_rhs adds only zero terms: every row equals the rows without one."""
+    sphere = SphereGrid(6, 6, 6)
+    times = np.linspace(0.0, 0.5, 9)
+    model = MaterialModel.constant(2.0, 0.5, 1.0)
+    traj = _const_traj(times, sphere, lambda t, z: np.exp(-t) * (1.0 + z[:, 3] ** 2),
+                       c_fun=lambda t, z: (0.3 + 0.1j) * np.cos(t) * (1.0 + z[:, 1]))
+    zero = {k: np.zeros((times.size, sphere.num_bins)) for k in ("11", "12", "21", "22")}
+    assert (constant_transport_residual(traj, model, mu_uf_rhs=zero).rows
+            == constant_transport_residual(traj, model).rows)
+    model = quadratic_speed_model()
+    s = lambda t, z: np.exp(-2 * t) * (1.0 + z[:, 1] * z[:, 3])[:, None, None] * np.eye(3)
+    traj = _sigma_traj(times, sphere, model, (0.25, 0, 0), {"s11": s, "s12": s, "s21": s, "s22": s})
+    zero = {k: np.zeros((times.size, sphere.num_bins, 3, 3)) for k in ("11", "12", "21", "22")}
+    for variant in ("verbatim", "symmetrized"):
+        assert (variable_transport_residual(traj, model, mu_uf_rhs=zero, variant=variant).rows
+                == variable_transport_residual(traj, model, variant=variant).rows)
+
+
 # ------------------------------------------------------- divergence constraint
 
 def test_divergence_constraint_skipped_single_window():
@@ -382,6 +407,16 @@ def test_divergence_constraint_homogeneous_zero():
     out = divergence_constraint_residual(positions, fits, axis=0, sphere=sphere)
     assert out["skipped"] is False
     assert out["densities"]["a"]["max_relative"] <= 1e-12
+
+
+def test_divergence_constraint_rejects_axis_outside_0_1_2():
+    # axis=-1 would pair zeta0^2 and axis=3 would index past zeta'
+    sphere = SphereGrid(8, 8, 8)
+    positions = np.linspace(0.1, 0.9, 5)
+    fits = [_synthetic_fit(sphere, sphere.flat_index(4, 4, 4), 2.0) for _ in positions]
+    for axis in (-1, 3):
+        with pytest.raises(ValueError, match="axis must be 0, 1 or 2"):
+            divergence_constraint_residual(positions, fits, axis=axis, sphere=sphere)
 
 
 def test_divergence_constraint_envelope_derivative():

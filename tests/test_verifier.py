@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hml.estimator import HMeasureEstimate, SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
 from hml.symbols import (
-    DegenerateDirectionError,
     FrequencyDirection,
     MaterialModel,
     antisym_E,
@@ -18,7 +15,6 @@ from hml.synthesis import evolved_family, plane_wave_family, wkb_family, layered
 from hml.verifier import (
     fit_constant_decomposition,
     fit_modal_decomposition,
-    kernel_lemma_check,
     localisation_residual,
     paper_sigma_blocks,
     support_check,
@@ -116,32 +112,16 @@ def test_support_zero_measure_vacuous():
     assert rep.fraction_in_support == 1.0
 
 
+def test_support_smooth_case_needs_model():
+    # without a model the cones {zeta0 = +-v|zeta'|} have no speed v
+    bins = np.zeros((SPHERE.num_bins, 6, 6), dtype=complex)
+    bins[SPHERE.flat_index(5, 4, 3)] = np.eye(6)
+    est = make_estimate({0.5: bins, 0.25: bins})
+    with pytest.raises(ValueError, match="material model"):
+        support_check(est, "scalar_smooth")
+
+
 # ---------------------------------------------------------------- kernel lemma
-
-def test_kernel_lemma_axis():
-    rep = kernel_lemma_check((0, 0, 1.0))
-    assert rep.nullity == 3
-    np.testing.assert_allclose(np.sort(rep.singular_values), [0, 0, 0, 1, 1, 1, 1, 1, 1], atol=1e-12)
-    assert rep.max_null_residual <= 1e-12
-    assert rep.max_column_misalignment <= 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    z=st.tuples(
-        st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False)
-    ).filter(lambda t: np.linalg.norm(t) > 0.1)
-)
-def test_kernel_lemma_random_directions(z):
-    z = np.asarray(z)
-    r = np.linalg.norm(z)
-    rep = kernel_lemma_check(z)
-    assert rep.nullity == 3
-    s = np.sort(rep.singular_values)
-    np.testing.assert_allclose(s[:3], 0.0, atol=1e-12 * r)
-    np.testing.assert_allclose(s[3:], r, rtol=1e-12)
-    assert rep.max_column_misalignment <= 1e-10
-
 
 def test_kernel_lemma_membership_and_negative_control(rng):
     z = rng.normal(size=3)
@@ -152,11 +132,6 @@ def test_kernel_lemma_membership_and_negative_control(rng):
     B = rng.normal(size=(3, 3))
     B -= np.outer(z, z @ B) / (z @ z)  # remove any kernel part crudely, keep generic
     assert np.linalg.norm(E @ (B + np.eye(3))) > 1e-8
-
-
-def test_kernel_lemma_zero_direction_errors():
-    with pytest.raises(DegenerateDirectionError):
-        kernel_lemma_check((0.0, 0.0, 0.0))
 
 
 # -------------------------------------------------------- constant decomposition
@@ -206,7 +181,7 @@ def test_constant_fit_longitudinal_family():
     fam = plane_wave_family(model, GRID, (0, 0, 1.0), "long-e", hann_window(GRID, axes=(1,)), EPS2)
     est = estimate_hmeasure(fam, hann_window(GRID, axes=(0,)), sphere=SPHERE)
     fit = fit_constant_decomposition(est)
-    mass = fit.coefficient_mass()
+    mass = {n: np.abs(fit.coefficients[n]).sum() for n in fit.coefficients}
     assert mass["a"] > 0
     assert mass["b"] <= 0.02 * mass["a"]
     assert mass["c"] <= 0.02 * mass["a"]
@@ -328,6 +303,6 @@ def test_modal_fit_wkb_transverse_family():
     est = estimate_hmeasure(fam, hann_window(grid, axes=(0,)), sphere=SphereGrid(12, 8, 16))
     x_bar = amp.centroid(grid)[1:]
     fit = fit_modal_decomposition(est, model, x_bar)
-    mass = fit.coefficient_mass()
+    mass = {n: np.abs(fit.coefficients[n]).sum() for n in fit.coefficients}
     total = sum(mass.values())
     assert mass["ap"] >= 0.9 * total
