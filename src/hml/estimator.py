@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 
 from .grids import GridSpec, SeparableWindow
-from .synthesis import AliasingError, OscillatingFamily
+from .synthesis import AliasingError, OscillatingFamily, charge_density
 
 __all__ = [
     "SphereGrid",
@@ -218,12 +218,12 @@ class HMeasureEstimate:
     ``history[eps]`` has shape (B, p, q); the finest scale is exposed as
     ``bins``.  ``centroids[eps]`` holds per-bin mass-weighted mean
     directions (rows of NaN where a bin is empty), and ``dc_energy`` the
-    separately-reported zero-frequency mass.
+    separately-reported zero-frequency mass.  ``metadata["window"]``
+    describes the window.
     """
 
     sphere: SphereGrid
     grid: GridSpec
-    testpair: tuple
     epsilons: tuple
     history: dict
     centroids: dict
@@ -263,26 +263,12 @@ class HMeasureEstimate:
         return float(np.min(vals[:, 0] / tr[keep]))
 
 
-def _window_array(grid: GridSpec, phi) -> np.ndarray:
-    if isinstance(phi, SeparableWindow):
-        return phi.sample(grid)
-    arr = np.asarray(phi)
-    if arr.shape != grid.shape:
-        raise ValueError("window array shape mismatch with grid")
-    return arr
-
-
-def _window_label(phi) -> str:
-    if isinstance(phi, SeparableWindow):
-        return str(phi.describe())
-    return f"array(id={id(phi)})"
-
-
 def _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian):
     """Accumulate component-pair masses into sphere bins.
 
-    F1: (p, Npts) spectra, F2: (q, Npts); returns (bins (B,p,q), centroid
-    (B,4) or NaN, dc (complex), total mass proxy).
+    F1: (p, Npts) spectra, F2: (q, Npts); returns (bins (B,p,q), unit
+    centroid (B,4) with NaN rows for massless bins, dc (complex)).  The
+    zero frequency is flat index 0 of the lattice.
     """
     B = sphere.num_bins
     p, q = F1.shape[0], F2.shape[0]
@@ -301,22 +287,14 @@ def _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian):
                 bins[:, j, i] = np.conj(bins[:, i, j])
     for j in range(q):
         mass_f += 0.5 * (np.abs(F2[j]) ** 2)
-    num = np.zeros((B, 4))
-    for beta in range(4):
-        num[:, beta] = np.bincount(idx, weights=mass_f * dirs[beta], minlength=B + 1)[:B]
-    den = np.bincount(idx, weights=mass_f, minlength=B + 1)[:B]
-    with np.errstate(invalid="ignore"):
-        cent = num / den[:, None]
+    # the centroid is normalised, so the mass-weighted sums need no division by the bin mass
+    cent = np.stack([np.bincount(idx, weights=mass_f * d, minlength=B + 1)[:B] for d in dirs], axis=1)
     norms = np.linalg.norm(cent, axis=1)
     good = norms > 0
     cent[good] /= norms[good, None]
     cent[~good] = np.nan
-    dc = 0.0
-    dcpos = np.flatnonzero(idx == B)
-    if dcpos.size:
-        k = dcpos[0]
-        m = min(p, q)
-        dc = complex(np.sum(F1[:m, k] * np.conj(F2[:m, k])) * scale)
+    m = min(p, q)
+    dc = complex(np.sum(F1[:m, 0] * np.conj(F2[:m, 0])) * scale)
     return bins, cent, dc
 
 
@@ -326,55 +304,52 @@ def _spectra(fields: np.ndarray, window: np.ndarray) -> np.ndarray:
     return F.reshape(F.shape[0], -1)
 
 
-def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi1, phi2, sphere, kind: str) -> HMeasureEstimate:
+def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere, kind: str) -> HMeasureEstimate:
     """Per-scale window -> spectra -> bins loop behind both public measures.
 
-    ``g_fields`` None pairs the family with itself.  The first spectra are
-    reused as the second ones only when both the second sequence and the
-    second window are the first ones; that case fills the Hermitian half.
-    """
-    sphere = sphere or SphereGrid()
-    grid = family.grid
-    same_window = phi2 is None or phi2 is phi1
-    hermitian = same_window and g_fields is None
-    w1 = _window_array(grid, phi1)
-    w2 = w1 if same_window else _window_array(grid, phi2)
-    idx, dirs = _lattice_bins(grid, sphere)
-    scale = grid.cell_volume**2 / grid.box_volume
-    history, centroids, dc_energy = {}, {}, {}
-    for e in family.epsilons:
-        u = np.asarray(family.fields[e])
-        F1 = _spectra(u, w1)
-        F2 = F1 if hermitian else _spectra(u if g_fields is None else np.asarray(g_fields[e]), w2)
-        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian)
-    return HMeasureEstimate(
-        sphere=sphere,
-        grid=grid,
-        testpair=(_window_label(phi1), _window_label(phi1 if same_window else phi2)),
-        epsilons=family.epsilons,
-        history=history,
-        centroids=centroids,
-        dc_energy=dc_energy,
-        metadata={"kind": kind, "family": dict(family.metadata)},
-    )
-
-
-def estimate_hmeasure(
-    family: OscillatingFamily,
-    phi1,
-    phi2=None,
-    sphere: SphereGrid | None = None,
-) -> HMeasureEstimate:
-    """Discretized H-measure of a family against a window pair.
-
-    Requires at least two scales in the ladder; the zero-frequency mass is
-    excluded from direction binning and reported in ``dc_energy``.
+    Refuses a one-scale ladder and an under-resolved family.  ``g_fields``
+    None pairs the family with itself and fills the Hermitian half from one
+    set of spectra; otherwise u^eps is paired with the m components that
+    g^eps has, giving (B, 6, m) bins.
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
     if family.min_cells_per_wavelength() < 4.0:
         raise AliasingError("family oscillations are under-resolved (< 4 cells/wavelength)")
-    return _cross_spectral_measure(family, None, phi1, phi2, sphere, "auto")
+    sphere = sphere or SphereGrid()
+    grid = family.grid
+    hermitian = g_fields is None
+    window = phi.sample(grid)
+    idx, dirs = _lattice_bins(grid, sphere)
+    scale = grid.cell_volume**2 / grid.box_volume
+    history, centroids, dc_energy = {}, {}, {}
+    for e in family.epsilons:
+        F1 = _spectra(np.asarray(family.fields[e]), window)
+        F2 = F1 if hermitian else _spectra(np.asarray(g_fields[e]), window)
+        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian)
+    return HMeasureEstimate(
+        sphere=sphere,
+        grid=grid,
+        epsilons=family.epsilons,
+        history=history,
+        centroids=centroids,
+        dc_energy=dc_energy,
+        metadata={"kind": kind, "window": phi.describe(), "family": dict(family.metadata)},
+    )
+
+
+def estimate_hmeasure(
+    family: OscillatingFamily,
+    phi: SeparableWindow,
+    sphere: SphereGrid | None = None,
+) -> HMeasureEstimate:
+    """Discretized H-measure of a family under one window.
+
+    Requires at least two scales in the ladder and at least four cells per
+    wavelength; the zero-frequency mass is excluded from direction binning
+    and reported in ``dc_energy``.
+    """
+    return _cross_spectral_measure(family, None, phi, sphere, "auto")
 
 
 def source_fields(family: OscillatingFamily) -> dict:
@@ -384,32 +359,32 @@ def source_fields(family: OscillatingFamily) -> dict:
     return {e: np.zeros((6,) + family.grid.shape, dtype=complex) for e in family.epsilons}
 
 
-def charge_tilde_fields(family: OscillatingFamily, charge: dict | None = None) -> dict:
-    """rho-tilde^eps = (rho, 0, 0, 0, 0, 0) built from the family's charge."""
-    from .synthesis import charge_density
+def charge_tilde_fields(family: OscillatingFamily) -> dict:
+    """The one nonzero component of rho-tilde^eps = (rho, 0, 0, 0, 0, 0).
 
-    rho = charge if charge is not None else (family.charge or charge_density(family))
-    out = {}
-    for e in family.epsilons:
-        arr = np.zeros((6,) + family.grid.shape, dtype=complex)
-        arr[0] = rho[e]
-        out[e] = arr
-    return out
+    rho^eps = div E^eps, shape (1,) + grid.shape per scale: the cross
+    measure against it is the (B, 6, 1) column that the one against the
+    full rho-tilde would have nonzero.
+    """
+    return {e: rho[None] for e, rho in charge_density(family).items()}
 
 
 def correlation_measure(
     family_u: OscillatingFamily,
     g_fields: dict,
-    phi1,
-    phi2=None,
+    phi: SeparableWindow,
     sphere: SphereGrid | None = None,
 ) -> HMeasureEstimate:
-    """Cross measure between u^eps and a second sequence g^eps (6 x m bins)."""
+    """Cross measure between u^eps and a second sequence g^eps (6 x m bins).
+
+    Refuses what ``estimate_hmeasure`` refuses, and a g^eps whose ladder or
+    grid differs from u^eps's.
+    """
     if set(float(e) for e in g_fields.keys()) != set(family_u.epsilons):
         raise ValueError("mismatched epsilon ladders between u and g")
     if any(np.shape(g)[1:] != family_u.grid.shape for g in g_fields.values()):
         raise ValueError("secondary sequence grid mismatch")
-    return _cross_spectral_measure(family_u, g_fields, phi1, phi2, sphere, "cross")
+    return _cross_spectral_measure(family_u, g_fields, phi, sphere, "cross")
 
 
 def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -432,7 +407,6 @@ def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray
     return scipy.fft.ifftn(U, axes=axes, workers=_workers())
 
 
-def cutoff_multiply(b, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+def cutoff_multiply(b: SeparableWindow, u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Pointwise spatial cutoff (B u)(x) = b(x) u(x)."""
-    arr = _window_array(grid, b)
-    return np.asarray(u) * arr
+    return np.asarray(u) * b.sample(grid)

@@ -2,8 +2,9 @@
 
 Families are sampled 6-component complex fields u = (E, H) on a periodic
 spacetime grid, one array per scale in a decreasing epsilon ladder,
-optionally with the Maxwell residual recorded as a source term f and the
-electric charge rho = div E.  Generators:
+optionally with the Maxwell residual recorded as a source term f.  The
+electric charge rho = div E is computed on demand (``charge_density``).
+Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
   along one of the six eigenmodes, with the envelope commutator recorded
@@ -60,17 +61,16 @@ class AliasingError(ValueError):
 
 @dataclass
 class OscillatingFamily:
-    """Fields u^eps = (E, H), optional sources f^eps and charge rho^eps.
+    """Fields u^eps = (E, H) and optional sources f^eps.
 
-    ``fields[eps]`` has shape (6,) + grid.shape, complex; sources match;
-    charge has shape grid.shape.  Epsilons are strictly decreasing.
+    ``fields[eps]`` has shape (6,) + grid.shape, complex; sources match.
+    Epsilons are strictly decreasing.
     """
 
     grid: GridSpec
     epsilons: tuple
     fields: dict
     sources: dict | None = None
-    charge: dict | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -318,34 +318,27 @@ class TransportResidualReport:
         }
 
 
-def _weak_pair(term: np.ndarray, psi_vals: np.ndarray, weights: np.ndarray, dts: np.ndarray) -> float:
-    """|integral of term(t_i, bin) psi w_bin dt| over the interior lattice.
-
-    Matrix-valued terms are integrated entrywise and reduced by the
-    Frobenius norm afterwards, so cancellation is respected.
-    """
-    factor = psi_vals * weights[None, :] * dts[:, None]
-    if term.ndim == 2:
-        return float(abs(np.sum(term * factor)))
-    acc = np.tensordot(factor, term, axes=([0, 1], [0, 1]))
-    return float(np.linalg.norm(acc))
-
-
 def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray, dts: np.ndarray) -> tuple:
-    """Pair every row's total and terms against every psi of ``PSI_BATTERY``.
+    """Pair every row's terms against every psi of ``PSI_BATTERY``.
 
-    ``rows_spec`` is a list of (row name, terms); psi is evaluated once per
-    label at (level, point).  Each row's residual is relative to its
-    largest single term.  Returns (rows, max_relative).
+    ``rows_spec`` is a list of (row name, terms), each term shaped (level,
+    point) + entries.  Each term is paired against the stacked (psi, level,
+    point) battery psi * weight * dt in one contraction; the pairing is
+    linear, so a row's residual is the sum of its paired terms.  Pairings
+    are reduced by the Frobenius norm over the entries, so cancellation is
+    respected, and each row's residual is relative to its largest single
+    term.  Returns (rows, max_relative).
     """
-    tables = [(label, np.stack([psi(t, points) for t in levels])) for label, psi in PSI_BATTERY]
+    psi_vals = np.stack([np.stack([psi(t, points) for t in levels]) for _, psi in PSI_BATTERY])
+    factor = psi_vals * weights[None, None, :] * dts[None, :, None]
     rows = []
     max_rel = 0.0
     for name, terms in rows_spec:
-        total = sum(terms)
-        for label, psi_vals in tables:
-            res = _weak_pair(total, psi_vals, weights, dts)
-            dominant = max(_weak_pair(term, psi_vals, weights, dts) for term in terms)
+        paired = np.stack([np.tensordot(factor, term, axes=([1, 2], [0, 1])) for term in terms])
+        paired = paired.reshape(len(terms), len(PSI_BATTERY), -1)
+        residuals = np.linalg.norm(paired.sum(axis=0), axis=1)
+        dominants = np.linalg.norm(paired, axis=2).max(axis=0)
+        for (label, _), res, dominant in zip(PSI_BATTERY, residuals.tolist(), dominants.tolist()):
             rel = res / dominant if dominant > 1e-14 else res
             rows.append({"row": name, "psi": label, "weak_residual": res, "dominant": dominant, "relative": rel})
             max_rel = max(max_rel, rel)

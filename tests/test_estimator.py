@@ -13,7 +13,7 @@ from hml.estimator import (
 )
 from hml.grids import GridSpec, full_window, hann_window
 from hml.symbols import FrequencyDirection, MaterialModel, eigen_structure
-from hml.synthesis import AliasingError, OscillatingFamily, plane_wave_family
+from hml.synthesis import AliasingError, OscillatingFamily, charge_density, plane_wave_family
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
 EPS2 = (2.0**-3, 2.0**-4)
@@ -132,6 +132,8 @@ def test_estimate_requires_two_scales():
     )
     with pytest.raises(ValueError):
         estimate_hmeasure(solo, hann_window(GRID, axes=(0,)), sphere=SPHERE)
+    with pytest.raises(ValueError):
+        correlation_measure(solo, dict(solo.fields), hann_window(GRID, axes=(0,)), sphere=SPHERE)
 
 
 def test_estimate_rejects_aliased_family():
@@ -139,6 +141,8 @@ def test_estimate_rejects_aliased_family():
     fam.metadata["min_cells_per_wavelength"] = 2.0
     with pytest.raises(AliasingError):
         estimate_hmeasure(fam, hann_window(GRID, axes=(0,)), sphere=SPHERE)
+    with pytest.raises(AliasingError):
+        correlation_measure(fam, dict(fam.fields), hann_window(GRID, axes=(0,)), sphere=SPHERE)
 
 
 def test_plane_wave_concentration_and_matrix():
@@ -269,15 +273,6 @@ def test_estimate_matches_multiplier_definition_on_bin_edges():
 
 # ---------------------------------------------------------------- correlation
 
-def test_estimate_equal_window_copy_matches_single_window():
-    fam = _family()
-    phi = hann_window(GRID, axes=(0,))
-    one = estimate_hmeasure(fam, phi, sphere=SPHERE)
-    two = estimate_hmeasure(fam, phi, hann_window(GRID, axes=(0,)), sphere=SPHERE)
-    for e in fam.epsilons:
-        np.testing.assert_allclose(two.history[e], one.history[e], rtol=0, atol=1e-12 * one.total_mass(e))
-
-
 def test_correlation_reduces_to_estimate():
     fam = _family()
     phi = hann_window(GRID, axes=(0,))
@@ -317,10 +312,24 @@ def test_correlation_ladder_mismatch_errors():
 
 
 def test_charge_tilde_embedding():
-    fam = _family()
+    fam = _family(mode="long-e")
     tilde = charge_tilde_fields(fam)
+    rho = charge_density(fam)
+    padded = {}
     for e in fam.epsilons:
-        assert tilde[e].shape == (6,) + GRID.shape
-        assert np.all(tilde[e][1:] == 0)
+        assert tilde[e].shape == (1,) + GRID.shape
+        np.testing.assert_array_equal(tilde[e][0], rho[e])
+        padded[e] = np.zeros((6,) + GRID.shape, dtype=complex)
+        padded[e][0] = rho[e]
+    phi = hann_window(GRID, axes=(0,))
+    one = correlation_measure(fam, tilde, phi, sphere=SPHERE)
+    six = correlation_measure(fam, padded, phi, sphere=SPHERE)
+    for e in fam.epsilons:
+        assert np.abs(rho[e]).max() > 0
+        assert one.history[e].shape == (SPHERE.num_bins, 6, 1)
+        np.testing.assert_array_equal(one.history[e], six.history[e][:, :, :1])
+        assert np.all(six.history[e][:, :, 1:] == 0)
+        np.testing.assert_array_equal(one.centroids[e], six.centroids[e])
+        assert one.dc_energy[e] == six.dc_energy[e]
     src = source_fields(fam)
     assert set(src) == set(fam.epsilons)

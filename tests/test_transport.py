@@ -267,6 +267,33 @@ def test_constant_rows_manufactured_convergence():
     assert order1 >= 1.9 and order2 >= 1.9
 
 
+def test_weak_rows_match_per_psi_loop():
+    rng = np.random.default_rng(7)
+    levels = np.linspace(0.1, 0.9, 5)
+    points = rng.normal(size=(40, 4))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    weights = rng.uniform(0.5, 1.5, 40)
+    dts = rng.uniform(0.05, 0.15, 5)
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    rows_spec = [("scalar", [cnormal(5, 40) for _ in range(3)]), ("matrix", [cnormal(5, 40, 3, 3) for _ in range(2)])]
+    rows, max_rel = transport._weak_rows(rows_spec, levels, points, weights, dts)
+    want = []
+    for name, terms in rows_spec:
+        for label, psi in transport.PSI_BATTERY:
+            factor = np.stack([psi(t, points) for t in levels]) * weights[None, :] * dts[:, None]
+            pairs = [np.linalg.norm(np.tensordot(factor, term, axes=([0, 1], [0, 1]))) for term in terms + [sum(terms)]]
+            want.append((name, label, pairs[-1], max(pairs[:-1])))
+    assert [(r["row"], r["psi"]) for r in rows] == [w[:2] for w in want]
+    for r, (_, _, res, dominant) in zip(rows, want):
+        assert r["weak_residual"] == pytest.approx(res, rel=1e-12)
+        assert r["dominant"] == pytest.approx(dominant, rel=1e-12)
+        assert r["relative"] == pytest.approx(res / dominant, rel=1e-12)
+    assert max_rel == max(r["relative"] for r in rows)
+
+
 # ----------------------------------------------------- variable-case residuals
 
 def _sigma_traj(times, sphere, model, x0, funcs):

@@ -30,7 +30,6 @@ def make_estimate(bins_by_eps, sphere=SPHERE, grid=GRID):
     return HMeasureEstimate(
         sphere=sphere,
         grid=grid,
-        testpair=("synthetic", "synthetic"),
         epsilons=eps,
         history=dict(bins_by_eps),
         centroids={},
