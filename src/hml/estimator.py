@@ -6,6 +6,11 @@ accumulate the component-pair outer products into direction bins on the
 unit sphere of R^4, weighting every frequency shell equally (the radial
 integral of the defining formula).  The finest-scale value is reported
 together with the per-scale history.
+
+Each bin value is the Gram matrix sum over the bin of u^(xi) u^(xi)*.  The
+lattice is sorted by bin once per (grid, sphere) and cached, the spectra
+are gathered into that order, and each non-empty bin is one small real
+GEMM over a contiguous run of rows.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -188,14 +193,24 @@ class SphereGrid:
 
 # ------------------------------------------------------------------ binning
 
-@functools.lru_cache(maxsize=4)
-def _lattice_bins(grid: GridSpec, sphere: SphereGrid):
-    """Flat bin index and unit direction of every DFT lattice frequency.
+class _Lattice(NamedTuple):
+    order: np.ndarray
+    bounds: np.ndarray
+    dirs: np.ndarray
 
-    Returns (idx, dirs): idx maps each flattened frequency to a sphere bin,
-    with the DC frequency sent to the overflow slot B; dirs is a float32
-    (4, Npts) array of unit directions (zeros at DC).  Grids and spheres are
-    frozen, so the last few lattices are cached by value.
+
+@functools.lru_cache(maxsize=4)
+def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
+    """The DFT lattice sorted by sphere bin.
+
+    ``order`` is the stable permutation that sorts the flat lattice by bin,
+    so bin b holds the frequencies ``order[bounds[b]:bounds[b + 1]]``;
+    ``bounds`` has B + 2 entries and the DC frequency sits alone in the
+    overflow segment B, last.  ``dirs`` is the float32 (Npts, 4) array of
+    unit directions in sorted order (zeros at DC).  Bins come from the
+    float64 directions, as in ``fourier_multiplier``; only the centroids
+    use the float32 copy.  Grids and spheres are frozen, so the last few
+    lattices are cached by value.
     """
     f0, f1, f2, f3 = grid.freq_meshes()
     r2 = (f0**2 + f1**2 + f2**2 + f3**2).ravel()
@@ -203,12 +218,11 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid):
     ok = r > 0
     rs = np.where(ok, r, 1.0)
     units = np.stack([np.broadcast_to(f, grid.shape).ravel() / rs for f in (f0, f1, f2, f3)], axis=-1)
-    # bins come from the float64 directions, as in fourier_multiplier; only the centroids use float32
-    idx = sphere.locate(units)
-    idx = np.where(ok, idx, sphere.num_bins).astype(np.int64)
-    dirs = units.T.astype(np.float32, order="C")
-    dirs[:, ~ok] = 0.0
-    return idx, dirs
+    idx = np.where(ok, sphere.locate(units), sphere.num_bins)
+    order = np.argsort(idx, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
+    dirs = units[order].astype(np.float32)
+    return _Lattice(order, bounds, dirs)
 
 
 @dataclass
@@ -263,45 +277,54 @@ class HMeasureEstimate:
         return float(np.min(vals[:, 0] / tr[keep]))
 
 
-def _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian):
-    """Accumulate component-pair masses into sphere bins.
+def _cross_bins(F1, F2, lattice: _Lattice, sphere, scale):
+    """Accumulate each sphere bin as one Gram matrix of the bin-sorted spectra.
 
-    F1: (p, Npts) spectra, F2: (q, Npts); returns (bins (B,p,q), unit
-    centroid (B,4) with NaN rows for massless bins, dc (complex)).  The
-    zero frequency is flat index 0 of the lattice.
+    F1: (Npts, p) and F2: (Npts, q) spectra in the lattice's bin order; F2
+    is F1 for an auto measure.  Returns (bins (B,p,q), unit centroid (B,4)
+    with NaN rows for massless bins, dc (complex)).  Each non-empty bin is
+    one real GEMM over the float64 views (Npts, 2p) and (Npts, 2q), with
+    the complex sum read off the interleaved real and imaginary parts.  A
+    real GEMM, not a complex ``@``: NumPy sends a one-column complex product
+    to gemv, whose rounding would part a q = 1 measure from column 0 of a
+    padded one, while the real view always has at least two columns.  When
+    F2 is F1, NumPy forms X.T @ X by one triangle and its mirror (syrk), so
+    the bins are exactly Hermitian.
     """
     B = sphere.num_bins
-    p, q = F1.shape[0], F2.shape[0]
-    bins = np.zeros((B, p, q), dtype=np.complex128)
-    mass_f = np.zeros(F1.shape[1])
-    for i in range(p):
-        a = F1[i]
-        mass_f += 0.5 * (np.abs(a) ** 2)
-        jstart = i if hermitian else 0
-        for j in range(jstart, q):
-            w = a * np.conj(F2[j])
-            re = np.bincount(idx, weights=w.real, minlength=B + 1)[:B]
-            im = np.bincount(idx, weights=w.imag, minlength=B + 1)[:B]
-            bins[:, i, j] = (re + 1j * im) * scale
-            if hermitian and j > i:
-                bins[:, j, i] = np.conj(bins[:, i, j])
-    for j in range(q):
-        mass_f += 0.5 * (np.abs(F2[j]) ** 2)
+    p, q = F1.shape[1], F2.shape[1]
+    X, Y = F1.view(np.float64), F2.view(np.float64)
+    M = np.zeros((B, 2 * p, 2 * q))
+    starts, stops = lattice.bounds[:B], lattice.bounds[1 : B + 1]
+    nonempty = np.flatnonzero(stops > starts)
+    for b in nonempty.tolist():
+        s, e = starts[b], stops[b]
+        np.matmul(X[s:e].T, Y[s:e], out=M[b])
+    bins = np.empty((B, p, q), dtype=np.complex128)
+    bins.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
+    bins.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]
+    bins *= scale
     # the centroid is normalised, so the mass-weighted sums need no division by the bin mass
-    cent = np.stack([np.bincount(idx, weights=mass_f * d, minlength=B + 1)[:B] for d in dirs], axis=1)
-    norms = np.linalg.norm(cent, axis=1)
+    n = lattice.bounds[B]
+    mass = np.einsum("ij,ij->i", X[:n], X[:n])
+    if F2 is not F1:
+        mass += np.einsum("ij,ij->i", Y[:n], Y[:n])
+    sums = np.add.reduceat(mass[:, None] * lattice.dirs[:n], starts[nonempty], axis=0)
+    norms = np.linalg.norm(sums, axis=1)
     good = norms > 0
-    cent[good] /= norms[good, None]
-    cent[~good] = np.nan
+    cent = np.full((B, 4), np.nan)
+    cent[nonempty[good]] = sums[good] / norms[good, None]
     m = min(p, q)
-    dc = complex(np.sum(F1[:m, 0] * np.conj(F2[:m, 0])) * scale)
+    dc = complex(np.sum(F1[-1, :m] * np.conj(F2[-1, :m])) * scale)
     return bins, cent, dc
 
 
-def _spectra(fields: np.ndarray, window: np.ndarray) -> np.ndarray:
-    w = (fields * window[None]).astype(np.complex128, copy=False)
-    F = scipy.fft.fftn(w, axes=(1, 2, 3, 4), workers=_workers())
-    return F.reshape(F.shape[0], -1)
+def _spectra(fields: np.ndarray, window: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Windowed 4-D DFT of (p,) + grid.shape fields as a contiguous (Npts, p) array in bin order."""
+    buf = np.empty(fields.shape[1:] + fields.shape[:1], dtype=np.complex128)
+    np.multiply(np.moveaxis(fields, 0, -1), window[..., None], out=buf)
+    F = scipy.fft.fftn(buf, axes=(0, 1, 2, 3), overwrite_x=True, workers=_workers())
+    return np.take(F.reshape(-1, F.shape[-1]), order, axis=0)
 
 
 def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere, kind: str) -> HMeasureEstimate:
@@ -320,13 +343,13 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     grid = family.grid
     hermitian = g_fields is None
     window = phi.sample(grid)
-    idx, dirs = _lattice_bins(grid, sphere)
+    lattice = _lattice_bins(grid, sphere)
     scale = grid.cell_volume**2 / grid.box_volume
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
-        F1 = _spectra(np.asarray(family.fields[e]), window)
-        F2 = F1 if hermitian else _spectra(np.asarray(g_fields[e]), window)
-        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, idx, dirs, sphere, scale, hermitian)
+        F1 = _spectra(np.asarray(family.fields[e]), window, lattice.order)
+        F2 = F1 if hermitian else _spectra(np.asarray(g_fields[e]), window, lattice.order)
+        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, lattice, sphere, scale)
     return HMeasureEstimate(
         sphere=sphere,
         grid=grid,

@@ -284,9 +284,13 @@ def sphere_gradient(f_bins: np.ndarray, sphere: SphereGrid, direction):
             out = d
         else:
             out += d
+    return out.reshape((sphere.num_bins,) + extra), _off_pole_bins(sphere)
+
+
+def _off_pole_bins(sphere: SphereGrid) -> np.ndarray:
+    """(B,) mask of the bins off the theta-pole and chi1-pole rings, where the chain rule is finite."""
     i1, i2, _ = sphere.unflatten(np.arange(sphere.num_bins))
-    valid = (i1 > 0) & (i1 < n1 - 1) & (i2 > 0) & (i2 < n2 - 1)
-    return out.reshape((sphere.num_bins,) + extra), valid
+    return (i1 > 0) & (i1 < sphere.n_zeta0 - 1) & (i2 > 0) & (i2 < sphere.n_theta - 1)
 
 
 # Test functions psi(t, zeta4) of the weak-form pairings.
@@ -439,8 +443,10 @@ def variable_transport_residual(
     The ``symmetrized`` variant inserts the missing time derivatives in
     rows 2/4 (-eta dt sigma) and replaces row 3's d^l sigma_11 with
     d^l sigma_21.  Spatial derivatives are dropped for single-window data
-    (noted in ``skipped``); mu_uf_rhs maps '11'.. to (n_t, B, 3, 3) arrays
-    of 2 Re mu blocks.
+    (noted in ``skipped``), and so is the bend term of a block whose
+    gradient (grad eps or grad eta at x0) is exactly zero (its blocks named
+    in ``skipped["zero_bend"]``); mu_uf_rhs maps '11'.. to (n_t, B, 3, 3)
+    arrays of 2 Re mu blocks.
     """
     if traj.case != "scalar_smooth":
         raise ValueError("variable rows need a scalar_smooth trajectory")
@@ -461,29 +467,37 @@ def variable_transport_residual(
     # bend[name] = zeta0 sum_l d_l(eps or eta) d^l sigma on the interior levels, (n_int, B, 3, 3),
     # for the blocks the variant's rows use; the levels ride along as a trailing axis of one
     # gradient call per block, taken along grad eps or grad eta.  The terms are made contiguous
-    # once, or every weak pairing would copy them again.
+    # once, or every weak pairing would copy them again.  A block whose coefficient vector is
+    # exactly zero has an all-zero bend term; leaving it out changes no row, as adding 0.0 changes no sum.
     coeff = {"s11": ge, "s12": gh, "s21": ge, "s22": gh}
-    bend = {}
+    bend, zero_bend = {}, []
     for name in dict.fromkeys(("s11", "s12", row3_block, "s22")):
-        g, valid = sphere_gradient(np.moveaxis(traj.data[name][1:-1], 0, -1), sphere, coeff[name])
+        if not np.any(coeff[name]):
+            zero_bend.append(name)
+            continue
+        g, _ = sphere_gradient(np.moveaxis(traj.data[name][1:-1], 0, -1), sphere, coeff[name])
         bend[name] = np.ascontiguousarray(np.moveaxis(zeta0[:, None, None, None] * g, -1, 0))
 
     i11, i12, i21, i22 = s11[1:-1], s12[1:-1], s21[1:-1], s22[1:-1]
     rows_spec = [
-        ("1", [-epsv * dt11, bend["s11"], -2 * sigv * i11]),
-        ("2", [-etav * (i12 if verbatim else _time_derivative(s12, traj.times)), bend["s12"]]),
-        ("3", [-epsv * dt21, bend[row3_block], -2 * sigv * i21]),
-        ("4", [-etav * (i22 if verbatim else _time_derivative(s22, traj.times)), bend["s22"]]),
+        ("1", [-epsv * dt11, bend.get("s11"), -2 * sigv * i11]),
+        ("2", [-etav * (i12 if verbatim else _time_derivative(s12, traj.times)), bend.get("s12")]),
+        ("3", [-epsv * dt21, bend.get(row3_block), -2 * sigv * i21]),
+        ("4", [-etav * (i22 if verbatim else _time_derivative(s22, traj.times)), bend.get("s22")]),
     ]
+    rows_spec = [(row, [t for t in terms if t is not None]) for row, terms in rows_spec]
     _subtract_rhs(rows_spec, mu_uf_rhs, ("11", "12", "21", "22"))
-    keep, weights = _kept_weights(traj, valid)
+    keep, weights = _kept_weights(traj, _off_pole_bins(sphere))
     rows, max_rel = _weak_rows(rows_spec, tin, centers, weights, dts)
+    skipped = {"x_derivatives": "single spatial window: sum_l Q_l dx_l sigma terms dropped",
+               "masked_bins": int((~keep).sum())}
+    if zero_bend:
+        skipped["zero_bend"] = zero_bend
     return TransportResidualReport(
         case="scalar_smooth",
         variant=variant,
         rows=rows,
-        skipped={"x_derivatives": "single spatial window: sum_l Q_l dx_l sigma terms dropped",
-                 "masked_bins": int((~keep).sum())},
+        skipped=skipped,
         max_relative=max_rel,
     )
 

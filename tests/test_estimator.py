@@ -248,7 +248,73 @@ def _lattice_directions():
 def test_lattice_bins_locate_float64_directions():
     units, flat, moved = _lattice_directions()
     assert moved.any()  # the lattice has frequencies on bin edges
-    np.testing.assert_array_equal(_lattice_bins(GRID, SPHERE)[0][flat], SPHERE.locate(units))
+    lattice = _lattice_bins(GRID, SPHERE)
+    B = SPHERE.num_bins
+    assert lattice.bounds[0] == 0 and lattice.bounds[-1] == GRID.num_points
+    segment = np.empty(GRID.num_points, dtype=np.int64)
+    segment[lattice.order] = np.repeat(np.arange(B + 1), np.diff(lattice.bounds))
+    np.testing.assert_array_equal(segment[flat], SPHERE.locate(units))
+    np.testing.assert_array_equal(lattice.order[lattice.bounds[B] :], [0])  # DC alone in segment B
+
+
+def _bincount_reference(u, g, phi, sphere):
+    """Per-pair bincount accumulation over the unsorted lattice: (bins, centroids, dc) of one scale."""
+    f0, f1, f2, f3 = GRID.freq_meshes()
+    r = np.sqrt(f0**2 + f1**2 + f2**2 + f3**2).ravel()
+    ok = r > 0
+    units = np.stack([np.broadcast_to(f, GRID.shape).ravel() / np.where(ok, r, 1.0) for f in (f0, f1, f2, f3)], axis=-1)
+    B = sphere.num_bins
+    idx = np.where(ok, sphere.locate(units), B)
+    window = phi.sample(GRID)
+    F1 = np.fft.fftn(u * window, axes=(1, 2, 3, 4)).reshape(u.shape[0], -1)
+    F2 = F1 if g is None else np.fft.fftn(g * window, axes=(1, 2, 3, 4)).reshape(g.shape[0], -1)
+    scale = GRID.cell_volume**2 / GRID.box_volume
+    bins = np.zeros((B, F1.shape[0], F2.shape[0]), dtype=complex)
+    for i in range(F1.shape[0]):
+        for j in range(F2.shape[0]):
+            w = F1[i] * np.conj(F2[j])
+            re = np.bincount(idx, weights=w.real, minlength=B + 1)[:B]
+            im = np.bincount(idx, weights=w.imag, minlength=B + 1)[:B]
+            bins[:, i, j] = (re + 1j * im) * scale
+    mass = (np.abs(F1) ** 2).sum(axis=0) + (np.abs(F2) ** 2).sum(axis=0)
+    dirs = units.astype(np.float32)
+    cent = np.stack([np.bincount(idx, weights=mass * d, minlength=B + 1)[:B] for d in dirs.T], axis=1)
+    with np.errstate(invalid="ignore"):  # empty bins: 0 / 0 = NaN rows
+        cent /= np.linalg.norm(cent, axis=1, keepdims=True)
+    m = min(F1.shape[0], F2.shape[0])
+    return bins, cent, np.sum(F1[:m, 0] * np.conj(F2[:m, 0])) * scale
+
+
+@pytest.mark.parametrize("second", ["auto", "cross6", "charge"])
+def test_gram_bins_match_per_pair_bincount_reference(second):
+    """Bin-sorted Gram accumulation against per-pair bincounts, on a sphere finer than the lattice."""
+    rng = np.random.default_rng(7)
+
+    def noise(p):
+        return rng.standard_normal((p,) + GRID.shape) + 1j * rng.standard_normal((p,) + GRID.shape)
+
+    fam = OscillatingFamily(grid=GRID, epsilons=EPS2, fields={e: noise(6) for e in EPS2})
+    phi = hann_window(GRID, axes=(0,))
+    sphere = SphereGrid(24, 24, 48)
+    assert sphere.num_bins > GRID.num_points
+    if second == "auto":
+        g = None
+        est = estimate_hmeasure(fam, phi, sphere=sphere)
+    else:
+        g = {e: noise(6) for e in EPS2} if second == "cross6" else charge_tilde_fields(fam)
+        est = correlation_measure(fam, g, phi, sphere=sphere)
+    for e in EPS2:
+        bins, cent, dc = _bincount_reference(np.asarray(fam.fields[e]), None if g is None else g[e], phi, sphere)
+        got = est.history[e]
+        assert got.shape == bins.shape
+        total = np.trace(bins, axis1=1, axis2=2).real.sum() if g is None else np.abs(bins).sum()
+        assert np.abs(got - bins).max() <= 1e-13 * total
+        assert abs(est.dc_energy[e] - dc) <= 1e-13 * total
+        empty = np.isnan(cent[:, 0])
+        assert 0 < empty.sum() < sphere.num_bins
+        assert np.all(got[empty] == 0)
+        assert np.all(np.isnan(est.centroids[e][empty]))
+        np.testing.assert_allclose(est.centroids[e][~empty], cent[~empty], rtol=0, atol=1e-12)
 
 
 def test_estimate_matches_multiplier_definition_on_bin_edges():

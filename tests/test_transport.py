@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -384,6 +386,39 @@ def test_variable_variants_differ_for_time_varying_s12():
     assert r2v != pytest.approx(r2s, rel=1e-3)
     # -eta dt s12 = 2 eta s12 = -2 (-eta s12): the symmetrized row is twice the verbatim one
     assert r2s == pytest.approx(2.0 * r2v, rel=1e-3)
+
+
+def test_variable_rows_skip_zero_bend_terms(monkeypatch):
+    """A block whose gradient at x0 is zero gets no sphere_gradient call and no bend term."""
+    real = transport.sphere_gradient
+    calls = []
+    monkeypatch.setattr(transport, "sphere_gradient", lambda *args: calls.append(args) or real(*args))
+    sphere = SphereGrid(6, 6, 6)
+    poles = int((~real(np.zeros(sphere.num_bins), sphere, np.ones(3))[1]).sum())
+    times = np.linspace(0.0, 0.5, 9)
+    s = lambda t, z: np.exp(-2 * t) * (1.0 + z[:, 1] * z[:, 3])[:, None, None] * np.eye(3)
+    funcs = {"s11": s, "s12": s, "s21": s, "s22": s}
+    # a nonzero grad eta; the rows read eta only at x0, so it need not match the model's eta = 1
+    tilted = dataclasses.replace(quadratic_speed_model(), grad_eta=lambda x1, x2, x3: np.array([0.2, 0.0, 0.0]))
+    # (model, x0, blocks with a zero gradient); quadratic_speed_model has grad eta = 0 and grad eps = 0 at x1 = 0
+    cases = ((tilted, (0.25, 0, 0), []), (quadratic_speed_model(), (0.25, 0, 0), ["s12", "s22"]),
+             (quadratic_speed_model(), (0.0, 0, 0), None))
+    for model, x0, zero in cases:
+        traj = _sigma_traj(times, sphere, model, x0, funcs)
+        for variant, blocks in (("verbatim", ["s11", "s12", "s22"]), ("symmetrized", ["s11", "s12", "s21", "s22"])):
+            skip = blocks if zero is None else zero
+            calls.clear()
+            rep = variable_transport_residual(traj, model, variant=variant)
+            assert len(calls) == len(blocks) - len(skip)
+            assert rep.skipped.get("zero_bend", []) == skip
+            assert rep.skipped["masked_bins"] == poles
+    # leaving an all-zero term out of a row leaves its weak pairing bit-identical
+    rng = np.random.default_rng(3)
+    terms = [rng.normal(size=(7, sphere.num_bins, 3, 3)) + 1j * rng.normal(size=(7, sphere.num_bins, 3, 3))
+             for _ in range(2)]
+    args = (times[1:-1], sphere.centers(), sphere.weights(), np.full(7, 1 / 16))
+    with_zero = transport._weak_rows([("1", [terms[0], np.zeros_like(terms[0]), terms[1]])], *args)
+    assert with_zero == transport._weak_rows([("1", terms)], *args)
 
 
 def test_explicit_zero_rhs_matches_no_rhs():
