@@ -1,11 +1,12 @@
-"""Symbol matrices and eigen-structure of the 6x6 Maxwell system.
+"""Symbol matrices and eigenbasis of the 6x6 Maxwell system.
 
 Everything here is a pure function of small inputs: a material model, a
-point x in space, and a spacetime frequency direction zeta = (zeta0, zeta')
-on the unit sphere of R^4.  The matrices are the first-order symbol
-P = zeta0*A0 + sum_j zeta_j*A^j, the divergence symbol B, the dispersion
-matrix L = A0^{-1} * sum_j zeta_j A^j, and the polarization basis of the
-eigenmodes.
+point x in space, and a spacetime frequency zeta = (zeta0, zeta'), passed
+as a plain 4-vector (or its spatial part zeta').  The matrices are the
+first-order symbol P = zeta0*A0 + sum_j zeta_j*A^j, the divergence symbol
+B and the dispersion matrix L = A0^{-1} * sum_j zeta_j A^j.  The curl
+block of every A^j comes from ``Q_MATRICES``, and ``mode_vectors`` is the
+one implementation of the polarization basis of the eigenmodes.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "MODE_ORDER",
     "Q_MATRICES",
-    "FrequencyDirection",
     "MaterialModel",
-    "EigenStructure",
     "antisym_E",
     "assemble_system_matrices",
     "assemble_P",
     "assemble_divergence_symbol",
     "dispersion_matrix",
     "propagation_basis",
-    "eigen_structure",
+    "mode_vectors",
 ]
 
 
@@ -52,40 +52,8 @@ Q_MATRICES = np.array(
 )
 Q_MATRICES.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class FrequencyDirection:
-    """Unit spacetime frequency zeta = (zeta0, zeta') on S^3.
-
-    zeta0 is dual to t, zeta' = (zeta1, zeta2, zeta3) dual to x.
-    Construction normalizes, so zeta0**2 + |zeta'|**2 == 1 always holds.
-    """
-
-    zeta0: float
-    zetaP: np.ndarray
-
-    def __post_init__(self):
-        zp = np.asarray(self.zetaP, dtype=float).reshape(3)
-        norm = float(np.sqrt(self.zeta0**2 + zp @ zp))
-        if norm == 0.0:
-            raise ValueError("zero frequency vector cannot be normalized")
-        object.__setattr__(self, "zeta0", float(self.zeta0) / norm)
-        zp = zp / norm
-        zp.setflags(write=False)
-        object.__setattr__(self, "zetaP", zp)
-
-    @classmethod
-    def from_vec4(cls, vec: Sequence[float]) -> "FrequencyDirection":
-        v = np.asarray(vec, dtype=float).reshape(4)
-        return cls(v[0], v[1:])
-
-    @property
-    def vec4(self) -> np.ndarray:
-        return np.concatenate(([self.zeta0], self.zetaP))
-
-    @property
-    def zetaP_norm(self) -> float:
-        return float(np.linalg.norm(self.zetaP))
+# The six eigenmodes, ordered by eigenvalue zeta0, zeta0 + v|zeta'|, zeta0 - v|zeta'|.
+MODE_ORDER = ("long-e", "long-h", "trans+1", "trans+2", "trans-1", "trans-2")
 
 
 ScalarField = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -253,7 +221,7 @@ def assemble_system_matrices(model: MaterialModel, x) -> tuple:
 def assemble_P(model: MaterialModel, x, zeta) -> np.ndarray:
     """P(x, zeta) = zeta0*A0 + sum_j zeta_j*A^j = [[zeta0 eps Id, -E], [E, zeta0 eta Id]].
 
-    ``zeta`` has shape (..., 4), e.g. ``FrequencyDirection.vec4``; the result
+    ``zeta`` has shape (..., 4), e.g. a stack of unit 4-vectors; the result
     has shape (..., 6, 6).
     """
     A = np.stack(assemble_system_matrices(model, x)[:4])
@@ -306,12 +274,15 @@ def propagation_basis(zetaP) -> tuple:
     return zhat, z1, z2
 
 
-def _mode_vectors(zetaP, eps, eta, modes: Sequence[str]) -> np.ndarray:
-    """Eigenvectors of P' = zeta0*Id + L for the named modes, as columns.
+def mode_vectors(zetaP, eps, eta, modes: Sequence[str]) -> np.ndarray:
+    """Eigenvectors of A0^{-1} P = zeta0*Id + L for the named modes, as columns.
 
-    ``zetaP`` has shape (3,) + S and ``eps``/``eta`` broadcast against S;
-    the result has shape (6, len(modes)) + S.  The vectors are orthonormal
-    in the A0 inner product.
+    The eigenvalue of a ``MODE_ORDER`` entry is zeta0 for "long-*",
+    zeta0 + v|zeta'| for "trans+*" and zeta0 - v|zeta'| for "trans-*", with
+    v = 1/sqrt(eps*eta); the vectors do not depend on zeta0.  ``zetaP`` has
+    shape (3,) + S and ``eps``/``eta`` broadcast against S; the result has
+    shape (6, len(modes)) + S.  The vectors are orthonormal in the A0 inner
+    product.  Raises DegenerateDirectionError where zeta' = 0.
     """
     zhat, z1, z2 = propagation_basis(zetaP)
     se, sh = 1.0 / np.sqrt(eps), 1.0 / np.sqrt(eta)
@@ -335,40 +306,3 @@ def _mode_vectors(zetaP, eps, eta, modes: Sequence[str]) -> np.ndarray:
         raise ValueError(f"unknown mode {mode!r}")
 
     return np.stack([vector(m) for m in modes], axis=1)
-
-
-@dataclass(frozen=True)
-class EigenStructure:
-    """Spectrum and basis of P'(x, zeta) = A0^{-1} P = zeta0*Id + L.
-
-    omegas = (w0, w+, w-) = (zeta0, zeta0 + v|zeta'|, zeta0 - v|zeta'|), each
-    of multiplicity two.  ``basis`` holds the six eigenvectors as columns in
-    the order (b0_1, b0_2, b+_1, b+_2, b-_1, b-_2); they are orthonormal in
-    the A0 inner product.
-    """
-
-    omegas: tuple
-    basis: np.ndarray
-    speed: float
-
-    MODE_ORDER = ("long-e", "long-h", "trans+1", "trans+2", "trans-1", "trans-2")
-
-    def vector(self, mode: str) -> np.ndarray:
-        return self.basis[:, self.MODE_ORDER.index(mode)]
-
-
-def eigen_structure(model: MaterialModel, x, zeta: FrequencyDirection) -> EigenStructure:
-    """Analytic eigen-decomposition of P' = zeta0*Id + L at (x, zeta)."""
-    zp = zeta.zetaP
-    r = float(np.linalg.norm(zp))
-    if r == 0.0:
-        raise DegenerateDirectionError(
-            "all eigenvalues collapse to zeta0 at zeta' = 0; basis not canonical"
-        )
-    model.check_in_domain(x)
-    eps = model.eps_at(x)
-    eta = model.eta_at(x)
-    v = 1.0 / np.sqrt(eps * eta)
-    basis = _mode_vectors(zp, eps, eta, EigenStructure.MODE_ORDER)
-    omegas = (zeta.zeta0, zeta.zeta0 + v * r, zeta.zeta0 - v * r)
-    return EigenStructure(omegas=omegas, basis=basis, speed=v)

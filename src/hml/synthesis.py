@@ -25,14 +25,12 @@ import scipy.linalg
 
 from .grids import GridSpec, SeparableWindow
 from .symbols import (
-    EigenStructure,
-    FrequencyDirection,
+    Q_MATRICES,
     MaterialModel,
     UnsupportedGeneratorError,
-    _mode_vectors,
     assemble_system_matrices,
     dispersion_matrix,
-    eigen_structure,
+    mode_vectors,
 )
 
 __all__ = [
@@ -80,9 +78,12 @@ class OscillatingFamily:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly decreasing")
         self.epsilons = eps
+        shape = (6,) + self.grid.shape
         for e in eps:
-            if self.fields[e].shape != (6,) + self.grid.shape:
+            if self.fields[e].shape != shape:
                 raise ValueError("field array shape mismatch with grid")
+            if self.sources is not None and (e not in self.sources or self.sources[e].shape != shape):
+                raise ValueError(f"source at eps={e} missing or not of shape {shape}")
 
     @property
     def finest(self) -> float:
@@ -147,39 +148,30 @@ def plane_wave_family(
     """
     if not model.is_constant:
         raise UnsupportedGeneratorError("plane_wave_family requires a constant model")
-    if mode not in EigenStructure.MODE_ORDER:
-        raise ValueError(f"unknown mode {mode!r}")
     k = np.asarray(k, dtype=float).reshape(3)
     if np.linalg.norm(k) == 0:
         raise ValueError("wavevector must be nonzero")
     c = _mode_frequency(model, k, mode)
-    b = eigen_structure(model, (0.0, 0.0, 0.0), FrequencyDirection(0.0, k)).vector(mode)
+    b = mode_vectors(k, model.eps_at((0.0, 0.0, 0.0)), model.eta_at((0.0, 0.0, 0.0)), (mode,))[:, 0]
     A0, A1, A2, A3, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
-    P4 = c * A0 + k[0] * A1 + k[1] * A2 + k[2] * A3
-    Pb = P4 @ b  # zero to rounding by the eikonal relation
+    Ab = np.stack((A0, A1, A2, A3)) @ b
+    Pb = np.array((c, *k)) @ Ab  # zero to rounding by the eikonal relation
 
     t, x1, x2, x3 = grid.meshes()
     sphase = x1 * k[0] + x2 * k[1] + x3 * k[2] + c * t
-    env = envelope.sample(grid)
-    genv = envelope.sample_gradient(grid)
+    # (d_t env, d_1 env, d_2 env, d_3 env, env)
+    envs = np.concatenate([envelope.sample_gradient(grid), envelope.sample(grid)[None, ...]])
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
 
-    Acoef = (A0, A1, A2, A3)
     fields, sources = {}, {}
     for e in eps_list:
-        osc = np.exp((2j * np.pi / e) * sphase)
-        u = (env * osc)[None, ...] * b.reshape(6, 1, 1, 1, 1)
-        fields[e] = u
-        # residual: sum_l A^l b d_l(env) * osc + C b env * osc + (2 pi i/eps) env osc P b
-        res = np.zeros((6,) + grid.shape, dtype=np.complex128)
-        for l in range(4):
-            coeff = Acoef[l] @ b
-            res += coeff.reshape(6, 1, 1, 1, 1) * (genv[l] * osc)[None, ...]
-        res += (C @ b).reshape(6, 1, 1, 1, 1) * (env * osc)[None, ...]
-        res += (2j * np.pi / e) * Pb.reshape(6, 1, 1, 1, 1) * (env * osc)[None, ...]
-        sources[e] = res
+        S = envs * np.exp((2j * np.pi / e) * sphase)
+        fields[e] = S[4][None, ...] * b.reshape(6, 1, 1, 1, 1)
+        # residual: sum_l A^l b d_l(env) osc + (C b + (2 pi i/eps) P b) env osc
+        V = np.column_stack([*Ab, C @ b + (2j * np.pi / e) * Pb])
+        sources[e] = np.einsum("ij,j...->i...", V, S)
 
     meta = {
         "generator": "plane_wave",
@@ -246,7 +238,7 @@ def evolved_family(
     if not model.is_constant:
         raise UnsupportedGeneratorError("evolved_family requires a constant model")
     k = np.asarray(k, dtype=float).reshape(3)
-    b = eigen_structure(model, (0.0, 0.0, 0.0), FrequencyDirection(0.0, k)).vector(mode)
+    b = mode_vectors(k, model.eps_at((0.0, 0.0, 0.0)), model.eta_at((0.0, 0.0, 0.0)), (mode,))[:, 0]
     c = _mode_frequency(model, k, mode)
     x1, x2, x3 = grid.spatial_meshes()
     sphase = x1 * k[0] + x2 * k[1] + x3 * k[2]
@@ -357,20 +349,13 @@ def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.
     res = np.empty_like(u)
     res[:3] = epsf * dt_u[:3] + sigf * u[:3]
     res[3:] = etaf * dt_u[3:]
-    # curl terms: top -= curl(H), bottom += curl(E)
-    d = [_spectral_derivative(u, grid, 1 + j) for j in range(3)]
-    curlE = np.stack([
-        d[1][2] - d[2][1],
-        d[2][0] - d[0][2],
-        d[0][1] - d[1][0],
-    ])
-    curlH = np.stack([
-        d[1][5] - d[2][4],
-        d[2][3] - d[0][5],
-        d[0][4] - d[1][3],
-    ])
-    res[:3] -= curlH
-    res[3:] += curlE
+    # sum_j A^j d_j u: bottom sum_j Q_j d_j E = curl E, top sum_j Q_j^T d_j H = -curl H;
+    # with d[c, j] = d_j u_c each block contracts (k, j) against Q_j[i, k] or Q_j[k, i]
+    d = np.empty((6, 3) + grid.shape, dtype=np.complex128)
+    for j in range(3):
+        d[:, j] = _spectral_derivative(u, grid, 1 + j)
+    res[3:] += np.tensordot(Q_MATRICES.transpose(1, 2, 0), d[:3], axes=2)
+    res[:3] += np.tensordot(Q_MATRICES.transpose(2, 1, 0), d[3:], axes=2)
     return res
 
 
@@ -403,7 +388,7 @@ def wkb_family(
     filler = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1, 1)
     zp_safe = np.where((gnorm < GRAD_FLOOR)[None, ...], filler, gx)
     eps, eta, _ = model.sample_fields(x1, x2, x3)
-    pol = _mode_vectors(zp_safe, eps, eta, (mode,))[:, 0]
+    pol = mode_vectors(zp_safe, eps, eta, (mode,))[:, 0]
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     gt = np.broadcast_to(np.asarray(g[0], dtype=float), grid.shape)
     rates = [np.max(np.abs(gr[support]), initial=0.0) for gr in (gt, *gx)]

@@ -14,7 +14,7 @@ when |zeta'| falls below ``RAY_ZP_FLOOR``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -313,13 +313,7 @@ class TransportResidualReport:
     max_relative: float
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "variant": self.variant,
-            "rows": self.rows,
-            "skipped": self.skipped,
-            "max_relative": self.max_relative,
-        }
+        return asdict(self)
 
 
 def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray, dts: np.ndarray) -> tuple:
@@ -569,18 +563,7 @@ class ComparisonReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "t0": self.t0,
-            "t1": self.t1,
-            "total_mass_t0": self.total_mass_t0,
-            "total_mass_t1": self.total_mass_t1,
-            "predicted_total_mass_t1": self.predicted_total_mass_t1,
-            "mass_ratio": self.mass_ratio,
-            "predicted_ratio": self.predicted_ratio,
-            "per_bin_l1_discrepancy": self.per_bin_l1_discrepancy,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def predict_then_compare(

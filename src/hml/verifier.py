@@ -8,19 +8,19 @@ six-mode eigenbasis expansion in the smooth-scalar case).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .estimator import HMeasureEstimate
 from .symbols import (
-    EigenStructure,
+    MODE_ORDER,
     MaterialModel,
-    _mode_vectors,
     assemble_divergence_symbol,
     assemble_P,
     assemble_system_matrices,
+    mode_vectors,
     propagation_basis,
 )
 
@@ -152,13 +152,7 @@ class SupportReport:
     total_mass: float
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "tolerance": self.tolerance,
-            "fraction_in_support": self.fraction_in_support,
-            "per_set_fraction": self.per_set_fraction,
-            "total_mass": self.total_mass,
-        }
+        return asdict(self)
 
 
 def support_check(
@@ -304,9 +298,9 @@ def fit_modal_decomposition(
     """
     e, bins, dirs, idx, excluded = _select_bins(est, eps)
     A0 = assemble_system_matrices(model, x_center)[0]
-    # basis[n, :, s] is mode s's eigenvector at bin n, in EigenStructure.MODE_ORDER
+    # basis[n, :, s] is mode s's eigenvector at bin n, in MODE_ORDER
     eps_x, eta_x = model.eps_at(x_center), model.eta_at(x_center)
-    basis = np.moveaxis(_mode_vectors(dirs[idx, 1:].T, eps_x, eta_x, EigenStructure.MODE_ORDER), -1, 0)
+    basis = np.moveaxis(mode_vectors(dirs[idx, 1:].T, eps_x, eta_x, MODE_ORDER), -1, 0)
     u = A0 @ basis
     M = bins[idx]
     vals = np.einsum("nis,nij,njs->ns", u.conj(), M, u)

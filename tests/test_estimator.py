@@ -12,7 +12,7 @@ from hml.estimator import (
     source_fields,
 )
 from hml.grids import GridSpec, full_window, hann_window
-from hml.symbols import FrequencyDirection, MaterialModel, eigen_structure
+from hml.symbols import MaterialModel, mode_vectors
 from hml.synthesis import AliasingError, OscillatingFamily, charge_density, plane_wave_family
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
@@ -160,7 +160,7 @@ def test_plane_wave_concentration_and_matrix():
     dominant = int(np.argmax(masses))
     assert dominant in nb
     # dominant-bin matrix is a scalar multiple of the mode dyad
-    bvec = eigen_structure(model, (0, 0, 0), FrequencyDirection(0.0, (0, 0, 1.0))).vector("trans+1")
+    bvec = mode_vectors(np.array([0.0, 0.0, 1.0]), 1.0, 1.0, ("trans+1",))[:, 0]  # eps = eta = 1
     dyad = np.outer(bvec, bvec.conj())
     M = est.bins[dominant]
     M_norm = M / np.trace(M).real

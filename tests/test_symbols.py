@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hml.symbols import (
+    MODE_ORDER,
     DegenerateDirectionError,
-    EigenStructure,
-    FrequencyDirection,
     MaterialModel,
     Q_MATRICES,
-    _mode_vectors,
     antisym_E,
     assemble_P,
     assemble_divergence_symbol,
     assemble_system_matrices,
     dispersion_matrix,
-    eigen_structure,
+    mode_vectors,
     propagation_basis,
 )
 
@@ -85,28 +83,31 @@ def test_E_matches_Q_expansion(rng):
 
 # ----------------------------------------------------------------- symbol P
 
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
 def test_P_identity_at_pure_time_direction():
     model = MaterialModel.constant(1.0, 1.0, 0.0)
-    zeta = FrequencyDirection(1.0, (0.0, 0.0, 0.0))
-    np.testing.assert_allclose(np.asarray(assemble_P(model, (0, 0, 0), zeta.vec4)), np.eye(6), atol=1e-15)
+    np.testing.assert_allclose(assemble_P(model, (0, 0, 0), (1.0, 0.0, 0.0, 0.0)), np.eye(6), atol=1e-15)
 
 
 def test_P_singular_on_spatial_directions(rng):
     model = MaterialModel.constant(1.3, 0.8, 0.0)
     for _ in range(25):
-        zp = rng.normal(size=3)
-        zeta = FrequencyDirection(0.0, zp)
-        P = np.asarray(assemble_P(model, (0, 0, 0), zeta.vec4))
+        zeta = np.concatenate([[0.0], _unit(rng.normal(size=3))])
+        P = assemble_P(model, (0, 0, 0), zeta)
         assert abs(np.linalg.det(P)) <= 1e-12
 
 
 def test_P_equals_entrywise_sum(smooth_model, rng):
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, size=3)
-        zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
+        zeta = _unit(rng.normal(size=4))
         A0, A1, A2, A3, _ = assemble_system_matrices(smooth_model, x)
-        expected = zeta.zeta0 * A0 + sum(z * A for z, A in zip(zeta.zetaP, (A1, A2, A3)))
-        np.testing.assert_allclose(np.asarray(assemble_P(smooth_model, x, zeta.vec4)), expected, atol=1e-14)
+        expected = zeta[0] * A0 + sum(z * A for z, A in zip(zeta[1:], (A1, A2, A3)))
+        np.testing.assert_allclose(assemble_P(smooth_model, x, zeta), expected, atol=1e-14)
 
 
 def test_stacked_symbols_match_per_direction(smooth_model, rng):
@@ -203,37 +204,49 @@ def test_propagation_basis_zero_errors():
         propagation_basis((0, 0, 0))
 
 
-@pytest.mark.parametrize("mode", EigenStructure.MODE_ORDER)
-def test_mode_vectors_broadcast_match_eigen_structure(mode):
-    model = MaterialModel.constant(2.0, 0.5, 0.0)
+@pytest.mark.parametrize("mode", MODE_ORDER)
+def test_polarization_broadcast_matches_per_column(mode):
     rng = np.random.default_rng(11)
     zps = np.column_stack([rng.normal(size=(3, 50)), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    got = _mode_vectors(zps, 2.0, 0.5, (mode,))[:, 0]
+    got = mode_vectors(zps, 2.0, 0.5, (mode,))[:, 0]
     assert got.shape == (6, zps.shape[1])
     for n in range(zps.shape[1]):
-        want = eigen_structure(model, (0, 0, 0), FrequencyDirection(0.3, zps[:, n])).vector(mode)
-        np.testing.assert_allclose(got[:, n], want, atol=1e-14)
+        np.testing.assert_allclose(got[:, n], mode_vectors(zps[:, n], 2.0, 0.5, (mode,))[:, 0], atol=1e-14)
 
 
 # ------------------------------------------------------------ eigenstructure
 
+def _eigenpairs(model, x, zeta):
+    """A0^{-1} P at (x, zeta), the six mode vectors and their eigenvalues in MODE_ORDER."""
+    A0 = assemble_system_matrices(model, x)[0]
+    Pp = np.linalg.solve(A0, assemble_P(model, x, zeta))
+    basis = mode_vectors(zeta[1:], model.eps_at(x), model.eta_at(x), MODE_ORDER)
+    vr = model.speed_at(x) * np.linalg.norm(zeta[1:])
+    omegas = zeta[0] + vr * np.array([0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
+    return Pp, basis, omegas
+
+
 def test_eigen_values_unit_speed():
     model = MaterialModel.constant(1.0, 1.0, 0.0)
-    es = eigen_structure(model, (0, 0, 0), FrequencyDirection(0.0, (0, 0, 1)))
-    np.testing.assert_allclose(sorted(es.omegas), [-1.0, 0.0, 1.0], atol=1e-15)
+    Pp, basis, _ = _eigenpairs(model, (0, 0, 0), np.array([0.0, 0.0, 0.0, 1.0]))
+    np.testing.assert_allclose(Pp @ basis, basis * [0.0, 0.0, 1.0, 1.0, -1.0, -1.0], atol=1e-15)
 
 
 def test_eigen_speed_and_gap():
     model = MaterialModel.constant(4.0, 1.0, 0.0)
-    zeta = FrequencyDirection(0.3, (0.1, -0.4, 0.8))
-    es = eigen_structure(model, (0, 0, 0), zeta)
-    assert es.speed == pytest.approx(0.5)
-    assert es.omegas[1] - es.omegas[2] == pytest.approx(zeta.zetaP_norm)  # v=1/2: 2*v*|z'| = |z'|
+    zeta = _unit((0.3, 0.1, -0.4, 0.8))
+    P = assemble_P(model, (0, 0, 0), zeta)
+    basis = mode_vectors(zeta[1:], 4.0, 1.0, MODE_ORDER)
+    omegas = np.diag(basis.T @ P @ basis)  # Rayleigh quotients in the A0 inner product
+    assert model.speed_at((0, 0, 0)) == pytest.approx(0.5)
+    assert omegas[2] - omegas[4] == pytest.approx(np.linalg.norm(zeta[1:]))  # v=1/2: 2*v*|z'| = |z'|
+    np.testing.assert_allclose(omegas[:2], zeta[0], atol=1e-15)
 
 
 def test_eigen_zero_direction_errors(smooth_model):
+    eps, eta = smooth_model.eps_at((0, 0, 0)), smooth_model.eta_at((0, 0, 0))
     with pytest.raises(DegenerateDirectionError):
-        eigen_structure(smooth_model, (0, 0, 0), FrequencyDirection(1.0, (0, 0, 0)))
+        mode_vectors(np.zeros(3), eps, eta, MODE_ORDER)
 
 
 def _random_models(rng, n=3):
@@ -265,15 +278,11 @@ def test_eigen_residual_and_spectrum_cross_check(rng):
     for _ in range(200):
         model = models[rng.integers(len(models))]
         x = rng.uniform(-0.5, 0.5, size=3)
-        zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
-        if zeta.zetaP_norm < 1e-3:
+        zeta = _unit(rng.normal(size=4))
+        if np.linalg.norm(zeta[1:]) < 1e-3:
             continue
-        es = eigen_structure(model, x, zeta)
-        A0 = assemble_system_matrices(model, x)[0]
-        P = np.asarray(assemble_P(model, x, zeta.vec4))
-        Pp = np.linalg.solve(A0, P)
-        omegas = np.repeat(es.omegas, 2)
-        for col, w in zip(es.basis.T, omegas):
+        Pp, basis, omegas = _eigenpairs(model, x, zeta)
+        for col, w in zip(basis.T, omegas):
             assert np.linalg.norm(Pp @ col - w * col) <= 1e-10
         got = np.sort(np.linalg.eigvals(Pp).real)
         want = np.sort(omegas)
@@ -283,12 +292,12 @@ def test_eigen_residual_and_spectrum_cross_check(rng):
 def test_eigen_basis_A0_orthonormal(smooth_model, rng):
     for _ in range(50):
         x = rng.uniform(-0.5, 0.5, size=3)
-        zeta = FrequencyDirection.from_vec4(rng.normal(size=4))
-        if zeta.zetaP_norm < 1e-3:
+        zeta = _unit(rng.normal(size=4))
+        if np.linalg.norm(zeta[1:]) < 1e-3:
             continue
-        es = eigen_structure(smooth_model, x, zeta)
+        basis = mode_vectors(zeta[1:], smooth_model.eps_at(x), smooth_model.eta_at(x), MODE_ORDER)
         A0 = assemble_system_matrices(smooth_model, x)[0]
-        gram = es.basis.T @ A0 @ es.basis
+        gram = basis.T @ A0 @ basis
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-12)
 
 

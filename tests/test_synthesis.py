@@ -3,9 +3,10 @@ import pytest
 
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
-from hml.symbols import DomainError, FrequencyDirection, MaterialModel, UnsupportedGeneratorError, eigen_structure
+from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError
 from hml.synthesis import (
     AliasingError,
+    OscillatingFamily,
     charge_density,
     evolved_family,
     exact_constant_evolution,
@@ -77,7 +78,7 @@ def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axi
 def test_plane_wave_polarization_matches_eigenvector():
     model = MaterialModel.constant()
     fam = _family(model=model)
-    b = eigen_structure(model, (0, 0, 0), FrequencyDirection(0.0, (0, 0, 1.0))).vector("trans+1")
+    b = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)  # trans+1 along e3: (z1, z2)/sqrt(2), z1 = e1, z2 = e2
     e = fam.epsilons[-1]
     u0 = fam.fields[e][:, 0, 0, 0, 0]
     # at the origin phase = 0 and envelope value scales the eigenvector
@@ -134,6 +135,20 @@ def test_plane_wave_source_is_envelope_commutator():
     e = fam.epsilons[-1]
     res = maxwell_residual(model, np.asarray(fam.fields[e], dtype=np.complex128), fam.grid)
     np.testing.assert_allclose(fam.sources[e], res, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "bad_sources",
+    [
+        lambda fam: {e: f[:3] for e, f in fam.sources.items()},
+        lambda fam: {fam.finest: fam.sources[fam.finest]},
+    ],
+    ids=["wrong_component_count", "missing_scale"],
+)
+def test_family_rejects_malformed_sources(bad_sources):
+    fam = _family()
+    with pytest.raises(ValueError, match="source at eps="):
+        OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fam.fields, sources=bad_sources(fam))
 
 
 # ------------------------------------------------------------- exact evolution

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hml.transport import (
     time_subwindow,
     variable_transport_residual,
 )
-from hml.verifier import fit_constant_decomposition
+from hml.verifier import fit_constant_decomposition, localisation_residual, support_check
 
 
 def quadratic_speed_model(c1=1.0):
@@ -590,3 +591,24 @@ def test_constant_rows_from_estimated_densities():
 
 def test_constant_rows_from_estimated_densities_scale_with_permittivity():
     _check_constant_rows_from_estimates(2.0, 1.0)
+
+
+def test_report_dicts_serialise_to_json():
+    """Every report of a small constant-case pass turns into plain JSON."""
+    model = MaterialModel.constant(1.0, 1.0, 1.0)
+    fam = evolved_family(model, EVOL_GRID, (0, 0, 1.0), "long-e", EPS_PAIR, hann_window(EVOL_GRID, axes=(1,)))
+    sphere = SphereGrid(10, 8, 16)
+    t_levels = np.linspace(0.25, 0.75, 5)
+    ests = [estimate_hmeasure(fam, time_subwindow(EVOL_GRID, tc, 0.25), sphere=sphere) for tc in t_levels]
+    fits = [fit_constant_decomposition(est) for est in ests]
+    traj = DensityTrajectory.from_constant_fits(t_levels, sphere, fits)
+    reports = [
+        localisation_residual(ests[0], "P", model),
+        support_check(ests[0], "constant"),
+        fits[0],
+        constant_transport_residual(traj, model),
+        predict_then_compare(fam, model, 0.25, 0.75, sphere=sphere, window_width=0.25),
+    ]
+    for rep in reports:
+        out = json.loads(json.dumps(rep.to_dict()))
+        assert isinstance(out, dict) and out

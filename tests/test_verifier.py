@@ -4,12 +4,12 @@ import pytest
 from hml.estimator import HMeasureEstimate, SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
 from hml.symbols import (
-    FrequencyDirection,
+    MODE_ORDER,
     MaterialModel,
     antisym_E,
     assemble_P,
     assemble_system_matrices,
-    eigen_structure,
+    mode_vectors,
 )
 from hml.synthesis import evolved_family, plane_wave_family, wkb_family, layered_phase
 from hml.verifier import (
@@ -215,9 +215,8 @@ def test_modal_fit_pure_dyad(smooth_model):
     x0 = (0.1, 0.05, 0.2)
     bins = np.zeros((SPHERE.num_bins, 6, 6), dtype=complex)
     b = SPHERE.flat_index(5, 4, 3)
-    zeta = FrequencyDirection.from_vec4(SPHERE.centers()[b])
-    es = eigen_structure(smooth_model, x0, zeta)
-    vec = es.vector("trans+1")
+    zp = SPHERE.centers()[b, 1:]
+    vec = mode_vectors(zp, smooth_model.eps_at(x0), smooth_model.eta_at(x0), ("trans+1",))[:, 0]
     bins[b] = np.outer(vec, vec)
     est = make_estimate({0.5: bins, 0.25: bins})
     fit = fit_modal_decomposition(est, smooth_model, x0)
@@ -240,8 +239,9 @@ def test_stacked_checks_match_per_bin_loops(smooth_model, rng):
     const = fit_constant_decomposition(est)
     loc = localisation_residual(est, "P", smooth_model, x0)
     centers = sphere.centers()
+    eps0, eta0 = smooth_model.eps_at(x0), smooth_model.eta_at(x0)
     for n, b in enumerate(modal.bin_indices):
-        basis = eigen_structure(smooth_model, x0, FrequencyDirection.from_vec4(centers[b])).basis
+        basis = mode_vectors(centers[b, 1:], eps0, eta0, MODE_ORDER)
         vals = [np.conj(A0 @ col) @ bins[b] @ (A0 @ col) for col in basis.T]
         got = [modal.coefficients[name][n] for name in ("a0", "b0", "ap", "bp", "am", "bm")]
         np.testing.assert_allclose(got, vals, rtol=1e-12)
@@ -253,7 +253,7 @@ def test_stacked_checks_match_per_bin_loops(smooth_model, rng):
         for name, block in blocks.items():
             assert const.coefficients[name][n] == pytest.approx(zp @ block @ zp / (zp @ zp) ** 2, rel=1e-12)
     for n, b in enumerate(loc.bin_indices):
-        P = assemble_P(smooth_model, x0, FrequencyDirection.from_vec4(centers[b]).vec4)
+        P = assemble_P(smooth_model, x0, centers[b])
         want = np.linalg.norm(P @ bins[b]) / np.linalg.norm(bins[b])
         assert loc.residuals[n] == pytest.approx(want, rel=1e-12)
 
@@ -261,13 +261,12 @@ def test_stacked_checks_match_per_bin_loops(smooth_model, rng):
 def test_modal_blocks_match_paper_display(smooth_model, rng):
     x0 = (0.2, -0.1, 0.3)
     zp = rng.normal(size=3)
-    zeta = FrequencyDirection(0.3, zp)
-    es = eigen_structure(smooth_model, x0, zeta)
+    basis = mode_vectors(zp, smooth_model.eps_at(x0), smooth_model.eta_at(x0), MODE_ORDER)
     coeffs = {n: float(v) for n, v in zip(("a0", "b0", "ap", "bp", "am", "bm"), rng.uniform(0, 2, 6))}
     M = np.zeros((6, 6))
-    for name, col in zip(("a0", "b0", "ap", "bp", "am", "bm"), es.basis.T):
+    for name, col in zip(("a0", "b0", "ap", "bp", "am", "bm"), basis.T):
         M += coeffs[name] * np.outer(col, col)
-    blocks = paper_sigma_blocks(smooth_model, x0, zeta.zetaP, coeffs)
+    blocks = paper_sigma_blocks(smooth_model, x0, zp, coeffs)
     np.testing.assert_allclose(M[:3, :3], blocks["s11"], atol=1e-12)
     np.testing.assert_allclose(M[:3, 3:], blocks["s12"], atol=1e-12)
     np.testing.assert_allclose(M[3:, :3], blocks["s21"], atol=1e-12)
