@@ -233,7 +233,9 @@ class HMeasureEstimate:
     ``bins``.  ``centroids[eps]`` holds per-bin mass-weighted mean
     directions (rows of NaN where a bin is empty), and ``dc_energy`` the
     separately-reported zero-frequency mass.  ``metadata["window"]``
-    describes the window.
+    describes the window, and ``metadata["bin_occupancy"]`` the number of
+    empty bins and the median lattice points per bin (a sphere finer than
+    the lattice leaves bins empty or nearly so).
     """
 
     sphere: SphereGrid
@@ -345,6 +347,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     window = phi.sample(grid)
     lattice = _lattice_bins(grid, sphere)
     scale = grid.cell_volume**2 / grid.box_volume
+    counts = np.diff(lattice.bounds[: sphere.num_bins + 1])  # lattice points per bin, DC excluded
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
         F1 = _spectra(np.asarray(family.fields[e]), window, lattice.order)
@@ -357,7 +360,9 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         history=history,
         centroids=centroids,
         dc_energy=dc_energy,
-        metadata={"kind": kind, "window": phi.describe(), "family": dict(family.metadata)},
+        metadata={"kind": kind, "window": phi.describe(), "family": dict(family.metadata),
+                  "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)),
+                                    "median_points": float(np.median(counts))}},
     )
 
 

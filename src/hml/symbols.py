@@ -3,10 +3,12 @@
 Everything here is a pure function of small inputs: a material model, a
 point x in space, and a spacetime frequency zeta = (zeta0, zeta'), passed
 as a plain 4-vector (or its spatial part zeta').  The matrices are the
-first-order symbol P = zeta0*A0 + sum_j zeta_j*A^j, the divergence symbol
-B and the dispersion matrix L = A0^{-1} * sum_j zeta_j A^j.  The curl
-block of every A^j comes from ``Q_MATRICES``, and ``mode_vectors`` is the
-one implementation of the polarization basis of the eigenmodes.
+coefficients (A0, A^1, A^2, A^3, C) of the system A0 du/dt + sum_j A^j d_j u
++ C u = f, its first-order symbol P = zeta0*A0 + sum_j zeta_j*A^j and the
+divergence symbol B.  ``A_MATRICES`` is the one encoding of the spatial
+coefficients A^j, built from the curl generators ``Q_MATRICES``, and
+``mode_vectors`` is the one implementation of the polarization basis of the
+eigenmodes.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "A_MATRICES",
     "MODE_ORDER",
     "Q_MATRICES",
     "MaterialModel",
-    "antisym_E",
     "assemble_system_matrices",
     "assemble_P",
     "assemble_divergence_symbol",
-    "dispersion_matrix",
     "propagation_basis",
     "mode_vectors",
 ]
@@ -51,6 +52,12 @@ Q_MATRICES = np.array(
     ]
 )
 Q_MATRICES.setflags(write=False)
+
+# Spatial coefficients A^j = [[0, Q_j^T], [Q_j, 0]]: sum_j A^j d_j u = (-curl H, curl E).
+A_MATRICES = np.zeros((3, 6, 6))
+A_MATRICES[:, :3, 3:] = Q_MATRICES.transpose(0, 2, 1)
+A_MATRICES[:, 3:, :3] = Q_MATRICES
+A_MATRICES.setflags(write=False)
 
 # The six eigenmodes, ordered by eigenvalue zeta0, zeta0 + v|zeta'|, zeta0 - v|zeta'|.
 MODE_ORDER = ("long-e", "long-h", "trans+1", "trans+2", "trans-1", "trans-2")
@@ -186,19 +193,11 @@ class MaterialModel:
         return eps, eta, sig
 
 
-def antisym_E(zetaP) -> np.ndarray:
-    """E(zeta') = sum_j zeta_j Q_j, the matrix of p -> zeta' x p.
-
-    ``zetaP`` has shape (..., 3); the result has shape (..., 3, 3).
-    """
-    return np.tensordot(np.asarray(zetaP, dtype=float), Q_MATRICES, axes=(-1, 0))
-
-
 def assemble_system_matrices(model: MaterialModel, x) -> tuple:
     """(A0, A1, A2, A3, C) of the symmetric first-order system at x.
 
-    A0 = blockdiag(eps*Id, eta*Id), A^k has off-diagonal blocks Q_k^T / Q_k,
-    C = blockdiag(sigma*Id, 0).
+    A0 = blockdiag(eps*Id, eta*Id), A^1..A^3 are the read-only entries of
+    ``A_MATRICES``, C = blockdiag(sigma*Id, 0).
     """
     model.check_in_domain(x)
     eps = model.eps_at(x)
@@ -207,22 +206,17 @@ def assemble_system_matrices(model: MaterialModel, x) -> tuple:
     A0 = np.zeros((6, 6))
     A0[:3, :3] = eps * np.eye(3)
     A0[3:, 3:] = eta * np.eye(3)
-    Ak = []
-    for k in range(3):
-        A = np.zeros((6, 6))
-        A[:3, 3:] = Q_MATRICES[k].T
-        A[3:, :3] = Q_MATRICES[k]
-        Ak.append(A)
     C = np.zeros((6, 6))
     C[:3, :3] = sig * np.eye(3)
-    return (A0, Ak[0], Ak[1], Ak[2], C)
+    return (A0, *A_MATRICES, C)
 
 
 def assemble_P(model: MaterialModel, x, zeta) -> np.ndarray:
     """P(x, zeta) = zeta0*A0 + sum_j zeta_j*A^j = [[zeta0 eps Id, -E], [E, zeta0 eta Id]].
 
-    ``zeta`` has shape (..., 4), e.g. a stack of unit 4-vectors; the result
-    has shape (..., 6, 6).
+    E = sum_j zeta_j Q_j is the matrix of p -> zeta' x p.  ``zeta`` has
+    shape (..., 4), e.g. a stack of unit 4-vectors; the result has shape
+    (..., 6, 6).
     """
     A = np.stack(assemble_system_matrices(model, x)[:4])
     return np.tensordot(np.asarray(zeta, dtype=float), A, axes=(-1, 0))
@@ -235,19 +229,6 @@ def assemble_divergence_symbol(zetaP) -> np.ndarray:
     """
     z = np.asarray(zetaP, dtype=float)
     return np.concatenate([z, z], axis=-1)[..., None] * np.eye(6)
-
-
-def dispersion_matrix(model: MaterialModel, x, zetaP) -> np.ndarray:
-    """L(x, zeta') = A0^{-1} sum_j zeta_j A^j = [[0, -E/eps], [E/eta, 0]].
-
-    ``zetaP`` has shape (..., 3); the result has shape (..., 6, 6).
-    """
-    model.check_in_domain(x)
-    eps = model.eps_at(x)
-    eta = model.eta_at(x)
-    E = antisym_E(zetaP)
-    Z = np.zeros_like(E)
-    return np.block([[Z, -E / eps], [E / eta, Z]])
 
 
 def propagation_basis(zetaP) -> tuple:
@@ -275,7 +256,7 @@ def propagation_basis(zetaP) -> tuple:
 
 
 def mode_vectors(zetaP, eps, eta, modes: Sequence[str]) -> np.ndarray:
-    """Eigenvectors of A0^{-1} P = zeta0*Id + L for the named modes, as columns.
+    """Eigenvectors of A0^{-1} P(x, zeta) for the named modes, as columns.
 
     The eigenvalue of a ``MODE_ORDER`` entry is zeta0 for "long-*",
     zeta0 + v|zeta'| for "trans+*" and zeta0 - v|zeta'| for "trans-*", with

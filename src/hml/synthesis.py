@@ -25,11 +25,11 @@ import scipy.linalg
 
 from .grids import GridSpec, SeparableWindow
 from .symbols import (
-    Q_MATRICES,
+    A_MATRICES,
     MaterialModel,
     UnsupportedGeneratorError,
+    assemble_P,
     assemble_system_matrices,
-    dispersion_matrix,
     mode_vectors,
 )
 
@@ -62,7 +62,7 @@ class OscillatingFamily:
     """Fields u^eps = (E, H) and optional sources f^eps.
 
     ``fields[eps]`` has shape (6,) + grid.shape, complex; sources match.
-    Epsilons are strictly decreasing.
+    Epsilons are strictly decreasing, and every entry is finite.
     """
 
     grid: GridSpec
@@ -84,6 +84,9 @@ class OscillatingFamily:
                 raise ValueError("field array shape mismatch with grid")
             if self.sources is not None and (e not in self.sources or self.sources[e].shape != shape):
                 raise ValueError(f"source at eps={e} missing or not of shape {shape}")
+            arrays = (self.fields[e],) if self.sources is None else (self.fields[e], self.sources[e])
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise ValueError(f"non-finite field or source entry at eps={e}")
 
     @property
     def finest(self) -> float:
@@ -171,7 +174,7 @@ def plane_wave_family(
         fields[e] = S[4][None, ...] * b.reshape(6, 1, 1, 1, 1)
         # residual: sum_l A^l b d_l(env) osc + (C b + (2 pi i/eps) P b) env osc
         V = np.column_stack([*Ab, C @ b + (2j * np.pi / e) * Pb])
-        sources[e] = np.einsum("ij,j...->i...", V, S)
+        sources[e] = np.tensordot(V, S, axes=1)
 
     meta = {
         "generator": "plane_wave",
@@ -184,11 +187,21 @@ def plane_wave_family(
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
-def _spatial_ode_matrices(model: MaterialModel, grid: GridSpec) -> np.ndarray:
-    """M(xi) = -2 pi i L(xi) - A0^{-1} C on the spatial frequency lattice."""
+def _propagator(model: MaterialModel, grid: GridSpec) -> np.ndarray:
+    """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), per spatial frequency."""
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
-    xi = np.stack(np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij"), axis=-1)
-    return -2j * np.pi * dispersion_matrix(model, (0.0, 0.0, 0.0), xi) - np.linalg.inv(A0) @ C
+    xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
+    P = assemble_P(model, (0.0, 0.0, 0.0), np.stack([np.zeros_like(xi[0]), *xi], axis=-1))
+    return scipy.linalg.expm(-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0])
+
+
+def _evolve(prop: np.ndarray, initial: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Step spatial data (6,) + spatial shape through every grid time with ``prop``."""
+    out = np.empty((grid.shape[0],) + grid.spatial_shape + (6,), dtype=np.complex128)
+    out[0] = np.moveaxis(np.fft.fftn(initial, axes=(1, 2, 3)), 0, -1)
+    for n in range(1, grid.shape[0]):
+        out[n] = np.einsum("...ij,...j->...i", prop, out[n - 1])
+    return np.fft.ifftn(np.moveaxis(out, -1, 0), axes=(2, 3, 4))  # (6, nt, ...)
 
 
 def exact_constant_evolution(
@@ -197,28 +210,16 @@ def exact_constant_evolution(
     """Exact spectral solution of A0 du/dt + sum_j A^j d_j u + C u = 0.
 
     ``initial`` has shape (6,) + spatial shape; the result covers all grid
-    times via one matrix exponential per spatial frequency, applied as a
-    one-step propagator on the uniform time axis.
+    times via one matrix exponential per spatial frequency, the propagator
+    expm(M dt) with M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), applied as a
+    one-step map on the uniform time axis.
     """
     if not model.is_constant:
         raise UnsupportedGeneratorError("exact evolution requires a constant model")
     initial = np.asarray(initial)
     if initial.shape != (6,) + grid.spatial_shape:
         raise ValueError("initial data shape mismatch")
-    dt = grid.spacing[0]
-    M = _spatial_ode_matrices(model, grid)
-    prop = scipy.linalg.expm(M * dt)
-    uhat = np.fft.fftn(initial, axes=(1, 2, 3))
-    uhat = np.moveaxis(uhat, 0, -1)  # (..., 6)
-    nt = grid.shape[0]
-    out = np.empty((nt,) + grid.spatial_shape + (6,), dtype=np.complex128)
-    cur = uhat
-    for n in range(nt):
-        out[n] = cur
-        if n + 1 < nt:
-            cur = np.einsum("...ij,...j->...i", prop, cur)
-    out = np.moveaxis(out, -1, 0)  # (6, nt, ...)
-    return np.fft.ifftn(out, axes=(2, 3, 4))
+    return _evolve(_propagator(model, grid), initial, grid)
 
 
 def evolved_family(
@@ -231,9 +232,11 @@ def evolved_family(
 ) -> OscillatingFamily:
     """Exact constant-coefficient solutions seeded with a polarized oscillation.
 
-    Initial data b_mode * env(x) * exp(2 pi i x.k/eps) evolved exactly; the
-    source term is identically zero, so these families satisfy every
-    hypothesis of the propagation theorems at the discrete level.
+    Initial data b_mode * env(x) * exp(2 pi i x.k/eps) evolved exactly, as
+    in ``exact_constant_evolution``, with one propagator for the whole
+    ladder (it does not depend on eps); the source term is identically
+    zero, so these families satisfy every hypothesis of the propagation
+    theorems at the discrete level.
     """
     if not model.is_constant:
         raise UnsupportedGeneratorError("evolved_family requires a constant model")
@@ -250,10 +253,11 @@ def evolved_family(
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
+    prop = _propagator(model, grid)
     fields = {}
     for e in eps_list:
         u0 = (env * np.exp((2j * np.pi / e) * sphase))[None, ...] * b.reshape(6, 1, 1, 1)
-        fields[e] = exact_constant_evolution(model, u0, grid)
+        fields[e] = _evolve(prop, u0, grid)
 
     meta = {
         "generator": "evolved",
@@ -343,19 +347,19 @@ def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> 
 
 
 def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, derivatives spectral."""
+    """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, derivatives spectral.
+
+    The curl part is added one axis at a time from ``A_MATRICES``, each A^j
+    differentiating only the four components it reads.
+    """
     epsf, etaf, sigf = (f[None, ...] for f in model.sample_fields(*grid.spatial_meshes()))
-    dt_u = _spectral_derivative(u, grid, 0)
-    res = np.empty_like(u)
-    res[:3] = epsf * dt_u[:3] + sigf * u[:3]
-    res[3:] = etaf * dt_u[3:]
-    # sum_j A^j d_j u: bottom sum_j Q_j d_j E = curl E, top sum_j Q_j^T d_j H = -curl H;
-    # with d[c, j] = d_j u_c each block contracts (k, j) against Q_j[i, k] or Q_j[k, i]
-    d = np.empty((6, 3) + grid.shape, dtype=np.complex128)
-    for j in range(3):
-        d[:, j] = _spectral_derivative(u, grid, 1 + j)
-    res[3:] += np.tensordot(Q_MATRICES.transpose(1, 2, 0), d[:3], axes=2)
-    res[:3] += np.tensordot(Q_MATRICES.transpose(2, 1, 0), d[3:], axes=2)
+    res = _spectral_derivative(u, grid, 0)
+    res[:3] *= epsf
+    res[:3] += sigf * u[:3]
+    res[3:] *= etaf
+    for j, A in enumerate(A_MATRICES):
+        c = np.flatnonzero(A.any(axis=0))  # the four components A^j reads
+        res += np.tensordot(A[:, c], _spectral_derivative(u[c], grid, 1 + j), axes=1)
     return res
 
 

@@ -360,7 +360,10 @@ def _interior_times(times: np.ndarray) -> tuple:
 
 
 def _subtract_rhs(rows_spec: list, mu_uf_rhs: dict | None, blocks: tuple) -> None:
-    """Append -mu_uf_rhs[block] on the interior levels to each row's terms; none without a rhs."""
+    """Append -mu_uf_rhs[block] on the interior levels to each row's terms; none without a rhs.
+
+    Every residual row (transport and divergence) takes its right-hand side here.
+    """
     if mu_uf_rhs is not None:
         for (_, terms), block in zip(rows_spec, blocks):
             terms.append(-np.asarray(mu_uf_rhs[block])[1:-1])
@@ -526,11 +529,12 @@ def divergence_constraint_residual(
     if common.size == 0:
         return {"skipped": True, "reason": "no common mass-carrying bins across windows"}
     interior = positions[1:-1]
-    rhs = [] if mu_urho_rhs is None else [-np.stack([np.asarray(m) for m in mu_urho_rhs])[1:-1, common]]
     rows_spec = []
     for name, vals in data.items():
         lhs = (centers[None, :, 1 + axis] ** 2) * _derivative(vals, positions)[1:-1]
-        rows_spec.append((name, [lhs[:, common]] + rhs))
+        rows_spec.append((name, [lhs[:, common]]))
+    rhs = None if mu_urho_rhs is None else {"11": np.stack([np.asarray(m) for m in mu_urho_rhs])[:, common]}
+    _subtract_rhs(rows_spec, rhs, ("11",) * len(rows_spec))
     rows, _ = _weak_rows(rows_spec, interior, centers[common], sphere.weights()[common], np.ones(interior.size))
     densities = {name: {"max_relative": max(r["relative"] for r in rows if r["row"] == name)}
                  for name, _ in rows_spec}

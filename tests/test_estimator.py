@@ -28,6 +28,18 @@ def _family(mode="trans+1", envelope=None, epsilons=EPS2, model=None, k=(0, 0, 1
 
 # ---------------------------------------------------------------- sphere grid
 
+@pytest.mark.parametrize(
+    "sphere, empty, median", [(SphereGrid(), 3276, 3.0), (SphereGrid(8, 8, 16), 162, 33.5)], ids=["default", "coarse"]
+)
+def test_bin_occupancy_reported(sphere, empty, median):
+    # a sphere finer than the 16^4 lattice leaves bins empty or nearly so; the estimate says how many
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    fam = plane_wave_family(MaterialModel.constant(), grid, (0, 0, 1.0), "trans+1", hann_window(grid), EPS2)
+    w = hann_window(grid, axes=(0,))
+    for est in (estimate_hmeasure(fam, w, sphere), correlation_measure(fam, charge_tilde_fields(fam), w, sphere)):
+        assert est.metadata["bin_occupancy"] == {"empty_bins": empty, "median_points": median}
+
+
 def test_sphere_weights_total():
     for sph in (SphereGrid(), SphereGrid(4, 4, 4), SPHERE):
         assert sph.weights().sum() == pytest.approx(2 * np.pi**2, rel=1e-12)

@@ -16,6 +16,20 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_Q_MATRICES_named_only_in_symbols():
+    # the curl generators reach every other module through A_MATRICES or the assembled matrices
+    users = []
+    for path in sorted(Path(hml.__file__).parent.glob("*.py")):
+        if path.name == "symbols.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "Q_MATRICES" in names:
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
+
+
 def test_no_private_names_imported_across_modules():
     private = []
     for path in sorted(Path(hml.__file__).parent.glob("*.py")):

@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hml.symbols import (
+    A_MATRICES,
     MODE_ORDER,
     DegenerateDirectionError,
     MaterialModel,
     Q_MATRICES,
-    antisym_E,
     assemble_P,
     assemble_divergence_symbol,
     assemble_system_matrices,
-    dispersion_matrix,
     mode_vectors,
     propagation_basis,
 )
@@ -22,30 +21,21 @@ unit3 = st.tuples(
 ).filter(lambda t: 0.1 < np.linalg.norm(t) < 1.7)
 
 
-# ---------------------------------------------------------------- antisym_E
-
-def test_antisym_E_axis_value():
-    expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(antisym_E((0, 0, 1)), expected)
-
-
-def test_antisym_E_zero_input():
-    np.testing.assert_array_equal(antisym_E((0, 0, 0)), np.zeros((3, 3)))
-
+# ------------------------------------------------ curl block E(zeta') of P
 
 @settings(max_examples=200, deadline=None)
 @given(z=unit3, p=unit3)
-def test_antisym_E_is_cross_product(z, p):
+def test_curl_block_is_cross_product(z, p):
+    # P(x, (0, zeta')) = [[0, -E], [E, 0]] with E p = zeta' x p, and E antisymmetric
     z = np.asarray(z)
     p = np.asarray(p)
-    assert np.max(np.abs(antisym_E(z) @ p - np.cross(z, p))) <= 1e-14
-
-
-def test_antisym_E_antisymmetric(rng):
-    for _ in range(20):
-        z = rng.normal(size=3)
-        E = antisym_E(z)
-        np.testing.assert_array_equal(E.T, -E)
+    P = assemble_P(MaterialModel.constant(1.3, 0.8, 0.2), (0, 0, 0), np.concatenate([[0.0], z]))
+    E = P[3:, :3]
+    assert np.max(np.abs(E @ p - np.cross(z, p))) <= 1e-14
+    np.testing.assert_array_equal(E.T, -E)
+    np.testing.assert_array_equal(P[:3, 3:], -E)
+    np.testing.assert_array_equal(P[:3, :3], np.zeros((3, 3)))
+    np.testing.assert_array_equal(P[3:, 3:], np.zeros((3, 3)))
 
 
 # ------------------------------------------------- system matrices A^k and C
@@ -76,9 +66,21 @@ def test_system_matrices_symmetric(smooth_model, rng):
             np.testing.assert_allclose(M, M.T, atol=0)
 
 
-def test_E_matches_Q_expansion(rng):
+def test_E_matches_Q_expansion(smooth_model, rng):
     z = rng.normal(size=3)
-    np.testing.assert_allclose(antisym_E(z), sum(z[k] * Q_MATRICES[k] for k in range(3)), atol=1e-15)
+    P = assemble_P(smooth_model, (0.1, -0.2, 0.3), np.concatenate([[0.0], z]))
+    np.testing.assert_allclose(P[3:, :3], sum(z[k] * Q_MATRICES[k] for k in range(3)), atol=1e-15)
+
+
+def test_spatial_coefficients_are_A_MATRICES(smooth_model):
+    # A^j = [[0, Q_j^T], [Q_j, 0]] for every j, the same read-only matrices at every x and model
+    for j, (A, Q) in enumerate(zip(A_MATRICES, Q_MATRICES)):
+        np.testing.assert_array_equal(A, np.block([[np.zeros((3, 3)), Q.T], [Q, np.zeros((3, 3))]]))
+        for model, x in ((smooth_model, (0.1, -0.2, 0.3)), (MaterialModel.constant(2.0, 0.5, 0.3), (0, 0, 0))):
+            Aj = assemble_system_matrices(model, x)[1 + j]
+            np.testing.assert_array_equal(Aj, A)
+            assert not Aj.flags.writeable
+    assert not A_MATRICES.flags.writeable
 
 
 # ----------------------------------------------------------------- symbol P
@@ -115,16 +117,13 @@ def test_stacked_symbols_match_per_direction(smooth_model, rng):
     zetas = rng.normal(size=(50, 4))
     P = assemble_P(smooth_model, x, zetas)
     B = assemble_divergence_symbol(zetas[:, 1:])
-    E = antisym_E(zetas[:, 1:])
-    L = dispersion_matrix(smooth_model, x, zetas[:, 1:])
-    assert P.shape == B.shape == L.shape == (50, 6, 6) and E.shape == (50, 3, 3)
+    assert P.shape == B.shape == (50, 6, 6)
     eps, eta, I3 = smooth_model.eps_at(x), smooth_model.eta_at(x), np.eye(3)
     for n, (z0, *zp) in enumerate(zetas):
         En = np.cross(zp, I3).T  # column j is zeta' x e_j
-        np.testing.assert_allclose(E[n], En, atol=1e-15)
         np.testing.assert_allclose(P[n], np.block([[z0 * eps * I3, -En], [En, z0 * eta * I3]]), atol=1e-14)
+        np.testing.assert_array_equal(P[n], assemble_P(smooth_model, x, zetas[n]))
         np.testing.assert_array_equal(B[n], np.diag(np.concatenate([zp, zp])))
-        np.testing.assert_array_equal(L[n], dispersion_matrix(smooth_model, x, zp))
 
 
 # --------------------------------------------------------- divergence symbol
@@ -146,33 +145,31 @@ def test_divergence_block_determinant(rng):
         assert np.linalg.det(B[:3, :3]) == pytest.approx(z[0] * z[1] * z[2], rel=1e-12, abs=1e-15)
 
 
-# --------------------------------------------------------- dispersion matrix
+# ------------------------------- dispersion matrix L = A0^{-1} sum_j zeta_j A^j
 
 def test_dispersion_entries_along_axis():
     model = MaterialModel.constant(1.0, 1.0, 0.0)
-    L = dispersion_matrix(model, (0, 0, 0), (0.0, 0.0, 1.0))
+    L = assemble_P(model, (0, 0, 0), (0.0, 0.0, 0.0, 1.0))  # A0 = Id, so L(e3) = P(0, e3)
+    E3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # p -> e3 x p
     expected = np.zeros((6, 6))
-    expected[:3, 3:] = -antisym_E((0, 0, 1))
-    expected[3:, :3] = antisym_E((0, 0, 1))
+    expected[:3, 3:] = -E3
+    expected[3:, :3] = E3
     np.testing.assert_array_equal(L, expected)
     # explicit entries, top-right block rows (0,1,0), (-1,0,0), (0,0,0)
     assert L[0, 4] == 1.0 and L[1, 3] == -1.0 and L[4, 0] == 1.0 and L[3, 1] == -1.0
 
 
 def test_dispersion_zero_direction(smooth_model):
-    np.testing.assert_array_equal(dispersion_matrix(smooth_model, (0.1, 0, 0), (0, 0, 0)), np.zeros((6, 6)))
+    # zeta = 0 gives P = 0: the curl block E(0) and L(0) vanish
+    np.testing.assert_array_equal(assemble_P(smooth_model, (0.1, 0, 0), np.zeros(4)), np.zeros((6, 6)))
 
 
 def test_dispersion_spectrum(smooth_model, rng):
     for _ in range(30):
         x = rng.uniform(-0.5, 0.5, size=3)
-        zp = rng.normal(size=3)
-        L = dispersion_matrix(smooth_model, x, zp)
-        v = smooth_model.speed_at(x)
-        r = np.linalg.norm(zp)
+        L, _, omegas = _eigenpairs(smooth_model, x, np.concatenate([[0.0], rng.normal(size=3)]))
         got = np.sort(np.linalg.eigvals(L).real)
-        want = np.sort([0, 0, v * r, v * r, -v * r, -v * r])
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        np.testing.assert_allclose(got, np.sort(omegas), atol=1e-9)  # 0, 0, +-v|zeta'| twice
 
 
 # --------------------------------------------------------- propagation basis

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
@@ -151,6 +152,16 @@ def test_family_rejects_malformed_sources(bad_sources):
         OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fam.fields, sources=bad_sources(fam))
 
 
+@pytest.mark.parametrize("where, value", [("fields", np.nan), ("sources", np.inf)], ids=["nan_field", "inf_source"])
+def test_family_rejects_non_finite_data(where, value):
+    # a NaN entry used to pass, and the estimate's mass and every check downstream read NaN or 0
+    fam = _family()
+    arrays = {name: {e: a.copy() for e, a in getattr(fam, name).items()} for name in ("fields", "sources")}
+    arrays[where][fam.finest][2, 1, 3, 4, 5] = value
+    with pytest.raises(ValueError, match=f"non-finite field or source entry at eps={fam.finest}"):
+        OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **arrays)
+
+
 # ------------------------------------------------------------- exact evolution
 
 def test_evolution_zero_initial():
@@ -188,6 +199,17 @@ def test_evolution_longitudinal_damping():
     got = out[2, :, 0, 0, 0]
     np.testing.assert_allclose(got, np.exp(-t), rtol=1e-12)
     assert np.max(np.abs(out[[0, 1, 3, 4, 5]])) <= 1e-14
+
+
+def test_evolved_family_builds_one_propagator(monkeypatch):
+    # expm(M dt) does not depend on eps: one matrix exponential serves the whole ladder
+    expm, calls = scipy.linalg.expm, []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+    fam = evolved_family(MaterialModel.constant(1.0, 1.0, 0.5), GRID, (0, 0, 1.0), "trans+1", EPS2)
+    assert len(calls) == 1 and len(fam.epsilons) == 2
+    u0 = fam.fields[fam.finest][:, 0]
+    again = exact_constant_evolution(MaterialModel.constant(1.0, 1.0, 0.5), u0, GRID)
+    np.testing.assert_allclose(again, fam.fields[fam.finest], rtol=0, atol=1e-13)
 
 
 def test_evolved_family_source_free_metadata():
