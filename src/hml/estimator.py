@@ -7,24 +7,27 @@ unit sphere of R^4, weighting every frequency shell equally (the radial
 integral of the defining formula).  The finest-scale value is reported
 together with the per-scale history.
 
-Each bin value is the Gram matrix sum over the bin of u^(xi) u^(xi)*.  The
-lattice is sorted by bin once per (grid, sphere) and cached, the spectra
-are gathered into that order, and each non-empty bin is one small real
-GEMM over a contiguous run of rows.
+Fields arrive factored, u = V s (``synthesis.FactoredField``; a plain
+array is V = I), and an H-measure moves with a constant matrix, so the
+estimator FFTs the r scalars s, bins an r x r' Gram matrix G, and returns
+V G V'^H.  A plane wave is r = 1 and its source r = 5, where the full
+fields have six components each.  The lattice is sorted by bin once per
+(grid, sphere) and cached, the spectra are gathered into that order, and
+each non-empty bin of G is one small real GEMM over a contiguous run of
+rows.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
 
-from .grids import GridSpec, SeparableWindow
-from .synthesis import AliasingError, OscillatingFamily, charge_density
+from .grids import GridSpec, SeparableWindow, fft_workers, set_workers
+from .synthesis import AliasingError, FactoredField, OscillatingFamily, charge_density
 
 __all__ = [
     "SphereGrid",
@@ -37,19 +40,6 @@ __all__ = [
     "charge_tilde_fields",
     "set_workers",
 ]
-
-_WORKERS = None
-
-
-def set_workers(n: int | None) -> None:
-    """FFT worker threads; None (the default) means the CPU count."""
-    global _WORKERS
-    _WORKERS = n
-
-
-def _workers() -> int:
-    return _WORKERS if _WORKERS is not None else os.cpu_count() or 1
-
 
 @dataclass(frozen=True)
 class SphereGrid:
@@ -235,7 +225,8 @@ class HMeasureEstimate:
     separately-reported zero-frequency mass.  ``metadata["window"]``
     describes the window, and ``metadata["bin_occupancy"]`` the number of
     empty bins and the median lattice points per bin (a sphere finer than
-    the lattice leaves bins empty or nearly so).
+    the lattice leaves bins empty or nearly so).  ``metadata["factor_rank"]``
+    is (r, r'), the number of scalar factors transformed per sequence.
     """
 
     sphere: SphereGrid
@@ -279,33 +270,40 @@ class HMeasureEstimate:
         return float(np.min(vals[:, 0] / tr[keep]))
 
 
-def _cross_bins(F1, F2, lattice: _Lattice, sphere, scale):
-    """Accumulate each sphere bin as one Gram matrix of the bin-sorted spectra.
+def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
+    """FFT r scalars, bin an r x r' Gram, return V G V'^H.
 
-    F1: (Npts, p) and F2: (Npts, q) spectra in the lattice's bin order; F2
-    is F1 for an auto measure.  Returns (bins (B,p,q), unit centroid (B,4)
-    with NaN rows for massless bins, dc (complex)).  Each non-empty bin is
-    one real GEMM over the float64 views (Npts, 2p) and (Npts, 2q), with
-    the complex sum read off the interleaved real and imaginary parts.  A
-    real GEMM, not a complex ``@``: NumPy sends a one-column complex product
-    to gemv, whose rounding would part a q = 1 measure from column 0 of a
-    padded one, while the real view always has at least two columns.  When
-    F2 is F1, NumPy forms X.T @ X by one triangle and its mirror (syrk), so
-    the bins are exactly Hermitian.
+    F1: (Npts, r) and F2: (Npts, r') are the spectra of the scalar factors
+    in the lattice's bin order, F2 is F1 for an auto measure, and V1 (p, r)
+    and V2 (q, r') the orthonormal polarization factors.  Returns (bins
+    (B,p,q), unit centroid (B,4) with NaN rows for massless bins, dc
+    (complex)).  Each non-empty bin of G is one real GEMM over the float64
+    views (Npts, 2r) and (Npts, 2r'), with the complex sum read off the
+    interleaved real and imaginary parts.  A real GEMM, not a complex
+    ``@``: NumPy sends a one-column complex product to gemv, whose rounding
+    would part a q = 1 measure from column 0 of a padded one, while the
+    real view always has at least two columns.  When F2 is F1, NumPy forms
+    X.T @ X by one triangle and its mirror (syrk), so G is exactly
+    Hermitian.  The bins are V1 G V2^H.  Orthonormal factors keep each
+    lattice point's mass |u^|^2 = |s^|^2, so the centroids need no
+    expansion of the spectra; the DC term is the sum over the first
+    min(p, q) components of the expanded DC vectors.
     """
     B = sphere.num_bins
-    p, q = F1.shape[1], F2.shape[1]
+    r1, r2 = F1.shape[1], F2.shape[1]
     X, Y = F1.view(np.float64), F2.view(np.float64)
-    M = np.zeros((B, 2 * p, 2 * q))
+    M = np.zeros((B, 2 * r1, 2 * r2))
     starts, stops = lattice.bounds[:B], lattice.bounds[1 : B + 1]
     nonempty = np.flatnonzero(stops > starts)
     for b in nonempty.tolist():
         s, e = starts[b], stops[b]
         np.matmul(X[s:e].T, Y[s:e], out=M[b])
-    bins = np.empty((B, p, q), dtype=np.complex128)
-    bins.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
-    bins.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]
-    bins *= scale
+    G = np.empty((B, r1, r2), dtype=np.complex128)
+    G.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
+    G.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]
+    G *= scale
+    # V = I expands G to itself exactly, so the product is skipped there
+    bins = G if all(np.array_equal(V, np.eye(len(V))) for V in (V1, V2)) else V1 @ G @ V2.conj().T
     # the centroid is normalised, so the mass-weighted sums need no division by the bin mass
     n = lattice.bounds[B]
     mass = np.einsum("ij,ij->i", X[:n], X[:n])
@@ -316,26 +314,29 @@ def _cross_bins(F1, F2, lattice: _Lattice, sphere, scale):
     good = norms > 0
     cent = np.full((B, 4), np.nan)
     cent[nonempty[good]] = sums[good] / norms[good, None]
-    m = min(p, q)
-    dc = complex(np.sum(F1[-1, :m] * np.conj(F2[-1, :m])) * scale)
+    d1, d2 = V1 @ F1[-1], V2 @ F2[-1]
+    m = min(d1.size, d2.size)
+    dc = complex(np.sum(d1[:m] * np.conj(d2[:m])) * scale)
     return bins, cent, dc
 
 
 def _spectra(fields: np.ndarray, window: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Windowed 4-D DFT of (p,) + grid.shape fields as a contiguous (Npts, p) array in bin order."""
+    """Windowed 4-D DFT of (r,) + grid.shape fields as a contiguous (Npts, r) array in bin order."""
     buf = np.empty(fields.shape[1:] + fields.shape[:1], dtype=np.complex128)
     np.multiply(np.moveaxis(fields, 0, -1), window[..., None], out=buf)
-    F = scipy.fft.fftn(buf, axes=(0, 1, 2, 3), overwrite_x=True, workers=_workers())
+    F = scipy.fft.fftn(buf, axes=(0, 1, 2, 3), overwrite_x=True, workers=fft_workers())
     return np.take(F.reshape(-1, F.shape[-1]), order, axis=0)
 
 
 def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere, kind: str) -> HMeasureEstimate:
     """Per-scale window -> spectra -> bins loop behind both public measures.
 
-    Refuses a one-scale ladder and an under-resolved family.  ``g_fields``
-    None pairs the family with itself and fills the Hermitian half from one
-    set of spectra; otherwise u^eps is paired with the m components that
-    g^eps has, giving (B, 6, m) bins.
+    Refuses a one-scale ladder and an under-resolved family.  Every entry
+    is read as its factors (V, s), and only the r scalars of s are
+    windowed and transformed.  ``g_fields`` None pairs the family with
+    itself and fills the Hermitian half from one set of spectra; otherwise
+    u^eps is paired with the m components that g^eps has, giving (B, 6, m)
+    bins.
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
@@ -350,9 +351,11 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     counts = np.diff(lattice.bounds[: sphere.num_bins + 1])  # lattice points per bin, DC excluded
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
-        F1 = _spectra(np.asarray(family.fields[e]), window, lattice.order)
-        F2 = F1 if hermitian else _spectra(np.asarray(g_fields[e]), window, lattice.order)
-        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, lattice, sphere, scale)
+        u = FactoredField.of(family.fields[e])
+        g = u if hermitian else FactoredField.of(g_fields[e])
+        F1 = _spectra(u.s, window, lattice.order)
+        F2 = F1 if hermitian else _spectra(g.s, window, lattice.order)
+        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
     return HMeasureEstimate(
         sphere=sphere,
         grid=grid,
@@ -362,7 +365,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         dc_energy=dc_energy,
         metadata={"kind": kind, "window": phi.describe(), "family": dict(family.metadata),
                   "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)),
-                                    "median_points": float(np.median(counts))}},
+                                    "median_points": float(np.median(counts))},
+                  "factor_rank": (u.rank, g.rank)},
     )
 
 
@@ -381,9 +385,9 @@ def estimate_hmeasure(
 
 
 def source_fields(family: OscillatingFamily) -> dict:
-    """The recorded Maxwell residual f^eps per scale (zero arrays if absent)."""
+    """The recorded Maxwell residual f^eps per scale, as held (zero arrays if absent)."""
     if family.sources is not None:
-        return {e: np.asarray(family.sources[e]) for e in family.epsilons}
+        return {e: family.sources[e] for e in family.epsilons}
     return {e: np.zeros((6,) + family.grid.shape, dtype=complex) for e in family.epsilons}
 
 
@@ -430,9 +434,9 @@ def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray
     vals = a(f0 / rs, f1 / rs, f2 / rs, f3 / rs)
     vals = np.where(ok, vals, 1.0)
     axes = tuple(range(u.ndim - 4, u.ndim))
-    U = scipy.fft.fftn(u.astype(np.complex128, copy=False), axes=axes, workers=_workers())
+    U = scipy.fft.fftn(u.astype(np.complex128, copy=False), axes=axes, workers=fft_workers())
     U *= vals.reshape((1,) * len(lead) + grid.shape)
-    return scipy.fft.ifftn(U, axes=axes, workers=_workers())
+    return scipy.fft.ifftn(U, axes=axes, workers=fft_workers())
 
 
 def cutoff_multiply(b: SeparableWindow, u: np.ndarray, grid: GridSpec) -> np.ndarray:

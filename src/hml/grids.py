@@ -4,16 +4,32 @@ The sampling box is [0,T] x [0,L1] x [0,L2] x [0,L3] with power-of-two
 shapes so that 4-D FFTs stay cheap.  Windows are tensor products of
 per-axis factors; each factor is either identically one or a raised
 cosine supported on a subinterval, and carries its analytic derivative.
+Every DFT in the package (``scipy.fft``) runs on ``fft_workers()`` threads,
+the one setting ``set_workers`` changes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["GridSpec", "AxisWindow", "SeparableWindow", "hann_window", "full_window"]
+__all__ = ["GridSpec", "AxisWindow", "SeparableWindow", "hann_window", "full_window", "set_workers", "fft_workers"]
+
+_WORKERS = None
+
+
+def set_workers(n: int | None) -> None:
+    """FFT worker threads; None (the default) means the CPU count."""
+    global _WORKERS
+    _WORKERS = n
+
+
+def fft_workers() -> int:
+    """The FFT worker count every transform in the package uses."""
+    return _WORKERS if _WORKERS is not None else os.cpu_count() or 1
 
 
 def _is_pow2(n: int) -> bool:

@@ -1,14 +1,22 @@
 """Synthetic oscillating field families with known microlocal content.
 
 Families are sampled 6-component complex fields u = (E, H) on a periodic
-spacetime grid, one array per scale in a decreasing epsilon ladder,
+spacetime grid, one entry per scale in a decreasing epsilon ladder,
 optionally with the Maxwell residual recorded as a source term f.  The
 electric charge rho = div E is computed on demand (``charge_density``).
+
+An entry is either a (6,) + grid array or a ``FactoredField``: a constant
+polarization factor V (6, r) with orthonormal columns and r scalar fields
+s, with u = V s.  An H-measure moves with a constant matrix, mu_{Vs} =
+V mu_s V^H (Tartar 1990), so the estimator and ``charge_density`` work on
+the r scalars; a plain array is the r = 6, V = I case.  The full array of
+a factored entry is formed only by ``FactoredField.materialise``, which
+``np.asarray`` calls.
 Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
-  along one of the six eigenmodes, with the envelope commutator recorded
-  as the source.
+  along one of the six eigenmodes (rank-one fields), with the envelope
+  commutator recorded as the source (rank five).
 * evolved_family / exact_constant_evolution: spectral matrix-exponential
   solution of the constant-coefficient system (the source is exactly zero).
 * wkb_family: variable-coefficient phase/amplitude fields aligned with a
@@ -21,9 +29,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
-from .grids import GridSpec, SeparableWindow
+from .grids import GridSpec, SeparableWindow, fft_workers
 from .symbols import (
     A_MATRICES,
     MaterialModel,
@@ -34,6 +43,7 @@ from .symbols import (
 )
 
 __all__ = [
+    "FactoredField",
     "OscillatingFamily",
     "PhaseField",
     "ladder_epsilons",
@@ -57,12 +67,75 @@ class AliasingError(ValueError):
     """Raised when an oscillation would fall under four samples per cycle."""
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredField:
+    """A field u = V s held as its factors.
+
+    ``V`` (p, r) has orthonormal columns and ``s`` (r,) + grid holds the r
+    scalar fields, so |u|^2 = |s|^2 pointwise and in every Fourier mode.
+    ``shape`` is the shape of u; ``materialise`` (and so ``np.asarray``)
+    is the one method that forms it.
+    """
+
+    V: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        V = self.V
+        if V.ndim != 2 or V.shape[1] != self.s.shape[0]:
+            raise ValueError(f"polarization factor of shape {V.shape} does not match {self.s.shape[0]} scalars")
+        if not np.allclose(V.conj().T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12):
+            raise ValueError("polarization factor columns are not orthonormal")
+
+    @classmethod
+    def from_polarization(cls, V, s) -> FactoredField:
+        """The factors of u = V s, V's columns made orthonormal by one QR (s <- R s)."""
+        Q, R = np.linalg.qr(np.asarray(V, dtype=np.complex128))
+        return cls(Q, np.tensordot(R, s, axes=1))
+
+    @classmethod
+    def of(cls, u) -> FactoredField:
+        """``u`` if it is factored, else the (p,) + grid array u as V = I, s = u."""
+        if isinstance(u, cls):
+            return u
+        u = np.asarray(u)
+        return cls(np.eye(u.shape[0]), u)
+
+    @property
+    def shape(self) -> tuple:
+        return self.V.shape[:1] + self.s.shape[1:]
+
+    @property
+    def rank(self) -> int:
+        return self.V.shape[1]
+
+    def materialise(self) -> np.ndarray:
+        """The full (p,) + grid array V s."""
+        return np.tensordot(self.V, self.s, axes=1)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a factored field has no array to view without a copy")
+        u = self.materialise()
+        return u if dtype is None else u.astype(dtype, copy=False)
+
+    def __eq__(self, other):
+        # Python's fallback would compare identities and answer one bool for every entry
+        raise TypeError("a factored field has no elementwise comparison; compare np.asarray(field)")
+
+    __ne__ = __eq__
+    __hash__ = object.__hash__
+
+
 @dataclass
 class OscillatingFamily:
     """Fields u^eps = (E, H) and optional sources f^eps.
 
-    ``fields[eps]`` has shape (6,) + grid.shape, complex; sources match.
-    Epsilons are strictly decreasing, and every entry is finite.
+    ``fields[eps]`` and ``sources[eps]`` are (6,) + grid.shape complex
+    arrays or ``FactoredField`` entries of that shape; ``np.asarray`` gives
+    the full array of either.  Epsilons are strictly decreasing, every scale
+    has a field (and a source when there are sources), and every entry is
+    finite.  The checks read the factors V and s, never the full array.
     """
 
     grid: GridSpec
@@ -80,12 +153,15 @@ class OscillatingFamily:
         self.epsilons = eps
         shape = (6,) + self.grid.shape
         for e in eps:
-            if self.fields[e].shape != shape:
-                raise ValueError("field array shape mismatch with grid")
-            if self.sources is not None and (e not in self.sources or self.sources[e].shape != shape):
-                raise ValueError(f"source at eps={e} missing or not of shape {shape}")
-            arrays = (self.fields[e],) if self.sources is None else (self.fields[e], self.sources[e])
-            if not all(np.isfinite(a).all() for a in arrays):
+            entries = []
+            for name, held in (("field", self.fields), ("source", self.sources)):
+                if held is None:
+                    continue
+                u = FactoredField.of(held[e]) if e in held else None
+                if u is None or u.shape != shape:
+                    raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
+                entries.append(u)
+            if not all(np.isfinite(a).all() for u in entries for a in (u.V, u.s)):
                 raise ValueError(f"non-finite field or source entry at eps={e}")
 
     @property
@@ -147,7 +223,10 @@ def plane_wave_family(
     u^eps(t,x) = envelope(t,x) * b_mode * exp(2 pi i (x.k + c t)/eps) where
     c matches the mode's eigenvalue relation, so the oscillatory part of
     the Maxwell residual cancels; what remains (envelope commutator plus
-    conduction) is recorded in the sources.
+    conduction) is recorded in the sources.  Both are ``FactoredField``
+    entries: the field is b times one scalar, the source the 6 x 5 matrix
+    [A0 b, A1 b, A2 b, A3 b, C b + (2 pi i/eps) P b] times
+    [d_t env, d_1 env, d_2 env, d_3 env, env] * osc.
     """
     if not model.is_constant:
         raise UnsupportedGeneratorError("plane_wave_family requires a constant model")
@@ -171,10 +250,10 @@ def plane_wave_family(
     fields, sources = {}, {}
     for e in eps_list:
         S = envs * np.exp((2j * np.pi / e) * sphase)
-        fields[e] = S[4][None, ...] * b.reshape(6, 1, 1, 1, 1)
+        fields[e] = FactoredField.from_polarization(b[:, None], S[4:])
         # residual: sum_l A^l b d_l(env) osc + (C b + (2 pi i/eps) P b) env osc
         V = np.column_stack([*Ab, C @ b + (2j * np.pi / e) * Pb])
-        sources[e] = np.tensordot(V, S, axes=1)
+        sources[e] = FactoredField.from_polarization(V, S)
 
     meta = {
         "generator": "plane_wave",
@@ -198,10 +277,11 @@ def _propagator(model: MaterialModel, grid: GridSpec) -> np.ndarray:
 def _evolve(prop: np.ndarray, initial: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Step spatial data (6,) + spatial shape through every grid time with ``prop``."""
     out = np.empty((grid.shape[0],) + grid.spatial_shape + (6,), dtype=np.complex128)
-    out[0] = np.moveaxis(np.fft.fftn(initial, axes=(1, 2, 3)), 0, -1)
+    # axes last to first, the order np.fft takes them, so the result matches it bit for bit
+    out[0] = np.moveaxis(scipy.fft.fftn(initial, axes=(3, 2, 1), workers=fft_workers()), 0, -1)
     for n in range(1, grid.shape[0]):
         out[n] = np.einsum("...ij,...j->...i", prop, out[n - 1])
-    return np.fft.ifftn(np.moveaxis(out, -1, 0), axes=(2, 3, 4))  # (6, nt, ...)
+    return scipy.fft.ifftn(np.moveaxis(out, -1, 0), axes=(4, 3, 2), workers=fft_workers())  # (6, nt, ...)
 
 
 def exact_constant_evolution(
@@ -341,9 +421,9 @@ def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> 
     freq = grid.freq_axis(axis_of_grid)
     shape = [1] * arr.ndim
     shape[ax] = -1
-    ahat = np.fft.fft(arr, axis=ax)
+    ahat = scipy.fft.fft(arr, axis=ax, workers=fft_workers())
     ahat *= 2j * np.pi * freq.reshape(shape)
-    return np.fft.ifft(ahat, axis=ax)
+    return scipy.fft.ifft(ahat, axis=ax, workers=fft_workers())
 
 
 def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -352,6 +432,7 @@ def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.
     The curl part is added one axis at a time from ``A_MATRICES``, each A^j
     differentiating only the four components it reads.
     """
+    u = np.asarray(u)
     epsf, etaf, sigf = (f[None, ...] for f in model.sample_fields(*grid.spatial_meshes()))
     res = _spectral_derivative(u, grid, 0)
     res[:3] *= epsf
@@ -414,13 +495,17 @@ def wkb_family(
 
 
 def charge_density(family: OscillatingFamily) -> dict:
-    """rho^eps = div E^eps via the spectral divergence, one array per scale."""
+    """rho^eps = div E^eps via the spectral divergence, one array per scale.
+
+    Each E_j = sum_k V_jk s_k is formed from the factors and differentiated
+    along x_j, so a rank-one field costs three scalar derivative pairs and
+    the full field is never formed.
+    """
     out = {}
     for e in family.epsilons:
-        u = np.asarray(family.fields[e], dtype=np.complex128)
+        u = FactoredField.of(family.fields[e])
         rho = np.zeros(family.grid.shape, dtype=np.complex128)
         for j in range(3):
-            rho += _spectral_derivative(u[j : j + 1], family.grid, 1 + j)[0]
+            rho += _spectral_derivative(np.tensordot(u.V[j], u.s, axes=1)[None], family.grid, 1 + j)[0]
         out[e] = rho
     return out
-

@@ -13,7 +13,16 @@ from hml.estimator import (
 )
 from hml.grids import GridSpec, full_window, hann_window
 from hml.symbols import MaterialModel, mode_vectors
-from hml.synthesis import AliasingError, OscillatingFamily, charge_density, plane_wave_family
+from hml.synthesis import (
+    AliasingError,
+    FactoredField,
+    OscillatingFamily,
+    charge_density,
+    evolved_family,
+    linear_phase,
+    plane_wave_family,
+    wkb_family,
+)
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
 EPS2 = (2.0**-3, 2.0**-4)
@@ -38,6 +47,27 @@ def test_bin_occupancy_reported(sphere, empty, median):
     w = hann_window(grid, axes=(0,))
     for est in (estimate_hmeasure(fam, w, sphere), correlation_measure(fam, charge_tilde_fields(fam), w, sphere)):
         assert est.metadata["bin_occupancy"] == {"empty_bins": empty, "median_points": median}
+
+
+@pytest.mark.parametrize(
+    "generator, ranks",
+    [("plane_wave", [(1, 1), (1, 5), (1, 1)]), ("evolved", [(6, 6), (6, 6), (6, 1)]),
+     ("wkb", [(6, 6), (6, 6), (6, 1)])],
+)
+def test_factor_rank_reported(generator, ranks):
+    # auto, source-cross and charge-cross: a plane wave is b times one scalar and its source
+    # five scalars; WKB and evolved fields stay plain six-component arrays (V = I)
+    model = MaterialModel.constant(2.0, 0.5, 0.3)
+    k, env = (0.3, -0.5, 0.8), hann_window(GRID)
+    fam = {
+        "plane_wave": lambda: plane_wave_family(model, GRID, k, "trans+1", env, EPS2),
+        "evolved": lambda: evolved_family(model, GRID, k, "trans+1", EPS2, env),
+        "wkb": lambda: wkb_family(model, GRID, linear_phase(k, -np.linalg.norm(k)), env, "trans+1", EPS2),  # v = 1
+    }[generator]()
+    w = hann_window(GRID, axes=(0,))
+    estimates = (estimate_hmeasure(fam, w, SPHERE), correlation_measure(fam, source_fields(fam), w, SPHERE),
+                 correlation_measure(fam, charge_tilde_fields(fam), w, SPHERE))
+    assert [est.metadata["factor_rank"] for est in estimates] == ranks
 
 
 def test_sphere_weights_total():
@@ -411,3 +441,57 @@ def test_charge_tilde_embedding():
         assert one.dc_energy[e] == six.dc_energy[e]
     src = source_fields(fam)
     assert set(src) == set(fam.epsilons)
+
+
+# ------------------------------------------------------------------ factored
+
+
+def _plain(fam):
+    """The same family with every factored entry materialised (V = I)."""
+    fields = {e: np.asarray(fam.fields[e]) for e in fam.epsilons}
+    sources = {e: np.asarray(fam.sources[e]) for e in fam.epsilons}
+    return OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fields, sources=sources,
+                             metadata=fam.metadata)
+
+
+@pytest.mark.parametrize("measure", ["auto", "source", "charge"])
+def test_factored_bins_match_materialised(measure):
+    """V G V'^H from the factors against the six-component spectra of the materialised fields."""
+    fam = _family(model=MaterialModel.constant(2.0, 0.5, 0.3), envelope=hann_window(GRID), k=(0.3, -0.5, 0.8))
+    assert isinstance(fam.fields[fam.finest], FactoredField) and isinstance(fam.sources[fam.finest], FactoredField)
+    phi = hann_window(GRID, axes=(0,))
+
+    def estimate(f):
+        if measure == "auto":
+            return estimate_hmeasure(f, phi, sphere=SPHERE)
+        g = source_fields(f) if measure == "source" else charge_tilde_fields(f)
+        return correlation_measure(f, g, phi, sphere=SPHERE)
+
+    plain = _plain(fam)
+    got, want = estimate(fam), estimate(plain)
+    share = estimate_hmeasure(plain, phi, sphere=SPHERE)
+    for e in fam.epsilons:
+        total = np.abs(want.history[e]).sum()
+        assert total > 0
+        assert np.abs(got.history[e] - want.history[e]).max() <= 1e-13 * total
+        assert abs(got.dc_energy[e] - want.dc_energy[e]) <= 1e-13 * total
+        empty = np.isnan(want.centroids[e][:, 0])
+        np.testing.assert_array_equal(np.isnan(got.centroids[e][:, 0]), empty)
+        # a bin at the FFT's rounding floor has a noise centroid on both sides: weight by u's mass share
+        moved = np.abs(got.centroids[e] - want.centroids[e]).max(axis=1)[~empty]
+        assert np.max(moved * (share.masses(e) / share.total_mass(e))[~empty]) <= 1e-13
+
+
+def test_estimator_never_materialises_factored_fields(monkeypatch):
+    fam = _family(model=MaterialModel.constant(1.0, 1.0, 0.5))
+
+    def refuse(self):
+        raise AssertionError("a factored field was materialised")
+
+    monkeypatch.setattr(FactoredField, "materialise", refuse)
+    with pytest.raises(AssertionError, match="materialised"):
+        np.asarray(fam.fields[fam.finest])
+    phi = hann_window(GRID, axes=(0,))
+    estimate_hmeasure(fam, phi, sphere=SPHERE)
+    correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
+    correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)

@@ -7,6 +7,7 @@ from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_w
 from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError
 from hml.synthesis import (
     AliasingError,
+    FactoredField,
     OscillatingFamily,
     charge_density,
     evolved_family,
@@ -80,12 +81,12 @@ def test_plane_wave_polarization_matches_eigenvector():
     model = MaterialModel.constant()
     fam = _family(model=model)
     b = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)  # trans+1 along e3: (z1, z2)/sqrt(2), z1 = e1, z2 = e2
-    e = fam.epsilons[-1]
-    u0 = fam.fields[e][:, 0, 0, 0, 0]
+    u = np.asarray(fam.fields[fam.finest])
+    u0 = u[:, 0, 0, 0, 0]
     # at the origin phase = 0 and envelope value scales the eigenvector
     env = hann_window(GRID, axes=(0, 1)).sample(GRID)[0, 0, 0, 0]
     np.testing.assert_allclose(u0, env * b, atol=1e-14)
-    flat = fam.fields[e].reshape(6, -1)
+    flat = u.reshape(6, -1)
     # common scalar profile on the two nonzero polarization slots (E1, H2)
     np.testing.assert_allclose(flat[0] / b[0], flat[4] / b[4], atol=1e-12)
 
@@ -94,7 +95,9 @@ def test_plane_wave_zero_envelope():
     off_box = SeparableWindow((AxisWindow("hann", 2.0, 3.0),) + (AxisWindow("one"),) * 3)
     fam = _family(envelope=off_box)
     for e in fam.epsilons:
-        assert np.all(fam.fields[e] == 0)
+        assert np.all(np.asarray(fam.fields[e]) == 0)
+        with pytest.raises(TypeError, match="compare np.asarray"):
+            fam.fields[e] == 0  # a factored entry would otherwise answer False by identity
 
 
 def test_plane_wave_norm_eps_independent():
@@ -139,25 +142,40 @@ def test_plane_wave_source_is_envelope_commutator():
 
 
 @pytest.mark.parametrize(
-    "bad_sources",
+    "where, bad",
     [
-        lambda fam: {e: f[:3] for e, f in fam.sources.items()},
-        lambda fam: {fam.finest: fam.sources[fam.finest]},
+        ("sources", lambda fam: {e: np.asarray(f)[:3] for e, f in fam.sources.items()}),
+        ("sources", lambda fam: {fam.finest: fam.sources[fam.finest]}),
+        ("fields", lambda fam: {fam.epsilons[0]: fam.fields[fam.epsilons[0]]}),
     ],
-    ids=["wrong_component_count", "missing_scale"],
+    ids=["wrong_component_count", "missing_scale", "fields_missing_scale"],
 )
-def test_family_rejects_malformed_sources(bad_sources):
+def test_family_rejects_malformed_sources(where, bad):
+    # a family missing a field scale is refused by name, as one missing a source is
     fam = _family()
-    with pytest.raises(ValueError, match="source at eps="):
-        OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fam.fields, sources=bad_sources(fam))
+    entries = {"fields": fam.fields, "sources": fam.sources, where: bad(fam)}
+    with pytest.raises(ValueError, match=f"^{where[:-1]} at eps=.* missing or not of shape"):
+        OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **entries)
 
 
-@pytest.mark.parametrize("where, value", [("fields", np.nan), ("sources", np.inf)], ids=["nan_field", "inf_source"])
-def test_family_rejects_non_finite_data(where, value):
+@pytest.mark.parametrize(
+    "where, factored, value",
+    [("fields", False, np.nan), ("sources", False, np.inf), ("fields", True, np.nan)],
+    ids=["nan_field", "inf_source", "nan_factor"],
+)
+def test_family_rejects_non_finite_data(where, factored, value):
     # a NaN entry used to pass, and the estimate's mass and every check downstream read NaN or 0
     fam = _family()
-    arrays = {name: {e: a.copy() for e, a in getattr(fam, name).items()} for name in ("fields", "sources")}
-    arrays[where][fam.finest][2, 1, 3, 4, 5] = value
+    arrays = {name: dict(getattr(fam, name)) for name in ("fields", "sources")}
+    u = arrays[where][fam.finest]
+    if factored:
+        s = u.s.copy()
+        s[0, 1, 3, 4, 5] = value
+        arrays[where][fam.finest] = FactoredField(u.V, s)
+    else:
+        a = np.array(u)
+        a[2, 1, 3, 4, 5] = value
+        arrays[where][fam.finest] = a
     with pytest.raises(ValueError, match=f"non-finite field or source entry at eps={fam.finest}"):
         OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **arrays)
 
@@ -184,7 +202,7 @@ def test_evolution_single_mode_phase_rotation():
     model = MaterialModel.constant()
     fam_ref = _family(envelope=full_window(), epsilons=(EPS2[1],))
     e = EPS2[1]
-    initial = fam_ref.fields[e][:, 0]
+    initial = np.asarray(fam_ref.fields[e])[:, 0]
     out = exact_constant_evolution(model, initial, GRID)
     np.testing.assert_allclose(out, fam_ref.fields[e], atol=1e-10)
 
@@ -299,7 +317,7 @@ def test_charge_longitudinal_leading_term():
     for e in fam.epsilons:
         lead = 2 * np.pi / e
         got = np.linalg.norm(rho[e])
-        want = lead * np.linalg.norm(np.asarray(fam.fields[e][2]))
+        want = lead * np.linalg.norm(np.asarray(fam.fields[e])[2])
         assert got == pytest.approx(want, rel=1e-10)
 
 
