@@ -20,7 +20,7 @@ rows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -220,13 +220,15 @@ class HMeasureEstimate:
     """Binned matrix-valued spectral masses, with per-scale history.
 
     ``history[eps]`` has shape (B, p, q); the finest scale is exposed as
-    ``bins``.  ``centroids[eps]`` holds per-bin mass-weighted mean
-    directions (rows of NaN where a bin is empty), and ``dc_energy`` the
-    separately-reported zero-frequency mass.  ``metadata["window"]``
-    describes the window, and ``metadata["bin_occupancy"]`` the number of
-    empty bins and the median lattice points per bin (a sphere finer than
-    the lattice leaves bins empty or nearly so).  ``metadata["factor_rank"]``
-    is (r, r'), the number of scalar factors transformed per sequence.
+    ``bins`` and is the one every reader reads, here and in the verifier;
+    ``at(eps)`` cuts the ladder at a coarser scale.  ``centroids[eps]``
+    holds per-bin mass-weighted mean directions (rows of NaN where a bin is
+    empty), and ``dc_energy`` the separately-reported zero-frequency mass.
+    ``metadata["window"]`` describes the window, and
+    ``metadata["bin_occupancy"]`` the number of empty bins and the median
+    lattice points per bin (a sphere finer than the lattice leaves bins
+    empty or nearly so).  ``metadata["factor_rank"]`` is (r, r'), the
+    number of scalar factors transformed per sequence.
     """
 
     sphere: SphereGrid
@@ -245,23 +247,27 @@ class HMeasureEstimate:
     def finest(self) -> float:
         return self.epsilons[-1]
 
-    def masses(self, eps: float | None = None) -> np.ndarray:
-        """Per-bin real trace mass at one scale (finest by default)."""
-        h = self.history[self.finest if eps is None else eps]
-        return np.trace(h, axis1=1, axis2=2).real
+    def at(self, eps: float) -> "HMeasureEstimate":
+        """The estimate with its ladder cut at ``eps`` (finest there), sharing the per-scale dicts."""
+        if eps not in self.epsilons:
+            raise ValueError(f"eps={eps} is not on the ladder {self.epsilons}")
+        return replace(self, epsilons=self.epsilons[: self.epsilons.index(eps) + 1])
 
-    def total_mass(self, eps: float | None = None) -> float:
-        return float(self.masses(eps).sum())
+    def masses(self) -> np.ndarray:
+        """Per-bin real trace mass."""
+        return np.trace(self.bins, axis1=1, axis2=2).real
 
-    def hermitian_defect(self, eps: float | None = None) -> float:
-        h = self.history[self.finest if eps is None else eps]
-        denom = max(self.total_mass(eps), 1e-300)
+    def total_mass(self) -> float:
+        return float(self.masses().sum())
+
+    def hermitian_defect(self) -> float:
+        h = self.bins
+        denom = max(self.total_mass(), 1e-300)
         return float(np.max(np.abs(h - np.conj(np.transpose(h, (0, 2, 1))))) / denom)
 
-    def min_eigen_ratio(self, eps: float | None = None) -> float:
+    def min_eigen_ratio(self) -> float:
         """min over bins of (smallest eigenvalue)/trace; >= -1e-10 when PSD."""
-        h = self.history[self.finest if eps is None else eps]
-        tr = np.trace(h, axis1=1, axis2=2).real
+        h, tr = self.bins, self.masses()
         keep = tr > 1e-300
         if not np.any(keep):
             return 0.0

@@ -87,6 +87,8 @@ class MaterialModel:
     must be bounded below by a strictly positive constant, sigma >= 0.
     Scalar fields take three broadcastable coordinate arrays and return
     an array; gradient fields return shape (3,) + broadcast shape.
+    ``sample_fields``, ``speed`` and ``assemble_system_matrices`` check
+    ``domain`` and the lower bounds; the point reads ``*_at`` do not.
     """
 
     kind: str
@@ -144,14 +146,6 @@ class MaterialModel:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
-    def check_in_domain(self, x: Sequence[float]) -> None:
-        if self.domain is None:
-            return
-        lo, hi = self.domain
-        x = np.asarray(x, dtype=float).reshape(3)
-        if np.any(x < np.asarray(lo) - 1e-12) or np.any(x > np.asarray(hi) + 1e-12):
-            raise DomainError(f"point {x.tolist()} outside model domain {self.domain}")
-
     def eps_at(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(3)
         return float(self.eps(x[0], x[1], x[2]))
@@ -184,25 +178,35 @@ class MaterialModel:
         sample.
         """
         coords = [np.asarray(c, dtype=float) for c in (x1, x2, x3)]
-        self.check_in_domain([c.min() for c in coords])
-        self.check_in_domain([c.max() for c in coords])
+        if self.domain is not None:
+            lo, hi = np.array([c.min() for c in coords]), np.array([c.max() for c in coords])
+            if np.any(lo < np.asarray(self.domain[0]) - 1e-12) or np.any(hi > np.asarray(self.domain[1]) + 1e-12):
+                raise DomainError(f"points in [{lo.tolist()}, {hi.tolist()}] outside model domain {self.domain}")
         eps, eta, sig = (np.asarray(f(*coords)) for f in (self.eps, self.eta, self.sigma))
         for name, values, floor in (("eps", eps, self.eps_min), ("eta", eta, self.eta_min)):
             if np.any(values < floor):
                 raise ValueError(f"{name} falls to {values.min():.6g}, below its lower bound {floor:.6g}")
         return eps, eta, sig
 
+    def speed(self, x1, x2, x3) -> tuple:
+        """(v, grad v) with v = 1/sqrt(eps*eta) and grad v = -v/2 (grad eps/eps + grad eta/eta).
+
+        Shapes S and (3,) + S for coordinates of broadcast shape S; eps and
+        eta are read through ``sample_fields``, with its checks.
+        """
+        eps, eta, _ = self.sample_fields(x1, x2, x3)
+        v = 1.0 / np.sqrt(eps * eta)
+        ge, gh = (np.asarray(g(x1, x2, x3)) for g in (self.grad_eps, self.grad_eta))
+        return v, -0.5 * v * (ge / eps + gh / eta)
+
 
 def assemble_system_matrices(model: MaterialModel, x) -> tuple:
     """(A0, A1, A2, A3, C) of the symmetric first-order system at x.
 
     A0 = blockdiag(eps*Id, eta*Id), A^1..A^3 are the read-only entries of
-    ``A_MATRICES``, C = blockdiag(sigma*Id, 0).
+    ``A_MATRICES``, C = blockdiag(sigma*Id, 0), read through ``sample_fields``.
     """
-    model.check_in_domain(x)
-    eps = model.eps_at(x)
-    eta = model.eta_at(x)
-    sig = model.sigma_at(x)
+    eps, eta, sig = (float(f) for f in model.sample_fields(*np.asarray(x, dtype=float).reshape(3)))
     A0 = np.zeros((6, 6))
     A0[:3, :3] = eps * np.eye(3)
     A0[3:, 3:] = eta * np.eye(3)

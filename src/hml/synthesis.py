@@ -383,9 +383,9 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
     S(t, x) = q(x_axis) - t for the '+' transverse branch (dS/dt = -v|grad S|)
     or q(x_axis) + t for '-', with q' = 1/v along the axis.  q is tabulated
     by composite Simpson quadrature on ``LAYER_QUADRATURE_CELLS`` cells of
-    [0, x_max] and interpolated.  eps and eta are sampled on the axis line
-    through the origin by ``MaterialModel.sample_fields``, for the table and
-    for the gradient, so its bound and domain checks apply to both.
+    [0, x_max] and interpolated.  v is read on the axis line through the
+    origin by ``MaterialModel.speed``, for the table and for the gradient,
+    so its bound and domain checks apply to both.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -395,8 +395,7 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
         xs = np.asarray(xs, dtype=float)
         coords = [np.zeros_like(xs)] * 3
         coords[axis] = xs
-        eps, eta, _ = model.sample_fields(*coords)
-        return 1.0 / np.sqrt(eps * eta)
+        return model.speed(*coords)[0]
 
     s = np.linspace(0.0, x_max, LAYER_QUADRATURE_CELLS + 1)
     q_tab = np.concatenate([[0.0], cumulative_simpson(1.0 / speed(s), x=s)])

@@ -52,12 +52,11 @@ RAY_ZP_FLOOR = 1e-6
 
 @dataclass
 class RayState:
-    """A single characteristic ray sample: position, direction, time."""
+    """A single characteristic ray sample: position and direction."""
 
     x: np.ndarray
     zetaP: np.ndarray
     zeta0: float = 0.0
-    t: float = 0.0
 
 
 @dataclass
@@ -72,36 +71,24 @@ class RayPath:
 
     @property
     def final(self) -> RayState:
-        return RayState(x=self.xs[-1], zetaP=self.zetaPs[-1], zeta0=self.zeta0, t=float(self.times[-1]))
-
-
-def _speed_and_gradient(model: MaterialModel, x: np.ndarray) -> tuple:
-    """v = 1/sqrt(eps eta) and grad v = -v/2 (grad eps/eps + grad eta/eta) at the rows of ``x``.
-
-    ``x`` has shape (n, 3); returns v (n,) and grad v (n, 3).
-    """
-    x1, x2, x3 = x.T
-    eps, eta = model.eps(x1, x2, x3), model.eta(x1, x2, x3)
-    v = 1.0 / np.sqrt(eps * eta)
-    ge = model.grad_eps(x1, x2, x3).T / eps[:, None]
-    gh = model.grad_eta(x1, x2, x3).T / eta[:, None]
-    return v, -0.5 * v[:, None] * (ge + gh)
+        return RayState(x=self.xs[-1], zetaP=self.zetaPs[-1], zeta0=self.zeta0)
 
 
 def integrate_rays(
     model: MaterialModel,
     states: Sequence[RayState],
     t_span: tuple,
-    dt: float = RAY_DT,
     branch: str = "+",
 ) -> list:
     """RK4 integration of xdot = grad_zeta omega, zetadot = -grad_x omega.
 
     omega = zeta0 + s v(x)|zeta'| with s = +1 or -1 per ``branch``; zeta0
-    rides along unchanged.  All rays advance together as one (n, 6) array
-    of positions and zeta'.  Before each step a ray whose |zeta'| is below
-    ``RAY_ZP_FLOOR`` drops out: its path ends there with status
-    ``terminated_small_zetaP`` and the other rays keep stepping.
+    rides along unchanged, and v comes from the checked ``MaterialModel.speed``.
+    The step is the one nearest ``RAY_DT`` that divides ``t_span``.  All
+    rays advance together as one (n, 6) array of positions and zeta'.
+    Before each step a ray whose |zeta'| is below ``RAY_ZP_FLOOR`` drops
+    out: its path ends there with status ``terminated_small_zetaP`` and the
+    other rays keep stepping.
     """
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
@@ -109,14 +96,14 @@ def integrate_rays(
         return []
     s = 1.0 if branch == "+" else -1.0
     t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps = max(1, int(round(abs(t1 - t0) / dt)))
+    n_steps = max(1, int(round(abs(t1 - t0) / RAY_DT)))
     h = (t1 - t0) / n_steps
 
     def rhs(y):
         zp = y[:, 3:]
         r = np.linalg.norm(zp, axis=1)[:, None]
-        v, gv = _speed_and_gradient(model, y[:, :3])
-        return np.concatenate([s * v[:, None] * zp / r, -s * r * gv], axis=1)
+        v, gv = model.speed(*y[:, :3].T)
+        return np.concatenate([s * v[:, None] * zp / r, -s * r * gv.T], axis=1)
 
     n = len(states)
     # (step, ray, x|zeta'); a terminated ray's last state fills its remaining steps
@@ -139,7 +126,7 @@ def integrate_rays(
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
         hist[k + 1, live] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    v, _ = _speed_and_gradient(model, hist[..., :3].reshape(-1, 3))
+    v, _ = model.speed(*hist[..., :3].reshape(-1, 3).T)
     zeta0 = np.array([st.zeta0 for st in states], float)
     ham = zeta0 + s * v.reshape(n_steps + 1, n) * np.linalg.norm(hist[..., 3:], axis=-1)
     times = t0 + np.arange(n_steps + 1) * h

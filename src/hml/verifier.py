@@ -3,7 +3,9 @@
 The verifier turns the structure theorems into numeric reports: symbol
 annihilation (localisation), support confinement on the sphere, and the
 two density decompositions (rank-one dyads in the constant case, the
-six-mode eigenbasis expansion in the smooth-scalar case).
+six-mode eigenbasis expansion in the smooth-scalar case).  Every check
+reads the finest scale of the estimate it is given; a coarser scale is
+checked through ``HMeasureEstimate.at``.
 """
 
 from __future__ import annotations
@@ -44,16 +46,23 @@ ZP_FLOOR = 0.15
 SUPPORT_RADIUS_BINS = 2.0
 
 
-def _bin_directions(est: HMeasureEstimate, eps: float) -> np.ndarray:
+def _bin_directions(est: HMeasureEstimate) -> np.ndarray:
     """Per-bin evaluation directions: mass centroids where defined, else centers."""
     centers = est.sphere.centers()
-    cent = est.centroids.get(eps)
+    cent = est.centroids.get(est.finest)
     if cent is None:
         return centers
     out = centers.copy()
     good = ~np.isnan(cent).any(axis=1)
     out[good] = cent[good]
     return out
+
+
+def _carrying_bins(est: HMeasureEstimate) -> tuple:
+    """(per-bin masses, their total floored at 1e-300, the bins above ``MASS_FLOOR`` of it)."""
+    masses = est.masses()
+    total = max(masses.sum(), 1e-300)
+    return masses, total, masses > MASS_FLOOR * total
 
 
 def _relative_misfit(diff: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -90,7 +99,6 @@ def localisation_residual(
     symbol: str = "P",
     model: MaterialModel | None = None,
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
-    eps: float | None = None,
 ) -> LocalisationReport:
     """Per-bin relative Frobenius residual of symbol(x, zeta_bin) @ mu_bin.
 
@@ -102,21 +110,17 @@ def localisation_residual(
         raise ValueError("symbol must be 'P' or 'B'")
     if symbol == "P" and model is None:
         raise ValueError("the P-symbol check needs a material model")
-    e = est.finest if eps is None else eps
-    bins = est.history[e]
-    masses = np.trace(bins, axis1=1, axis2=2).real
-    total = max(masses.sum(), 1e-300)
-    keep = masses > MASS_FLOOR * total
+    masses, total, keep = _carrying_bins(est)
     idx = np.flatnonzero(keep)
-    dirs = _bin_directions(est, e)[idx]
-    M = bins[idx]
+    dirs = _bin_directions(est)[idx]
+    M = est.bins[idx]
     S = assemble_P(model, x_center, dirs) if symbol == "P" else assemble_divergence_symbol(dirs[:, 1:])
     residuals = _relative_misfit(S @ M, M)
     weights = masses[idx] / total
     weighted = weights * residuals
     return LocalisationReport(
         symbol=symbol,
-        eps=e,
+        eps=est.finest,
         bin_indices=idx,
         residuals=residuals,
         mass_weights=weights,
@@ -160,7 +164,6 @@ def support_check(
     case: str,
     model: MaterialModel | None = None,
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
-    eps: float | None = None,
 ) -> SupportReport:
     """Mass fraction near the declared support set of the case's theorem.
 
@@ -173,14 +176,13 @@ def support_check(
         raise ValueError("case must be 'constant' or 'scalar_smooth'")
     if case == "scalar_smooth" and model is None:
         raise ValueError("the scalar_smooth cones need a material model for the speed v")
-    e = est.finest if eps is None else eps
-    masses = est.masses(e)
+    masses = est.masses()
     total = float(masses.sum())
     tol = SUPPORT_RADIUS_BINS * est.sphere.max_polar_width
     if total <= 0:
         return SupportReport(case, tol, 1.0, {}, 0.0)
     speed = model.speed_at(x_center) if case == "scalar_smooth" else None
-    dist = _angular_distances(_bin_directions(est, e), case, speed)
+    dist = _angular_distances(_bin_directions(est), case, speed)
     union_names = ["zeta0=0", "zetaP=0"]
     if case == "scalar_smooth":
         union_names += ["zeta0=+v|zetaP|", "zeta0=-v|zetaP|"]
@@ -225,37 +227,28 @@ class DensityDecomposition:
         }
 
 
-def _select_bins(est, eps):
+def _select_bins(est):
     """Fit bins: above ``MASS_FLOOR`` and off the degenerate directions (``ZP_FLOOR``)."""
-    e = est.finest if eps is None else eps
-    bins = est.history[e]
-    masses = np.trace(bins, axis1=1, axis2=2).real
-    total = max(masses.sum(), 1e-300)
-    dirs = _bin_directions(est, e)
+    _, _, carry = _carrying_bins(est)
+    dirs = _bin_directions(est)
     rp = np.linalg.norm(dirs[:, 1:], axis=1)
     # polar chi1 rings contain the degenerate points zeta' = 0
     ring = est.sphere.unflatten(np.arange(est.sphere.num_bins))[0]
     polar = (ring == 0) | (ring == est.sphere.n_zeta0 - 1)
-    carry = masses > MASS_FLOOR * total
     degenerate = polar | (rp < ZP_FLOOR)
-    keep = carry & ~degenerate
-    excluded = np.flatnonzero(carry & degenerate)
-    return e, bins, dirs, np.flatnonzero(keep), excluded
+    return dirs, np.flatnonzero(carry & ~degenerate), np.flatnonzero(carry & degenerate)
 
 
-def fit_constant_decomposition(
-    est: HMeasureEstimate,
-    eps: float | None = None,
-) -> DensityDecomposition:
+def fit_constant_decomposition(est: HMeasureEstimate) -> DensityDecomposition:
     """Least-squares projection of each 3x3 block onto span{zeta' (x) zeta'}.
 
     Returns per-bin scalars (a, b, c, d) and the relative misfit of the
     rank-one reconstruction.  Bins with zeta' ~ 0 are excluded: the dyad
     degenerates there and the theorem gives a vanishing measure anyway.
     """
-    e, bins, dirs, idx, excluded = _select_bins(est, eps)
+    dirs, idx, excluded = _select_bins(est)
     zp = dirs[idx, 1:]
-    M = bins[idx].reshape(idx.size, 2, 3, 2, 3)  # (bin, E/H row, i, E/H column, j)
+    M = est.bins[idx].reshape(idx.size, 2, 3, 2, 3)  # (bin, E/H row, i, E/H column, j)
     # vals[n, I, J] = zp^T M_IJ zp / |zp|^4; rows/columns (E, H) give [[a, c], [d, b]]
     vals = np.einsum("ni,nIiJj,nj->nIJ", zp, M, zp) / (np.sum(zp * zp, axis=1) ** 2)[:, None, None]
     recon = np.einsum("nIJ,ni,nj->nIiJj", vals, zp, zp)
@@ -288,7 +281,6 @@ def fit_modal_decomposition(
     est: HMeasureEstimate,
     model: MaterialModel,
     x_center: Sequence[float] = (0.0, 0.0, 0.0),
-    eps: float | None = None,
 ) -> DensityDecomposition:
     """Project each bin onto the six eigen-dyads b_s (x) b_s of the symbol.
 
@@ -296,13 +288,13 @@ def fit_modal_decomposition(
     is (A0 b_s)^H mu (A0 b_s).  The reconstruction residual keeps track of
     any coherence between modes that the six dyads cannot represent.
     """
-    e, bins, dirs, idx, excluded = _select_bins(est, eps)
+    dirs, idx, excluded = _select_bins(est)
     A0 = assemble_system_matrices(model, x_center)[0]
     # basis[n, :, s] is mode s's eigenvector at bin n, in MODE_ORDER
     eps_x, eta_x = model.eps_at(x_center), model.eta_at(x_center)
     basis = np.moveaxis(mode_vectors(dirs[idx, 1:].T, eps_x, eta_x, MODE_ORDER), -1, 0)
     u = A0 @ basis
-    M = bins[idx]
+    M = est.bins[idx]
     vals = np.einsum("nis,nij,njs->ns", u.conj(), M, u)
     recon = np.einsum("ns,nis,njs->nij", vals, basis, basis)
     residuals = _relative_misfit(M - recon, M)

@@ -218,9 +218,24 @@ def test_strongly_convergent_sequence_vanishes():
     scaled = {e: e * np.asarray(fam.fields[e]) for e in fam.epsilons}
     fam2 = OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=scaled, metadata=fam.metadata)
     est = estimate_hmeasure(fam2, hann_window(GRID, axes=(0,)), sphere=SPHERE)
-    t0 = est.total_mass(fam.epsilons[0])
-    t1 = est.total_mass(fam.epsilons[1])
+    t0 = est.at(fam.epsilons[0]).total_mass()
+    t1 = est.at(fam.epsilons[1]).total_mass()
     assert t1 == pytest.approx(0.25 * t0, rel=1e-6)  # mass scales like eps^2
+
+
+def test_at_cuts_the_ladder():
+    fam = _family(epsilons=(2.0**-2, 2.0**-3, 2.0**-4))
+    est = estimate_hmeasure(fam, hann_window(GRID, axes=(0,)), sphere=SPHERE)
+    for i, e in enumerate(fam.epsilons):
+        cut = est.at(e)
+        assert cut.epsilons == fam.epsilons[: i + 1] and cut.finest == e
+        assert cut.bins is est.history[e]
+        assert cut.centroids[cut.finest] is est.centroids[e]
+        assert cut.dc_energy[cut.finest] == est.dc_energy[e]
+        np.testing.assert_array_equal(cut.masses(), np.trace(est.history[e], axis1=1, axis2=2).real)
+    assert est.at(est.finest).bins is est.bins
+    with pytest.raises(ValueError, match=r"eps=0\.3 is not on the ladder \(0\.25, 0\.125, 0\.0625\)"):
+        est.at(0.3)
 
 
 def test_hermitian_and_psd_invariants():
@@ -248,7 +263,7 @@ def test_total_mass_plancherel():
     for e in fam.epsilons:
         w = phi.sample(GRID) * np.asarray(fam.fields[e])
         expected = float(np.sum(np.abs(w) ** 2) * GRID.cell_volume)
-        got = est.total_mass(e) + est.dc_energy[e].real
+        got = est.at(e).total_mass() + est.dc_energy[e].real
         assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -397,7 +412,7 @@ def test_correlation_strongly_null_source():
     auto = estimate_hmeasure(fam, phi, sphere=SPHERE)
     for e in fam.epsilons:
         cnorm = np.abs(cross.history[e]).sum()
-        assert cnorm <= 1.1 * e * auto.total_mass(e) * 50  # decays linearly in eps
+        assert cnorm <= 1.1 * e * auto.at(e).total_mass() * 50  # decays linearly in eps
     r0, r1 = (np.abs(cross.history[e]).sum() for e in fam.epsilons)
     assert r1 <= 0.6 * r0
 
@@ -479,7 +494,7 @@ def test_factored_bins_match_materialised(measure):
         np.testing.assert_array_equal(np.isnan(got.centroids[e][:, 0]), empty)
         # a bin at the FFT's rounding floor has a noise centroid on both sides: weight by u's mass share
         moved = np.abs(got.centroids[e] - want.centroids[e]).max(axis=1)[~empty]
-        assert np.max(moved * (share.masses(e) / share.total_mass(e))[~empty]) <= 1e-13
+        assert np.max(moved * (share.at(e).masses() / share.at(e).total_mass())[~empty]) <= 1e-13
 
 
 def test_estimator_never_materialises_factored_fields(monkeypatch):

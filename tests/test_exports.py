@@ -30,6 +30,19 @@ def test_Q_MATRICES_named_only_in_symbols():
     assert users == []
 
 
+def test_coefficient_callables_called_only_in_symbols():
+    # other modules read the model through its checked methods (sample_fields, speed) or the *_at reads
+    callables = {"eps", "eta", "sigma", "grad_eps", "grad_eta"}
+    callers = []
+    for path in sorted(Path(hml.__file__).parent.glob("*.py")):
+        if path.name == "symbols.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in callables:
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
+
+
 def test_no_private_names_imported_across_modules():
     private = []
     for path in sorted(Path(hml.__file__).parent.glob("*.py")):

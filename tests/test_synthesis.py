@@ -4,7 +4,7 @@ import scipy.linalg
 
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
-from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError
+from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError, assemble_system_matrices
 from hml.synthesis import (
     AliasingError,
     FactoredField,
@@ -58,14 +58,17 @@ def _bounded_model(eps_slope=0.0, eta_slope=0.0, domain=None):
 )
 def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axis):
     # on GRID's box [0, 0.125)^3, 1 - 2x falls to 0.78 < 0.9, and x1 passes 0.1;
-    # layered_phase samples [0, 0.125] along the violating axis, where 1 - 2x reaches 0.75
+    # layered_phase samples [0, 0.125] along the violating axis, where 1 - 2x reaches 0.75,
+    # and the system matrices read the one point (0.125, 0.125, 0.125)
     fam = _family()
     phase = linear_phase((0.0, 0.0, 1.0), -1.0)
     x_max = GRID.extents[1 + layer_axis]
+    corner = GRID.extents[1:]
     calls = [
         lambda: maxwell_residual(model, fam.fields[fam.finest], GRID),
         lambda: wkb_family(model, GRID, phase, hann_window(GRID, axes=(0, 1)), "trans+1", EPS2),
         lambda: layered_phase(model, axis=layer_axis, x_max=x_max),
+        lambda: assemble_system_matrices(model, corner),
     ]
     for call in calls:
         with pytest.raises(error, match=match):
@@ -73,6 +76,7 @@ def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axi
     in_bounds = _bounded_model(eps_slope=0.5, eta_slope=0.5)  # 1 - x/2 stays above 0.9
     maxwell_residual(in_bounds, fam.fields[fam.finest], GRID)
     layered_phase(in_bounds, axis=layer_axis, x_max=x_max)
+    assemble_system_matrices(in_bounds, corner)
 
 
 # ------------------------------------------------------------------ plane wave

@@ -6,7 +6,7 @@ import pytest
 
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
-from hml.symbols import MaterialModel
+from hml.symbols import DomainError, MaterialModel
 from hml import transport
 from hml.synthesis import evolved_family, linear_phase, wkb_family
 from hml.transport import (
@@ -78,7 +78,7 @@ def seeded_states(n, x, seed=0):
 def test_rays_straight_for_constant_model():
     model = MaterialModel.constant(2.0, 0.5, 0.0)
     st = RayState(x=np.array([0.1, 0.2, 0.3]), zetaP=np.array([0.0, 0.6, 0.8]))
-    path = integrate_rays(model, [st], (0.0, 1.0), dt=2.0**-6)[0]
+    path = integrate_rays(model, [st], (0.0, 1.0))[0]
     np.testing.assert_allclose(path.zetaPs, np.broadcast_to(path.zetaPs[0], path.zetaPs.shape), atol=1e-14)
     v = model.speed_at(st.x)
     np.testing.assert_allclose(path.xs[-1], st.x + v * np.array([0.0, 0.6, 0.8]), atol=1e-12)
@@ -87,7 +87,7 @@ def test_rays_straight_for_constant_model():
 def test_rays_bend_and_conserve_hamiltonian():
     model = quadratic_speed_model()
     st = RayState(x=np.array([0.2, 0.0, 0.0]), zetaP=np.array([0.0, 1.0, 0.0]))
-    path = integrate_rays(model, [st], (0.0, 1.0), dt=2.0**-8)[0]
+    path = integrate_rays(model, [st], (0.0, 1.0))[0]
     # v decreases away from x1 = 0, rays bend toward decreasing v: x1 grows
     drift = np.max(np.abs(path.hamiltonian - path.hamiltonian[0]))
     assert drift <= 1e-8
@@ -99,11 +99,20 @@ def test_rays_reversible():
     model = quadratic_speed_model()
     st = RayState(x=np.array([0.15, -0.1, 0.05]), zetaP=np.array([0.3, 0.9, -0.2]))
     states = [st] + seeded_states(8, st.x)
-    fwd = integrate_rays(model, states, (0.0, 0.7), dt=2.0**-8)
-    back = integrate_rays(model, [p.final for p in fwd], (0.7, 0.0), dt=2.0**-8)
+    fwd = integrate_rays(model, states, (0.0, 0.7))
+    back = integrate_rays(model, [p.final for p in fwd], (0.7, 0.0))
     for st, path in zip(states, back):
         assert np.linalg.norm(path.xs[-1] - st.x) <= 1e-7
         assert np.linalg.norm(path.zetaPs[-1] - st.zetaP) <= 1e-7
+
+
+def test_ray_leaving_model_domain_raises():
+    # the ray moves one unit along x1 from the centre of a box of side 0.1
+    model = dataclasses.replace(MaterialModel.constant(), domain=((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)))
+    st = RayState(x=np.full(3, 0.05), zetaP=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DomainError, match="outside model domain"):
+        integrate_rays(model, [st], (0.0, 1.0))
+    assert integrate_rays(model, [st], (0.0, 0.04))[0].status == "ok"
 
 
 def test_rays_terminate_near_zero_direction():

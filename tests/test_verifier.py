@@ -43,7 +43,7 @@ def test_localisation_decay_on_exact_solutions():
     fam = evolved_family(model, GRID, (0, 0, 1.0), "trans+1", EPS2, hann_window(GRID, axes=(1,)))
     est = estimate_hmeasure(fam, hann_window(GRID, axes=(0,)), sphere=SPHERE)
     r = [
-        localisation_residual(est, "P", model, eps=e).max_weighted_residual
+        localisation_residual(est.at(e), "P", model).max_weighted_residual
         for e in fam.epsilons
     ]
     assert r[1] < 0.8 * r[0]
