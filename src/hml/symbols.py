@@ -87,8 +87,13 @@ class MaterialModel:
     must be bounded below by a strictly positive constant, sigma >= 0.
     Scalar fields take three broadcastable coordinate arrays and return
     an array; gradient fields return shape (3,) + broadcast shape.
-    ``sample_fields``, ``speed`` and ``assemble_system_matrices`` check
-    ``domain`` and the lower bounds; the point reads ``*_at`` do not.
+    Building a model refuses an unknown ``kind``, lower bounds that are not
+    strictly positive and a ``domain`` that is not two corners lo < hi.
+    The model is read through five methods, all checked: ``sample_fields``
+    checks ``domain``, the lower bounds and sigma >= 0, ``sample_gradients``
+    checks ``domain``, and ``speed``, ``sigma_at`` and ``speed_at`` read
+    through them.  The point reads ``sigma_at`` and ``speed_at`` stay
+    because the benchmark calls them.
     """
 
     kind: str
@@ -101,10 +106,21 @@ class MaterialModel:
     eta_min: float = 1e-12
     domain: tuple | None = None  # ((lo1,lo2,lo3),(hi1,hi2,hi3)) or None
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "scalar_smooth"):
+            raise ValueError(f"model kind must be 'constant' or 'scalar_smooth', got {self.kind!r}")
+        if not (self.eps_min > 0 and self.eta_min > 0):
+            raise ValueError(f"eps_min and eta_min must be strictly positive, got {self.eps_min}, {self.eta_min}")
+        if self.domain is not None:
+            try:
+                box = np.array(self.domain, dtype=float)
+            except (TypeError, ValueError):
+                box = None
+            if box is None or box.shape != (2, 3) or not np.all(box[0] < box[1]):
+                raise ValueError(f"domain must be ((lo1,lo2,lo3),(hi1,hi2,hi3)) with lo < hi, got {self.domain}")
+
     @classmethod
     def constant(cls, eps: float = 1.0, eta: float = 1.0, sigma: float = 0.0) -> "MaterialModel":
-        if eps <= 0 or eta <= 0:
-            raise ValueError("eps and eta must be strictly positive")
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         return cls(
@@ -128,8 +144,6 @@ class MaterialModel:
         eta_min: float,
         domain: tuple | None = None,
     ) -> "MaterialModel":
-        if eps_min <= 0 or eta_min <= 0:
-            raise ValueError("lower bounds must be strictly positive")
         return cls(
             kind="scalar_smooth",
             eps=eps,
@@ -146,57 +160,49 @@ class MaterialModel:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
-    def eps_at(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(3)
-        return float(self.eps(x[0], x[1], x[2]))
-
-    def eta_at(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(3)
-        return float(self.eta(x[0], x[1], x[2]))
-
     def sigma_at(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(3)
-        return float(self.sigma(x[0], x[1], x[2]))
-
-    def grad_eps_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(3)
-        return np.asarray(self.grad_eps(x[0], x[1], x[2]), dtype=float).reshape(3)
-
-    def grad_eta_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(3)
-        return np.asarray(self.grad_eta(x[0], x[1], x[2]), dtype=float).reshape(3)
+        return float(self.sample_fields(*np.asarray(x, dtype=float).reshape(3))[2])
 
     def speed_at(self, x) -> float:
-        """Propagation speed v(x) = 1/sqrt(eps(x)*eta(x))."""
-        return 1.0 / np.sqrt(self.eps_at(x) * self.eta_at(x))
+        return float(self.speed(*np.asarray(x, dtype=float).reshape(3))[0])
 
-    def sample_fields(self, x1, x2, x3) -> tuple:
-        """(eps, eta, sigma) on broadcastable coordinate arrays, e.g. grid meshes.
-
-        Raises DomainError when the coordinates' bounding box leaves
-        ``domain`` and ValueError when eps < eps_min or eta < eta_min at any
-        sample.
-        """
+    def _coords(self, x1, x2, x3) -> list:
+        """The coordinates as float arrays; DomainError when their bounding box leaves ``domain``."""
         coords = [np.asarray(c, dtype=float) for c in (x1, x2, x3)]
         if self.domain is not None:
             lo, hi = np.array([c.min() for c in coords]), np.array([c.max() for c in coords])
             if np.any(lo < np.asarray(self.domain[0]) - 1e-12) or np.any(hi > np.asarray(self.domain[1]) + 1e-12):
                 raise DomainError(f"points in [{lo.tolist()}, {hi.tolist()}] outside model domain {self.domain}")
+        return coords
+
+    def sample_fields(self, x1, x2, x3) -> tuple:
+        """(eps, eta, sigma) on broadcastable coordinate arrays, e.g. grid meshes.
+
+        Raises DomainError when the coordinates' bounding box leaves
+        ``domain`` and ValueError when eps < eps_min, eta < eta_min or
+        sigma < 0 at any sample.
+        """
+        coords = self._coords(x1, x2, x3)
         eps, eta, sig = (np.asarray(f(*coords)) for f in (self.eps, self.eta, self.sigma))
-        for name, values, floor in (("eps", eps, self.eps_min), ("eta", eta, self.eta_min)):
+        for name, values, floor in (("eps", eps, self.eps_min), ("eta", eta, self.eta_min), ("sigma", sig, 0.0)):
             if np.any(values < floor):
                 raise ValueError(f"{name} falls to {values.min():.6g}, below its lower bound {floor:.6g}")
         return eps, eta, sig
 
+    def sample_gradients(self, x1, x2, x3) -> tuple:
+        """(grad eps, grad eta), each of shape (3,) + S, with the domain check of ``sample_fields``."""
+        coords = self._coords(x1, x2, x3)
+        return tuple(np.asarray(g(*coords), dtype=float) for g in (self.grad_eps, self.grad_eta))
+
     def speed(self, x1, x2, x3) -> tuple:
         """(v, grad v) with v = 1/sqrt(eps*eta) and grad v = -v/2 (grad eps/eps + grad eta/eta).
 
-        Shapes S and (3,) + S for coordinates of broadcast shape S; eps and
-        eta are read through ``sample_fields``, with its checks.
+        Shapes S and (3,) + S for coordinates of broadcast shape S, read
+        through ``sample_fields`` and ``sample_gradients``, with their checks.
         """
         eps, eta, _ = self.sample_fields(x1, x2, x3)
         v = 1.0 / np.sqrt(eps * eta)
-        ge, gh = (np.asarray(g(x1, x2, x3)) for g in (self.grad_eps, self.grad_eta))
+        ge, gh = self.sample_gradients(x1, x2, x3)
         return v, -0.5 * v * (ge / eps + gh / eta)
 
 

@@ -199,15 +199,21 @@ def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[f
     return worst
 
 
-def _mode_frequency(model: MaterialModel, k: np.ndarray, mode: str) -> float:
-    """Temporal rate c so that b_mode * exp(2 pi i (x.k + c t)/eps) solves Maxwell."""
-    v = model.speed_at((0.0, 0.0, 0.0))
-    r = float(np.linalg.norm(k))
-    if mode.startswith("long"):
-        return 0.0
-    if "+" in mode:
-        return -v * r
-    return v * r
+def _constant_mode(model: MaterialModel, k, mode: str, generator: str) -> tuple:
+    """(k, b, c) of a constant model's mode: b * exp(2 pi i (x.k + c t)/eps) solves Maxwell.
+
+    Reads eps and eta at the origin once.  Raises UnsupportedGeneratorError,
+    naming ``generator``, for a non-constant model and
+    DegenerateDirectionError where k = 0.
+    """
+    if not model.is_constant:
+        raise UnsupportedGeneratorError(f"{generator} requires a constant model")
+    k = np.asarray(k, dtype=float).reshape(3)
+    eps, eta, _ = (float(f) for f in model.sample_fields(0.0, 0.0, 0.0))
+    b = mode_vectors(k, eps, eta, (mode,))[:, 0]
+    vr = 1.0 / np.sqrt(eps * eta) * float(np.linalg.norm(k))
+    c = 0.0 if mode.startswith("long") else -vr if "+" in mode else vr
+    return k, b, c
 
 
 def plane_wave_family(
@@ -228,13 +234,7 @@ def plane_wave_family(
     [A0 b, A1 b, A2 b, A3 b, C b + (2 pi i/eps) P b] times
     [d_t env, d_1 env, d_2 env, d_3 env, env] * osc.
     """
-    if not model.is_constant:
-        raise UnsupportedGeneratorError("plane_wave_family requires a constant model")
-    k = np.asarray(k, dtype=float).reshape(3)
-    if np.linalg.norm(k) == 0:
-        raise ValueError("wavevector must be nonzero")
-    c = _mode_frequency(model, k, mode)
-    b = mode_vectors(k, model.eps_at((0.0, 0.0, 0.0)), model.eta_at((0.0, 0.0, 0.0)), (mode,))[:, 0]
+    k, b, c = _constant_mode(model, k, mode, "plane_wave_family")
     A0, A1, A2, A3, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     Ab = np.stack((A0, A1, A2, A3)) @ b
     Pb = np.array((c, *k)) @ Ab  # zero to rounding by the eikonal relation
@@ -318,11 +318,7 @@ def evolved_family(
     zero, so these families satisfy every hypothesis of the propagation
     theorems at the discrete level.
     """
-    if not model.is_constant:
-        raise UnsupportedGeneratorError("evolved_family requires a constant model")
-    k = np.asarray(k, dtype=float).reshape(3)
-    b = mode_vectors(k, model.eps_at((0.0, 0.0, 0.0)), model.eta_at((0.0, 0.0, 0.0)), (mode,))[:, 0]
-    c = _mode_frequency(model, k, mode)
+    k, b, c = _constant_mode(model, k, mode, "evolved_family")
     x1, x2, x3 = grid.spatial_meshes()
     sphase = x1 * k[0] + x2 * k[1] + x3 * k[2]
     if spatial_envelope is None:

@@ -383,7 +383,7 @@ def constant_transport_residual(
     zp = centers[:, 1:]
     zp2 = np.sum(zp * zp, axis=1)[None, :]
     x0 = traj.x_center
-    epsv, etav, sig = model.eps_at(x0), model.eta_at(x0), model.sigma_at(x0)
+    epsv, etav, sig = (float(f) for f in model.sample_fields(*x0))
     a, b = traj.data["a"], traj.data["b"]
     c, d = traj.data["c"], traj.data["d"]
     tin, dts = _interior_times(traj.times)
@@ -439,8 +439,8 @@ def variable_transport_residual(
     sphere = traj.sphere
     centers = sphere.centers()
     x0 = traj.x_center
-    epsv, etav, sigv = model.eps_at(x0), model.eta_at(x0), model.sigma_at(x0)
-    ge, gh = model.grad_eps_at(x0), model.grad_eta_at(x0)
+    epsv, etav, sigv = (float(f) for f in model.sample_fields(*x0))
+    ge, gh = model.sample_gradients(*x0)
     zeta0 = centers[:, 0]
     s11, s12 = traj.data["s11"], traj.data["s12"]
     s21, s22 = traj.data["s21"], traj.data["s22"]
@@ -587,14 +587,13 @@ def predict_then_compare(
     massE0 = np.trace(bins0[:, :3, :3], axis1=1, axis2=2).real
     massH0 = np.trace(bins0[:, 3:, 3:], axis1=1, axis2=2).real
     if model.is_constant:
-        sig, epsv = model.sigma_at((0, 0, 0)), model.eps_at((0, 0, 0))
+        epsv, _, sig = (float(f) for f in model.sample_fields(0.0, 0.0, 0.0))
         pred = massE0 * np.exp(-2 * sig * dt / epsv) + massH0
         details = {"law": "electric x exp(-2 sigma dt/eps); magnetic constant; stationary bins"}
     else:
         x_bar = np.asarray(grid.extents[1:]) / 2.0
         fit = fit_modal_decomposition(est0, model, x_bar)
-        sig = model.sigma_at(x_bar)
-        epsv = model.eps_at(x_bar)
+        epsv, _, sig = (float(f) for f in model.sample_fields(*x_bar))
         damp = np.exp(-2 * sig * dt / epsv)
         pred = np.zeros(sphere.num_bins)
         masses0 = est0.masses()

@@ -176,12 +176,12 @@ def support_check(
         raise ValueError("case must be 'constant' or 'scalar_smooth'")
     if case == "scalar_smooth" and model is None:
         raise ValueError("the scalar_smooth cones need a material model for the speed v")
+    speed = float(model.speed(*x_center)[0]) if case == "scalar_smooth" else None
     masses = est.masses()
     total = float(masses.sum())
     tol = SUPPORT_RADIUS_BINS * est.sphere.max_polar_width
     if total <= 0:
         return SupportReport(case, tol, 1.0, {}, 0.0)
-    speed = model.speed_at(x_center) if case == "scalar_smooth" else None
     dist = _angular_distances(_bin_directions(est), case, speed)
     union_names = ["zeta0=0", "zetaP=0"]
     if case == "scalar_smooth":
@@ -289,10 +289,9 @@ def fit_modal_decomposition(
     any coherence between modes that the six dyads cannot represent.
     """
     dirs, idx, excluded = _select_bins(est)
-    A0 = assemble_system_matrices(model, x_center)[0]
+    A0 = assemble_system_matrices(model, x_center)[0]  # blockdiag(eps Id, eta Id) at x_center
     # basis[n, :, s] is mode s's eigenvector at bin n, in MODE_ORDER
-    eps_x, eta_x = model.eps_at(x_center), model.eta_at(x_center)
-    basis = np.moveaxis(mode_vectors(dirs[idx, 1:].T, eps_x, eta_x, MODE_ORDER), -1, 0)
+    basis = np.moveaxis(mode_vectors(dirs[idx, 1:].T, A0[0, 0], A0[3, 3], MODE_ORDER), -1, 0)
     u = A0 @ basis
     M = est.bins[idx]
     vals = np.einsum("nis,nij,njs->ns", u.conj(), M, u)
@@ -324,9 +323,8 @@ def paper_sigma_blocks(model: MaterialModel, x, zetaP, coeffs: dict) -> dict:
     the transverse dyads exchanged.  Equals the sum of the six eigen-dyads.
     """
     zhat, z1, z2 = propagation_basis(zetaP)
-    eps = model.eps_at(x)
-    eta = model.eta_at(x)
-    v = model.speed_at(x)
+    eps, eta, _ = (float(f) for f in model.sample_fields(*x))
+    v = 1.0 / np.sqrt(eps * eta)
     a0, b0 = coeffs["a0"], coeffs["b0"]
     ap, bp = coeffs["ap"], coeffs["bp"]
     am, bm = coeffs["am"], coeffs["bm"]

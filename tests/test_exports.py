@@ -31,16 +31,24 @@ def test_Q_MATRICES_named_only_in_symbols():
 
 
 def test_coefficient_callables_called_only_in_symbols():
-    # other modules read the model through its checked methods (sample_fields, speed) or the *_at reads
+    # the coefficients are called, or taken from the model to be called, only inside its two checked
+    # reads, so every other read goes through their domain and bound checks
     callables = {"eps", "eta", "sigma", "grad_eps", "grad_eta"}
-    callers = []
+    readers = set()
+
+    def visit(node, owner, path):
+        for child in ast.iter_child_nodes(node):
+            called = isinstance(child, ast.Call) and getattr(child.func, "attr", None) in callables
+            taken = (path.name == "symbols.py" and isinstance(child, ast.Attribute) and child.attr in callables
+                     and getattr(child.value, "id", None) == "self")
+            if called or taken:
+                readers.add(f"{path.name}:{owner}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner, path)
+
     for path in sorted(Path(hml.__file__).parent.glob("*.py")):
-        if path.name == "symbols.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in callables:
-                callers.append(f"{path.name}:{node.lineno}")
-    assert callers == []
+        visit(ast.parse(path.read_text()), None, path)
+    assert readers == {"symbols.py:sample_fields", "symbols.py:sample_gradients"}
 
 
 def test_no_private_names_imported_across_modules():

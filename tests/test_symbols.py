@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,23 @@ def test_identity_model_blocks():
     expected_C = np.zeros((6, 6))
     expected_C[:3, :3] = np.eye(3)
     np.testing.assert_array_equal(C, expected_C)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"kind": "constnat"},
+        {"eps_min": 0.0},
+        {"domain": ((0, 0, 0), (1, 1))},
+        {"domain": ((1, 1, 1), (0, 0, 0))},
+        {"domain": ((0, 0, 0),)},
+    ],
+    ids=["unknown_kind", "zero_lower_bound", "short_corner", "inverted_box", "one_corner"],
+)
+def test_model_refuses_bad_kind_or_domain(smooth_model, changes):
+    # refused where the model is built, not at its first read
+    with pytest.raises(ValueError, match="kind must be|eta_min must be|domain must be"):
+        dataclasses.replace(smooth_model, **changes)
 
 
 def test_A1_off_diagonal_block_is_Q1():
@@ -118,7 +137,7 @@ def test_stacked_symbols_match_per_direction(smooth_model, rng):
     P = assemble_P(smooth_model, x, zetas)
     B = assemble_divergence_symbol(zetas[:, 1:])
     assert P.shape == B.shape == (50, 6, 6)
-    eps, eta, I3 = smooth_model.eps_at(x), smooth_model.eta_at(x), np.eye(3)
+    (eps, eta, _), I3 = smooth_model.sample_fields(*x), np.eye(3)
     for n, (z0, *zp) in enumerate(zetas):
         En = np.cross(zp, I3).T  # column j is zeta' x e_j
         np.testing.assert_allclose(P[n], np.block([[z0 * eps * I3, -En], [En, z0 * eta * I3]]), atol=1e-14)
@@ -217,7 +236,7 @@ def _eigenpairs(model, x, zeta):
     """A0^{-1} P at (x, zeta), the six mode vectors and their eigenvalues in MODE_ORDER."""
     A0 = assemble_system_matrices(model, x)[0]
     Pp = np.linalg.solve(A0, assemble_P(model, x, zeta))
-    basis = mode_vectors(zeta[1:], model.eps_at(x), model.eta_at(x), MODE_ORDER)
+    basis = mode_vectors(zeta[1:], *model.sample_fields(*x)[:2], MODE_ORDER)
     vr = model.speed_at(x) * np.linalg.norm(zeta[1:])
     omegas = zeta[0] + vr * np.array([0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
     return Pp, basis, omegas
@@ -241,7 +260,7 @@ def test_eigen_speed_and_gap():
 
 
 def test_eigen_zero_direction_errors(smooth_model):
-    eps, eta = smooth_model.eps_at((0, 0, 0)), smooth_model.eta_at((0, 0, 0))
+    eps, eta, _ = smooth_model.sample_fields(0, 0, 0)
     with pytest.raises(DegenerateDirectionError):
         mode_vectors(np.zeros(3), eps, eta, MODE_ORDER)
 
@@ -292,7 +311,7 @@ def test_eigen_basis_A0_orthonormal(smooth_model, rng):
         zeta = _unit(rng.normal(size=4))
         if np.linalg.norm(zeta[1:]) < 1e-3:
             continue
-        basis = mode_vectors(zeta[1:], smooth_model.eps_at(x), smooth_model.eta_at(x), MODE_ORDER)
+        basis = mode_vectors(zeta[1:], *smooth_model.sample_fields(*x)[:2], MODE_ORDER)
         A0 = assemble_system_matrices(smooth_model, x)[0]
         gram = basis.T @ A0 @ basis
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-12)

@@ -32,13 +32,13 @@ def _family(mode="trans+1", model=None, envelope=None, grid=GRID, epsilons=EPS2,
 
 # ---------------------------------------------------------------- grid sampling
 
-def _bounded_model(eps_slope=0.0, eta_slope=0.0, domain=None):
-    """eps = 1 - eps_slope*x1, eta = 1 - eta_slope*x2, both declared >= 0.9."""
+def _bounded_model(eps_slope=0.0, eta_slope=0.0, domain=None, sigma=0.0):
+    """eps = 1 - eps_slope*x1, eta = 1 - eta_slope*x2, both declared >= 0.9, and constant sigma."""
     zero = lambda x1, x2, x3: np.zeros(np.broadcast(x1, x2, x3).shape)
     return MaterialModel.scalar_smooth(
         eps=lambda x1, x2, x3: 1.0 - eps_slope * x1 + zero(x1, x2, x3),
         eta=lambda x1, x2, x3: 1.0 - eta_slope * x2 + zero(x1, x2, x3),
-        sigma=zero,
+        sigma=lambda x1, x2, x3: sigma + zero(x1, x2, x3),
         grad_eps=lambda x1, x2, x3: np.stack([zero(x1, x2, x3) - eps_slope, zero(x1, x2, x3), zero(x1, x2, x3)]),
         grad_eta=lambda x1, x2, x3: np.stack([zero(x1, x2, x3), zero(x1, x2, x3) - eta_slope, zero(x1, x2, x3)]),
         eps_min=0.9,
@@ -53,8 +53,9 @@ def _bounded_model(eps_slope=0.0, eta_slope=0.0, domain=None):
         (_bounded_model(eps_slope=2.0), ValueError, "eps falls", 0),
         (_bounded_model(eta_slope=2.0), ValueError, "eta falls", 1),
         (_bounded_model(domain=((0.0, 0.0, 0.0), (0.1, 0.2, 0.2))), DomainError, "outside model domain", 0),
+        (_bounded_model(sigma=-1.0), ValueError, "sigma falls", 0),
     ],
-    ids=["eps_below_min", "eta_below_min", "box_leaves_domain"],
+    ids=["eps_below_min", "eta_below_min", "box_leaves_domain", "sigma_negative"],
 )
 def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axis):
     # on GRID's box [0, 0.125)^3, 1 - 2x falls to 0.78 < 0.9, and x1 passes 0.1;

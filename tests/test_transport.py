@@ -331,8 +331,8 @@ def test_variable_rows_reduce_to_constant():
 def test_variable_rows_manufactured_convergence_t_and_zeta():
     model = quadratic_speed_model()
     x0 = np.array([0.25, 0.0, 0.0])
-    ge = model.grad_eps_at(x0)
-    epsv, etav, sigv = model.eps_at(x0), model.eta_at(x0), model.sigma_at(x0)
+    ge, _ = model.sample_gradients(*x0)
+    epsv, etav, sigv = model.sample_fields(*x0)
     M1 = np.outer([1.0, 0.5, 0.0], [0.2, 1.0, -0.3]) + np.eye(3)
 
     def q(z):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,16 @@ from hml.estimator import HMeasureEstimate, SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
 from hml.symbols import (
     MODE_ORDER,
+    DomainError,
     MaterialModel,
     assemble_P,
     assemble_system_matrices,
     mode_vectors,
 )
 from hml.synthesis import evolved_family, plane_wave_family, wkb_family, layered_phase
+from hml.transport import DensityTrajectory, constant_transport_residual, variable_transport_residual
 from hml.verifier import (
+    MODAL_NAMES,
     fit_constant_decomposition,
     fit_modal_decomposition,
     localisation_residual,
@@ -215,7 +220,7 @@ def test_modal_fit_pure_dyad(smooth_model):
     bins = np.zeros((SPHERE.num_bins, 6, 6), dtype=complex)
     b = SPHERE.flat_index(5, 4, 3)
     zp = SPHERE.centers()[b, 1:]
-    vec = mode_vectors(zp, smooth_model.eps_at(x0), smooth_model.eta_at(x0), ("trans+1",))[:, 0]
+    vec = mode_vectors(zp, *smooth_model.sample_fields(*x0)[:2], ("trans+1",))[:, 0]
     bins[b] = np.outer(vec, vec)
     est = make_estimate({0.5: bins, 0.25: bins})
     fit = fit_modal_decomposition(est, smooth_model, x0)
@@ -238,7 +243,7 @@ def test_stacked_checks_match_per_bin_loops(smooth_model, rng):
     const = fit_constant_decomposition(est)
     loc = localisation_residual(est, "P", smooth_model, x0)
     centers = sphere.centers()
-    eps0, eta0 = smooth_model.eps_at(x0), smooth_model.eta_at(x0)
+    eps0, eta0, _ = smooth_model.sample_fields(*x0)
     for n, b in enumerate(modal.bin_indices):
         basis = mode_vectors(centers[b, 1:], eps0, eta0, MODE_ORDER)
         vals = [np.conj(A0 @ col) @ bins[b] @ (A0 @ col) for col in basis.T]
@@ -260,7 +265,7 @@ def test_stacked_checks_match_per_bin_loops(smooth_model, rng):
 def test_modal_blocks_match_paper_display(smooth_model, rng):
     x0 = (0.2, -0.1, 0.3)
     zp = rng.normal(size=3)
-    basis = mode_vectors(zp, smooth_model.eps_at(x0), smooth_model.eta_at(x0), MODE_ORDER)
+    basis = mode_vectors(zp, *smooth_model.sample_fields(*x0)[:2], MODE_ORDER)
     coeffs = {n: float(v) for n, v in zip(("a0", "b0", "ap", "bp", "am", "bm"), rng.uniform(0, 2, 6))}
     M = np.zeros((6, 6))
     for name, col in zip(("a0", "b0", "ap", "bp", "am", "bm"), basis.T):
@@ -270,6 +275,35 @@ def test_modal_blocks_match_paper_display(smooth_model, rng):
     np.testing.assert_allclose(M[:3, 3:], blocks["s12"], atol=1e-12)
     np.testing.assert_allclose(M[3:, :3], blocks["s21"], atol=1e-12)
     np.testing.assert_allclose(M[3:, 3:], blocks["s22"], atol=1e-12)
+
+
+def _trajectory(case, x_center):
+    """All-zero densities of one case on five time levels, at x_center."""
+    if case == "constant":
+        funcs = {name: (lambda t, z: np.zeros(z.shape[0])) for name in "abcd"}
+    else:
+        funcs = {name: (lambda t, z: np.zeros((z.shape[0], 3, 3))) for name in ("s11", "s12", "s21", "s22")}
+    return DensityTrajectory.from_callables(case, np.linspace(0.0, 0.5, 5), SPHERE, funcs, x_center=x_center)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda model, est, x: paper_sigma_blocks(model, x, (0.0, 0.6, 0.8), dict.fromkeys(MODAL_NAMES, 1.0)),
+        lambda model, est, x: fit_modal_decomposition(est, model, x),
+        lambda model, est, x: support_check(est, "scalar_smooth", model, x),
+        lambda model, est, x: constant_transport_residual(_trajectory("constant", x), model),
+        lambda model, est, x: variable_transport_residual(_trajectory("scalar_smooth", x), model),
+    ],
+    ids=["paper_sigma_blocks", "fit_modal_decomposition", "support_check", "constant_rows", "variable_rows"],
+)
+def test_point_readers_refuse_points_outside_domain(smooth_model, read):
+    # every reader of the model at one point goes through its checked reads
+    model = dataclasses.replace(smooth_model, domain=((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
+    bins = np.broadcast_to(np.eye(6), (SPHERE.num_bins, 6, 6)).copy()  # mass in every bin
+    est = make_estimate({0.5: bins, 0.25: bins})
+    with pytest.raises(DomainError):
+        read(model, est, (0.75, 0.1, 0.1))
 
 
 def test_modal_fit_wkb_transverse_family():
