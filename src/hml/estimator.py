@@ -15,6 +15,12 @@ fields have six components each.  The lattice is sorted by bin once per
 (grid, sphere) and cached, the spectra are gathered into that order, and
 each non-empty bin of G is one small real GEMM over a contiguous run of
 rows.
+
+The window is read only through its four axis factors.  A time-windowed
+estimate pays only for the time slabs its window covers: the slabs
+between the first and last grid times where the time factor is nonzero
+are multiplied by the spatial factors and FFT'd over (x1, x2, x3), and the
+time DFT, with the time factor folded into its matrix, is one GEMM.
 """
 
 from __future__ import annotations
@@ -209,7 +215,8 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
     rs = np.where(ok, r, 1.0)
     units = np.stack([np.broadcast_to(f, grid.shape).ravel() / rs for f in (f0, f1, f2, f3)], axis=-1)
     idx = np.where(ok, sphere.locate(units), sphere.num_bins)
-    order = np.argsort(idx, kind="stable")
+    # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
+    order = np.argsort(idx.astype(np.min_scalar_type(sphere.num_bins)), kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
     dirs = units[order].astype(np.float32)
     return _Lattice(order, bounds, dirs)
@@ -326,12 +333,32 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     return bins, cent, dc
 
 
-def _spectra(fields: np.ndarray, window: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Windowed 4-D DFT of (r,) + grid.shape fields as a contiguous (Npts, r) array in bin order."""
-    buf = np.empty(fields.shape[1:] + fields.shape[:1], dtype=np.complex128)
-    np.multiply(np.moveaxis(fields, 0, -1), window[..., None], out=buf)
-    F = scipy.fft.fftn(buf, axes=(0, 1, 2, 3), overwrite_x=True, workers=fft_workers())
-    return np.take(F.reshape(-1, F.shape[-1]), order, axis=0)
+def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np.ndarray) -> np.ndarray:
+    """Windowed 4-D DFT of (r,) + grid.shape fields as a contiguous (Npts, r) array in bin order.
+
+    The window phi = w_t(t) w_x(x) is read through its axis factors.  Only
+    the slabs t_j0 .. t_j1 between the first and last grid times where w_t
+    is nonzero are multiplied by w_x and FFT'd over (x1, x2, x3); the time
+    DFT is then one GEMM ``W @ slabs`` with the time factor folded into it,
+    W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t).  A window that is
+    zero at every sample of an axis is refused (its estimate would be zero).
+    """
+    samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
+    dead = [i for i, w in enumerate(samples) if not w.any()]
+    if dead:
+        raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
+    live = np.flatnonzero(samples[0])
+    lo, hi = live[0], live[-1] + 1
+    nt, r = grid.shape[0], fields.shape[0]
+    spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
+    slabs = np.empty((hi - lo,) + grid.spatial_shape + (r,), dtype=np.complex128)
+    np.multiply(np.moveaxis(fields[:, lo:hi], 0, -1), spatial[..., None], out=slabs)
+    slabs = scipy.fft.fftn(slabs, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
+    kj = np.arange(nt)[:, None] * np.arange(lo, hi)
+    W = samples[0][lo:hi] * np.exp((-2j * np.pi / nt) * (kj % nt))
+    F = W @ slabs.reshape(hi - lo, -1)
+    del slabs  # the bin-order copy below is the second full-size array, not the third
+    return np.take(F.reshape(-1, r), order, axis=0)
 
 
 def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere, kind: str) -> HMeasureEstimate:
@@ -351,7 +378,6 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     sphere = sphere or SphereGrid()
     grid = family.grid
     hermitian = g_fields is None
-    window = phi.sample(grid)
     lattice = _lattice_bins(grid, sphere)
     scale = grid.cell_volume**2 / grid.box_volume
     counts = np.diff(lattice.bounds[: sphere.num_bins + 1])  # lattice points per bin, DC excluded
@@ -359,8 +385,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     for e in family.epsilons:
         u = FactoredField.of(family.fields[e])
         g = u if hermitian else FactoredField.of(g_fields[e])
-        F1 = _spectra(u.s, window, lattice.order)
-        F2 = F1 if hermitian else _spectra(g.s, window, lattice.order)
+        F1 = _spectra(u.s, phi, grid, lattice.order)
+        F2 = F1 if hermitian else _spectra(g.s, phi, grid, lattice.order)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
     return HMeasureEstimate(
         sphere=sphere,

@@ -267,11 +267,27 @@ def plane_wave_family(
 
 
 def _propagator(model: MaterialModel, grid: GridSpec) -> np.ndarray:
-    """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), per spatial frequency."""
+    """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), per spatial frequency.
+
+    A0, P and C are real and P is linear in xi, so M(-xi) = conj M(xi) and
+    expm(M(-xi) dt) = conj expm(M(xi) dt): one matrix exponential serves
+    each +-xi pair, and its mirror is filled by conjugation.  On a Nyquist
+    plane the lattice holds no -xi, so those frequencies are exponentiated
+    directly.
+    """
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
     P = assemble_P(model, (0.0, 0.0, 0.0), np.stack([np.zeros_like(xi[0]), *xi], axis=-1))
-    return scipy.linalg.expm(-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0])
+    M = (-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0]).reshape(-1, 6, 6)
+    n = grid.spatial_shape
+    index = np.indices(n)
+    mirror = np.ravel_multi_index(tuple((-i) % m for i, m in zip(index, n)), n).ravel()
+    nyquist = np.logical_or.reduce([i == m // 2 for i, m in zip(index, n)]).ravel()
+    own = nyquist | (np.arange(mirror.size) <= mirror)
+    out = np.empty_like(M)
+    out[own] = scipy.linalg.expm(M[own])
+    out[~own] = np.conj(out[mirror[~own]])
+    return out.reshape(n + (6, 6))
 
 
 def _evolve(prop: np.ndarray, initial: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -11,7 +11,7 @@ from hml.estimator import (
     fourier_multiplier,
     source_fields,
 )
-from hml.grids import GridSpec, full_window, hann_window
+from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
 from hml.symbols import MaterialModel, mode_vectors
 from hml.synthesis import (
     AliasingError,
@@ -23,6 +23,7 @@ from hml.synthesis import (
     plane_wave_family,
     wkb_family,
 )
+from hml.transport import time_subwindow
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
 EPS2 = (2.0**-3, 2.0**-4)
@@ -187,6 +188,17 @@ def test_estimate_rejects_aliased_family():
         correlation_measure(fam, dict(fam.fields), hann_window(GRID, axes=(0,)), sphere=SPHERE)
 
 
+def test_estimate_refuses_window_zero_on_every_sample():
+    # a raised cosine lying between the first two grid times: every time sample is zero
+    dt = GRID.spacing[0]
+    phi = SeparableWindow((AxisWindow("hann", 0.2 * dt, 0.8 * dt),) + (AxisWindow("one"),) * 3)
+    fam = _family()
+    with pytest.raises(ValueError, match="window .*hann"):
+        estimate_hmeasure(fam, phi, sphere=SPHERE)
+    with pytest.raises(ValueError, match="window .*hann"):
+        correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)
+
+
 def test_plane_wave_concentration_and_matrix():
     model = MaterialModel.constant()
     fam = _family(model=model)
@@ -312,6 +324,8 @@ def test_lattice_bins_locate_float64_directions():
     segment[lattice.order] = np.repeat(np.arange(B + 1), np.diff(lattice.bounds))
     np.testing.assert_array_equal(segment[flat], SPHERE.locate(units))
     np.testing.assert_array_equal(lattice.order[lattice.bounds[B] :], [0])  # DC alone in segment B
+    assert B > 256  # bin ids sorted as uint16 give the int64 stable order
+    np.testing.assert_array_equal(lattice.order, np.argsort(segment, kind="stable"))
 
 
 def _bincount_reference(u, g, phi, sphere):
@@ -342,16 +356,24 @@ def _bincount_reference(u, g, phi, sphere):
     return bins, cent, np.sum(F1[:m, 0] * np.conj(F2[:m, 0])) * scale
 
 
-@pytest.mark.parametrize("second", ["auto", "cross6", "charge"])
-def test_gram_bins_match_per_pair_bincount_reference(second):
-    """Bin-sorted Gram accumulation against per-pair bincounts, on a sphere finer than the lattice."""
+WINDOWS = {"": hann_window(GRID, axes=(0,)), "-time-subwindow": time_subwindow(GRID, 0.1, 0.09),
+           "-hann-4d": hann_window(GRID), "-hann-t-margin": hann_window(GRID, axes=(0,), margin=0.25)}
+
+
+@pytest.mark.parametrize(
+    "second, phi",
+    [pytest.param(second, phi, id=second + name) for name, phi in WINDOWS.items()
+     for second in ("auto", "cross6", "charge")],
+)
+def test_gram_bins_match_per_pair_bincount_reference(second, phi):
+    """Bin-sorted Gram accumulation against per-pair bincounts of the fully windowed field's 4-D FFT,
+    on a sphere finer than the lattice."""
     rng = np.random.default_rng(7)
 
     def noise(p):
         return rng.standard_normal((p,) + GRID.shape) + 1j * rng.standard_normal((p,) + GRID.shape)
 
     fam = OscillatingFamily(grid=GRID, epsilons=EPS2, fields={e: noise(6) for e in EPS2})
-    phi = hann_window(GRID, axes=(0,))
     sphere = SphereGrid(24, 24, 48)
     assert sphere.num_bins > GRID.num_points
     if second == "auto":
@@ -510,3 +532,16 @@ def test_estimator_never_materialises_factored_fields(monkeypatch):
     estimate_hmeasure(fam, phi, sphere=SPHERE)
     correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
     correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)
+
+
+def test_estimator_never_samples_the_full_window(monkeypatch):
+    # the window enters through its axis factors: no grid-sized window array is formed
+    fam = _family(model=MaterialModel.constant(1.0, 1.0, 0.5))
+
+    def refuse(self, grid):
+        raise AssertionError("the window was sampled on the full grid")
+
+    monkeypatch.setattr(SeparableWindow, "sample", refuse)
+    for phi in (hann_window(GRID), time_subwindow(GRID, 0.1, 0.09), full_window()):
+        estimate_hmeasure(fam, phi, sphere=SPHERE)
+        correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)

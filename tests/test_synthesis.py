@@ -4,11 +4,12 @@ import scipy.linalg
 
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
-from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError, assemble_system_matrices
+from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError, assemble_P, assemble_system_matrices
 from hml.synthesis import (
     AliasingError,
     FactoredField,
     OscillatingFamily,
+    _propagator,
     charge_density,
     evolved_family,
     exact_constant_evolution,
@@ -233,6 +234,21 @@ def test_evolved_family_builds_one_propagator(monkeypatch):
     u0 = fam.fields[fam.finest][:, 0]
     again = exact_constant_evolution(MaterialModel.constant(1.0, 1.0, 0.5), u0, GRID)
     np.testing.assert_allclose(again, fam.fields[fam.finest], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(extents=(0.125, 0.25, 0.125, 0.5), shape=(8, 8, 16, 32))],
+                         ids=["cubic", "non-cubic"])
+def test_propagator_matches_per_frequency_expm(grid):
+    # one exponential per +-xi pair, the mirror by conjugation: the same numbers as one expm per frequency
+    model = MaterialModel.constant(2.0, 0.5, 0.3)
+    A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
+    xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
+    P = assemble_P(model, (0.0, 0.0, 0.0), np.stack([np.zeros_like(xi[0]), *xi], axis=-1))
+    M = -np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0]
+    want = np.empty_like(M)
+    for i in np.ndindex(grid.spatial_shape):
+        want[i] = scipy.linalg.expm(M[i])
+    assert np.array_equal(_propagator(model, grid), want)
 
 
 def test_evolved_family_source_free_metadata():
