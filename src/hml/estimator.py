@@ -8,13 +8,15 @@ integral of the defining formula).  The finest-scale value is reported
 together with the per-scale history.
 
 Fields arrive factored, u = V s (``synthesis.FactoredField``; a plain
-array is V = I), and an H-measure moves with a constant matrix, so the
-estimator FFTs the r scalars s, bins an r x r' Gram matrix G, and returns
-V G V'^H.  A plane wave is r = 1 and its source r = 5, where the full
-fields have six components each.  The lattice is sorted by bin once per
-(grid, sphere) and cached, the spectra are gathered into that order, and
-each non-empty bin of G is one small real GEMM over a contiguous run of
-rows.
+array is V = the columns of I at its components that are not identically
+zero), and an H-measure moves with a constant matrix, so the estimator
+FFTs the r scalars s, bins an r x r' Gram matrix G, and returns V G V'^H.
+A plane wave is r = 1 and its source r = 5, where the full fields have
+six components each; an exact constant-coefficient evolution keeps only
+its nonzero components, and a family without sources pairs with r' = 0
+(zero bins).  The lattice is sorted by bin once per (grid, sphere) and
+cached, the spectra are gathered into that order, and each non-empty bin
+of G is one small real GEMM over a contiguous run of rows.
 
 The window is read only through its four axis factors.  A time-windowed
 estimate pays only for the time slabs its window covers: the slabs
@@ -235,7 +237,9 @@ class HMeasureEstimate:
     ``metadata["bin_occupancy"]`` the number of empty bins and the median
     lattice points per bin (a sphere finer than the lattice leaves bins
     empty or nearly so).  ``metadata["factor_rank"]`` is (r, r'), the
-    number of scalar factors transformed per sequence.
+    number of scalar factors transformed per sequence: components that are
+    exactly zero (no tolerance) are not counted, and r or r' is 0 for an
+    all-zero sequence, whose bins are zero.
     """
 
     sphere: SphereGrid
@@ -300,7 +304,9 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     Hermitian.  The bins are V1 G V2^H.  Orthonormal factors keep each
     lattice point's mass |u^|^2 = |s^|^2, so the centroids need no
     expansion of the spectra; the DC term is the sum over the first
-    min(p, q) components of the expanded DC vectors.
+    min(p, q) components of the expanded DC vectors.  r or r' may be 0:
+    the bins and the DC term are then zero, and the centroids are those of
+    the other sequence's mass.
     """
     B = sphere.num_bins
     r1, r2 = F1.shape[1], F2.shape[1]
@@ -308,7 +314,8 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     M = np.zeros((B, 2 * r1, 2 * r2))
     starts, stops = lattice.bounds[:B], lattice.bounds[1 : B + 1]
     nonempty = np.flatnonzero(stops > starts)
-    for b in nonempty.tolist():
+    # a rank-zero sequence (an all-zero field or a source-free family) has an all-zero Gram
+    for b in nonempty.tolist() if r1 * r2 else ():
         s, e = starts[b], stops[b]
         np.matmul(X[s:e].T, Y[s:e], out=M[b])
     G = np.empty((B, r1, r2), dtype=np.complex128)
@@ -342,14 +349,17 @@ def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np
     DFT is then one GEMM ``W @ slabs`` with the time factor folded into it,
     W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t).  A window that is
     zero at every sample of an axis is refused (its estimate would be zero).
+    r = 0 (no scalar factors) gives an (Npts, 0) array without a transform.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
     if dead:
         raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
+    nt, r = grid.shape[0], fields.shape[0]
+    if r == 0:
+        return np.empty((grid.num_points, 0), dtype=np.complex128)
     live = np.flatnonzero(samples[0])
     lo, hi = live[0], live[-1] + 1
-    nt, r = grid.shape[0], fields.shape[0]
     spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
     slabs = np.empty((hi - lo,) + grid.spatial_shape + (r,), dtype=np.complex128)
     np.multiply(np.moveaxis(fields[:, lo:hi], 0, -1), spatial[..., None], out=slabs)
@@ -417,10 +427,16 @@ def estimate_hmeasure(
 
 
 def source_fields(family: OscillatingFamily) -> dict:
-    """The recorded Maxwell residual f^eps per scale, as held (zero arrays if absent)."""
+    """The recorded Maxwell residual f^eps per scale, as held.
+
+    A family without sources has f = 0: each scale is a rank-zero
+    ``FactoredField`` (V of shape (6, 0), s of shape (0,) + grid), which
+    holds no grid-sized array and pairs to zero bins.
+    """
     if family.sources is not None:
         return {e: family.sources[e] for e in family.epsilons}
-    return {e: np.zeros((6,) + family.grid.shape, dtype=complex) for e in family.epsilons}
+    zero = FactoredField(np.zeros((6, 0)), np.zeros((0,) + family.grid.shape, dtype=np.complex128))
+    return {e: zero for e in family.epsilons}
 
 
 def charge_tilde_fields(family: OscillatingFamily) -> dict:

@@ -9,16 +9,20 @@ An entry is either a (6,) + grid array or a ``FactoredField``: a constant
 polarization factor V (6, r) with orthonormal columns and r scalar fields
 s, with u = V s.  An H-measure moves with a constant matrix, mu_{Vs} =
 V mu_s V^H (Tartar 1990), so the estimator and ``charge_density`` work on
-the r scalars; a plain array is the r = 6, V = I case.  The full array of
-a factored entry is formed only by ``FactoredField.materialise``, which
-``np.asarray`` calls.
+the r scalars.  A plain array is read as V = the columns of I whose
+components are not identically zero, so exact-zero components are never
+transformed; the test is exact (``!= 0``, no tolerance), and r = 0 is an
+all-zero field.  The full array of a factored entry is formed only by
+``FactoredField.materialise``, which ``np.asarray`` calls.
 Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
   along one of the six eigenmodes (rank-one fields), with the envelope
   commutator recorded as the source (rank five).
 * evolved_family / exact_constant_evolution: spectral matrix-exponential
-  solution of the constant-coefficient system (the source is exactly zero).
+  solution of the constant-coefficient system (the source is exactly zero),
+  exponentiated and stepped only at the spatial frequencies where the
+  initial spectrum is nonzero.
 * wkb_family: variable-coefficient phase/amplitude fields aligned with a
   local eigenmode; the Maxwell residual is measured spectrally.
 """
@@ -72,7 +76,8 @@ class FactoredField:
     """A field u = V s held as its factors.
 
     ``V`` (p, r) has orthonormal columns and ``s`` (r,) + grid holds the r
-    scalar fields, so |u|^2 = |s|^2 pointwise and in every Fourier mode.
+    scalar fields, so |u|^2 = |s|^2 pointwise and in every Fourier mode;
+    r = 0 is the zero field.
     ``shape`` is the shape of u; ``materialise`` (and so ``np.asarray``)
     is the one method that forms it.
     """
@@ -95,11 +100,20 @@ class FactoredField:
 
     @classmethod
     def of(cls, u) -> FactoredField:
-        """``u`` if it is factored, else the (p,) + grid array u as V = I, s = u."""
+        """``u`` if it is factored, else the (p,) + grid array u without its exact-zero components.
+
+        V is the columns of I at the components of u that are not
+        identically zero and s those components (u itself, uncopied, when
+        none is zero).  The test is exact ``!= 0``: no tolerance, so V s is
+        u bit for bit, and an all-zero u gives r = 0.
+        """
         if isinstance(u, cls):
             return u
         u = np.asarray(u)
-        return cls(np.eye(u.shape[0]), u)
+        live = [j for j in range(u.shape[0]) if u[j].any()]
+        if len(live) == u.shape[0]:
+            return cls(np.eye(u.shape[0]), u)
+        return cls(np.eye(u.shape[0])[:, live], u[live])
 
     @property
     def shape(self) -> tuple:
@@ -153,15 +167,16 @@ class OscillatingFamily:
         self.epsilons = eps
         shape = (6,) + self.grid.shape
         for e in eps:
-            entries = []
+            arrays = []
             for name, held in (("field", self.fields), ("source", self.sources)):
                 if held is None:
                     continue
-                u = FactoredField.of(held[e]) if e in held else None
-                if u is None or u.shape != shape:
+                u = held.get(e)
+                if u is None or np.shape(u) != shape:
                     raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
-                entries.append(u)
-            if not all(np.isfinite(a).all() for u in entries for a in (u.V, u.s)):
+                # read as held: factoring a plain array here would copy it to drop its zero components
+                arrays += (u.V, u.s) if isinstance(u, FactoredField) else (np.asarray(u),)
+            if not all(np.isfinite(a).all() for a in arrays):
                 raise ValueError(f"non-finite field or source entry at eps={e}")
 
     @property
@@ -266,13 +281,17 @@ def plane_wave_family(
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
-def _propagator(model: MaterialModel, grid: GridSpec) -> np.ndarray:
-    """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), per spatial frequency.
+def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np.ndarray:
+    """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), on ``support``.
 
-    A0, P and C are real and P is linear in xi, so M(-xi) = conj M(xi) and
-    expm(M(-xi) dt) = conj expm(M(xi) dt): one matrix exponential serves
-    each +-xi pair, and its mirror is filled by conjugation.  On a Nyquist
-    plane the lattice holds no -xi, so those frequencies are exponentiated
+    ``support`` is a boolean array of the spatial shape: the frequencies
+    the evolved data can reach.  The propagator is exponentiated only
+    there and is exactly zero elsewhere.  A0, P and C are real and P is
+    linear in xi, so M(-xi) = conj M(xi) and expm(M(-xi) dt) = conj
+    expm(M(xi) dt): where both of a +-xi pair are in the support, one
+    matrix exponential serves the pair and its mirror is filled by
+    conjugation.  A frequency whose mirror is outside the support, and one
+    on a Nyquist plane (the lattice holds no -xi there), is exponentiated
     directly.
     """
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
@@ -283,21 +302,40 @@ def _propagator(model: MaterialModel, grid: GridSpec) -> np.ndarray:
     index = np.indices(n)
     mirror = np.ravel_multi_index(tuple((-i) % m for i, m in zip(index, n)), n).ravel()
     nyquist = np.logical_or.reduce([i == m // 2 for i, m in zip(index, n)]).ravel()
-    own = nyquist | (np.arange(mirror.size) <= mirror)
-    out = np.empty_like(M)
+    live = support.ravel()
+    own = live & (nyquist | (np.arange(mirror.size) <= mirror) | ~live[mirror])
+    fill = live & ~own
+    out = np.zeros_like(M)
     out[own] = scipy.linalg.expm(M[own])
-    out[~own] = np.conj(out[mirror[~own]])
+    out[fill] = np.conj(out[mirror[fill]])
     return out.reshape(n + (6, 6))
 
 
-def _evolve(prop: np.ndarray, initial: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Step spatial data (6,) + spatial shape through every grid time with ``prop``."""
-    out = np.empty((grid.shape[0],) + grid.spatial_shape + (6,), dtype=np.complex128)
+def _initial_spectrum(initial: np.ndarray) -> np.ndarray:
+    """Spatial DFT of (6,) + spatial shape data, components last."""
     # axes last to first, the order np.fft takes them, so the result matches it bit for bit
-    out[0] = np.moveaxis(scipy.fft.fftn(initial, axes=(3, 2, 1), workers=fft_workers()), 0, -1)
-    for n in range(1, grid.shape[0]):
-        out[n] = np.einsum("...ij,...j->...i", prop, out[n - 1])
-    return scipy.fft.ifftn(np.moveaxis(out, -1, 0), axes=(4, 3, 2), workers=fft_workers())  # (6, nt, ...)
+    return np.moveaxis(scipy.fft.fftn(initial, axes=(3, 2, 1), workers=fft_workers()), 0, -1)
+
+
+def _evolve(prop: np.ndarray, spectrum: np.ndarray, support: np.ndarray, grid: GridSpec) -> FactoredField:
+    """Step an initial spectrum (spatial shape + (6,)) through every grid time with ``prop``.
+
+    Only the frequencies in ``support`` are stepped; the others stay exact
+    zeros, as they would under the full propagator when the spectrum is
+    zero there.  The stepped spectra are factored by ``FactoredField.of``,
+    so a component that is zero at every time and frequency is dropped
+    before the inverse FFT, and the result is a ``FactoredField`` of shape
+    (6, nt) + spatial shape.
+    """
+    nt, first, step = grid.shape[0], spectrum[support], prop[support]
+    steps = np.empty((nt,) + first.shape, dtype=np.complex128)
+    steps[0] = first
+    for n in range(1, nt):
+        steps[n] = np.einsum("...ij,...j->...i", step, steps[n - 1])
+    hat = FactoredField.of(np.moveaxis(steps, -1, 0))
+    s = np.zeros((hat.rank, nt) + grid.spatial_shape, dtype=np.complex128)
+    s[:, :, support] = hat.s
+    return FactoredField(hat.V, scipy.fft.ifftn(s, axes=(4, 3, 2), overwrite_x=True, workers=fft_workers()))
 
 
 def exact_constant_evolution(
@@ -305,17 +343,22 @@ def exact_constant_evolution(
 ) -> np.ndarray:
     """Exact spectral solution of A0 du/dt + sum_j A^j d_j u + C u = 0.
 
-    ``initial`` has shape (6,) + spatial shape; the result covers all grid
-    times via one matrix exponential per spatial frequency, the propagator
-    expm(M dt) with M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), applied as a
-    one-step map on the uniform time axis.
+    ``initial`` has shape (6,) + spatial shape; the result, a (6,) + grid
+    array, covers all grid times via one matrix exponential per spatial
+    frequency, the propagator expm(M dt) with M(xi) = -A0^{-1}(2 pi i P(0,
+    xi) + C), applied as a one-step map on the uniform time axis.  Only
+    the frequencies where the initial spectrum is nonzero (exact ``!= 0``)
+    are exponentiated and stepped; the rest of the solution's spectrum is
+    exactly zero.
     """
     if not model.is_constant:
         raise UnsupportedGeneratorError("exact evolution requires a constant model")
     initial = np.asarray(initial)
     if initial.shape != (6,) + grid.spatial_shape:
         raise ValueError("initial data shape mismatch")
-    return _evolve(_propagator(model, grid), initial, grid)
+    spectrum = _initial_spectrum(initial)
+    support = spectrum.any(axis=-1)
+    return np.asarray(_evolve(_propagator(model, grid, support), spectrum, support, grid))
 
 
 def evolved_family(
@@ -330,9 +373,13 @@ def evolved_family(
 
     Initial data b_mode * env(x) * exp(2 pi i x.k/eps) evolved exactly, as
     in ``exact_constant_evolution``, with one propagator for the whole
-    ladder (it does not depend on eps); the source term is identically
-    zero, so these families satisfy every hypothesis of the propagation
-    theorems at the discrete level.
+    ladder (it does not depend on eps), exponentiated and stepped only on
+    the frequencies where some scale's initial spectrum is nonzero (an
+    exact ``!= 0`` test, no tolerance).  Each field is stored factored,
+    once, without its exact-zero components (``FactoredField.of``), so
+    every estimate reads the same r scalars.  The source term is
+    identically zero, so these families satisfy every hypothesis of the
+    propagation theorems at the discrete level.
     """
     k, b, c = _constant_mode(model, k, mode, "evolved_family")
     x1, x2, x3 = grid.spatial_meshes()
@@ -345,11 +392,11 @@ def evolved_family(
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
-    prop = _propagator(model, grid)
-    fields = {}
-    for e in eps_list:
-        u0 = (env * np.exp((2j * np.pi / e) * sphase))[None, ...] * b.reshape(6, 1, 1, 1)
-        fields[e] = _evolve(prop, u0, grid)
+    spectra = {e: _initial_spectrum((env * np.exp((2j * np.pi / e) * sphase))[None, ...] * b.reshape(6, 1, 1, 1))
+               for e in eps_list}
+    support = np.logical_or.reduce([hat.any(axis=-1) for hat in spectra.values()])
+    prop = _propagator(model, grid, support)
+    fields = {e: _evolve(prop, spectra[e], support, grid) for e in eps_list}
 
     meta = {
         "generator": "evolved",
@@ -510,13 +557,14 @@ def charge_density(family: OscillatingFamily) -> dict:
 
     Each E_j = sum_k V_jk s_k is formed from the factors and differentiated
     along x_j, so a rank-one field costs three scalar derivative pairs and
-    the full field is never formed.
+    the full field is never formed.  An E_j whose row of V is exactly zero
+    is identically zero and costs nothing.
     """
     out = {}
     for e in family.epsilons:
         u = FactoredField.of(family.fields[e])
         rho = np.zeros(family.grid.shape, dtype=np.complex128)
-        for j in range(3):
+        for j in np.flatnonzero(u.V[:3].any(axis=1)):
             rho += _spectral_derivative(np.tensordot(u.V[j], u.s, axes=1)[None], family.grid, 1 + j)[0]
         out[e] = rho
     return out

@@ -52,12 +52,13 @@ def test_bin_occupancy_reported(sphere, empty, median):
 
 @pytest.mark.parametrize(
     "generator, ranks",
-    [("plane_wave", [(1, 1), (1, 5), (1, 1)]), ("evolved", [(6, 6), (6, 6), (6, 1)]),
-     ("wkb", [(6, 6), (6, 6), (6, 1)])],
+    [("plane_wave", [(1, 1), (1, 5), (1, 1)]), ("evolved", [(6, 6), (6, 0), (6, 1)]),
+     ("wkb", [(5, 5), (5, 6), (5, 1)])],
 )
 def test_factor_rank_reported(generator, ranks):
     # auto, source-cross and charge-cross: a plane wave is b times one scalar and its source
-    # five scalars; WKB and evolved fields stay plain six-component arrays (V = I)
+    # five scalars; an evolved family has no source (rank 0), and this WKB field has one
+    # component that is exactly zero, which the estimator does not transform
     model = MaterialModel.constant(2.0, 0.5, 0.3)
     k, env = (0.3, -0.5, 0.8), hann_window(GRID)
     fam = {
@@ -481,6 +482,47 @@ def test_charge_tilde_embedding():
 
 
 # ------------------------------------------------------------------ factored
+
+
+@pytest.mark.parametrize("zero_component", [True, False], ids=["zero-component", "no-zero-component"])
+def test_dropped_components_match_identity_factor(zero_component):
+    """Bins with exact-zero components dropped against all six components transformed (V = I)."""
+    if zero_component:  # const-trajectory's family: E2, H1 and H3 are identically zero
+        grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(32, 8, 8, 16))
+        fam = evolved_family(MaterialModel.constant(1.0, 1.0, 1.0), grid, (0, 0, 1.0), "long-e", EPS2,
+                             hann_window(grid, axes=(1,)))
+    else:
+        grid = GRID
+        fam = evolved_family(MaterialModel.constant(2.0, 0.5, 0.3), grid, (0.3, -0.5, 0.8), "trans+1", EPS2,
+                             hann_window(grid, axes=(1, 2, 3)))
+    full = {e: FactoredField(np.eye(6), np.asarray(fam.fields[e])) for e in fam.epsilons}
+    ref_fam = OscillatingFamily(grid=grid, epsilons=fam.epsilons, fields=full, metadata=fam.metadata)
+    phi = time_subwindow(grid, grid.extents[0] / 2, grid.extents[0] / 4)
+    got, want = estimate_hmeasure(fam, phi, SPHERE), estimate_hmeasure(ref_fam, phi, SPHERE)
+    assert got.metadata["factor_rank"] == ((3, 3) if zero_component else (6, 6))
+    assert want.metadata["factor_rank"] == (6, 6)
+    for e in fam.epsilons:
+        total = want.at(e).total_mass()
+        assert total > 0
+        assert np.abs(got.history[e] - want.history[e]).max() <= 1e-13 * total
+        assert abs(got.dc_energy[e] - want.dc_energy[e]) <= 1e-13 * total
+        np.testing.assert_array_equal(np.isnan(got.centroids[e]), np.isnan(want.centroids[e]))
+
+
+def test_source_free_family_pairs_to_zero_bins():
+    # a family without sources has f = 0: rank-zero entries, no grid-sized zeros, exactly zero bins
+    fam = evolved_family(MaterialModel.constant(1.0, 1.0, 0.5), GRID, (0, 0, 1.0), "trans+1", EPS2,
+                         hann_window(GRID, axes=(1,)))
+    src = source_fields(fam)
+    for e in fam.epsilons:
+        assert src[e].V.shape == (6, 0) and src[e].s.shape == (0,) + GRID.shape
+    w = hann_window(GRID, axes=(0,))
+    cross = correlation_measure(fam, src, w, SPHERE)
+    r = estimate_hmeasure(fam, w, SPHERE).metadata["factor_rank"][0]
+    assert cross.metadata["factor_rank"] == (r, 0)
+    for e in fam.epsilons:
+        assert cross.history[e].shape == (SPHERE.num_bins, 6, 6)
+        assert not np.any(cross.history[e]) and cross.dc_energy[e] == 0
 
 
 def _plain(fam):

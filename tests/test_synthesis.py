@@ -5,11 +5,15 @@ import scipy.linalg
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
 from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError, assemble_P, assemble_system_matrices
+from hml import synthesis
 from hml.synthesis import (
     AliasingError,
     FactoredField,
     OscillatingFamily,
+    _evolve,
+    _initial_spectrum,
     _propagator,
+    _spectral_derivative,
     charge_density,
     evolved_family,
     exact_constant_evolution,
@@ -231,7 +235,7 @@ def test_evolved_family_builds_one_propagator(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
     fam = evolved_family(MaterialModel.constant(1.0, 1.0, 0.5), GRID, (0, 0, 1.0), "trans+1", EPS2)
     assert len(calls) == 1 and len(fam.epsilons) == 2
-    u0 = fam.fields[fam.finest][:, 0]
+    u0 = np.asarray(fam.fields[fam.finest])[:, 0]
     again = exact_constant_evolution(MaterialModel.constant(1.0, 1.0, 0.5), u0, GRID)
     np.testing.assert_allclose(again, fam.fields[fam.finest], rtol=0, atol=1e-13)
 
@@ -239,7 +243,8 @@ def test_evolved_family_builds_one_propagator(monkeypatch):
 @pytest.mark.parametrize("grid", [GRID, GridSpec(extents=(0.125, 0.25, 0.125, 0.5), shape=(8, 8, 16, 32))],
                          ids=["cubic", "non-cubic"])
 def test_propagator_matches_per_frequency_expm(grid):
-    # one exponential per +-xi pair, the mirror by conjugation: the same numbers as one expm per frequency
+    # one exponential per +-xi pair, the mirror by conjugation: the same numbers as one expm per frequency;
+    # on a partial support (most mirrors outside it) the same numbers there and exact zeros elsewhere
     model = MaterialModel.constant(2.0, 0.5, 0.3)
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
@@ -248,7 +253,52 @@ def test_propagator_matches_per_frequency_expm(grid):
     want = np.empty_like(M)
     for i in np.ndindex(grid.spatial_shape):
         want[i] = scipy.linalg.expm(M[i])
-    assert np.array_equal(_propagator(model, grid), want)
+    assert np.array_equal(_propagator(model, grid, np.ones(grid.spatial_shape, bool)), want)
+    support = np.random.default_rng(5).random(grid.spatial_shape) < 0.3
+    got = _propagator(model, grid, support)
+    assert np.array_equal(got[support], want[support])
+    assert not np.any(got[~support])
+
+
+LONG_E_GRID = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(32, 8, 8, 16))
+
+
+def _long_e_family():
+    """const-trajectory's family at a small size: long-e along e3, damped, an envelope along x1 only."""
+    model = MaterialModel.constant(1.0, 1.0, 1.0)
+    return evolved_family(model, LONG_E_GRID, (0, 0, 1.0), "long-e", EPS2, hann_window(LONG_E_GRID, axes=(1,)))
+
+
+@pytest.mark.parametrize("initial", ["const-trajectory", "random"])
+def test_support_evolution_matches_full_support(initial):
+    # stepping only where the initial spectrum is nonzero gives the full-support evolution bit for bit
+    grid = LONG_E_GRID
+    if initial == "random":
+        model = MaterialModel.constant(2.0, 0.5, 0.3)
+        rng = np.random.default_rng(11)
+        u0 = rng.normal(size=(6,) + grid.spatial_shape) + 1j * rng.normal(size=(6,) + grid.spatial_shape)
+    else:
+        model = MaterialModel.constant(1.0, 1.0, 1.0)
+        fam = _long_e_family()
+        u0 = np.asarray(fam.fields[fam.finest])[:, 0]
+    spectrum = _initial_spectrum(u0)
+    support = spectrum.any(axis=-1)
+    everywhere = np.ones(grid.spatial_shape, bool)
+    full = np.asarray(_evolve(_propagator(model, grid, everywhere), spectrum, everywhere, grid))
+    got = exact_constant_evolution(model, u0, grid)
+    assert np.array_equal(got, full)
+    # const-trajectory's initial spectrum lies in the xi2 = 0 plane; random data have no exact spectral zero
+    assert support.all() if initial == "random" else support[:, 0].any() and not support[:, 1:].any()
+
+
+def test_evolved_family_drops_zero_components():
+    # long-e along e3 with an envelope along x1 moves only E1, E3 and H2; E2, H1 and H3 are exactly zero
+    fam = _long_e_family()
+    for e in fam.epsilons:
+        u = fam.fields[e]
+        assert isinstance(u, FactoredField)
+        np.testing.assert_array_equal(u.V, np.eye(6)[:, [0, 2, 4]])
+        assert np.all(np.asarray(u)[[1, 3, 5]] == 0) and all(np.any(s) for s in u.s)
 
 
 def test_evolved_family_source_free_metadata():
@@ -329,6 +379,25 @@ def test_charge_transverse_no_growth():
     n0 = np.linalg.norm(rho[fam.epsilons[0]])
     n1 = np.linalg.norm(rho[fam.epsilons[1]])
     assert n1 <= 1.2 * n0  # envelope-scale only, no 1/eps factor
+
+
+def test_charge_skips_zero_rows(monkeypatch):
+    # E2 is identically zero: two derivative pairs per scale, and the sum over all three rows bit for bit
+    fam = _long_e_family()
+    want = {}
+    for e in fam.epsilons:
+        u = np.asarray(fam.fields[e])
+        assert not u[1].any()
+        want[e] = np.zeros(fam.grid.shape, dtype=np.complex128)
+        for j in range(3):
+            want[e] += _spectral_derivative(u[j][None], fam.grid, 1 + j)[0]
+    calls = []
+    monkeypatch.setattr(synthesis, "_spectral_derivative",
+                        lambda a, g, ax: calls.append(ax) or _spectral_derivative(a, g, ax))
+    rho = charge_density(fam)
+    assert calls == [1, 3] * len(fam.epsilons)
+    for e in fam.epsilons:
+        assert np.array_equal(rho[e], want[e])
 
 
 def test_charge_longitudinal_leading_term():
