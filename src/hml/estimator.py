@@ -15,21 +15,30 @@ A plane wave is r = 1 and its source r = 5, where the full fields have
 six components each; an exact constant-coefficient evolution keeps only
 its nonzero components, and a family without sources pairs with r' = 0
 (zero bins).  The lattice is sorted by bin once per (grid, sphere) and
-cached, the spectra are gathered into that order, and each non-empty bin
-of G is one small real GEMM over a contiguous run of rows.
+cached, each scalar's spectrum is gathered into that order as one row of
+an (r, Npts) array, and each non-empty bin of G is one small real GEMM
+over a contiguous run of lattice points.
 
 The window is read only through its four axis factors.  A time-windowed
 estimate pays only for the time slabs its window covers: the slabs
 between the first and last grid times where the time factor is nonzero
 are multiplied by the spatial factors and FFT'd over (x1, x2, x3), and the
 time DFT, with the time factor folded into its matrix, is one GEMM.
+
+Memory contract: one scale's spectra are resident at a time, since each
+scale's are released before the next scale is transformed, and no two
+full-rank copies are alive at once.  A rank-r transform holds its r
+output rows, one scalar's slabs and that scalar's time-DFT output (r + 2
+grid scalars, where a grid scalar is 16 Npts bytes); the lattice build,
+the bin-order gather and the bin loop work in chunks of ``_CHUNK``
+lattice points, so their temporaries are chunk-sized.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -40,8 +49,6 @@ from .synthesis import AliasingError, FactoredField, OscillatingFamily, charge_d
 __all__ = [
     "SphereGrid",
     "HMeasureEstimate",
-    "fourier_multiplier",
-    "cutoff_multiply",
     "estimate_hmeasure",
     "correlation_measure",
     "source_fields",
@@ -151,43 +158,6 @@ class SphereGrid:
         idx = np.where(ok, self.flat_index(i1, i2, i3), -1)
         return int(idx[0]) if single else idx
 
-    def neighborhood(self, b: int) -> np.ndarray:
-        """Flat indices of b and every cell whose closure touches b's.
-
-        Box adjacency (phi wraps), plus pole sharing: all cells in a
-        theta-pole ring (theta index 0 or n_theta-1, chi1 index within one)
-        touch the polar curve, and all cells at a chi1 pole (index 0 or
-        n_zeta0-1) share the corresponding point of S^3.
-        """
-        i1, i2, i3 = self.unflatten(b)
-        out = set()
-        for d1 in (-1, 0, 1):
-            j1 = i1 + d1
-            if not (0 <= j1 < self.n_zeta0):
-                continue
-            for d2 in (-1, 0, 1):
-                j2 = i2 + d2
-                if not (0 <= j2 < self.n_theta):
-                    continue
-                for d3 in (-1, 0, 1):
-                    j3 = (i3 + d3) % self.n_phi
-                    out.add(int(self.flat_index(j1, j2, j3)))
-            # theta-pole rings: the whole phi circle is adjacent
-            if i2 == 0:
-                for j3 in range(self.n_phi):
-                    out.add(int(self.flat_index(j1, 0, j3)))
-                    out.add(int(self.flat_index(j1, min(1, self.n_theta - 1), j3)))
-            if i2 == self.n_theta - 1:
-                for j3 in range(self.n_phi):
-                    out.add(int(self.flat_index(j1, self.n_theta - 1, j3)))
-                    out.add(int(self.flat_index(j1, max(self.n_theta - 2, 0), j3)))
-        if i1 == 0 or i1 == self.n_zeta0 - 1:
-            ring = i1
-            for j2 in range(self.n_theta):
-                for j3 in range(self.n_phi):
-                    out.add(int(self.flat_index(ring, j2, j3)))
-        return np.array(sorted(out), dtype=np.int64)
-
 
 # ------------------------------------------------------------------ binning
 
@@ -197,6 +167,21 @@ class _Lattice(NamedTuple):
     dirs: np.ndarray
 
 
+# lattice points per chunk of the lattice build, the bin-order gather and the bin loop, so their
+# temporaries stay in cache and below one grid scalar from 16^4 up (a rank-5 run copy is 0.04 of one
+# at 32^4); chunks of 2^13 to 2^16 points measured alike in time at 32^4
+_CHUNK = 1 << 13
+
+
+def _unit_directions(axes, shape, flat):
+    """Unit directions (n, 4) of the lattice points with flat indices ``flat``, zeros at DC, and the nonzero mask."""
+    f0, f1, f2, f3 = (ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape)))
+    r = np.sqrt(f0**2 + f1**2 + f2**2 + f3**2)
+    ok = r > 0
+    rs = np.where(ok, r, 1.0)
+    return np.stack([f0 / rs, f1 / rs, f2 / rs, f3 / rs], axis=-1), ok
+
+
 @functools.lru_cache(maxsize=4)
 def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
     """The DFT lattice sorted by sphere bin.
@@ -204,23 +189,29 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
     ``order`` is the stable permutation that sorts the flat lattice by bin,
     so bin b holds the frequencies ``order[bounds[b]:bounds[b + 1]]``;
     ``bounds`` has B + 2 entries and the DC frequency sits alone in the
-    overflow segment B, last.  ``dirs`` is the float32 (Npts, 4) array of
+    overflow segment B, last.  ``order`` is int32 while the lattice has
+    fewer than 2^31 points.  ``dirs`` is the float32 (Npts, 4) array of
     unit directions in sorted order (zeros at DC).  Bins come from the
-    float64 directions, as in ``fourier_multiplier``; only the centroids
-    use the float32 copy.  Grids and spheres are frozen, so the last few
+    float64 unit directions zeta/|zeta|; only the centroids use the float32
+    copy.  Both passes over the lattice, bin ids in flat order and then
+    directions in sorted order, run in chunks of ``_CHUNK`` points, so the
+    build holds the result, the bin ids and the sort's output, and
+    chunk-sized temporaries.  Grids and spheres are frozen, so the last few
     lattices are cached by value.
     """
-    f0, f1, f2, f3 = grid.freq_meshes()
-    r2 = (f0**2 + f1**2 + f2**2 + f3**2).ravel()
-    r = np.sqrt(r2)
-    ok = r > 0
-    rs = np.where(ok, r, 1.0)
-    units = np.stack([np.broadcast_to(f, grid.shape).ravel() / rs for f in (f0, f1, f2, f3)], axis=-1)
-    idx = np.where(ok, sphere.locate(units), sphere.num_bins)
+    axes = [grid.freq_axis(i) for i in range(4)]
+    n, B = grid.num_points, sphere.num_bins
     # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
-    order = np.argsort(idx.astype(np.min_scalar_type(sphere.num_bins)), kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
-    dirs = units[order].astype(np.float32)
+    idx = np.empty(n, dtype=np.min_scalar_type(B))
+    for lo in range(0, n, _CHUNK):
+        units, ok = _unit_directions(axes, grid.shape, np.arange(lo, min(lo + _CHUNK, n)))
+        idx[lo : lo + _CHUNK] = np.where(ok, sphere.locate(units), B)
+    order = np.argsort(idx, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=B + 1))])
+    del idx
+    dirs = np.empty((n, 4), dtype=np.float32)
+    for lo in range(0, n, _CHUNK):
+        dirs[lo : lo + _CHUNK] = _unit_directions(axes, grid.shape, order[lo : lo + _CHUNK])[0]
     return _Lattice(order, bounds, dirs)
 
 
@@ -288,60 +279,67 @@ class HMeasureEstimate:
 
 
 def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
-    """FFT r scalars, bin an r x r' Gram, return V G V'^H.
+    """Bin the r x r' Gram of two sets of spectra, return V G V'^H.
 
-    F1: (Npts, r) and F2: (Npts, r') are the spectra of the scalar factors
-    in the lattice's bin order, F2 is F1 for an auto measure, and V1 (p, r)
-    and V2 (q, r') the orthonormal polarization factors.  Returns (bins
-    (B,p,q), unit centroid (B,4) with NaN rows for massless bins, dc
-    (complex)).  Each non-empty bin of G is one real GEMM over the float64
-    views (Npts, 2r) and (Npts, 2r'), with the complex sum read off the
-    interleaved real and imaginary parts.  A real GEMM, not a complex
-    ``@``: NumPy sends a one-column complex product to gemv, whose rounding
-    would part a q = 1 measure from column 0 of a padded one, while the
-    real view always has at least two columns.  When F2 is F1, NumPy forms
-    X.T @ X by one triangle and its mirror (syrk), so G is exactly
-    Hermitian.  The bins are V1 G V2^H.  Orthonormal factors keep each
-    lattice point's mass |u^|^2 = |s^|^2, so the centroids need no
-    expansion of the spectra; the DC term is the sum over the first
-    min(p, q) components of the expanded DC vectors.  r or r' may be 0:
-    the bins and the DC term are then zero, and the centroids are those of
-    the other sequence's mass.
+    F1: (r, Npts) and F2: (r', Npts) are the spectra of the scalar factors,
+    one row per scalar in the lattice's bin order, F2 is F1 for an auto
+    measure, and V1 (p, r) and V2 (q, r') the orthonormal polarization
+    factors.  Returns (bins (B,p,q), unit centroid (B,4) with NaN rows for
+    massless bins, dc (complex)).  The non-empty bins are read in runs of
+    about ``_CHUNK`` lattice points: a run's columns are copied point-major,
+    (n, r) (a view when r is 1), and each of its bins is one real GEMM over
+    the float64 views (n_b, 2r) and (n_b, 2r'), with the complex sum read
+    off the interleaved real and imaginary parts.  A real GEMM, not a
+    complex ``@``: NumPy sends a one-column complex product to gemv, whose
+    rounding would part a q = 1 measure from column 0 of a padded one,
+    while the real view always has at least two columns.  When F2 is F1,
+    NumPy forms X.T @ X by one triangle and its mirror (syrk), so G is
+    exactly Hermitian.  The bins are V1 G V2^H.  Orthonormal factors keep
+    each lattice point's mass |u^|^2 = |s^|^2, so the centroids need no
+    expansion of the spectra, and their mass-weighted direction sums are
+    formed run by run.  The DC term is the sum over the first min(p, q)
+    components of the expanded DC vectors.  r or r' may be 0: the bins and
+    the DC term are then zero, and the centroids are those of the other
+    sequence's mass.
     """
     B = sphere.num_bins
-    r1, r2 = F1.shape[1], F2.shape[1]
-    X, Y = F1.view(np.float64), F2.view(np.float64)
+    r1, r2 = len(F1), len(F2)
+    bounds = lattice.bounds
     M = np.zeros((B, 2 * r1, 2 * r2))
-    starts, stops = lattice.bounds[:B], lattice.bounds[1 : B + 1]
-    nonempty = np.flatnonzero(stops > starts)
-    # a rank-zero sequence (an all-zero field or a source-free family) has an all-zero Gram
-    for b in nonempty.tolist() if r1 * r2 else ():
-        s, e = starts[b], stops[b]
-        np.matmul(X[s:e].T, Y[s:e], out=M[b])
+    sums = np.zeros((B, 4))
+    nonempty = np.flatnonzero(bounds[1 : B + 1] > bounds[:B])
+    for run in np.split(nonempty, np.flatnonzero(np.diff(bounds[nonempty] // _CHUNK)) + 1):
+        p0, p1 = bounds[run[0]], bounds[run[-1] + 1]
+        X = np.ascontiguousarray(F1[:, p0:p1].T).view(np.float64)
+        Y = X if F2 is F1 else np.ascontiguousarray(F2[:, p0:p1].T).view(np.float64)
+        # a rank-zero sequence (an all-zero field or a source-free family) has an all-zero Gram
+        for b in run.tolist() if r1 * r2 else ():
+            s, e = bounds[b] - p0, bounds[b + 1] - p0
+            np.matmul(X[s:e].T, Y[s:e], out=M[b])
+        # the centroid is normalised, so the mass-weighted sums need no division by the bin mass
+        mass = np.einsum("ij,ij->i", X, X)
+        if F2 is not F1:
+            mass += np.einsum("ij,ij->i", Y, Y)
+        for c in range(4):  # one direction column at a time: an (n,) temporary, not (n, 4)
+            sums[run, c] = np.add.reduceat(mass * lattice.dirs[p0:p1, c], bounds[run] - p0)
     G = np.empty((B, r1, r2), dtype=np.complex128)
     G.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
     G.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]
     G *= scale
     # V = I expands G to itself exactly, so the product is skipped there
     bins = G if all(np.array_equal(V, np.eye(len(V))) for V in (V1, V2)) else V1 @ G @ V2.conj().T
-    # the centroid is normalised, so the mass-weighted sums need no division by the bin mass
-    n = lattice.bounds[B]
-    mass = np.einsum("ij,ij->i", X[:n], X[:n])
-    if F2 is not F1:
-        mass += np.einsum("ij,ij->i", Y[:n], Y[:n])
-    sums = np.add.reduceat(mass[:, None] * lattice.dirs[:n], starts[nonempty], axis=0)
-    norms = np.linalg.norm(sums, axis=1)
+    norms = np.linalg.norm(sums[nonempty], axis=1)
     good = norms > 0
     cent = np.full((B, 4), np.nan)
-    cent[nonempty[good]] = sums[good] / norms[good, None]
-    d1, d2 = V1 @ F1[-1], V2 @ F2[-1]
+    cent[nonempty[good]] = sums[nonempty[good]] / norms[good, None]
+    d1, d2 = V1 @ F1[:, -1], V2 @ F2[:, -1]
     m = min(d1.size, d2.size)
     dc = complex(np.sum(d1[:m] * np.conj(d2[:m])) * scale)
     return bins, cent, dc
 
 
 def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np.ndarray) -> np.ndarray:
-    """Windowed 4-D DFT of (r,) + grid.shape fields as a contiguous (Npts, r) array in bin order.
+    """Windowed 4-D DFT of (r,) + grid.shape fields as an (r, Npts) array, each row in bin order.
 
     The window phi = w_t(t) w_x(x) is read through its axis factors.  Only
     the slabs t_j0 .. t_j1 between the first and last grid times where w_t
@@ -349,26 +347,39 @@ def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np
     DFT is then one GEMM ``W @ slabs`` with the time factor folded into it,
     W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t).  A window that is
     zero at every sample of an axis is refused (its estimate would be zero).
-    r = 0 (no scalar factors) gives an (Npts, 0) array without a transform.
+    r = 0 (no scalar factors) gives an (0, Npts) array without a transform.
+
+    Memory: the scalars are transformed one at a time, through one slab
+    buffer and one time-DFT output that all r share, and each is gathered
+    into its own row of the output.  A call so holds at most r + 2 grid
+    scalars (the r rows, one scalar's slabs and its time-DFT output), and
+    never two rank-r arrays.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
     if dead:
         raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
     nt, r = grid.shape[0], fields.shape[0]
+    out = np.empty((r, grid.num_points), dtype=np.complex128)
     if r == 0:
-        return np.empty((grid.num_points, 0), dtype=np.complex128)
+        return out
     live = np.flatnonzero(samples[0])
     lo, hi = live[0], live[-1] + 1
     spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
-    slabs = np.empty((hi - lo,) + grid.spatial_shape + (r,), dtype=np.complex128)
-    np.multiply(np.moveaxis(fields[:, lo:hi], 0, -1), spatial[..., None], out=slabs)
-    slabs = scipy.fft.fftn(slabs, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
     kj = np.arange(nt)[:, None] * np.arange(lo, hi)
     W = samples[0][lo:hi] * np.exp((-2j * np.pi / nt) * (kj % nt))
-    F = W @ slabs.reshape(hi - lo, -1)
-    del slabs  # the bin-order copy below is the second full-size array, not the third
-    return np.take(F.reshape(-1, r), order, axis=0)
+    slab = np.empty((hi - lo,) + grid.spatial_shape, dtype=np.complex128)
+    spectrum = np.empty((nt, spatial.size), dtype=np.complex128)
+    for j in range(r):
+        np.multiply(fields[j, lo:hi], spatial, out=slab)
+        slab = scipy.fft.fftn(slab, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
+        np.matmul(W, slab.reshape(hi - lo, -1), out=spectrum)
+        # ``order`` is a permutation of the lattice, so "clip" moves no index; unlike the default
+        # "raise", it lets ``take`` write into the row without a buffered copy of it.  ``take`` casts
+        # int32 indices to intp, so a chunk at a time keeps that copy chunk-sized
+        for c in range(0, grid.num_points, _CHUNK):
+            np.take(spectrum.reshape(-1), order[c : c + _CHUNK], out=out[j, c : c + _CHUNK], mode="clip")
+    return out
 
 
 def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere, kind: str) -> HMeasureEstimate:
@@ -398,6 +409,9 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         F1 = _spectra(u.s, phi, grid, lattice.order)
         F2 = F1 if hermitian else _spectra(g.s, phi, grid, lattice.order)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
+        ranks = (u.rank, g.rank)
+        # one scale resident: the next scale is factored and transformed with none of this one's arrays held
+        del u, g, F1, F2
     return HMeasureEstimate(
         sphere=sphere,
         grid=grid,
@@ -408,7 +422,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         metadata={"kind": kind, "window": phi.describe(), "family": dict(family.metadata),
                   "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)),
                                     "median_points": float(np.median(counts))},
-                  "factor_rank": (u.rank, g.rank)},
+                  "factor_rank": ranks},
     )
 
 
@@ -465,28 +479,3 @@ def correlation_measure(
     if any(np.shape(g)[1:] != family_u.grid.shape for g in g_fields.values()):
         raise ValueError("secondary sequence grid mismatch")
     return _cross_spectral_measure(family_u, g_fields, phi, sphere, "cross")
-
-
-def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Apply the direction multiplier a(zeta/|zeta|): Fbar(a * F(u)).
-
-    ``a`` takes four broadcastable arrays (z0, z1, z2, z3) of unit-direction
-    components; the zero frequency passes through unchanged.
-    """
-    u = np.asarray(u)
-    lead = u.shape[: u.ndim - 4]
-    f0, f1, f2, f3 = grid.freq_meshes()
-    r = np.sqrt(f0**2 + f1**2 + f2**2 + f3**2)
-    ok = r > 0
-    rs = np.where(ok, r, 1.0)
-    vals = a(f0 / rs, f1 / rs, f2 / rs, f3 / rs)
-    vals = np.where(ok, vals, 1.0)
-    axes = tuple(range(u.ndim - 4, u.ndim))
-    U = scipy.fft.fftn(u.astype(np.complex128, copy=False), axes=axes, workers=fft_workers())
-    U *= vals.reshape((1,) * len(lead) + grid.shape)
-    return scipy.fft.ifftn(U, axes=axes, workers=fft_workers())
-
-
-def cutoff_multiply(b: SeparableWindow, u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Pointwise spatial cutoff (B u)(x) = b(x) u(x)."""
-    return np.asarray(u) * b.sample(grid)

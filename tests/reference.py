@@ -1,0 +1,78 @@
+"""Reference definitions the estimator's tests check it against.
+
+``fourier_multiplier`` and ``cutoff_multiply`` are the H-measure's
+defining operators, a direction multiplier and a spatial cutoff;
+``neighborhood`` is the cell adjacency of a ``SphereGrid``.  The package
+does not call them, so they live with the tests.
+"""
+
+from typing import Callable
+
+import numpy as np
+import scipy.fft
+
+from hml.estimator import SphereGrid
+from hml.grids import GridSpec, SeparableWindow, fft_workers
+
+
+def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Apply the direction multiplier a(zeta/|zeta|): Fbar(a * F(u)).
+
+    ``a`` takes four broadcastable arrays (z0, z1, z2, z3) of unit-direction
+    components; the zero frequency passes through unchanged.
+    """
+    u = np.asarray(u)
+    lead = u.shape[: u.ndim - 4]
+    f0, f1, f2, f3 = grid.freq_meshes()
+    r = np.sqrt(f0**2 + f1**2 + f2**2 + f3**2)
+    ok = r > 0
+    rs = np.where(ok, r, 1.0)
+    vals = a(f0 / rs, f1 / rs, f2 / rs, f3 / rs)
+    vals = np.where(ok, vals, 1.0)
+    axes = tuple(range(u.ndim - 4, u.ndim))
+    U = scipy.fft.fftn(u.astype(np.complex128, copy=False), axes=axes, workers=fft_workers())
+    U *= vals.reshape((1,) * len(lead) + grid.shape)
+    return scipy.fft.ifftn(U, axes=axes, workers=fft_workers())
+
+
+def cutoff_multiply(b: SeparableWindow, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Pointwise spatial cutoff (B u)(x) = b(x) u(x)."""
+    return np.asarray(u) * b.sample(grid)
+
+
+def neighborhood(sphere: SphereGrid, b: int) -> np.ndarray:
+    """Flat indices of b and every cell whose closure touches b's.
+
+    Box adjacency (phi wraps), plus pole sharing: all cells in a
+    theta-pole ring (theta index 0 or n_theta-1, chi1 index within one)
+    touch the polar curve, and all cells at a chi1 pole (index 0 or
+    n_zeta0-1) share the corresponding point of S^3.
+    """
+    i1, i2, i3 = sphere.unflatten(b)
+    out = set()
+    for d1 in (-1, 0, 1):
+        j1 = i1 + d1
+        if not (0 <= j1 < sphere.n_zeta0):
+            continue
+        for d2 in (-1, 0, 1):
+            j2 = i2 + d2
+            if not (0 <= j2 < sphere.n_theta):
+                continue
+            for d3 in (-1, 0, 1):
+                j3 = (i3 + d3) % sphere.n_phi
+                out.add(int(sphere.flat_index(j1, j2, j3)))
+        # theta-pole rings: the whole phi circle is adjacent
+        if i2 == 0:
+            for j3 in range(sphere.n_phi):
+                out.add(int(sphere.flat_index(j1, 0, j3)))
+                out.add(int(sphere.flat_index(j1, min(1, sphere.n_theta - 1), j3)))
+        if i2 == sphere.n_theta - 1:
+            for j3 in range(sphere.n_phi):
+                out.add(int(sphere.flat_index(j1, sphere.n_theta - 1, j3)))
+                out.add(int(sphere.flat_index(j1, max(sphere.n_theta - 2, 0), j3)))
+    if i1 == 0 or i1 == sphere.n_zeta0 - 1:
+        ring = i1
+        for j2 in range(sphere.n_theta):
+            for j3 in range(sphere.n_phi):
+                out.add(int(sphere.flat_index(ring, j2, j3)))
+    return np.array(sorted(out), dtype=np.int64)

@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hml import estimator
 from hml.estimator import (
+    _CHUNK,
     SphereGrid,
     _lattice_bins,
     charge_tilde_fields,
     correlation_measure,
-    cutoff_multiply,
     estimate_hmeasure,
-    fourier_multiplier,
     source_fields,
 )
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
@@ -24,6 +26,7 @@ from hml.synthesis import (
     wkb_family,
 )
 from hml.transport import time_subwindow
+from reference import cutoff_multiply, fourier_multiplier, neighborhood
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
 EPS2 = (2.0**-3, 2.0**-4)
@@ -88,12 +91,12 @@ def test_sphere_centers_unit_and_roundtrip():
 def test_sphere_neighborhood_contains_box_and_pole_ring():
     sph = SphereGrid(6, 6, 8)
     b = sph.flat_index(2, 3, 4)
-    nb = sph.neighborhood(b)
+    nb = neighborhood(sph, b)
     assert b in nb
     assert sph.flat_index(1, 2, 3) in nb and sph.flat_index(3, 4, 5) in nb
     # theta-pole ring: all azimuths adjacent
     bp = sph.flat_index(2, 0, 0)
-    nbp = sph.neighborhood(bp)
+    nbp = neighborhood(sph, bp)
     for j3 in range(8):
         assert sph.flat_index(2, 0, j3) in nbp
 
@@ -210,7 +213,7 @@ def test_plane_wave_concentration_and_matrix():
     total = masses.sum()
     true_dir = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     b_true = SPHERE.locate(true_dir)
-    nb = SPHERE.neighborhood(b_true)
+    nb = neighborhood(SPHERE, b_true)
     assert masses[nb].sum() / total >= 0.95
     dominant = int(np.argmax(masses))
     assert dominant in nb
@@ -327,6 +330,67 @@ def test_lattice_bins_locate_float64_directions():
     np.testing.assert_array_equal(lattice.order[lattice.bounds[B] :], [0])  # DC alone in segment B
     assert B > 256  # bin ids sorted as uint16 give the int64 stable order
     np.testing.assert_array_equal(lattice.order, np.argsort(segment, kind="stable"))
+
+
+def _unchunked_lattice_bins(grid, sphere):
+    """``_lattice_bins`` as one pass over the whole lattice: the reference for the chunked build."""
+    f0, f1, f2, f3 = grid.freq_meshes()
+    r2 = (f0**2 + f1**2 + f2**2 + f3**2).ravel()
+    r = np.sqrt(r2)
+    ok = r > 0
+    rs = np.where(ok, r, 1.0)
+    units = np.stack([np.broadcast_to(f, grid.shape).ravel() / rs for f in (f0, f1, f2, f3)], axis=-1)
+    idx = np.where(ok, sphere.locate(units), sphere.num_bins)
+    order = np.argsort(idx, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
+    dirs = units[order].astype(np.float32)
+    return order, bounds, dirs
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), GridSpec(extents=(1.0, 0.25, 0.5, 0.25), shape=(32, 8, 8, 16))],
+    ids=["cubic", "non-cubic"],
+)
+def test_chunked_lattice_matches_unchunked(grid):
+    assert grid.num_points > _CHUNK  # the build runs in more than one chunk
+    lattice = _lattice_bins(grid, SPHERE)
+    assert lattice.order.dtype == np.int32
+    for got, want in zip(lattice, _unchunked_lattice_bins(grid, SPHERE)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
+    """tracemalloc peak of a two-scale cross estimate against a rank-5 plane-wave source.
+
+    Counted in grid scalars (16 N bytes), with the bound fixed before measuring: the field's and the
+    source's spectra (1 + 5 rows), one scalar's slabs and its time-DFT output (2), and one for the
+    chunk-sized temporaries and the bins.  Each scale's spectra are released before the next scale is
+    transformed, so the second scale's peak exceeds the first's by at most one grid scalar.
+    """
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    sphere = SphereGrid(6, 6, 8)
+    model = MaterialModel.constant(2.0, 0.5, 0.3)
+    fam = plane_wave_family(model, grid, (0.3, -0.5, 0.8), "trans+1", hann_window(grid), EPS2)
+    src, w = source_fields(fam), hann_window(grid, axes=(0,))
+    _lattice_bins(grid, sphere)  # cached, so the lattice is not counted as the estimate's scratch
+    unit = 16 * grid.num_points
+    spectra, peaks = estimator._spectra, []
+
+    def spy(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])  # the peak so far, at the start of each transform
+        return spectra(*args)
+
+    monkeypatch.setattr(estimator, "_spectra", spy)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        est = correlation_measure(fam, src, w, sphere)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.metadata["factor_rank"] == (1, 5) and len(peaks) == 4
+    assert (peak - start) / unit <= 1 + 5 + 2 + 1
+    assert (peak - peaks[2]) / unit <= 1  # peaks[2]: the peak of the first scale alone
 
 
 def _bincount_reference(u, g, phi, sphere):

@@ -58,3 +58,12 @@ def test_no_private_names_imported_across_modules():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_test_references_live_in_tests():
+    # the measure's defining multiplier and cutoff and the sphere's cell adjacency are references that
+    # only tests call, so they live in tests/reference.py and not in the package
+    from hml import estimator
+
+    assert not {"fourier_multiplier", "cutoff_multiply"} & set(dir(estimator))
+    assert not hasattr(estimator.SphereGrid, "neighborhood")
