@@ -262,14 +262,21 @@ class HMeasureEstimate:
     def total_mass(self) -> float:
         return float(self.masses().sum())
 
-    def hermitian_defect(self) -> float:
+    def _square_bins(self) -> np.ndarray:
+        """``bins``, refused unless each is square: a (B, 6, 1) column has no transpose or spectrum to test."""
         h = self.bins
+        if h.shape[1] != h.shape[2]:
+            raise ValueError(f"bins of shape {h.shape} are not square, so they have no Hermitian or eigenvalue test")
+        return h
+
+    def hermitian_defect(self) -> float:
+        h = self._square_bins()
         denom = max(self.total_mass(), 1e-300)
         return float(np.max(np.abs(h - np.conj(np.transpose(h, (0, 2, 1))))) / denom)
 
     def min_eigen_ratio(self) -> float:
         """min over bins of (smallest eigenvalue)/trace; >= -1e-10 when PSD."""
-        h, tr = self.bins, self.masses()
+        h, tr = self._square_bins(), self.masses()
         keep = tr > 1e-300
         if not np.any(keep):
             return 0.0
@@ -294,13 +301,14 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     rounding would part a q = 1 measure from column 0 of a padded one,
     while the real view always has at least two columns.  When F2 is F1,
     NumPy forms X.T @ X by one triangle and its mirror (syrk), so G is
-    exactly Hermitian.  The bins are V1 G V2^H.  Orthonormal factors keep
-    each lattice point's mass |u^|^2 = |s^|^2, so the centroids need no
-    expansion of the spectra, and their mass-weighted direction sums are
-    formed run by run.  The DC term is the sum over the first min(p, q)
-    components of the expanded DC vectors.  r or r' may be 0: the bins and
-    the DC term are then zero, and the centroids are those of the other
-    sequence's mass.
+    exactly Hermitian.  The bins are always V1 G V2^H; where a factor is
+    I (a plain array with no zero component) the product gives G back bit
+    for bit.  Orthonormal factors keep each lattice point's mass |u^|^2 =
+    |s^|^2, so the centroids need no expansion of the spectra, and their
+    mass-weighted direction sums are formed run by run.  The DC term is
+    the sum over the first min(p, q) components of the expanded DC
+    vectors.  r or r' may be 0: the bins and the DC term are then zero,
+    and the centroids are those of the other sequence's mass.
     """
     B = sphere.num_bins
     r1, r2 = len(F1), len(F2)
@@ -326,8 +334,7 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     G.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
     G.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]
     G *= scale
-    # V = I expands G to itself exactly, so the product is skipped there
-    bins = G if all(np.array_equal(V, np.eye(len(V))) for V in (V1, V2)) else V1 @ G @ V2.conj().T
+    bins = V1 @ G @ V2.conj().T
     norms = np.linalg.norm(sums[nonempty], axis=1)
     good = norms > 0
     cent = np.full((B, 4), np.nan)

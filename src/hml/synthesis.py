@@ -19,10 +19,10 @@ Generators:
 * plane_wave_family: constant-coefficient modulated plane waves polarized
   along one of the six eigenmodes (rank-one fields), with the envelope
   commutator recorded as the source (rank five).
-* evolved_family / exact_constant_evolution: spectral matrix-exponential
-  solution of the constant-coefficient system (the source is exactly zero),
-  exponentiated and stepped only at the spatial frequencies where the
-  initial spectrum is nonzero.
+* evolved_family: spectral matrix-exponential solution of the
+  constant-coefficient system (the source is exactly zero), exponentiated
+  and stepped only at the spatial frequencies where the initial spectrum
+  is nonzero.
 * wkb_family: variable-coefficient phase/amplitude fields aligned with a
   local eigenmode; the Maxwell residual is measured spectrally.
 """
@@ -50,9 +50,7 @@ __all__ = [
     "FactoredField",
     "OscillatingFamily",
     "PhaseField",
-    "ladder_epsilons",
     "plane_wave_family",
-    "exact_constant_evolution",
     "evolved_family",
     "wkb_family",
     "charge_density",
@@ -187,11 +185,6 @@ class OscillatingFamily:
         return float(self.metadata.get("min_cells_per_wavelength", np.inf))
 
 
-def ladder_epsilons(j_start: int = 4, j_stop: int = 8) -> tuple:
-    """Default dyadic ladder 2^-j, j = j_start .. j_stop."""
-    return tuple(2.0 ** (-j) for j in range(j_start, j_stop + 1))
-
-
 def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[float]) -> float:
     """Worst samples per oscillation cycle over the ladder; inf if static.
 
@@ -285,30 +278,17 @@ def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np
     """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), on ``support``.
 
     ``support`` is a boolean array of the spatial shape: the frequencies
-    the evolved data can reach.  The propagator is exponentiated only
-    there and is exactly zero elsewhere.  A0, P and C are real and P is
-    linear in xi, so M(-xi) = conj M(xi) and expm(M(-xi) dt) = conj
-    expm(M(xi) dt): where both of a +-xi pair are in the support, one
-    matrix exponential serves the pair and its mirror is filled by
-    conjugation.  A frequency whose mirror is outside the support, and one
-    on a Nyquist plane (the lattice holds no -xi there), is exponentiated
-    directly.
+    the evolved data can reach.  The propagator is exponentiated directly
+    at each of them, one ``expm`` per frequency, and is exactly zero
+    elsewhere.
     """
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
     P = assemble_P(model, (0.0, 0.0, 0.0), np.stack([np.zeros_like(xi[0]), *xi], axis=-1))
-    M = (-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0]).reshape(-1, 6, 6)
-    n = grid.spatial_shape
-    index = np.indices(n)
-    mirror = np.ravel_multi_index(tuple((-i) % m for i, m in zip(index, n)), n).ravel()
-    nyquist = np.logical_or.reduce([i == m // 2 for i, m in zip(index, n)]).ravel()
-    live = support.ravel()
-    own = live & (nyquist | (np.arange(mirror.size) <= mirror) | ~live[mirror])
-    fill = live & ~own
+    M = -np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0]
     out = np.zeros_like(M)
-    out[own] = scipy.linalg.expm(M[own])
-    out[fill] = np.conj(out[mirror[fill]])
-    return out.reshape(n + (6, 6))
+    out[support] = scipy.linalg.expm(M[support])
+    return out
 
 
 def _initial_spectrum(initial: np.ndarray) -> np.ndarray:
@@ -338,29 +318,6 @@ def _evolve(prop: np.ndarray, spectrum: np.ndarray, support: np.ndarray, grid: G
     return FactoredField(hat.V, scipy.fft.ifftn(s, axes=(4, 3, 2), overwrite_x=True, workers=fft_workers()))
 
 
-def exact_constant_evolution(
-    model: MaterialModel, initial: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    """Exact spectral solution of A0 du/dt + sum_j A^j d_j u + C u = 0.
-
-    ``initial`` has shape (6,) + spatial shape; the result, a (6,) + grid
-    array, covers all grid times via one matrix exponential per spatial
-    frequency, the propagator expm(M dt) with M(xi) = -A0^{-1}(2 pi i P(0,
-    xi) + C), applied as a one-step map on the uniform time axis.  Only
-    the frequencies where the initial spectrum is nonzero (exact ``!= 0``)
-    are exponentiated and stepped; the rest of the solution's spectrum is
-    exactly zero.
-    """
-    if not model.is_constant:
-        raise UnsupportedGeneratorError("exact evolution requires a constant model")
-    initial = np.asarray(initial)
-    if initial.shape != (6,) + grid.spatial_shape:
-        raise ValueError("initial data shape mismatch")
-    spectrum = _initial_spectrum(initial)
-    support = spectrum.any(axis=-1)
-    return np.asarray(_evolve(_propagator(model, grid, support), spectrum, support, grid))
-
-
 def evolved_family(
     model: MaterialModel,
     grid: GridSpec,
@@ -371,13 +328,15 @@ def evolved_family(
 ) -> OscillatingFamily:
     """Exact constant-coefficient solutions seeded with a polarized oscillation.
 
-    Initial data b_mode * env(x) * exp(2 pi i x.k/eps) evolved exactly, as
-    in ``exact_constant_evolution``, with one propagator for the whole
-    ladder (it does not depend on eps), exponentiated and stepped only on
-    the frequencies where some scale's initial spectrum is nonzero (an
-    exact ``!= 0`` test, no tolerance).  Each field is stored factored,
-    once, without its exact-zero components (``FactoredField.of``), so
-    every estimate reads the same r scalars.  The source term is
+    Initial data b_mode * env(x) * exp(2 pi i x.k/eps) are evolved exactly
+    under A0 du/dt + sum_j A^j d_j u + C u = 0: the spatial spectrum is
+    stepped through every grid time by the one-step propagator expm(M dt),
+    M(xi) = -A0^{-1}(2 pi i P(0, xi) + C).  One propagator serves the
+    whole ladder (it does not depend on eps), exponentiated and stepped
+    only on the frequencies where some scale's initial spectrum is nonzero
+    (an exact ``!= 0`` test, no tolerance).  Each field is stored
+    factored, once, without its exact-zero components
+    (``FactoredField.of``), so every estimate reads the same r scalars.  The source term is
     identically zero, so these families satisfy every hypothesis of the
     propagation theorems at the discrete level.
     """
@@ -444,7 +403,10 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
     by composite Simpson quadrature on ``LAYER_QUADRATURE_CELLS`` cells of
     [0, x_max] and interpolated.  v is read on the axis line through the
     origin by ``MaterialModel.speed``, for the table and for the gradient,
-    so its bound and domain checks apply to both.
+    so its bound and domain checks apply to both.  ``value`` and ``grad``
+    raise ValueError at an axis coordinate outside [0, x_max], where the
+    table, clamped by the interpolation, would no longer match the
+    gradient.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -460,14 +422,19 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
     q_tab = np.concatenate([[0.0], cumulative_simpson(1.0 / speed(s), x=s)])
     tsign = -1.0 if sign == "+" else 1.0
 
+    def along(x1, x2, x3):
+        xs = np.asarray((x1, x2, x3)[axis], dtype=float)
+        if np.any((xs < 0.0) | (xs > x_max)):
+            raise ValueError(f"x{axis + 1} leaves [0, {x_max}], the span of the phase's travel-time table")
+        return xs
+
     def value(t, x1, x2, x3):
-        xs = (x1, x2, x3)[axis]
-        return np.interp(xs, s, q_tab) + tsign * t
+        return np.interp(along(x1, x2, x3), s, q_tab) + tsign * t
 
     def grad(t, x1, x2, x3):
         shape = np.broadcast(t, x1, x2, x3).shape
         g = [np.broadcast_to(np.float64(tsign), shape).copy(), np.zeros(shape), np.zeros(shape), np.zeros(shape)]
-        g[1 + axis] = np.broadcast_to(1.0 / speed((x1, x2, x3)[axis]), shape).copy()
+        g[1 + axis] = np.broadcast_to(1.0 / speed(along(x1, x2, x3)), shape).copy()
         return tuple(g)
 
     return PhaseField(value=value, grad=grad, label=f"layered(axis={axis},{sign})")

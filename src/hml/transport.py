@@ -69,10 +69,6 @@ class RayPath:
     branch: str
     zeta0: float
 
-    @property
-    def final(self) -> RayState:
-        return RayState(x=self.xs[-1], zetaP=self.zetaPs[-1], zeta0=self.zeta0)
-
 
 def integrate_rays(
     model: MaterialModel,

@@ -261,6 +261,21 @@ def test_hermitian_and_psd_invariants():
         assert est.min_eigen_ratio() >= -1e-10
 
 
+def test_invariants_refuse_non_square_bins():
+    # the benchmark's small cross-large pass: the charge cross is a (B, 6, 1) column, which has no
+    # Hermitian part or eigenvalues; the 6 x 6 source cross is square, so its invariants stay defined
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    model, w, sphere = MaterialModel.constant(2.0, 0.5, 0.3), hann_window(grid, axes=(0,)), SphereGrid(12, 8, 16)
+    fam = plane_wave_family(model, grid, (0.3, -0.5, 0.8), "trans+1", hann_window(grid), EPS2)
+    cross_rho = correlation_measure(fam, charge_tilde_fields(fam), w, sphere)
+    assert cross_rho.bins.shape == (sphere.num_bins, 6, 1)
+    for invariant in (cross_rho.hermitian_defect, cross_rho.min_eigen_ratio):
+        with pytest.raises(ValueError, match=r"bins of shape \(1536, 6, 1\) are not square"):
+            invariant()
+    cross_f = correlation_measure(fam, source_fields(fam), w, sphere)
+    assert np.isfinite(cross_f.hermitian_defect()) and np.isfinite(cross_f.min_eigen_ratio())
+
+
 def test_linearity_in_amplitude():
     fam = _family()
     c = 1.7 - 0.4j

@@ -67,3 +67,11 @@ def test_test_references_live_in_tests():
 
     assert not {"fourier_multiplier", "cutoff_multiply"} & set(dir(estimator))
     assert not hasattr(estimator.SphereGrid, "neighborhood")
+
+
+def test_test_only_wrappers_are_gone():
+    # evolved_family is the one exact evolution, and the tests build a ray's end state and the ladder themselves
+    from hml import synthesis, transport
+
+    assert not {"exact_constant_evolution", "ladder_epsilons"} & (set(dir(synthesis)) | set(synthesis.__all__))
+    assert not hasattr(transport.RayPath, "final")

@@ -16,8 +16,6 @@ from hml.synthesis import (
     _spectral_derivative,
     charge_density,
     evolved_family,
-    exact_constant_evolution,
-    ladder_epsilons,
     linear_phase,
     layered_phase,
     maxwell_residual,
@@ -192,9 +190,16 @@ def test_family_rejects_non_finite_data(where, factored, value):
 
 # ------------------------------------------------------------- exact evolution
 
+def _exact_evolution(model, initial, grid):
+    """(6,) + spatial initial data evolved by evolved_family's steps, as a (6,) + grid array."""
+    spectrum = _initial_spectrum(initial)
+    support = spectrum.any(axis=-1)
+    return np.asarray(_evolve(_propagator(model, grid, support), spectrum, support, grid))
+
+
 def test_evolution_zero_initial():
     model = MaterialModel.constant(1, 1, 0.7)
-    out = exact_constant_evolution(model, np.zeros((6,) + GRID.spatial_shape), GRID)
+    out = _exact_evolution(model, np.zeros((6,) + GRID.spatial_shape), GRID)
     assert np.all(out == 0)
 
 
@@ -202,7 +207,7 @@ def test_evolution_energy_conserved_sigma0():
     model = MaterialModel.constant(2.0, 0.5, 0.0)
     rng = np.random.default_rng(7)
     initial = rng.normal(size=(6,) + GRID.spatial_shape) + 1j * rng.normal(size=(6,) + GRID.spatial_shape)
-    out = exact_constant_evolution(model, initial, GRID)
+    out = _exact_evolution(model, initial, GRID)
     w = np.array([2.0] * 3 + [0.5] * 3).reshape(6, 1, 1, 1, 1)
     energy = 0.5 * np.sum(w * np.abs(out) ** 2, axis=(0, 2, 3, 4))
     np.testing.assert_allclose(energy, energy[0], rtol=1e-10)
@@ -213,7 +218,7 @@ def test_evolution_single_mode_phase_rotation():
     fam_ref = _family(envelope=full_window(), epsilons=(EPS2[1],))
     e = EPS2[1]
     initial = np.asarray(fam_ref.fields[e])[:, 0]
-    out = exact_constant_evolution(model, initial, GRID)
+    out = _exact_evolution(model, initial, GRID)
     np.testing.assert_allclose(out, fam_ref.fields[e], atol=1e-10)
 
 
@@ -222,7 +227,7 @@ def test_evolution_longitudinal_damping():
     model = MaterialModel.constant(1.0, 1.0, 1.0)
     initial = np.zeros((6,) + GRID.spatial_shape, dtype=complex)
     initial[2] = 1.0
-    out = exact_constant_evolution(model, initial, GRID)
+    out = _exact_evolution(model, initial, GRID)
     t = GRID.axis(0)
     got = out[2, :, 0, 0, 0]
     np.testing.assert_allclose(got, np.exp(-t), rtol=1e-12)
@@ -236,15 +241,15 @@ def test_evolved_family_builds_one_propagator(monkeypatch):
     fam = evolved_family(MaterialModel.constant(1.0, 1.0, 0.5), GRID, (0, 0, 1.0), "trans+1", EPS2)
     assert len(calls) == 1 and len(fam.epsilons) == 2
     u0 = np.asarray(fam.fields[fam.finest])[:, 0]
-    again = exact_constant_evolution(MaterialModel.constant(1.0, 1.0, 0.5), u0, GRID)
+    again = _exact_evolution(MaterialModel.constant(1.0, 1.0, 0.5), u0, GRID)
     np.testing.assert_allclose(again, fam.fields[fam.finest], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("grid", [GRID, GridSpec(extents=(0.125, 0.25, 0.125, 0.5), shape=(8, 8, 16, 32))],
                          ids=["cubic", "non-cubic"])
 def test_propagator_matches_per_frequency_expm(grid):
-    # one exponential per +-xi pair, the mirror by conjugation: the same numbers as one expm per frequency;
-    # on a partial support (most mirrors outside it) the same numbers there and exact zeros elsewhere
+    # one exponential per frequency of the support: the same numbers as a loop of single-matrix expm calls;
+    # on a partial support the same numbers there and exact zeros elsewhere
     model = MaterialModel.constant(2.0, 0.5, 0.3)
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
@@ -285,7 +290,7 @@ def test_support_evolution_matches_full_support(initial):
     support = spectrum.any(axis=-1)
     everywhere = np.ones(grid.spatial_shape, bool)
     full = np.asarray(_evolve(_propagator(model, grid, everywhere), spectrum, everywhere, grid))
-    got = exact_constant_evolution(model, u0, grid)
+    got = _exact_evolution(model, u0, grid)
     assert np.array_equal(got, full)
     # const-trajectory's initial spectrum lies in the xi2 = 0 plane; random data have no exact spectral zero
     assert support.all() if initial == "random" else support[:, 0].any() and not support[:, 1:].any()
@@ -323,9 +328,8 @@ def test_wkb_linear_phase_reduces_to_plane_wave():
     np.testing.assert_allclose(wk.sources[e], pw.sources[e], atol=1e-8)
 
 
-def test_wkb_residual_bounded_in_eps():
-    # layered medium, eikonal-matched phase: no 1/eps growth in the residual
-    b = 0.8
+def _layered_model(b=0.8):
+    """eps = (1 + b x1)^2, eta = 1: the speed 1/(1 + b x1) varies along x1 only."""
 
     def eps_f(x1, x2, x3):
         return (1.0 + b * x1) ** 2 + 0.0 * (x2 + x3)
@@ -336,7 +340,7 @@ def test_wkb_residual_bounded_in_eps():
         g[0] = 2.0 * b * (1.0 + b * x1)
         return g
 
-    model = MaterialModel.scalar_smooth(
+    return MaterialModel.scalar_smooth(
         eps=eps_f,
         eta=lambda x1, x2, x3: np.ones(np.broadcast(x1, x2, x3).shape),
         sigma=lambda x1, x2, x3: np.zeros(np.broadcast(x1, x2, x3).shape),
@@ -345,6 +349,11 @@ def test_wkb_residual_bounded_in_eps():
         eps_min=1.0,
         eta_min=1.0,
     )
+
+
+def test_wkb_residual_bounded_in_eps():
+    # layered medium, eikonal-matched phase: no 1/eps growth in the residual
+    model = _layered_model()
     grid = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 32, 8, 8))
     phase = layered_phase(model, axis=0, sign="+", x_max=0.25)
     amp = hann_window(grid, axes=(0, 1))
@@ -355,6 +364,27 @@ def test_wkb_residual_bounded_in_eps():
         for e in eps_pair
     }
     assert norms[eps_pair[1]] <= 1.5 * norms[eps_pair[0]]
+
+
+def test_layered_phase_refuses_coordinates_beyond_its_table():
+    # the travel-time table spans [0, x_max]: past it the interpolated value would stay at q(x_max) = 0.275
+    # while the gradient kept reading 1/v = 1 + 0.8 x1, so a WKB family on a wider grid would not match
+    model = _layered_model()
+    phase = layered_phase(model, axis=0, sign="+", x_max=0.25)
+    wide = GridSpec(extents=(0.25, 1.0, 0.25, 0.25), shape=(16, 64, 8, 8))
+    match = r"x1 leaves \[0, 0\.25\]"
+    with pytest.raises(ValueError, match=match):
+        wkb_family(model, wide, phase, hann_window(wide, axes=(0, 1)), "trans+1", (2.0**-3, 2.0**-4))
+    t, x1, x2, x3 = wide.meshes()
+    for read in (phase.value, phase.grad):
+        with pytest.raises(ValueError, match=match):
+            read(t, x1, x2, x3)
+        with pytest.raises(ValueError, match=match):
+            read(0.0, -0.01, 0.0, 0.0)
+    # the table's ends are inside: x1 = x_max reads q(x_max) and 1/v(x_max)
+    ends = np.array([0.0, 0.25])
+    np.testing.assert_allclose(phase.value(0.0, ends, 0.0, 0.0), [0.0, 0.275], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(phase.grad(0.0, ends, 0.0, 0.0)[1], [1.0, 1.2], rtol=1e-12)
 
 
 def test_wkb_rejects_vanishing_gradient():
@@ -416,7 +446,7 @@ def test_charge_longitudinal_leading_term():
 def test_weak_null_proxy_decays():
     # |<u^eps, w>| = sqrt(box_volume * |dc_energy|): the estimate's zero-frequency mass
     grid = GridSpec((0.5,) * 4, (32, 8, 8, 32))
-    fam = _family(epsilons=ladder_epsilons(2, 4), grid=grid, envelope=hann_window(grid, axes=(0, 1)))
+    fam = _family(epsilons=(2.0**-2, 2.0**-3, 2.0**-4), grid=grid, envelope=hann_window(grid, axes=(0, 1)))
     windows = [
         hann_window(grid),
         hann_window(grid, margin=0.1),

@@ -100,7 +100,8 @@ def test_rays_reversible():
     st = RayState(x=np.array([0.15, -0.1, 0.05]), zetaP=np.array([0.3, 0.9, -0.2]))
     states = [st] + seeded_states(8, st.x)
     fwd = integrate_rays(model, states, (0.0, 0.7))
-    back = integrate_rays(model, [p.final for p in fwd], (0.7, 0.0))
+    ends = [RayState(x=p.xs[-1], zetaP=p.zetaPs[-1], zeta0=p.zeta0) for p in fwd]
+    back = integrate_rays(model, ends, (0.7, 0.0))
     for st, path in zip(states, back):
         assert np.linalg.norm(path.xs[-1] - st.x) <= 1e-7
         assert np.linalg.norm(path.zetaPs[-1] - st.zetaP) <= 1e-7
