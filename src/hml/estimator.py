@@ -44,7 +44,7 @@ import numpy as np
 import scipy.fft
 
 from .grids import GridSpec, SeparableWindow, fft_workers, set_workers
-from .synthesis import AliasingError, FactoredField, OscillatingFamily, charge_density
+from .synthesis import MIN_CELLS_PER_WAVELENGTH, AliasingError, FactoredField, OscillatingFamily, charge_density
 
 __all__ = [
     "SphereGrid",
@@ -401,8 +401,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
-    if family.min_cells_per_wavelength() < 4.0:
-        raise AliasingError("family oscillations are under-resolved (< 4 cells/wavelength)")
+    if family.min_cells_per_wavelength() < MIN_CELLS_PER_WAVELENGTH:
+        raise AliasingError(f"family oscillations are under-resolved (< {MIN_CELLS_PER_WAVELENGTH:g} cells/wavelength)")
     sphere = sphere or SphereGrid()
     grid = family.grid
     hermitian = g_fields is None

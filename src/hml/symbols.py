@@ -170,23 +170,25 @@ class MaterialModel:
         """The coordinates as float arrays; DomainError when their bounding box leaves ``domain``."""
         coords = [np.asarray(c, dtype=float) for c in (x1, x2, x3)]
         if self.domain is not None:
+            box = np.asarray(self.domain, dtype=float)
             lo, hi = np.array([c.min() for c in coords]), np.array([c.max() for c in coords])
-            if np.any(lo < np.asarray(self.domain[0]) - 1e-12) or np.any(hi > np.asarray(self.domain[1]) + 1e-12):
-                raise DomainError(f"points in [{lo.tolist()}, {hi.tolist()}] outside model domain {self.domain}")
+            # a NaN coordinate makes lo and hi NaN, which fails both comparisons
+            if not (np.all(lo >= box[0] - 1e-12) and np.all(hi <= box[1] + 1e-12)):
+                raise DomainError(f"points in [{lo.tolist()}, {hi.tolist()}] non-finite or outside model domain {self.domain}")
         return coords
 
     def sample_fields(self, x1, x2, x3) -> tuple:
         """(eps, eta, sigma) on broadcastable coordinate arrays, e.g. grid meshes.
 
         Raises DomainError when the coordinates' bounding box leaves
-        ``domain`` and ValueError when eps < eps_min, eta < eta_min or
-        sigma < 0 at any sample.
+        ``domain`` or a coordinate is NaN, and ValueError when eps < eps_min,
+        eta < eta_min or sigma < 0, or any of them is non-finite, at any sample.
         """
         coords = self._coords(x1, x2, x3)
         eps, eta, sig = (np.asarray(f(*coords)) for f in (self.eps, self.eta, self.sigma))
         for name, values, floor in (("eps", eps, self.eps_min), ("eta", eta, self.eta_min), ("sigma", sig, 0.0)):
-            if np.any(values < floor):
-                raise ValueError(f"{name} falls to {values.min():.6g}, below its lower bound {floor:.6g}")
+            if not np.all(np.isfinite(values) & (values >= floor)):
+                raise ValueError(f"{name} falls to {values.min():.6g}: non-finite or below its lower bound {floor:.6g}")
         return eps, eta, sig
 
     def sample_gradients(self, x1, x2, x3) -> tuple:

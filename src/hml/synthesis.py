@@ -47,6 +47,7 @@ from .symbols import (
 )
 
 __all__ = [
+    "MIN_CELLS_PER_WAVELENGTH",
     "FactoredField",
     "OscillatingFamily",
     "PhaseField",
@@ -63,10 +64,12 @@ __all__ = [
 GRAD_FLOOR = 1e-8
 # Simpson cells of the travel-time table of ``layered_phase``.
 LAYER_QUADRATURE_CELLS = 4096
+# Fewest grid cells per oscillation wavelength that a family may carry.
+MIN_CELLS_PER_WAVELENGTH = 4.0
 
 
 class AliasingError(ValueError):
-    """Raised when an oscillation would fall under four samples per cycle."""
+    """Raised when an oscillation would fall under ``MIN_CELLS_PER_WAVELENGTH`` samples per cycle."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +193,7 @@ def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[f
 
     ``rates`` are the per-axis maximal phase rates (t, x1, x2, x3); at scale
     eps the carrier index along an axis is rate * extent / eps.  Raises
-    AliasingError when any scale falls under four cells per wavelength.
+    AliasingError when any scale falls under ``MIN_CELLS_PER_WAVELENGTH``.
     """
     worst = np.inf
     for e in epsilons:
@@ -200,9 +203,9 @@ def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[f
             if abs(m) > 1e-12:
                 cells = min(cells, n / abs(m))
         worst = min(worst, cells)
-        if cells < 4.0:
+        if cells < MIN_CELLS_PER_WAVELENGTH:
             raise AliasingError(
-                f"eps={e}: oscillation resolved by {cells:.2f} cells/wavelength (< 4)"
+                f"eps={e}: oscillation resolved by {cells:.2f} cells/wavelength (< {MIN_CELLS_PER_WAVELENGTH:g})"
             )
     return worst
 
@@ -239,13 +242,12 @@ def plane_wave_family(
     the Maxwell residual cancels; what remains (envelope commutator plus
     conduction) is recorded in the sources.  Both are ``FactoredField``
     entries: the field is b times one scalar, the source the 6 x 5 matrix
-    [A0 b, A1 b, A2 b, A3 b, C b + (2 pi i/eps) P b] times
-    [d_t env, d_1 env, d_2 env, d_3 env, env] * osc.
+    [A0 b, A1 b, A2 b, A3 b, C b] times [d_t env, d_1 env, d_2 env, d_3 env, env] * osc;
+    P(c, k) b = 0 (the eikonal relation), so the carrier adds no (2 pi i/eps) P b term.
     """
     k, b, c = _constant_mode(model, k, mode, "plane_wave_family")
-    A0, A1, A2, A3, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
-    Ab = np.stack((A0, A1, A2, A3)) @ b
-    Pb = np.array((c, *k)) @ Ab  # zero to rounding by the eikonal relation
+    *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
+    V = np.column_stack([*(np.stack(A) @ b), C @ b])
 
     t, x1, x2, x3 = grid.meshes()
     sphase = x1 * k[0] + x2 * k[1] + x3 * k[2] + c * t
@@ -259,8 +261,7 @@ def plane_wave_family(
     for e in eps_list:
         S = envs * np.exp((2j * np.pi / e) * sphase)
         fields[e] = FactoredField.from_polarization(b[:, None], S[4:])
-        # residual: sum_l A^l b d_l(env) osc + (C b + (2 pi i/eps) P b) env osc
-        V = np.column_stack([*Ab, C @ b + (2j * np.pi / e) * Pb])
+        # residual: sum_l A^l b d_l(env) osc + C b env osc
         sources[e] = FactoredField.from_polarization(V, S)
 
     meta = {

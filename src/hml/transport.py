@@ -327,11 +327,13 @@ def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray,
 
 
 def _kept_weights(traj: DensityTrajectory, keep: np.ndarray) -> tuple:
-    """Restrict ``keep`` to the trajectory's valid bins; (keep, solid-angle weights)."""
+    """Restrict ``keep`` to the trajectory's valid bins; (keep, solid-angle weights); ValueError if none is left."""
     if traj.valid_bins is not None:
         mask = np.zeros_like(keep)
         mask[traj.valid_bins] = True
         keep = keep & mask
+    if not keep.any():
+        raise ValueError("no bin is kept for the transport rows (valid_bins empty or all on the poles)")
     return keep, traj.sphere.weights() * keep
 
 

@@ -23,7 +23,6 @@ from .symbols import (
     assemble_P,
     assemble_system_matrices,
     mode_vectors,
-    propagation_basis,
 )
 
 __all__ = [
@@ -315,22 +314,15 @@ def fit_modal_decomposition(
 
 
 def paper_sigma_blocks(model: MaterialModel, x, zetaP, coeffs: dict) -> dict:
-    """Assemble the four 3x3 blocks from modal densities via the printed display.
+    """The four 3x3 blocks of sum_s c_s b_s (x) b_s over the six eigen-dyads of ``mode_vectors``.
 
-    sigma11 = (1/eps)[zhat (x) zhat a0 + (z1 (x) z1)(ap + am)/2 + (z2 (x) z2)(bp + bm)/2],
-    sigma12 = (v/2)[z1 (x) z2 (ap - am) - z2 (x) z1 (bp - bm)], sigma21 = sigma12
-    with the roles of z1/z2 swapped, sigma22 like sigma11 with eps -> eta and
-    the transverse dyads exchanged.  Equals the sum of the six eigen-dyads.
+    ``zetaP`` has shape (..., 3) and each of the ``MODAL_NAMES`` coefficients
+    shape (...), so one call serves a stack of bins; each block has shape
+    (..., 3, 3).  eps and eta are read once at ``x``.  Raises
+    DegenerateDirectionError where zeta' = 0.
     """
-    zhat, z1, z2 = propagation_basis(zetaP)
     eps, eta, _ = (float(f) for f in model.sample_fields(*x))
-    v = 1.0 / np.sqrt(eps * eta)
-    a0, b0 = coeffs["a0"], coeffs["b0"]
-    ap, bp = coeffs["ap"], coeffs["bp"]
-    am, bm = coeffs["am"], coeffs["bm"]
-    d = lambda u, w: np.outer(u, w)
-    s11 = (d(zhat, zhat) * a0 + 0.5 * d(z1, z1) * (ap + am) + 0.5 * d(z2, z2) * (bp + bm)) / eps
-    s22 = (d(zhat, zhat) * b0 + 0.5 * d(z2, z2) * (ap + am) + 0.5 * d(z1, z1) * (bp + bm)) / eta
-    s12 = 0.5 * v * (d(z1, z2) * (ap - am) - d(z2, z1) * (bp - bm))
-    s21 = 0.5 * v * (d(z2, z1) * (ap - am) - d(z1, z2) * (bp - bm))
-    return {"s11": s11, "s12": s12, "s21": s21, "s22": s22}
+    b = np.moveaxis(mode_vectors(np.moveaxis(zetaP, -1, 0), eps, eta, MODE_ORDER), (0, 1), (-2, -1))
+    c = np.stack([coeffs[name] for name in MODAL_NAMES], axis=-1)
+    M = (b * c[..., None, :]) @ np.swapaxes(b, -1, -2)
+    return {"s11": M[..., :3, :3], "s12": M[..., :3, 3:], "s21": M[..., 3:, :3], "s22": M[..., 3:, 3:]}

@@ -2,8 +2,10 @@
 
 ``fourier_multiplier`` and ``cutoff_multiply`` are the H-measure's
 defining operators, a direction multiplier and a spatial cutoff;
-``neighborhood`` is the cell adjacency of a ``SphereGrid``.  The package
-does not call them, so they live with the tests.
+``neighborhood`` is the cell adjacency of a ``SphereGrid``;
+``paper_display_blocks`` is the smooth-scalar case's sigma blocks as the
+paper prints them.  The package does not call them, so they live with the
+tests.
 """
 
 from typing import Callable
@@ -13,6 +15,7 @@ import scipy.fft
 
 from hml.estimator import SphereGrid
 from hml.grids import GridSpec, SeparableWindow, fft_workers
+from hml.symbols import MaterialModel, propagation_basis
 
 
 def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -76,3 +79,25 @@ def neighborhood(sphere: SphereGrid, b: int) -> np.ndarray:
             for j3 in range(sphere.n_phi):
                 out.add(int(sphere.flat_index(ring, j2, j3)))
     return np.array(sorted(out), dtype=np.int64)
+
+
+def paper_display_blocks(model: MaterialModel, x, zetaP, coeffs: dict) -> dict:
+    """Assemble the four 3x3 blocks from modal densities via the printed display.
+
+    sigma11 = (1/eps)[zhat (x) zhat a0 + (z1 (x) z1)(ap + am)/2 + (z2 (x) z2)(bp + bm)/2],
+    sigma12 = (v/2)[z1 (x) z2 (ap - am) - z2 (x) z1 (bp - bm)], sigma21 = sigma12
+    with the roles of z1/z2 swapped, sigma22 like sigma11 with eps -> eta and
+    the transverse dyads exchanged.  Equals the sum of the six eigen-dyads.
+    """
+    zhat, z1, z2 = propagation_basis(zetaP)
+    eps, eta, _ = (float(f) for f in model.sample_fields(*x))
+    v = 1.0 / np.sqrt(eps * eta)
+    a0, b0 = coeffs["a0"], coeffs["b0"]
+    ap, bp = coeffs["ap"], coeffs["bp"]
+    am, bm = coeffs["am"], coeffs["bm"]
+    d = lambda u, w: np.outer(u, w)
+    s11 = (d(zhat, zhat) * a0 + 0.5 * d(z1, z1) * (ap + am) + 0.5 * d(z2, z2) * (bp + bm)) / eps
+    s22 = (d(zhat, zhat) * b0 + 0.5 * d(z2, z2) * (ap + am) + 0.5 * d(z1, z1) * (bp + bm)) / eta
+    s12 = 0.5 * v * (d(z1, z2) * (ap - am) - d(z2, z1) * (bp - bm))
+    s21 = 0.5 * v * (d(z2, z1) * (ap - am) - d(z1, z2) * (bp - bm))
+    return {"s11": s11, "s12": s12, "s21": s21, "s22": s22}

@@ -30,6 +30,19 @@ def test_Q_MATRICES_named_only_in_symbols():
     assert users == []
 
 
+def test_verifier_builds_no_polarization_basis():
+    # the sigma blocks and the modal fit read the eigenmodes through mode_vectors, so the
+    # polarization basis has one implementation, in symbols
+    path = Path(hml.__file__).parent / "verifier.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        names.update((getattr(node, "id", None), getattr(node, "attr", None)))
+    assert "propagation_basis" not in names
+    assert "mode_vectors" in names
+
+
 def test_coefficient_callables_called_only_in_symbols():
     # the coefficients are called, or taken from the model to be called, only inside its two checked
     # reads, so every other read goes through their domain and bound checks

@@ -9,6 +9,7 @@ from hml.symbols import (
     A_MATRICES,
     MODE_ORDER,
     DegenerateDirectionError,
+    DomainError,
     MaterialModel,
     Q_MATRICES,
     assemble_P,
@@ -66,6 +67,24 @@ def test_model_refuses_bad_kind_or_domain(smooth_model, changes):
     # refused where the model is built, not at its first read
     with pytest.raises(ValueError, match="kind must be|eta_min must be|domain must be"):
         dataclasses.replace(smooth_model, **changes)
+
+
+def test_fields_read_refuses_nan_coefficient(smooth_model):
+    # eps is NaN for x1 > 0.5; a NaN fails every comparison, so "below the bound" alone lets it through
+    bad = dataclasses.replace(smooth_model, eps=lambda x1, x2, x3: np.where(x1 > 0.5, np.nan, 1.0 + 0.0 * (x2 + x3)))
+    x1 = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="eps .*non-finite"):
+        bad.sample_fields(x1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        bad.speed(x1, 0.0, 0.0)
+
+
+def test_coordinates_read_refuses_nan_in_domain_model(smooth_model):
+    model = dataclasses.replace(smooth_model, domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+    with pytest.raises(DomainError, match="non-finite or outside model domain"):
+        model.sample_fields(np.array([0.2, np.nan]), 0.5, 0.5)
+    with pytest.raises(DomainError, match="non-finite or outside model domain"):
+        model.sample_gradients(0.5, np.nan, 0.5)
 
 
 def test_A1_off_diagonal_block_is_Q1():

@@ -4,12 +4,13 @@ import scipy.linalg
 
 from hml.estimator import SphereGrid, estimate_hmeasure
 from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
-from hml.symbols import DomainError, MaterialModel, UnsupportedGeneratorError, assemble_P, assemble_system_matrices
+from hml.symbols import MODE_ORDER, DomainError, MaterialModel, UnsupportedGeneratorError, assemble_P, assemble_system_matrices
 from hml import synthesis
 from hml.synthesis import (
     AliasingError,
     FactoredField,
     OscillatingFamily,
+    _constant_mode,
     _evolve,
     _initial_spectrum,
     _propagator,
@@ -134,6 +135,17 @@ def test_aliasing_guard():
     for make in generators:
         with pytest.raises(AliasingError, match="cells/wavelength"):
             make()
+
+
+@pytest.mark.parametrize("medium", [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (1.3, 2.7, 1.0)])
+def test_plane_wave_modes_solve_the_eikonal_relation(medium, rng):
+    # P(c, k) b = 0 for every mode's (k, b, c), which is why the plane-wave source has no (2 pi i/eps) P b term
+    model = MaterialModel.constant(*medium)
+    for k in rng.normal(size=(20, 3)):
+        for mode in MODE_ORDER:
+            _, b, c = _constant_mode(model, k, mode, "plane_wave_family")
+            Pb = assemble_P(model, (0.0, 0.0, 0.0), (c, *k)) @ b
+            assert np.linalg.norm(Pb) <= 1e-14 * np.linalg.norm(k)
 
 
 def test_plane_wave_source_is_envelope_commutator():

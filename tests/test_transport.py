@@ -227,6 +227,25 @@ def test_constant_rows_all_zero():
     assert rep.max_relative == 0.0
 
 
+def test_rows_refuse_trajectories_with_no_kept_bin(rng):
+    # with no bin kept every weight is 0 and a row would read 0 from no data
+    model = MaterialModel.constant(1.0, 1.0, 1.0)
+    sphere = SphereGrid(6, 6, 6)
+    times = np.linspace(0.0, 0.5, 9)
+    const = {name: rng.normal(size=(times.size, sphere.num_bins)) for name in "abcd"}
+    smooth = {name: rng.normal(size=(times.size, sphere.num_bins, 3, 3)) for name in ("s11", "s12", "s21", "s22")}
+    pole_bin = sphere.flat_index(0, 2, 3)  # a chi1-pole bin, masked by the smooth rows
+    cases = [
+        (constant_transport_residual, "constant", const, []),
+        (variable_transport_residual, "scalar_smooth", smooth, []),
+        (variable_transport_residual, "scalar_smooth", smooth, [pole_bin]),
+    ]
+    for residual, case, data, valid in cases:
+        traj = DensityTrajectory(times, sphere, case, data, valid_bins=np.array(valid, dtype=int))
+        with pytest.raises(ValueError, match="no bin is kept"):
+            residual(traj, model)
+
+
 def test_constant_rows_negative_control_static_a():
     model = MaterialModel.constant(1.0, 1.0, 1.0)
     sphere = SphereGrid(8, 8, 8)

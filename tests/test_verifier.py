@@ -7,6 +7,7 @@ from hml.estimator import HMeasureEstimate, SphereGrid, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
 from hml.symbols import (
     MODE_ORDER,
+    DegenerateDirectionError,
     DomainError,
     MaterialModel,
     assemble_P,
@@ -23,6 +24,7 @@ from hml.verifier import (
     paper_sigma_blocks,
     support_check,
 )
+from reference import paper_display_blocks
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
 EPS2 = (2.0**-3, 2.0**-4)
@@ -265,16 +267,29 @@ def test_stacked_checks_match_per_bin_loops(smooth_model, rng):
 def test_modal_blocks_match_paper_display(smooth_model, rng):
     x0 = (0.2, -0.1, 0.3)
     zp = rng.normal(size=3)
-    basis = mode_vectors(zp, *smooth_model.sample_fields(*x0)[:2], MODE_ORDER)
-    coeffs = {n: float(v) for n, v in zip(("a0", "b0", "ap", "bp", "am", "bm"), rng.uniform(0, 2, 6))}
-    M = np.zeros((6, 6))
-    for name, col in zip(("a0", "b0", "ap", "bp", "am", "bm"), basis.T):
-        M += coeffs[name] * np.outer(col, col)
+    coeffs = {n: float(v) for n, v in zip(MODAL_NAMES, rng.uniform(0, 2, 6))}
     blocks = paper_sigma_blocks(smooth_model, x0, zp, coeffs)
-    np.testing.assert_allclose(M[:3, :3], blocks["s11"], atol=1e-12)
-    np.testing.assert_allclose(M[:3, 3:], blocks["s12"], atol=1e-12)
-    np.testing.assert_allclose(M[3:, :3], blocks["s21"], atol=1e-12)
-    np.testing.assert_allclose(M[3:, 3:], blocks["s22"], atol=1e-12)
+    want = paper_display_blocks(smooth_model, x0, zp, coeffs)
+    for name in ("s11", "s12", "s21", "s22"):
+        np.testing.assert_allclose(blocks[name], want[name], atol=1e-12)
+
+
+def test_sigma_blocks_broadcast_over_bins(smooth_model, rng):
+    # one call on a stack of directions equals one call per direction
+    x0 = (0.2, -0.1, 0.3)
+    zp = rng.normal(size=(7, 3))
+    coeffs = {n: rng.normal(size=7) + 1j * rng.normal(size=7) for n in MODAL_NAMES}
+    blocks = paper_sigma_blocks(smooth_model, x0, zp, coeffs)
+    for n in range(7):
+        single = paper_sigma_blocks(smooth_model, x0, zp[n], {k: v[n] for k, v in coeffs.items()})
+        for name in ("s11", "s12", "s21", "s22"):
+            assert blocks[name].shape == (7, 3, 3)
+            np.testing.assert_allclose(blocks[name][n], single[name], rtol=1e-14, atol=1e-15)
+
+
+def test_sigma_blocks_refuse_zero_direction(smooth_model):
+    with pytest.raises(DegenerateDirectionError):
+        paper_sigma_blocks(smooth_model, (0.2, -0.1, 0.3), np.zeros((2, 3)), dict.fromkeys(MODAL_NAMES, np.ones(2)))
 
 
 def _trajectory(case, x_center):
