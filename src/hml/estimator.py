@@ -25,18 +25,24 @@ between the first and last grid times where the time factor is nonzero
 are multiplied by the spatial factors and FFT'd over (x1, x2, x3), and the
 time DFT, with the time factor folded into its matrix, is one GEMM.
 
-Memory contract: one scale's spectra are resident at a time, since each
-scale's are released before the next scale is transformed, and no two
-full-rank copies are alive at once.  A rank-r transform holds its r
-output rows, one scalar's slabs and that scalar's time-DFT output (r + 2
-grid scalars, where a grid scalar is 16 Npts bytes); the lattice build,
-the bin-order gather and the bin loop work in chunks of ``_CHUNK``
-lattice points, so their temporaries are chunk-sized.
+Memory contract: one scale is resident at a time.  The loop reads a
+scale's entries from the family (and the second sequence), which holds
+them or produces them when read (``synthesis.ProducedEntries``, checked as
+they are produced), transforms them, bins them and releases entries and
+spectra before it reads the next scale; no two full-rank copies are alive
+at once.  A rank-r transform holds its r output rows, one scalar's slabs
+and that scalar's time-DFT output (r + 2 grid scalars, where a grid scalar
+is 16 Npts bytes); the lattice build, the bin-order gather and the bin
+loop work in chunks of ``_CHUNK`` lattice points, so their temporaries are
+chunk-sized.  A cross measure of a rank-1 field against a produced rank-5
+plane-wave source so peaks near 1 + 5 entry scalars, 1 + 5 spectra and 2
+transform buffers.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -44,7 +50,14 @@ import numpy as np
 import scipy.fft
 
 from .grids import GridSpec, SeparableWindow, fft_workers, set_workers
-from .synthesis import MIN_CELLS_PER_WAVELENGTH, AliasingError, FactoredField, OscillatingFamily, charge_density
+from .synthesis import (
+    MIN_CELLS_PER_WAVELENGTH,
+    AliasingError,
+    FactoredField,
+    OscillatingFamily,
+    ProducedEntries,
+    charge_density,
+)
 
 __all__ = [
     "SphereGrid",
@@ -392,12 +405,13 @@ def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np
 def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere, kind: str) -> HMeasureEstimate:
     """Per-scale window -> spectra -> bins loop behind both public measures.
 
-    Refuses a one-scale ladder and an under-resolved family.  Every entry
-    is read as its factors (V, s), and only the r scalars of s are
-    windowed and transformed.  ``g_fields`` None pairs the family with
-    itself and fills the Hermitian half from one set of spectra; otherwise
-    u^eps is paired with the m components that g^eps has, giving (B, 6, m)
-    bins.
+    Refuses a one-scale ladder and an under-resolved family, and a g^eps
+    whose grid differs from u^eps's when that scale is read.  Every entry
+    is read once per scale, as its factors (V, s), and only the r scalars
+    of s are windowed and transformed.  ``g_fields`` None pairs the family
+    with itself and fills the Hermitian half from one set of spectra;
+    otherwise u^eps is paired with the m components that g^eps has, giving
+    (B, 6, m) bins.
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
@@ -412,12 +426,15 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
         u = FactoredField.of(family.fields[e])
-        g = u if hermitian else FactoredField.of(g_fields[e])
+        g = u if hermitian else g_fields[e]
+        if np.shape(g)[1:] != grid.shape:
+            raise ValueError("secondary sequence grid mismatch")
+        g = FactoredField.of(g)
         F1 = _spectra(u.s, phi, grid, lattice.order)
         F2 = F1 if hermitian else _spectra(g.s, phi, grid, lattice.order)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
         ranks = (u.rank, g.rank)
-        # one scale resident: the next scale is factored and transformed with none of this one's arrays held
+        # one scale resident: the next scale is read and transformed with none of this one's arrays held
         del u, g, F1, F2
     return HMeasureEstimate(
         sphere=sphere,
@@ -447,42 +464,45 @@ def estimate_hmeasure(
     return _cross_spectral_measure(family, None, phi, sphere, "auto")
 
 
-def source_fields(family: OscillatingFamily) -> dict:
-    """The recorded Maxwell residual f^eps per scale, as held.
+def source_fields(family: OscillatingFamily) -> Mapping:
+    """The recorded Maxwell residual f^eps per scale: ``family.sources`` as held or produced.
 
     A family without sources has f = 0: each scale is a rank-zero
     ``FactoredField`` (V of shape (6, 0), s of shape (0,) + grid), which
     holds no grid-sized array and pairs to zero bins.
     """
     if family.sources is not None:
-        return {e: family.sources[e] for e in family.epsilons}
+        return family.sources
     zero = FactoredField(np.zeros((6, 0)), np.zeros((0,) + family.grid.shape, dtype=np.complex128))
     return {e: zero for e in family.epsilons}
 
 
-def charge_tilde_fields(family: OscillatingFamily) -> dict:
-    """The one nonzero component of rho-tilde^eps = (rho, 0, 0, 0, 0, 0).
+def charge_tilde_fields(family: OscillatingFamily) -> ProducedEntries:
+    """The one nonzero component of rho-tilde^eps = (rho, 0, 0, 0, 0, 0), made per scale when read.
 
-    rho^eps = div E^eps, shape (1,) + grid.shape per scale: the cross
-    measure against it is the (B, 6, 1) column that the one against the
-    full rho-tilde would have nonzero.
+    rho^eps = div E^eps (``charge_density``), shape (1,) + grid.shape per
+    scale: the cross measure against it is the (B, 6, 1) column that the
+    one against the full rho-tilde would have nonzero.  No scale's rho is
+    held between reads.
     """
-    return {e: rho[None] for e, rho in charge_density(family).items()}
+    rho = charge_density(family)
+    return ProducedEntries("charge", family.epsilons, (1,) + family.grid.shape, lambda e: rho[e][None])
 
 
 def correlation_measure(
     family_u: OscillatingFamily,
-    g_fields: dict,
+    g_fields: Mapping,
     phi: SeparableWindow,
     sphere: SphereGrid | None = None,
 ) -> HMeasureEstimate:
     """Cross measure between u^eps and a second sequence g^eps (6 x m bins).
 
-    Refuses what ``estimate_hmeasure`` refuses, and a g^eps whose ladder or
-    grid differs from u^eps's.
+    ``g_fields`` maps each scale of u's ladder to an entry, held (a dict)
+    or produced when read (``synthesis.ProducedEntries``).  Refuses what
+    ``estimate_hmeasure`` refuses, a g whose ladder differs from u^eps's
+    (read from its keys), and a g^eps whose grid differs, when that scale
+    is read.
     """
     if set(float(e) for e in g_fields.keys()) != set(family_u.epsilons):
         raise ValueError("mismatched epsilon ladders between u and g")
-    if any(np.shape(g)[1:] != family_u.grid.shape for g in g_fields.values()):
-        raise ValueError("secondary sequence grid mismatch")
     return _cross_spectral_measure(family_u, g_fields, phi, sphere, "cross")

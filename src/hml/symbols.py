@@ -167,9 +167,12 @@ class MaterialModel:
         return float(self.speed(*np.asarray(x, dtype=float).reshape(3))[0])
 
     def _coords(self, x1, x2, x3) -> list:
-        """The coordinates as float arrays; DomainError when their bounding box leaves ``domain``."""
+        """The coordinates as float arrays; DomainError when one is non-finite or their box leaves ``domain``."""
         coords = [np.asarray(c, dtype=float) for c in (x1, x2, x3)]
-        if self.domain is not None:
+        if self.domain is None:
+            if not all(np.isfinite(c).all() for c in coords):
+                raise DomainError("non-finite points read by a model without a domain")
+        else:
             box = np.asarray(self.domain, dtype=float)
             lo, hi = np.array([c.min() for c in coords]), np.array([c.max() for c in coords])
             # a NaN coordinate makes lo and hi NaN, which fails both comparisons
@@ -180,8 +183,8 @@ class MaterialModel:
     def sample_fields(self, x1, x2, x3) -> tuple:
         """(eps, eta, sigma) on broadcastable coordinate arrays, e.g. grid meshes.
 
-        Raises DomainError when the coordinates' bounding box leaves
-        ``domain`` or a coordinate is NaN, and ValueError when eps < eps_min,
+        Raises DomainError when a coordinate is non-finite or the
+        coordinates' bounding box leaves ``domain``, and ValueError when eps < eps_min,
         eta < eta_min or sigma < 0, or any of them is non-finite, at any sample.
         """
         coords = self._coords(x1, x2, x3)

@@ -5,6 +5,13 @@ spacetime grid, one entry per scale in a decreasing epsilon ladder,
 optionally with the Maxwell residual recorded as a source term f.  The
 electric charge rho = div E is computed on demand (``charge_density``).
 
+A family's entries are held or produced per scale.  Held entries sit in a
+dict and are checked (shape and finiteness) when the family is built; a
+``ProducedEntries`` mapping holds no grid-sized array and makes a scale's
+entry each time it is read, passing it through the same check then.  A
+reader that goes through the ladder one scale at a time so holds one
+scale's entries, not the whole ladder.
+
 An entry is either a (6,) + grid array or a ``FactoredField``: a constant
 polarization factor V (6, r) with orthonormal columns and r scalar fields
 s, with u = V s.  An H-measure moves with a constant matrix, mu_{Vs} =
@@ -18,7 +25,8 @@ Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
   along one of the six eigenmodes (rank-one fields), with the envelope
-  commutator recorded as the source (rank five).
+  commutator recorded as the source (rank five), both produced per scale
+  from the envelope's axis factors and one oscillation per axis.
 * evolved_family: spectral matrix-exponential solution of the
   constant-coefficient system (the source is exactly zero), exponentiated
   and stepped only at the spatial frequencies where the initial spectrum
@@ -29,6 +37,7 @@ Generators:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,6 +59,7 @@ __all__ = [
     "MIN_CELLS_PER_WAVELENGTH",
     "FactoredField",
     "OscillatingFamily",
+    "ProducedEntries",
     "PhaseField",
     "plane_wave_family",
     "evolved_family",
@@ -142,21 +152,69 @@ class FactoredField:
     __hash__ = object.__hash__
 
 
+def _check_entry(name: str, e: float, u, shape: tuple):
+    """``u`` if it is a finite entry of ``shape``; the one check of held and produced entries.
+
+    Reads the factors V and s of a ``FactoredField``, never its full array,
+    and a plain array as held: factoring it here would copy it to drop its
+    zero components.  ``u`` None is a missing entry.
+    """
+    if u is None or np.shape(u) != shape:
+        raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
+    arrays = (u.V, u.s) if isinstance(u, FactoredField) else (np.asarray(u),)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"non-finite field or source entry at eps={e}")
+    return u
+
+
+class ProducedEntries(Mapping):
+    """Per-scale entries made when read: ``entries[e]`` is ``produce(e)``, checked.
+
+    A read-only mapping keyed by the ladder ``epsilons`` that holds no
+    entry: each read calls ``produce`` and passes the result through the
+    shape-and-finiteness check a held entry gets when its family is built,
+    with ``name`` and ``shape`` in the refusal.  Two reads of a scale make
+    two equal entries; iterating over ``values()`` or ``items()`` makes
+    every scale's.
+    """
+
+    def __init__(self, name: str, epsilons: Sequence[float], shape: tuple, produce: Callable):
+        self.name, self.shape, self._produce = name, tuple(shape), produce
+        self._epsilons = tuple(float(e) for e in epsilons)
+
+    def __getitem__(self, e):
+        if e not in self._epsilons:
+            raise KeyError(e)
+        return _check_entry(self.name, e, self._produce(e), self.shape)
+
+    def __contains__(self, e):  # Mapping's would produce the entry to find it
+        return e in self._epsilons
+
+    def __iter__(self):
+        return iter(self._epsilons)
+
+    def __len__(self) -> int:
+        return len(self._epsilons)
+
+
 @dataclass
 class OscillatingFamily:
     """Fields u^eps = (E, H) and optional sources f^eps.
 
     ``fields[eps]`` and ``sources[eps]`` are (6,) + grid.shape complex
     arrays or ``FactoredField`` entries of that shape; ``np.asarray`` gives
-    the full array of either.  Epsilons are strictly decreasing, every scale
-    has a field (and a source when there are sources), and every entry is
-    finite.  The checks read the factors V and s, never the full array.
+    the full array of either.  Each of the two is a dict of held entries or
+    a ``ProducedEntries`` mapping that makes a scale's entry when it is
+    read.  Epsilons are strictly decreasing, every scale has a field (and a
+    source when there are sources), and every entry is finite: held entries
+    are checked here, produced ones when they are produced, by the same
+    check, which reads the factors V and s, never the full array.
     """
 
     grid: GridSpec
     epsilons: tuple
-    fields: dict
-    sources: dict | None = None
+    fields: Mapping
+    sources: Mapping | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -168,17 +226,13 @@ class OscillatingFamily:
         self.epsilons = eps
         shape = (6,) + self.grid.shape
         for e in eps:
-            arrays = []
-            for name, held in (("field", self.fields), ("source", self.sources)):
-                if held is None:
+            for name, entries in (("field", self.fields), ("source", self.sources)):
+                if entries is None:
                     continue
-                u = held.get(e)
-                if u is None or np.shape(u) != shape:
-                    raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
-                # read as held: factoring a plain array here would copy it to drop its zero components
-                arrays += (u.V, u.s) if isinstance(u, FactoredField) else (np.asarray(u),)
-            if not all(np.isfinite(a).all() for a in arrays):
-                raise ValueError(f"non-finite field or source entry at eps={e}")
+                if not isinstance(entries, ProducedEntries):
+                    _check_entry(name, e, entries.get(e), shape)
+                elif e not in entries or entries.shape != shape:
+                    _check_entry(name, e, None, shape)  # refused as a missing entry; a present one is checked when read
 
     @property
     def finest(self) -> float:
@@ -227,6 +281,12 @@ def _constant_mode(model: MaterialModel, k, mode: str, generator: str) -> tuple:
     return k, b, c
 
 
+def _outer(t, x1, x2, x3, out=None) -> np.ndarray:
+    """The grid array t(t) x1(x1) x2(x2) x3(x3) of four 1-D axis samples, written into ``out`` if given."""
+    spatial = x1[:, None, None] * x2[None, :, None] * x3[None, None, :]
+    return np.multiply(t[:, None, None, None], spatial, out=out)
+
+
 def plane_wave_family(
     model: MaterialModel,
     grid: GridSpec,
@@ -244,26 +304,43 @@ def plane_wave_family(
     entries: the field is b times one scalar, the source the 6 x 5 matrix
     [A0 b, A1 b, A2 b, A3 b, C b] times [d_t env, d_1 env, d_2 env, d_3 env, env] * osc;
     P(c, k) b = 0 (the eikonal relation), so the carrier adds no (2 pi i/eps) P b term.
+
+    Fields and sources are ``ProducedEntries``: the family holds no
+    grid-sized array, and a scale's entry is made when it is read.  The
+    phase is linear, so osc is the product of one exponential per axis, and
+    each scalar is the broadcast product of four 1-D arrays: the envelope's
+    axis factors (one of them differentiated in the source's first four
+    rows) times the axis oscillations.
     """
     k, b, c = _constant_mode(model, k, mode, "plane_wave_family")
     *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     V = np.column_stack([*(np.stack(A) @ b), C @ b])
-
-    t, x1, x2, x3 = grid.meshes()
-    sphase = x1 * k[0] + x2 * k[1] + x3 * k[2] + c * t
-    # (d_t env, d_1 env, d_2 env, d_3 env, env)
-    envs = np.concatenate([envelope.sample_gradient(grid), envelope.sample(grid)[None, ...]])
-
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
 
-    fields, sources = {}, {}
-    for e in eps_list:
-        S = envs * np.exp((2j * np.pi / e) * sphase)
-        fields[e] = FactoredField.from_polarization(b[:, None], S[4:])
-        # residual: sum_l A^l b d_l(env) osc + C b env osc
-        sources[e] = FactoredField.from_polarization(V, S)
+    axes = [grid.axis(i) for i in range(4)]
+    env = [f(x) for f, x in zip(envelope.factors, axes)]
+    denv = [f.derivative(x) for f, x in zip(envelope.factors, axes)]
 
+    def carried(e):
+        """(env, d env) per axis, each times that axis's oscillation exp(2 pi i rate x / eps)."""
+        osc = [np.exp((2j * np.pi / e) * rate * x) for rate, x in zip((c, *k), axes)]
+        return [f * o for f, o in zip(env, osc)], [d * o for d, o in zip(denv, osc)]
+
+    def field_at(e):
+        g, _ = carried(e)
+        return FactoredField.from_polarization(b[:, None], _outer(*g)[None])
+
+    def source_at(e):
+        # residual: sum_l A^l b d_l(env) osc + C b env osc
+        g, h = carried(e)
+        S = np.empty((5,) + grid.shape, dtype=np.complex128)
+        for j in range(4):
+            _outer(*(h[i] if i == j else g[i] for i in range(4)), out=S[j])
+        _outer(*g, out=S[4])
+        return FactoredField.from_polarization(V, S)
+
+    shape = (6,) + grid.shape
     meta = {
         "generator": "plane_wave",
         "k": k.tolist(),
@@ -272,7 +349,8 @@ def plane_wave_family(
         "min_cells_per_wavelength": worst_cells,
         "envelope": envelope.describe(),
     }
-    return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
+    return OscillatingFamily(grid=grid, epsilons=eps_list, fields=ProducedEntries("field", eps_list, shape, field_at),
+                             sources=ProducedEntries("source", eps_list, shape, source_at), metadata=meta)
 
 
 def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np.ndarray:
@@ -520,19 +598,22 @@ def wkb_family(
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
-def charge_density(family: OscillatingFamily) -> dict:
-    """rho^eps = div E^eps via the spectral divergence, one array per scale.
+def charge_density(family: OscillatingFamily) -> ProducedEntries:
+    """rho^eps = div E^eps via the spectral divergence, made per scale when read.
 
     Each E_j = sum_k V_jk s_k is formed from the factors and differentiated
     along x_j, so a rank-one field costs three scalar derivative pairs and
     the full field is never formed.  An E_j whose row of V is exactly zero
-    is identically zero and costs nothing.
+    is identically zero and costs nothing.  A read of ``rho[e]`` reads
+    ``family.fields[e]`` and holds no other scale.
     """
-    out = {}
-    for e in family.epsilons:
+    grid = family.grid
+
+    def rho_at(e):
         u = FactoredField.of(family.fields[e])
-        rho = np.zeros(family.grid.shape, dtype=np.complex128)
+        rho = np.zeros(grid.shape, dtype=np.complex128)
         for j in np.flatnonzero(u.V[:3].any(axis=1)):
-            rho += _spectral_derivative(np.tensordot(u.V[j], u.s, axes=1)[None], family.grid, 1 + j)[0]
-        out[e] = rho
-    return out
+            rho += _spectral_derivative(np.tensordot(u.V[j], u.s, axes=1)[None], grid, 1 + j)[0]
+        return rho
+
+    return ProducedEntries("charge", family.epsilons, grid.shape, rho_at)

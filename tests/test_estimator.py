@@ -19,6 +19,7 @@ from hml.synthesis import (
     AliasingError,
     FactoredField,
     OscillatingFamily,
+    ProducedEntries,
     charge_density,
     evolved_family,
     linear_phase,
@@ -375,37 +376,54 @@ def test_chunked_lattice_matches_unchunked(grid):
 
 
 def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
-    """tracemalloc peak of a two-scale cross estimate against a rank-5 plane-wave source.
+    """tracemalloc peak of a whole pass: a two-scale plane-wave family made and its field crossed
+    against its rank-5 source, then against its charge.
 
-    Counted in grid scalars (16 N bytes), with the bound fixed before measuring: the field's and the
-    source's spectra (1 + 5 rows), one scalar's slabs and its time-DFT output (2), and one for the
-    chunk-sized temporaries and the bins.  Each scale's spectra are released before the next scale is
-    transformed, so the second scale's peak exceeds the first's by at most one grid scalar.
+    Counted in grid scalars (16 N bytes), with the bounds fixed before measuring.  The family holds no
+    grid-sized array: each scale's entries are produced when the estimator reads them.  The source
+    pass holds one scale's field and source (1 + 5), their spectra (1 + 5), one scalar's slabs and its
+    time-DFT output (2), and one for the chunk-sized temporaries and the bins: 15, where a family
+    holding both scales' entries would add 12 to the 9 the estimate needs.  Each scale's entries and
+    spectra are released before the next scale is read, so the second scale's peak exceeds the first's
+    by at most one grid scalar.  The charge pass makes rho per scale: when a spectrum is computed,
+    u, its spectrum and one rho are held, fewer than the four a second scale's rho would make.
     """
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     sphere = SphereGrid(6, 6, 8)
     model = MaterialModel.constant(2.0, 0.5, 0.3)
-    fam = plane_wave_family(model, grid, (0.3, -0.5, 0.8), "trans+1", hann_window(grid), EPS2)
-    src, w = source_fields(fam), hann_window(grid, axes=(0,))
+    w = hann_window(grid, axes=(0,))
     _lattice_bins(grid, sphere)  # cached, so the lattice is not counted as the estimate's scratch
     unit = 16 * grid.num_points
-    spectra, peaks = estimator._spectra, []
+    spectra, peaks, held = estimator._spectra, [], []
 
     def spy(*args):
-        peaks.append(tracemalloc.get_traced_memory()[1])  # the peak so far, at the start of each transform
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)  # the peak so far, at the start of each transform
+        held.append(current)
         return spectra(*args)
 
     monkeypatch.setattr(estimator, "_spectra", spy)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        est = correlation_measure(fam, src, w, sphere)
+        fam = plane_wave_family(model, grid, (0.3, -0.5, 0.8), "trans+1", hann_window(grid), EPS2)
+        made = tracemalloc.get_traced_memory()[0]
+        est = correlation_measure(fam, source_fields(fam), w, sphere)
         peak = tracemalloc.get_traced_memory()[1]
+        assert est.metadata["factor_rank"] == (1, 5)
+        del est
+        charge_start = tracemalloc.get_traced_memory()[0]
+        held.clear()
+        rho = charge_tilde_fields(fam)
+        assert tracemalloc.get_traced_memory()[0] - charge_start < unit / 4  # no scale's rho is made yet
+        cross_rho = correlation_measure(fam, rho, w, sphere)
     finally:
         tracemalloc.stop()
-    assert est.metadata["factor_rank"] == (1, 5) and len(peaks) == 4
-    assert (peak - start) / unit <= 1 + 5 + 2 + 1
+    assert (made - start) / unit < 1 / 4
+    assert len(peaks) == 8 and cross_rho.metadata["factor_rank"] == (1, 1)
+    assert (peak - start) / unit <= 1 + 5 + 1 + 5 + 2 + 1
     assert (peak - peaks[2]) / unit <= 1  # peaks[2]: the peak of the first scale alone
+    assert (max(held) - charge_start) / unit < 4
 
 
 def _bincount_reference(u, g, phi, sphere):
@@ -534,6 +552,23 @@ def test_correlation_ladder_mismatch_errors():
     g = {fam.epsilons[0]: np.asarray(fam.fields[fam.epsilons[0]])}
     with pytest.raises(ValueError):
         correlation_measure(fam, g, hann_window(GRID, axes=(0,)), sphere=SPHERE)
+
+
+def test_correlation_grid_mismatch_refused_when_read():
+    # g is read one scale at a time, so its grid is checked as each scale is read: a produced mapping of
+    # another grid at its first read, and a dict whose finest scale alone is off-grid at that scale
+    fam = _family()
+    other_grid = GridSpec(extents=GRID.extents, shape=(16, 8, 8, 32))
+    other = plane_wave_family(MaterialModel.constant(), other_grid, (0, 0, 1.0), "trans+1",
+                              hann_window(other_grid, axes=(1,)), EPS2)
+    read = []
+    produced = ProducedEntries("source", EPS2, (6,) + other_grid.shape, lambda e: read.append(e) or other.sources[e])
+    half = {EPS2[0]: np.asarray(fam.fields[EPS2[0]]), EPS2[1]: np.asarray(other.fields[EPS2[1]])}
+    phi = hann_window(GRID, axes=(0,))
+    for g in (produced, half):
+        with pytest.raises(ValueError, match="^secondary sequence grid mismatch$"):
+            correlation_measure(fam, g, phi, sphere=SPHERE)
+    assert read == [EPS2[0]]
 
 
 def test_charge_tilde_embedding():

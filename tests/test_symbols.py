@@ -87,6 +87,20 @@ def test_coordinates_read_refuses_nan_in_domain_model(smooth_model):
         model.sample_gradients(0.5, np.nan, 0.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_coordinates_read_refuses_non_finite_without_domain(smooth_model, value):
+    # a model without a domain used to read any point, so a NaN ray state read finite coefficients
+    constant = MaterialModel.constant(2.0, 0.5, 0.3)
+    assert constant.domain is None and smooth_model.domain is None
+    for model in (constant, smooth_model):
+        with pytest.raises(DomainError, match="non-finite points"):
+            model.sample_fields(value, 0.0, 0.0)
+        with pytest.raises(DomainError, match="non-finite points"):
+            model.sample_gradients(0.0, np.array([0.1, value]), 0.0)
+    with pytest.raises(DomainError, match="non-finite points"):
+        assemble_P(constant, (0.0, value, 0.0), np.array([1.0, 0.0, 0.0, 0.0]))
+
+
 def test_A1_off_diagonal_block_is_Q1():
     model = MaterialModel.constant()
     _, A1, _, _, _ = assemble_system_matrices(model, (0.0, 0.0, 0.0))

@@ -10,6 +10,7 @@ from hml.synthesis import (
     AliasingError,
     FactoredField,
     OscillatingFamily,
+    ProducedEntries,
     _constant_mode,
     _evolve,
     _initial_spectrum,
@@ -167,8 +168,9 @@ def test_plane_wave_source_is_envelope_commutator():
         ("sources", lambda fam: {e: np.asarray(f)[:3] for e, f in fam.sources.items()}),
         ("sources", lambda fam: {fam.finest: fam.sources[fam.finest]}),
         ("fields", lambda fam: {fam.epsilons[0]: fam.fields[fam.epsilons[0]]}),
+        ("fields", lambda fam: ProducedEntries("field", fam.epsilons[:1], (6,) + fam.grid.shape, fam.fields.get)),
     ],
-    ids=["wrong_component_count", "missing_scale", "fields_missing_scale"],
+    ids=["wrong_component_count", "missing_scale", "fields_missing_scale", "produced_missing_scale"],
 )
 def test_family_rejects_malformed_sources(where, bad):
     # a family missing a field scale is refused by name, as one missing a source is
@@ -198,6 +200,61 @@ def test_family_rejects_non_finite_data(where, factored, value):
         arrays[where][fam.finest] = a
     with pytest.raises(ValueError, match=f"non-finite field or source entry at eps={fam.finest}"):
         OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **arrays)
+
+
+@pytest.mark.parametrize("where", ["fields", "sources"])
+@pytest.mark.parametrize("fault", ["non_finite", "wrong_shape"])
+def test_produced_entry_refused_on_read(where, fault):
+    # a produced entry is checked when it is made, by the check a held one gets when its family is built
+    fam = _family()
+
+    def produce(e):
+        u = getattr(fam, where)[e]
+        if fault == "wrong_shape":
+            return np.asarray(u)[:3]
+        s = u.s.copy()
+        s[0, 1, 3, 4, 5] = np.nan
+        return FactoredField(u.V, s)
+
+    entries = {"fields": fam.fields, "sources": fam.sources}
+    entries[where] = ProducedEntries(where[:-1], fam.epsilons, (6,) + GRID.shape, produce)
+    bad = OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **entries)  # built without making an entry
+    match = (f"non-finite field or source entry at eps={fam.finest}" if fault == "non_finite"
+             else f"^{where[:-1]} at eps={fam.finest} missing or not of shape")
+    with pytest.raises(ValueError, match=match):
+        getattr(bad, where)[fam.finest]
+
+
+def _plane_wave_closed_form(model, grid, k, mode, envelope, e):
+    """env b osc and its envelope commutator sum_l A^l b d_l(env) osc + C b env osc, from 4-D arrays."""
+    _, b, c = _constant_mode(model, k, mode, "plane_wave_family")
+    *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
+    t, x1, x2, x3 = grid.meshes()
+    osc = np.exp((2j * np.pi / e) * (x1 * k[0] + x2 * k[1] + x3 * k[2] + c * t))
+    env = envelope.sample(grid)
+    u = b[:, None, None, None, None] * (env * osc)
+    f = (C @ b)[:, None, None, None, None] * (env * osc)
+    for Al, d in zip(A, envelope.sample_gradient(grid)):
+        f = f + (Al @ b)[:, None, None, None, None] * (d * osc)
+    return u, f
+
+
+def test_produced_plane_wave_matches_closed_form():
+    # each read makes the entry from 1-D axis factors and oscillations; it is the 4-D closed form, and
+    # two reads of a scale make the same entry
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    model, k, envelope = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8), hann_window(grid)
+    fam = plane_wave_family(model, grid, k, "trans+1", envelope, EPS2)
+    assert isinstance(fam.fields, ProducedEntries) and isinstance(fam.sources, ProducedEntries)
+    assert list(fam.fields) == list(fam.sources) == list(EPS2)
+    for e in EPS2:
+        for got, want in zip((fam.fields[e], fam.sources[e]), _plane_wave_closed_form(model, grid, k, "trans+1",
+                                                                                      envelope, e)):
+            assert np.abs(np.asarray(got) - want).max() <= 1e-14 * np.abs(want).max()
+        for entries in (fam.fields, fam.sources):
+            first, second = entries[e], entries[e]
+            assert first is not second
+            assert np.array_equal(first.V, second.V) and np.array_equal(first.s, second.s)
 
 
 # ------------------------------------------------------------- exact evolution
@@ -437,6 +494,8 @@ def test_charge_skips_zero_rows(monkeypatch):
     monkeypatch.setattr(synthesis, "_spectral_derivative",
                         lambda a, g, ax: calls.append(ax) or _spectral_derivative(a, g, ax))
     rho = charge_density(fam)
+    assert calls == []  # rho is made per scale when read
+    rho = {e: rho[e] for e in fam.epsilons}
     assert calls == [1, 3] * len(fam.epsilons)
     for e in fam.epsilons:
         assert np.array_equal(rho[e], want[e])
