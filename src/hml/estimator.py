@@ -11,6 +11,8 @@ Fields arrive factored, u = V s (``synthesis.FactoredField``; a plain
 array is V = the columns of I at its components that are not identically
 zero), and an H-measure moves with a constant matrix, so the estimator
 FFTs the r scalars s, bins an r x r' Gram matrix G, and returns V G V'^H.
+The spectra of a produced entry's scalars s = R S are R times those of
+its raw rows S, since the DFT is linear.
 A plane wave is r = 1 and its source r = 5, where the full fields have
 six components each; an exact constant-coefficient evolution keeps only
 its nonzero components, and a family without sources pairs with r' = 0
@@ -30,13 +32,15 @@ scale's entries from the family (and the second sequence), which holds
 them or produces them when read (``synthesis.ProducedEntries``, checked as
 they are produced), transforms them, bins them and releases entries and
 spectra before it reads the next scale; no two full-rank copies are alive
-at once.  A rank-r transform holds its r output rows, one scalar's slabs
-and that scalar's time-DFT output (r + 2 grid scalars, where a grid scalar
-is 16 Npts bytes); the lattice build, the bin-order gather and the bin
-loop work in chunks of ``_CHUNK`` lattice points, so their temporaries are
-chunk-sized.  A cross measure of a rank-1 field against a produced rank-5
-plane-wave source so peaks near 1 + 5 entry scalars, 1 + 5 spectra and 2
-transform buffers.
+at once.  A rank-r transform holds its r output rows, one row's slabs and
+that row's time-DFT output (r + 2 grid scalars, where a grid scalar is 16
+Npts bytes).  A produced entry (a plane wave's field and source) holds no
+grid-sized array: its rows are made straight into the slab buffer and R
+is applied to the spectra, so its scalars are never formed.  The lattice
+build, the bin-order gather, the R product and the bin loop work in chunks
+of ``_CHUNK`` lattice points, so their temporaries are chunk-sized.  A
+cross measure of a rank-1 plane-wave field against its rank-5 source so
+peaks near its 1 + 5 spectra and 2 transform buffers.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .synthesis import (
 )
 
 __all__ = [
+    "MIN_MEDIAN_POINTS_PER_BIN",
     "SphereGrid",
     "HMeasureEstimate",
     "estimate_hmeasure",
@@ -68,6 +73,11 @@ __all__ = [
     "charge_tilde_fields",
     "set_workers",
 ]
+
+# Fewest median lattice points per sphere bin; below it an estimate is flagged as finer in angle than
+# its lattice (``bin_occupancy["below_floor"]``).  The default sphere on a 16^4 lattice has a median of 3
+MIN_MEDIAN_POINTS_PER_BIN = 8
+
 
 @dataclass(frozen=True)
 class SphereGrid:
@@ -238,12 +248,13 @@ class HMeasureEstimate:
     holds per-bin mass-weighted mean directions (rows of NaN where a bin is
     empty), and ``dc_energy`` the separately-reported zero-frequency mass.
     ``metadata["window"]`` describes the window, and
-    ``metadata["bin_occupancy"]`` the number of empty bins and the median
-    lattice points per bin (a sphere finer than the lattice leaves bins
-    empty or nearly so).  ``metadata["factor_rank"]`` is (r, r'), the
-    number of scalar factors transformed per sequence: components that are
-    exactly zero (no tolerance) are not counted, and r or r' is 0 for an
-    all-zero sequence, whose bins are zero.
+    ``metadata["bin_occupancy"]`` the number of empty bins, the median
+    lattice points per bin, and ``below_floor``, true when that median is
+    below ``MIN_MEDIAN_POINTS_PER_BIN`` (a sphere finer than the lattice
+    leaves bins empty or nearly so).  ``metadata["factor_rank"]`` is
+    (r, r'), the number of scalar factors transformed per sequence:
+    components that are exactly zero (no tolerance) are not counted, and r
+    or r' is 0 for an all-zero sequence, whose bins are zero.
     """
 
     sphere: SphereGrid
@@ -358,28 +369,32 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     return bins, cent, dc
 
 
-def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np.ndarray) -> np.ndarray:
-    """Windowed 4-D DFT of (r,) + grid.shape fields as an (r, Npts) array, each row in bin order.
+def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, order: np.ndarray) -> np.ndarray:
+    """Windowed 4-D DFT of the r scalars of a (p,) + grid.shape entry as an (r, Npts) array, each row in bin order.
 
     The window phi = w_t(t) w_x(x) is read through its axis factors.  Only
     the slabs t_j0 .. t_j1 between the first and last grid times where w_t
-    is nonzero are multiplied by w_x and FFT'd over (x1, x2, x3); the time
-    DFT is then one GEMM ``W @ slabs`` with the time factor folded into it,
-    W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t).  A window that is
-    zero at every sample of an axis is refused (its estimate would be zero).
-    r = 0 (no scalar factors) gives an (0, Npts) array without a transform.
+    is nonzero are read, by ``u.slabs`` with the spatial factors applied,
+    and FFT'd over (x1, x2, x3); the time DFT is then one GEMM
+    ``W @ slabs`` with the time factor folded into it, W[k, j] = w_t(t_j)
+    exp(-2 pi i ((k j) mod N_t) / N_t).  A produced entry's rows are its
+    raw rows S_j, so its spectra are multiplied by R afterwards, one
+    ``_CHUNK`` of columns at a time; a held entry's rows are its scalars
+    and get no such product.  A window that is zero at every sample of an
+    axis is refused (its estimate would be zero).  r = 0 (no scalar
+    factors) gives an (0, Npts) array without a transform.
 
-    Memory: the scalars are transformed one at a time, through one slab
-    buffer and one time-DFT output that all r share, and each is gathered
-    into its own row of the output.  A call so holds at most r + 2 grid
-    scalars (the r rows, one scalar's slabs and its time-DFT output), and
-    never two rank-r arrays.
+    Memory: the rows are made or read one at a time, into one slab buffer,
+    and transformed through one time-DFT output that all r share; each is
+    gathered into its own row of the output.  A call so holds at most
+    r + 2 grid scalars (the r rows, the slabs and the time-DFT output) and
+    chunk-sized temporaries, and never forms a produced entry's scalars.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
     if dead:
         raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
-    nt, r = grid.shape[0], fields.shape[0]
+    nt, r = grid.shape[0], u.rank
     out = np.empty((r, grid.num_points), dtype=np.complex128)
     if r == 0:
         return out
@@ -391,7 +406,7 @@ def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np
     slab = np.empty((hi - lo,) + grid.spatial_shape, dtype=np.complex128)
     spectrum = np.empty((nt, spatial.size), dtype=np.complex128)
     for j in range(r):
-        np.multiply(fields[j, lo:hi], spatial, out=slab)
+        u.slabs(j, lo, hi, spatial, out=slab)
         slab = scipy.fft.fftn(slab, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
         np.matmul(W, slab.reshape(hi - lo, -1), out=spectrum)
         # ``order`` is a permutation of the lattice, so "clip" moves no index; unlike the default
@@ -399,6 +414,10 @@ def _spectra(fields: np.ndarray, phi: SeparableWindow, grid: GridSpec, order: np
         # int32 indices to intp, so a chunk at a time keeps that copy chunk-sized
         for c in range(0, grid.num_points, _CHUNK):
             np.take(spectrum.reshape(-1), order[c : c + _CHUNK], out=out[j, c : c + _CHUNK], mode="clip")
+    if u.R is not None:
+        del slab, spectrum  # freed first, so the product's chunk temporaries come on top of the rows alone
+        for c in range(0, grid.num_points, _CHUNK):
+            out[:, c : c + _CHUNK] = u.R @ out[:, c : c + _CHUNK]
     return out
 
 
@@ -423,6 +442,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     lattice = _lattice_bins(grid, sphere)
     scale = grid.cell_volume**2 / grid.box_volume
     counts = np.diff(lattice.bounds[: sphere.num_bins + 1])  # lattice points per bin, DC excluded
+    median = float(np.median(counts))
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
         u = FactoredField.of(family.fields[e])
@@ -430,8 +450,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         if np.shape(g)[1:] != grid.shape:
             raise ValueError("secondary sequence grid mismatch")
         g = FactoredField.of(g)
-        F1 = _spectra(u.s, phi, grid, lattice.order)
-        F2 = F1 if hermitian else _spectra(g.s, phi, grid, lattice.order)
+        F1 = _spectra(u, phi, grid, lattice.order)
+        F2 = F1 if hermitian else _spectra(g, phi, grid, lattice.order)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
         ranks = (u.rank, g.rank)
         # one scale resident: the next scale is read and transformed with none of this one's arrays held
@@ -444,8 +464,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         centroids=centroids,
         dc_energy=dc_energy,
         metadata={"kind": kind, "window": phi.describe(), "family": dict(family.metadata),
-                  "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)),
-                                    "median_points": float(np.median(counts))},
+                  "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)), "median_points": median,
+                                    "below_floor": median < MIN_MEDIAN_POINTS_PER_BIN},
                   "factor_rank": ranks},
     )
 

@@ -19,14 +19,17 @@ V mu_s V^H (Tartar 1990), so the estimator and ``charge_density`` work on
 the r scalars.  A plain array is read as V = the columns of I whose
 components are not identically zero, so exact-zero components are never
 transformed; the test is exact (``!= 0``, no tolerance), and r = 0 is an
-all-zero field.  The full array of a factored entry is formed only by
-``FactoredField.materialise``, which ``np.asarray`` calls.
+all-zero field.  A factored entry holds s or produces it from 1-D axis
+arrays where it is read (``FactoredField``); the full array of a factored
+entry is formed only by ``FactoredField.materialise``, which
+``np.asarray`` calls.
 Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
   along one of the six eigenmodes (rank-one fields), with the envelope
   commutator recorded as the source (rank five), both produced per scale
-  from the envelope's axis factors and one oscillation per axis.
+  from the envelope's axis factors and one oscillation per axis, and read
+  one row at a time.
 * evolved_family: spectral matrix-exponential solution of the
   constant-coefficient system (the source is exactly zero), exponentiated
   and stepped only at the spatial frequencies where the initial spectrum
@@ -86,28 +89,49 @@ class AliasingError(ValueError):
 class FactoredField:
     """A field u = V s held as its factors.
 
-    ``V`` (p, r) has orthonormal columns and ``s`` (r,) + grid holds the r
-    scalar fields, so |u|^2 = |s|^2 pointwise and in every Fourier mode;
-    r = 0 is the zero field.
-    ``shape`` is the shape of u; ``materialise`` (and so ``np.asarray``)
-    is the one method that forms it.
+    ``V`` (p, r) has orthonormal columns and s holds the r scalar fields, so
+    |u|^2 = |s|^2 pointwise and in every Fourier mode; r = 0 is the zero
+    field.  The scalars are held or produced:
+
+    * held: ``s`` is the (r,) + grid array;
+    * produced (``from_polarization``): ``s`` is None and s = R S, with R
+      (r, r) from the QR of the polarization and each raw row S_j the
+      broadcast product of the four 1-D axis arrays ``factors[j]``, so the
+      entry holds no grid-sized array.
+
+    ``slabs`` writes windowed time slabs of one row, s_j or S_j, into a
+    caller's buffer.  It is all the estimator reads of the scalars; the
+    estimator applies R to a produced field's spectra (the DFT is linear:
+    DFT(R S) = R DFT(S)).
+    ``scalars`` is the one method that forms a produced field's s, and
+    ``materialise`` (and so ``np.asarray``) the one that forms u from it.
+    ``shape`` is the shape of u.
     """
 
     V: np.ndarray
-    s: np.ndarray
+    s: np.ndarray | None = None
+    R: np.ndarray | None = None
+    factors: tuple = ()
 
     def __post_init__(self):
-        V = self.V
-        if V.ndim != 2 or V.shape[1] != self.s.shape[0]:
-            raise ValueError(f"polarization factor of shape {V.shape} does not match {self.s.shape[0]} scalars")
+        V, produced = self.V, self.s is None
+        if produced == (self.R is None):
+            raise ValueError("a factored field needs exactly one of held scalars s and the R of produced ones")
+        n = len(self.factors) if produced else self.s.shape[0]
+        if V.ndim != 2 or V.shape[1] != n or (produced and self.R.shape != (n, n)):
+            raise ValueError(f"polarization factor of shape {V.shape} does not match {n} scalars")
+        if produced:
+            axes = {tuple(np.shape(a) for a in f) for f in self.factors}
+            if len(axes) != 1 or [len(a) for a in axes.pop()] != [1] * 4:
+                raise ValueError("a produced field needs four 1-D axis factors per row, alike in length")
         if not np.allclose(V.conj().T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12):
             raise ValueError("polarization factor columns are not orthonormal")
 
     @classmethod
-    def from_polarization(cls, V, s) -> FactoredField:
-        """The factors of u = V s, V's columns made orthonormal by one QR (s <- R s)."""
+    def from_polarization(cls, V, factors) -> FactoredField:
+        """The produced field u = V S, S_j the outer product of ``factors[j]``: one QR V = Q R, so u = Q (R S)."""
         Q, R = np.linalg.qr(np.asarray(V, dtype=np.complex128))
-        return cls(Q, np.tensordot(R, s, axes=1))
+        return cls(Q, R=R, factors=tuple(tuple(f) for f in factors))
 
     @classmethod
     def of(cls, u) -> FactoredField:
@@ -128,15 +152,42 @@ class FactoredField:
 
     @property
     def shape(self) -> tuple:
-        return self.V.shape[:1] + self.s.shape[1:]
+        grid = self.s.shape[1:] if self.s is not None else tuple(len(a) for a in self.factors[0])
+        return self.V.shape[:1] + grid
 
     @property
     def rank(self) -> int:
         return self.V.shape[1]
 
+    def slabs(self, j: int, lo: int, hi: int, spatial: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Time slabs lo:hi of row j times the spatial array ``spatial``, written into ``out``.
+
+        Row j is the held scalar s_j or, for a produced field, the raw row
+        S_j, made only for those slabs; the spectra of a produced field's
+        scalars are then R times those of its rows.
+        """
+        if self.s is not None:
+            return np.multiply(self.s[j, lo:hi], spatial, out=out)
+        t, x1, x2, x3 = self.factors[j]
+        _outer(t[lo:hi], x1, x2, x3, out=out)
+        out *= spatial
+        return out
+
+    def scalars(self) -> np.ndarray:
+        """The (r,) + grid scalars s: held, or formed as R S one raw row at a time."""
+        if self.s is not None:
+            return self.s
+        grid = self.shape[1:]
+        s, row = np.zeros((self.rank,) + grid, dtype=np.complex128), np.empty(grid, dtype=np.complex128)
+        for k, f in enumerate(self.factors):
+            _outer(*f, out=row)
+            for i in np.flatnonzero(self.R[:, k]):
+                s[i] += self.R[i, k] * row
+        return s
+
     def materialise(self) -> np.ndarray:
         """The full (p,) + grid array V s."""
-        return np.tensordot(self.V, self.s, axes=1)
+        return np.tensordot(self.V, self.scalars(), axes=1)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -155,14 +206,24 @@ class FactoredField:
 def _check_entry(name: str, e: float, u, shape: tuple):
     """``u`` if it is a finite entry of ``shape``; the one check of held and produced entries.
 
-    Reads the factors V and s of a ``FactoredField``, never its full array,
-    and a plain array as held: factoring it here would copy it to drop its
-    zero components.  ``u`` None is a missing entry.
+    Reads the factors of a ``FactoredField``, never its full arrays: V and
+    held scalars s, or V, R and the 1-D axis factors of produced ones, whose
+    rows are bounded by the product of their factors' maxima, finite only if
+    no product overflows (four finite factors can).  A plain array is read
+    as held: factoring it here would copy it to drop its zero components.
+    ``u`` None is a missing entry.
     """
     if u is None or np.shape(u) != shape:
         raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
-    arrays = (u.V, u.s) if isinstance(u, FactoredField) else (np.asarray(u),)
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not isinstance(u, FactoredField):
+        finite = np.isfinite(np.asarray(u)).all()
+    elif u.s is not None:
+        finite = np.isfinite(u.V).all() and np.isfinite(u.s).all()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            peaks = [np.prod([np.abs(a).max() for a in f]) for f in u.factors]
+            finite = np.isfinite(u.V).all() and np.isfinite(np.abs(u.R) @ peaks).all()
+    if not finite:
         raise ValueError(f"non-finite field or source entry at eps={e}")
     return u
 
@@ -208,7 +269,7 @@ class OscillatingFamily:
     read.  Epsilons are strictly decreasing, every scale has a field (and a
     source when there are sources), and every entry is finite: held entries
     are checked here, produced ones when they are produced, by the same
-    check, which reads the factors V and s, never the full array.
+    check, which reads the factors, never the full array.
     """
 
     grid: GridSpec
@@ -305,12 +366,14 @@ def plane_wave_family(
     [A0 b, A1 b, A2 b, A3 b, C b] times [d_t env, d_1 env, d_2 env, d_3 env, env] * osc;
     P(c, k) b = 0 (the eikonal relation), so the carrier adds no (2 pi i/eps) P b term.
 
-    Fields and sources are ``ProducedEntries``: the family holds no
-    grid-sized array, and a scale's entry is made when it is read.  The
-    phase is linear, so osc is the product of one exponential per axis, and
-    each scalar is the broadcast product of four 1-D arrays: the envelope's
-    axis factors (one of them differentiated in the source's first four
-    rows) times the axis oscillations.
+    Fields and sources are ``ProducedEntries`` of produced
+    ``FactoredField`` entries (``FactoredField.from_polarization``): neither
+    the family nor an entry holds a grid-sized array.  The phase is linear,
+    so osc is the product of one exponential per axis, and each raw row is
+    the broadcast product of four 1-D arrays: the envelope's axis factors
+    (one of them differentiated in the source's first four rows) times the
+    axis oscillations.  A reader makes the rows where it needs them; the R
+    of the polarization's QR stays with the entry.
     """
     k, b, c = _constant_mode(model, k, mode, "plane_wave_family")
     *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
@@ -329,16 +392,13 @@ def plane_wave_family(
 
     def field_at(e):
         g, _ = carried(e)
-        return FactoredField.from_polarization(b[:, None], _outer(*g)[None])
+        return FactoredField.from_polarization(b[:, None], [g])
 
     def source_at(e):
-        # residual: sum_l A^l b d_l(env) osc + C b env osc
+        # residual: sum_l A^l b d_l(env) osc + C b env osc; raw row j < 4 differentiates axis j's factor
         g, h = carried(e)
-        S = np.empty((5,) + grid.shape, dtype=np.complex128)
-        for j in range(4):
-            _outer(*(h[i] if i == j else g[i] for i in range(4)), out=S[j])
-        _outer(*g, out=S[4])
-        return FactoredField.from_polarization(V, S)
+        rows = [[h[i] if i == j else g[i] for i in range(4)] for j in range(4)]
+        return FactoredField.from_polarization(V, rows + [g])
 
     shape = (6,) + grid.shape
     meta = {
@@ -601,19 +661,21 @@ def wkb_family(
 def charge_density(family: OscillatingFamily) -> ProducedEntries:
     """rho^eps = div E^eps via the spectral divergence, made per scale when read.
 
-    Each E_j = sum_k V_jk s_k is formed from the factors and differentiated
-    along x_j, so a rank-one field costs three scalar derivative pairs and
-    the full field is never formed.  An E_j whose row of V is exactly zero
-    is identically zero and costs nothing.  A read of ``rho[e]`` reads
+    Each E_j = sum_k V_jk s_k is formed from V and the scalars s
+    (``FactoredField.scalars``, which a produced field forms once per read)
+    and differentiated along x_j, so a rank-one field costs three scalar
+    derivative pairs and the full field is never formed.  An E_j whose row
+    of V is exactly zero is identically zero and costs nothing.  A read of ``rho[e]`` reads
     ``family.fields[e]`` and holds no other scale.
     """
     grid = family.grid
 
     def rho_at(e):
         u = FactoredField.of(family.fields[e])
+        s = u.scalars()
         rho = np.zeros(grid.shape, dtype=np.complex128)
         for j in np.flatnonzero(u.V[:3].any(axis=1)):
-            rho += _spectral_derivative(np.tensordot(u.V[j], u.s, axes=1)[None], grid, 1 + j)[0]
+            rho += _spectral_derivative(np.tensordot(u.V[j], s, axes=1)[None], grid, 1 + j)[0]
         return rho
 
     return ProducedEntries("charge", family.epsilons, grid.shape, rho_at)

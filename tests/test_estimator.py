@@ -43,15 +43,19 @@ def _family(mode="trans+1", envelope=None, epsilons=EPS2, model=None, k=(0, 0, 1
 # ---------------------------------------------------------------- sphere grid
 
 @pytest.mark.parametrize(
-    "sphere, empty, median", [(SphereGrid(), 3276, 3.0), (SphereGrid(8, 8, 16), 162, 33.5)], ids=["default", "coarse"]
+    "sphere, empty, median, below_floor",
+    [(SphereGrid(), 3276, 3.0, True), (SphereGrid(8, 8, 16), 162, 33.5, False)], ids=["default", "coarse"]
 )
-def test_bin_occupancy_reported(sphere, empty, median):
-    # a sphere finer than the 16^4 lattice leaves bins empty or nearly so; the estimate says how many
+def test_bin_occupancy_reported(sphere, empty, median, below_floor):
+    # a sphere finer than the 16^4 lattice leaves bins empty or nearly so; the estimate says how many,
+    # and flags a median occupancy below MIN_MEDIAN_POINTS_PER_BIN
+    assert estimator.MIN_MEDIAN_POINTS_PER_BIN == 8
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     fam = plane_wave_family(MaterialModel.constant(), grid, (0, 0, 1.0), "trans+1", hann_window(grid), EPS2)
     w = hann_window(grid, axes=(0,))
     for est in (estimate_hmeasure(fam, w, sphere), correlation_measure(fam, charge_tilde_fields(fam), w, sphere)):
-        assert est.metadata["bin_occupancy"] == {"empty_bins": empty, "median_points": median}
+        assert est.metadata["bin_occupancy"] == {"empty_bins": empty, "median_points": median,
+                                                 "below_floor": below_floor}
 
 
 @pytest.mark.parametrize(
@@ -380,13 +384,13 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
     against its rank-5 source, then against its charge.
 
     Counted in grid scalars (16 N bytes), with the bounds fixed before measuring.  The family holds no
-    grid-sized array: each scale's entries are produced when the estimator reads them.  The source
-    pass holds one scale's field and source (1 + 5), their spectra (1 + 5), one scalar's slabs and its
-    time-DFT output (2), and one for the chunk-sized temporaries and the bins: 15, where a family
-    holding both scales' entries would add 12 to the 9 the estimate needs.  Each scale's entries and
-    spectra are released before the next scale is read, so the second scale's peak exceeds the first's
-    by at most one grid scalar.  The charge pass makes rho per scale: when a spectrum is computed,
-    u, its spectrum and one rho are held, fewer than the four a second scale's rho would make.
+    grid-sized array, and the estimator makes each scale's entries one row at a time into its slab
+    buffer, so no entry's scalars are held.  The source pass holds the spectra (1 + 5), one row's slabs
+    and its time-DFT output (2), and one for the chunk-sized temporaries and the bins: 9, where held
+    entries would add 1 + 5 per scale.  Each scale's spectra are released before the next scale is
+    read, so the second scale's peak exceeds the first's by at most one grid scalar.  The charge pass
+    makes rho per scale: when a spectrum is computed, u, its spectrum and one rho are held, fewer than
+    the four a second scale's rho would make.
     """
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     sphere = SphereGrid(6, 6, 8)
@@ -421,7 +425,7 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
         tracemalloc.stop()
     assert (made - start) / unit < 1 / 4
     assert len(peaks) == 8 and cross_rho.metadata["factor_rank"] == (1, 1)
-    assert (peak - start) / unit <= 1 + 5 + 1 + 5 + 2 + 1
+    assert (peak - start) / unit <= 1 + 5 + 2 + 1
     assert (peak - peaks[2]) / unit <= 1  # peaks[2]: the peak of the first scale alone
     assert (max(held) - charge_start) / unit < 4
 
@@ -676,18 +680,34 @@ def test_factored_bins_match_materialised(measure):
 
 
 def test_estimator_never_materialises_factored_fields(monkeypatch):
+    # the estimator reads factors: it forms no field u = V s, and reads a produced entry by rows, so it
+    # forms none of its scalars either; rho is made from the field's scalars before they are refused
     fam = _family(model=MaterialModel.constant(1.0, 1.0, 0.5))
+    phi = hann_window(GRID, axes=(0,))
+    rho = {e: charge_tilde_fields(fam)[e] for e in fam.epsilons}
+    scalars = FactoredField.scalars
 
     def refuse(self):
         raise AssertionError("a factored field was materialised")
 
+    def refuse_produced(self):
+        if self.s is None:
+            raise AssertionError("a produced entry's scalars were formed")
+        return scalars(self)
+
     monkeypatch.setattr(FactoredField, "materialise", refuse)
     with pytest.raises(AssertionError, match="materialised"):
         np.asarray(fam.fields[fam.finest])
-    phi = hann_window(GRID, axes=(0,))
     estimate_hmeasure(fam, phi, sphere=SPHERE)
     correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
     correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)
+    monkeypatch.setattr(FactoredField, "scalars", refuse_produced)
+    for entries in (fam.fields, fam.sources):
+        with pytest.raises(AssertionError, match="scalars were formed"):
+            entries[fam.finest].scalars()
+    estimate_hmeasure(fam, phi, sphere=SPHERE)
+    correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
+    correlation_measure(fam, rho, phi, sphere=SPHERE)
 
 
 def test_estimator_never_samples_the_full_window(monkeypatch):

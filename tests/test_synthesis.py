@@ -191,7 +191,7 @@ def test_family_rejects_non_finite_data(where, factored, value):
     arrays = {name: dict(getattr(fam, name)) for name in ("fields", "sources")}
     u = arrays[where][fam.finest]
     if factored:
-        s = u.s.copy()
+        s = u.scalars().copy()
         s[0, 1, 3, 4, 5] = value
         arrays[where][fam.finest] = FactoredField(u.V, s)
     else:
@@ -203,26 +203,56 @@ def test_family_rejects_non_finite_data(where, factored, value):
 
 
 @pytest.mark.parametrize("where", ["fields", "sources"])
-@pytest.mark.parametrize("fault", ["non_finite", "wrong_shape"])
+@pytest.mark.parametrize("fault", ["non_finite", "wrong_shape", "nan_axis_factor", "nan_R", "overflow"])
 def test_produced_entry_refused_on_read(where, fault):
-    # a produced entry is checked when it is made, by the check a held one gets when its family is built
+    # a produced entry is checked when it is made, by the check a held one gets when its family is built;
+    # a row-produced entry is checked through R and its 1-D factors, whose product can overflow
     fam = _family()
 
     def produce(e):
         u = getattr(fam, where)[e]
         if fault == "wrong_shape":
             return np.asarray(u)[:3]
-        s = u.s.copy()
-        s[0, 1, 3, 4, 5] = np.nan
-        return FactoredField(u.V, s)
+        if fault == "non_finite":
+            s = u.scalars().copy()
+            s[0, 1, 3, 4, 5] = np.nan
+            return FactoredField(u.V, s)
+        R, factors = u.R.copy(), [list(f) for f in u.factors]
+        if fault == "nan_axis_factor":
+            factors[0][2] = factors[0][2].copy()
+            factors[0][2][3] = np.nan
+        elif fault == "nan_R":
+            R[0, -1] = np.nan
+        else:
+            factors = [[np.full_like(a, 1e100) for a in f] for f in factors]
+        return FactoredField(u.V, R=R, factors=factors)
 
     entries = {"fields": fam.fields, "sources": fam.sources}
     entries[where] = ProducedEntries(where[:-1], fam.epsilons, (6,) + GRID.shape, produce)
     bad = OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **entries)  # built without making an entry
-    match = (f"non-finite field or source entry at eps={fam.finest}" if fault == "non_finite"
-             else f"^{where[:-1]} at eps={fam.finest} missing or not of shape")
+    match = (f"^{where[:-1]} at eps={fam.finest} missing or not of shape" if fault == "wrong_shape"
+             else f"non-finite field or source entry at eps={fam.finest}")
     with pytest.raises(ValueError, match=match):
         getattr(bad, where)[fam.finest]
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda u: FactoredField(u.V, u.scalars(), R=u.R, factors=u.factors), "exactly one"),
+        (lambda u: FactoredField(u.V), "exactly one"),
+        (lambda u: FactoredField(u.V, R=u.R[:, :-1], factors=u.factors), "does not match"),
+        (lambda u: FactoredField(u.V, R=u.R, factors=[f[:3] for f in u.factors]), "four 1-D axis factors"),
+        (lambda u: FactoredField(u.V, R=u.R, factors=[u.factors[0][:3] + (u.factors[0][3][:-1],), *u.factors[1:]]),
+         "four 1-D axis factors"),
+        (lambda u: FactoredField(2 * u.V, R=u.R, factors=u.factors), "not orthonormal"),
+    ],
+    ids=["held_and_produced", "neither", "R_shape", "three_factors", "unlike_rows", "not_orthonormal"],
+)
+def test_factored_field_refuses_malformed_factors(make, match):
+    u = _family().sources[EPS2[0]]
+    with pytest.raises(ValueError, match=match):
+        make(u)
 
 
 def _plane_wave_closed_form(model, grid, k, mode, envelope, e):
@@ -254,7 +284,12 @@ def test_produced_plane_wave_matches_closed_form():
         for entries in (fam.fields, fam.sources):
             first, second = entries[e], entries[e]
             assert first is not second
-            assert np.array_equal(first.V, second.V) and np.array_equal(first.s, second.s)
+            assert np.array_equal(first.V, second.V) and np.array_equal(np.asarray(first), np.asarray(second))
+            ones, made = np.ones(grid.spatial_shape), np.empty((2,) + grid.shape, dtype=np.complex128)
+            for j in range(first.rank):
+                first.slabs(j, 0, grid.shape[0], ones, out=made[0])
+                second.slabs(j, 0, grid.shape[0], ones, out=made[1])
+                assert np.array_equal(made[0], made[1])
 
 
 # ------------------------------------------------------------- exact evolution
