@@ -11,11 +11,11 @@ Fields arrive factored, u = V s (``synthesis.FactoredField``; a plain
 array is V = the columns of I at its components that are not identically
 zero), and an H-measure moves with a constant matrix, so the estimator
 FFTs the r scalars s, bins an r x r' Gram matrix G, and returns V G V'^H.
-The spectra of a produced entry's scalars s = R S are R times those of
-its raw rows S, since the DFT is linear.
-A plane wave is r = 1 and its source r = 5, where the full fields have
-six components each; an exact constant-coefficient evolution keeps only
-its nonzero components, and a family without sources pairs with r' = 0
+It reads an entry only through V, its rank and ``slabs``, so only
+``synthesis`` knows how an entry's rows are held or made.  A plane wave
+is r = 1 and its source r = 5, where the full fields have six components
+each; an exact constant-coefficient evolution keeps only its nonzero
+components, and a family without sources pairs with r' = 0
 (zero bins).  The lattice is sorted by bin once per (grid, sphere) and
 cached, each scalar's spectrum is gathered into that order as one row of
 an (r, Npts) array, and each non-empty bin of G is one small real GEMM
@@ -28,19 +28,18 @@ are multiplied by the spatial factors and FFT'd over (x1, x2, x3), and the
 time DFT, with the time factor folded into its matrix, is one GEMM.
 
 Memory contract: one scale is resident at a time.  The loop reads a
-scale's entries from the family (and the second sequence), which holds
-them or produces them when read (``synthesis.ProducedEntries``, checked as
-they are produced), transforms them, bins them and releases entries and
-spectra before it reads the next scale; no two full-rank copies are alive
-at once.  A rank-r transform holds its r output rows, one row's slabs and
-that row's time-DFT output (r + 2 grid scalars, where a grid scalar is 16
-Npts bytes).  A produced entry (a plane wave's field and source) holds no
-grid-sized array: its rows are made straight into the slab buffer and R
-is applied to the spectra, so its scalars are never formed.  The lattice
-build, the bin-order gather, the R product and the bin loop work in chunks
-of ``_CHUNK`` lattice points, so their temporaries are chunk-sized.  A
-cross measure of a rank-1 plane-wave field against its rank-5 source so
-peaks near its 1 + 5 spectra and 2 transform buffers.
+scale's entries from the family (and the second sequence), transforms
+them, bins them and releases its spectra before it reads the next scale;
+no two full-rank copies are alive at once.  A rank-r transform holds its r
+output rows, one row's slabs and that row's time-DFT output (r + 2 grid
+scalars, where a grid scalar is 16 Npts bytes).  A produced entry (a
+plane wave's field, source and rho) holds no grid-sized array: each row is
+made straight into the slab buffer from its K separable terms, with K
+spatial arrays, so its scalars are never formed.  The lattice build, the
+bin-order gather and the bin loop work in chunks of ``_CHUNK`` lattice
+points, so their temporaries are chunk-sized.  A cross measure of a
+rank-1 plane-wave field against its rank-5 source so peaks near its
+1 + 5 spectra and 2 transform buffers.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .synthesis import (
     AliasingError,
     FactoredField,
     OscillatingFamily,
-    ProducedEntries,
     charge_density,
 )
 
@@ -377,18 +375,16 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, order: np.n
     is nonzero are read, by ``u.slabs`` with the spatial factors applied,
     and FFT'd over (x1, x2, x3); the time DFT is then one GEMM
     ``W @ slabs`` with the time factor folded into it, W[k, j] = w_t(t_j)
-    exp(-2 pi i ((k j) mod N_t) / N_t).  A produced entry's rows are its
-    raw rows S_j, so its spectra are multiplied by R afterwards, one
-    ``_CHUNK`` of columns at a time; a held entry's rows are its scalars
-    and get no such product.  A window that is zero at every sample of an
-    axis is refused (its estimate would be zero).  r = 0 (no scalar
-    factors) gives an (0, Npts) array without a transform.
+    exp(-2 pi i ((k j) mod N_t) / N_t).  A window that is zero at every
+    sample of an axis is refused (its estimate would be zero).  r = 0 (no
+    scalar factors) gives an (0, Npts) array without a transform.
 
     Memory: the rows are made or read one at a time, into one slab buffer,
     and transformed through one time-DFT output that all r share; each is
     gathered into its own row of the output.  A call so holds at most
     r + 2 grid scalars (the r rows, the slabs and the time-DFT output) and
-    chunk-sized temporaries, and never forms a produced entry's scalars.
+    chunk-sized and spatial-sized temporaries, and never forms a produced
+    entry's scalars.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
@@ -414,10 +410,6 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, order: np.n
         # int32 indices to intp, so a chunk at a time keeps that copy chunk-sized
         for c in range(0, grid.num_points, _CHUNK):
             np.take(spectrum.reshape(-1), order[c : c + _CHUNK], out=out[j, c : c + _CHUNK], mode="clip")
-    if u.R is not None:
-        del slab, spectrum  # freed first, so the product's chunk temporaries come on top of the rows alone
-        for c in range(0, grid.num_points, _CHUNK):
-            out[:, c : c + _CHUNK] = u.R @ out[:, c : c + _CHUNK]
     return out
 
 
@@ -426,11 +418,11 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
 
     Refuses a one-scale ladder and an under-resolved family, and a g^eps
     whose grid differs from u^eps's when that scale is read.  Every entry
-    is read once per scale, as its factors (V, s), and only the r scalars
-    of s are windowed and transformed.  ``g_fields`` None pairs the family
-    with itself and fills the Hermitian half from one set of spectra;
-    otherwise u^eps is paired with the m components that g^eps has, giving
-    (B, 6, m) bins.
+    is read once per scale, as its factors, and only its r scalars are
+    windowed and transformed.  ``g_fields`` None pairs the family with
+    itself and fills the Hermitian half from one set of spectra; otherwise
+    u^eps is paired with the m components that g^eps has, giving (B, 6, m)
+    bins.
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
@@ -485,7 +477,7 @@ def estimate_hmeasure(
 
 
 def source_fields(family: OscillatingFamily) -> Mapping:
-    """The recorded Maxwell residual f^eps per scale: ``family.sources`` as held or produced.
+    """The recorded Maxwell residual f^eps per scale: ``family.sources``.
 
     A family without sources has f = 0: each scale is a rank-zero
     ``FactoredField`` (V of shape (6, 0), s of shape (0,) + grid), which
@@ -497,16 +489,15 @@ def source_fields(family: OscillatingFamily) -> Mapping:
     return {e: zero for e in family.epsilons}
 
 
-def charge_tilde_fields(family: OscillatingFamily) -> ProducedEntries:
-    """The one nonzero component of rho-tilde^eps = (rho, 0, 0, 0, 0, 0), made per scale when read.
+def charge_tilde_fields(family: OscillatingFamily) -> dict:
+    """The one nonzero component of rho-tilde^eps = (rho, 0, 0, 0, 0, 0): ``charge_density``'s entries.
 
-    rho^eps = div E^eps (``charge_density``), shape (1,) + grid.shape per
-    scale: the cross measure against it is the (B, 6, 1) column that the
-    one against the full rho-tilde would have nonzero.  No scale's rho is
-    held between reads.
+    rho^eps = div E^eps, shape (1,) + grid.shape per scale: the cross
+    measure against it is the (B, 6, 1) column that the one against the
+    full rho-tilde would have nonzero.  A plane wave's rho is a produced
+    entry and holds no grid-sized array.
     """
-    rho = charge_density(family)
-    return ProducedEntries("charge", family.epsilons, (1,) + family.grid.shape, lambda e: rho[e][None])
+    return charge_density(family)
 
 
 def correlation_measure(
@@ -517,11 +508,10 @@ def correlation_measure(
 ) -> HMeasureEstimate:
     """Cross measure between u^eps and a second sequence g^eps (6 x m bins).
 
-    ``g_fields`` maps each scale of u's ladder to an entry, held (a dict)
-    or produced when read (``synthesis.ProducedEntries``).  Refuses what
-    ``estimate_hmeasure`` refuses, a g whose ladder differs from u^eps's
-    (read from its keys), and a g^eps whose grid differs, when that scale
-    is read.
+    ``g_fields`` maps each scale of u's ladder to an entry, read one scale
+    at a time.  Refuses what ``estimate_hmeasure`` refuses, a g whose
+    ladder differs from u^eps's (read from its keys), and a g^eps whose
+    grid differs, when that scale is read.
     """
     if set(float(e) for e in g_fields.keys()) != set(family_u.epsilons):
         raise ValueError("mismatched epsilon ladders between u and g")

@@ -5,12 +5,8 @@ spacetime grid, one entry per scale in a decreasing epsilon ladder,
 optionally with the Maxwell residual recorded as a source term f.  The
 electric charge rho = div E is computed on demand (``charge_density``).
 
-A family's entries are held or produced per scale.  Held entries sit in a
-dict and are checked (shape and finiteness) when the family is built; a
-``ProducedEntries`` mapping holds no grid-sized array and makes a scale's
-entry each time it is read, passing it through the same check then.  A
-reader that goes through the ladder one scale at a time so holds one
-scale's entries, not the whole ladder.
+A family's entries sit in dicts, one entry per scale, and each is checked
+(shape and finiteness) once, when the family is built.
 
 An entry is either a (6,) + grid array or a ``FactoredField``: a constant
 polarization factor V (6, r) with orthonormal columns and r scalar fields
@@ -19,17 +15,18 @@ V mu_s V^H (Tartar 1990), so the estimator and ``charge_density`` work on
 the r scalars.  A plain array is read as V = the columns of I whose
 components are not identically zero, so exact-zero components are never
 transformed; the test is exact (``!= 0``, no tolerance), and r = 0 is an
-all-zero field.  A factored entry holds s or produces it from 1-D axis
-arrays where it is read (``FactoredField``); the full array of a factored
-entry is formed only by ``FactoredField.materialise``, which
-``np.asarray`` calls.
+all-zero field.  A factored entry holds s, or holds each row of s as a
+short sum of separable terms, four 1-D axis arrays each, and makes the row
+where it is read (``FactoredField``); the full array of a factored entry
+is formed only by ``FactoredField.materialise``, which ``np.asarray``
+calls.
 Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
   along one of the six eigenmodes (rank-one fields), with the envelope
-  commutator recorded as the source (rank five), both produced per scale
-  from the envelope's axis factors and one oscillation per axis, and read
-  one row at a time.
+  commutator recorded as the source (rank five), both held per scale as
+  separable terms of the envelope's axis factors and one oscillation per
+  axis, and read one row at a time.
 * evolved_family: spectral matrix-exponential solution of the
   constant-coefficient system (the source is exactly zero), exponentiated
   and stepped only at the spatial frequencies where the initial spectrum
@@ -62,7 +59,6 @@ __all__ = [
     "MIN_CELLS_PER_WAVELENGTH",
     "FactoredField",
     "OscillatingFamily",
-    "ProducedEntries",
     "PhaseField",
     "plane_wave_family",
     "evolved_family",
@@ -94,44 +90,47 @@ class FactoredField:
     field.  The scalars are held or produced:
 
     * held: ``s`` is the (r,) + grid array;
-    * produced (``from_polarization``): ``s`` is None and s = R S, with R
-      (r, r) from the QR of the polarization and each raw row S_j the
-      broadcast product of the four 1-D axis arrays ``factors[j]``, so the
-      entry holds no grid-sized array.
+    * produced (``from_polarization``, ``charge_density``): ``rows[j]`` is a
+      tuple of separable terms (t, x1, x2, x3), four 1-D axis arrays each,
+      and s_j is the sum of their outer products, so the entry holds no
+      grid-sized array.
 
-    ``slabs`` writes windowed time slabs of one row, s_j or S_j, into a
-    caller's buffer.  It is all the estimator reads of the scalars; the
-    estimator applies R to a produced field's spectra (the DFT is linear:
-    DFT(R S) = R DFT(S)).
-    ``scalars`` is the one method that forms a produced field's s, and
-    ``materialise`` (and so ``np.asarray``) the one that forms u from it.
+    ``slabs`` writes windowed time slabs of one row into a caller's buffer.
+    It is all the estimator reads of the scalars.  ``scalars`` forms s
+    through it, and ``materialise`` (and so ``np.asarray``) forms u from s.
     ``shape`` is the shape of u.
     """
 
     V: np.ndarray
     s: np.ndarray | None = None
-    R: np.ndarray | None = None
-    factors: tuple = ()
+    rows: tuple = ()
 
     def __post_init__(self):
         V, produced = self.V, self.s is None
-        if produced == (self.R is None):
-            raise ValueError("a factored field needs exactly one of held scalars s and the R of produced ones")
-        n = len(self.factors) if produced else self.s.shape[0]
-        if V.ndim != 2 or V.shape[1] != n or (produced and self.R.shape != (n, n)):
+        if produced == (not self.rows):
+            raise ValueError("a factored field needs exactly one of held scalars s and produced rows")
+        n = len(self.rows) if produced else self.s.shape[0]
+        if V.ndim != 2 or V.shape[1] != n:
             raise ValueError(f"polarization factor of shape {V.shape} does not match {n} scalars")
         if produced:
-            axes = {tuple(np.shape(a) for a in f) for f in self.factors}
-            if len(axes) != 1 or [len(a) for a in axes.pop()] != [1] * 4:
-                raise ValueError("a produced field needs four 1-D axis factors per row, alike in length")
+            axes = {tuple(np.shape(a) for a in term) for row in self.rows for term in row}
+            if not all(self.rows) or len(axes) != 1 or [len(a) for a in axes.pop()] != [1] * 4:
+                raise ValueError("a produced field needs terms in every row, each four 1-D axis factors "
+                                 "alike in length")
         if not np.allclose(V.conj().T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12):
             raise ValueError("polarization factor columns are not orthonormal")
 
     @classmethod
     def from_polarization(cls, V, factors) -> FactoredField:
-        """The produced field u = V S, S_j the outer product of ``factors[j]``: one QR V = Q R, so u = Q (R S)."""
+        """The produced field u = V S, S_k the outer product of the four 1-D arrays ``factors[k]``.
+
+        One QR V = Q R gives u = Q (R S).  R is upper triangular, so row i of
+        R S is the sum over k >= i of the terms R_ik S_k, each with R_ik
+        folded into its time factor.
+        """
         Q, R = np.linalg.qr(np.asarray(V, dtype=np.complex128))
-        return cls(Q, R=R, factors=tuple(tuple(f) for f in factors))
+        rows = [[(R[i, k] * t, *x) for k, (t, *x) in enumerate(factors) if k >= i] for i in range(len(R))]
+        return cls(Q, rows=tuple(map(tuple, rows)))
 
     @classmethod
     def of(cls, u) -> FactoredField:
@@ -152,7 +151,7 @@ class FactoredField:
 
     @property
     def shape(self) -> tuple:
-        grid = self.s.shape[1:] if self.s is not None else tuple(len(a) for a in self.factors[0])
+        grid = self.s.shape[1:] if self.s is not None else tuple(len(a) for a in self.rows[0][0])
         return self.V.shape[:1] + grid
 
     @property
@@ -160,29 +159,33 @@ class FactoredField:
         return self.V.shape[1]
 
     def slabs(self, j: int, lo: int, hi: int, spatial: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Time slabs lo:hi of row j times the spatial array ``spatial``, written into ``out``.
+        """Time slabs lo:hi of row j times the spatial array ``spatial``, written into the C-contiguous ``out``.
 
-        Row j is the held scalar s_j or, for a produced field, the raw row
-        S_j, made only for those slabs; the spectra of a produced field's
-        scalars are then R times those of its rows.
+        A produced row of K terms is one (slabs x K) @ (K x spatial) product:
+        the terms' time factors on those slabs against their spatial outer
+        products, each times ``spatial``.
         """
         if self.s is not None:
             return np.multiply(self.s[j, lo:hi], spatial, out=out)
-        t, x1, x2, x3 = self.factors[j]
-        _outer(t[lo:hi], x1, x2, x3, out=out)
-        out *= spatial
+        terms = self.rows[j]
+        space = np.empty((len(terms),) + spatial.shape, dtype=np.complex128)
+        for x, (_, x1, x2, x3) in zip(space, terms):
+            np.multiply(x1[:, None, None] * x2[None, :, None], x3[None, None, :], out=x)
+            x *= spatial
+        if not out.flags.c_contiguous:  # a reshape of it would be a copy, and the product would be lost
+            raise ValueError("a produced row is written into a C-contiguous buffer")
+        times = np.stack([t[lo:hi] for t, *_ in terms], axis=1)
+        np.matmul(times, space.reshape(len(terms), -1), out=out.reshape(hi - lo, -1))
         return out
 
     def scalars(self) -> np.ndarray:
-        """The (r,) + grid scalars s: held, or formed as R S one raw row at a time."""
+        """The (r,) + grid scalars s: held, or formed row by row through ``slabs``."""
         if self.s is not None:
             return self.s
         grid = self.shape[1:]
-        s, row = np.zeros((self.rank,) + grid, dtype=np.complex128), np.empty(grid, dtype=np.complex128)
-        for k, f in enumerate(self.factors):
-            _outer(*f, out=row)
-            for i in np.flatnonzero(self.R[:, k]):
-                s[i] += self.R[i, k] * row
+        s = np.empty((self.rank,) + grid, dtype=np.complex128)
+        for j in range(self.rank):
+            self.slabs(j, 0, grid[0], np.ones(grid[1:]), out=s[j])
         return s
 
     def materialise(self) -> np.ndarray:
@@ -204,14 +207,14 @@ class FactoredField:
 
 
 def _check_entry(name: str, e: float, u, shape: tuple):
-    """``u`` if it is a finite entry of ``shape``; the one check of held and produced entries.
+    """``u`` if it is a finite entry of ``shape``; the one check of every entry, made when its family is built.
 
     Reads the factors of a ``FactoredField``, never its full arrays: V and
-    held scalars s, or V, R and the 1-D axis factors of produced ones, whose
-    rows are bounded by the product of their factors' maxima, finite only if
-    no product overflows (four finite factors can).  A plain array is read
-    as held: factoring it here would copy it to drop its zero components.
-    ``u`` None is a missing entry.
+    held scalars s, or V and the 1-D axis factors of produced rows.  A
+    produced row is bounded by the sum over its terms of the product of
+    their factors' maxima, finite only if no product overflows (four finite
+    factors can).  A plain array is read as held: factoring it here would
+    copy it to drop its zero components.  ``u`` None is a missing entry.
     """
     if u is None or np.shape(u) != shape:
         raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
@@ -221,41 +224,11 @@ def _check_entry(name: str, e: float, u, shape: tuple):
         finite = np.isfinite(u.V).all() and np.isfinite(u.s).all()
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            peaks = [np.prod([np.abs(a).max() for a in f]) for f in u.factors]
-            finite = np.isfinite(u.V).all() and np.isfinite(np.abs(u.R) @ peaks).all()
+            peaks = [sum(np.prod([np.abs(a).max() for a in term]) for term in row) for row in u.rows]
+            finite = np.isfinite(u.V).all() and np.isfinite(peaks).all()
     if not finite:
         raise ValueError(f"non-finite field or source entry at eps={e}")
     return u
-
-
-class ProducedEntries(Mapping):
-    """Per-scale entries made when read: ``entries[e]`` is ``produce(e)``, checked.
-
-    A read-only mapping keyed by the ladder ``epsilons`` that holds no
-    entry: each read calls ``produce`` and passes the result through the
-    shape-and-finiteness check a held entry gets when its family is built,
-    with ``name`` and ``shape`` in the refusal.  Two reads of a scale make
-    two equal entries; iterating over ``values()`` or ``items()`` makes
-    every scale's.
-    """
-
-    def __init__(self, name: str, epsilons: Sequence[float], shape: tuple, produce: Callable):
-        self.name, self.shape, self._produce = name, tuple(shape), produce
-        self._epsilons = tuple(float(e) for e in epsilons)
-
-    def __getitem__(self, e):
-        if e not in self._epsilons:
-            raise KeyError(e)
-        return _check_entry(self.name, e, self._produce(e), self.shape)
-
-    def __contains__(self, e):  # Mapping's would produce the entry to find it
-        return e in self._epsilons
-
-    def __iter__(self):
-        return iter(self._epsilons)
-
-    def __len__(self) -> int:
-        return len(self._epsilons)
 
 
 @dataclass
@@ -264,12 +237,10 @@ class OscillatingFamily:
 
     ``fields[eps]`` and ``sources[eps]`` are (6,) + grid.shape complex
     arrays or ``FactoredField`` entries of that shape; ``np.asarray`` gives
-    the full array of either.  Each of the two is a dict of held entries or
-    a ``ProducedEntries`` mapping that makes a scale's entry when it is
-    read.  Epsilons are strictly decreasing, every scale has a field (and a
-    source when there are sources), and every entry is finite: held entries
-    are checked here, produced ones when they are produced, by the same
-    check, which reads the factors, never the full array.
+    the full array of either.  Epsilons are strictly decreasing, every
+    scale has a field (and a source when there are sources), and every
+    entry is finite: each entry is checked once, here, by a check that
+    reads a factored entry's factors, never its full array.
     """
 
     grid: GridSpec
@@ -288,12 +259,8 @@ class OscillatingFamily:
         shape = (6,) + self.grid.shape
         for e in eps:
             for name, entries in (("field", self.fields), ("source", self.sources)):
-                if entries is None:
-                    continue
-                if not isinstance(entries, ProducedEntries):
+                if entries is not None:
                     _check_entry(name, e, entries.get(e), shape)
-                elif e not in entries or entries.shape != shape:
-                    _check_entry(name, e, None, shape)  # refused as a missing entry; a present one is checked when read
 
     @property
     def finest(self) -> float:
@@ -342,12 +309,6 @@ def _constant_mode(model: MaterialModel, k, mode: str, generator: str) -> tuple:
     return k, b, c
 
 
-def _outer(t, x1, x2, x3, out=None) -> np.ndarray:
-    """The grid array t(t) x1(x1) x2(x2) x3(x3) of four 1-D axis samples, written into ``out`` if given."""
-    spatial = x1[:, None, None] * x2[None, :, None] * x3[None, None, :]
-    return np.multiply(t[:, None, None, None], spatial, out=out)
-
-
 def plane_wave_family(
     model: MaterialModel,
     grid: GridSpec,
@@ -366,14 +327,13 @@ def plane_wave_family(
     [A0 b, A1 b, A2 b, A3 b, C b] times [d_t env, d_1 env, d_2 env, d_3 env, env] * osc;
     P(c, k) b = 0 (the eikonal relation), so the carrier adds no (2 pi i/eps) P b term.
 
-    Fields and sources are ``ProducedEntries`` of produced
-    ``FactoredField`` entries (``FactoredField.from_polarization``): neither
-    the family nor an entry holds a grid-sized array.  The phase is linear,
-    so osc is the product of one exponential per axis, and each raw row is
-    the broadcast product of four 1-D arrays: the envelope's axis factors
-    (one of them differentiated in the source's first four rows) times the
-    axis oscillations.  A reader makes the rows where it needs them; the R
-    of the polarization's QR stays with the entry.
+    Fields and sources are produced ``FactoredField`` entries
+    (``FactoredField.from_polarization``): neither the family nor an entry
+    holds a grid-sized array.  The phase is linear, so osc is the product of
+    one exponential per axis, and each raw row is the broadcast product of
+    four 1-D arrays: the envelope's axis factors (one of them differentiated
+    in the source's first four rows) times the axis oscillations.  A reader
+    makes the rows where it needs them.
     """
     k, b, c = _constant_mode(model, k, mode, "plane_wave_family")
     *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
@@ -384,23 +344,16 @@ def plane_wave_family(
     axes = [grid.axis(i) for i in range(4)]
     env = [f(x) for f, x in zip(envelope.factors, axes)]
     denv = [f.derivative(x) for f, x in zip(envelope.factors, axes)]
-
-    def carried(e):
-        """(env, d env) per axis, each times that axis's oscillation exp(2 pi i rate x / eps)."""
+    fields, sources = {}, {}
+    for e in eps_list:
+        # (env, d env) per axis, each times that axis's oscillation exp(2 pi i rate x / eps)
         osc = [np.exp((2j * np.pi / e) * rate * x) for rate, x in zip((c, *k), axes)]
-        return [f * o for f, o in zip(env, osc)], [d * o for d, o in zip(denv, osc)]
-
-    def field_at(e):
-        g, _ = carried(e)
-        return FactoredField.from_polarization(b[:, None], [g])
-
-    def source_at(e):
+        g, h = [f * o for f, o in zip(env, osc)], [d * o for d, o in zip(denv, osc)]
+        fields[e] = FactoredField.from_polarization(b[:, None], [g])
         # residual: sum_l A^l b d_l(env) osc + C b env osc; raw row j < 4 differentiates axis j's factor
-        g, h = carried(e)
         rows = [[h[i] if i == j else g[i] for i in range(4)] for j in range(4)]
-        return FactoredField.from_polarization(V, rows + [g])
+        sources[e] = FactoredField.from_polarization(V, rows + [g])
 
-    shape = (6,) + grid.shape
     meta = {
         "generator": "plane_wave",
         "k": k.tolist(),
@@ -409,8 +362,7 @@ def plane_wave_family(
         "min_cells_per_wavelength": worst_cells,
         "envelope": envelope.describe(),
     }
-    return OscillatingFamily(grid=grid, epsilons=eps_list, fields=ProducedEntries("field", eps_list, shape, field_at),
-                             sources=ProducedEntries("source", eps_list, shape, source_at), metadata=meta)
+    return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
 def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np.ndarray:
@@ -590,6 +542,13 @@ def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> 
     return scipy.fft.ifft(ahat, axis=ax, workers=fft_workers())
 
 
+def _line_derivative(a: np.ndarray, grid: GridSpec, axis_of_grid: int) -> np.ndarray:
+    """d/d(axis) of the 1-D factor ``a`` sampled along that grid axis, by ``_spectral_derivative``."""
+    line = [1] * 5
+    line[1 + axis_of_grid] = -1
+    return _spectral_derivative(a.reshape(line), grid, axis_of_grid).ravel()
+
+
 def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, derivatives spectral.
 
@@ -658,24 +617,34 @@ def wkb_family(
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
-def charge_density(family: OscillatingFamily) -> ProducedEntries:
-    """rho^eps = div E^eps via the spectral divergence, made per scale when read.
+def charge_density(family: OscillatingFamily) -> dict:
+    """rho^eps = div E^eps per scale, each a (1,) + grid entry.
 
-    Each E_j = sum_k V_jk s_k is formed from V and the scalars s
-    (``FactoredField.scalars``, which a produced field forms once per read)
-    and differentiated along x_j, so a rank-one field costs three scalar
-    derivative pairs and the full field is never formed.  An E_j whose row
-    of V is exactly zero is identically zero and costs nothing.  A read of ``rho[e]`` reads
-    ``family.fields[e]`` and holds no other scale.
+    E_j = sum_i V_ji s_i.  For a produced field each s_i is a sum of
+    separable terms, and d_j of a term differentiates only its x_j factor
+    (the DFT of a separable product is the product of its factors' 1-D
+    DFTs), so rho is a produced entry: the field's terms with V_ji folded
+    into the time factor and the x_j factor spectrally differentiated.  A
+    held field's E_j is formed from V and s and differentiated on the grid,
+    three scalar derivative pairs for a rank-one field.  An E_j whose row of
+    V is exactly zero costs nothing, and a field with V[:3] exactly zero
+    (E identically zero) has the rank-zero rho, which holds no grid-sized
+    array.  Every scale's rho is made when this is called.
     """
     grid = family.grid
-
-    def rho_at(e):
+    zero = FactoredField(np.zeros((1, 0)), np.zeros((0,) + grid.shape, dtype=np.complex128))
+    rho = {}
+    for e in family.epsilons:
         u = FactoredField.of(family.fields[e])
-        s = u.scalars()
-        rho = np.zeros(grid.shape, dtype=np.complex128)
-        for j in np.flatnonzero(u.V[:3].any(axis=1)):
-            rho += _spectral_derivative(np.tensordot(u.V[j], s, axes=1)[None], grid, 1 + j)[0]
-        return rho
-
-    return ProducedEntries("charge", family.epsilons, grid.shape, rho_at)
+        live = np.flatnonzero(u.V[:3].any(axis=1))
+        if live.size == 0:
+            rho[e] = zero
+        elif u.s is None:
+            terms = [(u.V[j, i] * t, *(_line_derivative(a, grid, 1 + j) if m == j else a for m, a in enumerate(x)))
+                     for j in live for i in np.flatnonzero(u.V[j]) for t, *x in u.rows[i]]
+            rho[e] = FactoredField(np.ones((1, 1)), rows=(tuple(terms),))
+        else:
+            rho[e] = np.zeros((1,) + grid.shape, dtype=np.complex128)
+            for j in live:
+                rho[e] += _spectral_derivative(np.tensordot(u.V[j], u.s, axes=1)[None], grid, 1 + j)
+    return rho

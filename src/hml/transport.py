@@ -140,8 +140,9 @@ class DensityTrajectory:
     """Densities sampled on (time level) x (sphere bin).
 
     ``data[name]`` has shape (n_times, B) for scalar densities or
-    (n_times, B, 3, 3) for the smooth-case matrix blocks.  ``x_center`` is
-    the spatial window centroid the densities belong to.
+    (n_times, B, 3, 3) for the smooth-case matrix blocks; an array whose
+    first axis is not the time levels is refused.  ``x_center`` is the
+    spatial window centroid the densities belong to.
     """
 
     times: np.ndarray
@@ -155,6 +156,10 @@ class DensityTrajectory:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.size < 3:
             raise ValueError("need at least three time levels for time differencing")
+        for name, values in self.data.items():
+            if np.shape(values)[:1] != (self.times.size,):
+                raise ValueError(f"data[{name!r}] of shape {np.shape(values)} does not start with the {self.times.size} "
+                                 "time levels of times")
 
     @classmethod
     def from_callables(cls, case, times, sphere, funcs, x_center=(0.0, 0.0, 0.0)):
@@ -501,13 +506,18 @@ def divergence_constraint_residual(
     along ``axis`` is fourth order (``_derivative``: 5-point, biased at the
     end windows, one 3- or 4-point stencil for 3 or 4 windows) and is paired
     on the interior windows.  With fewer than three windows the constraint
-    is skipped with a notice.  ``axis`` must be 0, 1 or 2.
+    is skipped with a notice.  ``axis`` must be 0, 1 or 2, and ``fits`` and
+    ``mu_urho_rhs`` hold one entry per position.
     """
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2: the spatial axis the windows are spaced along")
     positions = np.asarray(positions, float)
     if positions.size < 3:
         return {"skipped": True, "reason": "need >= 3 spatial windows for the divergence stencil"}
+    if len(fits) != positions.size:
+        raise ValueError(f"{positions.size} positions but {len(fits)} fits: one fit per window")
+    if mu_urho_rhs is not None and len(mu_urho_rhs) != positions.size:
+        raise ValueError(f"{positions.size} positions but {len(mu_urho_rhs)} mu_urho_rhs rows: one per window")
     sphere = sphere or SphereGrid()
     centers = sphere.centers()
     data, common = _scatter_fits(fits, sphere.num_bins)

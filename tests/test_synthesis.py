@@ -10,7 +10,6 @@ from hml.synthesis import (
     AliasingError,
     FactoredField,
     OscillatingFamily,
-    ProducedEntries,
     _constant_mode,
     _evolve,
     _initial_spectrum,
@@ -168,9 +167,8 @@ def test_plane_wave_source_is_envelope_commutator():
         ("sources", lambda fam: {e: np.asarray(f)[:3] for e, f in fam.sources.items()}),
         ("sources", lambda fam: {fam.finest: fam.sources[fam.finest]}),
         ("fields", lambda fam: {fam.epsilons[0]: fam.fields[fam.epsilons[0]]}),
-        ("fields", lambda fam: ProducedEntries("field", fam.epsilons[:1], (6,) + fam.grid.shape, fam.fields.get)),
     ],
-    ids=["wrong_component_count", "missing_scale", "fields_missing_scale", "produced_missing_scale"],
+    ids=["wrong_component_count", "missing_scale", "fields_missing_scale"],
 )
 def test_family_rejects_malformed_sources(where, bad):
     # a family missing a field scale is refused by name, as one missing a source is
@@ -205,49 +203,51 @@ def test_family_rejects_non_finite_data(where, factored, value):
 @pytest.mark.parametrize("where", ["fields", "sources"])
 @pytest.mark.parametrize("fault", ["non_finite", "wrong_shape", "nan_axis_factor", "nan_R", "overflow"])
 def test_produced_entry_refused_on_read(where, fault):
-    # a produced entry is checked when it is made, by the check a held one gets when its family is built;
-    # a row-produced entry is checked through R and its 1-D factors, whose product can overflow
+    # a family reads every entry once, when it is built, and refuses a bad one then; a produced entry is
+    # checked through V and its rows' 1-D factors (R folded in), whose product can overflow
     fam = _family()
-
-    def produce(e):
-        u = getattr(fam, where)[e]
-        if fault == "wrong_shape":
-            return np.asarray(u)[:3]
-        if fault == "non_finite":
-            s = u.scalars().copy()
-            s[0, 1, 3, 4, 5] = np.nan
-            return FactoredField(u.V, s)
-        R, factors = u.R.copy(), [list(f) for f in u.factors]
+    u = getattr(fam, where)[fam.finest]
+    if fault == "wrong_shape":
+        bad = np.asarray(u)[:3]
+    elif fault == "non_finite":
+        s = u.scalars().copy()
+        s[0, 1, 3, 4, 5] = np.nan
+        bad = FactoredField(u.V, s)
+    elif fault == "nan_R":
+        # V = I with one NaN: every Householder step of the QR is the identity, so Q = I and R holds the NaN
+        V = np.eye(6)[:, : u.rank]
+        V[0, -1] = np.nan
+        bad = FactoredField.from_polarization(V, [row[0] for row in u.rows])
+    else:
+        rows = [[list(term) for term in row] for row in u.rows]
         if fault == "nan_axis_factor":
-            factors[0][2] = factors[0][2].copy()
-            factors[0][2][3] = np.nan
-        elif fault == "nan_R":
-            R[0, -1] = np.nan
+            rows[0][0][2] = rows[0][0][2].copy()
+            rows[0][0][2][3] = np.nan
         else:
-            factors = [[np.full_like(a, 1e100) for a in f] for f in factors]
-        return FactoredField(u.V, R=R, factors=factors)
-
-    entries = {"fields": fam.fields, "sources": fam.sources}
-    entries[where] = ProducedEntries(where[:-1], fam.epsilons, (6,) + GRID.shape, produce)
-    bad = OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **entries)  # built without making an entry
+            rows = [[[np.full_like(a, 1e100) for a in term] for term in row] for row in rows]
+        bad = FactoredField(u.V, rows=tuple(tuple(map(tuple, row)) for row in rows))
+    entries = {"fields": dict(fam.fields), "sources": dict(fam.sources)}
+    entries[where][fam.finest] = bad
     match = (f"^{where[:-1]} at eps={fam.finest} missing or not of shape" if fault == "wrong_shape"
              else f"non-finite field or source entry at eps={fam.finest}")
     with pytest.raises(ValueError, match=match):
-        getattr(bad, where)[fam.finest]
+        OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, **entries)
 
 
 @pytest.mark.parametrize(
     "make, match",
     [
-        (lambda u: FactoredField(u.V, u.scalars(), R=u.R, factors=u.factors), "exactly one"),
+        (lambda u: FactoredField(u.V, u.scalars(), rows=u.rows), "exactly one"),
         (lambda u: FactoredField(u.V), "exactly one"),
-        (lambda u: FactoredField(u.V, R=u.R[:, :-1], factors=u.factors), "does not match"),
-        (lambda u: FactoredField(u.V, R=u.R, factors=[f[:3] for f in u.factors]), "four 1-D axis factors"),
-        (lambda u: FactoredField(u.V, R=u.R, factors=[u.factors[0][:3] + (u.factors[0][3][:-1],), *u.factors[1:]]),
+        (lambda u: FactoredField(u.V, rows=u.rows[:-1]), "does not match"),
+        (lambda u: FactoredField(u.V, rows=tuple(tuple(t[:3] for t in row) for row in u.rows)),
          "four 1-D axis factors"),
-        (lambda u: FactoredField(2 * u.V, R=u.R, factors=u.factors), "not orthonormal"),
+        (lambda u: FactoredField(u.V, rows=((u.rows[0][0][:3] + (u.rows[0][0][3][:-1],),) + u.rows[0][1:],)
+                                 + u.rows[1:]), "four 1-D axis factors"),
+        (lambda u: FactoredField(u.V, rows=((),) + u.rows[1:]), "terms in every row"),
+        (lambda u: FactoredField(2 * u.V, rows=u.rows), "not orthonormal"),
     ],
-    ids=["held_and_produced", "neither", "R_shape", "three_factors", "unlike_rows", "not_orthonormal"],
+    ids=["held_and_produced", "neither", "row_count", "three_factors", "unlike_rows", "empty_row", "not_orthonormal"],
 )
 def test_factored_field_refuses_malformed_factors(make, match):
     u = _family().sources[EPS2[0]]
@@ -270,26 +270,21 @@ def _plane_wave_closed_form(model, grid, k, mode, envelope, e):
 
 
 def test_produced_plane_wave_matches_closed_form():
-    # each read makes the entry from 1-D axis factors and oscillations; it is the 4-D closed form, and
-    # two reads of a scale make the same entry
+    # each entry is made from 1-D axis factors and oscillations; it is the 4-D closed form, and the rows a
+    # reader makes for a few time slabs under a spatial window are those slabs of the scalars, windowed
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     model, k, envelope = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8), hann_window(grid)
     fam = plane_wave_family(model, grid, k, "trans+1", envelope, EPS2)
-    assert isinstance(fam.fields, ProducedEntries) and isinstance(fam.sources, ProducedEntries)
-    assert list(fam.fields) == list(fam.sources) == list(EPS2)
+    assert type(fam.fields) is dict and type(fam.sources) is dict
+    spatial = hann_window(grid, axes=(1, 2, 3)).sample(grid)[0]
     for e in EPS2:
         for got, want in zip((fam.fields[e], fam.sources[e]), _plane_wave_closed_form(model, grid, k, "trans+1",
                                                                                       envelope, e)):
             assert np.abs(np.asarray(got) - want).max() <= 1e-14 * np.abs(want).max()
-        for entries in (fam.fields, fam.sources):
-            first, second = entries[e], entries[e]
-            assert first is not second
-            assert np.array_equal(first.V, second.V) and np.array_equal(np.asarray(first), np.asarray(second))
-            ones, made = np.ones(grid.spatial_shape), np.empty((2,) + grid.shape, dtype=np.complex128)
-            for j in range(first.rank):
-                first.slabs(j, 0, grid.shape[0], ones, out=made[0])
-                second.slabs(j, 0, grid.shape[0], ones, out=made[1])
-                assert np.array_equal(made[0], made[1])
+            s, made = got.scalars(), np.empty((5,) + grid.spatial_shape, dtype=np.complex128)
+            for j in range(got.rank):
+                got.slabs(j, 3, 8, spatial, out=made)
+                assert np.abs(made - s[j, 3:8] * spatial).max() <= 1e-14 * np.abs(s[j]).max()
 
 
 # ------------------------------------------------------------- exact evolution
@@ -501,9 +496,12 @@ def test_wkb_rejects_vanishing_gradient():
 # ----------------------------------------------------------------- charge
 
 def test_charge_zero_for_magnetic_mode():
+    # E is identically zero (V[:3] exactly zero): rho is the rank-zero entry, with no term to transform
     fam = _family(mode="long-h")
+    assert not fam.fields[fam.finest].V[:3].any()
     rho = charge_density(fam)
     for e in fam.epsilons:
+        assert rho[e].rank == 0 and rho[e].shape == (1,) + GRID.shape
         assert np.max(np.abs(rho[e])) <= 1e-12
 
 
@@ -515,22 +513,36 @@ def test_charge_transverse_no_growth():
     assert n1 <= 1.2 * n0  # envelope-scale only, no 1/eps factor
 
 
+@pytest.mark.parametrize("mode, k", [("trans+1", (0.3, -0.5, 0.8)), ("long-e", (0, 0, 1.0))],
+                         ids=["oblique-trans+1", "long-e"])
+def test_charge_from_line_factors_matches_grid_divergence(mode, k):
+    # a plane wave's rho differentiates one 1-D factor per term; against the full-grid spectral divergence
+    # of the materialised field, at both scales (bound fixed at 1e-13 of the maximum before measuring)
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    fam = plane_wave_family(MaterialModel.constant(2.0, 0.5, 0.3), grid, k, mode, hann_window(grid), EPS2)
+    rho = charge_density(fam)
+    for e in fam.epsilons:
+        u = np.asarray(fam.fields[e])
+        want = sum(_spectral_derivative(u[j][None], grid, 1 + j) for j in range(3))
+        assert rho[e].s is None and rho[e].shape == (1,) + grid.shape
+        assert np.abs(np.asarray(rho[e]) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_charge_skips_zero_rows(monkeypatch):
-    # E2 is identically zero: two derivative pairs per scale, and the sum over all three rows bit for bit
+    # a held field's rho is formed on the grid: E2 is identically zero, so two derivative pairs per scale,
+    # and the sum over all three rows bit for bit
     fam = _long_e_family()
     want = {}
     for e in fam.epsilons:
         u = np.asarray(fam.fields[e])
         assert not u[1].any()
-        want[e] = np.zeros(fam.grid.shape, dtype=np.complex128)
+        want[e] = np.zeros((1,) + fam.grid.shape, dtype=np.complex128)
         for j in range(3):
-            want[e] += _spectral_derivative(u[j][None], fam.grid, 1 + j)[0]
+            want[e] += _spectral_derivative(u[j][None], fam.grid, 1 + j)
     calls = []
     monkeypatch.setattr(synthesis, "_spectral_derivative",
                         lambda a, g, ax: calls.append(ax) or _spectral_derivative(a, g, ax))
     rho = charge_density(fam)
-    assert calls == []  # rho is made per scale when read
-    rho = {e: rho[e] for e in fam.epsilons}
     assert calls == [1, 3] * len(fam.epsilons)
     for e in fam.epsilons:
         assert np.array_equal(rho[e], want[e])

@@ -511,6 +511,26 @@ def test_divergence_constraint_rejects_axis_outside_0_1_2():
             divergence_constraint_residual(positions, fits, axis=axis, sphere=sphere)
 
 
+@pytest.mark.parametrize(
+    "short, match",
+    [("trajectory_data", r"^data\['a'\] of shape \(4, 512\) does not start with the 5 time levels of times$"),
+     ("fits", "^5 positions but 4 fits"), ("mu_urho_rhs", "^5 positions but 4 mu_urho_rhs rows")],
+    ids=["trajectory_data", "fits", "mu_urho_rhs"],
+)
+def test_mismatched_lengths_refused_where_they_enter(short, match):
+    # each used to fail deep inside, as a shape mismatch of a sum or a broadcast error
+    sphere = SphereGrid(8, 8, 8)
+    positions = np.linspace(0.1, 0.9, 5)
+    fits = [_synthetic_fit(sphere, sphere.flat_index(4, 4, 4), 2.0) for _ in positions]
+    rhs = [np.zeros(sphere.num_bins) for _ in positions]
+    with pytest.raises(ValueError, match=match):
+        if short == "trajectory_data":
+            DensityTrajectory(positions, sphere, "constant", {"a": np.zeros((4, 512)), "b": np.zeros((5, 512))})
+        else:
+            divergence_constraint_residual(positions, fits[:-1] if short == "fits" else fits, axis=0,
+                                           mu_urho_rhs=rhs[:-1] if short == "mu_urho_rhs" else rhs, sphere=sphere)
+
+
 def test_divergence_constraint_envelope_derivative():
     sphere = SphereGrid(8, 8, 8)
     b = sphere.flat_index(4, 4, 4)
