@@ -16,10 +16,11 @@ It reads an entry only through V, its rank and ``slabs``, so only
 is r = 1 and its source r = 5, where the full fields have six components
 each; an exact constant-coefficient evolution keeps only its nonzero
 components, and a family without sources pairs with r' = 0
-(zero bins).  The lattice is sorted by bin once per (grid, sphere) and
-cached, each scalar's spectrum is gathered into that order as one row of
-an (r, Npts) array, and each non-empty bin of G is one small real GEMM
-over a contiguous run of lattice points.
+(zero bins).  Each scalar's spectrum is one row of an (r, Npts) array in
+the DFT's own flat (t, x1, x2, x3) order.  Only the binning knows the bin
+order: the lattice is sorted by bin once per (grid, sphere) and cached,
+the points of each run of bins are gathered from all rows at once, and
+each non-empty bin of G is one small real GEMM over its points.
 
 The window is read only through its four axis factors.  A time-windowed
 estimate pays only for the time slabs its window covers: the slabs
@@ -31,15 +32,16 @@ Memory contract: one scale is resident at a time.  The loop reads a
 scale's entries from the family (and the second sequence), transforms
 them, bins them and releases its spectra before it reads the next scale;
 no two full-rank copies are alive at once.  A rank-r transform holds its r
-output rows, one row's slabs and that row's time-DFT output (r + 2 grid
-scalars, where a grid scalar is 16 Npts bytes).  A produced entry (a
+output rows and one row's slabs (r + 1 grid scalars, where a grid scalar
+is 16 Npts bytes): each row's time DFT writes straight into its output
+row.  A produced entry (a
 plane wave's field, source and rho) holds no grid-sized array: each row is
 made straight into the slab buffer from its K separable terms, with K
-spatial arrays, so its scalars are never formed.  The lattice build, the
-bin-order gather and the bin loop work in chunks of ``_CHUNK`` lattice
-points, so their temporaries are chunk-sized.  A cross measure of a
-rank-1 plane-wave field against its rank-5 source so peaks near its
-1 + 5 spectra and 2 transform buffers.
+spatial arrays, so its scalars are never formed.  The lattice build and
+the bin loop work in chunks of ``_CHUNK`` lattice points, so their
+temporaries, the bin loop's gathered copies among them, are chunk-sized.
+A cross measure of a rank-1 plane-wave field against its rank-5 source
+so peaks near its 1 + 5 spectra and 1 transform buffer.
 """
 
 from __future__ import annotations
@@ -188,9 +190,9 @@ class _Lattice(NamedTuple):
     dirs: np.ndarray
 
 
-# lattice points per chunk of the lattice build, the bin-order gather and the bin loop, so their
-# temporaries stay in cache and below one grid scalar from 16^4 up (a rank-5 run copy is 0.04 of one
-# at 32^4); chunks of 2^13 to 2^16 points measured alike in time at 32^4
+# lattice points per chunk of the lattice build and per run of the bin loop, so their temporaries,
+# a run's gathered copies among them, stay in cache and below one grid scalar from 16^4 up (a rank-5
+# run copy is 0.04 of one at 32^4); chunks of 2^13 to 2^16 points measured alike in time at 32^4
 _CHUNK = 1 << 13
 
 
@@ -311,12 +313,13 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     """Bin the r x r' Gram of two sets of spectra, return V G V'^H.
 
     F1: (r, Npts) and F2: (r', Npts) are the spectra of the scalar factors,
-    one row per scalar in the lattice's bin order, F2 is F1 for an auto
+    one row per scalar in the DFT's flat order, F2 is F1 for an auto
     measure, and V1 (p, r) and V2 (q, r') the orthonormal polarization
     factors.  Returns (bins (B,p,q), unit centroid (B,4) with NaN rows for
     massless bins, dc (complex)).  The non-empty bins are read in runs of
-    about ``_CHUNK`` lattice points: a run's columns are copied point-major,
-    (n, r) (a view when r is 1), and each of its bins is one real GEMM over
+    about ``_CHUNK`` lattice points: a run's points, ``lattice.order[p0:p1]``,
+    are gathered from all rows at once and copied point-major, (n, r) (the
+    gather itself when r is 1), and each of its bins is one real GEMM over
     the float64 views (n_b, 2r) and (n_b, 2r'), with the complex sum read
     off the interleaved real and imaginary parts.  A real GEMM, not a
     complex ``@``: NumPy sends a one-column complex product to gemv, whose
@@ -329,8 +332,9 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     |s^|^2, so the centroids need no expansion of the spectra, and their
     mass-weighted direction sums are formed run by run.  The DC term is
     the sum over the first min(p, q) components of the expanded DC
-    vectors.  r or r' may be 0: the bins and the DC term are then zero,
-    and the centroids are those of the other sequence's mass.
+    vectors, read at flat index 0.  r or r' may be 0: the bins and the DC
+    term are then zero, and the centroids are those of the other
+    sequence's mass.
     """
     B = sphere.num_bins
     r1, r2 = len(F1), len(F2)
@@ -340,8 +344,10 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     nonempty = np.flatnonzero(bounds[1 : B + 1] > bounds[:B])
     for run in np.split(nonempty, np.flatnonzero(np.diff(bounds[nonempty] // _CHUNK)) + 1):
         p0, p1 = bounds[run[0]], bounds[run[-1] + 1]
-        X = np.ascontiguousarray(F1[:, p0:p1].T).view(np.float64)
-        Y = X if F2 is F1 else np.ascontiguousarray(F2[:, p0:p1].T).view(np.float64)
+        # the points are lattice indices, so "clip" moves none and only skips the bounds check of "raise"
+        points = lattice.order[p0:p1]
+        X = np.ascontiguousarray(np.take(F1, points, axis=1, mode="clip").T).view(np.float64)
+        Y = X if F2 is F1 else np.ascontiguousarray(np.take(F2, points, axis=1, mode="clip").T).view(np.float64)
         # a rank-zero sequence (an all-zero field or a source-free family) has an all-zero Gram
         for b in run.tolist() if r1 * r2 else ():
             s, e = bounds[b] - p0, bounds[b + 1] - p0
@@ -361,14 +367,14 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     good = norms > 0
     cent = np.full((B, 4), np.nan)
     cent[nonempty[good]] = sums[nonempty[good]] / norms[good, None]
-    d1, d2 = V1 @ F1[:, -1], V2 @ F2[:, -1]
+    d1, d2 = V1 @ F1[:, 0], V2 @ F2[:, 0]
     m = min(d1.size, d2.size)
     dc = complex(np.sum(d1[:m] * np.conj(d2[:m])) * scale)
     return bins, cent, dc
 
 
-def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, order: np.ndarray) -> np.ndarray:
-    """Windowed 4-D DFT of the r scalars of a (p,) + grid.shape entry as an (r, Npts) array, each row in bin order.
+def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarray:
+    """Windowed 4-D DFT of the r scalars of a (p,) + grid.shape entry as an (r, Npts) array in the DFT's flat order.
 
     The window phi = w_t(t) w_x(x) is read through its axis factors.  Only
     the slabs t_j0 .. t_j1 between the first and last grid times where w_t
@@ -380,11 +386,9 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, order: np.n
     scalar factors) gives an (0, Npts) array without a transform.
 
     Memory: the rows are made or read one at a time, into one slab buffer,
-    and transformed through one time-DFT output that all r share; each is
-    gathered into its own row of the output.  A call so holds at most
-    r + 2 grid scalars (the r rows, the slabs and the time-DFT output) and
-    chunk-sized and spatial-sized temporaries, and never forms a produced
-    entry's scalars.
+    and each row's time DFT writes straight into its row of the output.  A
+    call so holds at most r + 1 grid scalars (the r rows and the slabs) and
+    spatial-sized temporaries, and never forms a produced entry's scalars.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
@@ -400,16 +404,10 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, order: np.n
     kj = np.arange(nt)[:, None] * np.arange(lo, hi)
     W = samples[0][lo:hi] * np.exp((-2j * np.pi / nt) * (kj % nt))
     slab = np.empty((hi - lo,) + grid.spatial_shape, dtype=np.complex128)
-    spectrum = np.empty((nt, spatial.size), dtype=np.complex128)
     for j in range(r):
         u.slabs(j, lo, hi, spatial, out=slab)
         slab = scipy.fft.fftn(slab, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
-        np.matmul(W, slab.reshape(hi - lo, -1), out=spectrum)
-        # ``order`` is a permutation of the lattice, so "clip" moves no index; unlike the default
-        # "raise", it lets ``take`` write into the row without a buffered copy of it.  ``take`` casts
-        # int32 indices to intp, so a chunk at a time keeps that copy chunk-sized
-        for c in range(0, grid.num_points, _CHUNK):
-            np.take(spectrum.reshape(-1), order[c : c + _CHUNK], out=out[j, c : c + _CHUNK], mode="clip")
+        np.matmul(W, slab.reshape(hi - lo, -1), out=out[j].reshape(nt, -1))
     return out
 
 
@@ -442,8 +440,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         if np.shape(g)[1:] != grid.shape:
             raise ValueError("secondary sequence grid mismatch")
         g = FactoredField.of(g)
-        F1 = _spectra(u, phi, grid, lattice.order)
-        F2 = F1 if hermitian else _spectra(g, phi, grid, lattice.order)
+        F1 = _spectra(u, phi, grid)
+        F2 = F1 if hermitian else _spectra(g, phi, grid)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
         ranks = (u.rank, g.rank)
         # one scale resident: the next scale is read and transformed with none of this one's arrays held
@@ -479,13 +477,13 @@ def estimate_hmeasure(
 def source_fields(family: OscillatingFamily) -> Mapping:
     """The recorded Maxwell residual f^eps per scale: ``family.sources``.
 
-    A family without sources has f = 0: each scale is a rank-zero
-    ``FactoredField`` (V of shape (6, 0), s of shape (0,) + grid), which
-    holds no grid-sized array and pairs to zero bins.
+    A family without sources has f = 0: each scale is the rank-zero
+    ``FactoredField.zero``, which holds no grid-sized array and pairs to
+    zero bins.
     """
     if family.sources is not None:
         return family.sources
-    zero = FactoredField(np.zeros((6, 0)), np.zeros((0,) + family.grid.shape, dtype=np.complex128))
+    zero = FactoredField.zero(6, family.grid.shape)
     return {e: zero for e in family.epsilons}
 
 

@@ -41,7 +41,8 @@ class GridSpec:
     """Periodic sampling of the spacetime box [0,T] x [0,L1] x [0,L2] x [0,L3].
 
     Every axis is periodic: the estimator and the spectral derivatives take
-    DFTs over the whole box.
+    DFTs over the whole box.  Extents must be positive and finite, and shape
+    entries integral powers of two, at least 8.
     """
 
     extents: tuple
@@ -50,10 +51,12 @@ class GridSpec:
     def __post_init__(self):
         if len(self.extents) != 4 or len(self.shape) != 4:
             raise ValueError("extents and shape must have four entries (t, x1, x2, x3)")
+        if any(int(n) != n for n in self.shape):
+            raise ValueError(f"shape entries must be integers, not {self.shape}")
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        if any(e <= 0 for e in self.extents):
-            raise ValueError("extents must be positive")
+        if not all(0 < e < np.inf for e in self.extents):
+            raise ValueError(f"extents must be positive and finite, not {self.extents}")
         for n in self.shape:
             if n < 8 or not _is_pow2(n):
                 raise ValueError("shape entries must be powers of two and >= 8")
@@ -106,7 +109,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AxisWindow:
-    """One tensor factor: 'one' everywhere or a raised cosine on [lo, hi]."""
+    """One tensor factor: 'one' everywhere or a raised cosine on a finite [lo, hi], lo < hi."""
 
     kind: str  # "one" | "hann"
     lo: float = 0.0
@@ -115,6 +118,8 @@ class AxisWindow:
     def __post_init__(self):
         if self.kind not in ("one", "hann"):
             raise ValueError(f"unknown axis window kind {self.kind!r}")
+        if self.kind == "hann" and not np.isfinite([self.lo, self.hi]).all():
+            raise ValueError(f"hann window needs finite ends, not [{self.lo}, {self.hi}]")
         if self.kind == "hann" and not self.hi > self.lo:
             raise ValueError("hann window needs hi > lo")
 

@@ -121,16 +121,32 @@ class FactoredField:
             raise ValueError("polarization factor columns are not orthonormal")
 
     @classmethod
+    def zero(cls, p: int, grid_shape: tuple) -> FactoredField:
+        """The rank-zero field of shape (p,) + grid_shape: V (p, 0) and no grid-sized array."""
+        return cls(np.zeros((p, 0)), np.zeros((0,) + tuple(grid_shape), dtype=np.complex128))
+
+    @classmethod
     def from_polarization(cls, V, factors) -> FactoredField:
         """The produced field u = V S, S_k the outer product of the four 1-D arrays ``factors[k]``.
 
-        One QR V = Q R gives u = Q (R S).  R is upper triangular, so row i of
-        R S is the sum over k >= i of the terms R_ik S_k, each with R_ik
-        folded into its time factor.
+        A raw row S_k is dropped with its column of V when that column is
+        zero or one of its factors is.  One QR of the rest, V = Q R, gives
+        u = Q (R S).  R is upper triangular, so row i of R S is the sum over
+        k >= i of the terms R_ik S_k, each with R_ik folded into its time
+        factor; a term whose R_ik is zero is dropped, and a row left with no
+        term is dropped with its column of Q.  As in ``of``, zero is exact
+        (``!= 0``, no tolerance), and with no row left the field is ``zero``.
         """
-        Q, R = np.linalg.qr(np.asarray(V, dtype=np.complex128))
-        rows = [[(R[i, k] * t, *x) for k, (t, *x) in enumerate(factors) if k >= i] for i in range(len(R))]
-        return cls(Q, rows=tuple(map(tuple, rows)))
+        V = np.asarray(V, dtype=np.complex128)
+        live = [k for k, f in enumerate(factors) if V[:, k].any() and all(a.any() for a in f)]
+        Q, R = np.linalg.qr(V[:, live])
+        raw = [factors[k] for k in live]
+        rows = [tuple((R[i, n] * t, *x) for n, (t, *x) in enumerate(raw) if n >= i and R[i, n] != 0)
+                for i in range(len(R))]
+        keep = [i for i, row in enumerate(rows) if row]
+        if not keep:
+            return cls.zero(len(V), tuple(len(a) for a in factors[0]))
+        return cls(Q[:, keep], rows=tuple(rows[i] for i in keep))
 
     @classmethod
     def of(cls, u) -> FactoredField:
@@ -632,7 +648,7 @@ def charge_density(family: OscillatingFamily) -> dict:
     array.  Every scale's rho is made when this is called.
     """
     grid = family.grid
-    zero = FactoredField(np.zeros((1, 0)), np.zeros((0,) + grid.shape, dtype=np.complex128))
+    zero = FactoredField.zero(1, grid.shape)
     rho = {}
     for e in family.epsilons:
         u = FactoredField.of(family.fields[e])

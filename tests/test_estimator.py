@@ -385,12 +385,13 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
 
     Counted in grid scalars (16 N bytes), with the bounds fixed before measuring.  The family holds no
     grid-sized array, and the estimator makes each scale's entries one row at a time into its slab
-    buffer, so no entry's scalars are held.  The source pass holds the spectra (1 + 5), one row's slabs
-    and its time-DFT output (2), and one for the chunk-sized temporaries and the bins: 9, where held
-    entries would add 1 + 5 per scale.  Each scale's spectra are released before the next scale is
-    read, so the second scale's peak exceeds the first's by at most one grid scalar.  The charge pass
-    makes rho per scale: when a spectrum is computed, u, its spectrum and one rho are held, fewer than
-    the four a second scale's rho would make.
+    buffer, so no entry's scalars are held, and writes each row's time DFT straight into its spectrum.
+    The source pass holds the spectra (1 + 5), one row's slabs (1), and 1.5 for the chunk-sized
+    temporaries and the bins, among them a bin run's gathered copies (a run is about 1/8 of this 16^4
+    lattice): 8.5, where held entries would add 1 + 5 per scale.  Each scale's spectra are released
+    before the next scale is read, so the second scale's peak exceeds the first's by at most one grid
+    scalar.  The charge pass makes rho per scale: when a spectrum is computed, u, its spectrum and one
+    rho are held, fewer than the four a second scale's rho would make.
     """
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     sphere = SphereGrid(6, 6, 8)
@@ -425,7 +426,7 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
         tracemalloc.stop()
     assert (made - start) / unit < 1 / 4
     assert len(peaks) == 8 and cross_rho.metadata["factor_rank"] == (1, 1)
-    assert (peak - start) / unit <= 1 + 5 + 2 + 1
+    assert (peak - start) / unit <= 1 + 5 + 1 + 1.5
     assert (peak - peaks[2]) / unit <= 1  # peaks[2]: the peak of the first scale alone
     assert (max(held) - charge_start) / unit < 1.25  # the field's one spectrum while rho is transformed
 
@@ -496,6 +497,21 @@ def test_gram_bins_match_per_pair_bincount_reference(second, phi):
         assert np.all(got[empty] == 0)
         assert np.all(np.isnan(est.centroids[e][empty]))
         np.testing.assert_allclose(est.centroids[e][~empty], cent[~empty], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
+def test_spectra_in_dft_order(phi):
+    """The spectra of a held and of a produced entry are the 4-D FFTs of their windowed scalars, each
+    row in the DFT's own flat (t, x1, x2, x3) order."""
+    rng = np.random.default_rng(3)
+    held = FactoredField.of(rng.standard_normal((3,) + GRID.shape) + 1j * rng.standard_normal((3,) + GRID.shape))
+    model, k = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8)
+    produced = _family(model=model, envelope=hann_window(GRID), k=k).sources[EPS2[-1]]
+    for u in (held, produced):
+        want = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
+        got = estimator._spectra(u, phi, GRID)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_estimate_matches_multiplier_definition_on_bin_edges():

@@ -84,6 +84,22 @@ def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axi
     assemble_system_matrices(in_bounds, corner)
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [(lambda: GridSpec(extents=(np.nan, 1.0, 1.0, 1.0), shape=(8,) * 4), "positive and finite"),
+     (lambda: GridSpec(extents=(1.0, np.inf, 1.0, 1.0), shape=(8,) * 4), "positive and finite"),
+     (lambda: GridSpec(extents=(1.0,) * 4, shape=(16.9, 8, 8, 8)), "integers"),
+     (lambda: AxisWindow("hann", 0.0, np.inf), "finite ends"),
+     (lambda: AxisWindow("hann", -np.inf, 1.0), "finite ends")],
+    ids=["nan_extent", "inf_extent", "fractional_shape", "hann_inf_hi", "hann_inf_lo"],
+)
+def test_invalid_grid_or_window_refused_where_it_enters(make, match):
+    # a NaN extent would otherwise surface as an IndexError deep in the estimator's binning, and a
+    # shape of 16.9 would be read as 16
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 # ------------------------------------------------------------------ plane wave
 
 def test_plane_wave_polarization_matches_eigenvector():
@@ -271,20 +287,26 @@ def _plane_wave_closed_form(model, grid, k, mode, envelope, e):
 
 def test_produced_plane_wave_matches_closed_form():
     # each entry is made from 1-D axis factors and oscillations; it is the 4-D closed form, and the rows a
-    # reader makes for a few time slabs under a spatial window are those slabs of the scalars, windowed
+    # reader makes for a few time slabs under a spatial window are those slabs of the scalars, windowed.
+    # Exact-zero raw rows are dropped: C b = 0 at sigma = 0, and d_t, d_2 and d_3 of an envelope that is
+    # one along those axes are zero, leaving d_1 env and env
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
-    model, k, envelope = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8), hann_window(grid)
-    fam = plane_wave_family(model, grid, k, "trans+1", envelope, EPS2)
-    assert type(fam.fields) is dict and type(fam.sources) is dict
+    k = (0.3, -0.5, 0.8)
     spatial = hann_window(grid, axes=(1, 2, 3)).sample(grid)[0]
-    for e in EPS2:
-        for got, want in zip((fam.fields[e], fam.sources[e]), _plane_wave_closed_form(model, grid, k, "trans+1",
-                                                                                      envelope, e)):
-            assert np.abs(np.asarray(got) - want).max() <= 1e-14 * np.abs(want).max()
-            s, made = got.scalars(), np.empty((5,) + grid.spatial_shape, dtype=np.complex128)
-            for j in range(got.rank):
-                got.slabs(j, 3, 8, spatial, out=made)
-                assert np.abs(made - s[j, 3:8] * spatial).max() <= 1e-14 * np.abs(s[j]).max()
+    for sigma, envelope, source_rank in [(0.3, hann_window(grid), 5), (0.0, hann_window(grid), 4),
+                                         (0.3, hann_window(grid, axes=(1,)), 2)]:
+        model = MaterialModel.constant(2.0, 0.5, sigma)
+        fam = plane_wave_family(model, grid, k, "trans+1", envelope, EPS2)
+        assert type(fam.fields) is dict and type(fam.sources) is dict
+        for e in EPS2:
+            assert (fam.fields[e].rank, fam.sources[e].rank) == (1, source_rank)
+            closed = _plane_wave_closed_form(model, grid, k, "trans+1", envelope, e)
+            for got, want in zip((fam.fields[e], fam.sources[e]), closed):
+                assert np.abs(np.asarray(got) - want).max() <= 1e-14 * np.abs(want).max()
+                s, made = got.scalars(), np.empty((5,) + grid.spatial_shape, dtype=np.complex128)
+                for j in range(got.rank):
+                    got.slabs(j, 3, 8, spatial, out=made)
+                    assert np.abs(made - s[j, 3:8] * spatial).max() <= 1e-14 * np.abs(s[j]).max()
 
 
 # ------------------------------------------------------------- exact evolution
