@@ -129,24 +129,13 @@ class FactoredField:
     def from_polarization(cls, V, factors) -> FactoredField:
         """The produced field u = V S, S_k the outer product of the four 1-D arrays ``factors[k]``.
 
-        A raw row S_k is dropped with its column of V when that column is
-        zero or one of its factors is.  One QR of the rest, V = Q R, gives
-        u = Q (R S).  R is upper triangular, so row i of R S is the sum over
-        k >= i of the terms R_ik S_k, each with R_ik folded into its time
-        factor; a term whose R_ik is zero is dropped, and a row left with no
-        term is dropped with its column of Q.  As in ``of``, zero is exact
-        (``!= 0``, no tolerance), and with no row left the field is ``zero``.
+        One QR V = Q R gives u = Q (R S).  R is upper triangular, so row i of
+        R S is the sum over k >= i of the terms R_ik S_k, each with R_ik
+        folded into its time factor.
         """
-        V = np.asarray(V, dtype=np.complex128)
-        live = [k for k, f in enumerate(factors) if V[:, k].any() and all(a.any() for a in f)]
-        Q, R = np.linalg.qr(V[:, live])
-        raw = [factors[k] for k in live]
-        rows = [tuple((R[i, n] * t, *x) for n, (t, *x) in enumerate(raw) if n >= i and R[i, n] != 0)
-                for i in range(len(R))]
-        keep = [i for i, row in enumerate(rows) if row]
-        if not keep:
-            return cls.zero(len(V), tuple(len(a) for a in factors[0]))
-        return cls(Q[:, keep], rows=tuple(rows[i] for i in keep))
+        Q, R = np.linalg.qr(np.asarray(V, dtype=np.complex128))
+        rows = [[(R[i, k] * t, *x) for k, (t, *x) in enumerate(factors) if k >= i] for i in range(len(R))]
+        return cls(Q, rows=tuple(map(tuple, rows)))
 
     @classmethod
     def of(cls, u) -> FactoredField:
