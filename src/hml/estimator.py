@@ -11,7 +11,7 @@ Fields arrive factored, u = V s (``synthesis.FactoredField``; a plain
 array is V = the columns of I at its components that are not identically
 zero), and an H-measure moves with a constant matrix, so the estimator
 FFTs the r scalars s, bins an r x r' Gram matrix G, and returns V G V'^H.
-It reads an entry only through V, its rank and ``slabs``, so only
+It reads an entry only through V, its rank and ``separated``, so only
 ``synthesis`` knows how an entry's rows are held or made.  A plane wave
 is r = 1 and its source r = 5, where the full fields have six components
 each; an exact constant-coefficient evolution keeps only its nonzero
@@ -23,25 +23,25 @@ the points of each run of bins are gathered from all rows at once, and
 each non-empty bin of G is one small real GEMM over its points.
 
 The window is read only through its four axis factors.  A time-windowed
-estimate pays only for the time slabs its window covers: the slabs
-between the first and last grid times where the time factor is nonzero
-are multiplied by the spatial factors and FFT'd over (x1, x2, x3), and the
-time DFT, with the time factor folded into its matrix, is one GEMM.
+estimate pays only for the time slabs where the time factor is nonzero,
+each row read there as time factors times spatial factors T @ X
+(``separated``).  X times the spatial factors is FFT'd over (x1, x2, x3),
+and the time DFT, with the time factor folded into its matrix W, is one
+GEMM (W T) @ X.
 
 Memory contract: one scale is resident at a time.  The loop reads a
 scale's entries from the family (and the second sequence), transforms
 them, bins them and releases its spectra before it reads the next scale;
-no two full-rank copies are alive at once.  A rank-r transform holds its r
-output rows and one row's slabs (r + 1 grid scalars, where a grid scalar
-is 16 Npts bytes): each row's time DFT writes straight into its output
-row.  A produced entry (a
-plane wave's field, source and rho) holds no grid-sized array: each row is
-made straight into the slab buffer from its K separable terms, with K
-spatial arrays, so its scalars are never formed.  The lattice build and
-the bin loop work in chunks of ``_CHUNK`` lattice points, so their
-temporaries, the bin loop's gathered copies among them, are chunk-sized.
-A cross measure of a rank-1 plane-wave field against its rank-5 source
-so peaks near its 1 + 5 spectra and 1 transform buffer.
+no two full-rank copies are alive at once.  Each row's time DFT writes
+straight into its output row.  A rank-r transform of a held entry holds
+its r output rows and one row's slabs (r + 1 grid scalars, where a grid
+scalar is 16 Npts bytes).  A produced entry (a plane wave's field, source
+and rho) holds no grid-sized array, and its transform holds its r output
+rows and one row's K spatial arrays, so its scalars are never formed.
+The lattice build and the bin loop work in chunks of ``_CHUNK`` lattice
+points, so their temporaries, the bin loop's gathered copies among them,
+are chunk-sized.  A cross measure of a rank-1 plane-wave field against
+its rank-5 source so peaks near its 1 + 5 spectra.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .grids import GridSpec, SeparableWindow, fft_workers, set_workers
+from .grids import GridSpec, SeparableWindow, fft_workers, integral_counts, set_workers
 from .synthesis import (
     MIN_CELLS_PER_WAVELENGTH,
     AliasingError,
@@ -94,7 +94,10 @@ class SphereGrid:
     n_phi: int = 32
 
     def __post_init__(self):
-        if min(self.n_zeta0, self.n_theta, self.n_phi) < 2:
+        counts = integral_counts("sphere cell counts", (self.n_zeta0, self.n_theta, self.n_phi))
+        for name, n in zip(("n_zeta0", "n_theta", "n_phi"), counts):
+            object.__setattr__(self, name, n)
+        if min(counts) < 2:
             raise ValueError("need at least two cells per angle")
 
     @property
@@ -378,17 +381,16 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarr
 
     The window phi = w_t(t) w_x(x) is read through its axis factors.  Only
     the slabs t_j0 .. t_j1 between the first and last grid times where w_t
-    is nonzero are read, by ``u.slabs`` with the spatial factors applied,
-    and FFT'd over (x1, x2, x3); the time DFT is then one GEMM
-    ``W @ slabs`` with the time factor folded into it, W[k, j] = w_t(t_j)
-    exp(-2 pi i ((k j) mod N_t) / N_t).  A window that is zero at every
-    sample of an axis is refused (its estimate would be zero).  r = 0 (no
-    scalar factors) gives an (0, Npts) array without a transform.
+    is nonzero are read, each row as T @ X (``u.separated``): X times the
+    spatial factors is FFT'd over (x1, x2, x3), and the time DFT is one GEMM
+    ``(W @ T) @ X``, W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t).
+    A window zero at every sample of an axis is refused (its estimate would
+    be zero).  r = 0 gives an (0, Npts) array without a transform.
 
-    Memory: the rows are made or read one at a time, into one slab buffer,
-    and each row's time DFT writes straight into its row of the output.  A
-    call so holds at most r + 1 grid scalars (the r rows and the slabs) and
-    spatial-sized temporaries, and never forms a produced entry's scalars.
+    Memory: the rows are read one at a time, and each row's time DFT writes
+    straight into its row of the output.  A call so holds at most r + 1
+    grid scalars (the r rows and a held row's slabs) and spatial-sized
+    temporaries, and never forms a produced entry's scalars.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
@@ -396,18 +398,15 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarr
         raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
     nt, r = grid.shape[0], u.rank
     out = np.empty((r, grid.num_points), dtype=np.complex128)
-    if r == 0:
-        return out
     live = np.flatnonzero(samples[0])
     lo, hi = live[0], live[-1] + 1
     spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
     kj = np.arange(nt)[:, None] * np.arange(lo, hi)
     W = samples[0][lo:hi] * np.exp((-2j * np.pi / nt) * (kj % nt))
-    slab = np.empty((hi - lo,) + grid.spatial_shape, dtype=np.complex128)
     for j in range(r):
-        u.slabs(j, lo, hi, spatial, out=slab)
-        slab = scipy.fft.fftn(slab, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
-        np.matmul(W, slab.reshape(hi - lo, -1), out=out[j].reshape(nt, -1))
+        T, X = u.separated(j, lo, hi)
+        X = scipy.fft.fftn(X * spatial, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
+        np.matmul(W @ T, X.reshape(len(X), -1), out=out[j].reshape(nt, -1))
     return out
 
 

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["GridSpec", "AxisWindow", "SeparableWindow", "hann_window", "full_window", "set_workers", "fft_workers"]
+__all__ = ["GridSpec", "AxisWindow", "SeparableWindow", "hann_window", "full_window", "set_workers", "fft_workers",
+           "integral_counts"]
 
 _WORKERS = None
 
@@ -30,6 +31,13 @@ def set_workers(n: int | None) -> None:
 def fft_workers() -> int:
     """The FFT worker count every transform in the package uses."""
     return _WORKERS if _WORKERS is not None else os.cpu_count() or 1
+
+
+def integral_counts(what: str, counts) -> tuple:
+    """``counts`` as ints; ValueError naming them unless every one is a finite integral number."""
+    if not all(np.isfinite(n) and int(n) == n for n in counts):
+        raise ValueError(f"{what} must be integers, not {tuple(counts)}")
+    return tuple(int(n) for n in counts)
 
 
 def _is_pow2(n: int) -> bool:
@@ -51,10 +59,8 @@ class GridSpec:
     def __post_init__(self):
         if len(self.extents) != 4 or len(self.shape) != 4:
             raise ValueError("extents and shape must have four entries (t, x1, x2, x3)")
-        if any(int(n) != n for n in self.shape):
-            raise ValueError(f"shape entries must be integers, not {self.shape}")
+        object.__setattr__(self, "shape", integral_counts("shape entries", self.shape))
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         if not all(0 < e < np.inf for e in self.extents):
             raise ValueError(f"extents must be positive and finite, not {self.extents}")
         for n in self.shape:

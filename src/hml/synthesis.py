@@ -95,9 +95,10 @@ class FactoredField:
       and s_j is the sum of their outer products, so the entry holds no
       grid-sized array.
 
-    ``slabs`` writes windowed time slabs of one row into a caller's buffer.
-    It is all the estimator reads of the scalars.  ``scalars`` forms s
-    through it, and ``materialise`` (and so ``np.asarray``) forms u from s.
+    ``separated`` gives time slabs of one row as T @ X, time factors times
+    spatial factors, for either kind of row.  It is all the estimator reads
+    of the scalars.  ``scalars`` forms s through it, and ``materialise``
+    (and so ``np.asarray``) forms u from s.
     ``shape`` is the shape of u.
     """
 
@@ -163,35 +164,25 @@ class FactoredField:
     def rank(self) -> int:
         return self.V.shape[1]
 
-    def slabs(self, j: int, lo: int, hi: int, spatial: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Time slabs lo:hi of row j times the spatial array ``spatial``, written into the C-contiguous ``out``.
+    def separated(self, j: int, lo: int, hi: int) -> tuple:
+        """Time slabs lo:hi of row j as T @ X: time factors T (hi - lo, K) and spatial factors X (K,) + spatial.
 
-        A produced row of K terms is one (slabs x K) @ (K x spatial) product:
-        the terms' time factors on those slabs against their spatial outer
-        products, each times ``spatial``.
+        A held row is T = I with its K = hi - lo slabs; a produced row of K
+        terms is their time factors on those slabs and the outer products
+        of their spatial factors.
         """
         if self.s is not None:
-            return np.multiply(self.s[j, lo:hi], spatial, out=out)
+            return np.eye(hi - lo), self.s[j, lo:hi]
         terms = self.rows[j]
-        space = np.empty((len(terms),) + spatial.shape, dtype=np.complex128)
-        for x, (_, x1, x2, x3) in zip(space, terms):
-            np.multiply(x1[:, None, None] * x2[None, :, None], x3[None, None, :], out=x)
-            x *= spatial
-        if not out.flags.c_contiguous:  # a reshape of it would be a copy, and the product would be lost
-            raise ValueError("a produced row is written into a C-contiguous buffer")
-        times = np.stack([t[lo:hi] for t, *_ in terms], axis=1)
-        np.matmul(times, space.reshape(len(terms), -1), out=out.reshape(hi - lo, -1))
-        return out
+        T = np.stack([t[lo:hi] for t, *_ in terms], axis=1)
+        X = np.stack([x1[:, None, None] * x2[None, :, None] * x3[None, None, :] for _, x1, x2, x3 in terms])
+        return T, X
 
     def scalars(self) -> np.ndarray:
-        """The (r,) + grid scalars s: held, or formed row by row through ``slabs``."""
+        """The (r,) + grid scalars s: held, or formed row by row as T @ X (``separated``)."""
         if self.s is not None:
             return self.s
-        grid = self.shape[1:]
-        s = np.empty((self.rank,) + grid, dtype=np.complex128)
-        for j in range(self.rank):
-            self.slabs(j, 0, grid[0], np.ones(grid[1:]), out=s[j])
-        return s
+        return np.stack([np.tensordot(*self.separated(j, 0, self.shape[1]), axes=1) for j in range(self.rank)])
 
     def materialise(self) -> np.ndarray:
         """The full (p,) + grid array V s."""

@@ -141,7 +141,8 @@ class DensityTrajectory:
 
     ``data[name]`` has shape (n_times, B) for scalar densities or
     (n_times, B, 3, 3) for the smooth-case matrix blocks; an array whose
-    first axis is not the time levels is refused.  ``x_center`` is the
+    first axis is not the time levels is refused, and so are times that
+    are not finite and strictly increasing.  ``x_center`` is the
     spatial window centroid the densities belong to.
     """
 
@@ -156,6 +157,8 @@ class DensityTrajectory:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.size < 3:
             raise ValueError("need at least three time levels for time differencing")
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
+            raise ValueError(f"times must be finite and strictly increasing, not {self.times.tolist()}")
         for name, values in self.data.items():
             if np.shape(values)[:1] != (self.times.size,):
                 raise ValueError(f"data[{name!r}] of shape {np.shape(values)} does not start with the {self.times.size} "
@@ -313,12 +316,11 @@ def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray,
     linear, so a row's residual is the sum of its paired terms.  Pairings
     are reduced by the Frobenius norm over the entries, so cancellation is
     respected, and each row's residual is relative to its largest single
-    term.  Returns (rows, max_relative).
+    term.  Returns (rows, max_relative); a NaN row makes max_relative NaN.
     """
     psi_vals = np.stack([np.stack([psi(t, points) for t in levels]) for _, psi in PSI_BATTERY])
     factor = psi_vals * weights[None, None, :] * dts[None, :, None]
     rows = []
-    max_rel = 0.0
     for name, terms in rows_spec:
         paired = np.stack([np.tensordot(factor, term, axes=([1, 2], [0, 1])) for term in terms])
         paired = paired.reshape(len(terms), len(PSI_BATTERY), -1)
@@ -327,8 +329,7 @@ def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray,
         for (label, _), res, dominant in zip(PSI_BATTERY, residuals.tolist(), dominants.tolist()):
             rel = res / dominant if dominant > 1e-14 else res
             rows.append({"row": name, "psi": label, "weak_residual": res, "dominant": dominant, "relative": rel})
-            max_rel = max(max_rel, rel)
-    return rows, max_rel
+    return rows, float(np.max([r["relative"] for r in rows], initial=0.0))
 
 
 def _kept_weights(traj: DensityTrajectory, keep: np.ndarray) -> tuple:
@@ -531,7 +532,7 @@ def divergence_constraint_residual(
     rhs = None if mu_urho_rhs is None else {"11": np.stack([np.asarray(m) for m in mu_urho_rhs])[:, common]}
     _subtract_rhs(rows_spec, rhs, ("11",) * len(rows_spec))
     rows, _ = _weak_rows(rows_spec, interior, centers[common], sphere.weights()[common], np.ones(interior.size))
-    densities = {name: {"max_relative": max(r["relative"] for r in rows if r["row"] == name)}
+    densities = {name: {"max_relative": float(np.max([r["relative"] for r in rows if r["row"] == name]))}
                  for name, _ in rows_spec}
     return {"skipped": False, "densities": densities}
 

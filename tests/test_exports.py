@@ -43,13 +43,13 @@ def test_verifier_builds_no_polarization_basis():
     assert "mode_vectors" in names
 
 
-def test_estimator_reads_entries_only_through_V_rank_and_slabs():
+def test_estimator_reads_entries_only_through_V_rank_and_separated():
     # only synthesis knows how an entry's rows are held or made; ``phi.factors`` is the window's, not an entry's
     path = Path(hml.__file__).parent / "estimator.py"
     read = {(getattr(node.value, "id", None), node.attr)
             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
     assert {attr for owner, attr in read if owner != "phi"} & {"s", "R", "rows", "factors"} == set()
-    assert {("u", "V"), ("u", "rank"), ("u", "slabs")} <= read
+    assert {("u", "V"), ("u", "rank"), ("u", "separated")} <= read
 
 
 def test_coefficient_callables_called_only_in_symbols():

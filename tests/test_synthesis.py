@@ -89,13 +89,20 @@ def test_grid_sampling_enforces_bounds_and_domain(model, error, match, layer_axi
     [(lambda: GridSpec(extents=(np.nan, 1.0, 1.0, 1.0), shape=(8,) * 4), "positive and finite"),
      (lambda: GridSpec(extents=(1.0, np.inf, 1.0, 1.0), shape=(8,) * 4), "positive and finite"),
      (lambda: GridSpec(extents=(1.0,) * 4, shape=(16.9, 8, 8, 8)), "integers"),
+     (lambda: GridSpec(extents=(1.0,) * 4, shape=(8, np.nan, 8, 8)), r"integers, not \(8, nan, 8, 8\)"),
+     (lambda: GridSpec(extents=(1.0,) * 4, shape=(8, 8, 8, np.inf)), r"integers, not \(8, 8, 8, inf\)"),
+     (lambda: SphereGrid(10.5, 8, 16), r"sphere cell counts must be integers, not \(10.5, 8, 16\)"),
+     (lambda: SphereGrid(10, np.nan, 16), r"sphere cell counts must be integers, not \(10, nan, 16\)"),
+     (lambda: SphereGrid(10, 8, np.inf), r"sphere cell counts must be integers, not \(10, 8, inf\)"),
      (lambda: AxisWindow("hann", 0.0, np.inf), "finite ends"),
      (lambda: AxisWindow("hann", -np.inf, 1.0), "finite ends")],
-    ids=["nan_extent", "inf_extent", "fractional_shape", "hann_inf_hi", "hann_inf_lo"],
+    ids=["nan_extent", "inf_extent", "fractional_shape", "nan_shape", "inf_shape", "fractional_sphere", "nan_sphere",
+         "inf_sphere", "hann_inf_hi", "hann_inf_lo"],
 )
 def test_invalid_grid_or_window_refused_where_it_enters(make, match):
-    # a NaN extent would otherwise surface as an IndexError deep in the estimator's binning, and a
-    # shape of 16.9 would be read as 16
+    # a NaN extent would otherwise surface as an IndexError deep in the estimator's binning, a shape of
+    # 16.9 would be read as 16, an inf shape raised OverflowError, and a sphere of 10.5 cells gave a
+    # float bin count that failed at its first use with a TypeError
     with pytest.raises(ValueError, match=match):
         make()
 
@@ -286,21 +293,22 @@ def _plane_wave_closed_form(model, grid, k, mode, envelope, e):
 
 
 def test_produced_plane_wave_matches_closed_form():
-    # each entry is made from 1-D axis factors and oscillations; it is the 4-D closed form, and the rows a
-    # reader makes for a few time slabs under a spatial window are those slabs of the scalars, windowed
+    # each entry is made from 1-D axis factors and oscillations; it is the 4-D closed form, and the time
+    # factors times spatial factors a reader gets for a few time slabs are those slabs of the closed
+    # form's scalars V^H u, formed here without ``separated``
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     model, k, envelope = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8), hann_window(grid)
     fam = plane_wave_family(model, grid, k, "trans+1", envelope, EPS2)
     assert type(fam.fields) is dict and type(fam.sources) is dict
-    spatial = hann_window(grid, axes=(1, 2, 3)).sample(grid)[0]
     for e in EPS2:
         for got, want in zip((fam.fields[e], fam.sources[e]), _plane_wave_closed_form(model, grid, k, "trans+1",
                                                                                       envelope, e)):
             assert np.abs(np.asarray(got) - want).max() <= 1e-14 * np.abs(want).max()
-            s, made = got.scalars(), np.empty((5,) + grid.spatial_shape, dtype=np.complex128)
+            s = np.tensordot(got.V.conj().T, want, axes=1)
             for j in range(got.rank):
-                got.slabs(j, 3, 8, spatial, out=made)
-                assert np.abs(made - s[j, 3:8] * spatial).max() <= 1e-14 * np.abs(s[j]).max()
+                T, X = got.separated(j, 3, 8)
+                assert T.shape == (5, len(X)) and X.shape == (len(X),) + grid.spatial_shape
+                assert np.abs(np.tensordot(T, X, axes=1) - s[j, 3:8]).max() <= 1e-14 * np.abs(want).max()
 
 
 # ------------------------------------------------------------- exact evolution

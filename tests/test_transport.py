@@ -227,6 +227,28 @@ def test_constant_rows_all_zero():
     assert rep.max_relative == 0.0
 
 
+def test_nan_row_makes_max_relative_nan():
+    # Python's max skipped a NaN row, so one NaN datum read as a finite max_relative
+    model = MaterialModel.constant(1.0, 1.0, 1.0)
+    sphere = SphereGrid(6, 6, 6)
+    traj = _const_traj(np.linspace(0.0, 0.5, 9), sphere, lambda t, z: np.exp(-2 * t) * (1.0 + z[:, 3]))
+    traj.data["a"][4, 10] = np.nan
+    rep = constant_transport_residual(traj, model)
+    nan_rows = {r["row"] for r in rep.rows if np.isnan(r["relative"])}
+    assert nan_rows == {"1"} and np.isnan(rep.max_relative)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.0, np.nan, 0.2, 0.3], [0.0, 0.1, 0.2, np.inf], [0.0, 0.1, 0.1, 0.3], [0.0, 0.2, 0.1, 0.3]],
+    ids=["nan", "inf", "duplicate", "decreasing"],
+)
+def test_trajectory_refuses_bad_times(times):
+    # a duplicate time raised a bare LinAlgError from the stencil weights, and a NaN time gave rows of NaN
+    with pytest.raises(ValueError, match=r"times must be finite and strictly increasing, not \[0\.0, "):
+        DensityTrajectory(times, SphereGrid(6, 6, 6), "constant", {})
+
+
 def test_rows_refuse_trajectories_with_no_kept_bin(rng):
     # with no bin kept every weight is 0 and a row would read 0 from no data
     model = MaterialModel.constant(1.0, 1.0, 1.0)
