@@ -283,17 +283,17 @@ class HMeasureEstimate:
         return replace(self, epsilons=self.epsilons[: self.epsilons.index(eps) + 1])
 
     def masses(self) -> np.ndarray:
-        """Per-bin real trace mass."""
-        return np.trace(self.bins, axis1=1, axis2=2).real
+        """Per-bin real trace mass; refused (``_square_bins``) unless the bins are square."""
+        return np.trace(self._square_bins(), axis1=1, axis2=2).real
 
     def total_mass(self) -> float:
         return float(self.masses().sum())
 
     def _square_bins(self) -> np.ndarray:
-        """``bins``, refused unless each is square: a (B, 6, 1) column has no transpose or spectrum to test."""
+        """``bins``, refused unless each is square: a (B, 6, 1) column has no trace, transpose or spectrum."""
         h = self.bins
         if h.shape[1] != h.shape[2]:
-            raise ValueError(f"bins of shape {h.shape} are not square, so they have no Hermitian or eigenvalue test")
+            raise ValueError(f"bins of shape {h.shape} are not square: they have no mass, Hermitian or eigenvalue test")
         return h
 
     def hermitian_defect(self) -> float:

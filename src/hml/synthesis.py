@@ -28,9 +28,9 @@ Generators:
   separable terms of the envelope's axis factors and one oscillation per
   axis, and read one row at a time.
 * evolved_family: spectral matrix-exponential solution of the
-  constant-coefficient system (the source is exactly zero), exponentiated
-  and stepped only at the spatial frequencies where the initial spectrum
-  is nonzero.
+  constant-coefficient system (the source is exactly zero); the
+  polarization is stepped once per family, on the support of the scales'
+  scalar spectra, and times each scale's scalar spectrum.
 * wkb_family: variable-coefficient phase/amplitude fields aligned with a
   local eigenmode; the Maxwell residual is measured spectrally.
 """
@@ -45,7 +45,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .grids import GridSpec, SeparableWindow, fft_workers
+from .grids import GridSpec, SeparableWindow, fft_workers, full_window
 from .symbols import (
     A_MATRICES,
     MaterialModel,
@@ -364,45 +364,28 @@ def plane_wave_family(
 def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np.ndarray:
     """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), on ``support``.
 
-    ``support`` is a boolean array of the spatial shape: the frequencies
-    the evolved data can reach.  The propagator is exponentiated directly
-    at each of them, one ``expm`` per frequency, and is exactly zero
-    elsewhere.
+    ``support`` is a boolean array of the spatial shape; the (m, 6, 6) result
+    holds one exponential per true frequency, in ``np.nonzero`` order.
     """
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
-    xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
+    xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(support))]
     P = assemble_P(model, (0.0, 0.0, 0.0), np.stack([np.zeros_like(xi[0]), *xi], axis=-1))
-    M = -np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0]
-    out = np.zeros_like(M)
-    out[support] = scipy.linalg.expm(M[support])
-    return out
+    return scipy.linalg.expm(-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0])
 
 
-def _initial_spectrum(initial: np.ndarray) -> np.ndarray:
-    """Spatial DFT of (6,) + spatial shape data, components last."""
-    # axes last to first, the order np.fft takes them, so the result matches it bit for bit
-    return np.moveaxis(scipy.fft.fftn(initial, axes=(3, 2, 1), workers=fft_workers()), 0, -1)
+def _evolve(model: MaterialModel, grid: GridSpec, support: np.ndarray, first: np.ndarray) -> FactoredField:
+    """The spectrum ``first`` on ``support`` stepped through every grid time by ``_propagator``.
 
-
-def _evolve(prop: np.ndarray, spectrum: np.ndarray, support: np.ndarray, grid: GridSpec) -> FactoredField:
-    """Step an initial spectrum (spatial shape + (6,)) through every grid time with ``prop``.
-
-    Only the frequencies in ``support`` are stepped; the others stay exact
-    zeros, as they would under the full propagator when the spectrum is
-    zero there.  The stepped spectra are factored by ``FactoredField.of``,
-    so a component that is zero at every time and frequency is dropped
-    before the inverse FFT, and the result is a ``FactoredField`` of shape
-    (6, nt) + spatial shape.
+    ``first`` is one 6-vector (6,) for every support frequency, or one per
+    frequency (m, 6).  The steps are factored by ``FactoredField.of``, which
+    drops a component zero at every time and frequency: V (6, r), s (r, nt, m).
     """
-    nt, first, step = grid.shape[0], spectrum[support], prop[support]
-    steps = np.empty((nt,) + first.shape, dtype=np.complex128)
-    steps[0] = first
-    for n in range(1, nt):
-        steps[n] = np.einsum("...ij,...j->...i", step, steps[n - 1])
-    hat = FactoredField.of(np.moveaxis(steps, -1, 0))
-    s = np.zeros((hat.rank, nt) + grid.spatial_shape, dtype=np.complex128)
-    s[:, :, support] = hat.s
-    return FactoredField(hat.V, scipy.fft.ifftn(s, axes=(4, 3, 2), overwrite_x=True, workers=fft_workers()))
+    step = _propagator(model, grid, support)
+    q = np.empty((grid.shape[0],) + step.shape[:-1], dtype=np.complex128)
+    q[0] = first
+    for n in range(1, len(q)):
+        q[n] = np.einsum("...ij,...j->...i", step, q[n - 1])
+    return FactoredField.of(np.moveaxis(q, -1, 0))
 
 
 def evolved_family(
@@ -415,34 +398,31 @@ def evolved_family(
 ) -> OscillatingFamily:
     """Exact constant-coefficient solutions seeded with a polarized oscillation.
 
-    Initial data b_mode * env(x) * exp(2 pi i x.k/eps) are evolved exactly
-    under A0 du/dt + sum_j A^j d_j u + C u = 0: the spatial spectrum is
-    stepped through every grid time by the one-step propagator expm(M dt),
-    M(xi) = -A0^{-1}(2 pi i P(0, xi) + C).  One propagator serves the
-    whole ladder (it does not depend on eps), exponentiated and stepped
-    only on the frequencies where some scale's initial spectrum is nonzero
-    (an exact ``!= 0`` test, no tolerance).  Each field is stored
-    factored, once, without its exact-zero components
-    (``FactoredField.of``), so every estimate reads the same r scalars.  The source term is
-    identically zero, so these families satisfy every hypothesis of the
-    propagation theorems at the discrete level.
+    Initial data b_mode s_eps(x), s_eps = env(x) exp(2 pi i x.k/eps), evolve
+    under A0 du/dt + sum_j A^j d_j u + C u = 0 to the spatial spectrum
+    exp(t M(xi)) b times that of s_eps, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C).
+    So b is stepped once (``_evolve``), on the frequencies where some scale's
+    scalar spectrum is nonzero (exact ``!= 0``, no tolerance), and each
+    scale's field is the stepped mode's V with the inverse FFT of the mode
+    times that scale's scalar spectrum.  The source term is identically
+    zero, so these families satisfy every hypothesis of the propagation
+    theorems at the discrete level.
     """
     k, b, c = _constant_mode(model, k, mode, "evolved_family")
     x1, x2, x3 = grid.spatial_meshes()
     sphase = x1 * k[0] + x2 * k[1] + x3 * k[2]
-    if spatial_envelope is None:
-        env = np.ones(grid.spatial_shape)
-    else:
-        tf = spatial_envelope.factors
-        env = tf[1](x1) * tf[2](x2) * tf[3](x3)
+    tf = (full_window() if spatial_envelope is None else spatial_envelope).factors
+    env = tf[1](x1) * tf[2](x2) * tf[3](x3)
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
-    spectra = {e: _initial_spectrum((env * np.exp((2j * np.pi / e) * sphase))[None, ...] * b.reshape(6, 1, 1, 1))
-               for e in eps_list}
-    support = np.logical_or.reduce([hat.any(axis=-1) for hat in spectra.values()])
-    prop = _propagator(model, grid, support)
-    fields = {e: _evolve(prop, spectra[e], support, grid) for e in eps_list}
+    spectra = {e: scipy.fft.fftn(env * np.exp((2j * np.pi / e) * sphase), workers=fft_workers()) for e in eps_list}
+    support = np.logical_or.reduce([f != 0 for f in spectra.values()])
+    hat, fields = _evolve(model, grid, support, b), {}
+    for e in eps_list:
+        s = np.zeros((hat.rank,) + grid.shape, dtype=np.complex128)
+        s[:, :, support] = hat.s * spectra[e][support]
+        fields[e] = FactoredField(hat.V, scipy.fft.ifftn(s, axes=(4, 3, 2), overwrite_x=True, workers=fft_workers()))
 
     meta = {
         "generator": "evolved",

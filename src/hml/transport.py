@@ -175,22 +175,27 @@ class DensityTrajectory:
 
     @classmethod
     def from_constant_fits(cls, times, sphere, fits: Sequence[DensityDecomposition], x_center=(0.0, 0.0, 0.0)):
-        data, valid = _scatter_fits(fits, sphere.num_bins)
+        """The trajectory of constant-case fits, one per time level, all made on ``sphere`` (else ValueError)."""
+        data, valid = _scatter_fits(fits, sphere)
         return cls(times=np.asarray(times, float), sphere=sphere, case="constant", data=data,
                    x_center=np.asarray(x_center, float), valid_bins=valid)
 
 
-def _scatter_fits(fits: Sequence[DensityDecomposition], num_bins: int) -> tuple:
-    """Constant-case fits on a (fit, bin) lattice, and the bins every fit kept.
+def _scatter_fits(fits: Sequence[DensityDecomposition], sphere: SphereGrid) -> tuple:
+    """Constant-case fits on a (fit, bin) lattice of ``sphere``, and the bins every fit kept.
 
-    Returns ({name: (len(fits), num_bins) complex array} for a, b, c, d,
-    zero outside each fit's bins; sorted common bin indices).
+    Returns ({name: (len(fits), B) complex array} for a, b, c, d, zero
+    outside each fit's bins; sorted common bin indices).  A fit made on
+    another sphere is refused: its bin indices name none of these bins.
     """
-    data = {n: np.zeros((len(fits), num_bins), dtype=complex) for n in ("a", "b", "c", "d")}
+    other = [fit.sphere for fit in fits if fit.sphere != sphere]
+    if other:
+        raise ValueError(f"a fit made on {other[0]} cannot be read on {sphere}, whose bins its indices do not name")
+    data = {n: np.zeros((len(fits), sphere.num_bins), dtype=complex) for n in ("a", "b", "c", "d")}
     for i, fit in enumerate(fits):
         for n in data:
             data[n][i, fit.bin_indices] = fit.coefficients[n]
-    common = reduce(np.intersect1d, (fit.bin_indices for fit in fits), np.arange(num_bins))
+    common = reduce(np.intersect1d, (fit.bin_indices for fit in fits), np.arange(sphere.num_bins))
     return data, common
 
 
@@ -307,7 +312,8 @@ class TransportResidualReport:
         return asdict(self)
 
 
-def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray, dts: np.ndarray) -> tuple:
+def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray, dts: np.ndarray,
+               densities) -> tuple:
     """Pair every row's terms against every psi of ``PSI_BATTERY``.
 
     ``rows_spec`` is a list of (row name, terms), each term shaped (level,
@@ -316,10 +322,17 @@ def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray,
     linear, so a row's residual is the sum of its paired terms.  Pairings
     are reduced by the Frobenius norm over the entries, so cancellation is
     respected, and each row's residual is relative to its largest single
-    term.  Returns (rows, max_relative); a NaN row makes max_relative NaN.
+    term.  ``densities`` are the arrays the rows are made of: their largest
+    |value| (NaN skipped) times the largest battery sum of |psi * weight *
+    dt| bounds what a density pairs to.  A row whose largest term is at most
+    1e-14 of that bound is negligible, and its residual is read relative to
+    the bound, so no verdict depends on the data's units.  Returns (rows,
+    max_relative); a NaN row makes max_relative NaN.
     """
     psi_vals = np.stack([np.stack([psi(t, points) for t in levels]) for _, psi in PSI_BATTERY])
     factor = psi_vals * weights[None, None, :] * dts[None, :, None]
+    scale = max((float(np.nanmax(np.abs(d), initial=0.0)) for d in densities), default=0.0)
+    bound = max(scale * float(np.abs(factor).sum(axis=(1, 2)).max()), 1e-300)
     rows = []
     for name, terms in rows_spec:
         paired = np.stack([np.tensordot(factor, term, axes=([1, 2], [0, 1])) for term in terms])
@@ -327,7 +340,7 @@ def _weak_rows(rows_spec: list, levels, points: np.ndarray, weights: np.ndarray,
         residuals = np.linalg.norm(paired.sum(axis=0), axis=1)
         dominants = np.linalg.norm(paired, axis=2).max(axis=0)
         for (label, _), res, dominant in zip(PSI_BATTERY, residuals.tolist(), dominants.tolist()):
-            rel = res / dominant if dominant > 1e-14 else res
+            rel = res / dominant if dominant > 1e-14 * bound else res / bound
             rows.append({"row": name, "psi": label, "weak_residual": res, "dominant": dominant, "relative": rel})
     return rows, float(np.max([r["relative"] for r in rows], initial=0.0))
 
@@ -404,7 +417,7 @@ def constant_transport_residual(
     ]
     _subtract_rhs(rows_spec, mu_uf_rhs, ("11", "12", "22", "21"))
     _, weights = _kept_weights(traj, np.ones(sphere.num_bins, dtype=bool))
-    rows, max_rel = _weak_rows(rows_spec, tin, centers, weights, dts)
+    rows, max_rel = _weak_rows(rows_spec, tin, centers, weights, dts, traj.data.values())
     return TransportResidualReport(
         case="constant",
         variant="verbatim",
@@ -476,7 +489,7 @@ def variable_transport_residual(
     rows_spec = [(row, [t for t in terms if t is not None]) for row, terms in rows_spec]
     _subtract_rhs(rows_spec, mu_uf_rhs, ("11", "12", "21", "22"))
     keep, weights = _kept_weights(traj, _off_pole_bins(sphere))
-    rows, max_rel = _weak_rows(rows_spec, tin, centers, weights, dts)
+    rows, max_rel = _weak_rows(rows_spec, tin, centers, weights, dts, traj.data.values())
     skipped = {"x_derivatives": "single spatial window: sum_l Q_l dx_l sigma terms dropped",
                "masked_bins": int((~keep).sum())}
     if zero_bend:
@@ -497,7 +510,6 @@ def divergence_constraint_residual(
     fits: Sequence[DensityDecomposition],
     axis: int,
     mu_urho_rhs: Sequence[np.ndarray] | None = None,
-    sphere: SphereGrid | None = None,
 ) -> dict:
     """Weak residual of zeta_i^2 d_i(density) = 2 Re Tr mu_urho_11.
 
@@ -508,7 +520,8 @@ def divergence_constraint_residual(
     end windows, one 3- or 4-point stencil for 3 or 4 windows) and is paired
     on the interior windows.  With fewer than three windows the constraint
     is skipped with a notice.  ``axis`` must be 0, 1 or 2, and ``fits`` and
-    ``mu_urho_rhs`` hold one entry per position.
+    ``mu_urho_rhs`` hold one entry per position.  The bins are those of the
+    fits' sphere, and fits made on different spheres are refused.
     """
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2: the spatial axis the windows are spaced along")
@@ -519,9 +532,9 @@ def divergence_constraint_residual(
         raise ValueError(f"{positions.size} positions but {len(fits)} fits: one fit per window")
     if mu_urho_rhs is not None and len(mu_urho_rhs) != positions.size:
         raise ValueError(f"{positions.size} positions but {len(mu_urho_rhs)} mu_urho_rhs rows: one per window")
-    sphere = sphere or SphereGrid()
+    sphere = fits[0].sphere
     centers = sphere.centers()
-    data, common = _scatter_fits(fits, sphere.num_bins)
+    data, common = _scatter_fits(fits, sphere)
     if common.size == 0:
         return {"skipped": True, "reason": "no common mass-carrying bins across windows"}
     interior = positions[1:-1]
@@ -531,7 +544,8 @@ def divergence_constraint_residual(
         rows_spec.append((name, [lhs[:, common]]))
     rhs = None if mu_urho_rhs is None else {"11": np.stack([np.asarray(m) for m in mu_urho_rhs])[:, common]}
     _subtract_rhs(rows_spec, rhs, ("11",) * len(rows_spec))
-    rows, _ = _weak_rows(rows_spec, interior, centers[common], sphere.weights()[common], np.ones(interior.size))
+    rows, _ = _weak_rows(rows_spec, interior, centers[common], sphere.weights()[common], np.ones(interior.size),
+                         data.values())
     densities = {name: {"max_relative": float(np.max([r["relative"] for r in rows if r["row"] == name]))}
                  for name, _ in rows_spec}
     return {"skipped": False, "densities": densities}

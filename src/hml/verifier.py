@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import HMeasureEstimate
+from .estimator import HMeasureEstimate, SphereGrid
 from .symbols import (
     MODE_ORDER,
     MaterialModel,
@@ -203,6 +203,7 @@ class DensityDecomposition:
     Constant case: coefficients a, b (real, nonnegative up to tolerance)
     and c, d (complex, c = conj(d) up to tolerance).  Smooth-scalar case:
     a0, b0, ap, bp, am, bm from the A0-orthonormal eigen-dyad projection.
+    The bin indices name bins of ``sphere``, the fitted estimate's sphere.
     """
 
     case: str
@@ -210,6 +211,7 @@ class DensityDecomposition:
     coefficients: dict
     residuals: np.ndarray
     excluded_bins: np.ndarray
+    sphere: SphereGrid
     checks: dict = field(default_factory=dict)
     directions: np.ndarray | None = None
 
@@ -268,6 +270,7 @@ def fit_constant_decomposition(est: HMeasureEstimate) -> DensityDecomposition:
         coefficients=coeffs,
         residuals=residuals,
         excluded_bins=excluded,
+        sphere=est.sphere,
         checks=checks,
         directions=dirs[idx],
     )
@@ -308,6 +311,7 @@ def fit_modal_decomposition(
         coefficients=coeffs,
         residuals=residuals,
         excluded_bins=excluded,
+        sphere=est.sphere,
         checks=checks,
         directions=dirs[idx],
     )

@@ -384,14 +384,16 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
     against its rank-5 source, then against its charge.
 
     Counted in grid scalars (16 N bytes), with the bounds fixed before measuring.  The family holds no
-    grid-sized array, and the estimator makes each scale's entries one row at a time into its slab
-    buffer, so no entry's scalars are held, and writes each row's time DFT straight into its spectrum.
-    The source pass holds the spectra (1 + 5), one row's slabs (1), and 1.5 for the chunk-sized
-    temporaries and the bins, among them a bin run's gathered copies (a run is about 1/8 of this 16^4
-    lattice): 8.5, where held entries would add 1 + 5 per scale.  Each scale's spectra are released
-    before the next scale is read, so the second scale's peak exceeds the first's by at most one grid
-    scalar.  The charge pass makes rho per scale: when a spectrum is computed, u, its spectrum and one
-    rho are held, fewer than the four a second scale's rho would make.
+    grid-sized array, and the estimator reads each scale's entries one row at a time as time factors
+    times spatial factors, so no entry's scalars are held: it transforms only a row's K spatial arrays
+    (K <= 5 terms, each 1/16 of a grid scalar on this lattice) and writes the row's time DFT straight
+    into its spectrum.  The source pass holds the spectra (1 + 5), at most 1 for a row's K spatial
+    arrays and their transform, and 1.5 for the chunk-sized temporaries and the bins, among them a bin
+    run's gathered copies (a run is about 1/8 of this 16^4 lattice): 8.5, where held entries would add
+    1 + 5 per scale.  Each scale's spectra are released before the next scale is read, so the second
+    scale's peak exceeds the first's by at most one grid scalar.  The charge pass makes rho per scale:
+    when a spectrum is computed, u, its spectrum and one rho are held, fewer than the four a second
+    scale's rho would make.
     """
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     sphere = SphereGrid(6, 6, 8)

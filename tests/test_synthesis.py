@@ -12,7 +12,6 @@ from hml.synthesis import (
     OscillatingFamily,
     _constant_mode,
     _evolve,
-    _initial_spectrum,
     _propagator,
     _spectral_derivative,
     charge_density,
@@ -313,11 +312,17 @@ def test_produced_plane_wave_matches_closed_form():
 
 # ------------------------------------------------------------- exact evolution
 
-def _exact_evolution(model, initial, grid):
-    """(6,) + spatial initial data evolved by evolved_family's steps, as a (6,) + grid array."""
-    spectrum = _initial_spectrum(initial)
-    support = spectrum.any(axis=-1)
-    return np.asarray(_evolve(_propagator(model, grid, support), spectrum, support, grid))
+def _exact_evolution(model, initial, grid, support=None):
+    """(6,) + spatial initial data stepped by ``_evolve`` on ``support`` (default: where its spectrum is nonzero).
+
+    Every frequency gets its own 6-vector; the result is the (6,) + grid array.
+    """
+    spectrum = np.moveaxis(np.fft.fftn(initial, axes=(1, 2, 3)), 0, -1)
+    support = spectrum.any(axis=-1) if support is None else support
+    stepped = _evolve(model, grid, support, spectrum[support])
+    s = np.zeros((stepped.rank,) + grid.shape, dtype=np.complex128)
+    s[:, :, support] = stepped.s
+    return np.tensordot(stepped.V, np.fft.ifftn(s, axes=(2, 3, 4)), axes=1)
 
 
 def test_evolution_zero_initial():
@@ -358,21 +363,31 @@ def test_evolution_longitudinal_damping():
 
 
 def test_evolved_family_builds_one_propagator(monkeypatch):
-    # expm(M dt) does not depend on eps: one matrix exponential serves the whole ladder
+    # expm(M dt) and the stepped polarization do not depend on eps: one matrix exponential, at the support's
+    # frequencies only (the data are constant along x1 and x2, so the 8 of the xi3 line), and one stepping
+    # serve the whole ladder; each scale is the stepped mode times its own scalar spectrum, which stepping
+    # that scale's t = 0 data, b exp(2 pi i x3/eps), again reproduces
     expm, calls = scipy.linalg.expm, []
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
-    fam = evolved_family(MaterialModel.constant(1.0, 1.0, 0.5), GRID, (0, 0, 1.0), "trans+1", EPS2)
-    assert len(calls) == 1 and len(fam.epsilons) == 2
-    u0 = np.asarray(fam.fields[fam.finest])[:, 0]
-    again = _exact_evolution(MaterialModel.constant(1.0, 1.0, 0.5), u0, GRID)
-    np.testing.assert_allclose(again, fam.fields[fam.finest], rtol=0, atol=1e-13)
+    evolve, steps = synthesis._evolve, []
+    monkeypatch.setattr(synthesis, "_evolve", lambda *args: steps.append(args) or evolve(*args))
+    model = MaterialModel.constant(1.0, 1.0, 0.5)
+    fam = evolved_family(model, GRID, (0, 0, 1.0), "trans+1", EPS2)
+    assert calls == [(8, 6, 6)] and len(steps) == 1 and len(fam.epsilons) == 2
+    _, b, _ = _constant_mode(model, (0, 0, 1.0), "trans+1", "evolved_family")
+    x3 = np.broadcast_to(GRID.spatial_meshes()[2], GRID.spatial_shape)
+    for e in fam.epsilons:
+        u0 = np.asarray(fam.fields[e])[:, 0]
+        np.testing.assert_allclose(u0, b[:, None, None, None] * np.exp((2j * np.pi / e) * x3), rtol=0, atol=1e-13)
+        again = _exact_evolution(model, u0, GRID)
+        np.testing.assert_allclose(again, fam.fields[e], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("grid", [GRID, GridSpec(extents=(0.125, 0.25, 0.125, 0.5), shape=(8, 8, 16, 32))],
                          ids=["cubic", "non-cubic"])
 def test_propagator_matches_per_frequency_expm(grid):
-    # one exponential per frequency of the support: the same numbers as a loop of single-matrix expm calls;
-    # on a partial support the same numbers there and exact zeros elsewhere
+    # one exponential per frequency of the support, in np.nonzero order: the same numbers as a loop of
+    # single-matrix expm calls, on the whole lattice and on a partial support
     model = MaterialModel.constant(2.0, 0.5, 0.3)
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
@@ -381,11 +396,9 @@ def test_propagator_matches_per_frequency_expm(grid):
     want = np.empty_like(M)
     for i in np.ndindex(grid.spatial_shape):
         want[i] = scipy.linalg.expm(M[i])
-    assert np.array_equal(_propagator(model, grid, np.ones(grid.spatial_shape, bool)), want)
+    assert np.array_equal(_propagator(model, grid, np.ones(grid.spatial_shape, bool)), want.reshape(-1, 6, 6))
     support = np.random.default_rng(5).random(grid.spatial_shape) < 0.3
-    got = _propagator(model, grid, support)
-    assert np.array_equal(got[support], want[support])
-    assert not np.any(got[~support])
+    assert np.array_equal(_propagator(model, grid, support), want[support])
 
 
 LONG_E_GRID = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(32, 8, 8, 16))
@@ -409,10 +422,8 @@ def test_support_evolution_matches_full_support(initial):
         model = MaterialModel.constant(1.0, 1.0, 1.0)
         fam = _long_e_family()
         u0 = np.asarray(fam.fields[fam.finest])[:, 0]
-    spectrum = _initial_spectrum(u0)
-    support = spectrum.any(axis=-1)
-    everywhere = np.ones(grid.spatial_shape, bool)
-    full = np.asarray(_evolve(_propagator(model, grid, everywhere), spectrum, everywhere, grid))
+    support = np.fft.fftn(u0, axes=(1, 2, 3)).any(axis=0)
+    full = _exact_evolution(model, u0, grid, np.ones(grid.spatial_shape, bool))
     got = _exact_evolution(model, u0, grid)
     assert np.array_equal(got, full)
     # const-trajectory's initial spectrum lies in the xi2 = 0 plane; random data have no exact spectral zero

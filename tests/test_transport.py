@@ -227,6 +227,20 @@ def test_constant_rows_all_zero():
     assert rep.max_relative == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-12, 1e-20])
+def test_constant_rows_relative_at_any_data_scale(scale):
+    # a row whose largest term was below an absolute 1e-14 read its absolute residual as relative, so the
+    # same densities scaled by 1e-20 passed with a max_relative of about 2e-25; the negligible floor now
+    # comes from the densities, and the rows read the same at every scale
+    model = MaterialModel.constant(1.0, 1.0, 1.0)
+    sphere = SphereGrid(6, 6, 6)
+    times = np.linspace(0.0, 0.5, 9)
+    a = lambda t, z: np.exp(-2 * t) * (1.0 + z[:, 3] ** 2)
+    want = constant_transport_residual(_const_traj(times, sphere, a), model).max_relative
+    got = constant_transport_residual(_const_traj(times, sphere, lambda t, z: scale * a(t, z)), model).max_relative
+    assert 0 < want < 1e-3 and got == pytest.approx(want, rel=1e-9)
+
+
 def test_nan_row_makes_max_relative_nan():
     # Python's max skipped a NaN row, so one NaN datum read as a finite max_relative
     model = MaterialModel.constant(1.0, 1.0, 1.0)
@@ -333,7 +347,7 @@ def test_weak_rows_match_per_psi_loop():
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     rows_spec = [("scalar", [cnormal(5, 40) for _ in range(3)]), ("matrix", [cnormal(5, 40, 3, 3) for _ in range(2)])]
-    rows, max_rel = transport._weak_rows(rows_spec, levels, points, weights, dts)
+    rows, max_rel = transport._weak_rows(rows_spec, levels, points, weights, dts, [np.ones(1)])
     want = []
     for name, terms in rows_spec:
         for label, psi in transport.PSI_BATTERY:
@@ -468,7 +482,7 @@ def test_variable_rows_skip_zero_bend_terms(monkeypatch):
     rng = np.random.default_rng(3)
     terms = [rng.normal(size=(7, sphere.num_bins, 3, 3)) + 1j * rng.normal(size=(7, sphere.num_bins, 3, 3))
              for _ in range(2)]
-    args = (times[1:-1], sphere.centers(), sphere.weights(), np.full(7, 1 / 16))
+    args = (times[1:-1], sphere.centers(), sphere.weights(), np.full(7, 1 / 16), terms)
     with_zero = transport._weak_rows([("1", [terms[0], np.zeros_like(terms[0]), terms[1]])], *args)
     assert with_zero == transport._weak_rows([("1", terms)], *args)
 
@@ -510,6 +524,7 @@ def _synthetic_fit(sphere, bin_idx, a_val):
         coefficients=coeffs,
         residuals=np.zeros(1),
         excluded_bins=np.array([], dtype=int),
+        sphere=sphere,
     )
 
 
@@ -518,9 +533,25 @@ def test_divergence_constraint_homogeneous_zero():
     b = sphere.flat_index(4, 4, 4)
     positions = np.linspace(0.1, 0.9, 5)
     fits = [_synthetic_fit(sphere, b, 2.0) for _ in positions]
-    out = divergence_constraint_residual(positions, fits, axis=0, sphere=sphere)
+    out = divergence_constraint_residual(positions, fits, axis=0)
     assert out["skipped"] is False
     assert out["densities"]["a"]["max_relative"] <= 1e-12
+
+
+@pytest.mark.parametrize("reader", ["divergence_constraint", "from_constant_fits"])
+def test_fits_from_another_sphere_refused(reader):
+    # a fit's bin indices name bins of the sphere it was made on; read through the default 8192-bin sphere,
+    # fits made on a 288-bin one gave skipped False, a max_relative of 1e-28 or less, and no error
+    sphere, other = SphereGrid(6, 6, 8), SphereGrid(8, 8, 8)
+    positions = np.linspace(0.1, 0.9, 5)
+    fits = [_synthetic_fit(sphere, sphere.flat_index(3, 3, 3), 2.0) for _ in positions]
+    fits[2] = _synthetic_fit(other, other.flat_index(3, 3, 3), 2.0)
+    with pytest.raises(ValueError, match=r"^a fit made on SphereGrid\(n_zeta0=8, n_theta=8, n_phi=8\) cannot be read "
+                                         r"on SphereGrid\(n_zeta0=6, n_theta=6, n_phi=8\)"):
+        if reader == "divergence_constraint":
+            divergence_constraint_residual(positions, fits, axis=0)
+        else:
+            DensityTrajectory.from_constant_fits(positions, sphere, fits)
 
 
 def test_divergence_constraint_rejects_axis_outside_0_1_2():
@@ -530,7 +561,7 @@ def test_divergence_constraint_rejects_axis_outside_0_1_2():
     fits = [_synthetic_fit(sphere, sphere.flat_index(4, 4, 4), 2.0) for _ in positions]
     for axis in (-1, 3):
         with pytest.raises(ValueError, match="axis must be 0, 1 or 2"):
-            divergence_constraint_residual(positions, fits, axis=axis, sphere=sphere)
+            divergence_constraint_residual(positions, fits, axis=axis)
 
 
 @pytest.mark.parametrize(
@@ -550,7 +581,7 @@ def test_mismatched_lengths_refused_where_they_enter(short, match):
             DensityTrajectory(positions, sphere, "constant", {"a": np.zeros((4, 512)), "b": np.zeros((5, 512))})
         else:
             divergence_constraint_residual(positions, fits[:-1] if short == "fits" else fits, axis=0,
-                                           mu_urho_rhs=rhs[:-1] if short == "mu_urho_rhs" else rhs, sphere=sphere)
+                                           mu_urho_rhs=rhs[:-1] if short == "mu_urho_rhs" else rhs)
 
 
 def test_divergence_constraint_envelope_derivative():
@@ -563,7 +594,7 @@ def test_divergence_constraint_envelope_derivative():
     fits = [_synthetic_fit(sphere, b, prof(x)) for x in positions]
     # rhs := analytic zeta1^2 d/dx profile at the window centroids
     rhs = [np.full(sphere.num_bins, zeta1**2 * dprof(x)) for x in positions]
-    out = divergence_constraint_residual(positions, fits, axis=0, mu_urho_rhs=rhs, sphere=sphere)
+    out = divergence_constraint_residual(positions, fits, axis=0, mu_urho_rhs=rhs)
     assert out["densities"]["a"]["max_relative"] <= 5e-2  # fourth-order FD error only
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hml.estimator import HMeasureEstimate, SphereGrid, estimate_hmeasure
+from hml.estimator import HMeasureEstimate, SphereGrid, charge_tilde_fields, correlation_measure, estimate_hmeasure
 from hml.grids import GridSpec, hann_window
 from hml.symbols import (
     MODE_ORDER,
@@ -352,3 +352,21 @@ def test_modal_fit_wkb_transverse_family():
     mass = {n: np.abs(fit.coefficients[n]).sum() for n in fit.coefficients}
     total = sum(mass.values())
     assert mass["ap"] >= 0.9 * total
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda est, model: fit_constant_decomposition(est), lambda est, model: fit_modal_decomposition(est, model),
+     lambda est, model: localisation_residual(est, "P", model), lambda est, model: support_check(est, "constant")],
+    ids=["constant_fit", "modal_fit", "localisation", "support"],
+)
+def test_checks_refuse_non_square_bins(check):
+    # the charge cross is a (B, 6, 1) column, and masses() read its entry [0, 0] as each bin's mass: the
+    # constant fit failed on a bare reshape error, while localisation read 2.2, support 1.0, and the modal
+    # fit returned a decomposition
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    model, sphere = MaterialModel.constant(2.0, 0.5, 0.3), SphereGrid(6, 6, 8)
+    fam = plane_wave_family(model, grid, (0.3, -0.5, 0.8), "trans+1", hann_window(grid), EPS2)
+    cross_rho = correlation_measure(fam, charge_tilde_fields(fam), hann_window(grid, axes=(0,)), sphere)
+    with pytest.raises(ValueError, match=r"bins of shape \(288, 6, 1\) are not square"):
+        check(cross_rho, model)
