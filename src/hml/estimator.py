@@ -38,10 +38,12 @@ its r output rows and one row's slabs (r + 1 grid scalars, where a grid
 scalar is 16 Npts bytes).  A produced entry (a plane wave's field, source
 and rho) holds no grid-sized array, and its transform holds its r output
 rows and one row's K spatial arrays, so its scalars are never formed.
-The lattice build and the bin loop work in chunks of ``_CHUNK`` lattice
-points, so their temporaries, the bin loop's gathered copies among them,
-are chunk-sized.  A cross measure of a rank-1 plane-wave field against
-its rank-5 source so peaks near its 1 + 5 spectra.
+The bin loop reads the lattice in runs of about ``_CHUNK`` points, so its
+temporaries, the gathered copies among them, are run-sized.  The lattice
+build, once per (grid, sphere), works one time-frequency plane at a time
+and peaks at 36 B per lattice point.  A cross measure of a rank-1
+plane-wave field against its rank-5 source so peaks near its 1 + 5
+spectra.
 """
 
 from __future__ import annotations
@@ -165,24 +167,36 @@ class SphereGrid:
         return i1, i2, i3
 
     def locate(self, vec4) -> np.ndarray:
-        """Bin index of unit 4-vectors, shape-preserving; -1 for zero vectors."""
-        v = np.asarray(vec4, dtype=float)
-        single = v.ndim == 1
-        v = np.atleast_2d(v)
-        r = np.linalg.norm(v, axis=-1)
+        """Bin index of 4-vectors, shape-preserving; -1 for zero vectors.  Non-finite vectors are refused."""
+        v = np.atleast_2d(np.asarray(vec4, dtype=float))
+        finite = np.isfinite(v).all(axis=-1)
+        if not finite.all():
+            raise ValueError(f"{np.count_nonzero(~finite)} of {finite.size} vectors are not finite: they have no bin")
+        polar, ok = self._polar_cells(*np.moveaxis(v, -1, 0))
+        idx = np.where(ok, polar * self.n_phi + self._azimuth_cells(v[..., 1], v[..., 2]), -1)
+        return int(idx[0]) if np.ndim(vec4) == 1 else idx
+
+    def _polar_cells(self, v0, v1, v2, v3) -> tuple:
+        """Polar cells i1 * n_theta + i2 of the vectors with components v0 .. v3, and the mask |v| > 0.
+
+        chi1 is read from v0 / |v| and theta from v3 / |v'|, so the vectors
+        need not be unit.  Both are per vector: on the lattice a tie such as
+        3 zeta0^2 = |zeta'|^2 lands on either side of an edge as |v| rounds.
+        """
+        r = np.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
         ok = r > 0
-        rs = np.where(ok, r, 1.0)
-        z0 = v[..., 0] / rs
-        chi1 = np.arccos(np.clip(z0, -1, 1))
-        rp = np.linalg.norm(v[..., 1:], axis=-1)
-        rp_safe = np.where(rp > 0, rp, 1.0)
-        theta = np.arccos(np.clip(v[..., 3] / rp_safe, -1, 1))
-        phi = np.mod(np.arctan2(v[..., 2], v[..., 1]), 2 * np.pi)
+        chi1 = np.arccos(np.clip(v0 / np.where(ok, r, 1.0), -1, 1))
+        rp = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+        theta = np.arccos(np.clip(v3 / np.where(rp > 0, rp, 1.0), -1, 1))
         i1 = np.clip((chi1 / np.pi * self.n_zeta0).astype(np.int64), 0, self.n_zeta0 - 1)
         i2 = np.clip((theta / np.pi * self.n_theta).astype(np.int64), 0, self.n_theta - 1)
-        i3 = np.clip((phi / (2 * np.pi) * self.n_phi).astype(np.int64), 0, self.n_phi - 1)
-        idx = np.where(ok, self.flat_index(i1, i2, i3), -1)
-        return int(idx[0]) if single else idx
+        return i1 * self.n_theta + i2, ok
+
+    def _azimuth_cells(self, v1, v2) -> np.ndarray:
+        """Azimuth cells of the vectors whose first two spatial components are v1 and v2."""
+        phi = np.arctan2(v2, v1)
+        phi = np.where(phi < 0, phi + 2 * np.pi, phi)
+        return np.clip((phi / (2 * np.pi) * self.n_phi).astype(np.int64), 0, self.n_phi - 1)
 
 
 # ------------------------------------------------------------------ binning
@@ -193,19 +207,10 @@ class _Lattice(NamedTuple):
     dirs: np.ndarray
 
 
-# lattice points per chunk of the lattice build and per run of the bin loop, so their temporaries,
-# a run's gathered copies among them, stay in cache and below one grid scalar from 16^4 up (a rank-5
-# run copy is 0.04 of one at 32^4); chunks of 2^13 to 2^16 points measured alike in time at 32^4
+# lattice points per run of the bin loop and of the lattice build's permutation, so a run's temporaries, the bin
+# loop's gathered copies among them, stay in cache and below one grid scalar from 16^4 up (a rank-5 run copy is 0.04
+# of one at 32^4); runs of 2^12 to 2^16 points measured alike in time at 32^4
 _CHUNK = 1 << 13
-
-
-def _unit_directions(axes, shape, flat):
-    """Unit directions (n, 4) of the lattice points with flat indices ``flat``, zeros at DC, and the nonzero mask."""
-    f0, f1, f2, f3 = (ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape)))
-    r = np.sqrt(f0**2 + f1**2 + f2**2 + f3**2)
-    ok = r > 0
-    rs = np.where(ok, r, 1.0)
-    return np.stack([f0 / rs, f1 / rs, f2 / rs, f3 / rs], axis=-1), ok
 
 
 @functools.lru_cache(maxsize=4)
@@ -219,26 +224,49 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
     fewer than 2^31 points.  ``dirs`` is the float32 (Npts, 4) array of
     unit directions in sorted order (zeros at DC).  Bins come from the
     float64 unit directions zeta/|zeta|; only the centroids use the float32
-    copy.  Both passes over the lattice, bin ids in flat order and then
-    directions in sorted order, run in chunks of ``_CHUNK`` points, so the
-    build holds the result, the bin ids and the sort's output, and
-    chunk-sized temporaries.  Grids and spheres are frozen, so the last few
-    lattices are cached by value.
+    copy.  One pass over the lattice, one time-frequency plane at a time,
+    writes the bin ids and the float32 directions in flat order, and the
+    directions are then permuted once by ``order``.  The polar cells are
+    read per point (``SphereGrid._polar_cells``), but the azimuth cell once
+    per spatial frequency, from (zeta1, zeta2): the only lattice points on
+    an azimuth edge are the exact ties zeta1 = +-zeta2 and zeta1 or
+    zeta2 = 0, which the common factor 1/|zeta| keeps tied.  The build
+    peaks at 36 B per point while it permutes: the result (20 B) and the
+    flat-order directions (16 B), with run-sized temporaries; the bin ids,
+    the sort's int64 output and the planes' temporaries are freed by then.
+    Grids and spheres are frozen, so the last few lattices are cached by
+    value.
     """
-    axes = [grid.freq_axis(i) for i in range(4)]
-    n, B = grid.num_points, sphere.num_bins
+    idx, flat = _flat_lattice_bins(grid, sphere)
+    n = grid.num_points
+    order = np.argsort(idx, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
+    del idx
+    dirs = np.empty_like(flat)
+    # a run of ``order`` at a time: take widens its indices to intp, which for the whole lattice would be 8 B per point
+    for lo in range(0, n, _CHUNK):
+        np.take(flat, order[lo : lo + _CHUNK], axis=0, out=dirs[lo : lo + _CHUNK], mode="clip")
+    return _Lattice(order, bounds, dirs)
+
+
+def _flat_lattice_bins(grid: GridSpec, sphere: SphereGrid) -> tuple:
+    """Bin ids (B at DC) and float32 unit directions of the lattice in flat order, one time-frequency plane at a time."""
+    f1, f2, f3 = (f.ravel() for f in np.meshgrid(*(grid.freq_axis(i) for i in (1, 2, 3)), indexing="ij"))
+    q1, q2, q3 = f1 * f1, f2 * f2, f3 * f3
+    azimuth = sphere._azimuth_cells(f1, f2)
+    n, m, B = grid.num_points, f1.size, sphere.num_bins
     # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
     idx = np.empty(n, dtype=np.min_scalar_type(B))
-    for lo in range(0, n, _CHUNK):
-        units, ok = _unit_directions(axes, grid.shape, np.arange(lo, min(lo + _CHUNK, n)))
-        idx[lo : lo + _CHUNK] = np.where(ok, sphere.locate(units), B)
-    order = np.argsort(idx, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=B + 1))])
-    del idx
-    dirs = np.empty((n, 4), dtype=np.float32)
-    for lo in range(0, n, _CHUNK):
-        dirs[lo : lo + _CHUNK] = _unit_directions(axes, grid.shape, order[lo : lo + _CHUNK])[0]
-    return _Lattice(order, bounds, dirs)
+    flat = np.empty((n, 4), dtype=np.float32)
+    for lo, ft in zip(range(0, n, m), grid.freq_axis(0)):
+        r = np.sqrt(ft * ft + q1 + q2 + q3)
+        ok = r > 0
+        rs = np.where(ok, r, 1.0)
+        units = (ft / rs, f1 / rs, f2 / rs, f3 / rs)
+        idx[lo : lo + m] = np.where(ok, sphere._polar_cells(*units)[0] * sphere.n_phi + azimuth, B)
+        for c, u in enumerate(units):
+            flat[lo : lo + m, c] = u
+    return idx, flat
 
 
 @dataclass
@@ -332,8 +360,10 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     exactly Hermitian.  The bins are always V1 G V2^H; where a factor is
     I (a plain array with no zero component) the product gives G back bit
     for bit.  Orthonormal factors keep each lattice point's mass |u^|^2 =
-    |s^|^2, so the centroids need no expansion of the spectra, and their
-    mass-weighted direction sums are formed run by run.  The DC term is
+    |s^|^2, so the centroids need no expansion of the spectra: a run's
+    per-point masses are one product (X * X) @ 1 per sequence, and each
+    bin's mass-weighted direction sum is one product ``mass @ dirs`` next
+    to its GEMM.  The DC term is
     the sum over the first min(p, q) components of the expanded DC
     vectors, read at flat index 0.  r or r' may be 0: the bins and the DC
     term are then zero, and the centroids are those of the other
@@ -351,16 +381,17 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
         points = lattice.order[p0:p1]
         X = np.ascontiguousarray(np.take(F1, points, axis=1, mode="clip").T).view(np.float64)
         Y = X if F2 is F1 else np.ascontiguousarray(np.take(F2, points, axis=1, mode="clip").T).view(np.float64)
-        # a rank-zero sequence (an all-zero field or a source-free family) has an all-zero Gram
-        for b in run.tolist() if r1 * r2 else ():
-            s, e = bounds[b] - p0, bounds[b + 1] - p0
-            np.matmul(X[s:e].T, Y[s:e], out=M[b])
         # the centroid is normalised, so the mass-weighted sums need no division by the bin mass
-        mass = np.einsum("ij,ij->i", X, X)
+        mass = (X * X) @ np.ones(2 * r1)
         if F2 is not F1:
-            mass += np.einsum("ij,ij->i", Y, Y)
-        for c in range(4):  # one direction column at a time: an (n,) temporary, not (n, 4)
-            sums[run, c] = np.add.reduceat(mass * lattice.dirs[p0:p1, c], bounds[run] - p0)
+            mass += (Y * Y) @ np.ones(2 * r2)
+        dirs = lattice.dirs[p0:p1].astype(np.float64)  # cast once per run, not once per bin
+        for b, s, e in zip(run.tolist(), (bounds[run] - p0).tolist(), (bounds[run + 1] - p0).tolist()):
+            # a rank-zero sequence (an all-zero field or a source-free family) has an all-zero Gram
+            if r1 * r2:
+                np.matmul(X[s:e].T, Y[s:e], out=M[b])
+            np.dot(mass[s:e], dirs[s:e], out=sums[b])
+        del X, Y, mass, dirs  # this run's copies are released before the next run's are gathered
     G = np.empty((B, r1, r2), dtype=np.complex128)
     G.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
     G.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]

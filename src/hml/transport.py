@@ -595,7 +595,9 @@ def predict_then_compare(
     coefficients vanish identically, so bins do not move).  Smooth-scalar
     case: per-bin masses are carried along the rays (RK4 step ``RAY_DT``) of
     the dominant modal branch and re-binned, with the electric fraction
-    damped by exp(-2 sigma dt / eps).
+    damped by exp(-2 sigma dt / eps).  A ray that ends at the zero direction
+    or at a non-finite one has no bin to carry its mass to, and is refused
+    (ValueError).
     """
     sphere = sphere or SphereGrid()
     grid = family.grid
@@ -632,7 +634,10 @@ def predict_then_compare(
             states = [RayState(x=x_bar, zetaP=v[1:], zeta0=v[0]) for v in vecs[live]]
             paths = integrate_rays(model, states, (t0, t1), branch=branch)
             new_vecs = np.column_stack([vecs[live, 0], np.reshape([p.zetaPs[-1] for p in paths], (-1, 3))])
-            targets = sphere.locate(new_vecs / np.linalg.norm(new_vecs, axis=1, keepdims=True))
+            norms = np.linalg.norm(new_vecs, axis=1, keepdims=True)
+            targets = sphere.locate(new_vecs / np.where(norms > 0, norms, 1.0))
+            if np.any(targets < 0):
+                raise ValueError(f"{np.count_nonzero(targets < 0)} rays end at the zero direction, which has no bin")
             np.add.at(pred, targets, weight[live] * m[live] * (0.5 * damp + 0.5))  # transverse: half electric
         pred[idx] += (c["a0"] * damp + c["b0"]) / tot * m  # static longitudinal split
         leftover = np.setdiff1d(np.arange(sphere.num_bins), idx)

@@ -3,6 +3,8 @@
 ``fourier_multiplier`` and ``cutoff_multiply`` are the H-measure's
 defining operators, a direction multiplier and a spatial cutoff;
 ``neighborhood`` is the cell adjacency of a ``SphereGrid``;
+``locate`` is a ``SphereGrid``'s angle -> cell rule written once over
+whole (n, 4) stacks, independently of the package's;
 ``paper_display_blocks`` is the smooth-scalar case's sigma blocks as the
 paper prints them.  The package does not call them, so they live with the
 tests.
@@ -79,6 +81,27 @@ def neighborhood(sphere: SphereGrid, b: int) -> np.ndarray:
             for j3 in range(sphere.n_phi):
                 out.add(int(sphere.flat_index(ring, j2, j3)))
     return np.array(sorted(out), dtype=np.int64)
+
+
+def locate(sphere: SphereGrid, vec4) -> np.ndarray:
+    """Bin index of 4-vectors, shape-preserving; -1 for zero vectors (non-finite ones are not checked)."""
+    v = np.asarray(vec4, dtype=float)
+    single = v.ndim == 1
+    v = np.atleast_2d(v)
+    r = np.linalg.norm(v, axis=-1)
+    ok = r > 0
+    rs = np.where(ok, r, 1.0)
+    z0 = v[..., 0] / rs
+    chi1 = np.arccos(np.clip(z0, -1, 1))
+    rp = np.linalg.norm(v[..., 1:], axis=-1)
+    rp_safe = np.where(rp > 0, rp, 1.0)
+    theta = np.arccos(np.clip(v[..., 3] / rp_safe, -1, 1))
+    phi = np.mod(np.arctan2(v[..., 2], v[..., 1]), 2 * np.pi)
+    i1 = np.clip((chi1 / np.pi * sphere.n_zeta0).astype(np.int64), 0, sphere.n_zeta0 - 1)
+    i2 = np.clip((theta / np.pi * sphere.n_theta).astype(np.int64), 0, sphere.n_theta - 1)
+    i3 = np.clip((phi / (2 * np.pi) * sphere.n_phi).astype(np.int64), 0, sphere.n_phi - 1)
+    idx = np.where(ok, sphere.flat_index(i1, i2, i3), -1)
+    return int(idx[0]) if single else idx
 
 
 def paper_display_blocks(model: MaterialModel, x, zetaP, coeffs: dict) -> dict:

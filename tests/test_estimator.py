@@ -3,6 +3,8 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hml import estimator
 from hml.estimator import (
@@ -28,6 +30,7 @@ from hml.synthesis import (
 )
 from hml.transport import time_subwindow
 from reference import cutoff_multiply, fourier_multiplier, neighborhood
+from reference import locate as reference_locate
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
 EPS2 = (2.0**-3, 2.0**-4)
@@ -353,14 +356,15 @@ def test_lattice_bins_locate_float64_directions():
 
 
 def _unchunked_lattice_bins(grid, sphere):
-    """``_lattice_bins`` as one pass over the whole lattice: the reference for the chunked build."""
+    """``_lattice_bins`` as one pass over the whole lattice with the reference ``locate``: the reference for the
+    per-plane build."""
     f0, f1, f2, f3 = grid.freq_meshes()
     r2 = (f0**2 + f1**2 + f2**2 + f3**2).ravel()
     r = np.sqrt(r2)
     ok = r > 0
     rs = np.where(ok, r, 1.0)
     units = np.stack([np.broadcast_to(f, grid.shape).ravel() / rs for f in (f0, f1, f2, f3)], axis=-1)
-    idx = np.where(ok, sphere.locate(units), sphere.num_bins)
+    idx = np.where(ok, reference_locate(sphere, units), sphere.num_bins)
     order = np.argsort(idx, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
     dirs = units[order].astype(np.float32)
@@ -368,15 +372,86 @@ def _unchunked_lattice_bins(grid, sphere):
 
 
 @pytest.mark.parametrize(
-    "grid", [GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), GridSpec(extents=(1.0, 0.25, 0.5, 0.25), shape=(32, 8, 8, 16))],
-    ids=["cubic", "non-cubic"],
+    "grid, sphere",
+    [(GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), SPHERE),
+     (GridSpec(extents=(1.0, 0.25, 0.5, 0.25), shape=(32, 8, 8, 16)), SPHERE),
+     (GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(32, 8, 8, 16)), SphereGrid(10, 8, 16)),  # const-trajectory --small
+     (GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), SphereGrid(6, 6, 8)),  # smooth-rays --small
+     (GridSpec(extents=(1.0, 0.3, 0.25, 0.7), shape=(16, 16, 8, 8)), SphereGrid(7, 5, 12))],
+    ids=["cubic", "non-cubic", "const-trajectory-small", "smooth-rays-small", "unequal-extents"],
 )
-def test_chunked_lattice_matches_unchunked(grid):
-    assert grid.num_points > _CHUNK  # the build runs in more than one chunk
-    lattice = _lattice_bins(grid, SPHERE)
+def test_chunked_lattice_matches_unchunked(grid, sphere):
+    # more points than one run of ``_CHUNK``: the build permutes the directions in several runs, as the bin loop
+    # reads the sorted lattice
+    assert grid.num_points > _CHUNK
+    lattice = _lattice_bins(grid, sphere)
     assert lattice.order.dtype == np.int32
-    for got, want in zip(lattice, _unchunked_lattice_bins(grid, SPHERE)):
+    for got, want in zip(lattice, _unchunked_lattice_bins(grid, sphere)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_lattice_build_reads_the_azimuth_once_per_spatial_frequency(monkeypatch):
+    grid = GridSpec(extents=(1.0, 0.25, 0.5, 0.25), shape=(32, 8, 8, 16))
+    azimuth, seen = SphereGrid._azimuth_cells, []
+
+    def counting(self, v1, v2):
+        seen.append(np.size(v1))
+        return azimuth(self, v1, v2)
+
+    monkeypatch.setattr(SphereGrid, "_azimuth_cells", counting)
+    _lattice_bins.__wrapped__(grid, SPHERE)  # uncached: the build runs
+    assert sum(seen) == grid.num_points // grid.shape[0]
+
+
+def test_lattice_build_peak_per_point():
+    """tracemalloc peak of an uncached build: the result (20 B per lattice point) and, while the directions are
+    permuted, their flat-order copy (16 B), plus one run's indices widened to int64 and a few bin-count arrays."""
+    grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 8, 8, 16))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lattice = _lattice_bins.__wrapped__(grid, SPHERE)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in lattice) == 20 * grid.num_points + 8 * (SPHERE.num_bins + 2)
+    assert peak <= 36 * grid.num_points + 8 * _CHUNK + 32 * (SPHERE.num_bins + 2)
+
+
+# components (xi0, xi1, xi2, xi3) on the lattice's ties: xi1 = +-xi2 (azimuth edges of every n_phi divisible by 8),
+# 3 xi0^2 = |xi'|^2 (chi1 = pi/3 or 2 pi/3) and xi3^2 = xi1^2 + xi2^2 (theta = pi/4 or 3 pi/4)
+TIES = [(1, 2, 2, 3), (4, 3, -3, 0), (1, 1, 1, 1), (3, 1, 1, 5), (5, 1, 5, 7), (7, 3, 4, 5), (2, 5, 12, 13),
+        (1, 8, 15, 17), (3, 0, 1, 1), (0, 3, 4, 5), (0, 0, 0, 1), (2, 0, 0, 0), (0, 1, 0, 0), (0, 2, 2, 0)]
+EDGE_SPHERES = [SphereGrid(12, 8, 16), SphereGrid(6, 4, 8), SPHERE, SphereGrid(7, 5, 12), SphereGrid()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4),
+    tie=st.sampled_from(TIES),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
+    spacing=st.floats(1e-3, 1e3),
+    sphere=st.sampled_from(EDGE_SPHERES),
+)
+def test_locate_matches_reference_bit_for_bit(v, tie, signs, spacing, sphere):
+    # a random 4-vector and a tie scaled like a lattice frequency, each raw and as the unit direction zeta/|zeta|
+    # the lattice build bins (the norm summed in component order, as there)
+    rows = np.array([v, np.multiply(tie, signs) * spacing])
+    r = np.sqrt(rows[:, 0] ** 2 + rows[:, 1] ** 2 + rows[:, 2] ** 2 + rows[:, 3] ** 2)
+    units = rows / np.where(r > 0, r, 1.0)[:, None]
+    for vecs in (rows, units):
+        np.testing.assert_array_equal(sphere.locate(vecs), reference_locate(sphere, vecs))
+        assert [sphere.locate(x) for x in vecs] == [reference_locate(sphere, x) for x in vecs]
+
+
+def test_locate_refuses_non_finite_vectors():
+    sphere = SphereGrid(8, 8, 16)
+    vecs = np.array([[np.nan, 0.1, 0.2, 0.3], [np.inf, 0, 0, 1], [0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="^2 of 4 vectors are not finite"):
+        sphere.locate(vecs)
+    with pytest.raises(ValueError, match="^1 of 1 vectors are not finite"):
+        sphere.locate([0.0, np.nan, 0.0, 1.0])
+    np.testing.assert_array_equal(sphere.locate(vecs[2:]), [-1, 290])
 
 
 def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
@@ -440,7 +515,7 @@ def _bincount_reference(u, g, phi, sphere):
     ok = r > 0
     units = np.stack([np.broadcast_to(f, GRID.shape).ravel() / np.where(ok, r, 1.0) for f in (f0, f1, f2, f3)], axis=-1)
     B = sphere.num_bins
-    idx = np.where(ok, sphere.locate(units), B)
+    idx = np.where(ok, reference_locate(sphere, units), B)
     window = phi.sample(GRID)
     F1 = np.fft.fftn(u * window, axes=(1, 2, 3, 4)).reshape(u.shape[0], -1)
     F2 = F1 if g is None else np.fft.fftn(g * window, axes=(1, 2, 3, 4)).reshape(g.shape[0], -1)

@@ -663,6 +663,29 @@ def test_predict_smooth_rebins_every_bin_once(monkeypatch):
     assert paths and all(p.status == "ok" for p in paths)
 
 
+@pytest.mark.parametrize("end, match", [(0.0, "^1 rays end at the zero direction"), (np.nan, "^1 of .* not finite")],
+                         ids=["zero-end-direction", "non-finite-end-direction"])
+def test_predict_smooth_refuses_a_ray_without_a_bin(monkeypatch, end, match):
+    """A ray whose end direction (zeta0, zeta') is zero or not finite has no bin to carry its mass to."""
+    model = layered_model()
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    k = 0.9 * np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    c = -model.speed_at(np.asarray(grid.extents[1:]) / 2.0) * 0.9
+    fam = wkb_family(model, grid, linear_phase(k, c), hann_window(grid), "trans+1", EPS_PAIR)
+    centers = SphereGrid.centers
+
+    def rays_with_one_bad_end(*args, **kwargs):
+        out = integrate_rays(*args, **kwargs)
+        out[0].zetaPs[-1] = end
+        return out
+
+    # the start directions have zeta0 = 0, so a zeta' of zero ends the ray at the zero 4-vector
+    monkeypatch.setattr(SphereGrid, "centers", lambda self: centers(self) * [0.0, 1.0, 1.0, 1.0])
+    monkeypatch.setattr(transport, "integrate_rays", rays_with_one_bad_end)
+    with pytest.raises(ValueError, match=match):
+        predict_then_compare(fam, model, 1 / 16, 3 / 16, sphere=SphereGrid(6, 6, 8))
+
+
 def test_time_subwindow_guards():
     with pytest.raises(ValueError):
         time_subwindow(EVOL_GRID, 0.5, 2 * EVOL_GRID.spacing[0])
