@@ -44,11 +44,22 @@ build, once per (grid, sphere), works one time-frequency plane at a time
 and peaks at 36 B per lattice point.  A cross measure of a rank-1
 plane-wave field against its rank-5 source so peaks near its 1 + 5
 spectra.
+
+An auto estimate is made once per (family, window, sphere) while it is
+alive: ``estimate_hmeasure`` returns the estimate it already made for the
+same family object and an equal window and sphere, for as long as some
+caller still holds that estimate.  The memo holds its families and its
+estimates weakly, so it keeps no estimate alive and forgets a family when
+the family dies.  This rests on two contracts: a family is fixed once it
+is built (``OscillatingFamily``), and an estimate is a read-only value
+that two callers may share (``HMeasureEstimate``).  Cross measures are
+not memoized.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -273,6 +284,10 @@ def _flat_lattice_bins(grid: GridSpec, sphere: SphereGrid) -> tuple:
 class HMeasureEstimate:
     """Binned matrix-valued spectral masses, with per-scale history.
 
+    An estimate is a read-only value: ``estimate_hmeasure`` may hand the
+    same object to two callers, so no reader writes to its arrays, dicts or
+    metadata.
+
     ``history[eps]`` has shape (B, p, q); the finest scale is exposed as
     ``bins`` and is the one every reader reads, here and in the verifier;
     ``at(eps)`` cuts the ladder at a coarser scale.  ``centroids[eps]``
@@ -490,6 +505,10 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     )
 
 
+# family -> {(window, sphere): the live auto estimate}; weak at both levels (see the module docstring)
+_ESTIMATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def estimate_hmeasure(
     family: OscillatingFamily,
     phi: SeparableWindow,
@@ -499,9 +518,17 @@ def estimate_hmeasure(
 
     Requires at least two scales in the ladder and at least four cells per
     wavelength; the zero-frequency mass is excluded from direction binning
-    and reported in ``dc_energy``.
+    and reported in ``dc_energy``.  The same family object with an equal
+    window and sphere (None is ``SphereGrid()``) gives back the estimate
+    already made, while any caller still holds it; once the last holder
+    lets it go, the next call computes it again.
     """
-    return _cross_spectral_measure(family, None, phi, sphere, "auto")
+    sphere = sphere or SphereGrid()
+    memo = _ESTIMATES.setdefault(family, weakref.WeakValueDictionary())
+    est = memo.get((phi, sphere))
+    if est is None:
+        est = memo[phi, sphere] = _cross_spectral_measure(family, None, phi, sphere, "auto")
+    return est
 
 
 def source_fields(family: OscillatingFamily) -> Mapping:

@@ -227,7 +227,7 @@ def _check_entry(name: str, e: float, u, shape: tuple):
     return u
 
 
-@dataclass
+@dataclass(eq=False)
 class OscillatingFamily:
     """Fields u^eps = (E, H) and optional sources f^eps.
 
@@ -236,7 +236,9 @@ class OscillatingFamily:
     the full array of either.  Epsilons are strictly decreasing, every
     scale has a field (and a source when there are sources), and every
     entry is finite: each entry is checked once, here, by a check that
-    reads a factored entry's factors, never its full array.
+    reads a factored entry's factors, never its full array.  A family is
+    fixed once it is built, and compares and hashes by identity, so the
+    estimator can key what it made from a family by the family itself.
     """
 
     grid: GridSpec
@@ -529,7 +531,9 @@ def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.
     """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, derivatives spectral.
 
     The curl part is added one axis at a time from ``A_MATRICES``, each A^j
-    differentiating only the four components it reads.
+    differentiating only the four components it reads.  Each of those is
+    read by one +-1 entry of A^j, so its derivative is added to or
+    subtracted from the one row that entry writes.
     """
     u = np.asarray(u)
     epsf, etaf, sigf = (f[None, ...] for f in model.sample_fields(*grid.spatial_meshes()))
@@ -538,8 +542,12 @@ def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.
     res[:3] += sigf * u[:3]
     res[3:] *= etaf
     for j, A in enumerate(A_MATRICES):
-        c = np.flatnonzero(A.any(axis=0))  # the four components A^j reads
-        res += np.tensordot(A[:, c], _spectral_derivative(u[c], grid, 1 + j), axes=1)
+        cols, rows = np.nonzero(A.T)  # the four components A^j reads, in order, and the row each one writes
+        for c, i, du in zip(cols, rows, _spectral_derivative(u[cols], grid, 1 + j)):
+            if A[i, c] > 0:
+                res[i] += du
+            else:
+                res[i] -= du
     return res
 
 

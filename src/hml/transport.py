@@ -597,7 +597,9 @@ def predict_then_compare(
     the dominant modal branch and re-binned, with the electric fraction
     damped by exp(-2 sigma dt / eps).  A ray that ends at the zero direction
     or at a non-finite one has no bin to carry its mass to, and is refused
-    (ValueError).
+    (ValueError).  The estimates at t0 and t1 are the caller's own objects
+    when the caller holds estimates of this family for equal windows and
+    sphere (``estimate_hmeasure`` returns a live estimate again).
     """
     sphere = sphere or SphereGrid()
     grid = family.grid

@@ -6,8 +6,9 @@ defining operators, a direction multiplier and a spatial cutoff;
 ``locate`` is a ``SphereGrid``'s angle -> cell rule written once over
 whole (n, 4) stacks, independently of the package's;
 ``paper_display_blocks`` is the smooth-scalar case's sigma blocks as the
-paper prints them.  The package does not call them, so they live with the
-tests.
+paper prints them; ``tensordot_maxwell_residual`` is the Maxwell residual
+with each A^j applied as a matrix.  The package does not call them, so
+they live with the tests.
 """
 
 from typing import Callable
@@ -17,7 +18,8 @@ import scipy.fft
 
 from hml.estimator import SphereGrid
 from hml.grids import GridSpec, SeparableWindow, fft_workers
-from hml.symbols import MaterialModel, propagation_basis
+from hml.symbols import A_MATRICES, MaterialModel, propagation_basis
+from hml.synthesis import _spectral_derivative
 
 
 def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -124,3 +126,17 @@ def paper_display_blocks(model: MaterialModel, x, zetaP, coeffs: dict) -> dict:
     s12 = 0.5 * v * (d(z1, z2) * (ap - am) - d(z2, z1) * (bp - bm))
     s21 = 0.5 * v * (d(z2, z1) * (ap - am) - d(z1, z2) * (bp - bm))
     return {"s11": s11, "s12": s12, "s21": s21, "s22": s22}
+
+
+def tensordot_maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, each A^j applied as a 6 x 4 matrix to the components it reads."""
+    u = np.asarray(u)
+    epsf, etaf, sigf = (f[None, ...] for f in model.sample_fields(*grid.spatial_meshes()))
+    res = _spectral_derivative(u, grid, 0)
+    res[:3] *= epsf
+    res[:3] += sigf * u[:3]
+    res[3:] *= etaf
+    for j, A in enumerate(A_MATRICES):
+        c = np.flatnonzero(A.any(axis=0))
+        res += np.tensordot(A[:, c], _spectral_derivative(u[c], grid, 1 + j), axes=1)
+    return res

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from collections.abc import Mapping
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hml import estimator
+from hml import estimator, transport
 from hml.estimator import (
     _CHUNK,
     SphereGrid,
@@ -28,7 +30,7 @@ from hml.synthesis import (
     plane_wave_family,
     wkb_family,
 )
-from hml.transport import time_subwindow
+from hml.transport import predict_then_compare, time_subwindow
 from reference import cutoff_multiply, fourier_multiplier, neighborhood
 from reference import locate as reference_locate
 
@@ -41,6 +43,18 @@ def _family(mode="trans+1", envelope=None, epsilons=EPS2, model=None, k=(0, 0, 1
     model = model or MaterialModel.constant()
     envelope = envelope or hann_window(GRID, axes=(1,))
     return plane_wave_family(model, GRID, k, mode, envelope, epsilons)
+
+
+def _count_measures(monkeypatch) -> list:
+    """The kind of each measure ``_cross_spectral_measure`` computes from now on, so a test sees the estimator run."""
+    kinds, measure = [], estimator._cross_spectral_measure
+
+    def spy(family, g_fields, phi, sphere, kind):
+        kinds.append(kind)
+        return measure(family, g_fields, phi, sphere, kind)
+
+    monkeypatch.setattr(estimator, "_cross_spectral_measure", spy)
+    return kinds
 
 
 # ---------------------------------------------------------------- sphere grid
@@ -800,6 +814,7 @@ def test_estimator_never_materialises_factored_fields(monkeypatch):
             raise AssertionError("a produced entry's scalars were formed")
         return scalars(self)
 
+    kinds = _count_measures(monkeypatch)
     monkeypatch.setattr(FactoredField, "materialise", refuse)
     with pytest.raises(AssertionError, match="materialised"):
         np.asarray(fam.fields[fam.finest])
@@ -813,6 +828,8 @@ def test_estimator_never_materialises_factored_fields(monkeypatch):
     estimate_hmeasure(fam, phi, sphere=SPHERE)
     correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
     correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)
+    # the first auto estimate was let go, so the second is computed under the stricter patch, not remembered
+    assert kinds == ["auto", "cross", "cross"] * 2
 
 
 def test_estimator_never_samples_the_full_window(monkeypatch):
@@ -822,7 +839,96 @@ def test_estimator_never_samples_the_full_window(monkeypatch):
     def refuse(self, grid):
         raise AssertionError("the window was sampled on the full grid")
 
+    kinds = _count_measures(monkeypatch)
     monkeypatch.setattr(SeparableWindow, "sample", refuse)
     for phi in (hann_window(GRID), time_subwindow(GRID, 0.1, 0.09), full_window()):
         estimate_hmeasure(fam, phi, sphere=SPHERE)
         correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
+    assert kinds == ["auto", "cross"] * 3
+
+
+# ----------------------------------------------------------------------- memo
+
+def test_memo_returns_the_live_estimate_of_an_equal_window_and_sphere(monkeypatch):
+    fam = _family()
+    kinds = _count_measures(monkeypatch)
+    est = estimate_hmeasure(fam, hann_window(GRID, axes=(0,)), sphere=SPHERE)
+    again = estimate_hmeasure(fam, hann_window(GRID, axes=(0,)), sphere=SphereGrid(10, 8, 16))
+    assert again is est and kinds == ["auto"]
+
+
+def test_memo_default_sphere_is_one_entry(monkeypatch):
+    fam = _family()
+    kinds = _count_measures(monkeypatch)
+    phi = hann_window(GRID, axes=(0,))
+    est = estimate_hmeasure(fam, phi)
+    assert estimate_hmeasure(fam, phi, sphere=SphereGrid()) is est
+    assert estimate_hmeasure(fam, phi, sphere=None) is est
+    assert kinds == ["auto"]
+
+
+def test_memo_computes_another_family_window_or_sphere_anew(monkeypatch):
+    fam, twin = _family(), _family()  # equal entries, but another family object
+    kinds = _count_measures(monkeypatch)
+    phi = hann_window(GRID, axes=(0,))
+    est = estimate_hmeasure(fam, phi, sphere=SPHERE)
+    others = [estimate_hmeasure(twin, phi, sphere=SPHERE),
+              estimate_hmeasure(fam, time_subwindow(GRID, 0.1, 0.09), sphere=SPHERE),
+              estimate_hmeasure(fam, phi, sphere=SphereGrid(8, 8, 16))]
+    assert kinds == ["auto"] * 4
+    assert all(other is not est for other in others)
+    np.testing.assert_array_equal(others[0].bins, est.bins)  # the twin's estimate is made by the same code
+
+
+def test_memo_computes_again_once_the_estimate_is_let_go(monkeypatch):
+    fam = _family()
+    kinds = _count_measures(monkeypatch)
+    phi = hann_window(GRID, axes=(0,))
+    est = estimate_hmeasure(fam, phi, sphere=SPHERE)
+    bins = est.bins
+    del est
+    gc.collect()
+    again = estimate_hmeasure(fam, phi, sphere=SPHERE)
+    assert kinds == ["auto"] * 2
+    np.testing.assert_array_equal(again.bins, bins)
+
+
+def test_memo_keeps_no_entry_for_a_dead_family():
+    gc.collect()
+    before = len(estimator._ESTIMATES)
+    fam = _family()
+    est = estimate_hmeasure(fam, hann_window(GRID, axes=(0,)), sphere=SPHERE)
+    assert len(estimator._ESTIMATES) == before + 1
+    alive = weakref.ref(fam)
+    del fam  # the estimate outlives its family and keeps neither the family nor its entry alive
+    gc.collect()
+    assert alive() is None and len(estimator._ESTIMATES) == before
+    assert est.bins.shape == (SPHERE.num_bins, 6, 6)
+
+
+def test_correlation_measure_is_never_memoized(monkeypatch):
+    fam = _family()
+    kinds = _count_measures(monkeypatch)
+    phi, g = hann_window(GRID, axes=(0,)), source_fields(fam)
+    first = correlation_measure(fam, g, phi, sphere=SPHERE)
+    second = correlation_measure(fam, g, phi, sphere=SPHERE)
+    assert second is not first and kinds == ["cross"] * 2
+
+
+def test_predict_then_compare_reuses_the_callers_estimates(monkeypatch):
+    """Through the name ``transport`` binds, predict-and-compare gets the very estimates the caller holds."""
+    model = MaterialModel.constant(1.0, 1.0, 0.5)
+    fam = _family(model=model)
+    t0, t1, width = 0.08, 0.17, 0.08
+    held = [estimate_hmeasure(fam, time_subwindow(GRID, t, width), sphere=SPHERE) for t in (t0, t1)]
+    made, estimate = [], transport.estimate_hmeasure
+
+    def probe(*args, **kwargs):
+        made.append(estimate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(transport, "estimate_hmeasure", probe)
+    kinds = _count_measures(monkeypatch)
+    rep = predict_then_compare(fam, model, t0, t1, sphere=SPHERE, window_width=width)
+    assert len(made) == 2 and all(m is h for m, h in zip(made, held)) and kinds == []
+    assert rep.total_mass_t0 == held[0].total_mass() and rep.total_mass_t1 == held[1].total_mass()

@@ -22,6 +22,7 @@ from hml.synthesis import (
     plane_wave_family,
     wkb_family,
 )
+from reference import tensordot_maxwell_residual
 
 GRID = GridSpec(extents=(0.125, 0.125, 0.125, 0.125), shape=(8, 8, 8, 8))
 EPS2 = (2.0**-3, 2.0**-4)  # carrier indices 1 and 2 on this box
@@ -181,6 +182,19 @@ def test_plane_wave_source_is_envelope_commutator():
     e = fam.epsilons[-1]
     res = maxwell_residual(model, np.asarray(fam.fields[e], dtype=np.complex128), fam.grid)
     np.testing.assert_allclose(fam.sources[e], res, atol=1e-8)
+
+
+@pytest.mark.parametrize("data", ["wkb", "random"])
+def test_maxwell_residual_matches_tensordot_reference_bit_for_bit(data, smooth_model, rng):
+    # each A^j entry is +-1 and each row it writes reads one component, so adding or subtracting that
+    # component's derivative rounds exactly as the matrix product does
+    if data == "wkb":
+        phase = linear_phase((0.3, -0.5, 0.8), -1.0)
+        fam = wkb_family(smooth_model, GRID, phase, hann_window(GRID), "trans+1", EPS2)
+        u = np.asarray(fam.fields[fam.finest])
+    else:
+        u = rng.normal(size=(6,) + GRID.shape) + 1j * rng.normal(size=(6,) + GRID.shape)
+    assert np.array_equal(maxwell_residual(smooth_model, u, GRID), tensordot_maxwell_residual(smooth_model, u, GRID))
 
 
 @pytest.mark.parametrize(
