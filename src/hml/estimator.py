@@ -304,7 +304,6 @@ class HMeasureEstimate:
     """
 
     sphere: SphereGrid
-    grid: GridSpec
     epsilons: tuple
     history: dict
     centroids: dict
@@ -456,7 +455,7 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarr
     return out
 
 
-def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere, kind: str) -> HMeasureEstimate:
+def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere) -> HMeasureEstimate:
     """Per-scale window -> spectra -> bins loop behind both public measures.
 
     Refuses a one-scale ladder and an under-resolved family, and a g^eps
@@ -493,12 +492,11 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         del u, g, F1, F2
     return HMeasureEstimate(
         sphere=sphere,
-        grid=grid,
         epsilons=family.epsilons,
         history=history,
         centroids=centroids,
         dc_energy=dc_energy,
-        metadata={"kind": kind, "window": phi.describe(), "family": dict(family.metadata),
+        metadata={"kind": "auto" if hermitian else "cross", "window": phi.describe(), "family": dict(family.metadata),
                   "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)), "median_points": median,
                                     "below_floor": median < MIN_MEDIAN_POINTS_PER_BIN},
                   "factor_rank": ranks},
@@ -527,7 +525,7 @@ def estimate_hmeasure(
     memo = _ESTIMATES.setdefault(family, weakref.WeakValueDictionary())
     est = memo.get((phi, sphere))
     if est is None:
-        est = memo[phi, sphere] = _cross_spectral_measure(family, None, phi, sphere, "auto")
+        est = memo[phi, sphere] = _cross_spectral_measure(family, None, phi, sphere)
     return est
 
 
@@ -570,4 +568,4 @@ def correlation_measure(
     """
     if set(float(e) for e in g_fields.keys()) != set(family_u.epsilons):
         raise ValueError("mismatched epsilon ladders between u and g")
-    return _cross_spectral_measure(family_u, g_fields, phi, sphere, "cross")
+    return _cross_spectral_measure(family_u, g_fields, phi, sphere)

@@ -268,18 +268,26 @@ class OscillatingFamily:
         return float(self.metadata.get("min_cells_per_wavelength", np.inf))
 
 
-def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[float]) -> float:
+def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[float], envelope=None) -> float:
     """Worst samples per oscillation cycle over the ladder; inf if static.
 
     ``rates`` are the per-axis maximal phase rates (t, x1, x2, x3); at scale
-    eps the carrier index along an axis is rate * extent / eps.  Raises
+    eps the carrier count along an axis is rate * extent / eps.  Raises
     AliasingError when any scale falls under ``MIN_CELLS_PER_WAVELENGTH``.
+    Given the family's ``envelope`` (a SeparableWindow), it also raises on
+    wrap-around: on the periodic box a count more than 1e-9 from an integer
+    jumps at the edge of a spatial axis whose factor is ``"one"``, and the
+    jump leaks mass across directions.  A WKB phase need not be linear, so
+    its rates give no count and it passes no envelope; the time axis is left
+    to the estimator's window, which tapers it.
     """
     worst = np.inf
     for e in epsilons:
         cells = np.inf
-        for n, rate, extent in zip(grid.shape, rates, grid.extents):
+        for i, (n, rate, extent) in enumerate(zip(grid.shape, rates, grid.extents)):
             m = rate * extent / e
+            if i and envelope is not None and envelope.factors[i].kind == "one" and abs(m - round(m)) > 1e-9:
+                raise AliasingError(f"eps={e}: {m:.6g} carrier periods along x{i} wrap around the periodic box")
             if abs(m) > 1e-12:
                 cells = min(cells, n / abs(m))
         worst = min(worst, cells)
@@ -337,7 +345,7 @@ def plane_wave_family(
     *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     V = np.column_stack([*(np.stack(A) @ b), C @ b])
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
+    worst_cells = _aliasing_guard(grid, eps_list, (c, *k), envelope)
 
     axes = [grid.axis(i) for i in range(4)]
     env = [f(x) for f, x in zip(envelope.factors, axes)]
@@ -413,11 +421,11 @@ def evolved_family(
     k, b, c = _constant_mode(model, k, mode, "evolved_family")
     x1, x2, x3 = grid.spatial_meshes()
     sphase = x1 * k[0] + x2 * k[1] + x3 * k[2]
-    tf = (full_window() if spatial_envelope is None else spatial_envelope).factors
-    env = tf[1](x1) * tf[2](x2) * tf[3](x3)
+    envelope = full_window() if spatial_envelope is None else spatial_envelope
+    env = envelope.factors[1](x1) * envelope.factors[2](x2) * envelope.factors[3](x3)
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    worst_cells = _aliasing_guard(grid, eps_list, (c, *k))
+    worst_cells = _aliasing_guard(grid, eps_list, (c, *k), envelope)
     spectra = {e: scipy.fft.fftn(env * np.exp((2j * np.pi / e) * sphase), workers=fft_workers()) for e in eps_list}
     support = np.logical_or.reduce([f != 0 for f in spectra.values()])
     hat, fields = _evolve(model, grid, support, b), {}
@@ -470,16 +478,17 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
     S(t, x) = q(x_axis) - t for the '+' transverse branch (dS/dt = -v|grad S|)
     or q(x_axis) + t for '-', with q' = 1/v along the axis.  q is tabulated
     by composite Simpson quadrature on ``LAYER_QUADRATURE_CELLS`` cells of
-    [0, x_max] and interpolated.  v is read on the axis line through the
-    origin by ``MaterialModel.speed``, for the table and for the gradient,
-    so its bound and domain checks apply to both.  ``value`` and ``grad``
-    raise ValueError at an axis coordinate outside [0, x_max], where the
-    table, clamped by the interpolation, would no longer match the
-    gradient.
+    [0, x_max] and interpolated by cubic Hermite pieces on the slope 1/v,
+    fourth order between the nodes as at them.  v is read on the axis line
+    through the origin by ``MaterialModel.speed``, for the table and for
+    the gradient, so its bound and domain checks apply to both.  ``value``
+    and ``grad`` raise ValueError at an axis coordinate outside [0, x_max],
+    where the extrapolated table would no longer match the gradient.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    from scipy.integrate import cumulative_simpson  # local: the import adds ~20 MB resident to every run
+    from scipy.integrate import cumulative_simpson  # local: the two imports add ~20 MB resident to every run
+    from scipy.interpolate import CubicHermiteSpline
 
     def speed(xs):
         xs = np.asarray(xs, dtype=float)
@@ -488,7 +497,8 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
         return model.speed(*coords)[0]
 
     s = np.linspace(0.0, x_max, LAYER_QUADRATURE_CELLS + 1)
-    q_tab = np.concatenate([[0.0], cumulative_simpson(1.0 / speed(s), x=s)])
+    slope = 1.0 / speed(s)
+    q = CubicHermiteSpline(s, np.concatenate([[0.0], cumulative_simpson(slope, x=s)]), slope)
     tsign = -1.0 if sign == "+" else 1.0
 
     def along(x1, x2, x3):
@@ -498,7 +508,7 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
         return xs
 
     def value(t, x1, x2, x3):
-        return np.interp(along(x1, x2, x3), s, q_tab) + tsign * t
+        return q(along(x1, x2, x3)) + tsign * t
 
     def grad(t, x1, x2, x3):
         shape = np.broadcast(t, x1, x2, x3).shape

@@ -6,10 +6,10 @@ The propagation theorems are checked in weak form: densities sampled on a
 periodic in the azimuth; below five samples a non-periodic axis uses one
 stencil over all of them and a periodic one the 3-point rule) and the
 four transport rows are paired against a battery of test functions.  Characteristic rays of the two propagating
-Hamiltonians omega = zeta0 +- v(x)|zeta'| are integrated with a
-fixed-step RK4 scheme; the rays of one call advance together as one
-(n, 6) array of positions and zeta', and each ray terminates on its own
-when |zeta'| falls below ``RAY_ZP_FLOOR``.
+Hamiltonians omega = zeta0 +- v(x)|zeta'| are integrated from arrays of
+start points with a fixed-step RK4 scheme; the rays of one call advance
+together as one (n, 6) array of positions and zeta', and each ray
+terminates on its own when |zeta'| falls below ``RAY_ZP_FLOOR``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .synthesis import OscillatingFamily
 from .verifier import DensityDecomposition, fit_modal_decomposition
 
 __all__ = [
-    "RayState",
     "RayPath",
     "integrate_rays",
     "DensityTrajectory",
@@ -51,35 +50,26 @@ RAY_ZP_FLOOR = 1e-6
 
 
 @dataclass
-class RayState:
-    """A single characteristic ray sample: position and direction."""
-
-    x: np.ndarray
-    zetaP: np.ndarray
-    zeta0: float = 0.0
-
-
-@dataclass
 class RayPath:
+    """One ray of ``integrate_rays``: m ``times``, (m, 3) ``xs`` and ``zetaPs``, and omega as ``hamiltonian``.
+
+    ``status`` is "ok", or "terminated_small_zetaP" for a ray stopped early at |zeta'| < ``RAY_ZP_FLOOR``.
+    """
+
     times: np.ndarray
     xs: np.ndarray
     zetaPs: np.ndarray
     hamiltonian: np.ndarray
     status: str
-    branch: str
-    zeta0: float
 
 
-def integrate_rays(
-    model: MaterialModel,
-    states: Sequence[RayState],
-    t_span: tuple,
-    branch: str = "+",
-) -> list:
+def integrate_rays(model: MaterialModel, x, zetaP, t_span: tuple, branch: str = "+", zeta0=0.0) -> list:
     """RK4 integration of xdot = grad_zeta omega, zetadot = -grad_x omega.
 
     omega = zeta0 + s v(x)|zeta'| with s = +1 or -1 per ``branch``; zeta0
     rides along unchanged, and v comes from the checked ``MaterialModel.speed``.
+    ``x`` and ``zetaP`` broadcast to (n, 3) start positions and zeta' (one
+    shared position is allowed), and ``zeta0`` to (n,); a (0, 3) ``zetaP`` gives [].
     The step is the one nearest ``RAY_DT`` that divides ``t_span``.  All
     rays advance together as one (n, 6) array of positions and zeta'.
     Before each step a ray whose |zeta'| is below ``RAY_ZP_FLOOR`` drops
@@ -88,8 +78,11 @@ def integrate_rays(
     """
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    if not states:
+    x, zetaP = np.broadcast_arrays(np.atleast_2d(np.asarray(x, float)), np.atleast_2d(np.asarray(zetaP, float)))
+    n = len(zetaP)
+    if not n:
         return []
+    zeta0 = np.broadcast_to(np.asarray(zeta0, float), (n,))
     s = 1.0 if branch == "+" else -1.0
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_steps = max(1, int(round(abs(t1 - t0) / RAY_DT)))
@@ -101,10 +94,9 @@ def integrate_rays(
         v, gv = model.speed(*y[:, :3].T)
         return np.concatenate([s * v[:, None] * zp / r, -s * r * gv.T], axis=1)
 
-    n = len(states)
     # (step, ray, x|zeta'); a terminated ray's last state fills its remaining steps
     hist = np.empty((n_steps + 1, n, 6))
-    hist[0] = [np.concatenate([np.asarray(st.x, float), np.asarray(st.zetaP, float)]) for st in states]
+    hist[0, :, :3], hist[0, :, 3:] = x, zetaP
     lengths = np.full(n, n_steps + 1)
     live = np.arange(n)
     for k in range(n_steps):
@@ -123,13 +115,12 @@ def integrate_rays(
         k4 = rhs(y + h * k3)
         hist[k + 1, live] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     v, _ = model.speed(*hist[..., :3].reshape(-1, 3).T)
-    zeta0 = np.array([st.zeta0 for st in states], float)
     ham = zeta0 + s * v.reshape(n_steps + 1, n) * np.linalg.norm(hist[..., 3:], axis=-1)
     times = t0 + np.arange(n_steps + 1) * h
     return [
         RayPath(times=times[:m], xs=hist[:m, i, :3], zetaPs=hist[:m, i, 3:], hamiltonian=ham[:m, i],
-                status="ok" if m == n_steps + 1 else "terminated_small_zetaP", branch=branch, zeta0=st.zeta0)
-        for i, (st, m) in enumerate(zip(states, lengths))
+                status="ok" if m == n_steps + 1 else "terminated_small_zetaP")
+        for i, m in enumerate(lengths)
     ]
 
 
@@ -519,13 +510,16 @@ def divergence_constraint_residual(
     along ``axis`` is fourth order (``_derivative``: 5-point, biased at the
     end windows, one 3- or 4-point stencil for 3 or 4 windows) and is paired
     on the interior windows.  With fewer than three windows the constraint
-    is skipped with a notice.  ``axis`` must be 0, 1 or 2, and ``fits`` and
-    ``mu_urho_rhs`` hold one entry per position.  The bins are those of the
-    fits' sphere, and fits made on different spheres are refused.
+    is skipped with a notice.  ``positions`` must be finite and strictly
+    increasing, ``axis`` 0, 1 or 2, and ``fits`` and ``mu_urho_rhs`` hold one
+    entry per position.  The bins are those of the fits' sphere, and fits
+    made on different spheres are refused.
     """
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2: the spatial axis the windows are spaced along")
     positions = np.asarray(positions, float)
+    if not (np.isfinite(positions).all() and (np.diff(positions) > 0).all()):
+        raise ValueError(f"positions must be finite and strictly increasing, not {positions.tolist()}")
     if positions.size < 3:
         return {"skipped": True, "reason": "need >= 3 spatial windows for the divergence stencil"}
     if len(fits) != positions.size:
@@ -593,13 +587,15 @@ def predict_then_compare(
     Constant case: the electric trace mass damps like exp(-2 sigma dt / eps)
     while the magnetic trace mass rides along (the curl-trace transport
     coefficients vanish identically, so bins do not move).  Smooth-scalar
-    case: per-bin masses are carried along the rays (RK4 step ``RAY_DT``) of
-    the dominant modal branch and re-binned, with the electric fraction
-    damped by exp(-2 sigma dt / eps).  A ray that ends at the zero direction
-    or at a non-finite one has no bin to carry its mass to, and is refused
-    (ValueError).  The estimates at t0 and t1 are the caller's own objects
-    when the caller holds estimates of this family for equal windows and
-    sphere (``estimate_hmeasure`` returns a live estimate again).
+    case: each fitted bin's branch shares ride the rays (RK4 step
+    ``RAY_DT``, one ``integrate_rays`` call per branch from the box centre)
+    and are re-binned by their end 4-vector (zeta0, zeta') as it is, with
+    the electric fraction damped by exp(-2 sigma dt / eps).  A ray that ends at
+    the zero direction or at a non-finite one has no bin to carry its mass
+    to, and is refused (ValueError).  The estimates at t0 and t1 are the
+    caller's own objects when the caller holds estimates of this family for
+    equal windows and sphere (``estimate_hmeasure`` returns a live estimate
+    again).
     """
     sphere = sphere or SphereGrid()
     grid = family.grid
@@ -633,11 +629,9 @@ def predict_then_compare(
         # static bins keep their direction; each bin's branch shares ride rays and are re-binned
         for weight, branch in ((cp / tot, "+"), (cm / tot, "-")):
             live = weight >= 1e-12
-            states = [RayState(x=x_bar, zetaP=v[1:], zeta0=v[0]) for v in vecs[live]]
-            paths = integrate_rays(model, states, (t0, t1), branch=branch)
+            paths = integrate_rays(model, x_bar, vecs[live, 1:], (t0, t1), branch=branch, zeta0=vecs[live, 0])
             new_vecs = np.column_stack([vecs[live, 0], np.reshape([p.zetaPs[-1] for p in paths], (-1, 3))])
-            norms = np.linalg.norm(new_vecs, axis=1, keepdims=True)
-            targets = sphere.locate(new_vecs / np.where(norms > 0, norms, 1.0))
+            targets = sphere.locate(new_vecs)
             if np.any(targets < 0):
                 raise ValueError(f"{np.count_nonzero(targets < 0)} rays end at the zero direction, which has no bin")
             np.add.at(pred, targets, weight[live] * m[live] * (0.5 * damp + 0.5))  # transverse: half electric

@@ -47,11 +47,8 @@ SUPPORT_RADIUS_BINS = 2.0
 
 def _bin_directions(est: HMeasureEstimate) -> np.ndarray:
     """Per-bin evaluation directions: mass centroids where defined, else centers."""
-    centers = est.sphere.centers()
-    cent = est.centroids.get(est.finest)
-    if cent is None:
-        return centers
-    out = centers.copy()
+    out = est.sphere.centers()
+    cent = est.centroids[est.finest]
     good = ~np.isnan(cent).any(axis=1)
     out[good] = cent[good]
     return out

@@ -41,6 +41,23 @@ def polynomial_model(a_eps=1.5, b_eps=0.4, a_eta=1.2, b_eta=-0.25, sigma=0.3):
 
 
 @pytest.fixture
+def linear_speed_model():
+    """v = 1 + 0.8*x1 (eps = v^-2, eta = 1, sigma = 0): rays are circular arcs, q = ln(1 + 0.8*x1)/0.8."""
+    b = 0.8
+    zero = lambda x1, x2, x3: np.zeros(np.broadcast(x1, x2, x3).shape)
+    return MaterialModel.scalar_smooth(
+        eps=lambda x1, x2, x3: (1.0 + b * x1) ** -2 + zero(x1, x2, x3),
+        eta=lambda x1, x2, x3: 1.0 + zero(x1, x2, x3),
+        sigma=zero,
+        grad_eps=lambda x1, x2, x3: np.stack([-2 * b * (1.0 + b * x1) ** -3 + zero(x1, x2, x3),
+                                              zero(x1, x2, x3), zero(x1, x2, x3)]),
+        grad_eta=lambda x1, x2, x3: np.zeros((3,) + np.broadcast(x1, x2, x3).shape),
+        eps_min=0.2,
+        eta_min=1.0,
+    )
+
+
+@pytest.fixture
 def smooth_model():
     return polynomial_model()
 

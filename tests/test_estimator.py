@@ -49,9 +49,9 @@ def _count_measures(monkeypatch) -> list:
     """The kind of each measure ``_cross_spectral_measure`` computes from now on, so a test sees the estimator run."""
     kinds, measure = [], estimator._cross_spectral_measure
 
-    def spy(family, g_fields, phi, sphere, kind):
-        kinds.append(kind)
-        return measure(family, g_fields, phi, sphere, kind)
+    def spy(family, g_fields, phi, sphere):
+        kinds.append("auto" if g_fields is None else "cross")
+        return measure(family, g_fields, phi, sphere)
 
     monkeypatch.setattr(estimator, "_cross_spectral_measure", spy)
     return kinds
@@ -325,7 +325,8 @@ def test_estimate_matches_multiplier_definition():
 
     The multiplier passes the zero frequency through, hence the dc term.
     """
-    fam = _family(mode="trans-2", k=(0.3, -0.5, 0.8))
+    # 0.8 * 0.25 / 2^-3 = 1.6 carrier periods along x3: an x3 Hann factor keeps the carrier from wrapping around
+    fam = _family(mode="trans-2", k=(0.3, -0.5, 0.8), envelope=hann_window(GRID, axes=(1, 3)))
     phi = hann_window(GRID)
     est = estimate_hmeasure(fam, phi, sphere=SPHERE)
     masses = est.masses()

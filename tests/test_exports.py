@@ -97,3 +97,16 @@ def test_test_only_wrappers_are_gone():
 
     assert not {"exact_constant_evolution", "ladder_epsilons"} & (set(dir(synthesis)) | set(synthesis.__all__))
     assert not hasattr(transport.RayPath, "final")
+
+
+def test_unread_names_are_gone():
+    # rays start from arrays, and no field or argument is kept that no caller reads
+    import dataclasses
+    import inspect
+
+    from hml import estimator, transport
+
+    assert not hasattr(transport, "RayState") and "RayState" not in transport.__all__
+    assert [f.name for f in dataclasses.fields(transport.RayPath)] == ["times", "xs", "zetaPs", "hamiltonian", "status"]
+    assert "grid" not in {f.name for f in dataclasses.fields(estimator.HMeasureEstimate)}
+    assert "kind" not in inspect.signature(estimator._cross_spectral_measure).parameters

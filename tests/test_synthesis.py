@@ -160,6 +160,26 @@ def test_aliasing_guard():
             make()
 
 
+WRAP_GRID = GridSpec(extents=(0.25,) * 4, shape=(32, 8, 8, 32))
+
+
+@pytest.mark.parametrize("generator, refused", [("plane_wave", (0, 1)), ("evolved", (0, 1)), ("evolved", None)])
+def test_wrap_around_guard(generator, refused):
+    # k3 = 1.1 puts 2.2 and 4.4 carrier periods along x3 at eps = 2^-3 and 2^-4: refused where the
+    # envelope is 'one' along x3 (evolved's None is 'one' on every spatial axis), admitted under a Hann factor
+    model, k = MaterialModel.constant(), (0.0, 0.0, 1.1)
+
+    def make(axes):
+        env = None if axes is None else hann_window(WRAP_GRID, axes=axes)
+        if generator == "plane_wave":
+            return plane_wave_family(model, WRAP_GRID, k, "trans+1", env, EPS2)
+        return evolved_family(model, WRAP_GRID, k, "trans+1", EPS2, env)
+
+    with pytest.raises(AliasingError, match=r"^eps=0\.125: 2\.2 carrier periods along x3"):
+        make(refused)
+    assert make((0, 1, 3)).min_cells_per_wavelength() == pytest.approx(32 / 4.4)
+
+
 @pytest.mark.parametrize("medium", [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (1.3, 2.7, 1.0)])
 def test_plane_wave_modes_solve_the_eikonal_relation(medium, rng):
     # P(c, k) b = 0 for every mode's (k, b, c), which is why the plane-wave source has no (2 pi i/eps) P b term
@@ -514,8 +534,20 @@ def test_wkb_residual_bounded_in_eps():
     assert norms[eps_pair[1]] <= 1.5 * norms[eps_pair[0]]
 
 
+def test_layered_phase_fourth_order_between_nodes(linear_speed_model, monkeypatch):
+    """The travel-time table on 8 .. 64 cells against q = ln(1 + 0.8 x)/0.8, read between its nodes."""
+    x = np.linspace(0.0, 1.0, 4097)
+    errs = []
+    for cells in (8, 16, 32, 64):
+        monkeypatch.setattr(synthesis, "LAYER_QUADRATURE_CELLS", cells)
+        phase = layered_phase(linear_speed_model, axis=0, sign="+", x_max=1.0)
+        errs.append(np.abs(phase.value(0.0, x, 0.0, 0.0) - np.log1p(0.8 * x) / 0.8).max())
+    errs = np.array(errs)
+    assert np.all(np.log2(errs[:-1] / errs[1:]) >= 3.5)  # 3.78, 3.88, 3.94; np.interp gave 1.9-2.0
+
+
 def test_layered_phase_refuses_coordinates_beyond_its_table():
-    # the travel-time table spans [0, x_max]: past it the interpolated value would stay at q(x_max) = 0.275
+    # the travel-time table spans [0, x_max]: past it the value would extrapolate the table's last cubic piece
     # while the gradient kept reading 1/v = 1 + 0.8 x1, so a WKB family on a wider grid would not match
     model = _layered_model()
     phase = layered_phase(model, axis=0, sign="+", x_max=0.25)

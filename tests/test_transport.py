@@ -11,7 +11,6 @@ from hml import transport
 from hml.synthesis import evolved_family, linear_phase, wkb_family
 from hml.transport import (
     DensityTrajectory,
-    RayState,
     constant_transport_residual,
     divergence_constraint_residual,
     integrate_rays,
@@ -66,28 +65,26 @@ def layered_model():
     )
 
 
-def seeded_states(n, x, seed=0):
-    """``n`` rays from ``x`` along seeded unit 4-directions (zeta0, zeta')."""
+def seeded_directions(n, seed=0):
+    """(n, 4) seeded unit 4-directions (zeta0, zeta')."""
     dirs = np.random.default_rng(seed).normal(size=(n, 4))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return [RayState(x=np.asarray(x, float), zetaP=d[1:], zeta0=d[0]) for d in dirs]
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
 # ----------------------------------------------------------------------- rays
 
 def test_rays_straight_for_constant_model():
     model = MaterialModel.constant(2.0, 0.5, 0.0)
-    st = RayState(x=np.array([0.1, 0.2, 0.3]), zetaP=np.array([0.0, 0.6, 0.8]))
-    path = integrate_rays(model, [st], (0.0, 1.0))[0]
+    x = np.array([0.1, 0.2, 0.3])
+    path = integrate_rays(model, x, [0.0, 0.6, 0.8], (0.0, 1.0))[0]
     np.testing.assert_allclose(path.zetaPs, np.broadcast_to(path.zetaPs[0], path.zetaPs.shape), atol=1e-14)
-    v = model.speed_at(st.x)
-    np.testing.assert_allclose(path.xs[-1], st.x + v * np.array([0.0, 0.6, 0.8]), atol=1e-12)
+    v = model.speed_at(x)
+    np.testing.assert_allclose(path.xs[-1], x + v * np.array([0.0, 0.6, 0.8]), atol=1e-12)
 
 
 def test_rays_bend_and_conserve_hamiltonian():
     model = quadratic_speed_model()
-    st = RayState(x=np.array([0.2, 0.0, 0.0]), zetaP=np.array([0.0, 1.0, 0.0]))
-    path = integrate_rays(model, [st], (0.0, 1.0))[0]
+    path = integrate_rays(model, [0.2, 0.0, 0.0], [0.0, 1.0, 0.0], (0.0, 1.0))[0]
     # v decreases away from x1 = 0, rays bend toward decreasing v: x1 grows
     drift = np.max(np.abs(path.hamiltonian - path.hamiltonian[0]))
     assert drift <= 1e-8
@@ -97,29 +94,28 @@ def test_rays_bend_and_conserve_hamiltonian():
 
 def test_rays_reversible():
     model = quadratic_speed_model()
-    st = RayState(x=np.array([0.15, -0.1, 0.05]), zetaP=np.array([0.3, 0.9, -0.2]))
-    states = [st] + seeded_states(8, st.x)
-    fwd = integrate_rays(model, states, (0.0, 0.7))
-    ends = [RayState(x=p.xs[-1], zetaP=p.zetaPs[-1], zeta0=p.zeta0) for p in fwd]
-    back = integrate_rays(model, ends, (0.7, 0.0))
-    for st, path in zip(states, back):
-        assert np.linalg.norm(path.xs[-1] - st.x) <= 1e-7
-        assert np.linalg.norm(path.zetaPs[-1] - st.zetaP) <= 1e-7
+    x = np.array([0.15, -0.1, 0.05])
+    dirs = np.vstack([[0.0, 0.3, 0.9, -0.2], seeded_directions(8)])
+    fwd = integrate_rays(model, x, dirs[:, 1:], (0.0, 0.7), zeta0=dirs[:, 0])
+    ends = np.array([np.concatenate([p.xs[-1], p.zetaPs[-1]]) for p in fwd])
+    back = integrate_rays(model, ends[:, :3], ends[:, 3:], (0.7, 0.0), zeta0=dirs[:, 0])
+    for zp, path in zip(dirs[:, 1:], back):
+        assert np.linalg.norm(path.xs[-1] - x) <= 1e-7
+        assert np.linalg.norm(path.zetaPs[-1] - zp) <= 1e-7
 
 
 def test_ray_leaving_model_domain_raises():
     # the ray moves one unit along x1 from the centre of a box of side 0.1
     model = dataclasses.replace(MaterialModel.constant(), domain=((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)))
-    st = RayState(x=np.full(3, 0.05), zetaP=np.array([1.0, 0.0, 0.0]))
+    x, zp = np.full(3, 0.05), np.array([1.0, 0.0, 0.0])
     with pytest.raises(DomainError, match="outside model domain"):
-        integrate_rays(model, [st], (0.0, 1.0))
-    assert integrate_rays(model, [st], (0.0, 0.04))[0].status == "ok"
+        integrate_rays(model, x, zp, (0.0, 1.0))
+    assert integrate_rays(model, x, zp, (0.0, 0.04))[0].status == "ok"
 
 
 def test_rays_terminate_near_zero_direction():
     model = MaterialModel.constant()
-    st = RayState(x=np.zeros(3), zetaP=np.array([1e-8, 0, 0]))
-    path = integrate_rays(model, [st], (0.0, 1.0))[0]
+    path = integrate_rays(model, np.zeros(3), [1e-8, 0, 0], (0.0, 1.0))[0]
     assert path.status == "terminated_small_zetaP"
 
 
@@ -127,24 +123,53 @@ def test_rays_terminate_near_zero_direction():
 def test_ray_batch_matches_single_rays(branch):
     """Rays in one batch step as they do alone; a small-zeta' ray stops without stopping the rest."""
     model = quadratic_speed_model()
-    small = RayState(x=np.zeros(3), zetaP=np.array([1e-8, 0.0, 0.0]))
-    states = [small] + seeded_states(20, (0.1, -0.2, 0.05))
-    paths = integrate_rays(model, states, (0.0, 0.5), branch=branch)
+    x = np.vstack([np.zeros(3), np.tile([0.1, -0.2, 0.05], (20, 1))])
+    dirs = np.vstack([[0.0, 1e-8, 0.0, 0.0], seeded_directions(20)])
+    paths = integrate_rays(model, x, dirs[:, 1:], (0.0, 0.5), branch=branch, zeta0=dirs[:, 0])
     assert paths[0].status == "terminated_small_zetaP" and paths[0].times.size == 1
-    for st, path in zip(states[1:], paths[1:]):
-        alone = integrate_rays(model, [st], (0.0, 0.5), branch=branch)[0]
+    for xi, d, path in zip(x[1:], dirs[1:], paths[1:]):
+        alone = integrate_rays(model, xi, d[1:], (0.0, 0.5), branch=branch, zeta0=d[0])[0]
         assert path.status == alone.status == "ok"
         for name in ("times", "xs", "zetaPs", "hamiltonian"):
             np.testing.assert_array_equal(getattr(path, name), getattr(alone, name))
-    assert integrate_rays(model, [], (0.0, 0.5), branch=branch) == []
+    assert integrate_rays(model, np.zeros(3), np.empty((0, 3)), (0.0, 0.5), branch=branch) == []
 
 
 @pytest.mark.parametrize("branch", ["+", "-"])
 def test_ray_hamiltonian_drift_in_layered_medium(branch):
     """64 rays from the window centre of the smooth-rays medium keep omega within 1e-8."""
-    paths = integrate_rays(layered_model(), seeded_states(64, (0.125,) * 3), (1 / 16, 3 / 16), branch=branch)
+    dirs = seeded_directions(64)
+    paths = integrate_rays(layered_model(), (0.125,) * 3, dirs[:, 1:], (1 / 16, 3 / 16), branch=branch,
+                           zeta0=dirs[:, 0])
     assert all(p.status == "ok" for p in paths)
     assert max(np.max(np.abs(p.hamiltonian - p.hamiltonian[0])) for p in paths) <= 1e-8
+
+
+def test_rk4_rays_fourth_order(linear_speed_model, monkeypatch):
+    """Successive differences of the end states at RAY_DT = 2^-3 .. 2^-6 over [0, 0.5] shrink 16-fold."""
+    zp = np.random.default_rng(0).normal(size=(16, 3))
+    ends = []
+    for dt in 2.0 ** -np.arange(3, 7):
+        monkeypatch.setattr(transport, "RAY_DT", dt)
+        paths = integrate_rays(linear_speed_model, (0.2, 0.0, 0.0), zp, (0.0, 0.5))
+        ends.append(np.array([np.concatenate([p.xs[-1], p.zetaPs[-1]]) for p in paths]))
+    diffs = np.array([np.abs(a - b).max() for a, b in zip(ends, ends[1:])])
+    assert np.all(np.log2(diffs[:-1] / diffs[1:]) >= 3.5)  # 4.05 and 4.03
+
+
+def test_shared_start_broadcasts_bit_for_bit():
+    """A shared (3,) position or scalar zeta0 gives the paths of its (n, 3) or (n,) repeat, bit for bit."""
+    model = quadratic_speed_model()
+    x, dirs = np.array([0.1, -0.2, 0.05]), seeded_directions(12)
+    runs = [integrate_rays(model, xs, dirs[:, 1:], (0.0, 0.5), zeta0=z0)
+            for xs in (x, np.tile(x, (12, 1))) for z0 in (0.3, np.full(12, 0.3))]
+    for paths in runs[1:]:
+        for got, want in zip(paths, runs[0], strict=True):
+            assert got.status == want.status
+            for name in ("times", "xs", "zetaPs", "hamiltonian"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    with pytest.raises(ValueError):  # 4-vectors are refused, not read as 3-vectors
+        integrate_rays(model, x, dirs, (0.0, 0.5))
 
 
 # --------------------------------------------------------- sphere derivatives
@@ -582,6 +607,17 @@ def test_mismatched_lengths_refused_where_they_enter(short, match):
         else:
             divergence_constraint_residual(positions, fits[:-1] if short == "fits" else fits, axis=0,
                                            mu_urho_rhs=rhs[:-1] if short == "mu_urho_rhs" else rhs)
+
+
+@pytest.mark.parametrize("positions", [[0.0, 0.1, 0.1], [0.0, np.nan, 0.2], [0.0, 0.2, 0.1]],
+                         ids=["repeated", "nan", "decreasing"])
+def test_divergence_constraint_refuses_bad_positions(positions):
+    # a repeated window made the stencil solve singular, a NaN one made every max_relative NaN, and a
+    # decreasing one was paired as if its end window were interior
+    sphere = SphereGrid(8, 8, 8)
+    fits = [_synthetic_fit(sphere, sphere.flat_index(4, 4, 4), 2.0) for _ in positions]
+    with pytest.raises(ValueError, match="^positions must be finite and strictly increasing"):
+        divergence_constraint_residual(positions, fits, axis=0)
 
 
 def test_divergence_constraint_envelope_derivative():

@@ -31,14 +31,14 @@ EPS2 = (2.0**-3, 2.0**-4)
 SPHERE = SphereGrid(n_zeta0=10, n_theta=8, n_phi=16)
 
 
-def make_estimate(bins_by_eps, sphere=SPHERE, grid=GRID):
+def make_estimate(bins_by_eps, sphere=SPHERE):
+    """An estimate with these bins and no centroids: every bin reads at its center."""
     eps = tuple(sorted(bins_by_eps, reverse=True))
     return HMeasureEstimate(
         sphere=sphere,
-        grid=grid,
         epsilons=eps,
         history=dict(bins_by_eps),
-        centroids={},
+        centroids={e: np.full((sphere.num_bins, 4), np.nan) for e in eps},
         dc_energy={e: 0.0 for e in eps},
     )
 
