@@ -65,9 +65,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
-from .grids import GridSpec, SeparableWindow, fft_workers, integral_counts, set_workers
+from .grids import GridSpec, SeparableWindow, fftn, integral_counts, set_workers
 from .synthesis import (
     MIN_CELLS_PER_WAVELENGTH,
     AliasingError,
@@ -450,7 +449,8 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarr
     W = samples[0][lo:hi] * np.exp((-2j * np.pi / nt) * (kj % nt))
     for j in range(r):
         T, X = u.separated(j, lo, hi)
-        X = scipy.fft.fftn(X * spatial, axes=(1, 2, 3), overwrite_x=True, workers=fft_workers())
+        X = np.multiply(X, spatial, dtype=np.complex128)
+        fftn(X, (1, 2, 3), out=X)
         np.matmul(W @ T, X.reshape(len(X), -1), out=out[j].reshape(nt, -1))
     return out
 

@@ -4,33 +4,37 @@ The sampling box is [0,T] x [0,L1] x [0,L2] x [0,L3] with power-of-two
 shapes so that 4-D FFTs stay cheap.  Windows are tensor products of
 per-axis factors; each factor is either identically one or a raised
 cosine supported on a subinterval, and carries its analytic derivative.
-Every DFT in the package (``scipy.fft``) runs on ``fft_workers()`` threads,
-the one setting ``set_workers`` changes.
+Every DFT in the package is ``numpy.fft``: along one axis, or over several
+by ``fftn``, one in-place pass per axis.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["GridSpec", "AxisWindow", "SeparableWindow", "hann_window", "full_window", "set_workers", "fft_workers",
+__all__ = ["GridSpec", "AxisWindow", "SeparableWindow", "hann_window", "full_window", "fftn", "set_workers",
            "integral_counts"]
-
-_WORKERS = None
 
 
 def set_workers(n: int | None) -> None:
-    """FFT worker threads; None (the default) means the CPU count."""
-    global _WORKERS
-    _WORKERS = n
+    """Changes no transform: every DFT is a serial ``numpy.fft`` pass.  Kept only while ``perfbench`` calls it."""
 
 
-def fft_workers() -> int:
-    """The FFT worker count every transform in the package uses."""
-    return _WORKERS if _WORKERS is not None else os.cpu_count() or 1
+def fftn(a: np.ndarray, axes: Sequence[int], inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """DFT of ``a`` over ``axes``, or with ``inverse`` the inverse DFT (1/n per axis), as one 1-D pass per axis.
+
+    Each pass writes into ``out``: a complex128 array of a's shape, which
+    may be ``a`` itself; without it the first pass allocates the result.
+    ``np.fft.fftn`` would copy the array on every axis.
+    """
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for ax in axes:
+        out = transform(a, axis=ax, out=out)
+        a = out
+    return out
 
 
 def integral_counts(what: str, counts) -> tuple:

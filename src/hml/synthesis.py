@@ -42,10 +42,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
-from .grids import GridSpec, SeparableWindow, fft_workers, full_window
+from .grids import GridSpec, SeparableWindow, fftn, full_window
 from .symbols import (
     A_MATRICES,
     MaterialModel,
@@ -71,10 +69,15 @@ __all__ = [
 
 # |grad_x S| below this inside a WKB amplitude's support has no direction.
 GRAD_FLOOR = 1e-8
-# Simpson cells of the travel-time table of ``layered_phase``.
+# Simpson cells of the travel-time table of ``layered_phase`` (even: the rule pairs the cells).
 LAYER_QUADRATURE_CELLS = 4096
 # Fewest grid cells per oscillation wavelength that a family may carry.
 MIN_CELLS_PER_WAVELENGTH = 4.0
+# Degree-13 Pade coefficients b_0 .. b_13 of exp, and the 1-norm up to which that
+# approximant is exact to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+           10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 class AliasingError(ValueError):
@@ -371,6 +374,31 @@ def plane_wave_family(
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of every matrix of the (..., n, n) stack ``A``: degree-13 Pade with scaling and squaring (Higham 2005).
+
+    Each matrix is scaled by 2^-s, s >= 0 the least with ||A 2^-s||_1 <= theta_13,
+    and its approximant squared s times, so a matrix's exponential is the same
+    bits alone as in any stack.
+    """
+    shape, n = A.shape, A.shape[-1]
+    A = A.reshape(-1, n, n)
+    frac, exp2 = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(exp2 - (frac == 0.5), 0)  # ceil(log2(norm / theta_13)), and 0 for a zero matrix
+    A = A * np.ldexp(1.0, -s)[:, None, None]
+    b, ident = _PADE13, np.eye(n)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
+    X = np.linalg.solve(V - U, V + U)
+    for k in range(s.max(initial=0)):
+        sq = s > k
+        X[sq] = X[sq] @ X[sq]
+    return X.reshape(shape)
+
+
 def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np.ndarray:
     """One time step expm(M dt) of u^ = M u^, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C), on ``support``.
 
@@ -380,7 +408,7 @@ def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(support))]
     P = assemble_P(model, (0.0, 0.0, 0.0), np.stack([np.zeros_like(xi[0]), *xi], axis=-1))
-    return scipy.linalg.expm(-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0])
+    return _expm(-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0])
 
 
 def _evolve(model: MaterialModel, grid: GridSpec, support: np.ndarray, first: np.ndarray) -> FactoredField:
@@ -416,23 +444,31 @@ def evolved_family(
     scale's field is the stepped mode's V with the inverse FFT of the mode
     times that scale's scalar spectrum.  The source term is identically
     zero, so these families satisfy every hypothesis of the propagation
-    theorems at the discrete level.
+    theorems at the discrete level.  ``spatial_envelope`` tapers the
+    initial data only, so its time factor must be ``"one"``: a time taper
+    would be dropped, and is refused (ValueError).
     """
+    envelope = full_window() if spatial_envelope is None else spatial_envelope
+    if envelope.factors[0].kind != "one":
+        raise ValueError(f"evolved_family's envelope tapers the initial data only; its time factor must be 'one', "
+                         f"not {envelope.factors[0].describe()}")
     k, b, c = _constant_mode(model, k, mode, "evolved_family")
     x1, x2, x3 = grid.spatial_meshes()
     sphase = x1 * k[0] + x2 * k[1] + x3 * k[2]
-    envelope = full_window() if spatial_envelope is None else spatial_envelope
     env = envelope.factors[1](x1) * envelope.factors[2](x2) * envelope.factors[3](x3)
 
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     worst_cells = _aliasing_guard(grid, eps_list, (c, *k), envelope)
-    spectra = {e: scipy.fft.fftn(env * np.exp((2j * np.pi / e) * sphase), workers=fft_workers()) for e in eps_list}
+    spectra = {}
+    for e in eps_list:
+        s = env * np.exp((2j * np.pi / e) * sphase)
+        spectra[e] = fftn(s, (0, 1, 2), out=s)
     support = np.logical_or.reduce([f != 0 for f in spectra.values()])
     hat, fields = _evolve(model, grid, support, b), {}
     for e in eps_list:
         s = np.zeros((hat.rank,) + grid.shape, dtype=np.complex128)
         s[:, :, support] = hat.s * spectra[e][support]
-        fields[e] = FactoredField(hat.V, scipy.fft.ifftn(s, axes=(4, 3, 2), overwrite_x=True, workers=fft_workers()))
+        fields[e] = FactoredField(hat.V, fftn(s, (4, 3, 2), inverse=True, out=s))
 
     meta = {
         "generator": "evolved",
@@ -440,6 +476,7 @@ def evolved_family(
         "mode": mode,
         "temporal_rate": c,
         "min_cells_per_wavelength": worst_cells,
+        "envelope": envelope.describe(),
     }
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=None, metadata=meta)
 
@@ -487,8 +524,6 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    from scipy.integrate import cumulative_simpson  # local: the two imports add ~20 MB resident to every run
-    from scipy.interpolate import CubicHermiteSpline
 
     def speed(xs):
         xs = np.asarray(xs, dtype=float)
@@ -498,7 +533,22 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
 
     s = np.linspace(0.0, x_max, LAYER_QUADRATURE_CELLS + 1)
     slope = 1.0 / speed(s)
-    q = CubicHermiteSpline(s, np.concatenate([[0.0], cumulative_simpson(slope, x=s)]), slope)
+    # each cell's integral of the parabola through the nodes of its pair of cells, first and second cell of the pair
+    f0, f1, f2 = slope[:-2:2], slope[1:-1:2], slope[2::2]
+    cells = np.empty(LAYER_QUADRATURE_CELLS)
+    cells[0::2] = (s[1:-1:2] - s[:-2:2]) / 12 * (5 * f0 + 8 * f1 - f2)
+    cells[1::2] = (s[2::2] - s[1:-1:2]) / 12 * (-f0 + 8 * f1 + 5 * f2)
+    table = np.concatenate([[0.0], np.cumsum(cells)])
+
+    def q(xs):
+        """The cubic through (table, slope) at both ends of the cell of each of ``xs``."""
+        i = np.clip(np.searchsorted(s, xs, side="right") - 1, 0, LAYER_QUADRATURE_CELLS - 1)
+        h, d = s[i + 1] - s[i], xs - s[i]
+        secant = (table[i + 1] - table[i]) / h
+        c2 = (3 * secant - 2 * slope[i] - slope[i + 1]) / h
+        c3 = (slope[i] + slope[i + 1] - 2 * secant) / h**2
+        return ((c3 * d + c2) * d + slope[i]) * d + table[i]
+
     tsign = -1.0 if sign == "+" else 1.0
 
     def along(x1, x2, x3):
@@ -525,9 +575,9 @@ def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> 
     freq = grid.freq_axis(axis_of_grid)
     shape = [1] * arr.ndim
     shape[ax] = -1
-    ahat = scipy.fft.fft(arr, axis=ax, workers=fft_workers())
+    ahat = np.fft.fft(arr, axis=ax)
     ahat *= 2j * np.pi * freq.reshape(shape)
-    return scipy.fft.ifft(ahat, axis=ax, workers=fft_workers())
+    return np.fft.ifft(ahat, axis=ax, out=ahat)
 
 
 def _line_derivative(a: np.ndarray, grid: GridSpec, axis_of_grid: int) -> np.ndarray:

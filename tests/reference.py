@@ -17,7 +17,7 @@ import numpy as np
 import scipy.fft
 
 from hml.estimator import SphereGrid
-from hml.grids import GridSpec, SeparableWindow, fft_workers
+from hml.grids import GridSpec, SeparableWindow
 from hml.symbols import A_MATRICES, MaterialModel, propagation_basis
 from hml.synthesis import _spectral_derivative
 
@@ -37,9 +37,9 @@ def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray
     vals = a(f0 / rs, f1 / rs, f2 / rs, f3 / rs)
     vals = np.where(ok, vals, 1.0)
     axes = tuple(range(u.ndim - 4, u.ndim))
-    U = scipy.fft.fftn(u.astype(np.complex128, copy=False), axes=axes, workers=fft_workers())
+    U = scipy.fft.fftn(u.astype(np.complex128, copy=False), axes=axes)
     U *= vals.reshape((1,) * len(lead) + grid.shape)
-    return scipy.fft.ifftn(U, axes=axes, workers=fft_workers())
+    return scipy.fft.ifftn(U, axes=axes)
 
 
 def cutoff_multiply(b: SeparableWindow, u: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -88,7 +88,7 @@ def test_factor_rank_reported(generator, ranks):
     k, env = (0.3, -0.5, 0.8), hann_window(GRID)
     fam = {
         "plane_wave": lambda: plane_wave_family(model, GRID, k, "trans+1", env, EPS2),
-        "evolved": lambda: evolved_family(model, GRID, k, "trans+1", EPS2, env),
+        "evolved": lambda: evolved_family(model, GRID, k, "trans+1", EPS2, hann_window(GRID, axes=(1, 2, 3))),
         "wkb": lambda: wkb_family(model, GRID, linear_phase(k, -np.linalg.norm(k)), env, "trans+1", EPS2),  # v = 1
     }[generator]()
     w = hann_window(GRID, axes=(0,))

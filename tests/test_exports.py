@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_runs_without_scipy():
+    # NumPy is the one runtime dependency: with SciPy blocked, every module imports and a tiny pass through
+    # every layer runs, importing no SciPy module on the way
+    script = Path(__file__).with_name("numpy_only_pass.py")
+    code = f"import runpy, sys; sys.modules['scipy'] = None; runpy.run_path({str(script)!r}, run_name='__main__')"
+    src = str(Path(hml.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_Q_MATRICES_named_only_in_symbols():

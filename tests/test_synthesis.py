@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.integrate
+import scipy.interpolate
 import scipy.linalg
 
 from hml.estimator import SphereGrid, estimate_hmeasure
-from hml.grids import AxisWindow, GridSpec, SeparableWindow, full_window, hann_window
+from hml.grids import AxisWindow, GridSpec, SeparableWindow, fftn, full_window, hann_window
 from hml.symbols import MODE_ORDER, DomainError, MaterialModel, UnsupportedGeneratorError, assemble_P, assemble_system_matrices
 from hml import synthesis
 from hml.synthesis import (
@@ -12,6 +15,7 @@ from hml.synthesis import (
     OscillatingFamily,
     _constant_mode,
     _evolve,
+    _expm,
     _propagator,
     _spectral_derivative,
     charge_density,
@@ -107,6 +111,22 @@ def test_invalid_grid_or_window_refused_where_it_enters(make, match):
         make()
 
 
+@pytest.mark.parametrize("shape, axes", [((3, 8, 16, 8), (1, 2, 3)), ((8, 16, 32), (0, 1, 2)),
+                                         ((2, 4, 8, 8, 16), (4, 3, 2))], ids=["spectra", "evolved", "evolved-inverse"])
+def test_fftn_matches_scipy(shape, axes, rng):
+    # the axis sets the estimator's spectra and evolved_family transform over, one numpy.fft pass per axis
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for inverse, ref in ((False, scipy.fft.fftn), (True, scipy.fft.ifftn)):
+        want = ref(a, axes=axes)
+        got = fftn(a, axes, inverse)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        b = a.copy()
+        assert fftn(b, axes, inverse, out=b) is b  # in place: the passes write into b
+        np.testing.assert_array_equal(b, got)
+        np.testing.assert_allclose(fftn(a.real, axes, inverse), ref(a.real, axes=axes), rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
+
+
 # ------------------------------------------------------------------ plane wave
 
 def test_plane_wave_polarization_matches_eigenvector():
@@ -163,10 +183,11 @@ def test_aliasing_guard():
 WRAP_GRID = GridSpec(extents=(0.25,) * 4, shape=(32, 8, 8, 32))
 
 
-@pytest.mark.parametrize("generator, refused", [("plane_wave", (0, 1)), ("evolved", (0, 1)), ("evolved", None)])
+@pytest.mark.parametrize("generator, refused", [("plane_wave", (0, 1)), ("evolved", (1,)), ("evolved", None)])
 def test_wrap_around_guard(generator, refused):
     # k3 = 1.1 puts 2.2 and 4.4 carrier periods along x3 at eps = 2^-3 and 2^-4: refused where the
-    # envelope is 'one' along x3 (evolved's None is 'one' on every spatial axis), admitted under a Hann factor
+    # envelope is 'one' along x3 (evolved's None is 'one' on every spatial axis), admitted under a Hann factor;
+    # an evolved family's envelope tapers no time axis
     model, k = MaterialModel.constant(), (0.0, 0.0, 1.1)
 
     def make(axes):
@@ -177,7 +198,7 @@ def test_wrap_around_guard(generator, refused):
 
     with pytest.raises(AliasingError, match=r"^eps=0\.125: 2\.2 carrier periods along x3"):
         make(refused)
-    assert make((0, 1, 3)).min_cells_per_wavelength() == pytest.approx(32 / 4.4)
+    assert make((0, 1, 3) if generator == "plane_wave" else (1, 3)).min_cells_per_wavelength() == pytest.approx(32 / 4.4)
 
 
 @pytest.mark.parametrize("medium", [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (1.3, 2.7, 1.0)])
@@ -401,8 +422,8 @@ def test_evolved_family_builds_one_propagator(monkeypatch):
     # frequencies only (the data are constant along x1 and x2, so the 8 of the xi3 line), and one stepping
     # serve the whole ladder; each scale is the stepped mode times its own scalar spectrum, which stepping
     # that scale's t = 0 data, b exp(2 pi i x3/eps), again reproduces
-    expm, calls = scipy.linalg.expm, []
-    monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+    expm, calls = synthesis._expm, []
+    monkeypatch.setattr(synthesis, "_expm", lambda m: calls.append(m.shape) or expm(m))
     evolve, steps = synthesis._evolve, []
     monkeypatch.setattr(synthesis, "_evolve", lambda *args: steps.append(args) or evolve(*args))
     model = MaterialModel.constant(1.0, 1.0, 0.5)
@@ -421,7 +442,7 @@ def test_evolved_family_builds_one_propagator(monkeypatch):
                          ids=["cubic", "non-cubic"])
 def test_propagator_matches_per_frequency_expm(grid):
     # one exponential per frequency of the support, in np.nonzero order: the same numbers as a loop of
-    # single-matrix expm calls, on the whole lattice and on a partial support
+    # single-matrix _expm calls, on the whole lattice and on a partial support
     model = MaterialModel.constant(2.0, 0.5, 0.3)
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     xi = np.meshgrid(*(grid.freq_axis(1 + j) for j in range(3)), indexing="ij")
@@ -429,10 +450,45 @@ def test_propagator_matches_per_frequency_expm(grid):
     M = -np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0]
     want = np.empty_like(M)
     for i in np.ndindex(grid.spatial_shape):
-        want[i] = scipy.linalg.expm(M[i])
+        want[i] = _expm(M[i])
     assert np.array_equal(_propagator(model, grid, np.ones(grid.spatial_shape, bool)), want.reshape(-1, 6, 6))
     support = np.random.default_rng(5).random(grid.spatial_shape) < 0.3
     assert np.array_equal(_propagator(model, grid, support), want[support])
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 5.0, 5.5, 10.0, 20.0])
+def test_expm_matches_scipy(norm, rng):
+    # degree-13 Pade with per-matrix scaling and squaring: one squaring from ||A||_1 = 5.37 on, two at 20
+    A = rng.normal(size=(40, 6, 6)) + 1j * rng.normal(size=(40, 6, 6))
+    A *= norm / np.abs(A).sum(axis=-2).max(axis=-1)[:, None, None]
+    got = _expm(A)
+    for g, a in zip(got, A):
+        want = scipy.linalg.expm(a)
+        assert np.linalg.norm(g - want) <= 1e-14 * np.linalg.norm(want)
+    # a stack's exponentials are the same bits as one matrix at a time, whatever the other norms
+    mixed = A * np.geomspace(1e-3, 20.0 / norm, len(A))[:, None, None]
+    assert all(np.array_equal(g, _expm(a)) for g, a in zip(_expm(mixed), mixed))
+
+
+def test_expm_closed_forms():
+    d = np.array([0.5, -1.0, 2.0 + 1j, 0.0, 3.0, -7.0])
+    np.testing.assert_allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+    # the rotation generator [[0, -a], [a, 0]] exponentiates to [[cos a, -sin a], [sin a, cos a]]
+    for a in (1e-3, 0.7, 2.5, 12.0):
+        c, s = np.cos(a), np.sin(a)
+        np.testing.assert_allclose(_expm(np.array([[0.0, -a], [a, 0.0]])), [[c, -s], [s, c]], rtol=0, atol=4e-15)
+    # a zero matrix takes no squaring: the approximant's one solve, to a unit in the last place
+    np.testing.assert_allclose(_expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)), rtol=0, atol=2e-16)
+
+
+def test_evolved_family_refuses_a_time_taper():
+    # the envelope shapes the t = 0 data only, so a time taper would be dropped: it is refused, by name
+    model, k = MaterialModel.constant(1.0, 1.0, 0.5), (0, 0, 1.0)
+    with pytest.raises(ValueError, match=r"time factor must be 'one', not \{'kind': 'hann'"):
+        evolved_family(model, GRID, k, "trans+1", EPS2, hann_window(GRID))
+    env = hann_window(GRID, axes=(1, 2))
+    assert evolved_family(model, GRID, k, "trans+1", EPS2, env).metadata["envelope"] == env.describe()
+    assert evolved_family(model, GRID, k, "trans+1", EPS2).metadata["envelope"] == full_window().describe()
 
 
 LONG_E_GRID = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(32, 8, 8, 16))
@@ -544,6 +600,20 @@ def test_layered_phase_fourth_order_between_nodes(linear_speed_model, monkeypatc
         errs.append(np.abs(phase.value(0.0, x, 0.0, 0.0) - np.log1p(0.8 * x) / 0.8).max())
     errs = np.array(errs)
     assert np.all(np.log2(errs[:-1] / errs[1:]) >= 3.5)  # 3.78, 3.88, 3.94; np.interp gave 1.9-2.0
+
+
+@pytest.mark.parametrize("cells", [64, 4096])
+def test_layered_phase_matches_scipy_table_and_spline(linear_speed_model, monkeypatch, cells):
+    # the Simpson table and cubic Hermite pieces are SciPy's cumulative_simpson and CubicHermiteSpline
+    # on the same nodes and slopes 1/v, at the nodes and between them
+    monkeypatch.setattr(synthesis, "LAYER_QUADRATURE_CELLS", cells)
+    phase = layered_phase(linear_speed_model, axis=0, sign="+", x_max=1.0)
+    s = np.linspace(0.0, 1.0, cells + 1)
+    slope = 1.0 / linear_speed_model.speed(s, 0.0 * s, 0.0 * s)[0]
+    table = np.concatenate([[0.0], scipy.integrate.cumulative_simpson(slope, x=s)])
+    x = np.concatenate([s, np.random.default_rng(3).uniform(0.0, 1.0, 2000)])
+    want = scipy.interpolate.CubicHermiteSpline(s, table, slope)(x)
+    np.testing.assert_allclose(phase.value(0.0, x, 0.0, 0.0), want, rtol=1e-14, atol=0)
 
 
 def test_layered_phase_refuses_coordinates_beyond_its_table():
