@@ -11,8 +11,9 @@ Fields arrive factored, u = V s (``synthesis.FactoredField``; a plain
 array is V = the columns of I at its components that are not identically
 zero), and an H-measure moves with a constant matrix, so the estimator
 FFTs the r scalars s, bins an r x r' Gram matrix G, and returns V G V'^H.
-It reads an entry only through V, its rank and ``separated``, so only
-``synthesis`` knows how an entry's rows are held or made.  A plane wave
+It reads an entry only through V, its rank, ``separated``, its
+``support`` and ``spatial_spectrum``, so only ``synthesis`` knows how an
+entry's rows are held or made.  A plane wave
 is r = 1 and its source r = 5, where the full fields have six components
 each; an exact constant-coefficient evolution keeps only its nonzero
 components, and a family without sources pairs with r' = 0
@@ -21,6 +22,20 @@ the DFT's own flat (t, x1, x2, x3) order.  Only the binning knows the bin
 order: the lattice is sorted by bin once per (grid, sphere) and cached,
 the points of each run of bins are gathered from all rows at once, and
 each non-empty bin of G is one small real GEMM over its points.
+
+Rows are held in three ways (``synthesis.FactoredField``): as grid
+arrays, as separable terms, or as their spatial spectrum on a support
+(an evolved family).  The spectrum is read where it lives when the window
+is one on x1..x3 and every entry of rank > 0 in the measure is held on
+the same support (an auto measure, its charge cross, or a cross against a
+rank-zero source): each spectrum row is then only the support's m
+spatial frequencies, (r, nt m), and only the lattice points on the
+support are binned (``_lattice_bins`` with a support, cached per (grid,
+sphere, support)).  Off the support every spectrum is exactly zero, so
+this drops no mass; the bins with no support point are zero.  Otherwise
+the whole lattice is binned from ``separated``'s slabs, as for the other
+two kinds.  ``metadata["binned_points"]`` says which lattice was binned
+and how many points it has.
 
 The window is read only through its four axis factors.  A time-windowed
 estimate pays only for the time slabs where the time factor is nonzero,
@@ -37,7 +52,13 @@ straight into its output row.  A rank-r transform of a held entry holds
 its r output rows and one row's slabs (r + 1 grid scalars, where a grid
 scalar is 16 Npts bytes).  A produced entry (a plane wave's field, source
 and rho) holds no grid-sized array, and its transform holds its r output
-rows and one row's K spatial arrays, so its scalars are never formed.
+rows and one row's K spatial arrays, so its scalars are never formed.  A
+support-held entry (an evolved family's field and rho) holds r nt m
+values; on its support lattice its transform holds only its r output rows
+of nt m values, and forms no slab, so its estimate holds r m / (n1 n2 n3)
+of a grid scalar per sequence (3/16 on const-trajectory) and no
+grid-sized array.  Under a window that tapers x1..x3 it is read as a held
+entry, one row's slabs at a time.
 The bin loop reads the lattice in runs of about ``_CHUNK`` points, so its
 temporaries, the gathered copies among them, are run-sized.  The lattice
 build, once per (grid, sphere), works one time-frequency plane at a time
@@ -224,10 +245,16 @@ _CHUNK = 1 << 13
 
 
 @functools.lru_cache(maxsize=4)
-def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
-    """The DFT lattice sorted by sphere bin.
+def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = None) -> _Lattice:
+    """The DFT lattice sorted by sphere bin, or with ``support`` its points on that spatial support.
 
-    ``order`` is the stable permutation that sorts the flat lattice by bin,
+    ``support`` is the bytes of a boolean array of the spatial shape (C
+    order, so the cache can key it).  The support lattice is the full one
+    with the points whose spatial frequency is off the support dropped, and
+    the rest renumbered to the flat (t, support entry) order of a
+    support-held spectrum, (nt, m); see ``_on_support``.
+
+    On the full lattice ``order`` is the stable permutation that sorts the flat lattice by bin,
     so bin b holds the frequencies ``order[bounds[b]:bounds[b + 1]]``;
     ``bounds`` has B + 2 entries and the DC frequency sits alone in the
     overflow segment B, last.  ``order`` is int32 while the lattice has
@@ -247,6 +274,8 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
     Grids and spheres are frozen, so the last few lattices are cached by
     value.
     """
+    if support is not None:
+        return _on_support(_lattice_bins(grid, sphere), np.frombuffer(support, dtype=bool))
     idx, flat = _flat_lattice_bins(grid, sphere)
     n = grid.num_points
     order = np.argsort(idx, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
@@ -257,6 +286,23 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid) -> _Lattice:
     for lo in range(0, n, _CHUNK):
         np.take(flat, order[lo : lo + _CHUNK], axis=0, out=dirs[lo : lo + _CHUNK], mode="clip")
     return _Lattice(order, bounds, dirs)
+
+
+def _on_support(full: _Lattice, support: np.ndarray) -> _Lattice:
+    """The points of the sorted lattice ``full`` whose spatial frequency is on the flat boolean ``support``.
+
+    A kept point keeps its bin, its float32 direction and its place in the
+    stable order; its flat index t * M + x (M spatial frequencies) becomes
+    t * m + (x's rank among the m true entries), the index of its value in
+    a support-held spectrum.  The DC point stays alone in segment B when
+    x = 0 is on the support, and segment B is empty otherwise.
+    """
+    M, m = support.size, int(np.count_nonzero(support))
+    spatial = full.order % M
+    kept = np.flatnonzero(support[spatial])
+    rank = (np.cumsum(support) - 1).astype(full.order.dtype)
+    order = (full.order[kept] // M) * m + rank[spatial[kept]]
+    return _Lattice(order, np.searchsorted(kept, full.bounds), full.dirs[kept])
 
 
 def _flat_lattice_bins(grid: GridSpec, sphere: SphereGrid) -> tuple:
@@ -300,6 +346,10 @@ class HMeasureEstimate:
     (r, r'), the number of scalar factors transformed per sequence:
     components that are exactly zero (no tolerance) are not counted, and r
     or r' is 0 for an all-zero sequence, whose bins are zero.
+    ``metadata["binned_points"]`` is {"points": n, "lattice": "full" or
+    "support"}: the lattice points the finest scale binned, on the whole
+    lattice or on its entries' spatial support.  ``bin_occupancy``
+    describes the whole lattice either way.
     """
 
     sphere: SphereGrid
@@ -378,8 +428,10 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     bin's mass-weighted direction sum is one product ``mass @ dirs`` next
     to its GEMM.  The DC term is
     the sum over the first min(p, q) components of the expanded DC
-    vectors, read at flat index 0.  r or r' may be 0: the bins and the DC
-    term are then zero, and the centroids are those of the other
+    vectors, read at the point of the lattice's segment B (flat index 0 on
+    the full lattice); it is 0 when that segment is empty, a support
+    lattice without the zero frequency.  r or r' may be 0: the bins and the
+    DC term are then zero, and the centroids are those of the other
     sequence's mass.
     """
     B = sphere.num_bins
@@ -414,14 +466,22 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     good = norms > 0
     cent = np.full((B, 4), np.nan)
     cent[nonempty[good]] = sums[nonempty[good]] / norms[good, None]
-    d1, d2 = V1 @ F1[:, 0], V2 @ F2[:, 0]
+    if bounds[B + 1] == bounds[B]:
+        return bins, cent, 0j
+    zero = lattice.order[bounds[B]]
+    d1, d2 = V1 @ F1[:, zero], V2 @ F2[:, zero]
     m = min(d1.size, d2.size)
     dc = complex(np.sum(d1[:m] * np.conj(d2[:m])) * scale)
     return bins, cent, dc
 
 
-def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarray:
+def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, support=None) -> np.ndarray:
     """Windowed 4-D DFT of the r scalars of a (p,) + grid.shape entry as an (r, Npts) array in the DFT's flat order.
+
+    With ``support`` (a support-held entry, under a window that is one on
+    x1..x3) only the support's m spatial frequencies are formed: an
+    (r, nt m) array in the flat (t, support entry) order, each row the time
+    DFT GEMM W @ ``u.spatial_spectrum`` with no spatial transform.
 
     The window phi = w_t(t) w_x(x) is read through its axis factors.  Only
     the slabs t_j0 .. t_j1 between the first and last grid times where w_t
@@ -441,12 +501,18 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarr
     if dead:
         raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
     nt, r = grid.shape[0], u.rank
-    out = np.empty((r, grid.num_points), dtype=np.complex128)
     live = np.flatnonzero(samples[0])
     lo, hi = live[0], live[-1] + 1
-    spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
     kj = np.arange(nt)[:, None] * np.arange(lo, hi)
     W = samples[0][lo:hi] * np.exp((-2j * np.pi / nt) * (kj % nt))
+    if support is not None:
+        m = np.count_nonzero(support)
+        out = np.empty((r, nt * m), dtype=np.complex128)
+        for j in range(r):
+            np.matmul(W, u.spatial_spectrum(j, lo, hi), out=out[j].reshape(nt, m))
+        return out
+    out = np.empty((r, grid.num_points), dtype=np.complex128)
+    spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
     for j in range(r):
         T, X = u.separated(j, lo, hi)
         X = np.multiply(X, spatial, dtype=np.complex128)
@@ -461,10 +527,11 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     Refuses a one-scale ladder and an under-resolved family, and a g^eps
     whose grid differs from u^eps's when that scale is read.  Every entry
     is read once per scale, as its factors, and only its r scalars are
-    windowed and transformed.  ``g_fields`` None pairs the family with
-    itself and fills the Hermitian half from one set of spectra; otherwise
-    u^eps is paired with the m components that g^eps has, giving (B, 6, m)
-    bins.
+    windowed and transformed: on a support they share (``_shared_support``)
+    only the support's lattice points are formed and binned.  ``g_fields``
+    None pairs the family with itself and fills the Hermitian half from one
+    set of spectra; otherwise u^eps is paired with the m components that
+    g^eps has, giving (B, 6, m) bins.
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
@@ -473,9 +540,9 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     sphere = sphere or SphereGrid()
     grid = family.grid
     hermitian = g_fields is None
-    lattice = _lattice_bins(grid, sphere)
+    full = _lattice_bins(grid, sphere)
     scale = grid.cell_volume**2 / grid.box_volume
-    counts = np.diff(lattice.bounds[: sphere.num_bins + 1])  # lattice points per bin, DC excluded
+    counts = np.diff(full.bounds[: sphere.num_bins + 1])  # lattice points per bin, DC excluded
     median = float(np.median(counts))
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
@@ -484,10 +551,13 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         if np.shape(g)[1:] != grid.shape:
             raise ValueError("secondary sequence grid mismatch")
         g = FactoredField.of(g)
-        F1 = _spectra(u, phi, grid)
-        F2 = F1 if hermitian else _spectra(g, phi, grid)
+        support = _shared_support(phi, u, g)
+        lattice = full if support is None else _lattice_bins(grid, sphere, support.tobytes())
+        F1 = _spectra(u, phi, grid, support)
+        F2 = F1 if hermitian else _spectra(g, phi, grid, support)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
         ranks = (u.rank, g.rank)
+        binned = {"points": int(lattice.bounds[-1]), "lattice": "full" if support is None else "support"}
         # one scale resident: the next scale is read and transformed with none of this one's arrays held
         del u, g, F1, F2
     return HMeasureEstimate(
@@ -499,8 +569,21 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         metadata={"kind": "auto" if hermitian else "cross", "window": phi.describe(), "family": dict(family.metadata),
                   "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)), "median_points": median,
                                     "below_floor": median < MIN_MEDIAN_POINTS_PER_BIN},
-                  "factor_rank": ranks},
+                  "factor_rank": ranks, "binned_points": binned},
     )
+
+
+def _shared_support(phi: SeparableWindow, *entries: FactoredField):
+    """The spatial support every entry of rank > 0 is held on, if the window is one on x1..x3; else None.
+
+    Off such a support every entry's spatial spectrum is zero and the
+    window leaves it so, so only the support's lattice points carry mass.
+    """
+    live = [u for u in entries if u.rank]
+    if not live or any(f.kind != "one" for f in phi.factors[1:]) or any(u.support is None for u in live):
+        return None
+    support = live[0].support
+    return support if all(np.array_equal(u.support, support) for u in live[1:]) else None
 
 
 # family -> {(window, sphere): the live auto estimate}; weak at both levels (see the module docstring)

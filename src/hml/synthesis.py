@@ -15,11 +15,12 @@ V mu_s V^H (Tartar 1990), so the estimator and ``charge_density`` work on
 the r scalars.  A plain array is read as V = the columns of I whose
 components are not identically zero, so exact-zero components are never
 transformed; the test is exact (``!= 0``, no tolerance), and r = 0 is an
-all-zero field.  A factored entry holds s, or holds each row of s as a
-short sum of separable terms, four 1-D axis arrays each, and makes the row
-where it is read (``FactoredField``); the full array of a factored entry
-is formed only by ``FactoredField.materialise``, which ``np.asarray``
-calls.
+all-zero field.  A factored entry holds s; or holds each row of s as a
+short sum of separable terms, four 1-D axis arrays each; or holds the
+spatial spectrum of s on the frequencies where it can be nonzero.  The
+last two make a row where it is read (``FactoredField``); the full array
+of a factored entry is formed only by ``FactoredField.materialise``, which
+``np.asarray`` calls.
 Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
@@ -30,7 +31,8 @@ Generators:
 * evolved_family: spectral matrix-exponential solution of the
   constant-coefficient system (the source is exactly zero); the
   polarization is stepped once per family, on the support of the scales'
-  scalar spectra, and times each scale's scalar spectrum.
+  scalar spectra, and times each scale's scalar spectrum, held on that
+  support.
 * wkb_family: variable-coefficient phase/amplitude fields aligned with a
   local eigenmode; the Maxwell residual is measured spectrally.
 """
@@ -90,30 +92,47 @@ class FactoredField:
 
     ``V`` (p, r) has orthonormal columns and s holds the r scalar fields, so
     |u|^2 = |s|^2 pointwise and in every Fourier mode; r = 0 is the zero
-    field.  The scalars are held or produced:
+    field.  The scalars are held in one of three ways:
 
     * held: ``s`` is the (r,) + grid array;
     * produced (``from_polarization``, ``charge_density``): ``rows[j]`` is a
       tuple of separable terms (t, x1, x2, x3), four 1-D axis arrays each,
       and s_j is the sum of their outer products, so the entry holds no
-      grid-sized array.
+      grid-sized array;
+    * support-held (``evolved_family``, ``charge_density``): ``spectrum`` is
+      the (r, nt, m) spatial DFT of s on the m true entries of the boolean
+      spatial ``support`` (``np.nonzero`` order), and zero off it, so the
+      entry holds no grid-sized array either.
 
     ``separated`` gives time slabs of one row as T @ X, time factors times
-    spatial factors, for either kind of row.  It is all the estimator reads
-    of the scalars.  ``scalars`` forms s through it, and ``materialise``
-    (and so ``np.asarray``) forms u from s.
+    spatial factors, for every kind of row; a support-held row makes only
+    the requested slabs, by scattering them onto the spatial grid and one
+    inverse DFT pass per axis (x3, x2, x1).  ``spatial_spectrum`` reads a
+    support-held row where it lives, with no transform.  These two are all
+    the estimator reads of the scalars.  ``scalars`` forms s, and
+    ``materialise`` (and so ``np.asarray``) forms u from s.
     ``shape`` is the shape of u.
     """
 
     V: np.ndarray
     s: np.ndarray | None = None
     rows: tuple = ()
+    spectrum: np.ndarray | None = None
+    support: np.ndarray | None = None
 
     def __post_init__(self):
-        V, produced = self.V, self.s is None
-        if produced == (not self.rows):
-            raise ValueError("a factored field needs exactly one of held scalars s and produced rows")
-        n = len(self.rows) if produced else self.s.shape[0]
+        V, produced = self.V, bool(self.rows)
+        if (self.s is not None) + produced + (self.spectrum is not None) != 1:
+            raise ValueError("a factored field needs exactly one of held scalars s, produced rows and a spectrum")
+        if (self.spectrum is None) != (self.support is None):
+            raise ValueError("a spectrum and its support come together")
+        if self.spectrum is not None:
+            support = self.support
+            if support.dtype != bool or support.ndim != 3 or self.spectrum.ndim != 3 \
+                    or self.spectrum.shape[2] != np.count_nonzero(support):
+                raise ValueError(f"a spectrum of shape {self.spectrum.shape} is not one value per time and true "
+                                 f"entry of a 3-D boolean support")
+        n = len(self.rows) if produced else (self.s if self.spectrum is None else self.spectrum).shape[0]
         if V.ndim != 2 or V.shape[1] != n:
             raise ValueError(f"polarization factor of shape {V.shape} does not match {n} scalars")
         if produced:
@@ -160,7 +179,12 @@ class FactoredField:
 
     @property
     def shape(self) -> tuple:
-        grid = self.s.shape[1:] if self.s is not None else tuple(len(a) for a in self.rows[0][0])
+        if self.spectrum is not None:
+            grid = self.spectrum.shape[1:2] + self.support.shape
+        elif self.s is not None:
+            grid = self.s.shape[1:]
+        else:
+            grid = tuple(len(a) for a in self.rows[0][0])
         return self.V.shape[:1] + grid
 
     @property
@@ -170,21 +194,42 @@ class FactoredField:
     def separated(self, j: int, lo: int, hi: int) -> tuple:
         """Time slabs lo:hi of row j as T @ X: time factors T (hi - lo, K) and spatial factors X (K,) + spatial.
 
-        A held row is T = I with its K = hi - lo slabs; a produced row of K
-        terms is their time factors on those slabs and the outer products
-        of their spatial factors.
+        A held row is T = I with its K = hi - lo slabs, and so is a
+        support-held row, whose K slabs are made here from its spectrum
+        (``_on_grid``); a produced row of K terms is their time factors on
+        those slabs and the outer products of their spatial factors.
         """
         if self.s is not None:
             return np.eye(hi - lo), self.s[j, lo:hi]
+        if self.spectrum is not None:
+            return np.eye(hi - lo), self._on_grid(self.spectrum[j, lo:hi])
         terms = self.rows[j]
         T = np.stack([t[lo:hi] for t, *_ in terms], axis=1)
         X = np.stack([x1[:, None, None] * x2[None, :, None] * x3[None, None, :] for _, x1, x2, x3 in terms])
         return T, X
 
+    def spatial_spectrum(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Time slabs lo:hi of row j's spatial spectrum on ``support``, (hi - lo, m): a view of the held spectrum."""
+        return self.spectrum[j, lo:hi]
+
+    def _on_grid(self, spectrum: np.ndarray) -> np.ndarray:
+        """The spatial fields (..., n1, n2, n3) whose spectra are ``spectrum`` (..., m) on ``support`` and zero off it.
+
+        Scattered onto zeros and transformed in place, one inverse pass per
+        axis in the order x3, x2, x1, so a slab is the same bits alone as
+        within all of its row's slabs.
+        """
+        a = np.zeros(spectrum.shape[:-1] + self.support.shape, dtype=np.complex128)
+        a[..., self.support] = spectrum
+        n = a.ndim
+        return fftn(a, (n - 1, n - 2, n - 3), inverse=True, out=a)
+
     def scalars(self) -> np.ndarray:
-        """The (r,) + grid scalars s: held, or formed row by row as T @ X (``separated``)."""
+        """The (r,) + grid scalars s: held, made from the spectrum, or formed row by row as T @ X (``separated``)."""
         if self.s is not None:
             return self.s
+        if self.spectrum is not None:
+            return self._on_grid(self.spectrum)
         return np.stack([np.tensordot(*self.separated(j, 0, self.shape[1]), axes=1) for j in range(self.rank)])
 
     def materialise(self) -> np.ndarray:
@@ -209,7 +254,8 @@ def _check_entry(name: str, e: float, u, shape: tuple):
     """``u`` if it is a finite entry of ``shape``; the one check of every entry, made when its family is built.
 
     Reads the factors of a ``FactoredField``, never its full arrays: V and
-    held scalars s, or V and the 1-D axis factors of produced rows.  A
+    held scalars s, V and a support-held spectrum, or V and the 1-D axis
+    factors of produced rows.  A
     produced row is bounded by the sum over its terms of the product of
     their factors' maxima, finite only if no product overflows (four finite
     factors can).  A plain array is read as held: factoring it here would
@@ -219,8 +265,8 @@ def _check_entry(name: str, e: float, u, shape: tuple):
         raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
     if not isinstance(u, FactoredField):
         finite = np.isfinite(np.asarray(u)).all()
-    elif u.s is not None:
-        finite = np.isfinite(u.V).all() and np.isfinite(u.s).all()
+    elif u.s is not None or u.spectrum is not None:
+        finite = np.isfinite(u.V).all() and np.isfinite(u.s if u.spectrum is None else u.spectrum).all()
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             peaks = [sum(np.prod([np.abs(a).max() for a in term]) for term in row) for row in u.rows]
@@ -441,8 +487,10 @@ def evolved_family(
     exp(t M(xi)) b times that of s_eps, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C).
     So b is stepped once (``_evolve``), on the frequencies where some scale's
     scalar spectrum is nonzero (exact ``!= 0``, no tolerance), and each
-    scale's field is the stepped mode's V with the inverse FFT of the mode
-    times that scale's scalar spectrum.  The source term is identically
+    scale's field is the stepped mode's V with the mode times that scale's
+    scalar spectrum, held on that support (``FactoredField``'s support-held
+    kind): no entry holds a grid-sized array or pays an inverse FFT until a
+    reader asks for its physical slabs.  The source term is identically
     zero, so these families satisfy every hypothesis of the propagation
     theorems at the discrete level.  ``spatial_envelope`` tapers the
     initial data only, so its time factor must be ``"one"``: a time taper
@@ -464,11 +512,8 @@ def evolved_family(
         s = env * np.exp((2j * np.pi / e) * sphase)
         spectra[e] = fftn(s, (0, 1, 2), out=s)
     support = np.logical_or.reduce([f != 0 for f in spectra.values()])
-    hat, fields = _evolve(model, grid, support, b), {}
-    for e in eps_list:
-        s = np.zeros((hat.rank,) + grid.shape, dtype=np.complex128)
-        s[:, :, support] = hat.s * spectra[e][support]
-        fields[e] = FactoredField(hat.V, fftn(s, (4, 3, 2), inverse=True, out=s))
+    hat = _evolve(model, grid, support, b)
+    fields = {e: FactoredField(hat.V, spectrum=hat.s * spectra[e][support], support=support) for e in eps_list}
 
     meta = {
         "generator": "evolved",
@@ -669,11 +714,13 @@ def charge_density(family: OscillatingFamily) -> dict:
     (the DFT of a separable product is the product of its factors' 1-D
     DFTs), so rho is a produced entry: the field's terms with V_ji folded
     into the time factor and the x_j factor spectrally differentiated.  A
-    held field's E_j is formed from V and s and differentiated on the grid,
-    three scalar derivative pairs for a rank-one field.  An E_j whose row of
-    V is exactly zero costs nothing, and a field with V[:3] exactly zero
-    (E identically zero) has the rank-zero rho, which holds no grid-sized
-    array.  Every scale's rho is made when this is called.
+    support-held field's rho stays on its support: its one row is rho^ =
+    sum_j 2 pi i xi_j V_j s^ there.  A held field's E_j is formed from V
+    and s and differentiated on the grid, three scalar derivative pairs for
+    a rank-one field.  An E_j whose row of V is exactly zero costs nothing,
+    and a field with V[:3] exactly zero (E identically zero) has the
+    rank-zero rho, which holds no grid-sized array.  Every scale's rho is
+    made when this is called.
     """
     grid = family.grid
     zero = FactoredField.zero(1, grid.shape)
@@ -683,7 +730,11 @@ def charge_density(family: OscillatingFamily) -> dict:
         live = np.flatnonzero(u.V[:3].any(axis=1))
         if live.size == 0:
             rho[e] = zero
-        elif u.s is None:
+        elif u.spectrum is not None:
+            xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(u.support))]
+            spectrum = sum((2j * np.pi * xi[j]) * np.tensordot(u.V[j], u.spectrum, axes=1) for j in live)
+            rho[e] = FactoredField(np.ones((1, 1)), spectrum=spectrum[None], support=u.support)
+        elif u.rows:
             terms = [(u.V[j, i] * t, *(_line_derivative(a, grid, 1 + j) if m == j else a for m, a in enumerate(x)))
                      for j in live for i in np.flatnonzero(u.V[j]) for t, *x in u.rows[i]]
             rho[e] = FactoredField(np.ones((1, 1)), rows=(tuple(terms),))

@@ -4,8 +4,11 @@
 
 NumPy is the package's one runtime dependency.  The pass builds a plane-wave,
 an evolved and a layered-phase WKB family on a 16 x 8^3 box, estimates and
-fits each, and predicts the evolved family forward and compares.  It then
-exits with an error naming every ``scipy`` module that was imported.
+fits each, and predicts the evolved family forward and compares.  The
+evolved family is held on its spatial support, so its time-windowed
+estimate must have binned nt m lattice points, m the support's size.  It
+then exits with an error naming that estimate's binned points if they
+differ, or every ``scipy`` module that was imported.
 ``test_package_runs_without_scipy`` runs it with SciPy blocked, and CI runs
 it where only the declared runtime dependencies are installed.
 """
@@ -26,8 +29,13 @@ def main() -> None:
         synthesis.evolved_family(model, grid, k, "trans+1", eps, grids.hann_window(grid, axes=(1,))),
         synthesis.wkb_family(model, grid, phase, grids.hann_window(grid), "trans+1", eps),
     ]
-    for fam in families:
-        verifier.fit_constant_decomposition(estimator.estimate_hmeasure(fam, window, sphere))
+    estimates = [estimator.estimate_hmeasure(fam, window, sphere) for fam in families]
+    for est in estimates:
+        verifier.fit_constant_decomposition(est)
+    support = families[1].fields[families[1].finest].support
+    binned = {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
+    if estimates[1].metadata["binned_points"] != binned:
+        raise SystemExit(f"the evolved estimate binned {estimates[1].metadata['binned_points']}, not {binned}")
     transport.predict_then_compare(families[1], model, 0.0625, 0.1875, sphere=sphere, window_width=0.125)
     # a module blocked by ``sys.modules["scipy"] = None`` sits there as None
     loaded = sorted(name for name, mod in sys.modules.items() if mod is not None and name.split(".")[0] == "scipy")

@@ -7,7 +7,9 @@ defining operators, a direction multiplier and a spatial cutoff;
 whole (n, 4) stacks, independently of the package's;
 ``paper_display_blocks`` is the smooth-scalar case's sigma blocks as the
 paper prints them; ``tensordot_maxwell_residual`` is the Maxwell residual
-with each A^j applied as a matrix.  The package does not call them, so
+with each A^j applied as a matrix; ``scatter_ifftn`` is an evolved
+family's field formed on the grid, as ``evolved_family`` formed it before
+it held its fields on their support.  The package does not call them, so
 they live with the tests.
 """
 
@@ -17,9 +19,9 @@ import numpy as np
 import scipy.fft
 
 from hml.estimator import SphereGrid
-from hml.grids import GridSpec, SeparableWindow
+from hml.grids import GridSpec, SeparableWindow, fftn
 from hml.symbols import A_MATRICES, MaterialModel, propagation_basis
-from hml.synthesis import _spectral_derivative
+from hml.synthesis import FactoredField, _spectral_derivative
 
 
 def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -140,3 +142,11 @@ def tensordot_maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSp
         c = np.flatnonzero(A.any(axis=0))
         res += np.tensordot(A[:, c], _spectral_derivative(u[c], grid, 1 + j), axes=1)
     return res
+
+
+def scatter_ifftn(V: np.ndarray, spectrum: np.ndarray, support: np.ndarray, grid: GridSpec) -> FactoredField:
+    """The held field V s whose (r, nt, m) spatial spectrum on ``support`` is ``spectrum``: the whole (r,) + grid
+    array scattered and inverse-transformed over (x3, x2, x1) at once, as ``evolved_family`` made each scale."""
+    s = np.zeros((V.shape[1],) + grid.shape, dtype=np.complex128)
+    s[:, :, support] = spectrum
+    return FactoredField(V, fftn(s, (4, 3, 2), inverse=True, out=s))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hml import estimator, transport
+from hml import estimator, synthesis, transport
 from hml.estimator import (
     _CHUNK,
     SphereGrid,
@@ -31,7 +31,7 @@ from hml.synthesis import (
     wkb_family,
 )
 from hml.transport import predict_then_compare, time_subwindow
-from reference import cutoff_multiply, fourier_multiplier, neighborhood
+from reference import cutoff_multiply, fourier_multiplier, neighborhood, scatter_ifftn
 from reference import locate as reference_locate
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
@@ -403,6 +403,59 @@ def test_chunked_lattice_matches_unchunked(grid, sphere):
     assert lattice.order.dtype == np.int32
     for got, want in zip(lattice, _unchunked_lattice_bins(grid, sphere)):
         np.testing.assert_array_equal(got, want)
+
+
+CT_GRID = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(32, 8, 8, 16))  # const-trajectory --small
+
+
+def _const_trajectory_family(grid=CT_GRID):
+    """const-trajectory's family: long-e along e3, damped, an envelope along x1 only; its support is the xi2 = 0
+    plane."""
+    return evolved_family(MaterialModel.constant(1.0, 1.0, 1.0), grid, (0, 0, 1.0), "long-e", EPS2,
+                          hann_window(grid, axes=(1,)))
+
+
+def _filtered_lattice(grid, sphere, support):
+    """The reference full lattice (``_unchunked_lattice_bins``) without its points off ``support``, each kept
+    point renumbered t * m + (its spatial frequency's place among the m true entries of ``support``)."""
+    order, bounds, dirs = _unchunked_lattice_bins(grid, sphere)
+    place = np.full(support.size, -1)
+    place[np.flatnonzero(support)] = np.arange(np.count_nonzero(support))
+    t, x = np.divmod(order, support.size)
+    keep = place[x] >= 0
+    segment = np.repeat(np.arange(sphere.num_bins + 1), np.diff(bounds))
+    kept_bounds = np.concatenate([[0], np.cumsum(np.bincount(segment[keep], minlength=sphere.num_bins + 1))])
+    return t[keep] * np.count_nonzero(support) + place[x[keep]], kept_bounds, dirs[keep]
+
+
+LATTICE_PAIRS = {"cubic": (GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), SPHERE),
+                 "non-cubic": (GridSpec(extents=(1.0, 0.25, 0.5, 0.25), shape=(32, 8, 8, 16)), SPHERE),
+                 "const-trajectory-small": (CT_GRID, SphereGrid(10, 8, 16)),
+                 "smooth-rays-small": (GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), SphereGrid(6, 6, 8)),
+                 "unequal-extents": (GridSpec(extents=(1.0, 0.3, 0.25, 0.7), shape=(16, 16, 8, 8)),
+                                     SphereGrid(7, 5, 12))}
+
+
+@pytest.mark.parametrize(
+    "grid, sphere, support",
+    [pytest.param(*pair, support, id=f"{name}-{support}") for name, pair in LATTICE_PAIRS.items()
+     for support in ("random", "random-no-zero")]
+    + [pytest.param(*LATTICE_PAIRS["const-trajectory-small"], "const-trajectory", id="const-trajectory-small-family")],
+)
+def test_support_lattice_matches_filtered_full_lattice(grid, sphere, support):
+    # the support lattice keeps each kept point's bin, float32 direction and place in the stable order; a support
+    # without the zero frequency leaves the DC segment empty
+    if support == "const-trajectory":
+        mask = _const_trajectory_family(grid).fields[EPS2[0]].support
+    else:
+        mask = np.random.default_rng(9).random(grid.spatial_shape) < 0.3
+        mask.flat[0] = support == "random"
+    lattice = _lattice_bins(grid, sphere, mask.tobytes())
+    assert lattice.bounds[-1] == grid.shape[0] * np.count_nonzero(mask)
+    for got, want in zip(lattice, _filtered_lattice(grid, sphere, mask)):
+        np.testing.assert_array_equal(got, want)
+    assert np.diff(lattice.bounds)[-1] == mask.flat[0]
+    assert _lattice_bins(grid, sphere, mask.tobytes()) is lattice  # cached per (grid, sphere, support)
 
 
 def test_lattice_build_reads_the_azimuth_once_per_spatial_frequency(monkeypatch):
@@ -829,8 +882,134 @@ def test_estimator_never_materialises_factored_fields(monkeypatch):
     estimate_hmeasure(fam, phi, sphere=SPHERE)
     correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
     correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)
+    # a support-held family under a time window is read where it lives: no inverse transform and no scalars
+    evolved = evolved_family(MaterialModel.constant(1.0, 1.0, 0.5), GRID, (0, 0, 1.0), "trans+1", EPS2,
+                             hann_window(GRID, axes=(1,)))
+    fftn = synthesis.fftn
+
+    def forward_only(a, axes, inverse=False, out=None):
+        if inverse:
+            raise AssertionError("a support-held entry was transformed back to the grid")
+        return fftn(a, axes, out=out)
+
+    def refuse_all(self):
+        raise AssertionError("an entry's scalars were formed")
+
+    monkeypatch.setattr(synthesis, "fftn", forward_only)
+    monkeypatch.setattr(FactoredField, "scalars", refuse_all)
+    with pytest.raises(AssertionError, match="transformed back"):
+        evolved.fields[evolved.finest].separated(0, 0, 1)
+    est = estimate_hmeasure(evolved, phi, sphere=SPHERE)
+    correlation_measure(evolved, source_fields(evolved), phi, sphere=SPHERE)
+    correlation_measure(evolved, charge_tilde_fields(evolved), phi, sphere=SPHERE)
+    assert est.metadata["binned_points"]["lattice"] == "support"
     # the first auto estimate was let go, so the second is computed under the stricter patch, not remembered
-    assert kinds == ["auto", "cross", "cross"] * 2
+    assert kinds == ["auto", "cross", "cross"] * 3
+
+
+def _plain_fields(fam):
+    """The same family with every field materialised (V = I, exact-zero components dropped when it is read)."""
+    fields = {e: np.asarray(u) for e, u in fam.fields.items()}
+    return OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fields, metadata=fam.metadata)
+
+
+def _off_zero(fam):
+    """``fam`` held on its support without the zero frequency, so that segment B of its support lattice is empty."""
+    fields = {}
+    for e, u in fam.fields.items():
+        keep = np.ones(u.spectrum.shape[2], bool)
+        keep[0] = False  # the zero frequency is the first true entry of a support that holds it
+        support = u.support.copy()
+        support.flat[0] = False
+        fields[e] = FactoredField(u.V, spectrum=u.spectrum[:, :, keep], support=support)
+    return OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fields, metadata=fam.metadata)
+
+
+SUPPORT_HELD = {
+    "const-trajectory": _const_trajectory_family,
+    "oblique": lambda: evolved_family(MaterialModel.constant(2.0, 0.5, 0.3), GRID, (0.3, -0.5, 0.8), "trans+1", EPS2,
+                                      hann_window(GRID, axes=(1, 2, 3))),
+    "no-zero-frequency": lambda: _off_zero(_const_trajectory_family()),
+}
+
+
+@pytest.mark.parametrize("measure", ["auto", "charge"])
+@pytest.mark.parametrize("name", SUPPORT_HELD)
+def test_support_path_matches_materialised_dense_estimate(name, measure):
+    """A support-held family under a window that is one on x1..x3 bins only its support's lattice points; against
+    the full-lattice estimate of its materialised fields (bounds fixed before measuring): bins and DC within 1e-13
+    of the total mass, centroids within 1e-12 in bins holding more than 1e-8 of it, and the bins with no support
+    point exactly zero with NaN centroids.  A support without the zero frequency has DC exactly 0."""
+    fam = SUPPORT_HELD[name]()
+    grid, support = fam.grid, fam.fields[fam.finest].support
+    phi = time_subwindow(grid, grid.extents[0] / 2, grid.extents[0] / 4)
+
+    def estimate(f):
+        if measure == "auto":
+            return estimate_hmeasure(f, phi, SPHERE)
+        return correlation_measure(f, charge_tilde_fields(f), phi, SPHERE)
+
+    got, want = estimate(fam), estimate(_plain_fields(fam))
+    assert got.metadata["binned_points"] == {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
+    assert want.metadata["binned_points"] == {"points": grid.num_points, "lattice": "full"}
+    assert got.metadata["bin_occupancy"] == want.metadata["bin_occupancy"]  # it describes the full lattice
+    assert support.flat[0] == (name != "no-zero-frequency")
+    empty, full_empty = (np.diff(lattice.bounds[: SPHERE.num_bins + 1]) == 0
+                         for lattice in (_lattice_bins(grid, SPHERE, support.tobytes()), _lattice_bins(grid, SPHERE)))
+    assert (empty.sum() > full_empty.sum()) == (name != "oblique")  # the oblique family's support is the whole lattice
+    for e in fam.epsilons:
+        weight = np.abs(want.history[e]).sum(axis=(1, 2))
+        total = weight.sum()
+        assert total > 0
+        assert np.abs(got.history[e] - want.history[e]).max() <= 1e-13 * total
+        assert abs(got.dc_energy[e] - want.dc_energy[e]) <= 1e-13 * total
+        if not support.flat[0]:
+            assert got.dc_energy[e] == 0
+        heavy = weight > 1e-8 * total
+        np.testing.assert_allclose(got.centroids[e][heavy], want.centroids[e][heavy], rtol=0, atol=1e-12)
+        assert np.all(got.history[e][empty] == 0) and np.all(np.isnan(got.centroids[e][empty]))
+
+
+def test_spatially_tapered_window_on_a_support_held_family_keeps_its_bits():
+    # a window that tapers x1..x3 takes the full lattice; each row is read as the slabs separated makes, the
+    # same bits as the field formed on the grid in one piece (reference.scatter_ifftn), so the same estimate
+    fam = _const_trajectory_family()
+    held = {e: scatter_ifftn(u.V, u.spectrum, u.support, fam.grid) for e, u in fam.fields.items()}
+    twin = OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=held, metadata=fam.metadata)
+    for phi in (hann_window(fam.grid), hann_window(fam.grid, axes=(0, 1))):
+        got, want = estimate_hmeasure(fam, phi, SPHERE), estimate_hmeasure(twin, phi, SPHERE)
+        assert got.metadata["binned_points"] == {"points": fam.grid.num_points, "lattice": "full"}
+        for e in fam.epsilons:
+            np.testing.assert_array_equal(got.history[e], want.history[e])
+            np.testing.assert_array_equal(got.centroids[e], want.centroids[e])
+            assert got.dc_energy[e] == want.dc_energy[e]
+
+
+def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
+    """tracemalloc, counted in grid scalars (16 N bytes), with the bounds fixed before measuring: const-trajectory's
+    family at full size holds 3 rows of 64 x 512 values per scale on its support, 3/16 of a grid scalar, so both
+    scales are below half of one; a time-windowed estimate of it holds its 3/16 of spectra and the bins, below one
+    grid scalar.  Both lattices are cached first, so they are not counted as the estimate's working memory."""
+    grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 16, 16, 32))
+    sphere, unit = SphereGrid(10, 8, 16), 16 * grid.num_points
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fam = _const_trajectory_family(grid)
+        made = tracemalloc.get_traced_memory()[0] - start
+        support = fam.fields[fam.finest].support
+        _lattice_bins(grid, sphere)
+        _lattice_bins(grid, sphere, support.tobytes())
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        est = estimate_hmeasure(fam, time_subwindow(grid, 0.5, 0.25), sphere)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert est.metadata["binned_points"] == {"points": 64 * 512, "lattice": "support"}
+    assert support.sum() == 512 and all(u.spectrum.shape == (3, 64, 512) for u in fam.fields.values())
+    assert made / unit < 1 / 2
+    assert peak / unit < 1
 
 
 def test_estimator_never_samples_the_full_window(monkeypatch):

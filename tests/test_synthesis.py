@@ -26,7 +26,7 @@ from hml.synthesis import (
     plane_wave_family,
     wkb_family,
 )
-from reference import tensordot_maxwell_residual
+from reference import scatter_ifftn, tensordot_maxwell_residual
 
 GRID = GridSpec(extents=(0.125, 0.125, 0.125, 0.125), shape=(8, 8, 8, 8))
 EPS2 = (2.0**-3, 2.0**-4)  # carrier indices 1 and 2 on this box
@@ -527,7 +527,72 @@ def test_evolved_family_drops_zero_components():
         u = fam.fields[e]
         assert isinstance(u, FactoredField)
         np.testing.assert_array_equal(u.V, np.eye(6)[:, [0, 2, 4]])
-        assert np.all(np.asarray(u)[[1, 3, 5]] == 0) and all(np.any(s) for s in u.s)
+        assert np.all(np.asarray(u)[[1, 3, 5]] == 0) and all(np.any(s) for s in u.scalars())
+
+
+def _oblique_family():
+    """An evolved family that oscillates along every spatial axis: FFT rounding leaves no exact spectral zero, so
+    its support is the whole lattice (the long-e family's is the xi2 = 0 plane)."""
+    return evolved_family(MaterialModel.constant(2.0, 0.5, 0.3), GRID, (0.3, -0.5, 0.8), "trans+1", EPS2,
+                          hann_window(GRID, axes=(1, 2, 3)))
+
+
+SUPPORT_HELD = {"long-e": _long_e_family, "oblique-trans+1": _oblique_family}
+
+
+@pytest.mark.parametrize("name", SUPPORT_HELD)
+def test_support_held_fields_match_scatter_ifftn(name):
+    # an evolved family holds each scale's spectrum on its support; every physical read of it is the field that
+    # the whole-array scatter and inverse FFT make (reference.scatter_ifftn), bit for bit: materialised, as
+    # scalars, and as the slabs of any time range
+    fam = SUPPORT_HELD[name]()
+    nt = fam.grid.shape[0]
+    for e in fam.epsilons:
+        u = fam.fields[e]
+        assert u.s is None and u.rows == () and u.spectrum.shape == (u.rank, nt, np.count_nonzero(u.support))
+        assert u.support is fam.fields[fam.finest].support
+        want = scatter_ifftn(u.V, u.spectrum, u.support, fam.grid)
+        assert np.array_equal(np.asarray(u), np.asarray(want)) and np.array_equal(u.scalars(), want.s)
+        for j in range(u.rank):
+            for lo, hi in ((0, nt), (1, 4), (nt - 1, nt)):
+                T, X = u.separated(j, lo, hi)
+                assert np.array_equal(T, np.eye(hi - lo)) and np.array_equal(X, want.s[j, lo:hi])
+            assert np.array_equal(u.spatial_spectrum(j, 1, 4), u.spectrum[j, 1:4])
+
+
+@pytest.mark.parametrize("name", SUPPORT_HELD)
+def test_charge_of_support_held_field_stays_on_its_support(name):
+    # rho^ = sum_j 2 pi i xi_j V_j s^ on the field's own support, against the full-grid spectral divergence of the
+    # materialised field (bound fixed at 1e-13 of the maximum before measuring, as for a plane wave's rho)
+    fam = SUPPORT_HELD[name]()
+    rho = charge_density(fam)
+    for e in fam.epsilons:
+        u = np.asarray(fam.fields[e])
+        want = sum(_spectral_derivative(u[j][None], fam.grid, 1 + j) for j in range(3))
+        assert rho[e].support is fam.fields[e].support and rho[e].shape == (1,) + fam.grid.shape
+        assert np.abs(np.asarray(rho[e]) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_support_held_field_refuses_malformed_spectrum():
+    fam = _long_e_family()
+    u = fam.fields[EPS2[0]]
+    V, spectrum, support = u.V, u.spectrum, u.support
+    for make, match in [
+        (lambda: FactoredField(V, spectrum=spectrum), "come together"),
+        (lambda: FactoredField(V, support=support), "exactly one"),
+        (lambda: FactoredField(V, u.scalars(), spectrum=spectrum, support=support), "exactly one"),
+        (lambda: FactoredField(V, spectrum=spectrum[:, :, 1:], support=support), "one value per time and true entry"),
+        (lambda: FactoredField(V, spectrum=spectrum, support=support.astype(int)), "3-D boolean support"),
+        (lambda: FactoredField(V[:, :2], spectrum=spectrum, support=support), "does not match"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            make()
+    # the family's one check reads the held spectrum, never the field
+    bad = spectrum.copy()
+    bad[1, 3, 2] = np.nan
+    fields = {EPS2[0]: FactoredField(V, spectrum=bad, support=support), EPS2[1]: fam.fields[EPS2[1]]}
+    with pytest.raises(ValueError, match=f"non-finite field or source entry at eps={EPS2[0]}"):
+        OscillatingFamily(grid=fam.grid, epsilons=EPS2, fields=fields)
 
 
 def test_evolved_family_source_free_metadata():
@@ -681,8 +746,10 @@ def test_charge_from_line_factors_matches_grid_divergence(mode, k):
 
 def test_charge_skips_zero_rows(monkeypatch):
     # a held field's rho is formed on the grid: E2 is identically zero, so two derivative pairs per scale,
-    # and the sum over all three rows bit for bit
-    fam = _long_e_family()
+    # and the sum over all three rows bit for bit; the held field is the long-e family's, formed on the grid
+    evolved = _long_e_family()
+    fam = OscillatingFamily(grid=evolved.grid, epsilons=evolved.epsilons,
+                            fields={e: FactoredField(u.V, u.scalars()) for e, u in evolved.fields.items()})
     want = {}
     for e in fam.epsilons:
         u = np.asarray(fam.fields[e])
