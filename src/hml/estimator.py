@@ -30,11 +30,11 @@ is one on x1..x3 and every entry of rank > 0 in the measure is held on
 the same support (an auto measure, its charge cross, or a cross against a
 rank-zero source): each spectrum row is then only the support's m
 spatial frequencies, (r, nt m), and only the lattice points on the
-support are binned (``_lattice_bins`` with a support, cached per (grid,
-sphere, support)).  Off the support every spectrum is exactly zero, so
-this drops no mass; the bins with no support point are zero.  Otherwise
-the whole lattice is binned from ``separated``'s slabs, as for the other
-two kinds.  ``metadata["binned_points"]`` says which lattice was binned
+support are binned, on a lattice built over the support alone
+(``_lattice_bins`` with a support, cached per (grid, sphere, support)).
+Off the support every spectrum is exactly zero, so this drops no mass;
+the bins with no support point are zero.  Otherwise the whole lattice is
+binned from ``separated``'s slabs, as for the other two kinds.  ``metadata["binned_points"]`` says which lattice was binned
 and how many points it has.
 
 The window is read only through its four axis factors.  A time-windowed
@@ -61,8 +61,10 @@ grid-sized array.  Under a window that tapers x1..x3 it is read as a held
 entry, one row's slabs at a time.
 The bin loop reads the lattice in runs of about ``_CHUNK`` points, so its
 temporaries, the gathered copies among them, are run-sized.  The lattice
-build, once per (grid, sphere), works one time-frequency plane at a time
-and peaks at 36 B per lattice point.  A cross measure of a rank-1
+build, once per (grid, sphere) or (grid, sphere, support), works one
+time-frequency plane at a time: it peaks at 36 B per binned point plus
+plane-sized temporaries, and counts the full lattice's points per bin
+(``bin_occupancy``) in the same pass.  A cross measure of a rank-1
 plane-wave field against its rank-5 source so peaks near its 1 + 5
 spectra.
 
@@ -236,6 +238,7 @@ class _Lattice(NamedTuple):
     order: np.ndarray
     bounds: np.ndarray
     dirs: np.ndarray
+    counts: np.ndarray
 
 
 # lattice points per run of the bin loop and of the lattice build's permutation, so a run's temporaries, the bin
@@ -249,35 +252,27 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     """The DFT lattice sorted by sphere bin, or with ``support`` its points on that spatial support.
 
     ``support`` is the bytes of a boolean array of the spatial shape (C
-    order, so the cache can key it).  The support lattice is the full one
-    with the points whose spatial frequency is off the support dropped, and
-    the rest renumbered to the flat (t, support entry) order of a
-    support-held spectrum, (nt, m); see ``_on_support``.
+    order, so the cache can key it); its lattice is every time frequency
+    times the support's m spatial frequencies, in the flat (t, support
+    entry) order of a support-held spectrum, (nt, m).  Leave it out for the
+    full lattice: an explicit None is another cache key.
 
-    On the full lattice ``order`` is the stable permutation that sorts the flat lattice by bin,
-    so bin b holds the frequencies ``order[bounds[b]:bounds[b + 1]]``;
-    ``bounds`` has B + 2 entries and the DC frequency sits alone in the
+    ``order`` is the stable permutation that sorts the flat lattice by bin,
+    so bin b holds the points ``order[bounds[b]:bounds[b + 1]]``; ``bounds``
+    has B + 2 entries and the DC frequency, if binned, sits alone in the
     overflow segment B, last.  ``order`` is int32 while the lattice has
-    fewer than 2^31 points.  ``dirs`` is the float32 (Npts, 4) array of
-    unit directions in sorted order (zeros at DC).  Bins come from the
-    float64 unit directions zeta/|zeta|; only the centroids use the float32
-    copy.  One pass over the lattice, one time-frequency plane at a time,
-    writes the bin ids and the float32 directions in flat order, and the
-    directions are then permuted once by ``order``.  The polar cells are
-    read per point (``SphereGrid._polar_cells``), but the azimuth cell once
-    per spatial frequency, from (zeta1, zeta2): the only lattice points on
-    an azimuth edge are the exact ties zeta1 = +-zeta2 and zeta1 or
-    zeta2 = 0, which the common factor 1/|zeta| keeps tied.  The build
-    peaks at 36 B per point while it permutes: the result (20 B) and the
-    flat-order directions (16 B), with run-sized temporaries; the bin ids,
-    the sort's int64 output and the planes' temporaries are freed by then.
-    Grids and spheres are frozen, so the last few lattices are cached by
-    value.
+    fewer than 2^31 points.  ``dirs`` is the float32 (n, 4) array of unit
+    directions in sorted order (zeros at DC), and ``counts`` the full
+    lattice's points per bin, DC excluded.  Bins come from the float64 unit
+    directions zeta/|zeta|; only the centroids use the float32 copy.  The
+    build peaks at 36 B per binned point while it permutes the flat-order
+    directions of ``_flat_lattice_bins``: the result (20 B) and those
+    directions (16 B), with run-sized temporaries; the bin ids, the sort's
+    int64 output and the planes' temporaries are freed by then.  Grids and
+    spheres are frozen, so the last few lattices are cached by value.
     """
-    if support is not None:
-        return _on_support(_lattice_bins(grid, sphere), np.frombuffer(support, dtype=bool))
-    idx, flat = _flat_lattice_bins(grid, sphere)
-    n = grid.num_points
+    idx, flat, counts = _flat_lattice_bins(grid, sphere, None if support is None else np.frombuffer(support, bool))
+    n = len(idx)
     order = np.argsort(idx, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
     del idx
@@ -285,44 +280,40 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     # a run of ``order`` at a time: take widens its indices to intp, which for the whole lattice would be 8 B per point
     for lo in range(0, n, _CHUNK):
         np.take(flat, order[lo : lo + _CHUNK], axis=0, out=dirs[lo : lo + _CHUNK], mode="clip")
-    return _Lattice(order, bounds, dirs)
+    return _Lattice(order, bounds, dirs, counts)
 
 
-def _on_support(full: _Lattice, support: np.ndarray) -> _Lattice:
-    """The points of the sorted lattice ``full`` whose spatial frequency is on the flat boolean ``support``.
+def _flat_lattice_bins(grid: GridSpec, sphere: SphereGrid, support) -> tuple:
+    """Bin ids (B at DC) and float32 unit directions of the lattice points on the flat boolean ``support`` (None:
+    all) in flat order, and the full lattice's (B,) points per bin, one time-frequency plane at a time.
 
-    A kept point keeps its bin, its float32 direction and its place in the
-    stable order; its flat index t * M + x (M spatial frequencies) becomes
-    t * m + (x's rank among the m true entries), the index of its value in
-    a support-held spectrum.  The DC point stays alone in segment B when
-    x = 0 is on the support, and segment B is empty otherwise.
+    Each plane bins all its spatial frequencies, for the counts, and keeps
+    the support's.  The polar cells are read per point
+    (``SphereGrid._polar_cells``), but the azimuth cell once per spatial
+    frequency, from (zeta1, zeta2): the only lattice points on an azimuth
+    edge are the exact ties zeta1 = +-zeta2 and zeta1 or zeta2 = 0, which
+    the common factor 1/|zeta| keeps tied.
     """
-    M, m = support.size, int(np.count_nonzero(support))
-    spatial = full.order % M
-    kept = np.flatnonzero(support[spatial])
-    rank = (np.cumsum(support) - 1).astype(full.order.dtype)
-    order = (full.order[kept] // M) * m + rank[spatial[kept]]
-    return _Lattice(order, np.searchsorted(kept, full.bounds), full.dirs[kept])
-
-
-def _flat_lattice_bins(grid: GridSpec, sphere: SphereGrid) -> tuple:
-    """Bin ids (B at DC) and float32 unit directions of the lattice in flat order, one time-frequency plane at a time."""
     f1, f2, f3 = (f.ravel() for f in np.meshgrid(*(grid.freq_axis(i) for i in (1, 2, 3)), indexing="ij"))
     q1, q2, q3 = f1 * f1, f2 * f2, f3 * f3
     azimuth = sphere._azimuth_cells(f1, f2)
-    n, m, B = grid.num_points, f1.size, sphere.num_bins
+    keep = slice(None) if support is None else support
+    nt, m, B = grid.shape[0], f1[keep].size, sphere.num_bins
     # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
-    idx = np.empty(n, dtype=np.min_scalar_type(B))
-    flat = np.empty((n, 4), dtype=np.float32)
-    for lo, ft in zip(range(0, n, m), grid.freq_axis(0)):
+    idx = np.empty(nt * m, dtype=np.min_scalar_type(B))
+    flat = np.empty((nt * m, 4), dtype=np.float32)
+    counts = np.zeros(B + 1, dtype=np.int64)
+    for t, ft in enumerate(grid.freq_axis(0)):
         r = np.sqrt(ft * ft + q1 + q2 + q3)
         ok = r > 0
         rs = np.where(ok, r, 1.0)
         units = (ft / rs, f1 / rs, f2 / rs, f3 / rs)
-        idx[lo : lo + m] = np.where(ok, sphere._polar_cells(*units)[0] * sphere.n_phi + azimuth, B)
+        ids = np.where(ok, sphere._polar_cells(*units)[0] * sphere.n_phi + azimuth, B)
+        counts += np.bincount(ids, minlength=B + 1)
+        idx[t * m : (t + 1) * m] = ids[keep]
         for c, u in enumerate(units):
-            flat[lo : lo + m, c] = u
-    return idx, flat
+            flat[t * m : (t + 1) * m, c] = u[keep]
+    return idx, flat, counts[:B]
 
 
 @dataclass
@@ -349,7 +340,8 @@ class HMeasureEstimate:
     ``metadata["binned_points"]`` is {"points": n, "lattice": "full" or
     "support"}: the lattice points the finest scale binned, on the whole
     lattice or on its entries' spatial support.  ``bin_occupancy``
-    describes the whole lattice either way.
+    describes the whole lattice either way: it weighs the sphere against
+    the grid's resolution.
     """
 
     sphere: SphereGrid
@@ -440,7 +432,9 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     M = np.zeros((B, 2 * r1, 2 * r2))
     sums = np.zeros((B, 4))
     nonempty = np.flatnonzero(bounds[1 : B + 1] > bounds[:B])
-    for run in np.split(nonempty, np.flatnonzero(np.diff(bounds[nonempty] // _CHUNK)) + 1):
+    # a support lattice may have no point in any bin, and np.split would still give one empty run
+    runs = np.split(nonempty, np.flatnonzero(np.diff(bounds[nonempty] // _CHUNK)) + 1) if nonempty.size else []
+    for run in runs:
         p0, p1 = bounds[run[0]], bounds[run[-1] + 1]
         # the points are lattice indices, so "clip" moves none and only skips the bounds check of "raise"
         points = lattice.order[p0:p1]
@@ -540,10 +534,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     sphere = sphere or SphereGrid()
     grid = family.grid
     hermitian = g_fields is None
-    full = _lattice_bins(grid, sphere)
     scale = grid.cell_volume**2 / grid.box_volume
-    counts = np.diff(full.bounds[: sphere.num_bins + 1])  # lattice points per bin, DC excluded
-    median = float(np.median(counts))
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
         u = FactoredField.of(family.fields[e])
@@ -552,7 +543,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
             raise ValueError("secondary sequence grid mismatch")
         g = FactoredField.of(g)
         support = _shared_support(phi, u, g)
-        lattice = full if support is None else _lattice_bins(grid, sphere, support.tobytes())
+        lattice = _lattice_bins(grid, sphere) if support is None else _lattice_bins(grid, sphere, support.tobytes())
         F1 = _spectra(u, phi, grid, support)
         F2 = F1 if hermitian else _spectra(g, phi, grid, support)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
@@ -560,6 +551,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         binned = {"points": int(lattice.bounds[-1]), "lattice": "full" if support is None else "support"}
         # one scale resident: the next scale is read and transformed with none of this one's arrays held
         del u, g, F1, F2
+    counts = lattice.counts  # the full lattice's, whichever was binned
+    median = float(np.median(counts))
     return HMeasureEstimate(
         sphere=sphere,
         epsilons=family.epsilons,

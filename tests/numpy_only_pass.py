@@ -6,9 +6,12 @@ NumPy is the package's one runtime dependency.  The pass builds a plane-wave,
 an evolved and a layered-phase WKB family on a 16 x 8^3 box, estimates and
 fits each, and predicts the evolved family forward and compares.  The
 evolved family is held on its spatial support, so its time-windowed
-estimate must have binned nt m lattice points, m the support's size.  It
-then exits with an error naming that estimate's binned points if they
-differ, or every ``scipy`` module that was imported.
+estimate must have binned nt m lattice points, m the support's size, on a
+lattice built over the support alone; its ``bin_occupancy`` must still
+describe the full lattice, as the plane-wave estimate's does on the same
+grid and sphere.  It exits with an error naming that estimate's binned
+points or occupancy if they differ, or every ``scipy`` module that was
+imported.
 ``test_package_runs_without_scipy`` runs it with SciPy blocked, and CI runs
 it where only the declared runtime dependencies are installed.
 """
@@ -36,6 +39,9 @@ def main() -> None:
     binned = {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
     if estimates[1].metadata["binned_points"] != binned:
         raise SystemExit(f"the evolved estimate binned {estimates[1].metadata['binned_points']}, not {binned}")
+    occupancy = [est.metadata["bin_occupancy"] for est in estimates[:2]]
+    if occupancy[0] != occupancy[1]:
+        raise SystemExit(f"the evolved estimate's bin occupancy {occupancy[1]} is not the full lattice's {occupancy[0]}")
     transport.predict_then_compare(families[1], model, 0.0625, 0.1875, sphere=sphere, window_width=0.125)
     # a module blocked by ``sys.modules["scipy"] = None`` sits there as None
     loaded = sorted(name for name, mod in sys.modules.items() if mod is not None and name.split(".")[0] == "scipy")

@@ -439,14 +439,17 @@ LATTICE_PAIRS = {"cubic": (GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), SPHER
 @pytest.mark.parametrize(
     "grid, sphere, support",
     [pytest.param(*pair, support, id=f"{name}-{support}") for name, pair in LATTICE_PAIRS.items()
-     for support in ("random", "random-no-zero")]
+     for support in ("random", "random-no-zero", "empty")]
     + [pytest.param(*LATTICE_PAIRS["const-trajectory-small"], "const-trajectory", id="const-trajectory-small-family")],
 )
 def test_support_lattice_matches_filtered_full_lattice(grid, sphere, support):
     # the support lattice keeps each kept point's bin, float32 direction and place in the stable order; a support
-    # without the zero frequency leaves the DC segment empty
+    # without the zero frequency leaves the DC segment empty, and an empty support every segment; its counts are the
+    # full lattice's
     if support == "const-trajectory":
         mask = _const_trajectory_family(grid).fields[EPS2[0]].support
+    elif support == "empty":
+        mask = np.zeros(grid.spatial_shape, dtype=bool)
     else:
         mask = np.random.default_rng(9).random(grid.spatial_shape) < 0.3
         mask.flat[0] = support == "random"
@@ -455,6 +458,7 @@ def test_support_lattice_matches_filtered_full_lattice(grid, sphere, support):
     for got, want in zip(lattice, _filtered_lattice(grid, sphere, mask)):
         np.testing.assert_array_equal(got, want)
     assert np.diff(lattice.bounds)[-1] == mask.flat[0]
+    np.testing.assert_array_equal(lattice.counts, np.diff(_unchunked_lattice_bins(grid, sphere)[1])[: sphere.num_bins])
     assert _lattice_bins(grid, sphere, mask.tobytes()) is lattice  # cached per (grid, sphere, support)
 
 
@@ -472,8 +476,9 @@ def test_lattice_build_reads_the_azimuth_once_per_spatial_frequency(monkeypatch)
 
 
 def test_lattice_build_peak_per_point():
-    """tracemalloc peak of an uncached build: the result (20 B per lattice point) and, while the directions are
-    permuted, their flat-order copy (16 B), plus one run's indices widened to int64 and a few bin-count arrays."""
+    """tracemalloc peak of an uncached build: the result (20 B per lattice point, and the per-bin counts) and, while
+    the directions are permuted, their flat-order copy (16 B), plus one run's indices widened to int64 and a few
+    bin-count arrays."""
     grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 8, 8, 16))
     tracemalloc.start()
     try:
@@ -482,7 +487,7 @@ def test_lattice_build_peak_per_point():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert sum(a.nbytes for a in lattice) == 20 * grid.num_points + 8 * (SPHERE.num_bins + 2)
+    assert sum(a.nbytes for a in lattice) == 20 * grid.num_points + 8 * (SPHERE.num_bins + 2) + 8 * SPHERE.num_bins
     assert peak <= 36 * grid.num_points + 8 * _CHUNK + 32 * (SPHERE.num_bins + 2)
 
 
@@ -970,6 +975,21 @@ def test_support_path_matches_materialised_dense_estimate(name, measure):
         assert np.all(got.history[e][empty] == 0) and np.all(np.isnan(got.centroids[e][empty]))
 
 
+def test_an_entry_held_on_an_empty_support_has_zero_bins():
+    # a support with no spatial frequency bins no lattice point: zero bins, NaN centroids and no DC mass
+    fam = _const_trajectory_family()
+    grid, B = fam.grid, SPHERE.num_bins
+    empty = FactoredField(np.eye(6)[:, :1], spectrum=np.zeros((1, grid.shape[0], 0)),
+                          support=np.zeros(grid.spatial_shape, dtype=bool))
+    fam = OscillatingFamily(grid=grid, epsilons=fam.epsilons, fields={e: empty for e in fam.epsilons},
+                            metadata=fam.metadata)
+    est = estimate_hmeasure(fam, time_subwindow(grid, grid.extents[0] / 2, grid.extents[0] / 4), SPHERE)
+    assert est.metadata["binned_points"] == {"points": 0, "lattice": "support"}
+    for e in fam.epsilons:
+        assert est.history[e].shape == (B, 6, 6) and not est.history[e].any()
+        assert np.isnan(est.centroids[e]).all() and est.dc_energy[e] == 0
+
+
 def test_spatially_tapered_window_on_a_support_held_family_keeps_its_bits():
     # a window that tapers x1..x3 takes the full lattice; each row is read as the slabs separated makes, the
     # same bits as the field formed on the grid in one piece (reference.scatter_ifftn), so the same estimate
@@ -988,8 +1008,8 @@ def test_spatially_tapered_window_on_a_support_held_family_keeps_its_bits():
 def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
     """tracemalloc, counted in grid scalars (16 N bytes), with the bounds fixed before measuring: const-trajectory's
     family at full size holds 3 rows of 64 x 512 values per scale on its support, 3/16 of a grid scalar, so both
-    scales are below half of one; a time-windowed estimate of it holds its 3/16 of spectra and the bins, below one
-    grid scalar.  Both lattices are cached first, so they are not counted as the estimate's working memory."""
+    scales are below half of one; a time-windowed estimate of it, with no lattice cached, builds and caches its
+    support lattice alone and holds it, its 3/16 of spectra and the bins, below one grid scalar."""
     grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 16, 16, 32))
     sphere, unit = SphereGrid(10, 8, 16), 16 * grid.num_points
     tracemalloc.start()
@@ -998,8 +1018,7 @@ def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
         fam = _const_trajectory_family(grid)
         made = tracemalloc.get_traced_memory()[0] - start
         support = fam.fields[fam.finest].support
-        _lattice_bins(grid, sphere)
-        _lattice_bins(grid, sphere, support.tobytes())
+        _lattice_bins.cache_clear()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         est = estimate_hmeasure(fam, time_subwindow(grid, 0.5, 0.25), sphere)
@@ -1007,6 +1026,7 @@ def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
     finally:
         tracemalloc.stop()
     assert est.metadata["binned_points"] == {"points": 64 * 512, "lattice": "support"}
+    assert _lattice_bins.cache_info().currsize == 1
     assert support.sum() == 512 and all(u.spectrum.shape == (3, 64, 512) for u in fam.fields.values())
     assert made / unit < 1 / 2
     assert peak / unit < 1
