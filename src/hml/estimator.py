@@ -47,26 +47,30 @@ GEMM (W T) @ X.
 Memory contract: one scale is resident at a time.  The loop reads a
 scale's entries from the family (and the second sequence), transforms
 them, bins them and releases its spectra before it reads the next scale;
-no two full-rank copies are alive at once.  Each row's time DFT writes
-straight into its output row.  A rank-r transform of a held entry holds
-its r output rows and one row's slabs (r + 1 grid scalars, where a grid
-scalar is 16 Npts bytes).  A produced entry (a plane wave's field, source
-and rho) holds no grid-sized array, and its transform holds its r output
-rows and one row's K spatial arrays, so its scalars are never formed.  A
-support-held entry (an evolved family's field and rho) holds r nt m
-values; on its support lattice its transform holds only its r output rows
-of nt m values, and forms no slab, so its estimate holds r m / (n1 n2 n3)
-of a grid scalar per sequence (3/16 on const-trajectory) and no
-grid-sized array.  Under a window that tapers x1..x3 it is read as a held
-entry, one row's slabs at a time.
+no two full-rank copies are alive at once.  The window's time-DFT matrix
+W and spatial factor are formed once per estimate (``_window_dft``).
+Each row's time DFT writes straight into its output row.  A rank-r
+transform of a held entry holds its r output rows and one row's slabs
+(r + 1 grid scalars, where a grid scalar is 16 Npts bytes).  A produced
+entry (a plane wave's field, source and rho) holds no grid-sized array,
+and its transform holds its r output rows and one row's K spatial
+arrays, so its scalars are never formed.  A support-held entry (an
+evolved family's field and rho) holds r nt m values; on its support
+lattice its transform holds only its r output rows of nt m values, and
+forms no slab, so its estimate holds r m / (n1 n2 n3) of a grid scalar
+per sequence (9/4096 on const-trajectory: r = 3 on 6 of its 8192
+spatial frequencies) and no grid-sized array.  Under a window that
+tapers x1..x3 it is read as a held entry, one row's slabs at a time.
 The bin loop reads the lattice in runs of about ``_CHUNK`` points, so its
-temporaries, the gathered copies among them, are run-sized.  The lattice
-build, once per (grid, sphere) or (grid, sphere, support), works one
-time-frequency plane at a time: it peaks at 36 B per binned point plus
-plane-sized temporaries, and counts the full lattice's points per bin
-(``bin_occupancy``) in the same pass.  A cross measure of a rank-1
-plane-wave field against its rank-5 source so peaks near its 1 + 5
-spectra.
+temporaries, the gathered copies among them, are run-sized, and V G V'^H
+is formed on the non-empty bins alone.  The lattice build, once per
+(grid, sphere) or (grid, sphere, support), bins only the points it
+returns, a block of whole time-frequency planes at a time: it peaks at
+36 B per binned point plus block-sized temporaries.  A support build so
+costs nt m points, whatever the grid.  ``bin_occupancy``, which counts
+the full lattice, is a separate cached count per (grid, sphere), made
+only when it is asked for.  A cross measure of a rank-1 plane-wave field
+against its rank-5 source so peaks near its 1 + 5 spectra.
 
 An auto estimate is made once per (family, window, sphere) while it is
 alive: ``estimate_hmeasure`` returns the estimate it already made for the
@@ -85,6 +89,7 @@ import functools
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -104,13 +109,14 @@ __all__ = [
     "HMeasureEstimate",
     "estimate_hmeasure",
     "correlation_measure",
+    "bin_occupancy",
     "source_fields",
     "charge_tilde_fields",
     "set_workers",
 ]
 
-# Fewest median lattice points per sphere bin; below it an estimate is flagged as finer in angle than
-# its lattice (``bin_occupancy["below_floor"]``).  The default sphere on a 16^4 lattice has a median of 3
+# Fewest median lattice points per sphere bin; below it a sphere is flagged as finer in angle than a grid's
+# lattice (``bin_occupancy(grid, sphere)["below_floor"]``).  The default sphere on a 16^4 lattice has a median of 3
 MIN_MEDIAN_POINTS_PER_BIN = 8
 
 
@@ -238,12 +244,11 @@ class _Lattice(NamedTuple):
     order: np.ndarray
     bounds: np.ndarray
     dirs: np.ndarray
-    counts: np.ndarray
 
 
-# lattice points per run of the bin loop and of the lattice build's permutation, so a run's temporaries, the bin
-# loop's gathered copies among them, stay in cache and below one grid scalar from 16^4 up (a rank-5 run copy is 0.04
-# of one at 32^4); runs of 2^12 to 2^16 points measured alike in time at 32^4
+# lattice points per run of the bin loop, of the lattice build's permutation and of its blocks of time-frequency
+# planes, so a run's temporaries, the bin loop's gathered copies among them, stay in cache and below one grid scalar
+# from 16^4 up (a rank-5 run copy is 0.04 of one at 32^4); runs of 2^12 to 2^16 points measured alike in time at 32^4
 _CHUNK = 1 << 13
 
 
@@ -254,25 +259,36 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     ``support`` is the bytes of a boolean array of the spatial shape (C
     order, so the cache can key it); its lattice is every time frequency
     times the support's m spatial frequencies, in the flat (t, support
-    entry) order of a support-held spectrum, (nt, m).  Leave it out for the
-    full lattice: an explicit None is another cache key.
+    entry) order of a support-held spectrum, (nt, m), and only those nt m
+    points are binned.  Leave it out for the full lattice: an explicit None
+    is another cache key.
 
     ``order`` is the stable permutation that sorts the flat lattice by bin,
     so bin b holds the points ``order[bounds[b]:bounds[b + 1]]``; ``bounds``
     has B + 2 entries and the DC frequency, if binned, sits alone in the
     overflow segment B, last.  ``order`` is int32 while the lattice has
     fewer than 2^31 points.  ``dirs`` is the float32 (n, 4) array of unit
-    directions in sorted order (zeros at DC), and ``counts`` the full
-    lattice's points per bin, DC excluded.  Bins come from the float64 unit
-    directions zeta/|zeta|; only the centroids use the float32 copy.  The
-    build peaks at 36 B per binned point while it permutes the flat-order
-    directions of ``_flat_lattice_bins``: the result (20 B) and those
-    directions (16 B), with run-sized temporaries; the bin ids, the sort's
-    int64 output and the planes' temporaries are freed by then.  Grids and
-    spheres are frozen, so the last few lattices are cached by value.
+    directions in sorted order (zeros at DC).  Bins come from the float64
+    unit directions zeta/|zeta|; only the centroids use the float32 copy.
+    The points' bin ids and float32 directions are written in flat order a
+    block of planes at a time (``_lattice_blocks``), then sorted.  The build
+    peaks at 36 B per binned point while it permutes those flat-order
+    directions: the result (20 B) and those directions (16 B), with
+    run-sized temporaries; the bin ids, the sort's int64 output and the
+    blocks' temporaries are freed by then.  Grids and spheres are frozen, so
+    the last few lattices are cached by value.
     """
-    idx, flat, counts = _flat_lattice_bins(grid, sphere, None if support is None else np.frombuffer(support, bool))
-    n = len(idx)
+    support = None if support is None else np.frombuffer(support, bool)
+    n = grid.shape[0] * (np.prod(grid.spatial_shape) if support is None else np.count_nonzero(support))
+    # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
+    idx = np.empty(n, dtype=np.min_scalar_type(sphere.num_bins))
+    flat = np.empty((n, 4), dtype=np.float32)
+    for t0, t1, ids, units in _lattice_blocks(grid, sphere, support):
+        m = ids.shape[1]
+        idx[t0 * m : t1 * m] = ids.ravel()
+        for c, u in enumerate(units):
+            flat[t0 * m : t1 * m, c] = u.ravel()
+    del ids, units, u  # the last block's temporaries, before the sort
     order = np.argsort(idx, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
     del idx
@@ -280,40 +296,60 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     # a run of ``order`` at a time: take widens its indices to intp, which for the whole lattice would be 8 B per point
     for lo in range(0, n, _CHUNK):
         np.take(flat, order[lo : lo + _CHUNK], axis=0, out=dirs[lo : lo + _CHUNK], mode="clip")
-    return _Lattice(order, bounds, dirs, counts)
+    return _Lattice(order, bounds, dirs)
 
 
-def _flat_lattice_bins(grid: GridSpec, sphere: SphereGrid, support) -> tuple:
-    """Bin ids (B at DC) and float32 unit directions of the lattice points on the flat boolean ``support`` (None:
-    all) in flat order, and the full lattice's (B,) points per bin, one time-frequency plane at a time.
+def _lattice_blocks(grid: GridSpec, sphere: SphereGrid, support):
+    """Per block of whole time-frequency planes t0:t1: bin ids (t1 - t0, m), B at DC, and the four (t1 - t0, m)
+    float64 unit direction components of the lattice points on the flat boolean spatial ``support`` (None: every
+    spatial frequency), m of them per plane.
 
-    Each plane bins all its spatial frequencies, for the counts, and keeps
-    the support's.  The polar cells are read per point
+    A block is about ``_CHUNK`` / 8 points (one plane where a plane holds
+    more), so a support of a few frequencies is binned in a few blocks, and
+    only its nt m points are binned.  The polar cells are read per point
     (``SphereGrid._polar_cells``), but the azimuth cell once per spatial
     frequency, from (zeta1, zeta2): the only lattice points on an azimuth
     edge are the exact ties zeta1 = +-zeta2 and zeta1 or zeta2 = 0, which
-    the common factor 1/|zeta| keeps tied.
+    the common factor 1/|zeta| keeps tied.  Every value is formed point by
+    point, so a point's bin and direction do not depend on the block or the
+    support it is binned in.
     """
     f1, f2, f3 = (f.ravel() for f in np.meshgrid(*(grid.freq_axis(i) for i in (1, 2, 3)), indexing="ij"))
+    if support is not None:
+        f1, f2, f3 = f1[support], f2[support], f3[support]
     q1, q2, q3 = f1 * f1, f2 * f2, f3 * f3
     azimuth = sphere._azimuth_cells(f1, f2)
-    keep = slice(None) if support is None else support
-    nt, m, B = grid.shape[0], f1[keep].size, sphere.num_bins
-    # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
-    idx = np.empty(nt * m, dtype=np.min_scalar_type(B))
-    flat = np.empty((nt * m, 4), dtype=np.float32)
-    counts = np.zeros(B + 1, dtype=np.int64)
-    for t, ft in enumerate(grid.freq_axis(0)):
+    nt, B = grid.shape[0], sphere.num_bins
+    # about _CHUNK / 8 points a block, so its dozen float64 temporaries together stay near one run's size
+    step = max(1, _CHUNK // 8 // max(f1.size, 1))
+    freqs = grid.freq_axis(0)
+    for t0 in range(0, nt, step):
+        ft = freqs[t0 : t0 + step, None]
         r = np.sqrt(ft * ft + q1 + q2 + q3)
         ok = r > 0
         rs = np.where(ok, r, 1.0)
         units = (ft / rs, f1 / rs, f2 / rs, f3 / rs)
-        ids = np.where(ok, sphere._polar_cells(*units)[0] * sphere.n_phi + azimuth, B)
-        counts += np.bincount(ids, minlength=B + 1)
-        idx[t * m : (t + 1) * m] = ids[keep]
-        for c, u in enumerate(units):
-            flat[t * m : (t + 1) * m, c] = u[keep]
-    return idx, flat, counts[:B]
+        yield t0, min(t0 + step, nt), np.where(ok, sphere._polar_cells(*units)[0] * sphere.n_phi + azimuth, B), units
+
+
+@functools.lru_cache(maxsize=8)
+def bin_occupancy(grid: GridSpec, sphere: SphereGrid) -> Mapping:
+    """How ``sphere`` weighs against ``grid``'s DFT lattice: its empty bins and median lattice points per bin.
+
+    {"empty_bins": n, "median_points": median, "below_floor": median <
+    ``MIN_MEDIAN_POINTS_PER_BIN``}, over the full lattice without its DC
+    point: a sphere finer than the lattice leaves bins empty or nearly so.
+    It depends on (grid, sphere) alone, so it is cached per pair and handed
+    out as a read-only mapping.  The points are
+    counted a block of time-frequency planes at a time (``_lattice_blocks``);
+    no lattice is built or held.
+    """
+    counts = np.zeros(sphere.num_bins + 1, dtype=np.int64)
+    for *_, ids, _ in _lattice_blocks(grid, sphere, None):
+        counts += np.bincount(ids.ravel(), minlength=sphere.num_bins + 1)
+    median = float(np.median(counts[:-1]))
+    return MappingProxyType({"empty_bins": int(np.count_nonzero(counts[:-1] == 0)), "median_points": median,
+                             "below_floor": median < MIN_MEDIAN_POINTS_PER_BIN})
 
 
 @dataclass
@@ -329,19 +365,15 @@ class HMeasureEstimate:
     ``at(eps)`` cuts the ladder at a coarser scale.  ``centroids[eps]``
     holds per-bin mass-weighted mean directions (rows of NaN where a bin is
     empty), and ``dc_energy`` the separately-reported zero-frequency mass.
-    ``metadata["window"]`` describes the window, and
-    ``metadata["bin_occupancy"]`` the number of empty bins, the median
-    lattice points per bin, and ``below_floor``, true when that median is
-    below ``MIN_MEDIAN_POINTS_PER_BIN`` (a sphere finer than the lattice
-    leaves bins empty or nearly so).  ``metadata["factor_rank"]`` is
-    (r, r'), the number of scalar factors transformed per sequence:
-    components that are exactly zero (no tolerance) are not counted, and r
-    or r' is 0 for an all-zero sequence, whose bins are zero.
-    ``metadata["binned_points"]`` is {"points": n, "lattice": "full" or
-    "support"}: the lattice points the finest scale binned, on the whole
-    lattice or on its entries' spatial support.  ``bin_occupancy``
-    describes the whole lattice either way: it weighs the sphere against
-    the grid's resolution.
+    ``metadata["window"]`` describes the window.
+    ``metadata["factor_rank"]`` is (r, r'), the number of scalar factors
+    transformed per sequence: components that are exactly zero (no
+    tolerance) are not counted, and r or r' is 0 for an all-zero sequence,
+    whose bins are zero.  ``metadata["binned_points"]`` is {"points": n,
+    "lattice": "full" or "support"}: the lattice points the finest scale
+    binned, on the whole lattice or on its entries' spatial support.  How
+    the sphere weighs against the grid's resolution depends on neither the
+    family nor the window: ``bin_occupancy(grid, sphere)`` reports it.
     """
 
     sphere: SphereGrid
@@ -412,9 +444,10 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     rounding would part a q = 1 measure from column 0 of a padded one,
     while the real view always has at least two columns.  When F2 is F1,
     NumPy forms X.T @ X by one triangle and its mirror (syrk), so G is
-    exactly Hermitian.  The bins are always V1 G V2^H; where a factor is
-    I (a plain array with no zero component) the product gives G back bit
-    for bit.  Orthonormal factors keep each lattice point's mass |u^|^2 =
+    exactly Hermitian.  The non-empty bins are V1 G V2^H, formed on those
+    bins alone, and every other bin is exactly zero; where a factor is I (a
+    plain array with no zero component) the product gives G back bit for
+    bit.  Orthonormal factors keep each lattice point's mass |u^|^2 =
     |s^|^2, so the centroids need no expansion of the spectra: a run's
     per-point masses are one product (X * X) @ 1 per sequence, and each
     bin's mass-weighted direction sum is one product ``mass @ dirs`` next
@@ -451,11 +484,13 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
                 np.matmul(X[s:e].T, Y[s:e], out=M[b])
             np.dot(mass[s:e], dirs[s:e], out=sums[b])
         del X, Y, mass, dirs  # this run's copies are released before the next run's are gathered
-    G = np.empty((B, r1, r2), dtype=np.complex128)
+    M = M[nonempty]
+    G = np.empty((nonempty.size, r1, r2), dtype=np.complex128)
     G.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
     G.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]
     G *= scale
-    bins = V1 @ G @ V2.conj().T
+    bins = np.zeros((B, len(V1), len(V2)), dtype=np.complex128)
+    bins[nonempty] = V1 @ G @ V2.conj().T
     norms = np.linalg.norm(sums[nonempty], axis=1)
     good = norms > 0
     cent = np.full((B, 4), np.nan)
@@ -469,7 +504,32 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
     return bins, cent, dc
 
 
-def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, support=None) -> np.ndarray:
+def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
+    """``phi`` on ``grid`` as ``_spectra`` reads it, formed once per estimate: (lo, hi, W, spatial).
+
+    Only the slabs lo:hi between the first and last grid times where w_t is
+    nonzero are read; W (nt, hi - lo) is the time DFT with the time factor
+    folded in, W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t), and
+    ``spatial`` the (n1, n2, n3) product of the spatial factors.  A window
+    zero at every sample of an axis is refused (its estimate would be zero).
+    """
+    samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
+    dead = [i for i, w in enumerate(samples) if not w.any()]
+    if dead:
+        raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
+    nt = grid.shape[0]
+    live = np.flatnonzero(samples[0])
+    lo, hi = live[0], live[-1] + 1
+    kj = np.arange(nt)[:, None] * np.arange(lo, hi)
+    kj %= nt
+    # the exponent takes nt values: each root is formed once, as exp would form it at every entry it fills
+    W = np.exp((-2j * np.pi / nt) * np.arange(nt))[kj]
+    W *= samples[0][lo:hi]
+    spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
+    return lo, hi, W, spatial
+
+
+def _spectra(u: FactoredField, window: tuple, grid: GridSpec, support=None) -> np.ndarray:
     """Windowed 4-D DFT of the r scalars of a (p,) + grid.shape entry as an (r, Npts) array in the DFT's flat order.
 
     With ``support`` (a support-held entry, under a window that is one on
@@ -477,28 +537,19 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, support=Non
     (r, nt m) array in the flat (t, support entry) order, each row the time
     DFT GEMM W @ ``u.spatial_spectrum`` with no spatial transform.
 
-    The window phi = w_t(t) w_x(x) is read through its axis factors.  Only
-    the slabs t_j0 .. t_j1 between the first and last grid times where w_t
-    is nonzero are read, each row as T @ X (``u.separated``): X times the
-    spatial factors is FFT'd over (x1, x2, x3), and the time DFT is one GEMM
-    ``(W @ T) @ X``, W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t).
-    A window zero at every sample of an axis is refused (its estimate would
-    be zero).  r = 0 gives an (0, Npts) array without a transform.
+    The window phi = w_t(t) w_x(x) is read through ``_window_dft``: only its
+    live slabs lo:hi are read, each row as T @ X (``u.separated``), X times
+    the spatial factors is FFT'd over (x1, x2, x3), and the time DFT is one
+    GEMM ``(W @ T) @ X``.  r = 0 gives an (0, Npts) array without a
+    transform.
 
     Memory: the rows are read one at a time, and each row's time DFT writes
     straight into its row of the output.  A call so holds at most r + 1
     grid scalars (the r rows and a held row's slabs) and spatial-sized
     temporaries, and never forms a produced entry's scalars.
     """
-    samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
-    dead = [i for i, w in enumerate(samples) if not w.any()]
-    if dead:
-        raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
     nt, r = grid.shape[0], u.rank
-    live = np.flatnonzero(samples[0])
-    lo, hi = live[0], live[-1] + 1
-    kj = np.arange(nt)[:, None] * np.arange(lo, hi)
-    W = samples[0][lo:hi] * np.exp((-2j * np.pi / nt) * (kj % nt))
+    lo, hi, W, spatial = window
     if support is not None:
         m = np.count_nonzero(support)
         out = np.empty((r, nt * m), dtype=np.complex128)
@@ -506,7 +557,6 @@ def _spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec, support=Non
             np.matmul(W, u.spatial_spectrum(j, lo, hi), out=out[j].reshape(nt, m))
         return out
     out = np.empty((r, grid.num_points), dtype=np.complex128)
-    spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
     for j in range(r):
         T, X = u.separated(j, lo, hi)
         X = np.multiply(X, spatial, dtype=np.complex128)
@@ -535,6 +585,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     grid = family.grid
     hermitian = g_fields is None
     scale = grid.cell_volume**2 / grid.box_volume
+    window = _window_dft(phi, grid)
     history, centroids, dc_energy = {}, {}, {}
     for e in family.epsilons:
         u = FactoredField.of(family.fields[e])
@@ -544,15 +595,13 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         g = FactoredField.of(g)
         support = _shared_support(phi, u, g)
         lattice = _lattice_bins(grid, sphere) if support is None else _lattice_bins(grid, sphere, support.tobytes())
-        F1 = _spectra(u, phi, grid, support)
-        F2 = F1 if hermitian else _spectra(g, phi, grid, support)
+        F1 = _spectra(u, window, grid, support)
+        F2 = F1 if hermitian else _spectra(g, window, grid, support)
         history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
         ranks = (u.rank, g.rank)
         binned = {"points": int(lattice.bounds[-1]), "lattice": "full" if support is None else "support"}
         # one scale resident: the next scale is read and transformed with none of this one's arrays held
         del u, g, F1, F2
-    counts = lattice.counts  # the full lattice's, whichever was binned
-    median = float(np.median(counts))
     return HMeasureEstimate(
         sphere=sphere,
         epsilons=family.epsilons,
@@ -560,8 +609,6 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         centroids=centroids,
         dc_energy=dc_energy,
         metadata={"kind": "auto" if hermitian else "cross", "window": phi.describe(), "family": dict(family.metadata),
-                  "bin_occupancy": {"empty_bins": int(np.count_nonzero(counts == 0)), "median_points": median,
-                                    "below_floor": median < MIN_MEDIAN_POINTS_PER_BIN},
                   "factor_rank": ranks, "binned_points": binned},
     )
 

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import GridSpec, SeparableWindow, fftn, full_window
+from .grids import AxisWindow, GridSpec, SeparableWindow, fftn, full_window
 from .symbols import (
     A_MATRICES,
     MaterialModel,
@@ -75,6 +75,8 @@ GRAD_FLOOR = 1e-8
 LAYER_QUADRATURE_CELLS = 4096
 # Fewest grid cells per oscillation wavelength that a family may carry.
 MIN_CELLS_PER_WAVELENGTH = 4.0
+# Largest distance from an integer at which a carrier count along an axis is read as integral.
+_COUNT_TOL = 1e-9
 # Degree-13 Pade coefficients b_0 .. b_13 of exp, and the 1-norm up to which that
 # approximant is exact to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
@@ -317,6 +319,11 @@ class OscillatingFamily:
         return float(self.metadata.get("min_cells_per_wavelength", np.inf))
 
 
+def _integral(count: float) -> bool:
+    """Whether a carrier count is integral: within ``_COUNT_TOL`` of an integer, as ``_aliasing_guard`` tests it."""
+    return abs(count - round(count)) <= _COUNT_TOL
+
+
 def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[float], envelope=None) -> float:
     """Worst samples per oscillation cycle over the ladder; inf if static.
 
@@ -335,7 +342,7 @@ def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[f
         cells = np.inf
         for i, (n, rate, extent) in enumerate(zip(grid.shape, rates, grid.extents)):
             m = rate * extent / e
-            if i and envelope is not None and envelope.factors[i].kind == "one" and abs(m - round(m)) > 1e-9:
+            if i and envelope is not None and envelope.factors[i].kind == "one" and not _integral(m):
                 raise AliasingError(f"eps={e}: {m:.6g} carrier periods along x{i} wrap around the periodic box")
             if abs(m) > 1e-12:
                 cells = min(cells, n / abs(m))
@@ -472,6 +479,32 @@ def _evolve(model: MaterialModel, grid: GridSpec, support: np.ndarray, first: np
     return FactoredField.of(np.moveaxis(q, -1, 0))
 
 
+def _axis_spectrum(factor: AxisWindow, grid: GridSpec, axis: int, count: float) -> tuple:
+    """The 1-D DFT of factor(x) exp(2 pi i count x / L) along grid ``axis``, and the indices where it can be nonzero.
+
+    ``count`` is the carrier's periods over the axis extent L.  At an
+    integral count (``_integral``) two factors have a closed form:
+
+    * ``"one"``: n at index count mod n;
+    * a Hann factor spanning [0, L]: sin^2(pi x / L) = 1/2 - (e^{2 pi i x/L}
+      + e^{-2 pi i x/L}) / 4, so n/2 at count and -n/4 at count +- 1.
+
+    Any other factor takes the whole axis, with the values of a 1-D FFT of
+    its samples.  Returns (the (n,) complex DFT, zero off the indices; the
+    indices).
+    """
+    n, extent = grid.shape[axis], grid.extents[axis]
+    c = round(count)
+    whole = factor.kind == "hann" and factor.lo == 0.0 and factor.hi == extent
+    if _integral(count) and (factor.kind == "one" or whole):
+        at = np.array([c] if factor.kind == "one" else [c - 1, c, c + 1]) % n
+        dft = np.zeros(n, dtype=np.complex128)
+        dft[at] = [n] if factor.kind == "one" else [-n / 4, n / 2, -n / 4]
+        return dft, at
+    x = grid.axis(axis)
+    return np.fft.fft(factor(x) * np.exp((2j * np.pi * count / extent) * x)), np.arange(n)
+
+
 def evolved_family(
     model: MaterialModel,
     grid: GridSpec,
@@ -485,10 +518,15 @@ def evolved_family(
     Initial data b_mode s_eps(x), s_eps = env(x) exp(2 pi i x.k/eps), evolve
     under A0 du/dt + sum_j A^j d_j u + C u = 0 to the spatial spectrum
     exp(t M(xi)) b times that of s_eps, M(xi) = -A0^{-1}(2 pi i P(0, xi) + C).
-    So b is stepped once (``_evolve``), on the frequencies where some scale's
-    scalar spectrum is nonzero (exact ``!= 0``, no tolerance), and each
+    env and the carrier are products over the spatial axes, so the spectrum
+    of s_eps is the product of one 1-D DFT per axis (``_axis_spectrum``): a
+    point for a ``"one"`` factor, three for a Hann factor spanning the axis
+    at an integral carrier count, the whole axis otherwise.  A scale's
+    support is the product of its axes' points and the family's the union
+    over scales; no 3-D array but that boolean support, and no 3-D FFT, is
+    formed.  So b is stepped once (``_evolve``), on that support, and each
     scale's field is the stepped mode's V with the mode times that scale's
-    scalar spectrum, held on that support (``FactoredField``'s support-held
+    scalar spectrum, held on the support (``FactoredField``'s support-held
     kind): no entry holds a grid-sized array or pays an inverse FFT until a
     reader asks for its physical slabs.  The source term is identically
     zero, so these families satisfy every hypothesis of the propagation
@@ -501,19 +539,18 @@ def evolved_family(
         raise ValueError(f"evolved_family's envelope tapers the initial data only; its time factor must be 'one', "
                          f"not {envelope.factors[0].describe()}")
     k, b, c = _constant_mode(model, k, mode, "evolved_family")
-    x1, x2, x3 = grid.spatial_meshes()
-    sphase = x1 * k[0] + x2 * k[1] + x3 * k[2]
-    env = envelope.factors[1](x1) * envelope.factors[2](x2) * envelope.factors[3](x3)
-
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
     worst_cells = _aliasing_guard(grid, eps_list, (c, *k), envelope)
-    spectra = {}
+    support = np.zeros(grid.spatial_shape, dtype=bool)
+    dfts = {}
     for e in eps_list:
-        s = env * np.exp((2j * np.pi / e) * sphase)
-        spectra[e] = fftn(s, (0, 1, 2), out=s)
-    support = np.logical_or.reduce([f != 0 for f in spectra.values()])
+        axes = [_axis_spectrum(envelope.factors[1 + j], grid, 1 + j, k[j] * grid.extents[1 + j] / e) for j in range(3)]
+        support[np.ix_(*(at for _, at in axes))] = True
+        dfts[e] = [dft for dft, _ in axes]
     hat = _evolve(model, grid, support, b)
-    fields = {e: FactoredField(hat.V, spectrum=hat.s * spectra[e][support], support=support) for e in eps_list}
+    i1, i2, i3 = np.nonzero(support)
+    fields = {e: FactoredField(hat.V, spectrum=hat.s * (d1[i1] * d2[i2] * d3[i3]), support=support)
+              for e, (d1, d2, d3) in dfts.items()}
 
     meta = {
         "generator": "evolved",

@@ -15,7 +15,6 @@ terminates on its own when |zeta'| falls below ``RAY_ZP_FLOOR``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -183,11 +182,12 @@ def _scatter_fits(fits: Sequence[DensityDecomposition], sphere: SphereGrid) -> t
     if other:
         raise ValueError(f"a fit made on {other[0]} cannot be read on {sphere}, whose bins its indices do not name")
     data = {n: np.zeros((len(fits), sphere.num_bins), dtype=complex) for n in ("a", "b", "c", "d")}
+    kept = np.zeros((len(fits), sphere.num_bins), dtype=bool)
     for i, fit in enumerate(fits):
+        kept[i, fit.bin_indices] = True
         for n in data:
             data[n][i, fit.bin_indices] = fit.coefficients[n]
-    common = reduce(np.intersect1d, (fit.bin_indices for fit in fits), np.arange(sphere.num_bins))
-    return data, common
+    return data, np.flatnonzero(kept.all(axis=0))
 
 
 def _fd_weights(x: np.ndarray, x0: float) -> np.ndarray:
@@ -636,7 +636,8 @@ def predict_then_compare(
                 raise ValueError(f"{np.count_nonzero(targets < 0)} rays end at the zero direction, which has no bin")
             np.add.at(pred, targets, weight[live] * m[live] * (0.5 * damp + 0.5))  # transverse: half electric
         pred[idx] += (c["a0"] * damp + c["b0"]) / tot * m  # static longitudinal split
-        leftover = np.setdiff1d(np.arange(sphere.num_bins), idx)
+        leftover = np.ones(sphere.num_bins, dtype=bool)
+        leftover[idx] = False
         pred[leftover] += masses0[leftover]
         details = {"law": "modal-branch rays + exp(-2 sigma dt/eps) on the electric half"}
     mass1 = est1.masses()

@@ -9,8 +9,11 @@ whole (n, 4) stacks, independently of the package's;
 paper prints them; ``tensordot_maxwell_residual`` is the Maxwell residual
 with each A^j applied as a matrix; ``scatter_ifftn`` is an evolved
 family's field formed on the grid, as ``evolved_family`` formed it before
-it held its fields on their support.  The package does not call them, so
-they live with the tests.
+it held its fields on their support; ``initial_spectrum_fftn`` is an
+evolved family's initial scalar spectrum by a 3-D FFT of the sampled data,
+as ``evolved_family`` formed it before it read the spectrum off its
+envelope's axis factors.  The package does not call them, so they live
+with the tests.
 """
 
 from typing import Callable
@@ -150,3 +153,12 @@ def scatter_ifftn(V: np.ndarray, spectrum: np.ndarray, support: np.ndarray, grid
     s = np.zeros((V.shape[1],) + grid.shape, dtype=np.complex128)
     s[:, :, support] = spectrum
     return FactoredField(V, fftn(s, (4, 3, 2), inverse=True, out=s))
+
+
+def initial_spectrum_fftn(grid: GridSpec, k, envelope: SeparableWindow, eps: float) -> np.ndarray:
+    """The (n1, n2, n3) 3-D DFT of env(x) exp(2 pi i x.k / eps), the envelope's spatial factors sampled on the grid."""
+    x1, x2, x3 = grid.spatial_meshes()
+    sphase = x1 * k[0] + x2 * k[1] + x3 * k[2]
+    env = envelope.factors[1](x1) * envelope.factors[2](x2) * envelope.factors[3](x3)
+    s = env * np.exp((2j * np.pi / eps) * sphase)
+    return fftn(s, (0, 1, 2), out=s)

@@ -13,6 +13,7 @@ from hml.estimator import (
     _CHUNK,
     SphereGrid,
     _lattice_bins,
+    bin_occupancy,
     charge_tilde_fields,
     correlation_measure,
     estimate_hmeasure,
@@ -31,6 +32,8 @@ from hml.synthesis import (
     wkb_family,
 )
 from hml.transport import predict_then_compare, time_subwindow
+from deep_ladder import SPHERE as DEEP_SPHERE
+from deep_ladder import deep_family, limit_distances
 from reference import cutoff_multiply, fourier_multiplier, neighborhood, scatter_ifftn
 from reference import locate as reference_locate
 
@@ -64,15 +67,11 @@ def _count_measures(monkeypatch) -> list:
     [(SphereGrid(), 3276, 3.0, True), (SphereGrid(8, 8, 16), 162, 33.5, False)], ids=["default", "coarse"]
 )
 def test_bin_occupancy_reported(sphere, empty, median, below_floor):
-    # a sphere finer than the 16^4 lattice leaves bins empty or nearly so; the estimate says how many,
+    # a sphere finer than the 16^4 lattice leaves bins empty or nearly so; bin_occupancy says how many,
     # and flags a median occupancy below MIN_MEDIAN_POINTS_PER_BIN
     assert estimator.MIN_MEDIAN_POINTS_PER_BIN == 8
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
-    fam = plane_wave_family(MaterialModel.constant(), grid, (0, 0, 1.0), "trans+1", hann_window(grid), EPS2)
-    w = hann_window(grid, axes=(0,))
-    for est in (estimate_hmeasure(fam, w, sphere), correlation_measure(fam, charge_tilde_fields(fam), w, sphere)):
-        assert est.metadata["bin_occupancy"] == {"empty_bins": empty, "median_points": median,
-                                                 "below_floor": below_floor}
+    assert bin_occupancy(grid, sphere) == {"empty_bins": empty, "median_points": median, "below_floor": below_floor}
 
 
 @pytest.mark.parametrize(
@@ -444,8 +443,8 @@ LATTICE_PAIRS = {"cubic": (GridSpec(extents=(0.25,) * 4, shape=(16,) * 4), SPHER
 )
 def test_support_lattice_matches_filtered_full_lattice(grid, sphere, support):
     # the support lattice keeps each kept point's bin, float32 direction and place in the stable order; a support
-    # without the zero frequency leaves the DC segment empty, and an empty support every segment; its counts are the
-    # full lattice's
+    # without the zero frequency leaves the DC segment empty, and an empty support every segment; bin_occupancy
+    # describes the full lattice's counts
     if support == "const-trajectory":
         mask = _const_trajectory_family(grid).fields[EPS2[0]].support
     elif support == "empty":
@@ -458,8 +457,45 @@ def test_support_lattice_matches_filtered_full_lattice(grid, sphere, support):
     for got, want in zip(lattice, _filtered_lattice(grid, sphere, mask)):
         np.testing.assert_array_equal(got, want)
     assert np.diff(lattice.bounds)[-1] == mask.flat[0]
-    np.testing.assert_array_equal(lattice.counts, np.diff(_unchunked_lattice_bins(grid, sphere)[1])[: sphere.num_bins])
+    counts = np.diff(_unchunked_lattice_bins(grid, sphere)[1])[: sphere.num_bins]
+    median = float(np.median(counts))
+    assert bin_occupancy(grid, sphere) == {"empty_bins": np.count_nonzero(counts == 0), "median_points": median,
+                                           "below_floor": median < estimator.MIN_MEDIAN_POINTS_PER_BIN}
     assert _lattice_bins(grid, sphere, mask.tobytes()) is lattice  # cached per (grid, sphere, support)
+
+
+def test_support_lattice_build_bins_only_its_points(monkeypatch):
+    # an uncached support build reads the polar cells of its nt m points alone: on const-trajectory's full-size
+    # grid 64 x 6 points, where the full lattice has 64 x 8192
+    grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 16, 16, 32))
+    support = _const_trajectory_family(grid).fields[EPS2[0]].support
+    polar, seen = SphereGrid._polar_cells, []
+
+    def counting(self, *v):
+        seen.append(np.broadcast(*v).size)
+        return polar(self, *v)
+
+    monkeypatch.setattr(SphereGrid, "_polar_cells", counting)
+    lattice = _lattice_bins.__wrapped__(grid, SphereGrid(10, 8, 16), support.tobytes())
+    assert sum(seen) == lattice.bounds[-1] == grid.shape[0] * 6
+
+
+def test_bin_occupancy_builds_and_caches_no_lattice():
+    """tracemalloc peak of an uncached count, with the bound fixed before measuring: below 4 B per lattice point, a
+    fifth of the 20 B a built lattice holds, and no lattice is cached; the count is cached per (grid, sphere)."""
+    grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 8, 8, 16))
+    _lattice_bins.cache_clear()
+    bin_occupancy.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        occupancy = bin_occupancy(grid, SPHERE)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert _lattice_bins.cache_info().currsize == 0
+    assert peak < 4 * grid.num_points
+    assert bin_occupancy(grid, SPHERE) is occupancy
 
 
 def test_lattice_build_reads_the_azimuth_once_per_spatial_frequency(monkeypatch):
@@ -476,9 +512,8 @@ def test_lattice_build_reads_the_azimuth_once_per_spatial_frequency(monkeypatch)
 
 
 def test_lattice_build_peak_per_point():
-    """tracemalloc peak of an uncached build: the result (20 B per lattice point, and the per-bin counts) and, while
-    the directions are permuted, their flat-order copy (16 B), plus one run's indices widened to int64 and a few
-    bin-count arrays."""
+    """tracemalloc peak of an uncached build: the result (20 B per lattice point) and, while the directions are
+    permuted, their flat-order copy (16 B), plus one run's indices widened to int64 and a few bin-count arrays."""
     grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 8, 8, 16))
     tracemalloc.start()
     try:
@@ -487,7 +522,7 @@ def test_lattice_build_peak_per_point():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert sum(a.nbytes for a in lattice) == 20 * grid.num_points + 8 * (SPHERE.num_bins + 2) + 8 * SPHERE.num_bins
+    assert sum(a.nbytes for a in lattice) == 20 * grid.num_points + 8 * (SPHERE.num_bins + 2)
     assert peak <= 36 * grid.num_points + 8 * _CHUNK + 32 * (SPHERE.num_bins + 2)
 
 
@@ -659,7 +694,7 @@ def test_spectra_in_dft_order(phi):
     produced = _family(model=model, envelope=hann_window(GRID), k=k).sources[EPS2[-1]]
     for u in (held, produced):
         want = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
-        got = estimator._spectra(u, phi, GRID)
+        got = estimator._spectra(u, estimator._window_dft(phi, GRID), GRID)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -783,7 +818,8 @@ def test_charge_tilde_embedding():
 
 @pytest.mark.parametrize("zero_component", [True, False], ids=["zero-component", "no-zero-component"])
 def test_dropped_components_match_identity_factor(zero_component):
-    """Bins with exact-zero components dropped against all six components transformed (V = I)."""
+    """Bins with exact-zero components dropped against all six components transformed (V = I), each held on the
+    family's support, so both bin the same support lattice."""
     if zero_component:  # const-trajectory's family: E2, H1 and H3 are identically zero
         grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(32, 8, 8, 16))
         fam = evolved_family(MaterialModel.constant(1.0, 1.0, 1.0), grid, (0, 0, 1.0), "long-e", EPS2,
@@ -792,7 +828,8 @@ def test_dropped_components_match_identity_factor(zero_component):
         grid = GRID
         fam = evolved_family(MaterialModel.constant(2.0, 0.5, 0.3), grid, (0.3, -0.5, 0.8), "trans+1", EPS2,
                              hann_window(grid, axes=(1, 2, 3)))
-    full = {e: FactoredField(np.eye(6), np.asarray(fam.fields[e])) for e in fam.epsilons}
+    full = {e: FactoredField(np.eye(6), spectrum=np.tensordot(u.V, u.spectrum, axes=1), support=u.support)
+            for e, u in fam.fields.items()}
     ref_fam = OscillatingFamily(grid=grid, epsilons=fam.epsilons, fields=full, metadata=fam.metadata)
     phi = time_subwindow(grid, grid.extents[0] / 2, grid.extents[0] / 4)
     got, want = estimate_hmeasure(fam, phi, SPHERE), estimate_hmeasure(ref_fam, phi, SPHERE)
@@ -925,16 +962,24 @@ def _off_zero(fam):
         keep = np.ones(u.spectrum.shape[2], bool)
         keep[0] = False  # the zero frequency is the first true entry of a support that holds it
         support = u.support.copy()
+        assert support.flat[0]
         support.flat[0] = False
         fields[e] = FactoredField(u.V, spectrum=u.spectrum[:, :, keep], support=support)
     return OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fields, metadata=fam.metadata)
 
 
+def _oblique_family():
+    return evolved_family(MaterialModel.constant(2.0, 0.5, 0.3), GRID, (0.3, -0.5, 0.8), "trans+1", EPS2,
+                          hann_window(GRID, axes=(1, 2, 3)))
+
+
+# each family and its support's size: const-trajectory's is the 3 xi1 of its Hann factor at xi2 = 0 and one xi3 per
+# scale, without the zero frequency; the oblique family's carrier counts along x1 and x3 are not integral, so it
+# takes those axes whole, times the 3 xi2 of each scale's Hann factor, 4 in all, the zero frequency among them
 SUPPORT_HELD = {
-    "const-trajectory": _const_trajectory_family,
-    "oblique": lambda: evolved_family(MaterialModel.constant(2.0, 0.5, 0.3), GRID, (0.3, -0.5, 0.8), "trans+1", EPS2,
-                                      hann_window(GRID, axes=(1, 2, 3))),
-    "no-zero-frequency": lambda: _off_zero(_const_trajectory_family()),
+    "const-trajectory": (_const_trajectory_family, 6),
+    "oblique": (_oblique_family, 8 * 4 * 16),
+    "no-zero-frequency": (lambda: _off_zero(_oblique_family()), 8 * 4 * 16 - 1),
 }
 
 
@@ -945,8 +990,10 @@ def test_support_path_matches_materialised_dense_estimate(name, measure):
     the full-lattice estimate of its materialised fields (bounds fixed before measuring): bins and DC within 1e-13
     of the total mass, centroids within 1e-12 in bins holding more than 1e-8 of it, and the bins with no support
     point exactly zero with NaN centroids.  A support without the zero frequency has DC exactly 0."""
-    fam = SUPPORT_HELD[name]()
+    make, size = SUPPORT_HELD[name]
+    fam = make()
     grid, support = fam.grid, fam.fields[fam.finest].support
+    assert support.sum() == size
     phi = time_subwindow(grid, grid.extents[0] / 2, grid.extents[0] / 4)
 
     def estimate(f):
@@ -957,11 +1004,10 @@ def test_support_path_matches_materialised_dense_estimate(name, measure):
     got, want = estimate(fam), estimate(_plain_fields(fam))
     assert got.metadata["binned_points"] == {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
     assert want.metadata["binned_points"] == {"points": grid.num_points, "lattice": "full"}
-    assert got.metadata["bin_occupancy"] == want.metadata["bin_occupancy"]  # it describes the full lattice
-    assert support.flat[0] == (name != "no-zero-frequency")
+    assert support.flat[0] == (name == "oblique")
     empty, full_empty = (np.diff(lattice.bounds[: SPHERE.num_bins + 1]) == 0
                          for lattice in (_lattice_bins(grid, SPHERE, support.tobytes()), _lattice_bins(grid, SPHERE)))
-    assert (empty.sum() > full_empty.sum()) == (name != "oblique")  # the oblique family's support is the whole lattice
+    assert empty.sum() > full_empty.sum()  # every support leaves bins that the full lattice fills
     for e in fam.epsilons:
         weight = np.abs(want.history[e]).sum(axis=(1, 2))
         total = weight.sum()
@@ -1007,9 +1053,9 @@ def test_spatially_tapered_window_on_a_support_held_family_keeps_its_bits():
 
 def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
     """tracemalloc, counted in grid scalars (16 N bytes), with the bounds fixed before measuring: const-trajectory's
-    family at full size holds 3 rows of 64 x 512 values per scale on its support, 3/16 of a grid scalar, so both
+    family at full size holds 3 rows of 64 x 6 values per scale on its support, 9/4096 of a grid scalar, so both
     scales are below half of one; a time-windowed estimate of it, with no lattice cached, builds and caches its
-    support lattice alone and holds it, its 3/16 of spectra and the bins, below one grid scalar."""
+    support lattice alone and holds it, its 9/4096 of spectra and the bins, below one grid scalar."""
     grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 16, 16, 32))
     sphere, unit = SphereGrid(10, 8, 16), 16 * grid.num_points
     tracemalloc.start()
@@ -1025,11 +1071,31 @@ def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert est.metadata["binned_points"] == {"points": 64 * 512, "lattice": "support"}
+    assert est.metadata["binned_points"] == {"points": 64 * 6, "lattice": "support"}
     assert _lattice_bins.cache_info().currsize == 1
-    assert support.sum() == 512 and all(u.spectrum.shape == (3, 64, 512) for u in fam.fields.values())
+    assert support.sum() == 6 and all(u.spectrum.shape == (3, 64, 6) for u in fam.fields.values())
     assert made / unit < 1 / 2
     assert peak / unit < 1
+
+
+def test_deep_evolved_ladder_bins_its_support_alone():
+    """``deep_ladder``'s five scales to eps = 2^-8 on 1024 x 16 x 16 x 256, whose full lattice would be 67M points,
+    with the bounds fixed before measuring: the family and its ``full_window`` estimate peak below 64 MB of
+    tracemalloc (a built full lattice alone would hold 1.3 GB), each scale bins the 1024 x 15 points of its support,
+    and the mass-weighted angle from the bin centroids to the limit direction (c, k)/|(c, k)| falls at order >= 0.9
+    per halving of eps."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fam = deep_family()
+        est = estimate_hmeasure(fam, full_window(), DEEP_SPHERE)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert est.metadata["binned_points"] == {"points": 1024 * 15, "lattice": "support"}
+    assert peak < 64 * 2**20
+    distances = limit_distances(est, fam)
+    assert all(np.log2(a / b) >= 0.9 for a, b in zip(distances, distances[1:]))
 
 
 def test_estimator_never_samples_the_full_window(monkeypatch):

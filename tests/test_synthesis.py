@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -26,7 +28,7 @@ from hml.synthesis import (
     plane_wave_family,
     wkb_family,
 )
-from reference import scatter_ifftn, tensordot_maxwell_residual
+from reference import initial_spectrum_fftn, scatter_ifftn, tensordot_maxwell_residual
 
 GRID = GridSpec(extents=(0.125, 0.125, 0.125, 0.125), shape=(8, 8, 8, 8))
 EPS2 = (2.0**-3, 2.0**-4)  # carrier indices 1 and 2 on this box
@@ -419,16 +421,16 @@ def test_evolution_longitudinal_damping():
 
 def test_evolved_family_builds_one_propagator(monkeypatch):
     # expm(M dt) and the stepped polarization do not depend on eps: one matrix exponential, at the support's
-    # frequencies only (the data are constant along x1 and x2, so the 8 of the xi3 line), and one stepping
-    # serve the whole ladder; each scale is the stepped mode times its own scalar spectrum, which stepping
-    # that scale's t = 0 data, b exp(2 pi i x3/eps), again reproduces
+    # frequencies only (the data are constant along x1 and x2, so the carrier frequency of each scale on the xi3
+    # line, 2 in all), and one stepping serve the whole ladder; each scale is the stepped mode times its own
+    # scalar spectrum, which stepping that scale's t = 0 data, b exp(2 pi i x3/eps), again reproduces
     expm, calls = synthesis._expm, []
     monkeypatch.setattr(synthesis, "_expm", lambda m: calls.append(m.shape) or expm(m))
     evolve, steps = synthesis._evolve, []
     monkeypatch.setattr(synthesis, "_evolve", lambda *args: steps.append(args) or evolve(*args))
     model = MaterialModel.constant(1.0, 1.0, 0.5)
     fam = evolved_family(model, GRID, (0, 0, 1.0), "trans+1", EPS2)
-    assert calls == [(8, 6, 6)] and len(steps) == 1 and len(fam.epsilons) == 2
+    assert calls == [(2, 6, 6)] and len(steps) == 1 and len(fam.epsilons) == 2
     _, b, _ = _constant_mode(model, (0, 0, 1.0), "trans+1", "evolved_family")
     x3 = np.broadcast_to(GRID.spatial_meshes()[2], GRID.spatial_shape)
     for e in fam.epsilons:
@@ -531,8 +533,9 @@ def test_evolved_family_drops_zero_components():
 
 
 def _oblique_family():
-    """An evolved family that oscillates along every spatial axis: FFT rounding leaves no exact spectral zero, so
-    its support is the whole lattice (the long-e family's is the xi2 = 0 plane)."""
+    """An evolved family that oscillates along every spatial axis: its carrier counts along x1 and x3 are not
+    integral, so its support takes those axes whole, times 3 xi2 per scale of its Hann factor along x2 (the long-e
+    family's is 3 xi1 of its Hann factor at xi2 = 0 and one xi3 per scale)."""
     return evolved_family(MaterialModel.constant(2.0, 0.5, 0.3), GRID, (0.3, -0.5, 0.8), "trans+1", EPS2,
                           hann_window(GRID, axes=(1, 2, 3)))
 
@@ -571,6 +574,90 @@ def test_charge_of_support_held_field_stays_on_its_support(name):
         want = sum(_spectral_derivative(u[j][None], fam.grid, 1 + j) for j in range(3))
         assert rho[e].support is fam.fields[e].support and rho[e].shape == (1,) + fam.grid.shape
         assert np.abs(np.asarray(rho[e]) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# (grid, k, mode, envelope axes); counts of at most 2 periods per axis, as on the benchmark's grids: the reference's
+# own carrier rounding grows with the phase 2 pi count (1.03e-15 of the peak at counts 2, 8 and 2 on 16, 32, 16)
+CLOSED_FORM_CASES = {
+    "long-e": (LONG_E_GRID, (0, 0, 1.0), "long-e", (1,)),
+    "plane": (GRID, (0, 0, 1.0), "trans+1", ()),
+    "oblique": (GRID, (0.3, -0.5, 0.8), "trans+1", (1, 2, 3)),
+    "integral-hann": (GridSpec(extents=(0.25, 0.125, 0.25, 0.125), shape=(32, 16, 16, 16)), (-1.0, 0.5, 1.0), "trans+1",
+                      (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
+def test_closed_form_support_matches_fftn_of_the_sampled_data(name):
+    """Each scale's t = 0 scalar spectrum, read off the envelope's axis factors, against the 3-D FFT of the sampled
+    initial data (``reference.initial_spectrum_fftn``), with the bounds fixed before measuring: on the support
+    within 1e-15 of the peak, and every frequency off it below 1e-15 of the peak.  A "one" factor is one frequency
+    and a Hann factor spanning its axis at an integral count three, so the support is their product; an axis
+    whose count is not integral is whole."""
+    grid, k, mode, axes = CLOSED_FORM_CASES[name]
+    model = MaterialModel.constant(2.0, 0.5, 0.3)
+    envelope = hann_window(grid, axes=axes)
+    fam = evolved_family(model, grid, k, mode, EPS2, envelope)
+    _, b, _ = _constant_mode(model, k, mode, "evolved_family")
+    support = fam.fields[fam.finest].support
+    # two scales of 27 points overlapping in {-2, -1} x {1, 2} x {1, 2}
+    sizes = {"long-e": 6, "plane": 2, "oblique": 8 * 8 * 8, "integral-hann": 2 * 27 - 8}
+    assert support.sum() == sizes[name]
+    for e in fam.epsilons:
+        u = fam.fields[e]
+        got = np.tensordot(u.V, u.spectrum[:, 0], axes=1)  # b times the scalar spectrum on the support
+        want = initial_spectrum_fftn(grid, k, envelope, e)
+        peak = np.abs(want).max()
+        assert np.abs(got - b[:, None] * want[support]).max() <= 1e-15 * peak
+        assert np.abs(want[~support]).max(initial=0.0) <= 1e-15 * peak
+
+
+def test_axis_spectrum_closed_forms_and_fallback():
+    # closed forms at an integral count: n at the count for "one", n/2 at the count and -n/4 beside it for a Hann
+    # factor spanning the axis (the count's index wraps); a Hann factor on part of the axis, or any count that is
+    # not integral, takes the whole axis with the values of its 1-D FFT
+    grid = GridSpec(extents=(1.0, 0.5, 0.25, 0.25), shape=(8, 16, 8, 8))
+    n = 16
+    dft, at = synthesis._axis_spectrum(AxisWindow("one"), grid, 1, -3.0)
+    np.testing.assert_array_equal(at, [13])
+    np.testing.assert_array_equal(dft, np.where(np.arange(n) == 13, n, 0))
+    dft, at = synthesis._axis_spectrum(AxisWindow("hann", 0.0, 0.5), grid, 1, 0.0)
+    np.testing.assert_array_equal(at, [15, 0, 1])
+    np.testing.assert_array_equal(dft[at], [-n / 4, n / 2, -n / 4])
+    assert np.count_nonzero(dft) == 3
+    x = grid.axis(1)
+    for factor, count in ((AxisWindow("hann", 0.05, 0.45), 2.0), (AxisWindow("hann", 0.0, 0.5), 2.5),
+                          (AxisWindow("one"), 2.5)):
+        dft, at = synthesis._axis_spectrum(factor, grid, 1, count)
+        np.testing.assert_array_equal(at, np.arange(n))
+        np.testing.assert_array_equal(dft, np.fft.fft(factor(x) * np.exp((2j * np.pi * count / 0.5) * x)))
+
+
+def test_evolved_family_forms_no_grid_array_and_no_3d_fft(monkeypatch):
+    # the initial spectrum is read off the envelope's axis factors: no transform over more than one axis, and, on
+    # const-trajectory's full-size grid, a warm call's tracemalloc peak below one spatial complex array; the
+    # boolean support is its one 3-D array.  What it holds is the nt x 6 frequency data: its entries (2 scales x 3
+    # rows) and the stepped 6-vectors, each about 0.3 of that array here
+    def refuse(*args, **kwargs):
+        raise AssertionError("a multi-axis transform was made")
+
+    monkeypatch.setattr(synthesis, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 16, 16, 32))
+    model = MaterialModel.constant(1.0, 1.0, 1.0)
+
+    def make():
+        return evolved_family(model, grid, (0, 0, 1.0), "long-e", EPS2, hann_window(grid, axes=(1,)))
+
+    make()  # a first call also makes NumPy's one-time allocations
+    tracemalloc.start()
+    try:
+        fam = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.fields[fam.finest].support.sum() == 6
+    assert peak < 16 * np.prod(grid.spatial_shape)
 
 
 def test_support_held_field_refuses_malformed_spectrum():
