@@ -10,67 +10,39 @@ together with the per-scale history.
 Fields arrive factored, u = V s (``synthesis.FactoredField``; a plain
 array is V = the columns of I at its components that are not identically
 zero), and an H-measure moves with a constant matrix, so the estimator
-FFTs the r scalars s, bins an r x r' Gram matrix G, and returns V G V'^H.
-It reads an entry only through V, its rank, ``separated``, its
-``support`` and ``spatial_spectrum``, so only ``synthesis`` knows how an
-entry's rows are held or made.  A plane wave
-is r = 1 and its source r = 5, where the full fields have six components
-each; an exact constant-coefficient evolution keeps only its nonzero
-components, and a family without sources pairs with r' = 0
-(zero bins).  Each scalar's spectrum is one row of an (r, Npts) array in
-the DFT's own flat (t, x1, x2, x3) order.  Only the binning knows the bin
-order: the lattice is sorted by bin once per (grid, sphere) and cached,
-the points of each run of bins are gathered from all rows at once, and
-each non-empty bin of G is one small real GEMM over its points.
+transforms the r scalars s, bins an r x r' Gram matrix G, and returns
+V G V'^H.  A plane wave is r = 1 and its source r = 5, where the full
+fields have six components each; an exact constant-coefficient evolution
+keeps only its nonzero components, and a family without sources pairs
+with r' = 0 (zero bins).  The estimator reads an entry only through V,
+its rank, its ``support``, ``separated`` and ``spatial_spectrum``, so
+only ``synthesis`` knows how an entry's rows are held or made:
+``separated`` gives a row's time slabs as time factors times spatial
+factors T @ X, T None for a row held as slabs (a held row, or a
+support-held row made on the grid), and ``spatial_spectrum`` gives a
+support-held row's spatial spectrum where it lives.  Each scalar's
+spectrum is one row of an (r, Npts) array in the DFT's own flat
+(t, x1, x2, x3) order; only the binning (``_lattice_bins``,
+``_cross_bins``) knows the bin order.
 
-Rows are held in three ways (``synthesis.FactoredField``): as grid
-arrays, as separable terms, or as their spatial spectrum on a support
-(an evolved family).  The spectrum is read where it lives when the window
-is one on x1..x3 and every entry of rank > 0 in the measure is held on
-the same support (an auto measure, its charge cross, or a cross against a
-rank-zero source): each spectrum row is then only the support's m
-spatial frequencies, (r, nt m), and only the lattice points on the
-support are binned, on a lattice built over the support alone
-(``_lattice_bins`` with a support, cached per (grid, sphere, support)).
-Off the support every spectrum is exactly zero, so this drops no mass;
-the bins with no support point are zero.  Otherwise the whole lattice is
-binned from ``separated``'s slabs, as for the other two kinds.  ``metadata["binned_points"]`` says which lattice was binned
-and how many points it has.
+The window is read only through its four axis factors (``_window_dft``).
+A time-windowed estimate pays only for the time slabs where the time
+factor is nonzero.  X times the spatial factors (none when the window is
+one on x1..x3) is FFT'd over (x1, x2, x3), and the time DFT, with the
+time factor folded into its dense matrix W, is one GEMM (W T) @ X, or
+W @ X where T is None.  When the window is one on x1..x3 and every entry
+of rank > 0 in the measure is held on the same spatial support
+(``_shared_support``: an evolved family's auto measure, its charge cross,
+or a cross against a rank-zero source), each spectrum row is only the
+support's m spatial frequencies, (r, nt m), binned on a lattice built
+over the support alone.  Off the support every spectrum is exactly zero,
+so this drops no mass.  ``metadata["binned_points"]`` says which lattice
+was binned and how many points it has.
 
-The window is read only through its four axis factors.  A time-windowed
-estimate pays only for the time slabs where the time factor is nonzero,
-each row read there as time factors times spatial factors T @ X
-(``separated``).  X times the spatial factors is FFT'd over (x1, x2, x3),
-and the time DFT, with the time factor folded into its matrix W, is one
-GEMM (W T) @ X.
-
-Memory contract: one scale is resident at a time.  The loop reads a
-scale's entries from the family (and the second sequence), transforms
-them, bins them and releases its spectra before it reads the next scale;
-no two full-rank copies are alive at once.  The window's time-DFT matrix
-W and spatial factor are formed once per estimate (``_window_dft``).
-Each row's time DFT writes straight into its output row.  A rank-r
-transform of a held entry holds its r output rows and one row's slabs
-(r + 1 grid scalars, where a grid scalar is 16 Npts bytes).  A produced
-entry (a plane wave's field, source and rho) holds no grid-sized array,
-and its transform holds its r output rows and one row's K spatial
-arrays, so its scalars are never formed.  A support-held entry (an
-evolved family's field and rho) holds r nt m values; on its support
-lattice its transform holds only its r output rows of nt m values, and
-forms no slab, so its estimate holds r m / (n1 n2 n3) of a grid scalar
-per sequence (9/4096 on const-trajectory: r = 3 on 6 of its 8192
-spatial frequencies) and no grid-sized array.  Under a window that
-tapers x1..x3 it is read as a held entry, one row's slabs at a time.
-The bin loop reads the lattice in runs of about ``_CHUNK`` points, so its
-temporaries, the gathered copies among them, are run-sized, and V G V'^H
-is formed on the non-empty bins alone.  The lattice build, once per
-(grid, sphere) or (grid, sphere, support), bins only the points it
-returns, a block of whole time-frequency planes at a time: it peaks at
-36 B per binned point plus block-sized temporaries.  A support build so
-costs nt m points, whatever the grid.  ``bin_occupancy``, which counts
-the full lattice, is a separate cached count per (grid, sphere), made
-only when it is asked for.  A cross measure of a rank-1 plane-wave field
-against its rank-5 source so peaks near its 1 + 5 spectra.
+Memory: each bound is stated where it is kept, for one scale resident at
+a time (``_cross_spectral_measure``), a transform (``_spectra``), the bin
+loop (``_cross_bins``), the lattice build (``_lattice_bins``) and the
+occupancy count (``bin_occupancy``).
 
 An auto estimate is made once per (family, window, sphere) while it is
 alive: ``estimate_hmeasure`` returns the estimate it already made for the
@@ -149,10 +121,6 @@ class SphereGrid:
     def widths(self) -> tuple:
         return (np.pi / self.n_zeta0, np.pi / self.n_theta, 2 * np.pi / self.n_phi)
 
-    @property
-    def max_polar_width(self) -> float:
-        return max(self.widths[0], self.widths[1])
-
     def angle_edges(self) -> tuple:
         e1 = np.linspace(0.0, np.pi, self.n_zeta0 + 1)
         e2 = np.linspace(0.0, np.pi, self.n_theta + 1)
@@ -170,12 +138,7 @@ class SphereGrid:
 
     def centers(self) -> np.ndarray:
         """(B, 4) unit vectors at the cell-center angles."""
-        ang = self.centers_angles()
-        return self.angles_to_vec(ang)
-
-    @staticmethod
-    def angles_to_vec(ang: np.ndarray) -> np.ndarray:
-        chi1, theta, phi = ang[..., 0], ang[..., 1], ang[..., 2]
+        chi1, theta, phi = self.centers_angles().T
         s1 = np.sin(chi1)
         return np.stack(
             [
@@ -510,8 +473,8 @@ def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
     Only the slabs lo:hi between the first and last grid times where w_t is
     nonzero are read; W (nt, hi - lo) is the time DFT with the time factor
     folded in, W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t), and
-    ``spatial`` the (n1, n2, n3) product of the spatial factors.  A window
-    zero at every sample of an axis is refused (its estimate would be zero).
+    ``spatial`` the (n1, n2, n3) product of the spatial factors, None where
+    all three are one.  A window zero at every sample of an axis is refused.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
@@ -525,43 +488,45 @@ def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
     # the exponent takes nt values: each root is formed once, as exp would form it at every entry it fills
     W = np.exp((-2j * np.pi / nt) * np.arange(nt))[kj]
     W *= samples[0][lo:hi]
-    spatial = samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
-    return lo, hi, W, spatial
+    if all(f.kind == "one" for f in phi.factors[1:]):
+        return lo, hi, W, None
+    return lo, hi, W, samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
 
 
 def _spectra(u: FactoredField, window: tuple, grid: GridSpec, support=None) -> np.ndarray:
     """Windowed 4-D DFT of the r scalars of a (p,) + grid.shape entry as an (r, Npts) array in the DFT's flat order.
 
-    With ``support`` (a support-held entry, under a window that is one on
-    x1..x3) only the support's m spatial frequencies are formed: an
-    (r, nt m) array in the flat (t, support entry) order, each row the time
-    DFT GEMM W @ ``u.spatial_spectrum`` with no spatial transform.
-
     The window phi = w_t(t) w_x(x) is read through ``_window_dft``: only its
     live slabs lo:hi are read, each row as T @ X (``u.separated``), X times
     the spatial factors is FFT'd over (x1, x2, x3), and the time DFT is one
-    GEMM ``(W @ T) @ X``.  r = 0 gives an (0, Npts) array without a
-    transform.
+    GEMM ``(W @ T) @ X``, or ``W @ X`` where the row has no time factors
+    (T None).  With ``support`` (a support-held entry, under a window that
+    is one on x1..x3) X is ``u.spatial_spectrum``, the support's m spatial
+    frequencies with no spatial transform, and the array is (r, nt m) in the
+    flat (t, support entry) order.  r = 0 gives an (0, Npts) array without
+    a transform.
 
     Memory: the rows are read one at a time, and each row's time DFT writes
-    straight into its row of the output.  A call so holds at most r + 1
-    grid scalars (the r rows and a held row's slabs) and spatial-sized
-    temporaries, and never forms a produced entry's scalars.
+    straight into its row of the output.  A call so holds its r output rows
+    and one row's read, with spatial-sized temporaries: a held or
+    support-held row's slabs (r + 1 grid scalars in all, a grid scalar
+    being 16 Npts bytes), or a produced row's K spatial arrays, so a
+    produced entry's scalars are never formed.  On a support the rows are
+    nt m values and no slab is formed, so an estimate holds r m /
+    (n1 n2 n3) of a grid scalar per sequence (9/4096 on const-trajectory:
+    r = 3 on 6 of its 8192 spatial frequencies) and no grid-sized array.
     """
     nt, r = grid.shape[0], u.rank
     lo, hi, W, spatial = window
-    if support is not None:
-        m = np.count_nonzero(support)
-        out = np.empty((r, nt * m), dtype=np.complex128)
-        for j in range(r):
-            np.matmul(W, u.spatial_spectrum(j, lo, hi), out=out[j].reshape(nt, m))
-        return out
-    out = np.empty((r, grid.num_points), dtype=np.complex128)
+    out = np.empty((r, grid.num_points if support is None else nt * np.count_nonzero(support)), dtype=np.complex128)
     for j in range(r):
-        T, X = u.separated(j, lo, hi)
-        X = np.multiply(X, spatial, dtype=np.complex128)
-        fftn(X, (1, 2, 3), out=X)
-        np.matmul(W @ T, X.reshape(len(X), -1), out=out[j].reshape(nt, -1))
+        if support is not None:
+            T, X = None, u.spatial_spectrum(j, lo, hi)
+        else:
+            T, X = u.separated(j, lo, hi)
+            X = X.astype(np.complex128) if spatial is None else np.multiply(X, spatial, dtype=np.complex128)
+            fftn(X, (1, 2, 3), out=X)
+        np.matmul(W if T is None else W @ T, X.reshape(len(X), -1), out=out[j].reshape(nt, -1))
     return out
 
 
@@ -576,6 +541,12 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     None pairs the family with itself and fills the Hermitian half from one
     set of spectra; otherwise u^eps is paired with the m components that
     g^eps has, giving (B, 6, m) bins.
+
+    Memory: one scale is resident at a time.  A scale's entries are read,
+    transformed and binned, and its spectra released, before the next
+    scale is read, so no two full-rank copies are alive at once; a cross
+    measure of a rank-1 plane-wave field against its rank-5 source so
+    peaks near its 1 + 5 spectra.
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
@@ -593,7 +564,7 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         if np.shape(g)[1:] != grid.shape:
             raise ValueError("secondary sequence grid mismatch")
         g = FactoredField.of(g)
-        support = _shared_support(phi, u, g)
+        support = _shared_support(window, u, g)
         lattice = _lattice_bins(grid, sphere) if support is None else _lattice_bins(grid, sphere, support.tobytes())
         F1 = _spectra(u, window, grid, support)
         F2 = F1 if hermitian else _spectra(g, window, grid, support)
@@ -613,14 +584,14 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     )
 
 
-def _shared_support(phi: SeparableWindow, *entries: FactoredField):
-    """The spatial support every entry of rank > 0 is held on, if the window is one on x1..x3; else None.
+def _shared_support(window: tuple, *entries: FactoredField):
+    """The spatial support every entry of rank > 0 is held on, if ``window`` is one on x1..x3; else None.
 
     Off such a support every entry's spatial spectrum is zero and the
     window leaves it so, so only the support's lattice points carry mass.
     """
     live = [u for u in entries if u.rank]
-    if not live or any(f.kind != "one" for f in phi.factors[1:]) or any(u.support is None for u in live):
+    if not live or window[3] is not None or any(u.support is None for u in live):
         return None
     support = live[0].support
     return support if all(np.array_equal(u.support, support) for u in live[1:]) else None

@@ -4,8 +4,10 @@ The sampling box is [0,T] x [0,L1] x [0,L2] x [0,L3] with power-of-two
 shapes so that 4-D FFTs stay cheap.  Windows are tensor products of
 per-axis factors; each factor is either identically one or a raised
 cosine supported on a subinterval, and carries its analytic derivative.
-Every DFT in the package is ``numpy.fft``: along one axis, or over several
-by ``fftn``, one in-place pass per axis.
+Every FFT in the package is ``numpy.fft``: along one axis, or over several
+by ``fftn``, one in-place pass per axis.  The estimator's time DFT is not
+an FFT: it is a GEMM with the dense matrix W that ``estimator._window_dft``
+builds, the time window folded in.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ def integral_counts(what: str, counts) -> tuple:
     return tuple(int(n) for n in counts)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic sampling of the spacetime box [0,T] x [0,L1] x [0,L2] x [0,L3].
@@ -68,7 +66,7 @@ class GridSpec:
         if not all(0 < e < np.inf for e in self.extents):
             raise ValueError(f"extents must be positive and finite, not {self.extents}")
         for n in self.shape:
-            if n < 8 or not _is_pow2(n):
+            if n < 8 or n & (n - 1):
                 raise ValueError("shape entries must be powers of two and >= 8")
 
     @property

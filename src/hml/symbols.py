@@ -177,7 +177,8 @@ class MaterialModel:
             lo, hi = np.array([c.min() for c in coords]), np.array([c.max() for c in coords])
             # a NaN coordinate makes lo and hi NaN, which fails both comparisons
             if not (np.all(lo >= box[0] - 1e-12) and np.all(hi <= box[1] + 1e-12)):
-                raise DomainError(f"points in [{lo.tolist()}, {hi.tolist()}] non-finite or outside model domain {self.domain}")
+                raise DomainError(f"points in [{lo.tolist()}, {hi.tolist()}] non-finite or outside model domain "
+                                  f"{self.domain}")
         return coords
 
     def sample_fields(self, x1, x2, x3) -> tuple:

@@ -107,7 +107,8 @@ class FactoredField:
       entry holds no grid-sized array either.
 
     ``separated`` gives time slabs of one row as T @ X, time factors times
-    spatial factors, for every kind of row; a support-held row makes only
+    spatial factors, for a produced row, and as the slabs X themselves (T
+    None) for a held or support-held row; a support-held row makes only
     the requested slabs, by scattering them onto the spatial grid and one
     inverse DFT pass per axis (x3, x2, x1).  ``spatial_spectrum`` reads a
     support-held row where it lives, with no transform.  These two are all
@@ -196,15 +197,16 @@ class FactoredField:
     def separated(self, j: int, lo: int, hi: int) -> tuple:
         """Time slabs lo:hi of row j as T @ X: time factors T (hi - lo, K) and spatial factors X (K,) + spatial.
 
-        A held row is T = I with its K = hi - lo slabs, and so is a
-        support-held row, whose K slabs are made here from its spectrum
-        (``_on_grid``); a produced row of K terms is their time factors on
-        those slabs and the outer products of their spatial factors.
+        A produced row of K terms is their time factors on those slabs and
+        the outer products of their spatial factors.  A held row is its
+        K = hi - lo slabs X with no time factors, T None, and so is a
+        support-held row, whose slabs are made here from its spectrum
+        (``_on_grid``).
         """
         if self.s is not None:
-            return np.eye(hi - lo), self.s[j, lo:hi]
+            return None, self.s[j, lo:hi]
         if self.spectrum is not None:
-            return np.eye(hi - lo), self._on_grid(self.spectrum[j, lo:hi])
+            return None, self._on_grid(self.spectrum[j, lo:hi])
         terms = self.rows[j]
         T = np.stack([t[lo:hi] for t, *_ in terms], axis=1)
         X = np.stack([x1[:, None, None] * x2[None, :, None] * x3[None, None, :] for _, x1, x2, x3 in terms])
@@ -354,21 +356,28 @@ def _aliasing_guard(grid: GridSpec, epsilons: Sequence[float], rates: Sequence[f
     return worst
 
 
-def _constant_mode(model: MaterialModel, k, mode: str, generator: str) -> tuple:
-    """(k, b, c) of a constant model's mode: b * exp(2 pi i (x.k + c t)/eps) solves Maxwell.
+def _constant_mode(model: MaterialModel, grid: GridSpec, k, mode: str, envelope: SeparableWindow, epsilons,
+                   generator: str) -> tuple:
+    """The set-up of a constant model's family: (k, b, c, the ladder, the family's metadata).
 
-    Reads eps and eta at the origin once.  Raises UnsupportedGeneratorError,
-    naming ``generator``, for a non-constant model and
-    DegenerateDirectionError where k = 0.
+    b * exp(2 pi i (x.k + c t)/eps) solves Maxwell; eps and eta are read at
+    the origin once.  The ladder is ``epsilons`` in decreasing order, passed
+    by ``_aliasing_guard`` under ``envelope``.  Raises
+    UnsupportedGeneratorError, naming ``generator``'s family, for a
+    non-constant model and DegenerateDirectionError where k = 0.
     """
     if not model.is_constant:
-        raise UnsupportedGeneratorError(f"{generator} requires a constant model")
+        raise UnsupportedGeneratorError(f"{generator}_family requires a constant model")
     k = np.asarray(k, dtype=float).reshape(3)
     eps, eta, _ = (float(f) for f in model.sample_fields(0.0, 0.0, 0.0))
     b = mode_vectors(k, eps, eta, (mode,))[:, 0]
     vr = 1.0 / np.sqrt(eps * eta) * float(np.linalg.norm(k))
     c = 0.0 if mode.startswith("long") else -vr if "+" in mode else vr
-    return k, b, c
+    ladder = tuple(sorted((float(e) for e in epsilons), reverse=True))
+    meta = {"generator": generator, "k": k.tolist(), "mode": mode, "temporal_rate": c,
+            "min_cells_per_wavelength": _aliasing_guard(grid, ladder, (c, *k), envelope),
+            "envelope": envelope.describe()}
+    return k, b, c, ladder, meta
 
 
 def plane_wave_family(
@@ -397,11 +406,9 @@ def plane_wave_family(
     in the source's first four rows) times the axis oscillations.  A reader
     makes the rows where it needs them.
     """
-    k, b, c = _constant_mode(model, k, mode, "plane_wave_family")
+    k, b, c, eps_list, meta = _constant_mode(model, grid, k, mode, envelope, epsilons, "plane_wave")
     *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     V = np.column_stack([*(np.stack(A) @ b), C @ b])
-    eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    worst_cells = _aliasing_guard(grid, eps_list, (c, *k), envelope)
 
     axes = [grid.axis(i) for i in range(4)]
     env = [f(x) for f, x in zip(envelope.factors, axes)]
@@ -415,15 +422,6 @@ def plane_wave_family(
         # residual: sum_l A^l b d_l(env) osc + C b env osc; raw row j < 4 differentiates axis j's factor
         rows = [[h[i] if i == j else g[i] for i in range(4)] for j in range(4)]
         sources[e] = FactoredField.from_polarization(V, rows + [g])
-
-    meta = {
-        "generator": "plane_wave",
-        "k": k.tolist(),
-        "mode": mode,
-        "temporal_rate": c,
-        "min_cells_per_wavelength": worst_cells,
-        "envelope": envelope.describe(),
-    }
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
@@ -538,9 +536,7 @@ def evolved_family(
     if envelope.factors[0].kind != "one":
         raise ValueError(f"evolved_family's envelope tapers the initial data only; its time factor must be 'one', "
                          f"not {envelope.factors[0].describe()}")
-    k, b, c = _constant_mode(model, k, mode, "evolved_family")
-    eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    worst_cells = _aliasing_guard(grid, eps_list, (c, *k), envelope)
+    k, b, _, eps_list, meta = _constant_mode(model, grid, k, mode, envelope, epsilons, "evolved")
     support = np.zeros(grid.spatial_shape, dtype=bool)
     dfts = {}
     for e in eps_list:
@@ -551,15 +547,6 @@ def evolved_family(
     i1, i2, i3 = np.nonzero(support)
     fields = {e: FactoredField(hat.V, spectrum=hat.s * (d1[i1] * d2[i2] * d3[i3]), support=support)
               for e, (d1, d2, d3) in dfts.items()}
-
-    meta = {
-        "generator": "evolved",
-        "k": k.tolist(),
-        "mode": mode,
-        "temporal_rate": c,
-        "min_cells_per_wavelength": worst_cells,
-        "envelope": envelope.describe(),
-    }
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=None, metadata=meta)
 
 
@@ -602,10 +589,16 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
     through the origin by ``MaterialModel.speed``, for the table and for
     the gradient, so its bound and domain checks apply to both.  ``value``
     and ``grad`` raise ValueError at an axis coordinate outside [0, x_max],
-    where the extrapolated table would no longer match the gradient.
+    where the extrapolated table would no longer match the gradient.  An
+    ``axis`` other than 0, 1 or 2 (x1, x2, x3), and an ``x_max`` that is not
+    finite and positive, are refused (ValueError).
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2 (the spatial axes x1, x2, x3), not {axis!r}")
+    if not 0.0 < x_max < np.inf:
+        raise ValueError(f"x_max must be finite and positive, not {x_max!r}")
 
     def speed(xs):
         xs = np.asarray(xs, dtype=float)
@@ -660,13 +653,6 @@ def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> 
     ahat = np.fft.fft(arr, axis=ax)
     ahat *= 2j * np.pi * freq.reshape(shape)
     return np.fft.ifft(ahat, axis=ax, out=ahat)
-
-
-def _line_derivative(a: np.ndarray, grid: GridSpec, axis_of_grid: int) -> np.ndarray:
-    """d/d(axis) of the 1-D factor ``a`` sampled along that grid axis, by ``_spectral_derivative``."""
-    line = [1] * 5
-    line[1 + axis_of_grid] = -1
-    return _spectral_derivative(a.reshape(line), grid, axis_of_grid).ravel()
 
 
 def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -772,7 +758,9 @@ def charge_density(family: OscillatingFamily) -> dict:
             spectrum = sum((2j * np.pi * xi[j]) * np.tensordot(u.V[j], u.spectrum, axes=1) for j in live)
             rho[e] = FactoredField(np.ones((1, 1)), spectrum=spectrum[None], support=u.support)
         elif u.rows:
-            terms = [(u.V[j, i] * t, *(_line_derivative(a, grid, 1 + j) if m == j else a for m, a in enumerate(x)))
+            # d_j of an x_j factor a is the 1-D spectral derivative ifft(2 pi i xi_j fft(a))
+            ik = [2j * np.pi * grid.freq_axis(1 + j) for j in range(3)]
+            terms = [(u.V[j, i] * t, *(np.fft.ifft(np.fft.fft(a) * ik[j]) if m == j else a for m, a in enumerate(x)))
                      for j in live for i in np.flatnonzero(u.V[j]) for t, *x in u.rows[i]]
             rho[e] = FactoredField(np.ones((1, 1)), rows=(tuple(terms),))
         else:

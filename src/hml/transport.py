@@ -133,7 +133,9 @@ class DensityTrajectory:
     (n_times, B, 3, 3) for the smooth-case matrix blocks; an array whose
     first axis is not the time levels is refused, and so are times that
     are not finite and strictly increasing.  ``x_center`` is the
-    spatial window centroid the densities belong to.
+    spatial window centroid the densities belong to.  ``valid_bins``, when
+    given, are the bins the transport rows read: integers in [0, B), or
+    ValueError naming the entries that are not.
     """
 
     times: np.ndarray
@@ -151,8 +153,17 @@ class DensityTrajectory:
             raise ValueError(f"times must be finite and strictly increasing, not {self.times.tolist()}")
         for name, values in self.data.items():
             if np.shape(values)[:1] != (self.times.size,):
-                raise ValueError(f"data[{name!r}] of shape {np.shape(values)} does not start with the {self.times.size} "
-                                 "time levels of times")
+                raise ValueError(f"data[{name!r}] of shape {np.shape(values)} does not start with the "
+                                 f"{self.times.size} time levels of times")
+        if self.valid_bins is not None:
+            bins = np.asarray(self.valid_bins)
+            if bins.size and bins.dtype.kind not in "iu":
+                raise ValueError(f"valid_bins must be integer bin indices, not the {bins.dtype} entries "
+                                 f"{bins.tolist()}")
+            B = self.sphere.num_bins
+            outside = bins[(bins < 0) | (bins >= B)]
+            if outside.size:
+                raise ValueError(f"valid_bins {outside.tolist()} lie outside the sphere's bins 0..{B - 1}")
 
     @classmethod
     def from_callables(cls, case, times, sphere, funcs, x_center=(0.0, 0.0, 0.0)):
@@ -161,7 +172,8 @@ class DensityTrajectory:
         for name, f in funcs.items():
             rows = [np.asarray(f(t, centers)) for t in times]
             data[name] = np.stack(rows)
-        return cls(times=np.asarray(times, float), sphere=sphere, case=case, data=data, x_center=np.asarray(x_center, float))
+        return cls(times=np.asarray(times, float), sphere=sphere, case=case, data=data,
+                   x_center=np.asarray(x_center, float))
 
     @classmethod
     def from_constant_fits(cls, times, sphere, fits: Sequence[DensityDecomposition], x_center=(0.0, 0.0, 0.0)):

@@ -175,7 +175,7 @@ def support_check(
     speed = float(model.speed(*x_center)[0]) if case == "scalar_smooth" else None
     masses = est.masses()
     total = float(masses.sum())
-    tol = SUPPORT_RADIUS_BINS * est.sphere.max_polar_width
+    tol = SUPPORT_RADIUS_BINS * max(est.sphere.widths[:2])
     if total <= 0:
         return SupportReport(case, tol, 1.0, {}, 0.0)
     dist = _angular_distances(_bin_directions(est), case, speed)

@@ -686,17 +686,38 @@ def test_gram_bins_match_per_pair_bincount_reference(second, phi):
 
 @pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
 def test_spectra_in_dft_order(phi):
-    """The spectra of a held and of a produced entry are the 4-D FFTs of their windowed scalars, each
-    row in the DFT's own flat (t, x1, x2, x3) order."""
+    """The spectra of a held, a produced and a support-held entry (read through ``separated``) are the 4-D FFTs
+    of their windowed scalars, each row in the DFT's own flat (t, x1, x2, x3) order."""
     rng = np.random.default_rng(3)
     held = FactoredField.of(rng.standard_normal((3,) + GRID.shape) + 1j * rng.standard_normal((3,) + GRID.shape))
     model, k = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8)
     produced = _family(model=model, envelope=hann_window(GRID), k=k).sources[EPS2[-1]]
-    for u in (held, produced):
+    for u in (held, produced, _oblique_family().fields[EPS2[-1]]):
         want = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
         got = estimator._spectra(u, estimator._window_dft(phi, GRID), GRID)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_slab_rows_and_untapered_windows_carry_no_identity_factor():
+    """A held or a support-held row is its slabs alone, with no time factors (T None); a window that is one on
+    x1..x3 has no spatial factor; and a support-held entry read through ``separated`` under a spatially tapered
+    window is still the 4-D FFT of its windowed scalars."""
+    rng = np.random.default_rng(5)
+    held = FactoredField.of(rng.standard_normal((2,) + GRID.shape) + 1j * rng.standard_normal((2,) + GRID.shape))
+    support_held = _oblique_family().fields[EPS2[-1]]
+    for u in (held, support_held):
+        T, X = u.separated(u.rank - 1, 2, 7)
+        assert T is None and X.shape == (5,) + GRID.spatial_shape
+    for phi in (full_window(), hann_window(GRID, axes=(0,)), time_subwindow(GRID, 0.1, 0.09)):
+        assert estimator._window_dft(phi, GRID)[3] is None
+    phi = hann_window(GRID, axes=(0, 2))
+    window = estimator._window_dft(phi, GRID)
+    assert window[3].shape == GRID.spatial_shape
+    want = np.fft.fftn(support_held.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(support_held.rank, -1)
+    got = estimator._spectra(support_held, window, GRID)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_estimate_matches_multiplier_definition_on_bin_edges():

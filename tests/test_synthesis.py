@@ -34,6 +34,12 @@ GRID = GridSpec(extents=(0.125, 0.125, 0.125, 0.125), shape=(8, 8, 8, 8))
 EPS2 = (2.0**-3, 2.0**-4)  # carrier indices 1 and 2 on this box
 
 
+def _mode_vector(model, k, mode):
+    """(b, c) of a constant model's mode, from the generators' shared set-up on a ladder that no carrier aliases on."""
+    _, b, c, _, _ = _constant_mode(model, GRID, k, mode, hann_window(GRID), (1.0,), "plane_wave")
+    return b, c
+
+
 def _family(mode="trans+1", model=None, envelope=None, grid=GRID, epsilons=EPS2, k=(0, 0, 1.0)):
     model = model or MaterialModel.constant(1.0, 1.0, 0.0)
     envelope = envelope or hann_window(grid, axes=(0, 1))
@@ -209,7 +215,7 @@ def test_plane_wave_modes_solve_the_eikonal_relation(medium, rng):
     model = MaterialModel.constant(*medium)
     for k in rng.normal(size=(20, 3)):
         for mode in MODE_ORDER:
-            _, b, c = _constant_mode(model, k, mode, "plane_wave_family")
+            b, c = _mode_vector(model, k, mode)
             Pb = assemble_P(model, (0.0, 0.0, 0.0), (c, *k)) @ b
             assert np.linalg.norm(Pb) <= 1e-14 * np.linalg.norm(k)
 
@@ -336,7 +342,7 @@ def test_factored_field_refuses_malformed_factors(make, match):
 
 def _plane_wave_closed_form(model, grid, k, mode, envelope, e):
     """env b osc and its envelope commutator sum_l A^l b d_l(env) osc + C b env osc, from 4-D arrays."""
-    _, b, c = _constant_mode(model, k, mode, "plane_wave_family")
+    b, c = _mode_vector(model, k, mode)
     *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
     t, x1, x2, x3 = grid.meshes()
     osc = np.exp((2j * np.pi / e) * (x1 * k[0] + x2 * k[1] + x3 * k[2] + c * t))
@@ -431,7 +437,7 @@ def test_evolved_family_builds_one_propagator(monkeypatch):
     model = MaterialModel.constant(1.0, 1.0, 0.5)
     fam = evolved_family(model, GRID, (0, 0, 1.0), "trans+1", EPS2)
     assert calls == [(2, 6, 6)] and len(steps) == 1 and len(fam.epsilons) == 2
-    _, b, _ = _constant_mode(model, (0, 0, 1.0), "trans+1", "evolved_family")
+    b, _ = _mode_vector(model, (0, 0, 1.0), "trans+1")
     x3 = np.broadcast_to(GRID.spatial_meshes()[2], GRID.spatial_shape)
     for e in fam.epsilons:
         u0 = np.asarray(fam.fields[e])[:, 0]
@@ -559,7 +565,7 @@ def test_support_held_fields_match_scatter_ifftn(name):
         for j in range(u.rank):
             for lo, hi in ((0, nt), (1, 4), (nt - 1, nt)):
                 T, X = u.separated(j, lo, hi)
-                assert np.array_equal(T, np.eye(hi - lo)) and np.array_equal(X, want.s[j, lo:hi])
+                assert T is None and np.array_equal(X, want.s[j, lo:hi])
             assert np.array_equal(u.spatial_spectrum(j, 1, 4), u.spectrum[j, 1:4])
 
 
@@ -598,7 +604,7 @@ def test_closed_form_support_matches_fftn_of_the_sampled_data(name):
     model = MaterialModel.constant(2.0, 0.5, 0.3)
     envelope = hann_window(grid, axes=axes)
     fam = evolved_family(model, grid, k, mode, EPS2, envelope)
-    _, b, _ = _constant_mode(model, k, mode, "evolved_family")
+    b, _ = _mode_vector(model, k, mode)
     support = fam.fields[fam.finest].support
     # two scales of 27 points overlapping in {-2, -1} x {1, 2} x {1, 2}
     sizes = {"long-e": 6, "plane": 2, "oblique": 8 * 8 * 8, "integral-hann": 2 * 27 - 8}
@@ -766,6 +772,19 @@ def test_layered_phase_matches_scipy_table_and_spline(linear_speed_model, monkey
     x = np.concatenate([s, np.random.default_rng(3).uniform(0.0, 1.0, 2000)])
     want = scipy.interpolate.CubicHermiteSpline(s, table, slope)(x)
     np.testing.assert_allclose(phase.value(0.0, x, 0.0, 0.0), want, rtol=1e-14, atol=0)
+
+
+def test_layered_phase_refuses_an_axis_or_x_max_out_of_range():
+    # axis=-1 was read as x3 with 1/v written into dS/dt (value 0.6, gradient (2, 0, 0, 0) at (0, .1, .2, .3)),
+    # axis=3 failed on a bare IndexError and x_max=0 gave NaN after a divide-by-zero warning
+    model = MaterialModel.constant(4.0, 1.0, 0.0)  # v = 1/2
+    phase = layered_phase(model, axis=2)
+    assert phase.value(0.0, 0.1, 0.2, 0.3) == pytest.approx(0.6, rel=1e-12)
+    assert [float(g) for g in phase.grad(0.0, 0.1, 0.2, 0.3)] == pytest.approx([-1.0, 0.0, 0.0, 2.0], rel=1e-12)
+    for kwargs in ({"axis": -1}, {"axis": 3}, {"x_max": 0.0}, {"x_max": -1.0}, {"x_max": np.inf}, {"x_max": np.nan}):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=rf"^{name} must be .*not {kwargs[name]!r}$"):
+            layered_phase(model, **kwargs)
 
 
 def test_layered_phase_refuses_coordinates_beyond_its_table():

@@ -288,6 +288,20 @@ def test_trajectory_refuses_bad_times(times):
         DensityTrajectory(times, SphereGrid(6, 6, 6), "constant", {})
 
 
+def test_trajectory_refuses_valid_bins_off_the_sphere():
+    # [-1] was read as bin B - 1 through negative indexing, and [B] and [1.5] failed later on bare IndexErrors
+    sphere = SphereGrid(6, 6, 6)
+    times = np.linspace(0.0, 0.5, 5)
+    data = {"a": np.zeros((times.size, sphere.num_bins))}
+    B = sphere.num_bins
+    assert DensityTrajectory(times, sphere, "constant", data, valid_bins=[0, B - 1]).valid_bins == [0, B - 1]
+    for bins, match in (([-1], r"valid_bins \[-1\] lie outside the sphere's bins 0\.\.215"),
+                        ([3, B], rf"valid_bins \[{B}\] lie outside"),
+                        ([1.5], r"valid_bins must be integer bin indices, not the float64 entries \[1\.5\]")):
+        with pytest.raises(ValueError, match=match):
+            DensityTrajectory(times, sphere, "constant", data, valid_bins=bins)
+
+
 def test_rows_refuse_trajectories_with_no_kept_bin(rng):
     # with no bin kept every weight is 0 and a row would read 0 from no data
     model = MaterialModel.constant(1.0, 1.0, 1.0)
