@@ -15,34 +15,38 @@ V G V'^H.  A plane wave is r = 1 and its source r = 5, where the full
 fields have six components each; an exact constant-coefficient evolution
 keeps only its nonzero components, and a family without sources pairs
 with r' = 0 (zero bins).  The estimator reads an entry only through V,
-its rank, its ``support``, ``separated`` and ``spatial_spectrum``, so
-only ``synthesis`` knows how an entry's rows are held or made:
-``separated`` gives a row's time slabs as time factors times spatial
-factors T @ X, T None for a row held as slabs (a held row, or a
-support-held row made on the grid), and ``spatial_spectrum`` gives a
-support-held row's spatial spectrum where it lives.  Each scalar's
-spectrum is one row of an (r, Npts) array in the DFT's own flat
-(t, x1, x2, x3) order; only the binning (``_lattice_bins``,
-``_cross_bins``) knows the bin order.
+its rank, its ``support``, whether it is ``produced``, ``separated``,
+``slabs`` and ``spatial_spectrum``, so only ``synthesis`` knows how an
+entry's scalars are held or made.  Each sequence is binned through one
+reader (``_read``), points -> the (n, r) point-major spectra at those
+lattice points in the DFT's flat (t, x1, x2, x3) order; only the binning
+(``_lattice_bins``, ``_cross_bins``) knows the bin order.  The kind of
+entry decides the read: a held or support-held entry's spectra are formed
+once (``_spectra``, one (r, Npts) row per scalar) and gathered a run at a
+time, while a produced entry s = C S, K separable terms, is read at each
+run's points from the DFTs of its terms' factors and no grid-sized
+spectrum of it is formed.
 
 The window is read only through its four axis factors (``_window_dft``).
 A time-windowed estimate pays only for the time slabs where the time
-factor is nonzero.  X times the spatial factors (none when the window is
-one on x1..x3) is FFT'd over (x1, x2, x3), and the time DFT, with the
-time factor folded into its dense matrix W, is one GEMM (W T) @ X, or
-W @ X where T is None.  When the window is one on x1..x3 and every entry
-of rank > 0 in the measure is held on the same spatial support
-(``_shared_support``: an evolved family's auto measure, its charge cross,
-or a cross against a rank-zero source), each spectrum row is only the
-support's m spatial frequencies, (r, nt m), binned on a lattice built
-over the support alone.  Off the support every spectrum is exactly zero,
-so this drops no mass.  ``metadata["binned_points"]`` says which lattice
-was binned and how many points it has.
+factor is nonzero.  A held row's slabs (``slabs``) times the spatial
+factors (none when the window is one on x1..x3) are FFT'd over (x1, x2,
+x3), and the time DFT, with the time factor folded into its dense matrix
+W, is one GEMM W @ X; a produced entry's time factors take the same W,
+W T, and its spatial factors times the window's 1-D FFTs.  When the
+window is one on x1..x3 and every entry of rank > 0 in the measure is held
+on the same spatial support (``_shared_support``: an evolved family's auto
+measure, its charge cross, or a cross against a rank-zero source), each
+spectrum row is only the support's m spatial frequencies, (r, nt m),
+binned on a lattice built over the support alone.  Off the support every
+spectrum is exactly zero, so this drops no mass.
+``metadata["binned_points"]`` says which lattice was binned and how many
+points it has.
 
 Memory: each bound is stated where it is kept, for one scale resident at
-a time (``_cross_spectral_measure``), a transform (``_spectra``), the bin
-loop (``_cross_bins``), the lattice build (``_lattice_bins``) and the
-occupancy count (``bin_occupancy``).
+a time (``_cross_spectral_measure``), a held transform (``_spectra``), a
+reader (``_read``), the bin loop (``_cross_bins``), the lattice build
+(``_lattice_bins``) and the occupancy count (``bin_occupancy``).
 
 An auto estimate is made once per (family, window, sphere) while it is
 alive: ``estimate_hmeasure`` returns the estimate it already made for the
@@ -209,9 +213,9 @@ class _Lattice(NamedTuple):
     dirs: np.ndarray
 
 
-# lattice points per run of the bin loop, of the lattice build's permutation and of its blocks of time-frequency
-# planes, so a run's temporaries, the bin loop's gathered copies among them, stay in cache and below one grid scalar
-# from 16^4 up (a rank-5 run copy is 0.04 of one at 32^4); runs of 2^12 to 2^16 points measured alike in time at 32^4
+# lattice points per run of the bin loop (a cross with a produced reader cuts its runs shorter), of the lattice
+# build's permutation and of its blocks of time-frequency planes, so a run's temporaries stay in cache and below one
+# grid scalar from 16^4 up; runs of 2^12 to 2^16 points measured alike in time at 32^4
 _CHUNK = 1 << 13
 
 
@@ -390,55 +394,60 @@ class HMeasureEstimate:
         return float(np.min(vals[:, 0] / tr[keep]))
 
 
-def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
-    """Bin the r x r' Gram of two sets of spectra, return V G V'^H.
+def _cross_bins(read1, read2, V1, V2, lattice: _Lattice, sphere, scale, chunk):
+    """Bin the r x r' Gram of two sequences' spectra, return V G V'^H.
 
-    F1: (r, Npts) and F2: (r', Npts) are the spectra of the scalar factors,
-    one row per scalar in the DFT's flat order, F2 is F1 for an auto
-    measure, and V1 (p, r) and V2 (q, r') the orthonormal polarization
-    factors.  Returns (bins (B,p,q), unit centroid (B,4) with NaN rows for
-    massless bins, dc (complex)).  The non-empty bins are read in runs of
-    about ``_CHUNK`` lattice points: a run's points, ``lattice.order[p0:p1]``,
-    are gathered from all rows at once and copied point-major, (n, r) (the
-    gather itself when r is 1), and each of its bins is one real GEMM over
-    the float64 views (n_b, 2r) and (n_b, 2r'), with the complex sum read
-    off the interleaved real and imaginary parts.  A real GEMM, not a
-    complex ``@``: NumPy sends a one-column complex product to gemv, whose
-    rounding would part a q = 1 measure from column 0 of a padded one,
-    while the real view always has at least two columns.  When F2 is F1,
-    NumPy forms X.T @ X by one triangle and its mirror (syrk), so G is
-    exactly Hermitian.  The non-empty bins are V1 G V2^H, formed on those
-    bins alone, and every other bin is exactly zero; where a factor is I (a
-    plain array with no zero component) the product gives G back bit for
-    bit.  Orthonormal factors keep each lattice point's mass |u^|^2 =
-    |s^|^2, so the centroids need no expansion of the spectra: a run's
-    per-point masses are one product (X * X) @ 1 per sequence, and each
-    bin's mass-weighted direction sum is one product ``mass @ dirs`` next
-    to its GEMM.  The DC term is
-    the sum over the first min(p, q) components of the expanded DC
-    vectors, read at the point of the lattice's segment B (flat index 0 on
-    the full lattice); it is 0 when that segment is empty, a support
-    lattice without the zero frequency.  r or r' may be 0: the bins and the
-    DC term are then zero, and the centroids are those of the other
-    sequence's mass.
+    ``read1`` and ``read2`` are the sequences' readers (``_read``): each
+    gives the point-major (n, r) spectra of its scalar factors at a run of
+    lattice points, read2 is read1 for an auto measure, and V1 (p, r) and
+    V2 (q, r') are the orthonormal polarization factors.  Returns (bins
+    (B,p,q), unit centroid (B,4) with NaN rows for massless bins, dc
+    (complex)).  The non-empty bins are read in runs of whole bins (see
+    Memory): a run's points are ``lattice.order[p0:p1]``, and each of its
+    bins is one real GEMM over the float64 views (n_b, 2r) and
+    (n_b, 2r') of the two reads, with the complex sum read off the
+    interleaved real and imaginary parts.  A real GEMM, not a complex
+    ``@``: NumPy sends a one-column complex product to gemv, whose rounding
+    would part a q = 1 measure from column 0 of a padded one, while the
+    real view always has at least two columns.  When read2 is read1, the
+    run is read once and NumPy forms X.T @ X by one triangle and its mirror
+    (syrk), so G is exactly Hermitian.  The non-empty bins are V1 G V2^H,
+    formed on those bins alone, and every other bin is exactly zero; where
+    a factor is I (a plain array with no zero component) the product gives
+    G back bit for bit.  Orthonormal factors keep each lattice point's mass
+    |u^|^2 = |s^|^2, so the centroids need no expansion of the spectra: a
+    run's per-point masses are one product (X * X) @ 1 per sequence, and
+    each bin's mass-weighted direction sum is one product ``mass @ dirs``
+    next to its GEMM.  The DC term is the sum over the first min(p, q)
+    components of the expanded DC vectors, read at the point of the
+    lattice's segment B (flat index 0 on the full lattice); it is 0 when
+    that segment is empty, a support lattice without the zero frequency.
+    r or r' may be 0: the bins and the DC term are then zero, and the
+    centroids are those of the other sequence's mass.
+
+    Memory: a run's reads and temporaries are run-sized and released
+    before the next run is read; with the readers' own holdings
+    (``_read``) that is all the loop adds to its bins.  Runs are about
+    ``chunk`` points, ``_CHUNK`` for an auto measure and a cross of held
+    entries; ``_cross_spectral_measure`` shortens a cross's runs when it
+    has a produced reader.
     """
     B = sphere.num_bins
-    r1, r2 = len(F1), len(F2)
+    r1, r2 = V1.shape[1], V2.shape[1]
     bounds = lattice.bounds
     M = np.zeros((B, 2 * r1, 2 * r2))
     sums = np.zeros((B, 4))
     nonempty = np.flatnonzero(bounds[1 : B + 1] > bounds[:B])
     # a support lattice may have no point in any bin, and np.split would still give one empty run
-    runs = np.split(nonempty, np.flatnonzero(np.diff(bounds[nonempty] // _CHUNK)) + 1) if nonempty.size else []
+    runs = np.split(nonempty, np.flatnonzero(np.diff(bounds[nonempty] // chunk)) + 1) if nonempty.size else []
     for run in runs:
         p0, p1 = bounds[run[0]], bounds[run[-1] + 1]
-        # the points are lattice indices, so "clip" moves none and only skips the bounds check of "raise"
         points = lattice.order[p0:p1]
-        X = np.ascontiguousarray(np.take(F1, points, axis=1, mode="clip").T).view(np.float64)
-        Y = X if F2 is F1 else np.ascontiguousarray(np.take(F2, points, axis=1, mode="clip").T).view(np.float64)
+        X = read1(points).view(np.float64)
+        Y = X if read2 is read1 else read2(points).view(np.float64)
         # the centroid is normalised, so the mass-weighted sums need no division by the bin mass
         mass = (X * X) @ np.ones(2 * r1)
-        if F2 is not F1:
+        if read2 is not read1:
             mass += (Y * Y) @ np.ones(2 * r2)
         dirs = lattice.dirs[p0:p1].astype(np.float64)  # cast once per run, not once per bin
         for b, s, e in zip(run.tolist(), (bounds[run] - p0).tolist(), (bounds[run + 1] - p0).tolist()):
@@ -446,22 +455,25 @@ def _cross_bins(F1, F2, V1, V2, lattice: _Lattice, sphere, scale):
             if r1 * r2:
                 np.matmul(X[s:e].T, Y[s:e], out=M[b])
             np.dot(mass[s:e], dirs[s:e], out=sums[b])
-        del X, Y, mass, dirs  # this run's copies are released before the next run's are gathered
+        del X, Y, mass, dirs  # this run's reads are released before the next run's are made
     M = M[nonempty]
     G = np.empty((nonempty.size, r1, r2), dtype=np.complex128)
     G.real = M[:, 0::2, 0::2] + M[:, 1::2, 1::2]
     G.imag = M[:, 1::2, 0::2] - M[:, 0::2, 1::2]
     G *= scale
+    del M
+    G = V1 @ G @ V2.conj().T  # the (p, q) bins, made before the zeros they are written into
     bins = np.zeros((B, len(V1), len(V2)), dtype=np.complex128)
-    bins[nonempty] = V1 @ G @ V2.conj().T
+    bins[nonempty] = G
+    del G
     norms = np.linalg.norm(sums[nonempty], axis=1)
     good = norms > 0
     cent = np.full((B, 4), np.nan)
     cent[nonempty[good]] = sums[nonempty[good]] / norms[good, None]
     if bounds[B + 1] == bounds[B]:
         return bins, cent, 0j
-    zero = lattice.order[bounds[B]]
-    d1, d2 = V1 @ F1[:, zero], V2 @ F2[:, zero]
+    zero = lattice.order[bounds[B] : bounds[B + 1]]
+    d1, d2 = V1 @ read1(zero)[0], V2 @ read2(zero)[0]
     m = min(d1.size, d2.size)
     dc = complex(np.sum(d1[:m] * np.conj(d2[:m])) * scale)
     return bins, cent, dc
@@ -473,8 +485,9 @@ def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
     Only the slabs lo:hi between the first and last grid times where w_t is
     nonzero are read; W (nt, hi - lo) is the time DFT with the time factor
     folded in, W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t), and
-    ``spatial`` the (n1, n2, n3) product of the spatial factors, None where
-    all three are one.  A window zero at every sample of an axis is refused.
+    ``spatial`` the samples of the three spatial factors, 1-D each, None
+    where all three are one.  A window zero at every sample of an axis is
+    refused.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
@@ -488,46 +501,100 @@ def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
     # the exponent takes nt values: each root is formed once, as exp would form it at every entry it fills
     W = np.exp((-2j * np.pi / nt) * np.arange(nt))[kj]
     W *= samples[0][lo:hi]
-    if all(f.kind == "one" for f in phi.factors[1:]):
-        return lo, hi, W, None
-    return lo, hi, W, samples[1][:, None, None] * samples[2][None, :, None] * samples[3][None, None, :]
+    return lo, hi, W, None if all(f.kind == "one" for f in phi.factors[1:]) else tuple(samples[1:])
 
 
 def _spectra(u: FactoredField, window: tuple, grid: GridSpec, support=None) -> np.ndarray:
-    """Windowed 4-D DFT of the r scalars of a (p,) + grid.shape entry as an (r, Npts) array in the DFT's flat order.
+    """Windowed 4-D DFT of the r scalars of a held or support-held entry as an (r, Npts) array in the DFT's flat order.
 
     The window phi = w_t(t) w_x(x) is read through ``_window_dft``: only its
-    live slabs lo:hi are read, each row as T @ X (``u.separated``), X times
-    the spatial factors is FFT'd over (x1, x2, x3), and the time DFT is one
-    GEMM ``(W @ T) @ X``, or ``W @ X`` where the row has no time factors
-    (T None).  With ``support`` (a support-held entry, under a window that
-    is one on x1..x3) X is ``u.spatial_spectrum``, the support's m spatial
-    frequencies with no spatial transform, and the array is (r, nt m) in the
-    flat (t, support entry) order.  r = 0 gives an (0, Npts) array without
-    a transform.
+    live slabs lo:hi are read, each row's slabs X (``u.slabs``) times the
+    product of the spatial factors are FFT'd over (x1, x2, x3), and the
+    time DFT is one GEMM ``W @ X``.  With ``support`` (a support-held entry,
+    under a window that is one on x1..x3) X is ``u.spatial_spectrum``, the
+    support's m spatial frequencies with no spatial transform, and the
+    array is (r, nt m) in the flat (t, support entry) order.  r = 0 gives an
+    (0, Npts) array without a transform.  A produced entry is read at its
+    lattice points instead (``_read``).
 
     Memory: the rows are read one at a time, and each row's time DFT writes
     straight into its row of the output.  A call so holds its r output rows
-    and one row's read, with spatial-sized temporaries: a held or
-    support-held row's slabs (r + 1 grid scalars in all, a grid scalar
-    being 16 Npts bytes), or a produced row's K spatial arrays, so a
-    produced entry's scalars are never formed.  On a support the rows are
-    nt m values and no slab is formed, so an estimate holds r m /
-    (n1 n2 n3) of a grid scalar per sequence (9/4096 on const-trajectory:
-    r = 3 on 6 of its 8192 spatial frequencies) and no grid-sized array.
+    and one row's slabs, r + 1 grid scalars in all (a grid scalar being 16
+    Npts bytes).  On a support the rows are nt m values and no slab is
+    formed, so an estimate holds r m / (n1 n2 n3) of a grid scalar per
+    sequence (9/4096 on const-trajectory: r = 3 on 6 of its 8192 spatial
+    frequencies) and no grid-sized array.
     """
     nt, r = grid.shape[0], u.rank
     lo, hi, W, spatial = window
+    if spatial is not None:
+        w1, w2, w3 = spatial
+        spatial = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
     out = np.empty((r, grid.num_points if support is None else nt * np.count_nonzero(support)), dtype=np.complex128)
     for j in range(r):
         if support is not None:
-            T, X = None, u.spatial_spectrum(j, lo, hi)
+            X = u.spatial_spectrum(j, lo, hi)
         else:
-            T, X = u.separated(j, lo, hi)
+            X = u.slabs(j, lo, hi)
             X = X.astype(np.complex128) if spatial is None else np.multiply(X, spatial, dtype=np.complex128)
             fftn(X, (1, 2, 3), out=X)
-        np.matmul(W if T is None else W @ T, X.reshape(len(X), -1), out=out[j].reshape(nt, -1))
+        np.matmul(W, X.reshape(len(X), -1), out=out[j].reshape(nt, -1))
     return out
+
+
+def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
+    """The reader of an entry's windowed spectra: points -> the (n, r) complex spectra at those lattice points.
+
+    ``points`` are flat lattice indices (``_Lattice.order``) and the result
+    is point-major and C-contiguous, ready for ``_cross_bins``'s float64
+    view.  A held or support-held entry is transformed once by ``_spectra``
+    and read by gathering the points from all rows.  A produced entry s = C
+    S is never transformed on the grid: the windowed DFT of a separable term
+    is the product of its axis factors' 1-D DFTs, so once per call the K
+    terms give A = W T (nt, K), their time DFTs, and X^ (n1 n2 n3, K),
+    their windowed spatial DFTs, each an outer product of three 1-D FFTs;
+    a point p = t n1 n2 n3 + s then reads (A[t] X^[s]) C^T, and a single
+    term (K = 1) the product A[t] X^[s] times C's one column.
+
+    Memory: a held or support-held reader holds its (r, Npts) spectra
+    (``_spectra``); a produced reader holds K (nt + n1 n2 n3) values, K/nt
+    of a grid scalar, and its reads are run-sized.
+    """
+    if not u.produced:
+        F = _spectra(u, window, grid, support)
+        # the points are lattice indices, so "clip" moves none and only skips the bounds check of "raise"
+        return lambda points: np.ascontiguousarray(np.take(F, points, axis=1, mode="clip").T)
+    lo, hi, W, spatial = window
+    C, T, x = u.separated(lo, hi)
+    if spatial is not None:
+        x = [a * w for a, w in zip(x, spatial)]
+    K = len(C.T)
+    f1, f2, f3 = (np.ascontiguousarray(np.fft.fft(a, axis=1).T) for a in x)
+    # rows in flat spatial order; einsum, as a broadcast product would, makes each value one product, but it
+    # takes no iteration buffers, which at 16^4 are a quarter of a grid scalar
+    X = np.einsum("ik,jk->ijk", np.einsum("ik,jk->ijk", f1, f2).reshape(-1, K), f3).reshape(-1, K)
+    A, n = W @ T, len(X)
+
+    def split(points):
+        # divmod(points, n), the time and flat spatial indices, as two operations: np.divmod takes three times as long
+        t = points // n
+        return t, points - t * n
+
+    if K == 1:
+        a, X, c = A[:, 0], X[:, 0], C[:, 0]
+
+        def read(points):
+            t, s = split(points)
+            return (np.take(a, t, mode="clip") * np.take(X, s, mode="clip"))[:, None] * c
+    else:
+        Ct = np.ascontiguousarray(C.T)
+
+        def read(points):
+            t, s = split(points)
+            z = np.take(A, t, axis=0, mode="clip")
+            z *= np.take(X, s, axis=0, mode="clip")
+            return z @ Ct
+    return read
 
 
 def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableWindow, sphere) -> HMeasureEstimate:
@@ -543,10 +610,13 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
     g^eps has, giving (B, 6, m) bins.
 
     Memory: one scale is resident at a time.  A scale's entries are read,
-    transformed and binned, and its spectra released, before the next
-    scale is read, so no two full-rank copies are alive at once; a cross
-    measure of a rank-1 plane-wave field against its rank-5 source so
-    peaks near its 1 + 5 spectra.
+    transformed and binned, and its readers released, before the next
+    scale is read, so no two full-rank copies are alive at once.  A cross
+    of held entries peaks near its r + r' spectra (``_spectra``); a cross
+    of a rank-1 plane-wave field against its rank-5 source forms no
+    spectrum and holds its readers' factor tables, (1 + 5)(nt + n1 n2 n3)
+    values, and reads of runs cut to about ``_CHUNK`` / (2 max(r, r'))
+    points (``_cross_bins``), below one grid scalar at 16^4 and above.
     """
     if len(family.epsilons) < 2:
         raise ValueError("need at least two epsilon values for a limit surrogate")
@@ -566,13 +636,16 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         g = FactoredField.of(g)
         support = _shared_support(window, u, g)
         lattice = _lattice_bins(grid, sphere) if support is None else _lattice_bins(grid, sphere, support.tobytes())
-        F1 = _spectra(u, window, grid, support)
-        F2 = F1 if hermitian else _spectra(g, window, grid, support)
-        history[e], centroids[e], dc_energy[e] = _cross_bins(F1, F2, u.V, g.V, lattice, sphere, scale)
+        read1 = _read(u, window, grid, support)
+        read2 = read1 if hermitian else _read(g, window, grid, support)
+        # a cross with a produced reader holds two (n, K) gathers per point while it mixes them, so its runs are
+        # cut to hold about _CHUNK / 2 values of its wider read; an auto measure's runs, and a held cross's, are not
+        chunk = _CHUNK // (2 * max(u.rank, g.rank, 1)) if not hermitian and (u.produced or g.produced) else _CHUNK
+        history[e], centroids[e], dc_energy[e] = _cross_bins(read1, read2, u.V, g.V, lattice, sphere, scale, chunk)
         ranks = (u.rank, g.rank)
         binned = {"points": int(lattice.bounds[-1]), "lattice": "full" if support is None else "support"}
         # one scale resident: the next scale is read and transformed with none of this one's arrays held
-        del u, g, F1, F2
+        del u, g, read1, read2
     return HMeasureEstimate(
         sphere=sphere,
         epsilons=family.epsilons,

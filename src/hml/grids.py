@@ -7,7 +7,8 @@ cosine supported on a subinterval, and carries its analytic derivative.
 Every FFT in the package is ``numpy.fft``: along one axis, or over several
 by ``fftn``, one in-place pass per axis.  The estimator's time DFT is not
 an FFT: it is a GEMM with the dense matrix W that ``estimator._window_dft``
-builds, the time window folded in.
+builds, the time window folded in, applied to a held row's spatially
+transformed slabs or to a produced entry's K time factors (W T, nt x K).
 """
 
 from __future__ import annotations

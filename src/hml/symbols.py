@@ -284,22 +284,15 @@ def mode_vectors(zetaP, eps, eta, modes: Sequence[str]) -> np.ndarray:
     zhat, z1, z2 = propagation_basis(zetaP)
     se, sh = 1.0 / np.sqrt(eps), 1.0 / np.sqrt(eta)
     ce, ch = 1.0 / np.sqrt(2 * eps), 1.0 / np.sqrt(2 * eta)
-
-    def vector(mode):
-        if mode == "long-e":
-            e = se * zhat
-            return np.concatenate([e, np.zeros_like(e)])
-        if mode == "long-h":
-            h = sh * zhat
-            return np.concatenate([np.zeros_like(h), h])
-        if mode == "trans+1":
-            return np.concatenate([ce * z1, ch * z2])
-        if mode == "trans+2":
-            return np.concatenate([ce * z2, -ch * z1])
-        if mode == "trans-1":
-            return np.concatenate([ce * z1, -ch * z2])
-        if mode == "trans-2":
-            return np.concatenate([ce * z2, ch * z1])
-        raise ValueError(f"unknown mode {mode!r}")
-
-    return np.stack([vector(m) for m in modes], axis=1)
+    # each mode's (E, H) halves as (scale, vector), None where a half is zero
+    halves = {"long-e": ((se, zhat), None), "long-h": (None, (sh, zhat)),
+              "trans+1": ((ce, z1), (ch, z2)), "trans+2": ((ce, z2), (-ch, z1)),
+              "trans-1": ((ce, z1), (-ch, z2)), "trans-2": ((ce, z2), (ch, z1))}
+    out = np.zeros((6, len(modes)) + np.broadcast(zhat[0], se, sh).shape)
+    for i, mode in enumerate(modes):
+        if mode not in halves:
+            raise ValueError(f"unknown mode {mode!r}")
+        for j, half in enumerate(halves[mode]):
+            if half is not None:
+                np.multiply(*half, out=out[3 * j : 3 * j + 3, i])
+    return out

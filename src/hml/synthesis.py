@@ -15,19 +15,19 @@ V mu_s V^H (Tartar 1990), so the estimator and ``charge_density`` work on
 the r scalars.  A plain array is read as V = the columns of I whose
 components are not identically zero, so exact-zero components are never
 transformed; the test is exact (``!= 0``, no tolerance), and r = 0 is an
-all-zero field.  A factored entry holds s; or holds each row of s as a
-short sum of separable terms, four 1-D axis arrays each; or holds the
-spatial spectrum of s on the frequencies where it can be nonzero.  The
-last two make a row where it is read (``FactoredField``); the full array
-of a factored entry is formed only by ``FactoredField.materialise``, which
-``np.asarray`` calls.
+all-zero field.  A factored entry holds s; or holds s as a coefficient
+matrix C times K distinct separable terms, four 1-D axis arrays each; or
+holds the spatial spectrum of s on the frequencies where it can be
+nonzero.  A reader reads the last two where it needs them
+(``FactoredField``); the full array of a factored entry is formed only by
+``FactoredField.materialise``, which ``np.asarray`` calls.
 Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
   along one of the six eigenmodes (rank-one fields), with the envelope
   commutator recorded as the source (rank five), both held per scale as
   separable terms of the envelope's axis factors and one oscillation per
-  axis, and read one row at a time.
+  axis: one term for the field and five for the source.
 * evolved_family: spectral matrix-exponential solution of the
   constant-coefficient system (the source is exactly zero); the
   polarization is stepped once per family, on the support of the scales'
@@ -97,52 +97,57 @@ class FactoredField:
     field.  The scalars are held in one of three ways:
 
     * held: ``s`` is the (r,) + grid array;
-    * produced (``from_polarization``, ``charge_density``): ``rows[j]`` is a
-      tuple of separable terms (t, x1, x2, x3), four 1-D axis arrays each,
-      and s_j is the sum of their outer products, so the entry holds no
-      grid-sized array;
+    * produced (``from_polarization``, ``charge_density``): s = C S, with
+      ``C`` the (r, K) coefficient matrix and S the K distinct separable
+      terms ``terms``, four (K, n) axis-factor arrays (t, x1, x2, x3) whose
+      row k's outer product is S_k, so the entry holds no grid-sized array;
     * support-held (``evolved_family``, ``charge_density``): ``spectrum`` is
       the (r, nt, m) spatial DFT of s on the m true entries of the boolean
       spatial ``support`` (``np.nonzero`` order), and zero off it, so the
       entry holds no grid-sized array either.
 
-    ``separated`` gives time slabs of one row as T @ X, time factors times
-    spatial factors, for a produced row, and as the slabs X themselves (T
-    None) for a held or support-held row; a support-held row makes only
-    the requested slabs, by scattering them onto the spatial grid and one
-    inverse DFT pass per axis (x3, x2, x1).  ``spatial_spectrum`` reads a
-    support-held row where it lives, with no transform.  These two are all
-    the estimator reads of the scalars.  ``scalars`` forms s, and
-    ``materialise`` (and so ``np.asarray``) forms u from s.
-    ``shape`` is the shape of u.
+    ``separated`` gives a produced entry's C and its terms' factors on a
+    range of time slabs, ``slabs`` a row's time slabs on the grid (a
+    support-held row makes only those slabs, by scattering them onto the
+    spatial grid and one inverse DFT pass per axis, x3, x2, x1), and
+    ``spatial_spectrum`` reads a support-held row where it lives, with no
+    transform.  These three are all the estimator reads of the scalars.
+    ``scalars`` forms s, and ``materialise`` (and so ``np.asarray``) forms u
+    from s.  ``shape`` is the shape of u.
     """
 
     V: np.ndarray
     s: np.ndarray | None = None
-    rows: tuple = ()
+    C: np.ndarray | None = None
+    terms: tuple | None = None
     spectrum: np.ndarray | None = None
     support: np.ndarray | None = None
 
     def __post_init__(self):
-        V, produced = self.V, bool(self.rows)
-        if (self.s is not None) + produced + (self.spectrum is not None) != 1:
-            raise ValueError("a factored field needs exactly one of held scalars s, produced rows and a spectrum")
+        V = self.V
+        if (self.s is not None) + (self.terms is not None) + (self.spectrum is not None) != 1:
+            raise ValueError("a factored field needs exactly one of held scalars s, produced terms and a spectrum")
         if (self.spectrum is None) != (self.support is None):
             raise ValueError("a spectrum and its support come together")
+        if (self.terms is None) != (self.C is None):
+            raise ValueError("produced terms and their coefficients C come together")
         if self.spectrum is not None:
             support = self.support
             if support.dtype != bool or support.ndim != 3 or self.spectrum.ndim != 3 \
                     or self.spectrum.shape[2] != np.count_nonzero(support):
                 raise ValueError(f"a spectrum of shape {self.spectrum.shape} is not one value per time and true "
                                  f"entry of a 3-D boolean support")
-        n = len(self.rows) if produced else (self.s if self.spectrum is None else self.spectrum).shape[0]
+        if self.terms is not None:
+            if len(self.terms) != 4 or any(np.ndim(a) != 2 for a in self.terms) \
+                    or len({len(a) for a in self.terms}) != 1 or len(self.terms[0]) == 0:
+                raise ValueError("produced terms need four 2-D axis-factor arrays (K, n), one row per term, "
+                                 "with K >= 1 alike in every array")
+            if np.ndim(self.C) != 2 or self.C.shape[1] != len(self.terms[0]):
+                raise ValueError(f"coefficients of shape {np.shape(self.C)} do not match "
+                                 f"{len(self.terms[0])} produced terms")
+        n = len(self.s if self.s is not None else self.C if self.terms is not None else self.spectrum)
         if V.ndim != 2 or V.shape[1] != n:
             raise ValueError(f"polarization factor of shape {V.shape} does not match {n} scalars")
-        if produced:
-            axes = {tuple(np.shape(a) for a in term) for row in self.rows for term in row}
-            if not all(self.rows) or len(axes) != 1 or [len(a) for a in axes.pop()] != [1] * 4:
-                raise ValueError("a produced field needs terms in every row, each four 1-D axis factors "
-                                 "alike in length")
         if not np.allclose(V.conj().T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12):
             raise ValueError("polarization factor columns are not orthonormal")
 
@@ -155,13 +160,11 @@ class FactoredField:
     def from_polarization(cls, V, factors) -> FactoredField:
         """The produced field u = V S, S_k the outer product of the four 1-D arrays ``factors[k]``.
 
-        One QR V = Q R gives u = Q (R S).  R is upper triangular, so row i of
-        R S is the sum over k >= i of the terms R_ik S_k, each with R_ik
-        folded into its time factor.
+        One QR V = Q R gives u = Q (R S): the K terms S_k are held once, as
+        four (K, n) axis-factor arrays, and R is their coefficient matrix C.
         """
         Q, R = np.linalg.qr(np.asarray(V, dtype=np.complex128))
-        rows = [[(R[i, k] * t, *x) for k, (t, *x) in enumerate(factors) if k >= i] for i in range(len(R))]
-        return cls(Q, rows=tuple(map(tuple, rows)))
+        return cls(Q, C=R, terms=tuple(np.stack(a) for a in zip(*factors)))
 
     @classmethod
     def of(cls, u) -> FactoredField:
@@ -187,30 +190,39 @@ class FactoredField:
         elif self.s is not None:
             grid = self.s.shape[1:]
         else:
-            grid = tuple(len(a) for a in self.rows[0][0])
+            grid = tuple(a.shape[1] for a in self.terms)
         return self.V.shape[:1] + grid
 
     @property
     def rank(self) -> int:
         return self.V.shape[1]
 
-    def separated(self, j: int, lo: int, hi: int) -> tuple:
-        """Time slabs lo:hi of row j as T @ X: time factors T (hi - lo, K) and spatial factors X (K,) + spatial.
+    @property
+    def produced(self) -> bool:
+        """Whether s is held as C times separable terms, read through ``separated``."""
+        return self.terms is not None
 
-        A produced row of K terms is their time factors on those slabs and
-        the outer products of their spatial factors.  A held row is its
-        K = hi - lo slabs X with no time factors, T None, and so is a
-        support-held row, whose slabs are made here from its spectrum
-        (``_on_grid``).
+    def separated(self, lo: int, hi: int) -> tuple:
+        """A produced entry on time slabs lo:hi: (C (r, K), T (hi - lo, K), (X1, X2, X3)), Xi (K, n_i).
+
+        Row j of s on those slabs is sum_k C[j, k] T[:, k] X1[k] X2[k] X3[k],
+        each term the outer product of its four axis factors; T is a view.
+        """
+        t, *x = self.terms
+        return self.C, t[:, lo:hi].T, x
+
+    def slabs(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Time slabs lo:hi of row j, (hi - lo,) + spatial.
+
+        A held row's slabs are a view; a support-held row's are made from its
+        spectrum (``_on_grid``), and a produced row's from its terms.
         """
         if self.s is not None:
-            return None, self.s[j, lo:hi]
+            return self.s[j, lo:hi]
         if self.spectrum is not None:
-            return None, self._on_grid(self.spectrum[j, lo:hi])
-        terms = self.rows[j]
-        T = np.stack([t[lo:hi] for t, *_ in terms], axis=1)
-        X = np.stack([x1[:, None, None] * x2[None, :, None] * x3[None, None, :] for _, x1, x2, x3 in terms])
-        return T, X
+            return self._on_grid(self.spectrum[j, lo:hi])
+        C, T, (x1, x2, x3) = self.separated(lo, hi)
+        return np.tensordot(T * C[j], x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :], axes=1)
 
     def spatial_spectrum(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Time slabs lo:hi of row j's spatial spectrum on ``support``, (hi - lo, m): a view of the held spectrum."""
@@ -229,12 +241,12 @@ class FactoredField:
         return fftn(a, (n - 1, n - 2, n - 3), inverse=True, out=a)
 
     def scalars(self) -> np.ndarray:
-        """The (r,) + grid scalars s: held, made from the spectrum, or formed row by row as T @ X (``separated``)."""
+        """The (r,) + grid scalars s: held, made from the spectrum, or formed row by row from the terms (``slabs``)."""
         if self.s is not None:
             return self.s
         if self.spectrum is not None:
             return self._on_grid(self.spectrum)
-        return np.stack([np.tensordot(*self.separated(j, 0, self.shape[1]), axes=1) for j in range(self.rank)])
+        return np.stack([self.slabs(j, 0, self.shape[1]) for j in range(self.rank)])
 
     def materialise(self) -> np.ndarray:
         """The full (p,) + grid array V s."""
@@ -258,23 +270,23 @@ def _check_entry(name: str, e: float, u, shape: tuple):
     """``u`` if it is a finite entry of ``shape``; the one check of every entry, made when its family is built.
 
     Reads the factors of a ``FactoredField``, never its full arrays: V and
-    held scalars s, V and a support-held spectrum, or V and the 1-D axis
-    factors of produced rows.  A
-    produced row is bounded by the sum over its terms of the product of
-    their factors' maxima, finite only if no product overflows (four finite
-    factors can).  A plain array is read as held: factoring it here would
-    copy it to drop its zero components.  ``u`` None is a missing entry.
+    held scalars s, V and a support-held spectrum, or V, C and the axis
+    factors of produced terms.  A produced row is bounded by |C| times each
+    term's product of its factors' maxima, finite only if no product
+    overflows (four finite factors can) and C is finite.  A plain array is
+    read as held: factoring it here would copy it to drop its zero
+    components.  ``u`` None is a missing entry.
     """
     if u is None or np.shape(u) != shape:
         raise ValueError(f"{name} at eps={e} missing or not of shape {shape}")
     if not isinstance(u, FactoredField):
         finite = np.isfinite(np.asarray(u)).all()
-    elif u.s is not None or u.spectrum is not None:
+    elif not u.produced:
         finite = np.isfinite(u.V).all() and np.isfinite(u.s if u.spectrum is None else u.spectrum).all()
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            peaks = [sum(np.prod([np.abs(a).max() for a in term]) for term in row) for row in u.rows]
-            finite = np.isfinite(u.V).all() and np.isfinite(peaks).all()
+            peaks = np.abs(u.C) @ np.prod([np.abs(a).max(axis=1) for a in u.terms], axis=0)
+        finite = np.isfinite(u.V).all() and np.isfinite(peaks).all()
     if not finite:
         raise ValueError(f"non-finite field or source entry at eps={e}")
     return u
@@ -401,10 +413,11 @@ def plane_wave_family(
     Fields and sources are produced ``FactoredField`` entries
     (``FactoredField.from_polarization``): neither the family nor an entry
     holds a grid-sized array.  The phase is linear, so osc is the product of
-    one exponential per axis, and each raw row is the broadcast product of
-    four 1-D arrays: the envelope's axis factors (one of them differentiated
-    in the source's first four rows) times the axis oscillations.  A reader
-    makes the rows where it needs them.
+    one exponential per axis, and each term is the broadcast product of four
+    1-D arrays: the envelope's axis factors (one of them differentiated in
+    the source's first four terms) times the axis oscillations.  So the
+    field holds one term and the source five, and a reader makes the values
+    where it needs them.
     """
     k, b, c, eps_list, meta = _constant_mode(model, grid, k, mode, envelope, epsilons, "plane_wave")
     *A, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
@@ -419,9 +432,9 @@ def plane_wave_family(
         osc = [np.exp((2j * np.pi / e) * rate * x) for rate, x in zip((c, *k), axes)]
         g, h = [f * o for f, o in zip(env, osc)], [d * o for d, o in zip(denv, osc)]
         fields[e] = FactoredField.from_polarization(b[:, None], [g])
-        # residual: sum_l A^l b d_l(env) osc + C b env osc; raw row j < 4 differentiates axis j's factor
-        rows = [[h[i] if i == j else g[i] for i in range(4)] for j in range(4)]
-        sources[e] = FactoredField.from_polarization(V, rows + [g])
+        # residual: sum_l A^l b d_l(env) osc + C b env osc; term j < 4 differentiates axis j's factor
+        terms = [[h[i] if i == j else g[i] for i in range(4)] for j in range(4)]
+        sources[e] = FactoredField.from_polarization(V, terms + [g])
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=sources, metadata=meta)
 
 
@@ -732,11 +745,11 @@ def wkb_family(
 def charge_density(family: OscillatingFamily) -> dict:
     """rho^eps = div E^eps per scale, each a (1,) + grid entry.
 
-    E_j = sum_i V_ji s_i.  For a produced field each s_i is a sum of
-    separable terms, and d_j of a term differentiates only its x_j factor
-    (the DFT of a separable product is the product of its factors' 1-D
-    DFTs), so rho is a produced entry: the field's terms with V_ji folded
-    into the time factor and the x_j factor spectrally differentiated.  A
+    E_j = sum_i V_ji s_i.  For a produced field s = C S, S its K separable
+    terms, and d_j of a term differentiates only its x_j factor (the DFT of
+    a separable product is the product of its factors' 1-D DFTs), so rho is
+    a produced entry: for each live j, the K terms with their x_j factor
+    spectrally differentiated and the coefficients V[j] @ C.  A
     support-held field's rho stays on its support: its one row is rho^ =
     sum_j 2 pi i xi_j V_j s^ there.  A held field's E_j is formed from V
     and s and differentiated on the grid, three scalar derivative pairs for
@@ -757,12 +770,13 @@ def charge_density(family: OscillatingFamily) -> dict:
             xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(u.support))]
             spectrum = sum((2j * np.pi * xi[j]) * np.tensordot(u.V[j], u.spectrum, axes=1) for j in live)
             rho[e] = FactoredField(np.ones((1, 1)), spectrum=spectrum[None], support=u.support)
-        elif u.rows:
-            # d_j of an x_j factor a is the 1-D spectral derivative ifft(2 pi i xi_j fft(a))
-            ik = [2j * np.pi * grid.freq_axis(1 + j) for j in range(3)]
-            terms = [(u.V[j, i] * t, *(np.fft.ifft(np.fft.fft(a) * ik[j]) if m == j else a for m, a in enumerate(x)))
-                     for j in live for i in np.flatnonzero(u.V[j]) for t, *x in u.rows[i]]
-            rho[e] = FactoredField(np.ones((1, 1)), rows=(tuple(terms),))
+        elif u.produced:
+            # d_j of the x_j factors a is the 1-D spectral derivative ifft(2 pi i xi_j fft(a)), row by row
+            d = [np.fft.ifft(np.fft.fft(u.terms[1 + j], axis=1) * (2j * np.pi * grid.freq_axis(1 + j)), axis=1)
+                 for j in live]
+            terms = [np.concatenate([d[n] if 1 + j == a else u.terms[a] for n, j in enumerate(live)]) for a in range(4)]
+            rho[e] = FactoredField(np.ones((1, 1)), C=np.concatenate([u.V[j] @ u.C for j in live])[None],
+                                   terms=tuple(terms))
         else:
             rho[e] = np.zeros((1,) + grid.shape, dtype=np.complex128)
             for j in live:

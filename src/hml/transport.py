@@ -132,8 +132,9 @@ class DensityTrajectory:
     ``data[name]`` has shape (n_times, B) for scalar densities or
     (n_times, B, 3, 3) for the smooth-case matrix blocks; an array whose
     first axis is not the time levels is refused, and so are times that
-    are not finite and strictly increasing.  ``x_center`` is the
-    spatial window centroid the densities belong to.  ``valid_bins``, when
+    are not finite and strictly increasing.  ``x_center`` is the spatial
+    window centroid the densities belong to: three finite coordinates,
+    held as a float array, or ValueError naming it.  ``valid_bins``, when
     given, are the bins the transport rows read: integers in [0, B), or
     ValueError naming the entries that are not.
     """
@@ -155,6 +156,10 @@ class DensityTrajectory:
             if np.shape(values)[:1] != (self.times.size,):
                 raise ValueError(f"data[{name!r}] of shape {np.shape(values)} does not start with the "
                                  f"{self.times.size} time levels of times")
+        x_center = np.asarray(self.x_center, dtype=float)
+        if x_center.shape != (3,) or not np.isfinite(x_center).all():
+            raise ValueError(f"x_center must be three finite coordinates, not {x_center.tolist()}")
+        self.x_center = x_center
         if self.valid_bins is not None:
             bins = np.asarray(self.valid_bins)
             if bins.size and bins.dtype.kind not in "iu":
@@ -172,15 +177,14 @@ class DensityTrajectory:
         for name, f in funcs.items():
             rows = [np.asarray(f(t, centers)) for t in times]
             data[name] = np.stack(rows)
-        return cls(times=np.asarray(times, float), sphere=sphere, case=case, data=data,
-                   x_center=np.asarray(x_center, float))
+        return cls(times=np.asarray(times, float), sphere=sphere, case=case, data=data, x_center=x_center)
 
     @classmethod
     def from_constant_fits(cls, times, sphere, fits: Sequence[DensityDecomposition], x_center=(0.0, 0.0, 0.0)):
         """The trajectory of constant-case fits, one per time level, all made on ``sphere`` (else ValueError)."""
         data, valid = _scatter_fits(fits, sphere)
         return cls(times=np.asarray(times, float), sphere=sphere, case="constant", data=data,
-                   x_center=np.asarray(x_center, float), valid_bins=valid)
+                   x_center=x_center, valid_bins=valid)
 
 
 def _scatter_fits(fits: Sequence[DensityDecomposition], sphere: SphereGrid) -> tuple:

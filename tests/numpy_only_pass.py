@@ -4,13 +4,16 @@
 
 NumPy is the package's one runtime dependency.  The pass builds a plane-wave,
 an evolved and a layered-phase WKB family on a 16 x 8^3 box, estimates and
-fits each, fits the evolved family at three time windows into a constant-case
-density trajectory and its transport residual, and predicts it forward and
-compares.  The evolved family is held on its spatial support, so its
+fits each, crosses the plane wave with its source and its charge, fits the
+evolved family at three time windows into a constant-case density trajectory
+and its transport residual, and predicts it forward and compares.  The plane
+wave's field, source and charge are produced entries, read at their lattice
+points, so its crosses must report factor ranks (1, 5) and (1, 1).  The
+evolved family is held on its spatial support, so its
 time-windowed estimate must have binned nt m lattice points, m the support's
 size, on a lattice built over the support alone; ``bin_occupancy`` of the
 grid and sphere must describe the full lattice.  It exits with an error
-naming that estimate's binned points or the occupancy if they differ, or
+naming that estimate's binned points, the occupancy or the crosses' ranks if they differ, or
 every ``scipy`` module that was imported, or ``numpy.ma`` if it was: NumPy
 imports it only for some set routines (``np.unique`` and its callers), which
 cost a fresh process 10-15 ms and which the package does not call.
@@ -37,6 +40,11 @@ def main() -> None:
     estimates = [estimator.estimate_hmeasure(fam, window, sphere) for fam in families]
     for est in estimates:
         verifier.fit_constant_decomposition(est)
+    crosses = [estimator.correlation_measure(families[0], g(families[0]), window, sphere)
+               for g in (estimator.source_fields, estimator.charge_tilde_fields)]
+    ranks = [cross.metadata["factor_rank"] for cross in crosses]
+    if ranks != [(1, 5), (1, 1)]:
+        raise SystemExit(f"the plane wave's source and charge crosses read factor ranks {ranks}, not [(1, 5), (1, 1)]")
     support = families[1].fields[families[1].finest].support
     binned = {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
     if estimates[1].metadata["binned_points"] != binned:

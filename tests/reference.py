@@ -12,8 +12,12 @@ family's field formed on the grid, as ``evolved_family`` formed it before
 it held its fields on their support; ``initial_spectrum_fftn`` is an
 evolved family's initial scalar spectrum by a 3-D FFT of the sampled data,
 as ``evolved_family`` formed it before it read the spectrum off its
-envelope's axis factors.  The package does not call them, so they live
-with the tests.
+envelope's axis factors; ``formed_spectra`` is a produced entry's windowed
+spectrum formed on the grid, as the estimator formed it before it read a
+produced entry at its lattice points; ``concatenated_mode_vectors`` is
+``symbols.mode_vectors`` as it was built before it wrote the modes into one
+array, each column two concatenated halves.  The package does not call
+them, so they live with the tests.
 """
 
 from typing import Callable
@@ -162,3 +166,46 @@ def initial_spectrum_fftn(grid: GridSpec, k, envelope: SeparableWindow, eps: flo
     env = envelope.factors[1](x1) * envelope.factors[2](x2) * envelope.factors[3](x3)
     s = env * np.exp((2j * np.pi / eps) * sphase)
     return fftn(s, (0, 1, 2), out=s)
+
+
+def formed_spectra(u: FactoredField, window: tuple, grid: GridSpec) -> np.ndarray:
+    """A produced entry's (r, Npts) windowed 4-D DFT in the DFT's flat order, formed on the grid one row at a time.
+
+    ``window`` is ``estimator._window_dft``'s (lo, hi, W, spatial).  Row j on
+    the window's live time slabs is its time factors T C_j times the outer
+    products X of its terms' spatial factors; X times the spatial window is
+    FFT'd over (x1, x2, x3), and the time DFT is one GEMM (W T C_j) @ X.
+    """
+    lo, hi, W, spatial = window
+    C, T, (x1, x2, x3) = u.separated(lo, hi)
+    X = (x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :]).astype(np.complex128)
+    if spatial is not None:
+        X *= spatial[0][:, None, None] * spatial[1][None, :, None] * spatial[2][None, None, :]
+    X = fftn(X, (1, 2, 3), out=X).reshape(len(X), -1)
+    return np.stack([(W @ (T * C[j])) @ X for j in range(u.rank)]).reshape(u.rank, -1)
+
+
+def concatenated_mode_vectors(zetaP, eps, eta, modes) -> np.ndarray:
+    """``symbols.mode_vectors``, each mode's column the concatenation of its E and H halves, the columns stacked."""
+    zhat, z1, z2 = propagation_basis(zetaP)
+    se, sh = 1.0 / np.sqrt(eps), 1.0 / np.sqrt(eta)
+    ce, ch = 1.0 / np.sqrt(2 * eps), 1.0 / np.sqrt(2 * eta)
+
+    def vector(mode):
+        if mode == "long-e":
+            e = se * zhat
+            return np.concatenate([e, np.zeros_like(e)])
+        if mode == "long-h":
+            h = sh * zhat
+            return np.concatenate([np.zeros_like(h), h])
+        if mode == "trans+1":
+            return np.concatenate([ce * z1, ch * z2])
+        if mode == "trans+2":
+            return np.concatenate([ce * z2, -ch * z1])
+        if mode == "trans-1":
+            return np.concatenate([ce * z1, -ch * z2])
+        if mode == "trans-2":
+            return np.concatenate([ce * z2, ch * z1])
+        raise ValueError(f"unknown mode {mode!r}")
+
+    return np.stack([vector(m) for m in modes], axis=1)

@@ -34,7 +34,7 @@ from hml.synthesis import (
 from hml.transport import predict_then_compare, time_subwindow
 from deep_ladder import SPHERE as DEEP_SPHERE
 from deep_ladder import deep_family, limit_distances
-from reference import cutoff_multiply, fourier_multiplier, neighborhood, scatter_ifftn
+from reference import cutoff_multiply, formed_spectra, fourier_multiplier, neighborhood, scatter_ifftn
 from reference import locate as reference_locate
 
 GRID = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 8, 8, 16))
@@ -567,16 +567,14 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
     against its rank-5 source, then against its charge.
 
     Counted in grid scalars (16 N bytes), with the bounds fixed before measuring.  The family holds no
-    grid-sized array, and the estimator reads each scale's entries one row at a time as time factors
-    times spatial factors, so no entry's scalars are held: it transforms only a row's K spatial arrays
-    (K <= 5 terms, each 1/16 of a grid scalar on this lattice) and writes the row's time DFT straight
-    into its spectrum.  The source pass holds the spectra (1 + 5), at most 1 for a row's K spatial
-    arrays and their transform, and 1.5 for the chunk-sized temporaries and the bins, among them a bin
-    run's gathered copies (a run is about 1/8 of this 16^4 lattice): 8.5, where held entries would add
-    1 + 5 per scale.  Each scale's spectra are released before the next scale is read, so the second
-    scale's peak exceeds the first's by at most one grid scalar.  The charge pass makes rho per scale:
-    when a spectrum is computed, u, its spectrum and one rho are held, fewer than the four a second
-    scale's rho would make.
+    grid-sized array, and the estimator reads a produced entry at each bin run's lattice points from its
+    factor tables (``_read``), K (nt + n1 n2 n3) values (5/16 of a grid scalar for the source's five terms
+    on this lattice), so no spectrum is formed: the source cross, its bins included, holds less than one
+    grid scalar beyond the cached lattice, where formed spectra held 1 + 5 of them and the bound was 8.5.
+    Each scale's readers are released before the next scale's are made, so the second scale starts with
+    only the first scale's bins held, and its peak exceeds the first's by less than a quarter of one.  The
+    charge pass makes rho per scale, three terms, and reads it the same way, so it holds less than a
+    quarter of one whenever a reader is made.
     """
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     sphere = SphereGrid(6, 6, 8)
@@ -584,15 +582,15 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
     w = hann_window(grid, axes=(0,))
     _lattice_bins(grid, sphere)  # cached, so the lattice is not counted as the estimate's scratch
     unit = 16 * grid.num_points
-    spectra, peaks, held = estimator._spectra, [], []
+    read, peaks, held = estimator._read, [], []
 
     def spy(*args):
         current, peak = tracemalloc.get_traced_memory()
-        peaks.append(peak)  # the peak so far, at the start of each transform
+        peaks.append(peak)  # the peak so far, at the start of each reader
         held.append(current)
-        return spectra(*args)
+        return read(*args)
 
-    monkeypatch.setattr(estimator, "_spectra", spy)
+    monkeypatch.setattr(estimator, "_read", spy)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -603,7 +601,6 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
         assert est.metadata["factor_rank"] == (1, 5)
         del est
         charge_start = tracemalloc.get_traced_memory()[0]
-        held.clear()
         rho = charge_tilde_fields(fam)
         assert tracemalloc.get_traced_memory()[0] - charge_start < unit / 4  # a produced rho holds no grid array
         cross_rho = correlation_measure(fam, rho, w, sphere)
@@ -611,9 +608,10 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
         tracemalloc.stop()
     assert (made - start) / unit < 1 / 4
     assert len(peaks) == 8 and cross_rho.metadata["factor_rank"] == (1, 1)
-    assert (peak - start) / unit <= 1 + 5 + 1 + 1.5
-    assert (peak - peaks[2]) / unit <= 1  # peaks[2]: the peak of the first scale alone
-    assert (max(held) - charge_start) / unit < 1.25  # the field's one spectrum while rho is transformed
+    assert (peak - start) / unit < 1
+    assert (held[2] - made) / unit < 1 / 4  # the second scale starts with the first scale's bins alone
+    assert (peak - peaks[2]) / unit < 1 / 4  # peaks[2]: the peak of the first scale alone
+    assert (max(held[4:]) - charge_start) / unit < 1 / 4
 
 
 def _bincount_reference(u, g, phi, sphere):
@@ -686,34 +684,50 @@ def test_gram_bins_match_per_pair_bincount_reference(second, phi):
 
 @pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
 def test_spectra_in_dft_order(phi):
-    """The spectra of a held, a produced and a support-held entry (read through ``separated``) are the 4-D FFTs
-    of their windowed scalars, each row in the DFT's own flat (t, x1, x2, x3) order."""
+    """The spectra of a held and a support-held entry (read through ``slabs``) are the 4-D FFTs of their windowed
+    scalars, each row in the DFT's own flat (t, x1, x2, x3) order."""
     rng = np.random.default_rng(3)
     held = FactoredField.of(rng.standard_normal((3,) + GRID.shape) + 1j * rng.standard_normal((3,) + GRID.shape))
-    model, k = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8)
-    produced = _family(model=model, envelope=hann_window(GRID), k=k).sources[EPS2[-1]]
-    for u in (held, produced, _oblique_family().fields[EPS2[-1]]):
+    for u in (held, _oblique_family().fields[EPS2[-1]]):
         want = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
         got = estimator._spectra(u, estimator._window_dft(phi, GRID), GRID)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
+def test_produced_read_matches_formed_spectra_at_every_lattice_point(phi):
+    """A plane-wave field (one term), its source (five terms) and its charge (three), read at every lattice point
+    from their factor tables (``_read``), against their spectra formed on the grid row by row
+    (``reference.formed_spectra``): within 1e-14 of each entry's peak, a bound fixed before measuring, and point-major.
+    The formed spectra are the 4-D FFTs of the windowed scalars within 1e-13 of the peak, under every window: a time
+    sub-window reads only its live time slabs, which start after slab 0, and a margin narrows the time taper."""
+    fam = _family(model=MaterialModel.constant(2.0, 0.5, 0.3), envelope=hann_window(GRID), k=(0.3, -0.5, 0.8))
+    window, e = estimator._window_dft(phi, GRID), fam.finest
+    for u, K in ((fam.fields[e], 1), (fam.sources[e], 5), (charge_tilde_fields(fam)[e], 3)):
+        assert u.produced and u.separated(0, 1)[0].shape == (u.rank, K)
+        want = formed_spectra(u, window, GRID)
+        fft = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
+        assert np.abs(want - fft).max() <= 1e-13 * np.abs(fft).max()
+        got = estimator._read(u, window, GRID)(np.arange(GRID.num_points))
+        assert got.shape == (GRID.num_points, u.rank) and got.flags.c_contiguous
+        assert np.abs(got - want.T).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_slab_rows_and_untapered_windows_carry_no_identity_factor():
-    """A held or a support-held row is its slabs alone, with no time factors (T None); a window that is one on
-    x1..x3 has no spatial factor; and a support-held entry read through ``separated`` under a spatially tapered
-    window is still the 4-D FFT of its windowed scalars."""
+    """A held or a support-held row is read as its slabs alone, with no time factors; a window that is one on x1..x3
+    has no spatial factor, and one that tapers them gives its three 1-D spatial factors; and a support-held entry
+    read through ``slabs`` under a spatially tapered window is still the 4-D FFT of its windowed scalars."""
     rng = np.random.default_rng(5)
     held = FactoredField.of(rng.standard_normal((2,) + GRID.shape) + 1j * rng.standard_normal((2,) + GRID.shape))
     support_held = _oblique_family().fields[EPS2[-1]]
     for u in (held, support_held):
-        T, X = u.separated(u.rank - 1, 2, 7)
-        assert T is None and X.shape == (5,) + GRID.spatial_shape
+        assert np.array_equal(u.slabs(u.rank - 1, 2, 7), u.scalars()[-1, 2:7])
     for phi in (full_window(), hann_window(GRID, axes=(0,)), time_subwindow(GRID, 0.1, 0.09)):
         assert estimator._window_dft(phi, GRID)[3] is None
     phi = hann_window(GRID, axes=(0, 2))
     window = estimator._window_dft(phi, GRID)
-    assert window[3].shape == GRID.spatial_shape
+    assert [w.shape for w in window[3]] == [(n,) for n in GRID.spatial_shape]
     want = np.fft.fftn(support_held.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(support_held.rank, -1)
     got = estimator._spectra(support_held, window, GRID)
     assert got.shape == want.shape
@@ -819,7 +833,7 @@ def test_charge_tilde_embedding():
     for e in fam.epsilons:
         assert tilde[e].shape == (1,) + GRID.shape
         np.testing.assert_array_equal(np.asarray(tilde[e]), np.asarray(rho[e]))
-        padded[e] = FactoredField(np.eye(6)[:, :1], rows=rho[e].rows)  # rho in component 0 of six
+        padded[e] = FactoredField(np.eye(6)[:, :1], C=rho[e].C, terms=rho[e].terms)  # rho in component 0 of six
     phi = hann_window(GRID, axes=(0,))
     one = correlation_measure(fam, tilde, phi, sphere=SPHERE)
     six = correlation_measure(fam, padded, phi, sphere=SPHERE)
@@ -917,11 +931,11 @@ def test_factored_bins_match_materialised(measure):
 
 
 def test_estimator_never_materialises_factored_fields(monkeypatch):
-    # the estimator reads factors: it forms no field u = V s, and reads a produced entry by rows, so it
-    # forms none of its scalars either; rho is made from the field's 1-D factors, not its scalars
+    # the estimator reads factors: it forms no field u = V s, and reads a produced entry at its lattice points,
+    # so it forms none of its scalars or slabs either; rho is made from the field's 1-D factors, not its scalars
     fam = _family(model=MaterialModel.constant(1.0, 1.0, 0.5))
     phi = hann_window(GRID, axes=(0,))
-    scalars = FactoredField.scalars
+    scalars, slabs = FactoredField.scalars, FactoredField.slabs
 
     def refuse(self):
         raise AssertionError("a factored field was materialised")
@@ -931,6 +945,11 @@ def test_estimator_never_materialises_factored_fields(monkeypatch):
             raise AssertionError("a produced entry's scalars were formed")
         return scalars(self)
 
+    def refuse_produced_slabs(self, j, lo, hi):
+        if self.produced:
+            raise AssertionError("a produced entry's slabs were formed")
+        return slabs(self, j, lo, hi)
+
     kinds = _count_measures(monkeypatch)
     monkeypatch.setattr(FactoredField, "materialise", refuse)
     with pytest.raises(AssertionError, match="materialised"):
@@ -939,9 +958,12 @@ def test_estimator_never_materialises_factored_fields(monkeypatch):
     correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
     correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)
     monkeypatch.setattr(FactoredField, "scalars", refuse_produced)
+    monkeypatch.setattr(FactoredField, "slabs", refuse_produced_slabs)
     for entries in (fam.fields, fam.sources):
         with pytest.raises(AssertionError, match="scalars were formed"):
             entries[fam.finest].scalars()
+        with pytest.raises(AssertionError, match="slabs were formed"):
+            entries[fam.finest].slabs(0, 0, 1)
     estimate_hmeasure(fam, phi, sphere=SPHERE)
     correlation_measure(fam, source_fields(fam), phi, sphere=SPHERE)
     correlation_measure(fam, charge_tilde_fields(fam), phi, sphere=SPHERE)
@@ -961,7 +983,7 @@ def test_estimator_never_materialises_factored_fields(monkeypatch):
     monkeypatch.setattr(synthesis, "fftn", forward_only)
     monkeypatch.setattr(FactoredField, "scalars", refuse_all)
     with pytest.raises(AssertionError, match="transformed back"):
-        evolved.fields[evolved.finest].separated(0, 0, 1)
+        evolved.fields[evolved.finest].slabs(0, 0, 1)
     est = estimate_hmeasure(evolved, phi, sphere=SPHERE)
     correlation_measure(evolved, source_fields(evolved), phi, sphere=SPHERE)
     correlation_measure(evolved, charge_tilde_fields(evolved), phi, sphere=SPHERE)

@@ -58,12 +58,16 @@ def test_verifier_builds_no_polarization_basis():
 
 
 def test_estimator_reads_entries_only_through_V_rank_and_separated():
-    # only synthesis knows how an entry's rows are held or made; ``phi.factors`` is the window's, not an entry's
+    # only synthesis knows how an entry's scalars are held or made: the estimator asks whether an entry is
+    # produced, reads a produced one through ``separated`` and any other through ``slabs`` or
+    # ``spatial_spectrum``, never the held arrays; ``phi.factors`` is the window's, not an entry's
     path = Path(hml.__file__).parent / "estimator.py"
     read = {(getattr(node.value, "id", None), node.attr)
             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
-    assert {attr for owner, attr in read if owner != "phi"} & {"s", "R", "rows", "factors"} == set()
-    assert {("u", "V"), ("u", "rank"), ("u", "separated")} <= read
+    held = {"s", "R", "rows", "factors", "C", "terms", "spectrum"}
+    assert {attr for owner, attr in read if owner != "phi"} & held == set()
+    assert {("u", "V"), ("u", "rank"), ("u", "produced"), ("u", "separated"), ("u", "slabs"),
+            ("u", "spatial_spectrum")} <= read
 
 
 def test_coefficient_callables_called_only_in_symbols():

@@ -19,6 +19,8 @@ from hml.symbols import (
     propagation_basis,
 )
 
+from reference import concatenated_mode_vectors
+
 unit3 = st.tuples(
     st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
 ).filter(lambda t: 0.1 < np.linalg.norm(t) < 1.7)
@@ -261,6 +263,20 @@ def test_polarization_broadcast_matches_per_column(mode):
     assert got.shape == (6, zps.shape[1])
     for n in range(zps.shape[1]):
         np.testing.assert_allclose(got[:, n], mode_vectors(zps[:, n], 2.0, 0.5, (mode,))[:, 0], atol=1e-14)
+
+
+def test_mode_vectors_are_the_concatenated_columns_bit_for_bit():
+    # the modes are written into one array: the same bits as each column's halves concatenated and the columns
+    # stacked (reference.concatenated_mode_vectors), every mode, on one direction and on a stack with per-point eps
+    rng = np.random.default_rng(5)
+    stack = np.column_stack([rng.normal(size=(3, 41)), [0.0, 0.0, -1.0]]).reshape(3, 6, 7)
+    for zetaP, eps, eta in (((0.3, -0.5, 0.8), 2.0, 0.5), (stack, rng.uniform(1, 4, (6, 7)), 0.5)):
+        for modes in [(m,) for m in MODE_ORDER] + [MODE_ORDER, ("trans-2", "long-e", "trans-2")]:
+            want = concatenated_mode_vectors(zetaP, eps, eta, modes)
+            assert want.shape == (6, len(modes)) + np.shape(zetaP)[1:]
+            assert np.array_equal(mode_vectors(zetaP, eps, eta, modes), want)
+    with pytest.raises(ValueError, match="unknown mode 'trans'"):
+        mode_vectors((0.3, -0.5, 0.8), 2.0, 0.5, ("long-e", "trans"))
 
 
 # ------------------------------------------------------------ eigenstructure

@@ -286,10 +286,10 @@ def test_family_rejects_non_finite_data(where, factored, value):
 
 
 @pytest.mark.parametrize("where", ["fields", "sources"])
-@pytest.mark.parametrize("fault", ["non_finite", "wrong_shape", "nan_axis_factor", "nan_R", "overflow"])
+@pytest.mark.parametrize("fault", ["non_finite", "wrong_shape", "nan_axis_factor", "nan_R", "nan_C", "overflow"])
 def test_produced_entry_refused_on_read(where, fault):
     # a family reads every entry once, when it is built, and refuses a bad one then; a produced entry is
-    # checked through V and its rows' 1-D factors (R folded in), whose product can overflow
+    # checked through V, its coefficients C and its terms' 1-D axis factors, whose product can overflow
     fam = _family()
     u = getattr(fam, where)[fam.finest]
     if fault == "wrong_shape":
@@ -302,15 +302,18 @@ def test_produced_entry_refused_on_read(where, fault):
         # V = I with one NaN: every Householder step of the QR is the identity, so Q = I and R holds the NaN
         V = np.eye(6)[:, : u.rank]
         V[0, -1] = np.nan
-        bad = FactoredField.from_polarization(V, [row[0] for row in u.rows])
+        bad = FactoredField.from_polarization(V, list(zip(*u.terms)))
+    elif fault == "nan_C":
+        C = u.C.copy()
+        C[-1, -1] = np.nan
+        bad = FactoredField(u.V, C=C, terms=u.terms)
     else:
-        rows = [[list(term) for term in row] for row in u.rows]
+        terms = [a.copy() for a in u.terms]
         if fault == "nan_axis_factor":
-            rows[0][0][2] = rows[0][0][2].copy()
-            rows[0][0][2][3] = np.nan
+            terms[2][-1, 3] = np.nan
         else:
-            rows = [[[np.full_like(a, 1e100) for a in term] for term in row] for row in rows]
-        bad = FactoredField(u.V, rows=tuple(tuple(map(tuple, row)) for row in rows))
+            terms = [np.full_like(a, 1e100) for a in terms]
+        bad = FactoredField(u.V, C=u.C, terms=tuple(terms))
     entries = {"fields": dict(fam.fields), "sources": dict(fam.sources)}
     entries[where][fam.finest] = bad
     match = (f"^{where[:-1]} at eps={fam.finest} missing or not of shape" if fault == "wrong_shape"
@@ -322,20 +325,25 @@ def test_produced_entry_refused_on_read(where, fault):
 @pytest.mark.parametrize(
     "make, match",
     [
-        (lambda u: FactoredField(u.V, u.scalars(), rows=u.rows), "exactly one"),
+        (lambda u: FactoredField(u.V, u.scalars(), C=u.C, terms=u.terms), "exactly one"),
         (lambda u: FactoredField(u.V), "exactly one"),
-        (lambda u: FactoredField(u.V, rows=u.rows[:-1]), "does not match"),
-        (lambda u: FactoredField(u.V, rows=tuple(tuple(t[:3] for t in row) for row in u.rows)),
-         "four 1-D axis factors"),
-        (lambda u: FactoredField(u.V, rows=((u.rows[0][0][:3] + (u.rows[0][0][3][:-1],),) + u.rows[0][1:],)
-                                 + u.rows[1:]), "four 1-D axis factors"),
-        (lambda u: FactoredField(u.V, rows=((),) + u.rows[1:]), "terms in every row"),
-        (lambda u: FactoredField(2 * u.V, rows=u.rows), "not orthonormal"),
+        (lambda u: FactoredField(u.V, C=u.C[:-1], terms=u.terms), "does not match 4 scalars"),
+        (lambda u: FactoredField(u.V, C=u.C, terms=u.terms[:3]), "four 2-D axis-factor arrays"),
+        (lambda u: FactoredField(u.V, C=u.C, terms=u.terms[:3] + (u.terms[3][:-1],)), "four 2-D axis-factor arrays"),
+        (lambda u: FactoredField(u.V, C=u.C[:, :0], terms=tuple(a[:0] for a in u.terms)),
+         "four 2-D axis-factor arrays"),
+        (lambda u: FactoredField(2 * u.V, C=u.C, terms=u.terms), "not orthonormal"),
+        (lambda u: FactoredField(u.V, C=u.C[:, :-1], terms=u.terms), "do not match 5 produced terms"),
+        (lambda u: FactoredField(u.V, C=u.C, terms=tuple(a[0] for a in u.terms)), "four 2-D axis-factor arrays"),
+        (lambda u: FactoredField(u.V, terms=u.terms), "come together"),
+        (lambda u: FactoredField(u.V, C=u.C), "exactly one"),
     ],
-    ids=["held_and_produced", "neither", "row_count", "three_factors", "unlike_rows", "empty_row", "not_orthonormal"],
+    ids=["held_and_produced", "neither", "row_count", "three_factors", "unlike_rows", "empty_row", "not_orthonormal",
+         "coefficient_columns", "one_d_factors", "terms_without_C", "C_without_terms"],
 )
 def test_factored_field_refuses_malformed_factors(make, match):
     u = _family().sources[EPS2[0]]
+    assert u.C.shape == (5, 5) and all(a.shape == (5, 8) for a in u.terms)
     with pytest.raises(ValueError, match=match):
         make(u)
 
@@ -355,9 +363,9 @@ def _plane_wave_closed_form(model, grid, k, mode, envelope, e):
 
 
 def test_produced_plane_wave_matches_closed_form():
-    # each entry is made from 1-D axis factors and oscillations; it is the 4-D closed form, and the time
-    # factors times spatial factors a reader gets for a few time slabs are those slabs of the closed
-    # form's scalars V^H u, formed here without ``separated``
+    # each entry is made from 1-D axis factors and oscillations; it is the 4-D closed form, its one (field) or
+    # five (source) terms are held once, and its slabs for a few time slabs, and C times its separated terms
+    # there, are those slabs of the closed form's scalars V^H u
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     model, k, envelope = MaterialModel.constant(2.0, 0.5, 0.3), (0.3, -0.5, 0.8), hann_window(grid)
     fam = plane_wave_family(model, grid, k, "trans+1", envelope, EPS2)
@@ -367,10 +375,13 @@ def test_produced_plane_wave_matches_closed_form():
                                                                                       envelope, e)):
             assert np.abs(np.asarray(got) - want).max() <= 1e-14 * np.abs(want).max()
             s = np.tensordot(got.V.conj().T, want, axes=1)
+            C, T, (x1, x2, x3) = got.separated(3, 8)
+            K = 1 if got is fam.fields[e] else 5
+            assert C.shape == (got.rank, K) and T.shape == (5, K) and [len(x1), len(x2), len(x3)] == [K] * 3
+            X = x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :]
             for j in range(got.rank):
-                T, X = got.separated(j, 3, 8)
-                assert T.shape == (5, len(X)) and X.shape == (len(X),) + grid.spatial_shape
-                assert np.abs(np.tensordot(T, X, axes=1) - s[j, 3:8]).max() <= 1e-14 * np.abs(want).max()
+                assert np.abs(got.slabs(j, 3, 8) - s[j, 3:8]).max() <= 1e-14 * np.abs(want).max()
+                assert np.abs(np.tensordot(T * C[j], X, axes=1) - s[j, 3:8]).max() <= 1e-14 * np.abs(want).max()
 
 
 # ------------------------------------------------------------- exact evolution
@@ -558,14 +569,13 @@ def test_support_held_fields_match_scatter_ifftn(name):
     nt = fam.grid.shape[0]
     for e in fam.epsilons:
         u = fam.fields[e]
-        assert u.s is None and u.rows == () and u.spectrum.shape == (u.rank, nt, np.count_nonzero(u.support))
+        assert u.s is None and u.terms is None and u.spectrum.shape == (u.rank, nt, np.count_nonzero(u.support))
         assert u.support is fam.fields[fam.finest].support
         want = scatter_ifftn(u.V, u.spectrum, u.support, fam.grid)
         assert np.array_equal(np.asarray(u), np.asarray(want)) and np.array_equal(u.scalars(), want.s)
         for j in range(u.rank):
             for lo, hi in ((0, nt), (1, 4), (nt - 1, nt)):
-                T, X = u.separated(j, lo, hi)
-                assert T is None and np.array_equal(X, want.s[j, lo:hi])
+                assert np.array_equal(u.slabs(j, lo, hi), want.s[j, lo:hi])
             assert np.array_equal(u.spatial_spectrum(j, 1, 4), u.spectrum[j, 1:4])
 
 

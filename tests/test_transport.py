@@ -302,6 +302,18 @@ def test_trajectory_refuses_valid_bins_off_the_sphere():
             DensityTrajectory(times, sphere, "constant", data, valid_bins=bins)
 
 
+def test_trajectory_refuses_an_x_center_that_is_not_three_finite_coordinates():
+    # a 2- or 4-entry centre failed later in the transport rows on a bare TypeError from sample_fields(*x0)
+    sphere = SphereGrid(6, 6, 6)
+    times = np.linspace(0.0, 0.5, 5)
+    data = {"a": np.zeros((times.size, sphere.num_bins))}
+    x = DensityTrajectory(times, sphere, "constant", data, x_center=(0, 0.5, 1)).x_center
+    assert x.dtype == float and x.tolist() == [0.0, 0.5, 1.0]
+    for x_center in ((0.0, 0.5), (0.0, 0.5, 1.0, 2.0), (0.0, np.nan, 1.0)):
+        with pytest.raises(ValueError, match=r"^x_center must be three finite coordinates, not \["):
+            DensityTrajectory(times, sphere, "constant", data, x_center=x_center)
+
+
 def test_rows_refuse_trajectories_with_no_kept_bin(rng):
     # with no bin kept every weight is 0 and a row would read 0 from no data
     model = MaterialModel.constant(1.0, 1.0, 1.0)
