@@ -214,7 +214,7 @@ class _Lattice(NamedTuple):
 
 
 # lattice points per run of the bin loop (a cross with a produced reader cuts its runs shorter), of the lattice
-# build's permutation and of its blocks of time-frequency planes, so a run's temporaries stay in cache and below one
+# build's sorted pass and of its blocks of time-frequency planes, so a run's temporaries stay in cache and below one
 # grid scalar from 16^4 up; runs of 2^12 to 2^16 points measured alike in time at 32^4
 _CHUNK = 1 << 13
 
@@ -237,66 +237,88 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     fewer than 2^31 points.  ``dirs`` is the float32 (n, 4) array of unit
     directions in sorted order (zeros at DC).  Bins come from the float64
     unit directions zeta/|zeta|; only the centroids use the float32 copy.
-    The points' bin ids and float32 directions are written in flat order a
-    block of planes at a time (``_lattice_blocks``), then sorted.  The build
-    peaks at 36 B per binned point while it permutes those flat-order
-    directions: the result (20 B) and those directions (16 B), with
-    run-sized temporaries; the bin ids, the sort's int64 output and the
-    blocks' temporaries are freed by then.  Grids and spheres are frozen, so
-    the last few lattices are cached by value.
+    The points' bin ids are written in flat order a block of planes at a
+    time (``_lattice_blocks``) and sorted; then each point's direction is
+    formed again from its flat index (t, s), a run of ``order`` at a time,
+    by the float64 operations it was binned by (``_units``), and written
+    once, in its sorted place.  The build so peaks at its result, 20 B per
+    binned point, with run-sized temporaries and the m rows of spatial
+    frequencies the runs gather from (24 B each); while it sorts it holds
+    14 B per point (the bin ids, the sort's int64 output and its int32
+    copy).  Grids and spheres are frozen, so the last few lattices are
+    cached by value.
     """
     support = None if support is None else np.frombuffer(support, bool)
-    n = grid.shape[0] * (np.prod(grid.spatial_shape) if support is None else np.count_nonzero(support))
+    f1, f2, f3 = _spatial_frequencies(grid, support)
+    nt, m = grid.shape[0], f1.size
+    n = nt * m
     # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
-    idx = np.empty(n, dtype=np.min_scalar_type(sphere.num_bins))
-    flat = np.empty((n, 4), dtype=np.float32)
-    for t0, t1, ids, units in _lattice_blocks(grid, sphere, support):
-        m = ids.shape[1]
-        idx[t0 * m : t1 * m] = ids.ravel()
-        for c, u in enumerate(units):
-            flat[t0 * m : t1 * m, c] = u.ravel()
-    del ids, units, u  # the last block's temporaries, before the sort
+    idx = np.empty((nt, m), dtype=np.min_scalar_type(sphere.num_bins))
+    for t0, ids in _lattice_blocks(grid, sphere, support):
+        idx[t0 : t0 + len(ids)] = ids
+    del ids  # the last block, before the sort
+    idx = idx.ravel()
     order = np.argsort(idx, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=sphere.num_bins + 1))])
     del idx
-    dirs = np.empty_like(flat)
-    # a run of ``order`` at a time: take widens its indices to intp, which for the whole lattice would be 8 B per point
+    # each run's points read their spatial frequencies in one row gather
+    table, freqs = np.stack([f1, f2, f3], axis=1), grid.freq_axis(0)
+    del f1, f2, f3
+    dirs = np.empty((n, 4), dtype=np.float32)
     for lo in range(0, n, _CHUNK):
-        np.take(flat, order[lo : lo + _CHUNK], axis=0, out=dirs[lo : lo + _CHUNK], mode="clip")
+        t = order[lo : lo + _CHUNK] // m
+        rows = np.take(table, order[lo : lo + _CHUNK] - t * m, axis=0, mode="clip")
+        units = np.empty((len(rows), 4))
+        _units(np.take(freqs, t, mode="clip"), *rows.T, out=units.T)
+        dirs[lo : lo + _CHUNK] = units  # one float64 -> float32 cast per run
     return _Lattice(order, bounds, dirs)
 
 
+def _spatial_frequencies(grid: GridSpec, support) -> tuple:
+    """(f1, f2, f3): the float64 spatial frequencies in flat C order, on the flat boolean ``support`` if given."""
+    f = tuple(f.ravel() for f in np.meshgrid(*(grid.freq_axis(i) for i in (1, 2, 3)), indexing="ij"))
+    return f if support is None else tuple(a[support] for a in f)
+
+
+def _units(ft, f1, f2, f3, out=(None,) * 4) -> tuple:
+    """The float64 unit directions (ft, f1, f2, f3)/r of lattice points, written into ``out`` if given, and r > 0.
+
+    r = sqrt(((ft^2 + f1^2) + f2^2) + f3^2), and 1 in place of r at DC; the
+    arguments broadcast.  Every value is formed point by point, so a point's
+    direction does not depend on the block or the run it is formed in.
+    """
+    r = ft * ft + f1 * f1
+    r += f2 * f2
+    r += f3 * f3
+    np.sqrt(r, out=r)
+    ok = r > 0
+    r[~ok] = 1.0
+    return [np.divide(f, r, out=o) for f, o in zip((ft, f1, f2, f3), out)], ok
+
+
 def _lattice_blocks(grid: GridSpec, sphere: SphereGrid, support):
-    """Per block of whole time-frequency planes t0:t1: bin ids (t1 - t0, m), B at DC, and the four (t1 - t0, m)
-    float64 unit direction components of the lattice points on the flat boolean spatial ``support`` (None: every
-    spatial frequency), m of them per plane.
+    """Per block of whole time-frequency planes from t0: the (planes, m) bin ids, B at DC, of the lattice points
+    on the flat boolean spatial ``support`` (None: every spatial frequency), m of them per plane.
 
     A block is about ``_CHUNK`` / 8 points (one plane where a plane holds
     more), so a support of a few frequencies is binned in a few blocks, and
     only its nt m points are binned.  The polar cells are read per point
-    (``SphereGrid._polar_cells``), but the azimuth cell once per spatial
-    frequency, from (zeta1, zeta2): the only lattice points on an azimuth
-    edge are the exact ties zeta1 = +-zeta2 and zeta1 or zeta2 = 0, which
-    the common factor 1/|zeta| keeps tied.  Every value is formed point by
-    point, so a point's bin and direction do not depend on the block or the
-    support it is binned in.
+    from its float64 unit direction (``_units``, ``SphereGrid._polar_cells``),
+    but the azimuth cell once per spatial frequency, from (zeta1, zeta2):
+    the only lattice points on an azimuth edge are the exact ties zeta1 =
+    +-zeta2 and zeta1 or zeta2 = 0, which the common factor 1/|zeta| keeps
+    tied.  So a point's bin does not depend on the block or the support it
+    is binned in.
     """
-    f1, f2, f3 = (f.ravel() for f in np.meshgrid(*(grid.freq_axis(i) for i in (1, 2, 3)), indexing="ij"))
-    if support is not None:
-        f1, f2, f3 = f1[support], f2[support], f3[support]
-    q1, q2, q3 = f1 * f1, f2 * f2, f3 * f3
+    f1, f2, f3 = _spatial_frequencies(grid, support)
     azimuth = sphere._azimuth_cells(f1, f2)
     nt, B = grid.shape[0], sphere.num_bins
     # about _CHUNK / 8 points a block, so its dozen float64 temporaries together stay near one run's size
     step = max(1, _CHUNK // 8 // max(f1.size, 1))
     freqs = grid.freq_axis(0)
     for t0 in range(0, nt, step):
-        ft = freqs[t0 : t0 + step, None]
-        r = np.sqrt(ft * ft + q1 + q2 + q3)
-        ok = r > 0
-        rs = np.where(ok, r, 1.0)
-        units = (ft / rs, f1 / rs, f2 / rs, f3 / rs)
-        yield t0, min(t0 + step, nt), np.where(ok, sphere._polar_cells(*units)[0] * sphere.n_phi + azimuth, B), units
+        units, ok = _units(freqs[t0 : t0 + step, None], f1, f2, f3)
+        yield t0, np.where(ok, sphere._polar_cells(*units)[0] * sphere.n_phi + azimuth, B)
 
 
 @functools.lru_cache(maxsize=8)
@@ -312,7 +334,7 @@ def bin_occupancy(grid: GridSpec, sphere: SphereGrid) -> Mapping:
     no lattice is built or held.
     """
     counts = np.zeros(sphere.num_bins + 1, dtype=np.int64)
-    for *_, ids, _ in _lattice_blocks(grid, sphere, None):
+    for _, ids in _lattice_blocks(grid, sphere, None):
         counts += np.bincount(ids.ravel(), minlength=sphere.num_bins + 1)
     median = float(np.median(counts[:-1]))
     return MappingProxyType({"empty_bins": int(np.count_nonzero(counts[:-1] == 0)), "median_points": median,
@@ -554,7 +576,11 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
     terms give A = W T (nt, K), their time DFTs, and X^ (n1 n2 n3, K),
     their windowed spatial DFTs, each an outer product of three 1-D FFTs;
     a point p = t n1 n2 n3 + s then reads (A[t] X^[s]) C^T, and a single
-    term (K = 1) the product A[t] X^[s] times C's one column.
+    term (K = 1) the product A[t] X^[s] times C's one column.  When every
+    term has the same time factor (exactly: a plane wave's charge, three
+    terms of its field's one time factor) and r <= K, so the table does not
+    grow, C is mixed into the spatial table once, P = X^ C^T (n1 n2 n3, r),
+    and p reads A[t] P[s], with A the one time factor's DFT.
 
     Memory: a held or support-held reader holds its (r, Npts) spectra
     (``_spectra``); a produced reader holds K (nt + n1 n2 n3) values, K/nt
@@ -586,6 +612,14 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
         def read(points):
             t, s = split(points)
             return (np.take(a, t, mode="clip") * np.take(X, s, mode="clip"))[:, None] * c
+    elif u.rank <= K and (T == T[:, :1]).all():
+        a, P = A[:, 0], X @ C.T
+
+        def read(points):
+            t, s = split(points)
+            z = np.take(P, s, axis=0, mode="clip")
+            z *= np.take(a, t, mode="clip")[:, None]
+            return z
     else:
         Ct = np.ascontiguousarray(C.T)
 

@@ -512,18 +512,21 @@ def test_lattice_build_reads_the_azimuth_once_per_spatial_frequency(monkeypatch)
 
 
 def test_lattice_build_peak_per_point():
-    """tracemalloc peak of an uncached build: the result (20 B per lattice point) and, while the directions are
-    permuted, their flat-order copy (16 B), plus one run's indices widened to int64 and a few bin-count arrays."""
-    grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 8, 8, 16))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        lattice = _lattice_bins.__wrapped__(grid, SPHERE)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert sum(a.nbytes for a in lattice) == 20 * grid.num_points + 8 * (SPHERE.num_bins + 2)
-    assert peak <= 36 * grid.num_points + 8 * _CHUNK + 32 * (SPHERE.num_bins + 2)
+    """tracemalloc peak of an uncached build, with the bound fixed before measuring: at most 24 B per lattice point
+    (the result's 20 B, with the m rows of spatial frequencies, 24 m B, inside the other 4 B at nt = 64) plus one run's
+    temporaries, under 128 B per run point, and a few bin-count arrays.  The directions are written once, in sorted
+    order: on 64 x 16^3 the bound is 28 B per point, where a flat-order copy of them would make the peak 36 B."""
+    for shape in ((64, 8, 8, 16), (64, 16, 16, 16)):
+        grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=shape)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lattice = _lattice_bins.__wrapped__(grid, SPHERE)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in lattice) == 20 * grid.num_points + 8 * (SPHERE.num_bins + 2)
+        assert peak <= 24 * grid.num_points + 128 * _CHUNK + 32 * (SPHERE.num_bins + 2)
 
 
 # components (xi0, xi1, xi2, xi3) on the lattice's ties: xi1 = +-xi2 (azimuth edges of every n_phi divisible by 8),
@@ -697,14 +700,22 @@ def test_spectra_in_dft_order(phi):
 
 @pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
 def test_produced_read_matches_formed_spectra_at_every_lattice_point(phi):
-    """A plane-wave field (one term), its source (five terms) and its charge (three), read at every lattice point
-    from their factor tables (``_read``), against their spectra formed on the grid row by row
-    (``reference.formed_spectra``): within 1e-14 of each entry's peak, a bound fixed before measuring, and point-major.
-    The formed spectra are the 4-D FFTs of the windowed scalars within 1e-13 of the peak, under every window: a time
-    sub-window reads only its live time slabs, which start after slab 0, and a margin narrows the time taper."""
+    """A plane-wave field (one term), its source (five terms) and its charge (three, all of one time factor), and two
+    entries of three terms, two rows whose terms all share one time factor and one row whose terms share it two of
+    three, read at every lattice point from their factor tables (``_read``), against their spectra formed on the grid
+    row by row (``reference.formed_spectra``): within 1e-14 of each entry's peak, a bound fixed before measuring, and
+    point-major.  The formed spectra are the 4-D FFTs of the windowed scalars within 1e-13 of the peak, under every
+    window: a time sub-window reads only its live time slabs, which start after slab 0, and a margin narrows the time
+    taper."""
     fam = _family(model=MaterialModel.constant(2.0, 0.5, 0.3), envelope=hann_window(GRID), k=(0.3, -0.5, 0.8))
     window, e = estimator._window_dft(phi, GRID), fam.finest
-    for u, K in ((fam.fields[e], 1), (fam.sources[e], 5), (charge_tilde_fields(fam)[e], 3)):
+    rng = np.random.default_rng(11)
+    t, *x = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)) for n in GRID.shape)
+    C = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    all_three = FactoredField(np.eye(2), C=C, terms=(t[[0, 0, 0]], *x))
+    two_of_three = FactoredField(np.eye(2)[:, :1], C=C[:1], terms=(t[[0, 0, 1]], *x))
+    for u, K in ((fam.fields[e], 1), (fam.sources[e], 5), (charge_tilde_fields(fam)[e], 3), (all_three, 3),
+                 (two_of_three, 3)):
         assert u.produced and u.separated(0, 1)[0].shape == (u.rank, K)
         want = formed_spectra(u, window, GRID)
         fft = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
