@@ -28,18 +28,18 @@ run's points from the DFTs of its terms' factors and no grid-sized
 spectrum of it is formed.
 
 The window is read only through its four axis factors (``_window_dft``).
-A time-windowed estimate pays only for the time slabs where the time
-factor is nonzero.  A held row's slabs (``slabs``) times the spatial
-factors (none when the window is one on x1..x3) are FFT'd over (x1, x2,
-x3), and the time DFT, with the time factor folded into its dense matrix
-W, is one GEMM W @ X; a produced entry's time factors take the same W,
-W T, and its spatial factors times the window's 1-D FFTs.  When the
-window is one on x1..x3 and every entry of rank > 0 in the measure is held
-on the same spatial support (``_shared_support``: an evolved family's auto
-measure, its charge cross, or a cross against a rank-zero source), each
-spectrum row is only the support's m spatial frequencies, (r, nt m),
-binned on a lattice built over the support alone.  Off the support every
-spectrum is exactly zero, so this drops no mass.
+Only the time slabs where the time factor is nonzero are read, and every
+time DFT is one FFT along t of those slabs times the time factor, written
+into an axis of nt zeros: a held row's slabs (``slabs``) times the spatial
+factors (none when the window is one on x1..x3), FFT'd over (x1, x2, x3)
+first, and a produced entry's K time factors, whose spatial factors take
+the window's 1-D FFTs.  When the window is one on x1..x3 and every entry
+of rank > 0 in the measure is held on the same spatial support
+(``_shared_support``: an evolved family's auto measure, its charge cross,
+or a cross against a rank-zero source), each spectrum row is only the
+support's m spatial frequencies, (r, nt m), binned on a lattice built over
+the support alone.  Off the support every spectrum is exactly zero, so
+this drops no mass.
 ``metadata["binned_points"]`` says which lattice was binned and how many
 points it has.
 
@@ -275,9 +275,10 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
 
 
 def _spatial_frequencies(grid: GridSpec, support) -> tuple:
-    """(f1, f2, f3): the float64 spatial frequencies in flat C order, on the flat boolean ``support`` if given."""
-    f = tuple(f.ravel() for f in np.meshgrid(*(grid.freq_axis(i) for i in (1, 2, 3)), indexing="ij"))
-    return f if support is None else tuple(a[support] for a in f)
+    """(f1, f2, f3): the float64 spatial frequencies in flat C order, at the true entries of the flat boolean
+    ``support`` if given; each is read off its axis at the points' indices, so a support of m points forms m."""
+    flat = np.arange(np.prod(grid.spatial_shape)) if support is None else np.flatnonzero(support)
+    return tuple(grid.freq_axis(i)[j] for i, j in enumerate(np.unravel_index(flat, grid.spatial_shape), 1))
 
 
 def _units(ft, f1, f2, f3, out=(None,) * 4) -> tuple:
@@ -502,66 +503,60 @@ def _cross_bins(read1, read2, V1, V2, lattice: _Lattice, sphere, scale, chunk):
 
 
 def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
-    """``phi`` on ``grid`` as ``_spectra`` reads it, formed once per estimate: (lo, hi, W, spatial).
+    """``phi`` on ``grid`` as ``_spectra`` and ``_read`` read it, formed once per estimate: (lo, hi, wt, spatial).
 
     Only the slabs lo:hi between the first and last grid times where w_t is
-    nonzero are read; W (nt, hi - lo) is the time DFT with the time factor
-    folded in, W[k, j] = w_t(t_j) exp(-2 pi i ((k j) mod N_t) / N_t), and
-    ``spatial`` the samples of the three spatial factors, 1-D each, None
-    where all three are one.  A window zero at every sample of an axis is
-    refused.
+    nonzero are read; ``wt`` is w_t's samples there, and ``spatial`` the
+    samples of the three spatial factors, 1-D each, None where all three are
+    one.  A window zero at every sample of an axis is refused.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
     if dead:
         raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
-    nt = grid.shape[0]
     live = np.flatnonzero(samples[0])
     lo, hi = live[0], live[-1] + 1
-    kj = np.arange(nt)[:, None] * np.arange(lo, hi)
-    kj %= nt
-    # the exponent takes nt values: each root is formed once, as exp would form it at every entry it fills
-    W = np.exp((-2j * np.pi / nt) * np.arange(nt))[kj]
-    W *= samples[0][lo:hi]
-    return lo, hi, W, None if all(f.kind == "one" for f in phi.factors[1:]) else tuple(samples[1:])
+    return lo, hi, samples[0][lo:hi], None if all(f.kind == "one" for f in phi.factors[1:]) else tuple(samples[1:])
 
 
 def _spectra(u: FactoredField, window: tuple, grid: GridSpec, support=None) -> np.ndarray:
     """Windowed 4-D DFT of the r scalars of a held or support-held entry as an (r, Npts) array in the DFT's flat order.
 
-    The window phi = w_t(t) w_x(x) is read through ``_window_dft``: only its
-    live slabs lo:hi are read, each row's slabs X (``u.slabs``) times the
-    product of the spatial factors are FFT'd over (x1, x2, x3), and the
-    time DFT is one GEMM ``W @ X``.  With ``support`` (a support-held entry,
-    under a window that is one on x1..x3) X is ``u.spatial_spectrum``, the
-    support's m spatial frequencies with no spatial transform, and the
-    array is (r, nt m) in the flat (t, support entry) order.  r = 0 gives an
+    The window phi = w_t(t) w_x(x) is read through ``_window_dft``: each
+    row's live slabs lo:hi (``u.slabs``) times w_t and the product of the
+    spatial factors are written into its output row of zeros and FFT'd there
+    over (x1, x2, x3), and then the whole row over t.  With ``support`` (a
+    support-held entry, under a window that is one on x1..x3) the slabs are
+    ``u.spatial_spectrum``, the support's m spatial frequencies with no
+    spatial transform, and the array is (r, nt m) in the flat (t, support
+    entry) order.  r = 0 gives an
     (0, Npts) array without a transform.  A produced entry is read at its
     lattice points instead (``_read``).
 
-    Memory: the rows are read one at a time, and each row's time DFT writes
-    straight into its row of the output.  A call so holds its r output rows
-    and one row's slabs, r + 1 grid scalars in all (a grid scalar being 16
-    Npts bytes).  On a support the rows are nt m values and no slab is
-    formed, so an estimate holds r m / (n1 n2 n3) of a grid scalar per
-    sequence (9/4096 on const-trajectory: r = 3 on 6 of its 8192 spatial
-    frequencies) and no grid-sized array.
+    Memory: the rows are transformed one at a time, each in its own row of
+    the output, so a call holds its r output rows, r grid scalars (a grid
+    scalar being 16 Npts bytes); a support-held row read through ``slabs``
+    adds the one row's slabs it makes.  On a support the rows are nt m values
+    and no slab is formed, so an estimate holds r m / (n1 n2 n3) of a grid
+    scalar per sequence (9/4096 on const-trajectory: r = 3 on 6 of its 8192
+    spatial frequencies) and no grid-sized array.  The time transform pays
+    nt log nt over the whole time axis, whatever the window's live slabs.
     """
-    nt, r = grid.shape[0], u.rank
-    lo, hi, W, spatial = window
-    if spatial is not None:
-        w1, w2, w3 = spatial
-        spatial = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
-    out = np.empty((r, grid.num_points if support is None else nt * np.count_nonzero(support)), dtype=np.complex128)
-    for j in range(r):
+    lo, hi, wt, spatial = window
+    spatial = None if spatial is None else functools.reduce(np.multiply.outer, spatial)
+    shape = grid.spatial_shape if support is None else (np.count_nonzero(support),)
+    out = np.zeros((u.rank, grid.shape[0]) + shape, dtype=np.complex128)
+    for j, row in enumerate(out):
+        live = row[lo:hi]
         if support is not None:
-            X = u.spatial_spectrum(j, lo, hi)
+            np.multiply(u.spatial_spectrum(j, lo, hi), wt[:, None], out=live)
         else:
-            X = u.slabs(j, lo, hi)
-            X = X.astype(np.complex128) if spatial is None else np.multiply(X, spatial, dtype=np.complex128)
-            fftn(X, (1, 2, 3), out=X)
-        np.matmul(W, X.reshape(len(X), -1), out=out[j].reshape(nt, -1))
-    return out
+            np.multiply(u.slabs(j, lo, hi), wt[:, None, None, None], out=live)
+            if spatial is not None:
+                live *= spatial
+            fftn(live, (1, 2, 3), out=live)
+        np.fft.fft(row, axis=0, out=row)
+    return out.reshape(u.rank, np.prod(out.shape[1:]))
 
 
 def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
@@ -573,24 +568,26 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
     and read by gathering the points from all rows.  A produced entry s = C
     S is never transformed on the grid: the windowed DFT of a separable term
     is the product of its axis factors' 1-D DFTs, so once per call the K
-    terms give A = W T (nt, K), their time DFTs, and X^ (n1 n2 n3, K),
-    their windowed spatial DFTs, each an outer product of three 1-D FFTs;
-    a point p = t n1 n2 n3 + s then reads (A[t] X^[s]) C^T, and a single
-    term (K = 1) the product A[t] X^[s] times C's one column.  When every
-    term has the same time factor (exactly: a plane wave's charge, three
-    terms of its field's one time factor) and r <= K, so the table does not
-    grow, C is mixed into the spatial table once, P = X^ C^T (n1 n2 n3, r),
-    and p reads A[t] P[s], with A the one time factor's DFT.
+    terms give A (nt, K), the time FFTs of their time factors T times w_t on
+    lo:hi and zero off it, and X^ (n1 n2 n3, K), their windowed spatial
+    DFTs, each an outer product of three 1-D FFTs; a point
+    p = t n1 n2 n3 + s then reads (A[t] X^[s]) C^T, and a single term
+    (K = 1) the product A[t] X^[s] times C's one column.  When every term has the same time
+    factor (exactly: a plane wave's charge, three terms of its field's one
+    time factor) and r <= K, so the table does not grow, C is mixed into the
+    spatial table once, P = X^ C^T (n1 n2 n3, r), and p reads A[t] P[s],
+    with A the one time factor's DFT.
 
     Memory: a held or support-held reader holds its (r, Npts) spectra
     (``_spectra``); a produced reader holds K (nt + n1 n2 n3) values, K/nt
-    of a grid scalar, and its reads are run-sized.
+    of a grid scalar, and its reads are run-sized.  Its time FFTs pay K nt
+    log nt over the whole time axis, whatever the window's live slabs.
     """
     if not u.produced:
         F = _spectra(u, window, grid, support)
         # the points are lattice indices, so "clip" moves none and only skips the bounds check of "raise"
         return lambda points: np.ascontiguousarray(np.take(F, points, axis=1, mode="clip").T)
-    lo, hi, W, spatial = window
+    lo, hi, wt, spatial = window
     C, T, x = u.separated(lo, hi)
     if spatial is not None:
         x = [a * w for a, w in zip(x, spatial)]
@@ -599,7 +596,9 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
     # rows in flat spatial order; einsum, as a broadcast product would, makes each value one product, but it
     # takes no iteration buffers, which at 16^4 are a quarter of a grid scalar
     X = np.einsum("ik,jk->ijk", np.einsum("ik,jk->ijk", f1, f2).reshape(-1, K), f3).reshape(-1, K)
-    A, n = W @ T, len(X)
+    A, n = np.zeros((grid.shape[0], K), dtype=np.complex128), len(X)
+    np.multiply(T, wt[:, None], out=A[lo:hi])
+    np.fft.fft(A, axis=0, out=A)
 
     def split(points):
         # divmod(points, n), the time and flat spatial indices, as two operations: np.divmod takes three times as long

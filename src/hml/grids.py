@@ -4,11 +4,8 @@ The sampling box is [0,T] x [0,L1] x [0,L2] x [0,L3] with power-of-two
 shapes so that 4-D FFTs stay cheap.  Windows are tensor products of
 per-axis factors; each factor is either identically one or a raised
 cosine supported on a subinterval, and carries its analytic derivative.
-Every FFT in the package is ``numpy.fft``: along one axis, or over several
-by ``fftn``, one in-place pass per axis.  The estimator's time DFT is not
-an FFT: it is a GEMM with the dense matrix W that ``estimator._window_dft``
-builds, the time window folded in, applied to a held row's spatially
-transformed slabs or to a produced entry's K time factors (W T, nt x K).
+Every DFT in the package is a ``numpy.fft`` FFT: along one axis, or over
+several by ``fftn``, one in-place pass per axis.
 """
 
 from __future__ import annotations

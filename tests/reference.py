@@ -13,8 +13,9 @@ it held its fields on their support; ``initial_spectrum_fftn`` is an
 evolved family's initial scalar spectrum by a 3-D FFT of the sampled data,
 as ``evolved_family`` formed it before it read the spectrum off its
 envelope's axis factors; ``formed_spectra`` is a produced entry's windowed
-spectrum formed on the grid, as the estimator formed it before it read a
-produced entry at its lattice points; ``concatenated_mode_vectors`` is
+spectrum formed on the grid with a dense time-DFT matrix, as the estimator
+formed it before it read a produced entry at its lattice points and took
+its time DFT by FFT; ``concatenated_mode_vectors`` is
 ``symbols.mode_vectors`` as it was built before it wrote the modes into one
 array, each column two concatenated halves.  The package does not call
 them, so they live with the tests.
@@ -168,19 +169,21 @@ def initial_spectrum_fftn(grid: GridSpec, k, envelope: SeparableWindow, eps: flo
     return fftn(s, (0, 1, 2), out=s)
 
 
-def formed_spectra(u: FactoredField, window: tuple, grid: GridSpec) -> np.ndarray:
+def formed_spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarray:
     """A produced entry's (r, Npts) windowed 4-D DFT in the DFT's flat order, formed on the grid one row at a time.
 
-    ``window`` is ``estimator._window_dft``'s (lo, hi, W, spatial).  Row j on
-    the window's live time slabs is its time factors T C_j times the outer
-    products X of its terms' spatial factors; X times the spatial window is
-    FFT'd over (x1, x2, x3), and the time DFT is one GEMM (W T C_j) @ X.
+    Row j is its time factors T C_j times the outer products X of its terms'
+    spatial factors, over every grid time.  X times the spatial window is
+    FFT'd over (x1, x2, x3), and the time DFT is the dense product W (T C_j)
+    with W[k, j] = w_t(t_j) exp(-2 pi i k j / N_t), formed from its formula
+    with k j reduced mod N_t, so no phase is rounded at k j >= N_t.
     """
-    lo, hi, W, spatial = window
-    C, T, (x1, x2, x3) = u.separated(lo, hi)
+    nt = grid.shape[0]
+    wt, *spatial = (f(grid.axis(i)) for i, f in enumerate(phi.factors))
+    W = wt * np.exp((-2j * np.pi / nt) * (np.outer(np.arange(nt), np.arange(nt)) % nt))
+    C, T, (x1, x2, x3) = u.separated(0, nt)
     X = (x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :]).astype(np.complex128)
-    if spatial is not None:
-        X *= spatial[0][:, None, None] * spatial[1][None, :, None] * spatial[2][None, None, :]
+    X *= spatial[0][:, None, None] * spatial[1][None, :, None] * spatial[2][None, None, :]
     X = fftn(X, (1, 2, 3), out=X).reshape(len(X), -1)
     return np.stack([(W @ (T * C[j])) @ X for j in range(u.rank)]).reshape(u.rank, -1)
 

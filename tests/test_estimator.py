@@ -33,7 +33,7 @@ from hml.synthesis import (
 )
 from hml.transport import predict_then_compare, time_subwindow
 from deep_ladder import SPHERE as DEEP_SPHERE
-from deep_ladder import deep_family, limit_distances
+from deep_ladder import TIER1_EPSILONS, TIER1_GRID, deep_family, limit_distances
 from reference import cutoff_multiply, formed_spectra, fourier_multiplier, neighborhood, scatter_ifftn
 from reference import locate as reference_locate
 
@@ -478,6 +478,20 @@ def test_support_lattice_build_bins_only_its_points(monkeypatch):
     monkeypatch.setattr(SphereGrid, "_polar_cells", counting)
     lattice = _lattice_bins.__wrapped__(grid, SphereGrid(10, 8, 16), support.tobytes())
     assert sum(seen) == lattice.bounds[-1] == grid.shape[0] * 6
+    # nor does it form the spatial frequencies off its support: the deep ladder's 15-point support on 16 x 16 x 256
+    # builds below 1.3 MB of tracemalloc, a bound fixed before measuring; meshing all 65536 spatial frequencies and
+    # masking them peaks at 1.5 MB
+    fam = deep_family(TIER1_GRID, TIER1_EPSILONS)
+    support = fam.fields[fam.finest].support.tobytes()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lattice = _lattice_bins.__wrapped__(fam.grid, DEEP_SPHERE, support)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert lattice.bounds[-1] == 1024 * 15
+    assert peak < 1.3 * 2**20
 
 
 def test_bin_occupancy_builds_and_caches_no_lattice():
@@ -688,14 +702,21 @@ def test_gram_bins_match_per_pair_bincount_reference(second, phi):
 @pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
 def test_spectra_in_dft_order(phi):
     """The spectra of a held and a support-held entry (read through ``slabs``) are the 4-D FFTs of their windowed
-    scalars, each row in the DFT's own flat (t, x1, x2, x3) order."""
+    scalars, each row in the DFT's own flat (t, x1, x2, x3) order; under a window that is one on x1..x3, a
+    support-held entry's spectra on its support are those FFTs' columns at the support's spatial frequencies."""
     rng = np.random.default_rng(3)
     held = FactoredField.of(rng.standard_normal((3,) + GRID.shape) + 1j * rng.standard_normal((3,) + GRID.shape))
+    window = estimator._window_dft(phi, GRID)
     for u in (held, _oblique_family().fields[EPS2[-1]]):
         want = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
-        got = estimator._spectra(u, estimator._window_dft(phi, GRID), GRID)
+        got = estimator._spectra(u, window, GRID)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if u.support is not None and window[3] is None:
+            got = estimator._spectra(u, window, GRID, u.support).reshape(u.rank, GRID.shape[0], -1)
+            want = want.reshape((u.rank, GRID.shape[0], -1))[:, :, u.support.ravel()]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
@@ -703,12 +724,12 @@ def test_produced_read_matches_formed_spectra_at_every_lattice_point(phi):
     """A plane-wave field (one term), its source (five terms) and its charge (three, all of one time factor), and two
     entries of three terms, two rows whose terms all share one time factor and one row whose terms share it two of
     three, read at every lattice point from their factor tables (``_read``), against their spectra formed on the grid
-    row by row (``reference.formed_spectra``): within 1e-14 of each entry's peak, a bound fixed before measuring, and
-    point-major.  The formed spectra are the 4-D FFTs of the windowed scalars within 1e-13 of the peak, under every
-    window: a time sub-window reads only its live time slabs, which start after slab 0, and a margin narrows the time
-    taper."""
+    row by row with a dense time-DFT matrix (``reference.formed_spectra``): within 1e-14 of each entry's peak, a bound
+    fixed before measuring, and point-major.  The formed spectra are the 4-D FFTs of the windowed scalars within 1e-13
+    of the peak, under every window: a time sub-window reads only its live time slabs, which start after slab 0, and a
+    margin narrows the time taper."""
     fam = _family(model=MaterialModel.constant(2.0, 0.5, 0.3), envelope=hann_window(GRID), k=(0.3, -0.5, 0.8))
-    window, e = estimator._window_dft(phi, GRID), fam.finest
+    e = fam.finest
     rng = np.random.default_rng(11)
     t, *x = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)) for n in GRID.shape)
     C = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -717,25 +738,30 @@ def test_produced_read_matches_formed_spectra_at_every_lattice_point(phi):
     for u, K in ((fam.fields[e], 1), (fam.sources[e], 5), (charge_tilde_fields(fam)[e], 3), (all_three, 3),
                  (two_of_three, 3)):
         assert u.produced and u.separated(0, 1)[0].shape == (u.rank, K)
-        want = formed_spectra(u, window, GRID)
+        want = formed_spectra(u, phi, GRID)
         fft = np.fft.fftn(u.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
         assert np.abs(want - fft).max() <= 1e-13 * np.abs(fft).max()
-        got = estimator._read(u, window, GRID)(np.arange(GRID.num_points))
+        got = estimator._read(u, estimator._window_dft(phi, GRID), GRID)(np.arange(GRID.num_points))
         assert got.shape == (GRID.num_points, u.rank) and got.flags.c_contiguous
         assert np.abs(got - want.T).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_slab_rows_and_untapered_windows_carry_no_identity_factor():
-    """A held or a support-held row is read as its slabs alone, with no time factors; a window that is one on x1..x3
-    has no spatial factor, and one that tapers them gives its three 1-D spatial factors; and a support-held entry
-    read through ``slabs`` under a spatially tapered window is still the 4-D FFT of its windowed scalars."""
+    """A held or a support-held row is read as its slabs alone, with no time factors; a window is read as its live
+    time slabs lo:hi, the time factor's samples there, nonzero at both ends, and its spatial factors: none when it is
+    one on x1..x3, and the three 1-D spatial factors when it tapers them; and a support-held entry read through
+    ``slabs`` under a spatially tapered window is still the 4-D FFT of its windowed scalars."""
     rng = np.random.default_rng(5)
     held = FactoredField.of(rng.standard_normal((2,) + GRID.shape) + 1j * rng.standard_normal((2,) + GRID.shape))
     support_held = _oblique_family().fields[EPS2[-1]]
     for u in (held, support_held):
         assert np.array_equal(u.slabs(u.rank - 1, 2, 7), u.scalars()[-1, 2:7])
     for phi in (full_window(), hann_window(GRID, axes=(0,)), time_subwindow(GRID, 0.1, 0.09)):
-        assert estimator._window_dft(phi, GRID)[3] is None
+        lo, hi, wt, spatial = estimator._window_dft(phi, GRID)
+        samples = phi.factors[0](GRID.axis(0))
+        assert np.array_equal(wt, samples[lo:hi]) and wt[0] != 0 and wt[-1] != 0
+        assert not samples[:lo].any() and not samples[hi:].any()
+        assert spatial is None
     phi = hann_window(GRID, axes=(0, 2))
     window = estimator._window_dft(phi, GRID)
     assert [w.shape for w in window[3]] == [(n,) for n in GRID.spatial_shape]
@@ -1134,20 +1160,20 @@ def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
 
 def test_deep_evolved_ladder_bins_its_support_alone():
     """``deep_ladder``'s five scales to eps = 2^-8 on 1024 x 16 x 16 x 256, whose full lattice would be 67M points,
-    with the bounds fixed before measuring: the family and its ``full_window`` estimate peak below 64 MB of
-    tracemalloc (a built full lattice alone would hold 1.3 GB), each scale bins the 1024 x 15 points of its support,
-    and the mass-weighted angle from the bin centroids to the limit direction (c, k)/|(c, k)| falls at order >= 0.9
-    per halving of eps."""
+    with the bounds fixed before measuring: the family and its ``full_window`` estimate peak below 16 MB of
+    tracemalloc (a built full lattice alone would hold 1.3 GB, and an nt x nt complex array 16 MB), each scale bins
+    the 1024 x 15 points of its support, and the mass-weighted angle from the bin centroids to the limit direction
+    (c, k)/|(c, k)| falls at order >= 0.9 per halving of eps."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        fam = deep_family()
+        fam = deep_family(TIER1_GRID, TIER1_EPSILONS)
         est = estimate_hmeasure(fam, full_window(), DEEP_SPHERE)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert est.metadata["binned_points"] == {"points": 1024 * 15, "lattice": "support"}
-    assert peak < 64 * 2**20
+    assert peak < 16 * 2**20
     distances = limit_distances(est, fam)
     assert all(np.log2(a / b) >= 0.9 for a, b in zip(distances, distances[1:]))
 
