@@ -35,13 +35,13 @@ factors (none when the window is one on x1..x3), FFT'd over (x1, x2, x3)
 first, and a produced entry's K time factors, whose spatial factors take
 the window's 1-D FFTs.  When the window is one on x1..x3 and every entry
 of rank > 0 in the measure is held on the same spatial support
-(``_shared_support``: an evolved family's auto measure, its charge cross,
-or a cross against a rank-zero source), each spectrum row is only the
-support's m spatial frequencies, (r, nt m), binned on a lattice built over
-the support alone.  Off the support every spectrum is exactly zero, so
-this drops no mass.
-``metadata["binned_points"]`` says which lattice was binned and how many
-points it has.
+(``_shared_support``: a scale of an evolved family, on that scale's own
+support, in its auto measure, its charge cross, or a cross against a
+rank-zero source), each spectrum row is only the support's m spatial
+frequencies, (r, nt m), binned on a lattice built over the support alone.
+Off the support every spectrum is exactly zero, so this drops no mass.
+``metadata["binned_points"]`` says which lattice the finest scale binned
+and how many points it has.
 
 Memory: each bound is stated where it is kept, for one scale resident at
 a time (``_cross_spectral_measure``), a held transform (``_spectra``), a
@@ -245,8 +245,10 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     binned point, with run-sized temporaries and the m rows of spatial
     frequencies the runs gather from (24 B each); while it sorts it holds
     14 B per point (the bin ids, the sort's int64 output and its int32
-    copy).  Grids and spheres are frozen, so the last few lattices are
-    cached by value.
+    copy).  Grids and spheres are frozen, so the last four lattices are
+    cached by value: an evolved family bins each scale on its own support,
+    so a ladder of more than four supports rebuilds its lattices on a
+    second estimate.
     """
     support = None if support is None else np.frombuffer(support, bool)
     f1, f2, f3 = _spatial_frequencies(grid, support)
@@ -571,12 +573,11 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
     terms give A (nt, K), the time FFTs of their time factors T times w_t on
     lo:hi and zero off it, and X^ (n1 n2 n3, K), their windowed spatial
     DFTs, each an outer product of three 1-D FFTs; a point
-    p = t n1 n2 n3 + s then reads (A[t] X^[s]) C^T, and a single term
-    (K = 1) the product A[t] X^[s] times C's one column.  When every term has the same time
-    factor (exactly: a plane wave's charge, three terms of its field's one
-    time factor) and r <= K, so the table does not grow, C is mixed into the
-    spatial table once, P = X^ C^T (n1 n2 n3, r), and p reads A[t] P[s],
-    with A the one time factor's DFT.
+    p = t n1 n2 n3 + s then reads (A[t] X^[s]) C^T.  When every term has
+    the same time factor (exactly: a plane wave's field, one term, and its
+    charge, three terms of that one time factor) and r <= K, so the table
+    does not grow, C is mixed into the spatial table once, P = X^ C^T
+    (n1 n2 n3, r), and p reads A[t] P[s], with A the one time factor's DFT.
 
     Memory: a held or support-held reader holds its (r, Npts) spectra
     (``_spectra``); a produced reader holds K (nt + n1 n2 n3) values, K/nt
@@ -605,13 +606,7 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
         t = points // n
         return t, points - t * n
 
-    if K == 1:
-        a, X, c = A[:, 0], X[:, 0], C[:, 0]
-
-        def read(points):
-            t, s = split(points)
-            return (np.take(a, t, mode="clip") * np.take(X, s, mode="clip"))[:, None] * c
-    elif u.rank <= K and (T == T[:, :1]).all():
+    if u.rank <= K and (T == T[:, :1]).all():
         a, P = A[:, 0], X @ C.T
 
         def read(points):

@@ -30,9 +30,9 @@ Generators:
   axis: one term for the field and five for the source.
 * evolved_family: spectral matrix-exponential solution of the
   constant-coefficient system (the source is exactly zero); the
-  polarization is stepped once per family, on the support of the scales'
-  scalar spectra, and times each scale's scalar spectrum, held on that
-  support.
+  polarization is stepped once per family, on the union of the scales'
+  supports, and each scale holds it times its own scalar spectrum on its
+  own support, where that spectrum can be nonzero.
 * wkb_family: variable-coefficient phase/amplitude fields aligned with a
   local eigenmode; the Maxwell residual is measured spectrally.
 """
@@ -104,7 +104,8 @@ class FactoredField:
     * support-held (``evolved_family``, ``charge_density``): ``spectrum`` is
       the (r, nt, m) spatial DFT of s on the m true entries of the boolean
       spatial ``support`` (``np.nonzero`` order), and zero off it, so the
-      entry holds no grid-sized array either.
+      entry holds no grid-sized array either; a generator's support is
+      where that entry's own spectrum can be nonzero.
 
     ``separated`` gives a produced entry's C and its terms' factors on a
     range of time slabs, ``slabs`` a row's time slabs on the grid (a
@@ -533,13 +534,15 @@ def evolved_family(
     of s_eps is the product of one 1-D DFT per axis (``_axis_spectrum``): a
     point for a ``"one"`` factor, three for a Hann factor spanning the axis
     at an integral carrier count, the whole axis otherwise.  A scale's
-    support is the product of its axes' points and the family's the union
-    over scales; no 3-D array but that boolean support, and no 3-D FFT, is
-    formed.  So b is stepped once (``_evolve``), on that support, and each
-    scale's field is the stepped mode's V with the mode times that scale's
-    scalar spectrum, held on the support (``FactoredField``'s support-held
-    kind): no entry holds a grid-sized array or pays an inverse FFT until a
-    reader asks for its physical slabs.  The source term is identically
+    support is the product of its axes' points; no 3-D array but the
+    scales' boolean supports and their union, and no 3-D FFT, is formed.
+    So b is stepped once (``_evolve``), on the union, and each scale's
+    field is the stepped mode's V with the mode times that scale's scalar
+    spectrum, held on that scale's own support (``FactoredField``'s
+    support-held kind), so a reader bins and differentiates each scale on
+    its own points: no entry holds a grid-sized array or a value its
+    closed form makes zero, and none pays an inverse FFT until a reader
+    asks for its physical slabs.  The source term is identically
     zero, so these families satisfy every hypothesis of the propagation
     theorems at the discrete level.  ``spatial_envelope`` tapers the
     initial data only, so its time factor must be ``"one"``: a time taper
@@ -550,16 +553,17 @@ def evolved_family(
         raise ValueError(f"evolved_family's envelope tapers the initial data only; its time factor must be 'one', "
                          f"not {envelope.factors[0].describe()}")
     k, b, _, eps_list, meta = _constant_mode(model, grid, k, mode, envelope, epsilons, "evolved")
-    support = np.zeros(grid.spatial_shape, dtype=bool)
-    dfts = {}
+    support, scales = np.zeros(grid.spatial_shape, dtype=bool), {}
     for e in eps_list:
         axes = [_axis_spectrum(envelope.factors[1 + j], grid, 1 + j, k[j] * grid.extents[1 + j] / e) for j in range(3)]
-        support[np.ix_(*(at for _, at in axes))] = True
-        dfts[e] = [dft for dft, _ in axes]
+        own = np.zeros_like(support)
+        own[np.ix_(*(at for _, at in axes))] = True
+        support |= own
+        (d1, d2, d3), (i1, i2, i3) = (dft for dft, _ in axes), np.nonzero(own)
+        scales[e] = own, d1[i1] * d2[i2] * d3[i3]
     hat = _evolve(model, grid, support, b)
-    i1, i2, i3 = np.nonzero(support)
-    fields = {e: FactoredField(hat.V, spectrum=hat.s * (d1[i1] * d2[i2] * d3[i3]), support=support)
-              for e, (d1, d2, d3) in dfts.items()}
+    fields = {e: FactoredField(hat.V, spectrum=hat.s[:, :, own[support]] * initial, support=own)
+              for e, (own, initial) in scales.items()}
     return OscillatingFamily(grid=grid, epsilons=eps_list, fields=fields, sources=None, metadata=meta)
 
 

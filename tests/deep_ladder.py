@@ -6,8 +6,8 @@ A ``trans+1`` family along e3 in a lossless medium, with a Hann envelope in
 x1, on a grid of extents (1, 1/4, 1/4, 1/4) with 16 x 16 cells in (x1, x2),
 estimated under ``full_window()``.  Each ladder's finest scale has 4 cells
 per wavelength in t and x3.  Each scale's spectrum lives on the 3 x1
-frequencies of the Hann factor at one x3 frequency, and every scale is held
-and binned on the union of the L scales' supports, nt x 3L points.  The
+frequencies of the Hann factor at one x3 frequency, and each scale is held
+and binned on that support alone, nt x 3 points.  The
 H-measure of each scale concentrates at the limit direction
 (c, k)/|(c, k)| (Tartar 1990); ``limit_distances`` is the mass-weighted
 angular distance from each bin's centroid to it, per scale.
@@ -16,8 +16,8 @@ angular distance from each bin's centroid to it, per scale.
 2^-4 .. 2^-8 (``TIER1_GRID``, ``TIER1_EPSILONS``), whose whole DFT lattice
 would be 67M points, under a memory bound.  Run as a script, it estimates
 the family on 4096 x 16 x 16 x 1024 at eps = 2^-4 .. 2^-10 (``SCRIPT_GRID``,
-``SCRIPT_EPSILONS``), a lattice of 1.1G points of which each scale bins 4096
-x 21, and prints one JSON object: the time to build the family and to
+``SCRIPT_EPSILONS``), a lattice of 1.1G points of which each scale bins its
+own 4096 x 3, and prints one JSON object: the time to build the family and to
 estimate it, the process's peak RSS, the binned points and the per-scale
 distances with the observed order log2(d_eps / d_{eps/2}) between scales.
 It exits with status 1 if the peak RSS reaches ``MAX_RSS_MB`` or an observed
@@ -42,8 +42,8 @@ SCRIPT_GRID = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(4096, 16, 16, 102
 SCRIPT_EPSILONS = tuple(2.0**-n for n in range(4, 11))
 SPHERE = SphereGrid(10, 8, 16)
 K = (0.0, 0.0, 1.0)
-# the script's bounds, fixed before it is run: peak RSS below 120 MB and every observed order at least 0.9
-MAX_RSS_MB = 120.0
+# the script's bounds, fixed before it is run: peak RSS below 64 MB and every observed order at least 0.9
+MAX_RSS_MB = 64.0
 MIN_ORDER = 0.9
 
 

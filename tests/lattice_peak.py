@@ -9,6 +9,10 @@ the median time of three untraced builds, the tracemalloc peak of a fourth
 build over its start, per lattice point, and the bytes per point of the
 lattice it returns (``order``, ``bounds`` and ``dirs``).  The bin loop reads
 that lattice; the build's peak is the most memory the lattice costs an estimate.
+It exits with status 1 if a grid of at least ``MIN_BOUNDED_POINTS`` points
+peaks above ``MAX_PEAK_B_PER_POINT`` B per point: tier-1's per-point bound on
+the build (``test_lattice_build_peak_per_point``) without its allowance for
+one run's temporaries, which only smaller grids need.
 """
 
 import json
@@ -25,6 +29,9 @@ GRIDS = (GridSpec(extents=(0.25,) * 4, shape=(16,) * 4),
          GridSpec(extents=(0.25,) * 4, shape=(32,) * 4),
          GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 32, 32, 32)))
 REPEATS = 3
+# the script's bound, fixed before it is run: at most 24 B per lattice point on grids of 32^4 points and more
+MAX_PEAK_B_PER_POINT = 24.0
+MIN_BOUNDED_POINTS = 32**4
 
 
 def build_s(grid: GridSpec) -> float:
@@ -50,9 +57,12 @@ def traced_peak(grid: GridSpec) -> tuple:
 
 
 def main() -> None:
+    failed = []
     for grid in GRIDS:
         seconds = build_s(grid)
         peak, held = traced_peak(grid)
+        if grid.num_points >= MIN_BOUNDED_POINTS and peak > MAX_PEAK_B_PER_POINT * grid.num_points:
+            failed.append(f"{grid.shape}: {peak / grid.num_points:.1f} B per point > {MAX_PEAK_B_PER_POINT:g}")
         json.dump({
             "shape": list(grid.shape),
             "points": grid.num_points,
@@ -62,6 +72,8 @@ def main() -> None:
             "result_b_per_point": held / grid.num_points,
         }, sys.stdout)
         print()
+    if failed:
+        sys.exit("; ".join(failed))
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from hml.synthesis import (
 )
 from hml.transport import predict_then_compare, time_subwindow
 from deep_ladder import SPHERE as DEEP_SPHERE
-from deep_ladder import TIER1_EPSILONS, TIER1_GRID, deep_family, limit_distances
+from deep_ladder import SCRIPT_EPSILONS, SCRIPT_GRID, TIER1_EPSILONS, TIER1_GRID, deep_family, limit_distances
 from reference import cutoff_multiply, formed_spectra, fourier_multiplier, neighborhood, scatter_ifftn
 from reference import locate as reference_locate
 
@@ -466,7 +466,7 @@ def test_support_lattice_matches_filtered_full_lattice(grid, sphere, support):
 
 def test_support_lattice_build_bins_only_its_points(monkeypatch):
     # an uncached support build reads the polar cells of its nt m points alone: on const-trajectory's full-size
-    # grid 64 x 6 points, where the full lattice has 64 x 8192
+    # grid a scale's 64 x 3 points, where the full lattice has 64 x 8192
     grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 16, 16, 32))
     support = _const_trajectory_family(grid).fields[EPS2[0]].support
     polar, seen = SphereGrid._polar_cells, []
@@ -477,10 +477,10 @@ def test_support_lattice_build_bins_only_its_points(monkeypatch):
 
     monkeypatch.setattr(SphereGrid, "_polar_cells", counting)
     lattice = _lattice_bins.__wrapped__(grid, SphereGrid(10, 8, 16), support.tobytes())
-    assert sum(seen) == lattice.bounds[-1] == grid.shape[0] * 6
-    # nor does it form the spatial frequencies off its support: the deep ladder's 15-point support on 16 x 16 x 256
-    # builds below 1.3 MB of tracemalloc, a bound fixed before measuring; meshing all 65536 spatial frequencies and
-    # masking them peaks at 1.5 MB
+    assert sum(seen) == lattice.bounds[-1] == grid.shape[0] * 3
+    # nor does it form the spatial frequencies off its support: a deep-ladder scale's 3-point support on
+    # 16 x 16 x 256 builds below 1.3 MB of tracemalloc, a bound fixed before measuring; meshing all 65536 spatial
+    # frequencies and masking them peaks at 1.5 MB
     fam = deep_family(TIER1_GRID, TIER1_EPSILONS)
     support = fam.fields[fam.finest].support.tobytes()
     tracemalloc.start()
@@ -490,7 +490,7 @@ def test_support_lattice_build_bins_only_its_points(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert lattice.bounds[-1] == 1024 * 15
+    assert lattice.bounds[-1] == 1024 * 3
     assert peak < 1.3 * 2**20
 
 
@@ -1036,15 +1036,13 @@ def _plain_fields(fam):
 
 
 def _off_zero(fam):
-    """``fam`` held on its support without the zero frequency, so that segment B of its support lattice is empty."""
+    """``fam`` with each scale held on its support without the zero frequency, so that segment B of every support
+    lattice is empty."""
     fields = {}
     for e, u in fam.fields.items():
-        keep = np.ones(u.spectrum.shape[2], bool)
-        keep[0] = False  # the zero frequency is the first true entry of a support that holds it
         support = u.support.copy()
-        assert support.flat[0]
         support.flat[0] = False
-        fields[e] = FactoredField(u.V, spectrum=u.spectrum[:, :, keep], support=support)
+        fields[e] = FactoredField(u.V, spectrum=u.spectrum[:, :, support[u.support]], support=support)
     return OscillatingFamily(grid=fam.grid, epsilons=fam.epsilons, fields=fields, metadata=fam.metadata)
 
 
@@ -1053,27 +1051,27 @@ def _oblique_family():
                           hann_window(GRID, axes=(1, 2, 3)))
 
 
-# each family and its support's size: const-trajectory's is the 3 xi1 of its Hann factor at xi2 = 0 and one xi3 per
-# scale, without the zero frequency; the oblique family's carrier counts along x1 and x3 are not integral, so it
-# takes those axes whole, times the 3 xi2 of each scale's Hann factor, 4 in all, the zero frequency among them
+# each family and its scales' support sizes: a const-trajectory scale's is the 3 xi1 of its Hann factor at xi2 = 0
+# and one xi3, without the zero frequency; the oblique family's carrier counts along x1 and x3 are not integral, so
+# each scale takes those axes whole, times the 3 xi2 of its Hann factor, the zero frequency among the coarse scale's
 SUPPORT_HELD = {
-    "const-trajectory": (_const_trajectory_family, 6),
-    "oblique": (_oblique_family, 8 * 4 * 16),
-    "no-zero-frequency": (lambda: _off_zero(_oblique_family()), 8 * 4 * 16 - 1),
+    "const-trajectory": (_const_trajectory_family, (3, 3)),
+    "oblique": (_oblique_family, (8 * 3 * 16, 8 * 3 * 16)),
+    "no-zero-frequency": (lambda: _off_zero(_oblique_family()), (8 * 3 * 16 - 1, 8 * 3 * 16)),
 }
 
 
 @pytest.mark.parametrize("measure", ["auto", "charge"])
 @pytest.mark.parametrize("name", SUPPORT_HELD)
 def test_support_path_matches_materialised_dense_estimate(name, measure):
-    """A support-held family under a window that is one on x1..x3 bins only its support's lattice points; against
-    the full-lattice estimate of its materialised fields (bounds fixed before measuring): bins and DC within 1e-13
-    of the total mass, centroids within 1e-12 in bins holding more than 1e-8 of it, and the bins with no support
-    point exactly zero with NaN centroids.  A support without the zero frequency has DC exactly 0."""
-    make, size = SUPPORT_HELD[name]
+    """A support-held family under a window that is one on x1..x3 bins each scale on its own support's lattice
+    points; against the full-lattice estimate of its materialised fields (bounds fixed before measuring): bins and
+    DC within 1e-13 of the total mass, centroids within 1e-12 in bins holding more than 1e-8 of it, and the bins with
+    no support point exactly zero with NaN centroids.  A support without the zero frequency has DC exactly 0."""
+    make, sizes = SUPPORT_HELD[name]
     fam = make()
-    grid, support = fam.grid, fam.fields[fam.finest].support
-    assert support.sum() == size
+    grid, supports = fam.grid, {e: u.support for e, u in fam.fields.items()}
+    assert tuple(int(s.sum()) for s in supports.values()) == sizes
     phi = time_subwindow(grid, grid.extents[0] / 2, grid.extents[0] / 4)
 
     def estimate(f):
@@ -1082,13 +1080,13 @@ def test_support_path_matches_materialised_dense_estimate(name, measure):
         return correlation_measure(f, charge_tilde_fields(f), phi, SPHERE)
 
     got, want = estimate(fam), estimate(_plain_fields(fam))
-    assert got.metadata["binned_points"] == {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
+    assert got.metadata["binned_points"] == {"points": grid.shape[0] * sizes[-1], "lattice": "support"}
     assert want.metadata["binned_points"] == {"points": grid.num_points, "lattice": "full"}
-    assert support.flat[0] == (name == "oblique")
-    empty, full_empty = (np.diff(lattice.bounds[: SPHERE.num_bins + 1]) == 0
-                         for lattice in (_lattice_bins(grid, SPHERE, support.tobytes()), _lattice_bins(grid, SPHERE)))
-    assert empty.sum() > full_empty.sum()  # every support leaves bins that the full lattice fills
-    for e in fam.epsilons:
+    assert any(s.flat[0] for s in supports.values()) == (name == "oblique")
+    full_empty = np.diff(_lattice_bins(grid, SPHERE).bounds[: SPHERE.num_bins + 1]) == 0
+    for e, support in supports.items():
+        empty = np.diff(_lattice_bins(grid, SPHERE, support.tobytes()).bounds[: SPHERE.num_bins + 1]) == 0
+        assert empty.sum() > full_empty.sum()  # every support leaves bins that the full lattice fills
         weight = np.abs(want.history[e]).sum(axis=(1, 2))
         total = weight.sum()
         assert total > 0
@@ -1133,9 +1131,9 @@ def test_spatially_tapered_window_on_a_support_held_family_keeps_its_bits():
 
 def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
     """tracemalloc, counted in grid scalars (16 N bytes), with the bounds fixed before measuring: const-trajectory's
-    family at full size holds 3 rows of 64 x 6 values per scale on its support, 9/4096 of a grid scalar, so both
-    scales are below half of one; a time-windowed estimate of it, with no lattice cached, builds and caches its
-    support lattice alone and holds it, its 9/4096 of spectra and the bins, below one grid scalar."""
+    family at full size holds 3 rows of 64 x 3 values per scale on that scale's support, 9/8192 of a grid scalar,
+    so both scales are below half of one; a time-windowed estimate of it, with no lattice cached, builds and caches
+    its scales' two support lattices alone and holds them, its spectra and the bins, below one grid scalar."""
     grid = GridSpec(extents=(1.0, 0.25, 0.25, 0.25), shape=(64, 16, 16, 32))
     sphere, unit = SphereGrid(10, 8, 16), 16 * grid.num_points
     tracemalloc.start()
@@ -1143,7 +1141,6 @@ def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
         start = tracemalloc.get_traced_memory()[0]
         fam = _const_trajectory_family(grid)
         made = tracemalloc.get_traced_memory()[0] - start
-        support = fam.fields[fam.finest].support
         _lattice_bins.cache_clear()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -1151,31 +1148,35 @@ def test_support_held_family_and_its_estimate_hold_no_grid_scalar():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert est.metadata["binned_points"] == {"points": 64 * 6, "lattice": "support"}
-    assert _lattice_bins.cache_info().currsize == 1
-    assert support.sum() == 6 and all(u.spectrum.shape == (3, 64, 6) for u in fam.fields.values())
+    assert est.metadata["binned_points"] == {"points": 64 * 3, "lattice": "support"}
+    assert _lattice_bins.cache_info().currsize == 2
+    assert all(u.support.sum() == 3 and u.spectrum.shape == (3, 64, 3) for u in fam.fields.values())
     assert made / unit < 1 / 2
     assert peak / unit < 1
 
 
 def test_deep_evolved_ladder_bins_its_support_alone():
     """``deep_ladder``'s five scales to eps = 2^-8 on 1024 x 16 x 16 x 256, whose full lattice would be 67M points,
-    with the bounds fixed before measuring: the family and its ``full_window`` estimate peak below 16 MB of
-    tracemalloc (a built full lattice alone would hold 1.3 GB, and an nt x nt complex array 16 MB), each scale bins
-    the 1024 x 15 points of its support, and the mass-weighted angle from the bin centroids to the limit direction
-    (c, k)/|(c, k)| falls at order >= 0.9 per halving of eps."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fam = deep_family(TIER1_GRID, TIER1_EPSILONS)
-        est = estimate_hmeasure(fam, full_window(), DEEP_SPHERE)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert est.metadata["binned_points"] == {"points": 1024 * 15, "lattice": "support"}
-    assert peak < 16 * 2**20
-    distances = limit_distances(est, fam)
-    assert all(np.log2(a / b) >= 0.9 for a, b in zip(distances, distances[1:]))
+    and its script size, seven scales to eps = 2^-10 on 4096 x 16 x 16 x 1024, with the bounds fixed before
+    measuring: the family and its ``full_window`` estimate peak below 8 MB and 24 MB of tracemalloc (a built full
+    lattice alone would hold 1.3 GB at the smaller size, an nt x nt complex array 16 MB and 256 MB, and the family
+    held on the union of its scales' supports reads 9 MB and 40 MB), each scale bins the nt x 3 points of its own
+    support, and the mass-weighted angle from the bin centroids to the limit direction (c, k)/|(c, k)| falls at
+    order >= 0.9 per halving of eps."""
+    for grid, epsilons, bound_mb in ((TIER1_GRID, TIER1_EPSILONS, 8), (SCRIPT_GRID, SCRIPT_EPSILONS, 24)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fam = deep_family(grid, epsilons)
+            est = estimate_hmeasure(fam, full_window(), DEEP_SPHERE)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert est.metadata["binned_points"] == {"points": grid.shape[0] * 3, "lattice": "support"}
+        assert all(u.support.sum() == 3 for u in fam.fields.values())
+        assert peak < bound_mb * 2**20
+        distances = limit_distances(est, fam)
+        assert all(np.log2(a / b) >= 0.9 for a, b in zip(distances, distances[1:]))
 
 
 def test_estimator_never_samples_the_full_window(monkeypatch):

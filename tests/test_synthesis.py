@@ -562,15 +562,15 @@ SUPPORT_HELD = {"long-e": _long_e_family, "oblique-trans+1": _oblique_family}
 
 @pytest.mark.parametrize("name", SUPPORT_HELD)
 def test_support_held_fields_match_scatter_ifftn(name):
-    # an evolved family holds each scale's spectrum on its support; every physical read of it is the field that
-    # the whole-array scatter and inverse FFT make (reference.scatter_ifftn), bit for bit: materialised, as
-    # scalars, and as the slabs of any time range
+    # an evolved family holds each scale's spectrum on that scale's own support, so no two scales' supports are
+    # equal; every physical read of it is the field that the whole-array scatter and inverse FFT make
+    # (reference.scatter_ifftn), bit for bit: materialised, as scalars, and as the slabs of any time range
     fam = SUPPORT_HELD[name]()
     nt = fam.grid.shape[0]
+    assert len({u.support.tobytes() for u in fam.fields.values()}) == len(fam.epsilons)
     for e in fam.epsilons:
         u = fam.fields[e]
         assert u.s is None and u.terms is None and u.spectrum.shape == (u.rank, nt, np.count_nonzero(u.support))
-        assert u.support is fam.fields[fam.finest].support
         want = scatter_ifftn(u.V, u.spectrum, u.support, fam.grid)
         assert np.array_equal(np.asarray(u), np.asarray(want)) and np.array_equal(u.scalars(), want.s)
         for j in range(u.rank):
@@ -609,23 +609,24 @@ def test_closed_form_support_matches_fftn_of_the_sampled_data(name):
     initial data (``reference.initial_spectrum_fftn``), with the bounds fixed before measuring: on the support
     within 1e-15 of the peak, and every frequency off it below 1e-15 of the peak.  A "one" factor is one frequency
     and a Hann factor spanning its axis at an integral count three, so the support is their product; an axis
-    whose count is not integral is whole."""
+    whose count is not integral is whole.  Each scale is held on its own support."""
     grid, k, mode, axes = CLOSED_FORM_CASES[name]
     model = MaterialModel.constant(2.0, 0.5, 0.3)
     envelope = hann_window(grid, axes=axes)
     fam = evolved_family(model, grid, k, mode, EPS2, envelope)
     b, _ = _mode_vector(model, k, mode)
-    support = fam.fields[fam.finest].support
-    # two scales of 27 points overlapping in {-2, -1} x {1, 2} x {1, 2}
-    sizes = {"long-e": 6, "plane": 2, "oblique": 8 * 8 * 8, "integral-hann": 2 * 27 - 8}
-    assert support.sum() == sizes[name]
+    # the oblique family's x2 count is -1/2 at the coarse scale, not integral, so that scale takes x2 whole
+    sizes = {"long-e": (3, 3), "plane": (1, 1), "oblique": (8 * 8 * 8, 8 * 3 * 8), "integral-hann": (27, 27)}
+    assert tuple(int(u.support.sum()) for u in fam.fields.values()) == sizes[name]
     for e in fam.epsilons:
-        u = fam.fields[e]
+        u, support = fam.fields[e], fam.fields[e].support
         got = np.tensordot(u.V, u.spectrum[:, 0], axes=1)  # b times the scalar spectrum on the support
         want = initial_spectrum_fftn(grid, k, envelope, e)
         peak = np.abs(want).max()
         assert np.abs(got - b[:, None] * want[support]).max() <= 1e-15 * peak
         assert np.abs(want[~support]).max(initial=0.0) <= 1e-15 * peak
+        # no support column is an exact zero: a scale holds no frequency that only another scale reaches
+        assert np.any(u.spectrum[:, 0] != 0, axis=0).all()
 
 
 def test_axis_spectrum_closed_forms_and_fallback():
@@ -652,8 +653,9 @@ def test_axis_spectrum_closed_forms_and_fallback():
 def test_evolved_family_forms_no_grid_array_and_no_3d_fft(monkeypatch):
     # the initial spectrum is read off the envelope's axis factors: no transform over more than one axis, and, on
     # const-trajectory's full-size grid, a warm call's tracemalloc peak below one spatial complex array; the
-    # boolean support is its one 3-D array.  What it holds is the nt x 6 frequency data: its entries (2 scales x 3
-    # rows) and the stepped 6-vectors, each about 0.3 of that array here
+    # boolean supports (one per scale and their union) are its only 3-D arrays.  What it holds is frequency data:
+    # the stepped 6-vectors on the union's nt x 6 points, about 0.3 of that array here, and its entries (2 scales x
+    # 3 rows of nt x 3)
     def refuse(*args, **kwargs):
         raise AssertionError("a multi-axis transform was made")
 
@@ -672,7 +674,7 @@ def test_evolved_family_forms_no_grid_array_and_no_3d_fft(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fam.fields[fam.finest].support.sum() == 6
+    assert all(u.support.sum() == 3 for u in fam.fields.values())
     assert peak < 16 * np.prod(grid.spatial_shape)
 
 
