@@ -24,7 +24,9 @@ lattice points in the DFT's flat (t, x1, x2, x3) order; only the binning
 entry decides the read: a held or support-held entry's spectra are formed
 once (``_spectra``, one (r, Npts) row per scalar) and gathered a run at a
 time, while a produced entry s = C S, K separable terms, is read at each
-run's points from the DFTs of its terms' factors and no grid-sized
+run's points from the DFTs of its terms' factors (time factors, and axis
+factors or spatial fields), premixed into one spatial table per distinct
+time factor when that does not grow the tables, and no grid-sized
 spectrum of it is formed.
 
 The window is read only through its four axis factors (``_window_dft``).
@@ -32,13 +34,14 @@ Only the time slabs where the time factor is nonzero are read, and every
 time DFT is one FFT along t of those slabs times the time factor, written
 into an axis of nt zeros: a held row's slabs (``slabs``) times the spatial
 factors (none when the window is one on x1..x3), FFT'd over (x1, x2, x3)
-first, and a produced entry's K time factors, whose spatial factors take
-the window's 1-D FFTs.  When the window is one on x1..x3 and every entry
-of rank > 0 in the measure is held on the same spatial support
-(``_shared_support``: a scale of an evolved family, on that scale's own
-support, in its auto measure, its charge cross, or a cross against a
-rank-zero source), each spectrum row is only the support's m spatial
-frequencies, (r, nt m), binned on a lattice built over the support alone.
+first, and a produced entry's K time factors, whose spatial parts take
+the window's spatial factors before their 1-D or 3-D FFTs.  When the
+window is one on x1..x3 and every entry of rank > 0 in the measure is held
+on the same spatial support (``_shared_support``: a scale of an evolved
+family, on that scale's own support, in its auto measure, its charge
+cross, or a cross against a rank-zero source), each spectrum row is only
+the support's m spatial frequencies, (r, nt m), binned on a lattice built
+over the support alone.
 Off the support every spectrum is exactly zero, so this drops no mass.
 ``metadata["binned_points"]`` says which lattice the finest scale binned
 and how many points it has.
@@ -219,7 +222,11 @@ class _Lattice(NamedTuple):
 _CHUNK = 1 << 13
 
 
-@functools.lru_cache(maxsize=4)
+# lattices ``_lattice_bins`` keeps: a ladder of up to this many supports builds each once per process
+_LATTICES = 16
+
+
+@functools.lru_cache(maxsize=_LATTICES)
 def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = None) -> _Lattice:
     """The DFT lattice sorted by sphere bin, or with ``support`` its points on that spatial support.
 
@@ -245,10 +252,14 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     binned point, with run-sized temporaries and the m rows of spatial
     frequencies the runs gather from (24 B each); while it sorts it holds
     14 B per point (the bin ids, the sort's int64 output and its int32
-    copy).  Grids and spheres are frozen, so the last four lattices are
-    cached by value: an evolved family bins each scale on its own support,
-    so a ladder of more than four supports rebuilds its lattices on a
-    second estimate.
+    copy).  Grids and spheres are frozen, so the last ``_LATTICES``
+    lattices used are cached by value: an evolved family bins each scale on
+    its own support, and a ladder visits its supports in the same order at
+    every estimate, so a cache shorter than the ladder would miss on every
+    lookup.  The cache's memory is bounded by its length: it holds at most
+    ``_LATTICES`` lattices of 20 B per binned point each, so 16 times the
+    largest lattice used (21 MB for a full 32^4 lattice, 0.25 MB for a
+    scale of ``tests/deep_ladder.py``'s 4096 x 3-point supports).
     """
     support = None if support is None else np.frombuffer(support, bool)
     f1, f2, f3 = _spatial_frequencies(grid, support)
@@ -569,20 +580,26 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
     view.  A held or support-held entry is transformed once by ``_spectra``
     and read by gathering the points from all rows.  A produced entry s = C
     S is never transformed on the grid: the windowed DFT of a separable term
-    is the product of its axis factors' 1-D DFTs, so once per call the K
-    terms give A (nt, K), the time FFTs of their time factors T times w_t on
-    lo:hi and zero off it, and X^ (n1 n2 n3, K), their windowed spatial
-    DFTs, each an outer product of three 1-D FFTs; a point
-    p = t n1 n2 n3 + s then reads (A[t] X^[s]) C^T.  When every term has
-    the same time factor (exactly: a plane wave's field, one term, and its
-    charge, three terms of that one time factor) and r <= K, so the table
-    does not grow, C is mixed into the spatial table once, P = X^ C^T
-    (n1 n2 n3, r), and p reads A[t] P[s], with A the one time factor's DFT.
+    is its time factor's DFT times its spatial part's, so once per call the
+    K terms give A (nt, K), the time FFTs of their time factors T times w_t
+    on lo:hi and zero off it, and X^ (n1 n2 n3, K), their windowed spatial
+    DFTs, each an outer product of three 1-D FFTs for axis factors and one
+    3-D FFT for a spatial field; a point p = t n1 n2 n3 + s then reads
+    (A[t] X^[s]) C^T.  When the terms have G distinct time factors (exactly
+    equal on lo:hi) and G r <= K, so the tables do not grow, C is mixed into
+    one spatial table per time factor once, P_g = X^_g C_g^T (n1 n2 n3, r)
+    over the terms of factor g, and p reads sum_g A_g[t] P_g[s], A_g that
+    factor's DFT.  G = 1 is a plane wave's field (one term) and its charge
+    (three terms of one time factor), and a WKB field; a sum of WKB fields
+    has one time factor per temporal rate.  A plane wave's source (G = 2,
+    r = K = 5) is read through C.
 
     Memory: a held or support-held reader holds its (r, Npts) spectra
-    (``_spectra``); a produced reader holds K (nt + n1 n2 n3) values, K/nt
-    of a grid scalar, and its reads are run-sized.  Its time FFTs pay K nt
-    log nt over the whole time axis, whatever the window's live slabs.
+    (``_spectra``); a produced reader holds K nt values and spatial tables
+    of K n1 n2 n3 values (G r n1 n2 n3 when premixed, no more), K/nt of a
+    grid scalar, which take up to three times that while they are formed;
+    its reads are run-sized.  Its time FFTs pay K nt log nt over the whole
+    time axis, whatever the window's live slabs.
     """
     if not u.produced:
         F = _spectra(u, window, grid, support)
@@ -590,13 +607,17 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
         return lambda points: np.ascontiguousarray(np.take(F, points, axis=1, mode="clip").T)
     lo, hi, wt, spatial = window
     C, T, x = u.separated(lo, hi)
-    if spatial is not None:
-        x = [a * w for a, w in zip(x, spatial)]
     K = len(C.T)
-    f1, f2, f3 = (np.ascontiguousarray(np.fft.fft(a, axis=1).T) for a in x)
-    # rows in flat spatial order; einsum, as a broadcast product would, makes each value one product, but it
-    # takes no iteration buffers, which at 16^4 are a quarter of a grid scalar
-    X = np.einsum("ik,jk->ijk", np.einsum("ik,jk->ijk", f1, f2).reshape(-1, K), f3).reshape(-1, K)
+    if len(x) == 1:
+        X = x[0] if spatial is None else x[0] * functools.reduce(np.multiply.outer, spatial)
+        X = np.ascontiguousarray(fftn(X, (1, 2, 3)).reshape(K, -1).T)
+    else:
+        if spatial is not None:
+            x = [a * w for a, w in zip(x, spatial)]
+        f1, f2, f3 = (np.ascontiguousarray(np.fft.fft(a, axis=1).T) for a in x)
+        # rows in flat spatial order; einsum, as a broadcast product would, makes each value one product, but it
+        # takes no iteration buffers, which at 16^4 are a quarter of a grid scalar
+        X = np.einsum("ik,jk->ijk", np.einsum("ik,jk->ijk", f1, f2).reshape(-1, K), f3).reshape(-1, K)
     A, n = np.zeros((grid.shape[0], K), dtype=np.complex128), len(X)
     np.multiply(T, wt[:, None], out=A[lo:hi])
     np.fft.fft(A, axis=0, out=A)
@@ -606,14 +627,21 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
         t = points // n
         return t, points - t * n
 
-    if u.rank <= K and (T == T[:, :1]).all():
-        a, P = A[:, 0], X @ C.T
+    # each term's first term of an equal time factor; the terms that are their own first are the distinct factors
+    first = (T[:, :, None] == T[:, None, :]).all(axis=0).argmax(axis=0)
+    firsts = np.flatnonzero(first == np.arange(K))
+    G, r = len(firsts), u.rank
+    if G * r <= K:
+        a = A[:, firsts]
+        # one factor's table is X C^T of X itself: BLAS can round a product of a copy of X differently
+        P = np.concatenate([X[:, first == f] @ C[:, first == f].T for f in firsts], axis=1) if G > 1 else X @ C.T
+        del X
 
         def read(points):
             t, s = split(points)
-            z = np.take(P, s, axis=0, mode="clip")
-            z *= np.take(a, t, mode="clip")[:, None]
-            return z
+            z = np.take(P, s, axis=0, mode="clip").reshape(len(s), G, r)
+            z *= np.take(a, t, axis=0, mode="clip")[:, :, None]
+            return z.sum(axis=1)
     else:
         Ct = np.ascontiguousarray(C.T)
 

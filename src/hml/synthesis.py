@@ -16,11 +16,14 @@ the r scalars.  A plain array is read as V = the columns of I whose
 components are not identically zero, so exact-zero components are never
 transformed; the test is exact (``!= 0``, no tolerance), and r = 0 is an
 all-zero field.  A factored entry holds s; or holds s as a coefficient
-matrix C times K distinct separable terms, four 1-D axis arrays each; or
-holds the spatial spectrum of s on the frequencies where it can be
-nonzero.  A reader reads the last two where it needs them
-(``FactoredField``); the full array of a factored entry is formed only by
-``FactoredField.materialise``, which ``np.asarray`` calls.
+matrix C times K distinct separable terms, each a time factor times
+either three 1-D spatial axis factors or one 3-D spatial field; or holds
+the spatial spectrum of s on the frequencies where it can be nonzero.  A
+reader reads the last two where it needs them (``FactoredField``); the
+full array of a factored entry is formed only by
+``FactoredField.materialise``, which ``np.asarray`` calls.  Two produced
+entries add to a produced entry (``FactoredField.__add__``), so ``sum``
+superposes families' entries without forming them.
 Generators:
 
 * plane_wave_family: constant-coefficient modulated plane waves polarized
@@ -34,11 +37,14 @@ Generators:
   supports, and each scale holds it times its own scalar spectrum on its
   own support, where that spectrum can be nonzero.
 * wkb_family: variable-coefficient phase/amplitude fields aligned with a
-  local eigenmode; the Maxwell residual is measured spectrally.
+  local eigenmode, held as a time factor times a spatial field; the
+  Maxwell residual is split exactly into two such products and recorded
+  as the source.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -97,10 +103,14 @@ class FactoredField:
     field.  The scalars are held in one of three ways:
 
     * held: ``s`` is the (r,) + grid array;
-    * produced (``from_polarization``, ``charge_density``): s = C S, with
-      ``C`` the (r, K) coefficient matrix and S the K distinct separable
-      terms ``terms``, four (K, n) axis-factor arrays (t, x1, x2, x3) whose
-      row k's outer product is S_k, so the entry holds no grid-sized array;
+    * produced (``from_polarization``, ``wkb_family``, ``charge_density``,
+      a sum): s = C S, with ``C`` the (r, K) coefficient matrix and S the K
+      separable terms ``terms``, S_k = T_k(t) X_k(x).  ``terms`` is the
+      (K, nt) time factors T followed by the spatial parts X: either three
+      (K, n) axis-factor arrays (x1, x2, x3), X_k the outer product of
+      their rows k, or one (K, n1, n2, n3) array of spatial fields.  The
+      entry holds no grid-sized array: K (nt + n1 + n2 + n3) or
+      K (nt + n1 n2 n3) values;
     * support-held (``evolved_family``, ``charge_density``): ``spectrum`` is
       the (r, nt, m) spatial DFT of s on the m true entries of the boolean
       spatial ``support`` (``np.nonzero`` order), and zero off it, so the
@@ -114,7 +124,9 @@ class FactoredField:
     ``spatial_spectrum`` reads a support-held row where it lives, with no
     transform.  These three are all the estimator reads of the scalars.
     ``scalars`` forms s, and ``materialise`` (and so ``np.asarray``) forms u
-    from s.  ``shape`` is the shape of u.
+    from s.  ``shape`` is the shape of u.  Two produced entries of one
+    shape add (``+``) to the produced entry of their sum, and 0 + u is u,
+    so ``sum`` adds them; any other entry is refused (TypeError).
     """
 
     V: np.ndarray
@@ -139,10 +151,12 @@ class FactoredField:
                 raise ValueError(f"a spectrum of shape {self.spectrum.shape} is not one value per time and true "
                                  f"entry of a 3-D boolean support")
         if self.terms is not None:
-            if len(self.terms) != 4 or any(np.ndim(a) != 2 for a in self.terms) \
-                    or len({len(a) for a in self.terms}) != 1 or len(self.terms[0]) == 0:
-                raise ValueError("produced terms need four 2-D axis-factor arrays (K, n), one row per term, "
-                                 "with K >= 1 alike in every array")
+            ndims = [np.ndim(a) for a in self.terms]
+            if ndims not in ([2, 2, 2, 2], [2, 4]) or len({len(a) for a in self.terms}) != 1 \
+                    or len(self.terms[0]) == 0:
+                raise ValueError("produced terms need four 2-D axis-factor arrays (K, n), or 2-D time factors and "
+                                 "one (K, n1, n2, n3) array of spatial fields, one row per term, with K >= 1 alike "
+                                 "in every array")
             if np.ndim(self.C) != 2 or self.C.shape[1] != len(self.terms[0]):
                 raise ValueError(f"coefficients of shape {np.shape(self.C)} do not match "
                                  f"{len(self.terms[0])} produced terms")
@@ -191,7 +205,7 @@ class FactoredField:
         elif self.s is not None:
             grid = self.s.shape[1:]
         else:
-            grid = tuple(a.shape[1] for a in self.terms)
+            grid = sum((a.shape[1:] for a in self.terms), ())
         return self.V.shape[:1] + grid
 
     @property
@@ -204,10 +218,11 @@ class FactoredField:
         return self.terms is not None
 
     def separated(self, lo: int, hi: int) -> tuple:
-        """A produced entry on time slabs lo:hi: (C (r, K), T (hi - lo, K), (X1, X2, X3)), Xi (K, n_i).
+        """A produced entry on time slabs lo:hi: (C (r, K), T (hi - lo, K), the spatial parts X).
 
-        Row j of s on those slabs is sum_k C[j, k] T[:, k] X1[k] X2[k] X3[k],
-        each term the outer product of its four axis factors; T is a view.
+        Row j of s on those slabs is sum_k C[j, k] T[:, k] X_k; T is a view.
+        X is ``terms[1:]``: three (K, n_i) axis-factor arrays, X_k the outer
+        product of their rows k, or one (K, n1, n2, n3) array of the X_k.
         """
         t, *x = self.terms
         return self.C, t[:, lo:hi].T, x
@@ -222,8 +237,15 @@ class FactoredField:
             return self.s[j, lo:hi]
         if self.spectrum is not None:
             return self._on_grid(self.spectrum[j, lo:hi])
-        C, T, (x1, x2, x3) = self.separated(lo, hi)
-        return np.tensordot(T * C[j], x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :], axes=1)
+        C, T, _ = self.separated(lo, hi)
+        return np.tensordot(T * C[j], self._spatial_fields(), axes=1)
+
+    def _spatial_fields(self) -> np.ndarray:
+        """A produced entry's (K, n1, n2, n3) spatial parts X_k: held, or formed from their axis factors."""
+        if len(self.terms) == 2:
+            return self.terms[1]
+        _, x1, x2, x3 = self.terms
+        return x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :]
 
     def spatial_spectrum(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Time slabs lo:hi of row j's spatial spectrum on ``support``, (hi - lo, m): a view of the held spectrum."""
@@ -266,15 +288,48 @@ class FactoredField:
     __ne__ = __eq__
     __hash__ = object.__hash__
 
+    def __add__(self, other):
+        """The produced entry u + v of two produced entries of one shape.
+
+        u + v = [V_u V_v] blockdiag(C_u, C_v) [S_u; S_v]: the terms are
+        concatenated, and one QR [V_u V_v] = Q R gives V = Q and C = R
+        blockdiag(C_u, C_v), as in ``from_polarization``.  Axis-factor terms
+        stay axis factors when both entries hold them; otherwise each
+        entry's spatial parts are held as spatial fields.  A rank-zero
+        operand, the zero field, adds nothing; any other held or
+        support-held operand is refused (TypeError): it has no terms.
+        """
+        if not isinstance(other, FactoredField):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError(f"factored fields of shapes {self.shape} and {other.shape} do not add")
+        if not (self.rank and other.rank):
+            return other if self.rank == 0 else self
+        if not (self.produced and other.produced):
+            raise TypeError("only produced factored fields add; a held or support-held entry has no terms to join")
+        Q, R = np.linalg.qr(np.concatenate([self.V, other.V], axis=1).astype(np.complex128))
+        C = np.concatenate([R[:, : self.rank] @ self.C, R[:, self.rank :] @ other.C], axis=1)
+        if len(self.terms) == len(other.terms):
+            parts = zip(self.terms, other.terms)
+        else:
+            parts = ((self.terms[0], other.terms[0]), (self._spatial_fields(), other._spatial_fields()))
+        return FactoredField(Q, C=C, terms=tuple(np.concatenate(p) for p in parts))
+
+    def __radd__(self, other):
+        """0 + u is u, so ``sum`` of produced entries starts from its default 0."""
+        if isinstance(other, numbers.Number) and other == 0:
+            return self
+        return NotImplemented
+
 
 def _check_entry(name: str, e: float, u, shape: tuple):
     """``u`` if it is a finite entry of ``shape``; the one check of every entry, made when its family is built.
 
     Reads the factors of a ``FactoredField``, never its full arrays: V and
-    held scalars s, V and a support-held spectrum, or V, C and the axis
-    factors of produced terms.  A produced row is bounded by |C| times each
-    term's product of its factors' maxima, finite only if no product
-    overflows (four finite factors can) and C is finite.  A plain array is
+    held scalars s, V and a support-held spectrum, or V, C and the factors
+    of produced terms.  A produced row is bounded by |C| times each term's
+    product of its factors' maxima, finite only if no product overflows
+    (finite factors can) and C is finite.  A plain array is
     read as held: factoring it here would copy it to drop its zero
     components.  ``u`` None is a missing entry.
     """
@@ -286,7 +341,7 @@ def _check_entry(name: str, e: float, u, shape: tuple):
         finite = np.isfinite(u.V).all() and np.isfinite(u.s if u.spectrum is None else u.spectrum).all()
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            peaks = np.abs(u.C) @ np.prod([np.abs(a).max(axis=1) for a in u.terms], axis=0)
+            peaks = np.abs(u.C) @ np.prod([np.abs(a).reshape(len(a), -1).max(axis=1) for a in u.terms], axis=0)
         finite = np.isfinite(u.V).all() and np.isfinite(peaks).all()
     if not finite:
         raise ValueError(f"non-finite field or source entry at eps={e}")
@@ -569,10 +624,16 @@ def evolved_family(
 
 @dataclass(frozen=True)
 class PhaseField:
-    """Smooth phase S(t, x) with analytic 4-gradient, for WKB synthesis."""
+    """Smooth phase S(t, x) = rate t + S_x(x), for WKB synthesis.
 
+    ``value`` and ``grad`` take (x1, x2, x3) and give S_x and its analytic
+    gradient (dS/dx1, dS/dx2, dS/dx3); dS/dt is the constant ``rate``.  So
+    grad_x S, and with it a WKB field's polarization, does not depend on t.
+    """
+
+    rate: float
     value: Callable
-    grad: Callable  # returns (dS/dt, dS/dx1, dS/dx2, dS/dx3)
+    grad: Callable
     label: str = "phase"
 
 
@@ -580,29 +641,25 @@ def linear_phase(k: Sequence[float], c: float) -> PhaseField:
     """S(t, x) = x.k + c t."""
     k = np.asarray(k, dtype=float).reshape(3)
 
-    def value(t, x1, x2, x3):
-        return c * t + k[0] * x1 + k[1] * x2 + k[2] * x3
+    def value(x1, x2, x3):
+        return k[0] * x1 + k[1] * x2 + k[2] * x3
 
-    def grad(t, x1, x2, x3):
-        shape = np.broadcast(t, x1, x2, x3).shape
-        return (
-            np.full(shape, c),
-            np.full(shape, k[0]),
-            np.full(shape, k[1]),
-            np.full(shape, k[2]),
-        )
+    def grad(x1, x2, x3):
+        shape = np.broadcast(x1, x2, x3).shape
+        return tuple(np.full(shape, kj) for kj in k)
 
-    return PhaseField(value=value, grad=grad, label=f"linear(k={k.tolist()},c={c})")
+    return PhaseField(rate=float(c), value=value, grad=grad, label=f"linear(k={k.tolist()},c={c})")
 
 
 def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: float = 1.0) -> PhaseField:
     """Eikonal phase for a medium layered along one spatial axis.
 
     S(t, x) = q(x_axis) - t for the '+' transverse branch (dS/dt = -v|grad S|)
-    or q(x_axis) + t for '-', with q' = 1/v along the axis.  q is tabulated
-    by composite Simpson quadrature on ``LAYER_QUADRATURE_CELLS`` cells of
-    [0, x_max] and interpolated by cubic Hermite pieces on the slope 1/v,
-    fourth order between the nodes as at them.  v is read on the axis line
+    or q(x_axis) + t for '-', with q' = 1/v along the axis: rate -1 or +1
+    and the spatial part q.  q is tabulated by composite Simpson quadrature
+    on ``LAYER_QUADRATURE_CELLS`` cells of [0, x_max] and interpolated by
+    cubic Hermite pieces on the slope 1/v, fourth order between the nodes
+    as at them.  v is read on the axis line
     through the origin by ``MaterialModel.speed``, for the table and for
     the gradient, so its bound and domain checks apply to both.  ``value``
     and ``grad`` raise ValueError at an axis coordinate outside [0, x_max],
@@ -641,29 +698,27 @@ def layered_phase(model: MaterialModel, axis: int = 0, sign: str = "+", x_max: f
         c3 = (slope[i] + slope[i + 1] - 2 * secant) / h**2
         return ((c3 * d + c2) * d + slope[i]) * d + table[i]
 
-    tsign = -1.0 if sign == "+" else 1.0
-
     def along(x1, x2, x3):
         xs = np.asarray((x1, x2, x3)[axis], dtype=float)
         if np.any((xs < 0.0) | (xs > x_max)):
             raise ValueError(f"x{axis + 1} leaves [0, {x_max}], the span of the phase's travel-time table")
         return xs
 
-    def value(t, x1, x2, x3):
-        return q(along(x1, x2, x3)) + tsign * t
+    def value(x1, x2, x3):
+        return q(along(x1, x2, x3))
 
-    def grad(t, x1, x2, x3):
-        shape = np.broadcast(t, x1, x2, x3).shape
-        g = [np.broadcast_to(np.float64(tsign), shape).copy(), np.zeros(shape), np.zeros(shape), np.zeros(shape)]
-        g[1 + axis] = np.broadcast_to(1.0 / speed(along(x1, x2, x3)), shape).copy()
+    def grad(x1, x2, x3):
+        shape = np.broadcast(x1, x2, x3).shape
+        g = [np.zeros(shape), np.zeros(shape), np.zeros(shape)]
+        g[axis] = np.broadcast_to(1.0 / speed(along(x1, x2, x3)), shape).copy()
         return tuple(g)
 
-    return PhaseField(value=value, grad=grad, label=f"layered(axis={axis},{sign})")
+    return PhaseField(rate=-1.0 if sign == "+" else 1.0, value=value, grad=grad, label=f"layered(axis={axis},{sign})")
 
 
 def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> np.ndarray:
-    """d/d(axis) via the periodic DFT; arr has a leading component axis."""
-    ax = 1 + axis_of_grid
+    """d/d(axis) via the periodic DFT; the grid's axes are arr's last four, or a spatial field's last three."""
+    ax = axis_of_grid - 4
     freq = grid.freq_axis(axis_of_grid)
     shape = [1] * arr.ndim
     shape[ax] = -1
@@ -672,20 +727,14 @@ def _spectral_derivative(arr: np.ndarray, grid: GridSpec, axis_of_grid: int) -> 
     return np.fft.ifft(ahat, axis=ax, out=ahat)
 
 
-def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, derivatives spectral.
+def _add_curl(res: np.ndarray, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``res`` += sum_j A^j d_j u, d_j spectral along u's spatial axes (its last three); returns ``res``.
 
     The curl part is added one axis at a time from ``A_MATRICES``, each A^j
     differentiating only the four components it reads.  Each of those is
     read by one +-1 entry of A^j, so its derivative is added to or
     subtracted from the one row that entry writes.
     """
-    u = np.asarray(u)
-    epsf, etaf, sigf = (f[None, ...] for f in model.sample_fields(*grid.spatial_meshes()))
-    res = _spectral_derivative(u, grid, 0)
-    res[:3] *= epsf
-    res[:3] += sigf * u[:3]
-    res[3:] *= etaf
     for j, A in enumerate(A_MATRICES):
         cols, rows = np.nonzero(A.T)  # the four components A^j reads, in order, and the row each one writes
         for c, i, du in zip(cols, rows, _spectral_derivative(u[cols], grid, 1 + j)):
@@ -696,6 +745,25 @@ def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.
     return res
 
 
+def _time_times_space(times: Sequence[np.ndarray], fields: Sequence[np.ndarray]) -> FactoredField:
+    """sum_g T_g(t) W_g(x) as a produced entry, for time factors T_g (nt,) and spatial fields W_g (p, n1, n2, n3).
+
+    V is the columns of I at the components not identically zero in any
+    W_g, and each such component c of each W_g is one term T_g W_g[c] with
+    coefficient 1 in c's row of C; the test is exact (``!= 0``), and an
+    all-zero sum is the rank-zero entry.
+    """
+    pairs = [(c, g) for g, W in enumerate(fields) for c in range(len(W)) if W[c].any()]
+    p, grid_shape = len(fields[0]), times[0].shape + fields[0].shape[1:]
+    if not pairs:
+        return FactoredField.zero(p, grid_shape)
+    live = sorted({c for c, _ in pairs})
+    C = np.zeros((len(live), len(pairs)))
+    C[[live.index(c) for c, _ in pairs], np.arange(len(pairs))] = 1.0
+    terms = (np.stack([times[g] for _, g in pairs]), np.stack([fields[g][c] for c, g in pairs]))
+    return FactoredField(np.eye(p)[:, live], C=C, terms=terms)
+
+
 def wkb_family(
     model: MaterialModel,
     grid: GridSpec,
@@ -704,38 +772,54 @@ def wkb_family(
     mode: str,
     epsilons: Sequence[float],
 ) -> OscillatingFamily:
-    """Variable-coefficient WKB fields a(t,x) b_mode(x, grad S) e^{2 pi i S/eps}.
+    """Variable-coefficient WKB fields a(t,x) b_mode(x, grad_x S) e^{2 pi i S/eps}.
 
-    The Maxwell residual is evaluated spectrally per scale and recorded as
-    the source; when the phase satisfies the mode's eikonal relation the
-    residual stays O(1) in L2 as eps decreases.  Raises ValueError where
-    |grad_x S| < ``GRAD_FLOOR`` inside the amplitude support.
+    The phase is S = c t + S_x(x) (``PhaseField``) and the amplitude a
+    separable window, a = a_t(t) a_x(x), so each scale's field is exactly a
+    time factor times a spatial field, u = T W with T = a_t e^{2 pi i c t/eps}
+    and W = a_x e^{2 pi i S_x/eps} b_mode, whose polarization reads grad_x S
+    and the coefficients at x alone (Gerard, Markowich, Mauser & Poupaud,
+    CPAM 50, 1997).  The Maxwell residual f = A0 du/dt + sum_j A^j d_j u +
+    C u, derivatives spectral, splits exactly the same way,
+    f = T' (A0 W) + T (sum_j A^j d_j W + C W), T' the spectral t-derivative
+    of T and d_j the spectral derivatives of W, and is recorded as the
+    source; when the phase satisfies the mode's eikonal relation it stays
+    O(1) in L2 as eps decreases.  Fields and sources are produced
+    ``FactoredField`` entries (``_time_times_space``): V the columns of I at
+    the components not identically zero, one term per such component for
+    the field, all of time factor T, and one per component and time factor
+    for the source.  So an entry holds K (nt + n1 n2 n3) values, K at most
+    6 for a field and 12 for a source, and no 4-D array, exponential or FFT
+    is formed.  Raises ValueError where |grad_x S| < ``GRAD_FLOOR`` inside
+    the amplitude support.
     """
-    t, x1, x2, x3 = grid.meshes()
-    S = np.asarray(phase.value(t, x1, x2, x3)) + 0.0 * (t + x1 + x2 + x3)
-    g = phase.grad(t, x1, x2, x3)
-    gx = np.stack([np.broadcast_to(np.asarray(g[1 + j], dtype=float), grid.shape) for j in range(3)])
-    amp = amplitude.sample(grid)
+    t, (x1, x2, x3) = grid.axis(0), grid.spatial_meshes()
+    a_t = amplitude.factors[0](t)
+    a_x = amplitude.factors[1](x1) * amplitude.factors[2](x2) * amplitude.factors[3](x3)
+    S = np.asarray(phase.value(x1, x2, x3), dtype=float)
+    gx = np.stack([np.broadcast_to(np.asarray(g, dtype=float), grid.spatial_shape) for g in phase.grad(x1, x2, x3)])
     gnorm = np.sqrt(np.sum(gx**2, axis=0))
-    support = np.abs(amp) > 1e-13
+    support = np.abs(a_x) * np.abs(a_t).max() > 1e-13  # the points where |a(t, x)| > 1e-13 at some t
     if np.any(gnorm[support] < GRAD_FLOOR):
         raise ValueError("grad_x S vanishes inside the amplitude support")
 
     # off-support points get a dummy direction so the basis stays defined
-    filler = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1, 1)
-    zp_safe = np.where((gnorm < GRAD_FLOOR)[None, ...], filler, gx)
-    eps, eta, _ = model.sample_fields(x1, x2, x3)
-    pol = mode_vectors(zp_safe, eps, eta, (mode,))[:, 0]
+    filler = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1, 1)
+    eps, eta, sig = model.sample_fields(x1, x2, x3)
+    pol = mode_vectors(np.where(gnorm < GRAD_FLOOR, filler, gx), eps, eta, (mode,))[:, 0]
     eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    gt = np.broadcast_to(np.asarray(g[0], dtype=float), grid.shape)
-    rates = [np.max(np.abs(gr[support]), initial=0.0) for gr in (gt, *gx)]
+    rates = [abs(phase.rate) if support.any() else 0.0, *(np.max(np.abs(g[support]), initial=0.0) for g in gx)]
     worst_cells = _aliasing_guard(grid, eps_list, rates)
 
     fields, sources = {}, {}
     for e in eps_list:
-        u = (amp * np.exp((2j * np.pi / e) * S))[None, ...] * pol
-        fields[e] = u
-        sources[e] = maxwell_residual(model, u, grid)
+        T = a_t * np.exp((2j * np.pi / e) * phase.rate * t)
+        W = (a_x * np.exp((2j * np.pi / e) * S))[None, ...] * pol
+        dT = np.fft.ifft(np.fft.fft(T) * (2j * np.pi * grid.freq_axis(0)))
+        rest = np.zeros_like(W)
+        rest[:3] = sig * W[:3]
+        fields[e] = _time_times_space([T], [W])
+        sources[e] = _time_times_space([dT, T], [np.concatenate([eps * W[:3], eta * W[3:]]), _add_curl(rest, W, grid)])
 
     meta = {
         "generator": "wkb",
@@ -750,10 +834,13 @@ def charge_density(family: OscillatingFamily) -> dict:
     """rho^eps = div E^eps per scale, each a (1,) + grid entry.
 
     E_j = sum_i V_ji s_i.  For a produced field s = C S, S its K separable
-    terms, and d_j of a term differentiates only its x_j factor (the DFT of
-    a separable product is the product of its factors' 1-D DFTs), so rho is
-    a produced entry: for each live j, the K terms with their x_j factor
-    spectrally differentiated and the coefficients V[j] @ C.  A
+    terms, d_j of a term differentiates only its spatial part, so rho is a
+    produced entry.  A term of axis factors differentiates only its x_j
+    factor (the DFT of a separable product is the product of its factors'
+    1-D DFTs): for each live j, the K terms with their x_j factor
+    spectrally differentiated and the coefficients V[j] @ C.  A term of a
+    spatial field X_k keeps its time factor, and its spatial field is
+    sum_j (V[j] @ C)_k d_j X_k, three 3-D spectral derivatives of X.  A
     support-held field's rho stays on its support: its one row is rho^ =
     sum_j 2 pi i xi_j V_j s^ there.  A held field's E_j is formed from V
     and s and differentiated on the grid, three scalar derivative pairs for
@@ -774,6 +861,11 @@ def charge_density(family: OscillatingFamily) -> dict:
             xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(u.support))]
             spectrum = sum((2j * np.pi * xi[j]) * np.tensordot(u.V[j], u.spectrum, axes=1) for j in live)
             rho[e] = FactoredField(np.ones((1, 1)), spectrum=spectrum[None], support=u.support)
+        elif u.produced and len(u.terms) == 2:
+            # rho = sum_k T_k sum_j (V[j] C)_k d_j X_k: each term's spatial field differentiated and mixed once
+            t, X = u.terms
+            mixed = sum((u.V[j] @ u.C)[:, None, None, None] * _spectral_derivative(X, grid, 1 + j) for j in live)
+            rho[e] = FactoredField(np.ones((1, 1)), C=np.ones((1, len(t))), terms=(t, mixed))
         elif u.produced:
             # d_j of the x_j factors a is the 1-D spectral derivative ifft(2 pi i xi_j fft(a)), row by row
             d = [np.fft.ifft(np.fft.fft(u.terms[1 + j], axis=1) * (2j * np.pi * grid.freq_axis(1 + j)), axis=1)

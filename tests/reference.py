@@ -6,8 +6,13 @@ defining operators, a direction multiplier and a spatial cutoff;
 ``locate`` is a ``SphereGrid``'s angle -> cell rule written once over
 whole (n, 4) stacks, independently of the package's;
 ``paper_display_blocks`` is the smooth-scalar case's sigma blocks as the
-paper prints them; ``tensordot_maxwell_residual`` is the Maxwell residual
-with each A^j applied as a matrix; ``scatter_ifftn`` is an evolved
+paper prints them; ``maxwell_residual`` is the Maxwell residual of a whole
+(6,) + grid field, as ``wkb_family`` formed its sources before it split
+them into time factors times spatial fields, and
+``tensordot_maxwell_residual`` is the same with each A^j applied as a
+matrix; ``wkb_field_on_grid`` is a WKB field a e^{2 pi i S/eps} b_mode
+formed on the whole grid, as ``wkb_family`` formed it before it held
+the time factor and the spatial field apart; ``scatter_ifftn`` is an evolved
 family's field formed on the grid, as ``evolved_family`` formed it before
 it held its fields on their support; ``initial_spectrum_fftn`` is an
 evolved family's initial scalar spectrum by a 3-D FFT of the sampled data,
@@ -28,8 +33,8 @@ import scipy.fft
 
 from hml.estimator import SphereGrid
 from hml.grids import GridSpec, SeparableWindow, fftn
-from hml.symbols import A_MATRICES, MaterialModel, propagation_basis
-from hml.synthesis import FactoredField, _spectral_derivative
+from hml.symbols import A_MATRICES, MaterialModel, mode_vectors, propagation_basis
+from hml.synthesis import FactoredField, _add_curl, _spectral_derivative
 
 
 def fourier_multiplier(a: Callable, u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -138,6 +143,17 @@ def paper_display_blocks(model: MaterialModel, x, zetaP, coeffs: dict) -> dict:
     return {"s11": s11, "s12": s12, "s21": s21, "s22": s22}
 
 
+def maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, derivatives spectral, the curl part added by ``_add_curl``."""
+    u = np.asarray(u)
+    epsf, etaf, sigf = (f[None, ...] for f in model.sample_fields(*grid.spatial_meshes()))
+    res = _spectral_derivative(u, grid, 0)
+    res[:3] *= epsf
+    res[:3] += sigf * u[:3]
+    res[3:] *= etaf
+    return _add_curl(res, u, grid)
+
+
 def tensordot_maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """f = A0(x) du/dt + sum_j A^j d_j u + C(x) u, each A^j applied as a 6 x 4 matrix to the components it reads."""
     u = np.asarray(u)
@@ -150,6 +166,17 @@ def tensordot_maxwell_residual(model: MaterialModel, u: np.ndarray, grid: GridSp
         c = np.flatnonzero(A.any(axis=0))
         res += np.tensordot(A[:, c], _spectral_derivative(u[c], grid, 1 + j), axes=1)
     return res
+
+
+def wkb_field_on_grid(model: MaterialModel, grid: GridSpec, phase, amplitude: SeparableWindow, mode: str,
+                      eps: float) -> np.ndarray:
+    """The (6,) + grid field amp(t, x) exp(2 pi i S(t, x)/eps) b_mode(x, grad_x S), S = rate t + S_x(x), on the grid."""
+    t, *x = grid.meshes()
+    S = phase.rate * t + phase.value(*x)
+    x = grid.spatial_meshes()
+    gx = np.stack([np.broadcast_to(g, grid.spatial_shape) for g in phase.grad(*x)])
+    pol = mode_vectors(gx, *model.sample_fields(*x)[:2], (mode,))[:, 0]
+    return (amplitude.sample(grid) * np.exp((2j * np.pi / eps) * S))[None] * pol[:, None]
 
 
 def scatter_ifftn(V: np.ndarray, spectrum: np.ndarray, support: np.ndarray, grid: GridSpec) -> FactoredField:

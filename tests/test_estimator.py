@@ -746,6 +746,43 @@ def test_produced_read_matches_formed_spectra_at_every_lattice_point(phi):
         assert np.abs(got - want.T).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_wkb_estimates_match_their_materialised_arrays(smooth_model):
+    """One WKB wave and the sum of four, superposed by ``sum`` of their produced entries as smooth-rays superposes
+    them, estimated from their factors and from their materialised arrays: every bin of every scale within 1e-13 of
+    the maximum bin, a bound fixed before measuring.  The reads of spatial-field terms (``_read``) against the 4-D
+    FFTs of the windowed scalars, under a time taper and a 4-D one, within 1e-13 of the peak: a field (one time factor, premixed), a source (two,
+    with r = 6 > K / 2, read through C), the sum and its charge (two, one per temporal rate, each premixed per
+    time factor) and an entry of two time factors with r = 2 and K = 4 (premixed per time factor)."""
+    grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    sphere, phi = SphereGrid(8, 8, 16), hann_window(grid, axes=(0,))
+    dirs = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
+    waves = [wkb_family(smooth_model, grid, linear_phase(0.9 * d, 0.72 if n % 2 else -0.72), hann_window(grid),
+                        "trans-2" if n % 2 else "trans+1", EPS2) for n, d in enumerate(dirs)]
+    meta = {"min_cells_per_wavelength": min(w.min_cells_per_wavelength() for w in waves)}
+    superposed = OscillatingFamily(grid=grid, epsilons=EPS2, fields={e: sum(w.fields[e] for w in waves) for e in EPS2},
+                                   metadata=meta)
+    for fam in (waves[0], superposed):
+        held = OscillatingFamily(grid=grid, epsilons=EPS2, fields={e: np.asarray(u) for e, u in fam.fields.items()},
+                                 metadata=meta)
+        got, want = estimate_hmeasure(fam, phi, sphere), estimate_hmeasure(held, phi, sphere)
+        for e in EPS2:
+            assert np.abs(got.history[e] - want.history[e]).max() <= 1e-13 * np.abs(want.history[e]).max()
+    e = EPS2[-1]
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal((2, grid.shape[0])) + 1j * rng.standard_normal((2, grid.shape[0]))
+    X = rng.standard_normal((4,) + grid.spatial_shape) + 1j * rng.standard_normal((4,) + grid.spatial_shape)
+    C = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    two_factors = FactoredField(np.eye(2), C=C, terms=(t[[0, 1, 0, 1]], X))
+    for phi in (phi, hann_window(grid, margin=0.1)):
+        window = estimator._window_dft(phi, grid)
+        for u in (waves[0].fields[e], waves[0].sources[e], superposed.fields[e], charge_density(superposed)[e],
+                  two_factors):
+            want = np.fft.fftn(u.scalars() * phi.sample(grid), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
+            got = estimator._read(u, window, grid)(np.arange(grid.num_points))
+            assert got.shape == (grid.num_points, u.rank) and got.flags.c_contiguous
+            assert np.abs(got - want.T).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_slab_rows_and_untapered_windows_carry_no_identity_factor():
     """A held or a support-held row is read as its slabs alone, with no time factors; a window is read as its live
     time slabs lo:hi, the time factor's samples there, nonzero at both ends, and its spatial factors: none when it is
@@ -1177,6 +1214,19 @@ def test_deep_evolved_ladder_bins_its_support_alone():
         assert peak < bound_mb * 2**20
         distances = limit_distances(est, fam)
         assert all(np.log2(a / b) >= 0.9 for a, b in zip(distances, distances[1:]))
+
+
+def test_deep_ladder_builds_each_support_lattice_once():
+    """``deep_ladder``'s seven-scale family, estimated under three windows that are one on x1..x3: the seven scales'
+    support lattices are built once and read from the cache by the second and third estimates (a cache shorter
+    than the ladder, visited in the same order at each estimate, missed on all 21 lookups)."""
+    fam = deep_family(SCRIPT_GRID, SCRIPT_EPSILONS)
+    _lattice_bins.cache_clear()
+    estimates = [estimate_hmeasure(fam, w, DEEP_SPHERE)
+                 for w in (full_window(), hann_window(SCRIPT_GRID, axes=(0,)), time_subwindow(SCRIPT_GRID, 0.5, 0.25))]
+    assert all(est.metadata["binned_points"]["lattice"] == "support" for est in estimates)
+    info = _lattice_bins.cache_info()
+    assert (info.misses, info.hits) == (7, 14)
 
 
 def test_estimator_never_samples_the_full_window(monkeypatch):

@@ -24,11 +24,10 @@ from hml.synthesis import (
     evolved_family,
     linear_phase,
     layered_phase,
-    maxwell_residual,
     plane_wave_family,
     wkb_family,
 )
-from reference import initial_spectrum_fftn, scatter_ifftn, tensordot_maxwell_residual
+from reference import initial_spectrum_fftn, maxwell_residual, scatter_ifftn, tensordot_maxwell_residual, wkb_field_on_grid
 
 GRID = GridSpec(extents=(0.125, 0.125, 0.125, 0.125), shape=(8, 8, 8, 8))
 EPS2 = (2.0**-3, 2.0**-4)  # carrier indices 1 and 2 on this box
@@ -382,6 +381,36 @@ def test_produced_plane_wave_matches_closed_form():
             for j in range(got.rank):
                 assert np.abs(got.slabs(j, 3, 8) - s[j, 3:8]).max() <= 1e-14 * np.abs(want).max()
                 assert np.abs(np.tensordot(T * C[j], X, axes=1) - s[j, 3:8]).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_produced_entries_sum_without_forming_them():
+    # 0 + u is u, so sum() starts from its default 0, and the rank-zero field adds nothing; sum() of produced
+    # entries of both kinds of term (axis factors and spatial fields) is the materialised sum within 1e-13 of its
+    # maximum, a bound fixed before measuring; and a held or support-held operand is refused: it has no terms
+    model, grid = MaterialModel.constant(2.0, 0.5, 0.3), GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
+    e = EPS2[-1]
+    plane = [plane_wave_family(model, grid, k, "trans+1", hann_window(grid), EPS2) for k in ((0.3, -0.5, 0.8),
+                                                                                               (0.0, 0.6, 0.6))]
+    waves = [wkb_family(model, grid, linear_phase(k, -0.5 * np.linalg.norm(k)), hann_window(grid), mode, EPS2)
+             for k, mode in (((0.5, 0.5, 0.5), "trans+1"), ((-0.5, 0.5, -0.5), "trans-2"))]
+    u = waves[0].fields[e]
+    zero = FactoredField.zero(6, grid.shape)
+    assert 0 + u is u and u + zero is u and zero + u is u
+    cases = [[p.fields[e] for p in plane], [p.sources[e] for p in plane], [w.fields[e] for w in waves],
+             [w.sources[e] for w in waves], [plane[0].fields[e], waves[0].fields[e], plane[1].sources[e]]]
+    for entries in cases:
+        got = sum(entries)
+        assert isinstance(got, FactoredField) and got.produced and got.shape == (6,) + grid.shape
+        assert got.C.shape[1] == sum(v.C.shape[1] for v in entries)
+        want = sum(np.asarray(v) for v in entries)
+        assert np.abs(np.asarray(got) - want).max() <= 1e-13 * np.abs(want).max()
+    held = FactoredField.of(np.asarray(u))
+    support_held = evolved_family(model, grid, (0.0, 0.0, 1.0), "trans+1", EPS2).fields[e]
+    for a, b in ((u, held), (held, u), (support_held, u), (u, support_held), (held, held)):
+        with pytest.raises(TypeError, match="only produced factored fields add"):
+            a + b
+    with pytest.raises(TypeError):
+        1 + u
 
 
 # ------------------------------------------------------------- exact evolution
@@ -760,6 +789,57 @@ def test_wkb_residual_bounded_in_eps():
     assert norms[eps_pair[1]] <= 1.5 * norms[eps_pair[0]]
 
 
+def _wkb_case(which):
+    """(model, grid, phase, amplitude) of a linear phase in the layered medium, or of its eikonal layered phase."""
+    model = _layered_model()
+    if which == "linear":
+        grid = GridSpec(extents=(0.25,) * 4, shape=(16, 16, 8, 8))
+        return model, grid, linear_phase((0.5, -0.5, 0.5), -0.8), hann_window(grid)
+    grid = GridSpec(extents=(0.25, 0.25, 0.25, 0.25), shape=(16, 32, 8, 8))
+    return model, grid, layered_phase(model, axis=0, sign="+", x_max=0.25), hann_window(grid, axes=(0, 1))
+
+
+@pytest.mark.parametrize("which", ["linear", "layered"])
+def test_wkb_entries_are_time_factors_times_spatial_fields(which):
+    # bounds fixed before measuring: each field within 1e-13 of its maximum of the 4-D formula
+    # amp exp(2 pi i S/eps) pol, and each source within 1e-12 of its maximum of the grid residual of that field
+    model, grid, phase, amp = _wkb_case(which)
+    fam = wkb_family(model, grid, phase, amp, "trans+1", EPS2)
+    for e in fam.epsilons:
+        u, f = fam.fields[e], fam.sources[e]
+        assert u.produced and f.produced and u.separated(0, 1)[2][0].shape == (u.C.shape[1],) + grid.spatial_shape
+        assert len({a.tobytes() for a in u.terms[0]}) == 1 and len({a.tobytes() for a in f.terms[0]}) == 2
+        want = wkb_field_on_grid(model, grid, phase, amp, "trans+1", e)
+        assert np.abs(np.asarray(u) - want).max() <= 1e-13 * np.abs(want).max()
+        res = maxwell_residual(model, np.asarray(u), grid)
+        assert np.abs(np.asarray(f) - res).max() <= 1e-12 * np.abs(res).max()
+
+
+def test_wkb_family_holds_no_grid_sized_array(monkeypatch):
+    """tracemalloc, counted in grid scalars (16 nt n1 n2 n3 bytes), bounds fixed before measuring: a WKB family's
+    four entries on 64 x 16^3 hold 32 spatial fields together (five for a field and eleven for its source), half
+    a grid scalar, below one, where each held entry would be five or six grid scalars; the build peaks below two;
+    and no 4-D FFT is taken."""
+    model, grid = _layered_model(), GridSpec(extents=(0.25,) * 4, shape=(64, 16, 16, 16))
+    unit = 16 * grid.num_points
+    ffts = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: ffts.append(np.size(a)) or fft(a, *args, **kw))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fam = wkb_family(model, grid, linear_phase((0.5, 0.5, 0.5), -0.8), hann_window(grid), "trans+1", EPS2)
+        made = tracemalloc.get_traced_memory()[0] - start
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    entries = [*fam.fields.values(), *fam.sources.values()]
+    assert all(max(a.size for a in u.terms) < grid.num_points for u in entries)
+    assert made / unit < 1
+    assert peak / unit < 2
+    assert max(ffts) < grid.num_points  # the time factor's nt values and the curl's four spatial components
+
+
 def test_layered_phase_fourth_order_between_nodes(linear_speed_model, monkeypatch):
     """The travel-time table on 8 .. 64 cells against q = ln(1 + 0.8 x)/0.8, read between its nodes."""
     x = np.linspace(0.0, 1.0, 4097)
@@ -767,7 +847,7 @@ def test_layered_phase_fourth_order_between_nodes(linear_speed_model, monkeypatc
     for cells in (8, 16, 32, 64):
         monkeypatch.setattr(synthesis, "LAYER_QUADRATURE_CELLS", cells)
         phase = layered_phase(linear_speed_model, axis=0, sign="+", x_max=1.0)
-        errs.append(np.abs(phase.value(0.0, x, 0.0, 0.0) - np.log1p(0.8 * x) / 0.8).max())
+        errs.append(np.abs(phase.value(x, 0.0, 0.0) - np.log1p(0.8 * x) / 0.8).max())
     errs = np.array(errs)
     assert np.all(np.log2(errs[:-1] / errs[1:]) >= 3.5)  # 3.78, 3.88, 3.94; np.interp gave 1.9-2.0
 
@@ -783,7 +863,7 @@ def test_layered_phase_matches_scipy_table_and_spline(linear_speed_model, monkey
     table = np.concatenate([[0.0], scipy.integrate.cumulative_simpson(slope, x=s)])
     x = np.concatenate([s, np.random.default_rng(3).uniform(0.0, 1.0, 2000)])
     want = scipy.interpolate.CubicHermiteSpline(s, table, slope)(x)
-    np.testing.assert_allclose(phase.value(0.0, x, 0.0, 0.0), want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(phase.value(x, 0.0, 0.0), want, rtol=1e-14, atol=0)
 
 
 def test_layered_phase_refuses_an_axis_or_x_max_out_of_range():
@@ -791,8 +871,9 @@ def test_layered_phase_refuses_an_axis_or_x_max_out_of_range():
     # axis=3 failed on a bare IndexError and x_max=0 gave NaN after a divide-by-zero warning
     model = MaterialModel.constant(4.0, 1.0, 0.0)  # v = 1/2
     phase = layered_phase(model, axis=2)
-    assert phase.value(0.0, 0.1, 0.2, 0.3) == pytest.approx(0.6, rel=1e-12)
-    assert [float(g) for g in phase.grad(0.0, 0.1, 0.2, 0.3)] == pytest.approx([-1.0, 0.0, 0.0, 2.0], rel=1e-12)
+    assert phase.value(0.1, 0.2, 0.3) == pytest.approx(0.6, rel=1e-12)
+    assert [phase.rate, *(float(g) for g in phase.grad(0.1, 0.2, 0.3))] == pytest.approx([-1.0, 0.0, 0.0, 2.0],
+                                                                                          rel=1e-12)
     for kwargs in ({"axis": -1}, {"axis": 3}, {"x_max": 0.0}, {"x_max": -1.0}, {"x_max": np.inf}, {"x_max": np.nan}):
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=rf"^{name} must be .*not {kwargs[name]!r}$"):
@@ -808,16 +889,16 @@ def test_layered_phase_refuses_coordinates_beyond_its_table():
     match = r"x1 leaves \[0, 0\.25\]"
     with pytest.raises(ValueError, match=match):
         wkb_family(model, wide, phase, hann_window(wide, axes=(0, 1)), "trans+1", (2.0**-3, 2.0**-4))
-    t, x1, x2, x3 = wide.meshes()
+    x1, x2, x3 = wide.spatial_meshes()
     for read in (phase.value, phase.grad):
         with pytest.raises(ValueError, match=match):
-            read(t, x1, x2, x3)
+            read(x1, x2, x3)
         with pytest.raises(ValueError, match=match):
-            read(0.0, -0.01, 0.0, 0.0)
+            read(-0.01, 0.0, 0.0)
     # the table's ends are inside: x1 = x_max reads q(x_max) and 1/v(x_max)
     ends = np.array([0.0, 0.25])
-    np.testing.assert_allclose(phase.value(0.0, ends, 0.0, 0.0), [0.0, 0.275], rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(phase.grad(0.0, ends, 0.0, 0.0)[1], [1.0, 1.2], rtol=1e-12)
+    np.testing.assert_allclose(phase.value(ends, 0.0, 0.0), [0.0, 0.275], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(phase.grad(ends, 0.0, 0.0)[0], [1.0, 1.2], rtol=1e-12)
 
 
 def test_wkb_rejects_vanishing_gradient():
