@@ -19,7 +19,9 @@ all-zero field.  A factored entry holds s; or holds s as a coefficient
 matrix C times K distinct separable terms, each a time factor times
 either three 1-D spatial axis factors or one 3-D spatial field; or holds
 the spatial spectrum of s on the frequencies where it can be nonzero.  A
-reader reads the last two where it needs them (``FactoredField``); the
+reader reads the last two where it needs them (``FactoredField``), a
+produced entry as C and its time factors (``separated``) and its spatial
+parts as fields (``spatial_fields``), whichever way they are held; the
 full array of a factored entry is formed only by
 ``FactoredField.materialise``, which ``np.asarray`` calls.  Two produced
 entries add to a produced entry (``FactoredField.__add__``), so ``sum``
@@ -117,12 +119,14 @@ class FactoredField:
       entry holds no grid-sized array either; a generator's support is
       where that entry's own spectrum can be nonzero.
 
-    ``separated`` gives a produced entry's C and its terms' factors on a
-    range of time slabs, ``slabs`` a row's time slabs on the grid (a
-    support-held row makes only those slabs, by scattering them onto the
-    spatial grid and one inverse DFT pass per axis, x3, x2, x1), and
-    ``spatial_spectrum`` reads a support-held row where it lives, with no
-    transform.  These three are all the estimator reads of the scalars.
+    ``separated`` gives a produced entry's C and time factors T on a range
+    of time slabs and ``spatial_fields`` its K spatial fields (formed from
+    the axis factors where those are held, so the layout stays inside this
+    class), ``slabs`` a row's time slabs on the grid (a support-held row
+    makes only those slabs, by scattering them onto the spatial grid and one
+    inverse DFT pass per axis, x3, x2, x1), and ``spatial_spectrum`` reads a
+    support-held row where it lives, with no transform.  These four are all
+    the estimator reads of the scalars.
     ``scalars`` forms s, and ``materialise`` (and so ``np.asarray``) forms u
     from s.  ``shape`` is the shape of u.  Two produced entries of one
     shape add (``+``) to the produced entry of their sum, and 0 + u is u,
@@ -218,14 +222,9 @@ class FactoredField:
         return self.terms is not None
 
     def separated(self, lo: int, hi: int) -> tuple:
-        """A produced entry on time slabs lo:hi: (C (r, K), T (hi - lo, K), the spatial parts X).
-
-        Row j of s on those slabs is sum_k C[j, k] T[:, k] X_k; T is a view.
-        X is ``terms[1:]``: three (K, n_i) axis-factor arrays, X_k the outer
-        product of their rows k, or one (K, n1, n2, n3) array of the X_k.
-        """
-        t, *x = self.terms
-        return self.C, t[:, lo:hi].T, x
+        """A produced entry's (C (r, K), T (hi - lo, K)) on time slabs lo:hi: row j of s there is sum_k C[j, k]
+        T[:, k] X_k, X_k its spatial parts (``spatial_fields``); T is a view."""
+        return self.C, self.terms[0][:, lo:hi].T
 
     def slabs(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Time slabs lo:hi of row j, (hi - lo,) + spatial.
@@ -237,15 +236,21 @@ class FactoredField:
             return self.s[j, lo:hi]
         if self.spectrum is not None:
             return self._on_grid(self.spectrum[j, lo:hi])
-        C, T, _ = self.separated(lo, hi)
-        return np.tensordot(T * C[j], self._spatial_fields(), axes=1)
+        C, T = self.separated(lo, hi)
+        return np.tensordot(T * C[j], self.spatial_fields(), axes=1)
 
-    def _spatial_fields(self) -> np.ndarray:
-        """A produced entry's (K, n1, n2, n3) spatial parts X_k: held, or formed from their axis factors."""
+    def spatial_fields(self, out: np.ndarray | None = None) -> np.ndarray:
+        """A produced entry's (K, n1, n2, n3) spatial fields X_k, held or the outer products of rows k of its axis
+        factors, written into ``out`` (any strides) if given: the one reader of its spatial parts."""
         if len(self.terms) == 2:
-            return self.terms[1]
+            if out is None:
+                return self.terms[1]
+            out[...] = self.terms[1]
+            return out
         _, x1, x2, x3 = self.terms
-        return x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :]
+        # one product per value, as a broadcast product makes it; a broadcast product into a point-major ``out``
+        # also takes up to three iteration buffers of 2^13 values, 3/8 of a grid scalar at 16^4
+        return np.einsum("kij,kl->kijl", x1[:, :, None] * x2[:, None, :], x3, out=out)
 
     def spatial_spectrum(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Time slabs lo:hi of row j's spatial spectrum on ``support``, (hi - lo, m): a view of the held spectrum."""
@@ -312,7 +317,7 @@ class FactoredField:
         if len(self.terms) == len(other.terms):
             parts = zip(self.terms, other.terms)
         else:
-            parts = ((self.terms[0], other.terms[0]), (self._spatial_fields(), other._spatial_fields()))
+            parts = ((self.terms[0], other.terms[0]), (self.spatial_fields(), other.spatial_fields()))
         return FactoredField(Q, C=C, terms=tuple(np.concatenate(p) for p in parts))
 
     def __radd__(self, other):
@@ -835,19 +840,17 @@ def charge_density(family: OscillatingFamily) -> dict:
 
     E_j = sum_i V_ji s_i.  For a produced field s = C S, S its K separable
     terms, d_j of a term differentiates only its spatial part, so rho is a
-    produced entry.  A term of axis factors differentiates only its x_j
-    factor (the DFT of a separable product is the product of its factors'
-    1-D DFTs): for each live j, the K terms with their x_j factor
-    spectrally differentiated and the coefficients V[j] @ C.  A term of a
-    spatial field X_k keeps its time factor, and its spatial field is
-    sum_j (V[j] @ C)_k d_j X_k, three 3-D spectral derivatives of X.  A
-    support-held field's rho stays on its support: its one row is rho^ =
-    sum_j 2 pi i xi_j V_j s^ there.  A held field's E_j is formed from V
-    and s and differentiated on the grid, three scalar derivative pairs for
-    a rank-one field.  An E_j whose row of V is exactly zero costs nothing,
-    and a field with V[:3] exactly zero (E identically zero) has the
-    rank-zero rho, which holds no grid-sized array.  Every scale's rho is
-    made when this is called.
+    produced entry of K terms (one for a plane wave): term k keeps its time
+    factor, and its spatial field is sum_j (V[j] @ C)_k d_j X_k, X the
+    field's spatial fields (``FactoredField.spatial_fields``, formed once
+    from axis factors where those are held) and d_j three 3-D spectral
+    derivatives.  A support-held field's rho stays on its support: its one
+    row is rho^ = sum_j 2 pi i xi_j V_j s^ there.  A held field's E_j is
+    formed from V and s and differentiated on the grid, three scalar
+    derivative pairs for a rank-one field.  An E_j whose row of V is
+    exactly zero costs nothing, and a field with V[:3] exactly zero (E
+    identically zero) has the rank-zero rho, which holds no grid-sized
+    array.  Every scale's rho is made when this is called.
     """
     grid = family.grid
     zero = FactoredField.zero(1, grid.shape)
@@ -861,18 +864,11 @@ def charge_density(family: OscillatingFamily) -> dict:
             xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(u.support))]
             spectrum = sum((2j * np.pi * xi[j]) * np.tensordot(u.V[j], u.spectrum, axes=1) for j in live)
             rho[e] = FactoredField(np.ones((1, 1)), spectrum=spectrum[None], support=u.support)
-        elif u.produced and len(u.terms) == 2:
+        elif u.produced:
             # rho = sum_k T_k sum_j (V[j] C)_k d_j X_k: each term's spatial field differentiated and mixed once
-            t, X = u.terms
+            X, t = u.spatial_fields(), u.terms[0]
             mixed = sum((u.V[j] @ u.C)[:, None, None, None] * _spectral_derivative(X, grid, 1 + j) for j in live)
             rho[e] = FactoredField(np.ones((1, 1)), C=np.ones((1, len(t))), terms=(t, mixed))
-        elif u.produced:
-            # d_j of the x_j factors a is the 1-D spectral derivative ifft(2 pi i xi_j fft(a)), row by row
-            d = [np.fft.ifft(np.fft.fft(u.terms[1 + j], axis=1) * (2j * np.pi * grid.freq_axis(1 + j)), axis=1)
-                 for j in live]
-            terms = [np.concatenate([d[n] if 1 + j == a else u.terms[a] for n, j in enumerate(live)]) for a in range(4)]
-            rho[e] = FactoredField(np.ones((1, 1)), C=np.concatenate([u.V[j] @ u.C for j in live])[None],
-                                   terms=tuple(terms))
         else:
             rho[e] = np.zeros((1,) + grid.shape, dtype=np.complex128)
             for j in live:

@@ -4,11 +4,13 @@
 
 NumPy is the package's one runtime dependency.  The pass builds a plane-wave,
 an evolved and a layered-phase WKB family on a 16 x 8^3 box, estimates and
-fits each, crosses the plane wave with its source and its charge, fits the
-evolved family at three time windows into a constant-case density trajectory
-and its transport residual, and predicts it forward and compares.  The plane
-wave's field, source and charge are produced entries, read at their lattice
-points, so its crosses must report factor ranks (1, 5) and (1, 1).  The
+fits each, crosses the plane wave with its source and its charge and the WKB
+family with its charge, fits the evolved family at three time windows into a
+constant-case density trajectory and its transport residual, and predicts it
+forward and compares.  The plane wave's field, source and charge are produced
+entries, read at their lattice points, so its crosses must report factor
+ranks (1, 5) and (1, 1); the WKB field's charge is one produced row of spatial
+fields, so its cross must report (r, 1), r the field's rank.  The
 evolved family is held on its spatial support, so its
 time-windowed estimate must have binned nt m lattice points, m the support's
 size, on a lattice built over the support alone; ``bin_occupancy`` of the
@@ -45,6 +47,10 @@ def main() -> None:
     ranks = [cross.metadata["factor_rank"] for cross in crosses]
     if ranks != [(1, 5), (1, 1)]:
         raise SystemExit(f"the plane wave's source and charge crosses read factor ranks {ranks}, not [(1, 5), (1, 1)]")
+    wkb = estimator.correlation_measure(families[2], estimator.charge_tilde_fields(families[2]), window, sphere)
+    want = (families[2].fields[families[2].finest].rank, 1)
+    if wkb.metadata["factor_rank"] != want:
+        raise SystemExit(f"the WKB family's charge cross reads factor ranks {wkb.metadata['factor_rank']}, not {want}")
     support = families[1].fields[families[1].finest].support
     binned = {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
     if estimates[1].metadata["binned_points"] != binned:

@@ -199,8 +199,8 @@ def initial_spectrum_fftn(grid: GridSpec, k, envelope: SeparableWindow, eps: flo
 def formed_spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np.ndarray:
     """A produced entry's (r, Npts) windowed 4-D DFT in the DFT's flat order, formed on the grid one row at a time.
 
-    Row j is its time factors T C_j times the outer products X of its terms'
-    spatial factors, over every grid time.  X times the spatial window is
+    Row j is its time factors T C_j times its terms' spatial fields X
+    (``spatial_fields``), over every grid time.  X times the spatial window is
     FFT'd over (x1, x2, x3), and the time DFT is the dense product W (T C_j)
     with W[k, j] = w_t(t_j) exp(-2 pi i k j / N_t), formed from its formula
     with k j reduced mod N_t, so no phase is rounded at k j >= N_t.
@@ -208,8 +208,8 @@ def formed_spectra(u: FactoredField, phi: SeparableWindow, grid: GridSpec) -> np
     nt = grid.shape[0]
     wt, *spatial = (f(grid.axis(i)) for i, f in enumerate(phi.factors))
     W = wt * np.exp((-2j * np.pi / nt) * (np.outer(np.arange(nt), np.arange(nt)) % nt))
-    C, T, (x1, x2, x3) = u.separated(0, nt)
-    X = (x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :]).astype(np.complex128)
+    C, T = u.separated(0, nt)
+    X = u.spatial_fields().astype(np.complex128)
     X *= spatial[0][:, None, None] * spatial[1][None, :, None] * spatial[2][None, None, :]
     X = fftn(X, (1, 2, 3), out=X).reshape(len(X), -1)
     return np.stack([(W @ (T * C[j])) @ X for j in range(u.rank)]).reshape(u.rank, -1)

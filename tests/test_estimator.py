@@ -590,8 +590,8 @@ def test_estimator_holds_one_scale_and_no_two_full_rank_copies(monkeypatch):
     grid scalar beyond the cached lattice, where formed spectra held 1 + 5 of them and the bound was 8.5.
     Each scale's readers are released before the next scale's are made, so the second scale starts with
     only the first scale's bins held, and its peak exceeds the first's by less than a quarter of one.  The
-    charge pass makes rho per scale, three terms, and reads it the same way, so it holds less than a
-    quarter of one whenever a reader is made.
+    charge pass makes rho per scale, one term of a spatial field (1/16 of a grid scalar), and reads it the
+    same way, so it holds less than a quarter of one whenever a reader is made.
     """
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     sphere = SphereGrid(6, 6, 8)
@@ -721,7 +721,7 @@ def test_spectra_in_dft_order(phi):
 
 @pytest.mark.parametrize("phi", WINDOWS.values(), ids=["window" + name for name in WINDOWS])
 def test_produced_read_matches_formed_spectra_at_every_lattice_point(phi):
-    """A plane-wave field (one term), its source (five terms) and its charge (three, all of one time factor), and two
+    """A plane-wave field (one term), its source (five terms) and its charge (one term, a spatial field), and two
     entries of three terms, two rows whose terms all share one time factor and one row whose terms share it two of
     three, read at every lattice point from their factor tables (``_read``), against their spectra formed on the grid
     row by row with a dense time-DFT matrix (``reference.formed_spectra``): within 1e-14 of each entry's peak, a bound
@@ -735,7 +735,7 @@ def test_produced_read_matches_formed_spectra_at_every_lattice_point(phi):
     C = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     all_three = FactoredField(np.eye(2), C=C, terms=(t[[0, 0, 0]], *x))
     two_of_three = FactoredField(np.eye(2)[:, :1], C=C[:1], terms=(t[[0, 0, 1]], *x))
-    for u, K in ((fam.fields[e], 1), (fam.sources[e], 5), (charge_tilde_fields(fam)[e], 3), (all_three, 3),
+    for u, K in ((fam.fields[e], 1), (fam.sources[e], 5), (charge_tilde_fields(fam)[e], 1), (all_three, 3),
                  (two_of_three, 3)):
         assert u.produced and u.separated(0, 1)[0].shape == (u.rank, K)
         want = formed_spectra(u, phi, GRID)
@@ -1006,7 +1006,7 @@ def test_factored_bins_match_materialised(measure):
 
 def test_estimator_never_materialises_factored_fields(monkeypatch):
     # the estimator reads factors: it forms no field u = V s, and reads a produced entry at its lattice points,
-    # so it forms none of its scalars or slabs either; rho is made from the field's 1-D factors, not its scalars
+    # so it forms none of its scalars or slabs either; rho is made from the field's spatial fields, not its scalars
     fam = _family(model=MaterialModel.constant(1.0, 1.0, 0.5))
     phi = hann_window(GRID, axes=(0,))
     scalars, slabs = FactoredField.scalars, FactoredField.slabs

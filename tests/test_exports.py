@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hml
+from hml.synthesis import FactoredField
 
 MODULES = ["hml.grids", "hml.symbols", "hml.synthesis", "hml.estimator", "hml.verifier", "hml.transport"]
 
@@ -59,15 +61,21 @@ def test_verifier_builds_no_polarization_basis():
 
 def test_estimator_reads_entries_only_through_V_rank_and_separated():
     # only synthesis knows how an entry's scalars are held or made: the estimator asks whether an entry is
-    # produced, reads a produced one through ``separated`` and any other through ``slabs`` or
-    # ``spatial_spectrum``, never the held arrays; ``phi.factors`` is the window's, not an entry's
+    # produced, reads a produced one through ``separated`` (C and T) and ``spatial_fields`` and any other through
+    # ``slabs`` or ``spatial_spectrum``, never the held arrays; ``phi.factors`` is the window's, not an entry's.
+    # ``separated`` gives the same two items for axis factors and for spatial fields, so no reader can tell the
+    # layouts apart
     path = Path(hml.__file__).parent / "estimator.py"
     read = {(getattr(node.value, "id", None), node.attr)
             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
     held = {"s", "R", "rows", "factors", "C", "terms", "spectrum"}
     assert {attr for owner, attr in read if owner != "phi"} & held == set()
-    assert {("u", "V"), ("u", "rank"), ("u", "produced"), ("u", "separated"), ("u", "slabs"),
+    assert {("u", "V"), ("u", "rank"), ("u", "produced"), ("u", "separated"), ("u", "spatial_fields"), ("u", "slabs"),
             ("u", "spatial_spectrum")} <= read
+    t, x1, x2, x3 = (np.ones((1, n), dtype=complex) for n in (8, 8, 8, 16))
+    for terms in ((t, x1, x2, x3), (t, np.ones((1, 8, 8, 16), dtype=complex))):
+        u = FactoredField(np.eye(1), C=np.ones((1, 1)), terms=terms)
+        assert len(u.separated(0, 8)) == 2 and u.spatial_fields().shape == (1, 8, 8, 16)
 
 
 def test_coefficient_callables_called_only_in_symbols():

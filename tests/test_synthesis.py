@@ -374,7 +374,7 @@ def test_produced_plane_wave_matches_closed_form():
                                                                                       envelope, e)):
             assert np.abs(np.asarray(got) - want).max() <= 1e-14 * np.abs(want).max()
             s = np.tensordot(got.V.conj().T, want, axes=1)
-            C, T, (x1, x2, x3) = got.separated(3, 8)
+            (C, T), (x1, x2, x3) = got.separated(3, 8), got.terms[1:]
             K = 1 if got is fam.fields[e] else 5
             assert C.shape == (got.rank, K) and T.shape == (5, K) and [len(x1), len(x2), len(x3)] == [K] * 3
             X = x1[:, :, None, None] * x2[:, None, :, None] * x3[:, None, None, :]
@@ -807,7 +807,7 @@ def test_wkb_entries_are_time_factors_times_spatial_fields(which):
     fam = wkb_family(model, grid, phase, amp, "trans+1", EPS2)
     for e in fam.epsilons:
         u, f = fam.fields[e], fam.sources[e]
-        assert u.produced and f.produced and u.separated(0, 1)[2][0].shape == (u.C.shape[1],) + grid.spatial_shape
+        assert u.produced and f.produced and [a.shape for a in u.terms[1:]] == [(len(u.C.T),) + grid.spatial_shape]
         assert len({a.tobytes() for a in u.terms[0]}) == 1 and len({a.tobytes() for a in f.terms[0]}) == 2
         want = wkb_field_on_grid(model, grid, phase, amp, "trans+1", e)
         assert np.abs(np.asarray(u) - want).max() <= 1e-13 * np.abs(want).max()
@@ -928,18 +928,35 @@ def test_charge_transverse_no_growth():
     assert n1 <= 1.2 * n0  # envelope-scale only, no 1/eps factor
 
 
-@pytest.mark.parametrize("mode, k", [("trans+1", (0.3, -0.5, 0.8)), ("long-e", (0, 0, 1.0))],
-                         ids=["oblique-trans+1", "long-e"])
-def test_charge_from_line_factors_matches_grid_divergence(mode, k):
-    # a plane wave's rho differentiates one 1-D factor per term; against the full-grid spectral divergence
-    # of the materialised field, at both scales (bound fixed at 1e-13 of the maximum before measuring)
+def _charge_fields(case, grid):
+    """A charge case's field entries: a plane wave (axis factors), a linear-phase WKB family (spatial fields), or the
+    two summed through ``+`` (spatial fields)."""
+    model = MaterialModel.constant(2.0, 0.5, 0.3)
+    plane = {"oblique-trans+1": ("trans+1", (0.3, -0.5, 0.8)), "long-e": ("long-e", (0, 0, 1.0))}
+    if case in plane:
+        mode, k = plane[case]
+        return plane_wave_family(model, grid, k, mode, hann_window(grid), EPS2).fields
+    wkb = wkb_family(model, grid, linear_phase((0.5, -0.5, 0.5), -0.8), hann_window(grid), "long-e", EPS2).fields
+    if case == "wkb-linear":
+        return wkb
+    wave = plane_wave_family(model, grid, (0.3, -0.5, 0.8), "trans+1", hann_window(grid), EPS2).fields
+    return {e: wave[e] + wkb[e] for e in EPS2}
+
+
+@pytest.mark.parametrize("case", ["oblique-trans+1", "long-e", "wkb-linear", "plane+wkb"])
+def test_charge_from_line_factors_matches_grid_divergence(case):
+    # rho keeps each term's time factor and differentiates its spatial field (``spatial_fields``) once, whether the
+    # field holds axis factors (a plane wave), spatial fields (a WKB family) or a sum of both; against the full-grid
+    # spectral divergence of the materialised field, at both scales (bound fixed at 1e-13 of the maximum before
+    # measuring)
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
-    fam = plane_wave_family(MaterialModel.constant(2.0, 0.5, 0.3), grid, k, mode, hann_window(grid), EPS2)
-    rho = charge_density(fam)
-    for e in fam.epsilons:
-        u = np.asarray(fam.fields[e])
+    fields = _charge_fields(case, grid)
+    rho = charge_density(OscillatingFamily(grid=grid, epsilons=EPS2, fields=fields))
+    for e in EPS2:
+        u = np.asarray(fields[e])
         want = sum(_spectral_derivative(u[j][None], grid, 1 + j) for j in range(3))
         assert rho[e].s is None and rho[e].shape == (1,) + grid.shape
+        assert rho[e].produced and len(rho[e].C.T) == len(fields[e].C.T)  # one term per term of the field
         assert np.abs(np.asarray(rho[e]) - want).max() <= 1e-13 * np.abs(want).max()
 
 
