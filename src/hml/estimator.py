@@ -23,26 +23,26 @@ point-major spectra at those lattice points in the DFT's flat (t, x1, x2,
 x3) order; only the binning (``_lattice_bins``, ``_cross_bins``) knows the
 bin order.  The kind of entry decides the read: a held or support-held
 entry's spectra are formed once (``_spectra``, one (r, Npts) row per
-scalar) and gathered a run at a time, while a produced entry s = C S, K
-separable terms, is read at each run's points from the DFTs of its time
-factors and one spatial table, the 3-D DFTs of its K spatial fields,
-premixed into one table per distinct time factor when that does not grow
-the tables, and no grid-sized spectrum of it is formed.
+scalar) and gathered a run at a time, while every produced entry s = C S,
+K separable terms, is read at each run's points by one product of a time
+and a spatial table, mixed into r rows: the DFTs of its K terms, mixed by
+C, or tables premixed per distinct time factor when that does not grow
+them, mixed by a sum.  No grid-sized spectrum of it is formed.
 
-The window is read only through its four axis factors (``_window_dft``).
-Only the time slabs where the time factor is nonzero are read, and every
-time DFT is one FFT along t of those slabs times the time factor, written
-into an axis of nt zeros: a held row's slabs (``slabs``) times the spatial
-factors (none when the window is one on x1..x3), FFT'd over (x1, x2, x3)
-first, and a produced entry's K time factors, whose spatial fields take
-the window's spatial factors before their one 3-D FFT.  When the
-window is one on x1..x3 and every entry of rank > 0 in the measure is held
-on the same spatial support (``_shared_support``: a scale of an evolved
-family, on that scale's own support, in its auto measure, its charge
-cross, or a cross against a rank-zero source), each spectrum row is only
-the support's m spatial frequencies, (r, nt m), binned on a lattice built
-over the support alone.
-Off the support every spectrum is exactly zero, so this drops no mass.
+The window is read only through ``_window_dft``, formed once per
+estimate: its time factor on the live slabs, where it is nonzero, and its
+spatial product.  Every time DFT is one FFT along t of those slabs times
+the time factor, written into an axis of nt zeros: a held row's slabs
+(``slabs``) times the spatial product (none when the window is one on
+x1..x3), FFT'd over (x1, x2, x3) first, and a produced entry's K time
+factors, whose spatial fields take the spatial product before their one
+3-D FFT.  When the window is one on x1..x3 and every entry of rank > 0 in
+the measure is held on the same spatial support (``_shared_support``: a
+scale of an evolved family, on that scale's own support, in its auto
+measure, its charge cross, or a cross against a rank-zero source), each
+spectrum row is only the support's m spatial frequencies, (r, nt m),
+binned on a lattice built over the support alone.  Off the support every
+spectrum is exactly zero, so this drops no mass.
 ``metadata["binned_points"]`` says which lattice the finest scale binned
 and how many points it has.
 
@@ -262,7 +262,7 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
     scale of ``tests/deep_ladder.py``'s 4096 x 3-point supports).
     """
     support = None if support is None else np.frombuffer(support, bool)
-    f1, f2, f3 = _spatial_frequencies(grid, support)
+    f1, f2, f3 = grid.spatial_frequencies(support)
     nt, m = grid.shape[0], f1.size
     n = nt * m
     # the narrowest integer type that holds every bin id sorts fastest, to the same stable order
@@ -285,13 +285,6 @@ def _lattice_bins(grid: GridSpec, sphere: SphereGrid, support: bytes | None = No
         _units(np.take(freqs, t, mode="clip"), *rows.T, out=units.T)
         dirs[lo : lo + _CHUNK] = units  # one float64 -> float32 cast per run
     return _Lattice(order, bounds, dirs)
-
-
-def _spatial_frequencies(grid: GridSpec, support) -> tuple:
-    """(f1, f2, f3): the float64 spatial frequencies in flat C order, at the true entries of the flat boolean
-    ``support`` if given; each is read off its axis at the points' indices, so a support of m points forms m."""
-    flat = np.arange(np.prod(grid.spatial_shape)) if support is None else np.flatnonzero(support)
-    return tuple(grid.freq_axis(i)[j] for i, j in enumerate(np.unravel_index(flat, grid.spatial_shape), 1))
 
 
 def _units(ft, f1, f2, f3, out=(None,) * 4) -> tuple:
@@ -324,7 +317,7 @@ def _lattice_blocks(grid: GridSpec, sphere: SphereGrid, support):
     tied.  So a point's bin does not depend on the block or the support it
     is binned in.
     """
-    f1, f2, f3 = _spatial_frequencies(grid, support)
+    f1, f2, f3 = grid.spatial_frequencies(support)
     azimuth = sphere._azimuth_cells(f1, f2)
     nt, B = grid.shape[0], sphere.num_bins
     # about _CHUNK / 8 points a block, so its dozen float64 temporaries together stay near one run's size
@@ -520,8 +513,9 @@ def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
 
     Only the slabs lo:hi between the first and last grid times where w_t is
     nonzero are read; ``wt`` is w_t's samples there, and ``spatial`` the
-    samples of the three spatial factors, 1-D each, None where all three are
-    one.  A window zero at every sample of an axis is refused.
+    (n1, n2, n3) product of the three spatial factors' samples, (w1 x w2) x
+    w3, formed here once for every entry of the estimate, or None where all
+    three are one.  A window zero at every sample of an axis is refused.
     """
     samples = [f(grid.axis(i)) for i, f in enumerate(phi.factors)]
     dead = [i for i, w in enumerate(samples) if not w.any()]
@@ -529,22 +523,22 @@ def _window_dft(phi: SeparableWindow, grid: GridSpec) -> tuple:
         raise ValueError(f"window {phi.describe()} is zero at every grid sample of axes {dead}")
     live = np.flatnonzero(samples[0])
     lo, hi = live[0], live[-1] + 1
-    return lo, hi, samples[0][lo:hi], None if all(f.kind == "one" for f in phi.factors[1:]) else tuple(samples[1:])
+    untapered = all(f.kind == "one" for f in phi.factors[1:])
+    return lo, hi, samples[0][lo:hi], None if untapered else functools.reduce(np.multiply.outer, samples[1:])
 
 
 def _spectra(u: FactoredField, window: tuple, grid: GridSpec, support=None) -> np.ndarray:
     """Windowed 4-D DFT of the r scalars of a held or support-held entry as an (r, Npts) array in the DFT's flat order.
 
     The window phi = w_t(t) w_x(x) is read through ``_window_dft``: each
-    row's live slabs lo:hi (``u.slabs``) times w_t and the product of the
-    spatial factors are written into its output row of zeros and FFT'd there
+    row's live slabs lo:hi (``u.slabs``) times w_t and the window's spatial
+    product are written into its output row of zeros and FFT'd there
     over (x1, x2, x3), and then the whole row over t.  With ``support`` (a
     support-held entry, under a window that is one on x1..x3) the slabs are
     ``u.spatial_spectrum``, the support's m spatial frequencies with no
     spatial transform, and the array is (r, nt m) in the flat (t, support
-    entry) order.  r = 0 gives an
-    (0, Npts) array without a transform.  A produced entry is read at its
-    lattice points instead (``_read``).
+    entry) order.  r = 0 gives an (0, Npts) array without a transform.  A
+    produced entry is read at its lattice points instead (``_read``).
 
     Memory: the rows are transformed one at a time, each in its own row of
     the output, so a call holds its r output rows, r grid scalars (a grid
@@ -556,7 +550,6 @@ def _spectra(u: FactoredField, window: tuple, grid: GridSpec, support=None) -> n
     nt log nt over the whole time axis, whatever the window's live slabs.
     """
     lo, hi, wt, spatial = window
-    spatial = None if spatial is None else functools.reduce(np.multiply.outer, spatial)
     shape = grid.spatial_shape if support is None else (np.count_nonzero(support),)
     out = np.zeros((u.rank, grid.shape[0]) + shape, dtype=np.complex128)
     for j, row in enumerate(out):
@@ -583,28 +576,30 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
     is its time factor's DFT times its spatial field's, so once per call the
     K terms give A (nt, K), the time FFTs of their time factors T times w_t
     on lo:hi and zero off it, and X^ (n1 n2 n3, K), their windowed spatial
-    DFTs, formed one way for every entry: the K spatial fields
-    (``spatial_fields``) written into a point-major (n1, n2, n3, K) buffer,
-    windowed and FFT'd there over its first three axes, and read as
-    (n1 n2 n3, K) without a copy.  A point p = t n1 n2 n3 + s then reads
-    (A[t] X^[s]) C^T.  When the terms have G distinct time factors (exactly
-    equal on lo:hi) and G r <= K, so the tables do not grow, C is mixed into
-    one spatial table per time factor once, P_g = X^_g C_g^T (n1 n2 n3, r)
-    over the terms of factor g, and p reads sum_g A_g[t] P_g[s], A_g that
-    factor's DFT.  G = 1 is a plane wave's field and its charge (one term
-    each), and a WKB field; a sum of WKB fields has one time factor per
-    temporal rate.  A plane wave's source (G = 2, r = K = 5) is read
-    through C.
+    DFTs: the K spatial fields (``spatial_fields``) written into a
+    point-major (n1, n2, n3, K) buffer, times the window's spatial product,
+    FFT'd there over its first three axes, and read as (n1 n2 n3, K).  Every
+    produced entry is read one way: a point p = t n1 n2 n3 + s gathers row s
+    of a spatial table and row t of a time table, multiplies them and mixes
+    the product into r rows.  The terms' G distinct time factors (exactly
+    equal on lo:hi) choose the tables and the mix.  If G r <= K, C is
+    premixed into the (n1 n2 n3, G r) table of P_g = X^_g C_g^T over the
+    terms of factor g, the time table holds each factor's DFT A_g r times,
+    and the mix sums the G column groups in order: p reads sum_g P_g[s]
+    A_g[t].  Otherwise the tables are X^ and A and p reads (X^[s] A[t]) C^T.
+    G = 1 is a plane wave's field and its charge (one term each) and a WKB
+    field; a sum of WKB fields has one time factor per temporal rate.  A
+    plane wave's source (G = 2, r = K = 5) is read through C.
 
     Memory: a held or support-held reader holds its (r, Npts) spectra
-    (``_spectra``); a produced reader holds K nt values and tables of K n1
-    n2 n3 values (G r n1 n2 n3 when premixed), K/nt of a grid scalar, and
-    run-sized reads.  Forming the tables peaks (tracemalloc, 16^4) at 2.05
-    times them for a one-term entry and 1.19 for a plane wave's five-term
-    source under a time window, 2.57 and 1.51 under a 4-D one: a premix
-    holds X^ and P together, and a spatial window adds its samples.  Its
-    time FFTs pay K nt log nt over the whole time axis, whatever the
-    window's live slabs.
+    (``_spectra``).  A produced reader holds tables of W = G r columns if
+    premixed, else K, W (nt + n1 n2 n3) values or about W/nt of a grid
+    scalar, and per run two run-sized gathers of that width.  Forming the
+    tables peaks (tracemalloc, 16^4) at 2.94 times them for a one-term entry
+    and 1.18 for a plane wave's five-term source under a time window, 2.96
+    and 1.39 under a 4-D one: a premix holds X^, a copy of one group's
+    columns and P together.  Its time FFTs pay K nt log nt over the whole
+    time axis, whatever the window's live slabs.
     """
     if not u.produced:
         F = _spectra(u, window, grid, support)
@@ -612,44 +607,36 @@ def _read(u: FactoredField, window: tuple, grid: GridSpec, support=None):
         return lambda points: np.ascontiguousarray(np.take(F, points, axis=1, mode="clip").T)
     lo, hi, wt, spatial = window
     C, T = u.separated(lo, hi)
-    K = len(C.T)
+    K, r = len(C.T), u.rank
     X = np.empty(grid.spatial_shape + (K,), dtype=np.complex128)
     u.spatial_fields(out=np.moveaxis(X, -1, 0))
     if spatial is not None:
-        X *= functools.reduce(np.multiply.outer, spatial)[..., None]
+        X *= spatial[..., None]
     X = fftn(X, (0, 1, 2), out=X).reshape(-1, K)
     A, n = np.zeros((grid.shape[0], K), dtype=np.complex128), len(X)
     np.multiply(T, wt[:, None], out=A[lo:hi])
     np.fft.fft(A, axis=0, out=A)
-
-    def split(points):
-        # divmod(points, n), the time and flat spatial indices, as two operations: np.divmod takes three times as long
-        t = points // n
-        return t, points - t * n
-
     # each term's first term of an equal time factor; the terms that are their own first are the distinct factors
     first = (T[:, :, None] == T[:, None, :]).all(axis=0).argmax(axis=0)
     firsts = np.flatnonzero(first == np.arange(K))
-    G, r = len(firsts), u.rank
-    if G * r <= K:
-        a = A[:, firsts]
-        # one factor's table is X C^T of X itself: BLAS can round a product of a copy of X differently
-        P = np.concatenate([X[:, first == f] @ C[:, first == f].T for f in firsts], axis=1) if G > 1 else X @ C.T
-        del X
-
-        def read(points):
-            t, s = split(points)
-            z = np.take(P, s, axis=0, mode="clip").reshape(len(s), G, r)
-            z *= np.take(a, t, axis=0, mode="clip")[:, :, None]
-            return z.sum(axis=1)
+    if len(firsts) * r <= K:
+        X = np.concatenate([X[:, first == f] @ C[:, first == f].T for f in firsts], axis=1)
+        A, Ct = np.repeat(A[:, firsts], r, axis=1), None
     else:
         Ct = np.ascontiguousarray(C.T)
 
-        def read(points):
-            t, s = split(points)
-            z = np.take(A, t, axis=0, mode="clip")
-            z *= np.take(X, s, axis=0, mode="clip")
+    def read(points):
+        # divmod(points, n), the time and flat spatial indices, as two operations: np.divmod takes three times as long
+        t = points // n
+        z = np.take(X, points - t * n, axis=0, mode="clip")
+        z *= np.take(A, t, axis=0, mode="clip")
+        if Ct is not None:
             return z @ Ct
+        # the G column groups summed in order by plain adds: a reduction over a middle axis takes 4-5 times as long
+        y = z[:, :r]
+        for j in range(r, len(z.T), r):
+            y = y + z[:, j : j + r]
+        return y
     return read
 
 
@@ -694,8 +681,8 @@ def _cross_spectral_measure(family: OscillatingFamily, g_fields, phi: SeparableW
         lattice = _lattice_bins(grid, sphere) if support is None else _lattice_bins(grid, sphere, support.tobytes())
         read1 = _read(u, window, grid, support)
         read2 = read1 if hermitian else _read(g, window, grid, support)
-        # a cross with a produced reader holds two (n, K) gathers per point while it mixes them, so its runs are
-        # cut to hold about _CHUNK / 2 values of its wider read; an auto measure's runs, and a held cross's, are not
+        # a cross with a produced reader holds two gathers of its table width (G r or K) while it mixes them, so its
+        # runs are cut to hold about _CHUNK / 2 values of its wider read; auto runs and a held cross's are not
         chunk = _CHUNK // (2 * max(u.rank, g.rank, 1)) if not hermitian and (u.produced or g.produced) else _CHUNK
         history[e], centroids[e], dc_energy[e] = _cross_bins(read1, read2, u.V, g.V, lattice, sphere, scale, chunk)
         ranks = (u.rank, g.rank)

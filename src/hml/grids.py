@@ -91,6 +91,12 @@ class GridSpec:
         """DFT frequencies along axis i in cycles per unit length."""
         return np.fft.fftfreq(self.shape[i], d=self.spacing[i])
 
+    def spatial_frequencies(self, support=None) -> tuple:
+        """(f1, f2, f3): the float64 spatial DFT frequencies in flat C order, or at the true entries of the boolean
+        ``support`` (spatial-shaped or flat) in that order, ``np.nonzero``'s: a support of m points forms m each."""
+        flat = np.arange(np.prod(self.spatial_shape)) if support is None else np.flatnonzero(support)
+        return tuple(self.freq_axis(i)[j] for i, j in enumerate(np.unravel_index(flat, self.spatial_shape), 1))
+
     def freq_meshes(self) -> tuple:
         return tuple(
             self.freq_axis(i).reshape([-1 if j == i else 1 for j in range(4)]) for i in range(4)

@@ -531,7 +531,7 @@ def _propagator(model: MaterialModel, grid: GridSpec, support: np.ndarray) -> np
     holds one exponential per true frequency, in ``np.nonzero`` order.
     """
     A0, *_, C = assemble_system_matrices(model, (0.0, 0.0, 0.0))
-    xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(support))]
+    xi = grid.spatial_frequencies(support)
     P = assemble_P(model, (0.0, 0.0, 0.0), np.stack([np.zeros_like(xi[0]), *xi], axis=-1))
     return _expm(-np.linalg.inv(A0) @ (2j * np.pi * P + C) * grid.spacing[0])
 
@@ -861,7 +861,7 @@ def charge_density(family: OscillatingFamily) -> dict:
         if live.size == 0:
             rho[e] = zero
         elif u.spectrum is not None:
-            xi = [grid.freq_axis(1 + j)[i] for j, i in enumerate(np.nonzero(u.support))]
+            xi = grid.spatial_frequencies(u.support)
             spectrum = sum((2j * np.pi * xi[j]) * np.tensordot(u.V[j], u.spectrum, axes=1) for j in live)
             rho[e] = FactoredField(np.ones((1, 1)), spectrum=spectrum[None], support=u.support)
         elif u.produced:

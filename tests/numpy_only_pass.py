@@ -10,20 +10,30 @@ constant-case density trajectory and its transport residual, and predicts it
 forward and compares.  The plane wave's field, source and charge are produced
 entries, read at their lattice points, so its crosses must report factor
 ranks (1, 5) and (1, 1); the WKB field's charge is one produced row of spatial
-fields, so its cross must report (r, 1), r the field's rank.  The
-evolved family is held on its spatial support, so its
-time-windowed estimate must have binned nt m lattice points, m the support's
-size, on a lattice built over the support alone; ``bin_occupancy`` of the
-grid and sphere must describe the full lattice.  It exits with an error
-naming that estimate's binned points, the occupancy or the crosses' ranks if they differ, or
-every ``scipy`` module that was imported, or ``numpy.ma`` if it was: NumPy
-imports it only for some set routines (``np.unique`` and its callers), which
-cost a fresh process 10-15 ms and which the package does not call.
+fields, so its cross must report (r, 1), r the field's rank.  The pass also
+adds to that WKB wave a layered-phase wave on the opposite branch
+(``sign="-"``, ``trans-1``), so the sum has two time factors; it estimates
+the sum and crosses it with its charge, and each must be within 1e-12 of its
+largest bin of the same measure of the sum's materialised array.  The sum's
+charge (two time factors, one row, four terms) is read from premixed tables,
+so its read sums two column groups; the sum itself (four rows of four terms)
+is read through its coefficients.  The evolved family is held on its spatial
+support, so its time-windowed estimate must have binned nt m lattice points,
+m the support's size, on a lattice built over the support alone;
+``bin_occupancy`` of the grid and sphere must describe the full lattice.  It
+exits with an error naming that estimate's binned points, the occupancy or
+the crosses' ranks if they differ, the measure of the two-branch sum that is
+off its materialised array's, or every ``scipy`` module that was imported,
+or ``numpy.ma`` if it was: NumPy imports it only for some set routines
+(``np.unique`` and its callers), which cost a fresh process 10-15 ms and
+which the package does not call.
 ``test_package_runs_without_scipy`` runs it with SciPy blocked, and CI runs
 it where only the declared runtime dependencies are installed.
 """
 
 import sys
+
+import numpy as np
 
 from hml import estimator, grids, symbols, synthesis, transport, verifier
 
@@ -51,6 +61,23 @@ def main() -> None:
     want = (families[2].fields[families[2].finest].rank, 1)
     if wkb.metadata["factor_rank"] != want:
         raise SystemExit(f"the WKB family's charge cross reads factor ranks {wkb.metadata['factor_rank']}, not {want}")
+    # two layered waves on opposite branches, so their sum has two time factors; each measure of the sum, read from
+    # its factors, must match the same measure of its materialised array
+    minus = synthesis.wkb_family(model, grid, synthesis.layered_phase(model, axis=2, sign="-", x_max=grid.extents[3]),
+                                 grids.hann_window(grid), "trans-1", eps)
+    meta = {"min_cells_per_wavelength": min(w.min_cells_per_wavelength() for w in (families[2], minus))}
+    summed = synthesis.OscillatingFamily(grid=grid, epsilons=minus.epsilons, metadata=meta,
+                                         fields={e: families[2].fields[e] + minus.fields[e] for e in minus.epsilons})
+    held = synthesis.OscillatingFamily(grid=grid, epsilons=minus.epsilons, metadata=meta,
+                                       fields={e: np.asarray(u) for e, u in summed.fields.items()})
+    for name, measure in (("estimate", lambda f: estimator.estimate_hmeasure(f, window, sphere)),
+                          ("charge cross", lambda f: estimator.correlation_measure(f, estimator.charge_tilde_fields(f),
+                                                                                   window, sphere))):
+        got, want = measure(summed).bins, measure(held).bins
+        err = float(np.abs(got - want).max() / np.abs(want).max())
+        if not err <= 1e-12:
+            raise SystemExit(f"the two-branch WKB sum's {name} is {err:.3g} of its largest bin off its materialised "
+                             "array's")
     support = families[1].fields[families[1].finest].support
     binned = {"points": grid.shape[0] * int(support.sum()), "lattice": "support"}
     if estimates[1].metadata["binned_points"] != binned:

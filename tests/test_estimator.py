@@ -750,9 +750,11 @@ def test_wkb_estimates_match_their_materialised_arrays(smooth_model):
     """One WKB wave and the sum of four, superposed by ``sum`` of their produced entries as smooth-rays superposes
     them, estimated from their factors and from their materialised arrays: every bin of every scale within 1e-13 of
     the maximum bin, a bound fixed before measuring.  The reads of spatial-field terms (``_read``) against the 4-D
-    FFTs of the windowed scalars, under a time taper and a 4-D one, within 1e-13 of the peak: a field (one time factor, premixed), a source (two,
-    with r = 6 > K / 2, read through C), the sum and its charge (two, one per temporal rate, each premixed per
-    time factor) and an entry of two time factors with r = 2 and K = 4 (premixed per time factor)."""
+    FFTs of the windowed scalars, under a time taper and a 4-D one, within 1e-13 of the peak: a field (one time factor,
+    premixed), a source (two, with r = 6 > K / 2, read through C), the sum and its charge (two, one per temporal rate,
+    each premixed per time factor), the sum of the four sources (four, with r = 6 and K = 44, so premixed and its
+    read sums four column groups) and an entry of two time factors with r = 2 and K = 4 (premixed per time
+    factor)."""
     grid = GridSpec(extents=(0.25,) * 4, shape=(16,) * 4)
     sphere, phi = SphereGrid(8, 8, 16), hann_window(grid, axes=(0,))
     dirs = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
@@ -776,7 +778,7 @@ def test_wkb_estimates_match_their_materialised_arrays(smooth_model):
     for phi in (phi, hann_window(grid, margin=0.1)):
         window = estimator._window_dft(phi, grid)
         for u in (waves[0].fields[e], waves[0].sources[e], superposed.fields[e], charge_density(superposed)[e],
-                  two_factors):
+                  sum(w.sources[e] for w in waves), two_factors):
             want = np.fft.fftn(u.scalars() * phi.sample(grid), axes=(1, 2, 3, 4)).reshape(u.rank, -1)
             got = estimator._read(u, window, grid)(np.arange(grid.num_points))
             assert got.shape == (grid.num_points, u.rank) and got.flags.c_contiguous
@@ -785,9 +787,10 @@ def test_wkb_estimates_match_their_materialised_arrays(smooth_model):
 
 def test_slab_rows_and_untapered_windows_carry_no_identity_factor():
     """A held or a support-held row is read as its slabs alone, with no time factors; a window is read as its live
-    time slabs lo:hi, the time factor's samples there, nonzero at both ends, and its spatial factors: none when it is
-    one on x1..x3, and the three 1-D spatial factors when it tapers them; and a support-held entry read through
-    ``slabs`` under a spatially tapered window is still the 4-D FFT of its windowed scalars."""
+    time slabs lo:hi, the time factor's samples there, nonzero at both ends, and its spatial product: None when it is
+    one on x1..x3, and the outer product of the three sampled spatial factors, bit for bit, when it tapers them; and a
+    support-held entry read through ``slabs`` under a spatially tapered window is still the 4-D FFT of its windowed
+    scalars."""
     rng = np.random.default_rng(5)
     held = FactoredField.of(rng.standard_normal((2,) + GRID.shape) + 1j * rng.standard_normal((2,) + GRID.shape))
     support_held = _oblique_family().fields[EPS2[-1]]
@@ -801,7 +804,8 @@ def test_slab_rows_and_untapered_windows_carry_no_identity_factor():
         assert spatial is None
     phi = hann_window(GRID, axes=(0, 2))
     window = estimator._window_dft(phi, GRID)
-    assert [w.shape for w in window[3]] == [(n,) for n in GRID.spatial_shape]
+    w1, w2, w3 = (f(GRID.axis(i)) for i, f in enumerate(phi.factors[1:], 1))
+    assert np.array_equal(window[3], w1[:, None, None] * w2[None, :, None] * w3[None, None, :])
     want = np.fft.fftn(support_held.scalars() * phi.sample(GRID), axes=(1, 2, 3, 4)).reshape(support_held.rank, -1)
     got = estimator._spectra(support_held, window, GRID)
     assert got.shape == want.shape
